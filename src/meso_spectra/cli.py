@@ -27,12 +27,14 @@ from . import __version__
 from .ensembles import (
     EntryLaw,
     RngStream,
+    perturb_additive,
+    perturb_multiplicative,
     sample_conjugated,
     sample_haar_frame,
     sample_wigner,
     sample_wishart,
 )
-from .master_equation import Coupling, MasterOperator, locate_outliers
+from .master_equation import MasterOperator, locate_outliers
 from .predictor import DEFAULT_DELTA, predict
 from .spectral_core import (
     InvalidPerturbationError,
@@ -100,17 +102,8 @@ def cmd_predict(args) -> int:
             "--spectrum-file is required for orthogonally invariant kinds "
             "and invalid otherwise"
         )
-    if kind is ModelKind.WIGNER:
-        model = Model.wigner()
-    elif kind is ModelKind.WISHART:
-        model = Model.wishart(args.phi)
-    else:
-        spectrum = _spectrum_from_file(args.spectrum_file, args.n)
-        model = (
-            Model.additive(spectrum)
-            if kind is ModelKind.ORTH_INVARIANT_ADDITIVE
-            else Model.multiplicative(spectrum)
-        )
+    spectrum = None if kind.closed_form else _spectrum_from_file(args.spectrum_file, args.n)
+    model = Model(kind=kind, spectrum=spectrum, phi=args.phi)
     pert = PerturbationSpec.from_values(args.theta)
     n_hint = args.n or (model.spectrum.n if model.spectrum else pert.m + 1)
     print("theta\tseparated\tlocation\tproj_norm_sq")
@@ -165,13 +158,8 @@ def cmd_detect(args) -> int:
     )
     frame = sample_haar_frame(n, m, RngStream(seed, 0))
     pert = PerturbationSpec.from_values(thetas, frame)
-    coupling = Coupling(args.kind)
-    model = (
-        Model.additive(spectrum)
-        if coupling is Coupling.ADDITIVE
-        else Model.multiplicative(spectrum)
-    )
-    op = MasterOperator(coupling=coupling, spectrum=spectrum, pert=pert)
+    model = Model(kind=ModelKind(f"orth-invariant-{args.kind}"), spectrum=spectrum)
+    op = MasterOperator(model=model, pert=pert)
     window = model.window(args.delta)
     roots = []
     for side in (Side.UPPER, Side.LOWER):
@@ -180,13 +168,8 @@ def cmd_detect(args) -> int:
         print("no separated outliers")
         return 0
 
-    from .ensembles import perturb_additive, perturb_multiplicative
-
-    base = np.diag(spectrum.eigenvalues)
-    if coupling is Coupling.ADDITIVE:
-        perturbed = perturb_additive(base, pert)
-    else:
-        perturbed = perturb_multiplicative(base, pert)
+    perturb = perturb_multiplicative if model.kind.multiplicative else perturb_additive
+    perturbed = perturb(np.diag(spectrum.eigenvalues), pert)
     evals = np.linalg.eigvalsh(perturbed)[::-1]
     print("rank\ttheta\tmaster\teigensolve\tdelta")
     for root in sorted(roots):
@@ -341,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True, nargs="+", type=float)
     p.add_argument("--n", type=int, help="resample the spectrum to this size")
     p.add_argument("--m", type=int, help="rank; must equal the number of strengths")
-    p.add_argument("--kind", choices=[c.value for c in Coupling], default="additive")
+    p.add_argument("--kind", choices=["additive", "multiplicative"], default="additive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--tol", type=float, help="bisection width (default 1e-9 scale)")

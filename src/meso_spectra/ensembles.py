@@ -246,15 +246,14 @@ def sample_ensemble(
     """
     gen = rng.generator()
     kind = model.kind
-    if kind is ModelKind.WIGNER:
-        base = sample_wigner(n, law, gen)
+    perturb = perturb_multiplicative if kind.multiplicative else perturb_additive
+    if kind.closed_form:
+        if kind is ModelKind.WIGNER:
+            base = sample_wigner(n, law, gen)
+        else:
+            base = sample_wishart(n, model.p_for(n), law, gen)
         frame = pert.frame
-        perturbed = perturb_additive(base, pert)
-        used_law = law
-    elif kind is ModelKind.WISHART:
-        base = sample_wishart(n, model.p_for(n), law, gen)
-        frame = pert.frame
-        perturbed = perturb_multiplicative(base, pert)
+        placed = pert
         used_law = law
     else:
         if model.spectrum.n != n:
@@ -265,11 +264,8 @@ def sample_ensemble(
         base = np.diag(model.spectrum.eigenvalues)
         frame = sample_haar_frame(n, pert.m, gen) if pert.m else None
         placed = pert.with_frame(frame) if frame is not None else pert
-        if kind is ModelKind.ORTH_INVARIANT_ADDITIVE:
-            perturbed = perturb_additive(base, placed)
-        else:
-            perturbed = perturb_multiplicative(base, placed)
         used_law = None
+    perturbed = perturb(base, placed)
     for arr in (base, perturbed):
         arr.setflags(write=False)
     if frame is not None and frame.flags.writeable:

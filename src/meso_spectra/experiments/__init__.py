@@ -7,14 +7,11 @@ from .checks import (
     random_stability_sweep,
     verify_sandwich_bounds,
 )
-from .concentration import (
-    deviation_norm,
-    run_concentration_experiment,
-    run_concentration_from_config,
-)
+from .concentration import deviation_norm
 from .config import ConfigError, ExperimentConfig, load_config, load_spectrum_values
 from .harness import (
     ExperimentError,
+    run_concentration_from_config,
     run_eigenvector_experiment,
     run_experiment,
     run_location_experiment,
@@ -56,7 +53,6 @@ __all__ = [
     "random_stability_sweep",
     "read_report",
     "reports_equal",
-    "run_concentration_experiment",
     "run_concentration_from_config",
     "run_eigenvector_experiment",
     "run_experiment",

@@ -2,27 +2,18 @@
 
 For a Haar frame U (n x m) and A = (z - H)^(-1), the compression U^T A U
 concentrates around (Tr A / n) I with operator-norm deviations of order
-sqrt(m/n) at fixed z.  The driver samples frames, measures the deviation
-norm, and summarizes medians, which lets the scaling in n be compared across
+sqrt(m/n) at fixed z.  The concentration driver in :mod:`.harness` samples
+frames, measures the deviation norm, and summarizes medians, which lets the scaling in n be compared across
 sizes without knowing the constants in the tail bound.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from ..ensembles import RngStream, sample_haar_frame
 from ..spectral_core import ModelError, SpectrumModel
-from .config import ConfigError, ExperimentConfig
-from .reports import ExperimentReport, TrialRecord, aggregate, write_report
 
-__all__ = [
-    "deviation_norm",
-    "run_concentration_experiment",
-    "run_concentration_from_config",
-]
+__all__ = ["deviation_norm"]
 
 
 def deviation_norm(spectrum: SpectrumModel, z: float, frame: np.ndarray) -> float:
@@ -41,62 +32,3 @@ def deviation_norm(spectrum: SpectrumModel, z: float, frame: np.ndarray) -> floa
     if c.size == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvalsh(c))))
-
-
-def run_concentration_experiment(
-    n: int, m: int, z: float, spectrum: SpectrumModel, trials: int, seed: int
-) -> dict:
-    """Median and 95th-percentile deviation norms over ``trials`` Haar frames.
-
-    ``spectrum`` must have length ``n``; each trial draws its frame from an
-    independent stream of ``seed``.
-    """
-    if spectrum.n != n:
-        raise ModelError(f"spectrum has {spectrum.n} eigenvalues, expected {n}")
-    if not 0 <= m <= n:
-        raise ModelError(f"need 0 <= m <= n, got {m=} {n=}")
-    if trials < 1:
-        raise ModelError("trials must be >= 1")
-    norms = []
-    for trial in range(trials):
-        frame = sample_haar_frame(n, m, RngStream(seed, trial))
-        norms.append(deviation_norm(spectrum, z, frame))
-    arr = np.asarray(norms)
-    return {
-        "n": n,
-        "m": m,
-        "z": z,
-        "trials": trials,
-        "median": float(np.median(arr)),
-        "p95": float(np.quantile(arr, 0.95)),
-    }
-
-
-def run_concentration_from_config(cfg: ExperimentConfig) -> ExperimentReport:
-    """Config-driven variant covering a ladder of sizes in one report."""
-    if cfg.experiment != "concentration":
-        raise ConfigError(f"config describes {cfg.experiment!r}, not concentration")
-    start = time.perf_counter()
-    records: list[TrialRecord] = []
-    for n_index, n in enumerate(cfg.n_values):
-        spectrum = cfg.spectrum_for(n)
-        m = cfg.m_for(n)
-        for trial in range(cfg.trials):
-            stream = RngStream(cfg.seed, n_index * cfg.trials + trial)
-            frame = sample_haar_frame(n, m, stream)
-            records.append(
-                TrialRecord(
-                    stream_id=stream.stream_id,
-                    n=n,
-                    deviation_norm=deviation_norm(spectrum, cfg.z, frame),
-                )
-            )
-    report = ExperimentReport(
-        config=cfg.to_dict(),
-        records=tuple(records),
-        aggregates=aggregate(cfg.experiment, records),
-        wall_clock_seconds=time.perf_counter() - start,
-    )
-    if cfg.report_path is not None:
-        write_report(report, cfg.report_path)
-    return report

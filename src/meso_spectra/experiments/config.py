@@ -21,6 +21,7 @@ from ..spectral_core import (
     Model,
     ModelKind,
     SpectrumModel,
+    check_separation,
 )
 from ..transforms import empirical_quantiles, mp_quantiles, semicircle_quantiles
 
@@ -357,15 +358,13 @@ class ExperimentConfig:
         if self.experiment == "pushforward":
             _require(all(a < b for a, b in zip(self.n_values, self.n_values[1:])),
                      "n_values: pushforward ladder must be strictly increasing")
-            low = self.theta_spec["low"]
-            if self.kind is ModelKind.WIGNER:
-                _require(low >= 1.0 + 2.0 * self.delta,
+            if self.kind.closed_form:
+                model = self.model_for(self.n_values[0])
+                verdict = check_separation(model, model.window(self.delta),
+                                           self.theta_spec["low"])
+                _require(verdict.separated,
                          "theta_spec.low: support must clear the separation "
-                         f"threshold {1.0 + 2.0 * self.delta:g}")
-            elif self.kind is ModelKind.WISHART:
-                thr = math.sqrt(self.phi) + 2.0 * self.delta
-                _require(low >= thr,
-                         f"theta_spec.low: support must clear the separation threshold {thr:g}")
+                         f"threshold {verdict.threshold:g}")
 
     # -- derived quantities ----------------------------------------------
 
@@ -406,15 +405,10 @@ class ExperimentConfig:
         return SpectrumModel.from_values(vals)
 
     def model_for(self, n: int) -> Model:
-        if self.kind is ModelKind.WIGNER:
-            return Model.wigner()
-        if self.kind is ModelKind.WISHART:
-            return Model.wishart(self.phi, self.p)
-        if self.kind is ModelKind.ORTH_INVARIANT_ADDITIVE:
-            return Model.additive(self.spectrum_for(n))
-        if self.kind is ModelKind.ORTH_INVARIANT_MULTIPLICATIVE:
-            return Model.multiplicative(self.spectrum_for(n))
-        raise ConfigError("kind: not set")
+        if self.kind is None:
+            raise ConfigError("kind: not set")
+        spectrum = None if self.kind.closed_form else self.spectrum_for(n)
+        return Model(kind=self.kind, spectrum=spectrum, phi=self.phi, p=self.p)
 
     def cross_check_for(self, n: int) -> bool:
         if self.cross_check is not None:

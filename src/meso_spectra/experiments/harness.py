@@ -2,8 +2,8 @@
 
 Each trial is an independent unit keyed by its stream id, so runs are
 reproducible and records merge deterministically regardless of execution
-order.  A trial whose eigensolve fails is marked failed and the run
-continues; more than 10% failures aborts the run.
+order.  A trial whose eigensolve or detector fails is marked failed and the
+run continues; more than 10% failures aborts the run.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ import time
 
 import numpy as np
 
-from ..ensembles import EnsembleSample, RngStream, eigensolve, sample_ensemble
-from ..master_equation import Coupling, MasterOperator, locate_outliers
+from ..ensembles import (EnsembleSample, RngStream, eigensolve, sample_ensemble,
+                         sample_haar_frame)
+from ..master_equation import MasterOperator, MissingRootError, locate_outliers
 from ..predictor import (
     OutlierPrediction,
     predict,
@@ -23,13 +24,13 @@ from ..predictor import (
 from ..spectral_core import (
     MesoSpectraError,
     Model,
-    ModelKind,
     PerturbationSpec,
     Side,
     SpectrumModel,
 )
-from .concentration import run_concentration_from_config
-from .config import ExperimentConfig
+from ..transforms import InversionError
+from .concentration import deviation_norm
+from .config import ConfigError, ExperimentConfig
 from .reports import (
     ExperimentReport,
     OutlierRecord,
@@ -44,6 +45,7 @@ __all__ = [
     "run_location_experiment",
     "run_eigenvector_experiment",
     "run_pushforward_experiment",
+    "run_concentration_from_config",
     "run_experiment",
 ]
 
@@ -58,19 +60,24 @@ class ExperimentError(MesoSpectraError, RuntimeError):
     """Too many failed trials, or an inconsistent experiment invocation."""
 
 
-def _maybe_write(report: ExperimentReport, cfg: ExperimentConfig) -> ExperimentReport:
-    if cfg.report_path is not None:
-        write_report(report, cfg.report_path)
-    return report
-
-
-def _check_failures(records) -> None:
+def _finish(cfg: ExperimentConfig, records: list[TrialRecord], start: float,
+            epsilon: float | None = None) -> ExperimentReport:
+    """Apply the failure rule, aggregate, time and (optionally) write a run."""
     failed = sum(r.failed for r in records)
     if records and failed > MAX_FAILURE_FRACTION * len(records):
         raise ExperimentError(
             f"{failed} of {len(records)} trials failed (limit "
             f"{MAX_FAILURE_FRACTION:.0%})"
         )
+    report = ExperimentReport(
+        config=cfg.to_dict(),
+        records=tuple(records),
+        aggregates=aggregate(cfg.experiment, records, epsilon),
+        wall_clock_seconds=time.perf_counter() - start,
+    )
+    if cfg.report_path is not None:
+        write_report(report, cfg.report_path)
+    return report
 
 
 def _detector_locations(
@@ -85,22 +92,21 @@ def _detector_locations(
     sampled frame.  Closed-form kinds first diagonalize the realized base
     matrix and transport the frame into its eigenbasis.
     """
-    kind = model.kind
-    coupling = Coupling.MULTIPLICATIVE if kind.multiplicative else Coupling.ADDITIVE
-    if kind.closed_form:
+    # Taken before ``model`` is swapped for one on the realized spectrum.
+    window = model.window(delta)
+    if model.kind.closed_form:
         base_vals, base_vecs = eigensolve(sample.base)
-        spectrum = SpectrumModel.from_values(base_vals,
-                                             is_psd=kind.multiplicative or None)
+        multiplicative = model.kind.multiplicative
+        spectrum = SpectrumModel.from_values(base_vals, is_psd=multiplicative or None)
         if sample.frame is None:
             frame = base_vecs.T[:, : pert.m].copy()
         else:
             frame = base_vecs.T @ sample.frame
         placed = pert.with_frame(frame)
+        model = (Model.multiplicative if multiplicative else Model.additive)(spectrum)
     else:
-        spectrum = model.spectrum
         placed = pert.with_frame(sample.frame) if sample.frame is not None else pert
-    op = MasterOperator(coupling=coupling, spectrum=spectrum, pert=placed)
-    window = model.window(delta)
+    op = MasterOperator(model=model, pert=placed)
     found: dict[int, float] = {}
     for side in (Side.UPPER, Side.LOWER):
         for root in locate_outliers(op, window, side):
@@ -185,6 +191,7 @@ def _run_trials(cfg: ExperimentConfig, with_vectors: bool) -> ExperimentReport:
         cross = cfg.cross_check_for(n)
         for trial in range(cfg.trials):
             stream = RngStream(cfg.seed, n_index * cfg.trials + trial)
+            failure = None
             try:
                 sample = sample_ensemble(model, pert, n, stream, cfg.entry_law)
                 if with_vectors:
@@ -192,15 +199,20 @@ def _run_trials(cfg: ExperimentConfig, with_vectors: bool) -> ExperimentReport:
                 else:
                     evals = np.linalg.eigvalsh(sample.perturbed)[::-1]
                     evecs = None
-                detector = (
-                    _detector_locations(model, pert, sample, cfg.delta)
-                    if cross
-                    else {}
-                )
+                try:
+                    detector = (
+                        _detector_locations(model, pert, sample, cfg.delta)
+                        if cross
+                        else {}
+                    )
+                except (MissingRootError, InversionError) as exc:
+                    failure = f"detector failed: {exc}"
             except np.linalg.LinAlgError as exc:
+                failure = f"eigensolve failed: {exc}"
+            if failure is not None:
                 records.append(
                     TrialRecord(stream_id=stream.stream_id, n=n, failed=True,
-                                failure=f"eigensolve failed: {exc}")
+                                failure=failure)
                 )
                 continue
             outliers = []
@@ -237,14 +249,7 @@ def _run_trials(cfg: ExperimentConfig, with_vectors: bool) -> ExperimentReport:
                 TrialRecord(stream_id=stream.stream_id, n=n,
                             outliers=tuple(outliers))
             )
-    _check_failures(records)
-    report = ExperimentReport(
-        config=cfg.to_dict(),
-        records=tuple(records),
-        aggregates=aggregate(cfg.experiment, records, cfg.epsilon),
-        wall_clock_seconds=time.perf_counter() - start,
-    )
-    return _maybe_write(report, cfg)
+    return _finish(cfg, records, start, cfg.epsilon)
 
 
 def run_location_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -313,14 +318,33 @@ def run_pushforward_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     w1=wasserstein1(evals[:m], predicted),
                 )
             )
-    _check_failures(records)
-    report = ExperimentReport(
-        config=cfg.to_dict(),
-        records=tuple(records),
-        aggregates=aggregate(cfg.experiment, records),
-        wall_clock_seconds=time.perf_counter() - start,
-    )
-    return _maybe_write(report, cfg)
+    return _finish(cfg, records, start)
+
+
+def run_concentration_from_config(cfg: ExperimentConfig) -> ExperimentReport:
+    """Deviation norms of Haar-frame compressions down a ladder of sizes.
+
+    Per (n, trial): draw an ``n x M`` Haar frame and record
+    :func:`deviation_norm` of the configured spectrum's resolvent at ``z``.
+    """
+    if cfg.experiment != "concentration":
+        raise ConfigError(f"config describes {cfg.experiment!r}, not concentration")
+    start = time.perf_counter()
+    records: list[TrialRecord] = []
+    for n_index, n in enumerate(cfg.n_values):
+        spectrum = cfg.spectrum_for(n)
+        m = cfg.m_for(n)
+        for trial in range(cfg.trials):
+            stream = RngStream(cfg.seed, n_index * cfg.trials + trial)
+            frame = sample_haar_frame(n, m, stream)
+            records.append(
+                TrialRecord(
+                    stream_id=stream.stream_id,
+                    n=n,
+                    deviation_norm=deviation_norm(spectrum, cfg.z, frame),
+                )
+            )
+    return _finish(cfg, records, start)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:

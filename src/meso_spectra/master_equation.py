@@ -2,7 +2,8 @@
 
 For a diagonal base spectrum perturbed on an orthonormal frame, the
 perturbed eigenvalues outside the bulk are exactly the singular points of a
-small ``m x m`` operator built from resolvent weights:
+small ``m x m`` operator built from resolvent weights, which the model kind
+selects:
 
     additive:        D(z) = diag(1/theta) - U^T diag(1/(z - lambda)) U
     multiplicative:  D(z) = diag(1/theta) - U^T diag(lambda/(z - lambda)) U
@@ -16,8 +17,6 @@ giving a route independent of dense diagonalization.
 
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,7 +35,6 @@ from .spectral_core import (
 from .transforms import TransformDomainError
 
 __all__ = [
-    "Coupling",
     "MasterOperator",
     "MissingRootError",
     "OutlierRoot",
@@ -44,13 +42,6 @@ __all__ = [
     "counting_function",
     "locate_outliers",
 ]
-
-
-class Coupling(str, enum.Enum):
-    """How the finite-rank perturbation enters the matrix."""
-
-    ADDITIVE = "additive"
-    MULTIPLICATIVE = "multiplicative"
 
 
 class MissingRootError(MesoSpectraError, RuntimeError):
@@ -76,18 +67,21 @@ class OutlierRoot(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class MasterOperator:
-    """The data defining ``D(z)``: coupling, base spectrum, and perturbation.
+    """The data defining ``D(z)``: model kind, base spectrum, and perturbation.
 
-    The perturbation's frame (``None`` for leading coordinates) must have
-    ``spectrum.n`` rows; multiplicative coupling additionally requires a PSD
-    spectrum and strengths above -1.
+    ``model`` must carry an explicit spectrum; its kind picks the additive or
+    multiplicative weights.  The perturbation's frame (``None`` for leading
+    coordinates) must have ``spectrum.n`` rows; a multiplicative model kind
+    additionally requires strengths above -1 (:class:`Model` already
+    requires its spectrum to be PSD).
     """
 
-    coupling: Coupling
-    spectrum: SpectrumModel
+    model: Model
     pert: PerturbationSpec
 
     def __post_init__(self):
+        if self.model.spectrum is None:
+            raise ModelError(f"{self.model.kind.value} has no explicit spectrum")
         if self.pert.frame is not None and self.pert.frame.shape[0] != self.spectrum.n:
             raise ModelError(
                 f"frame has {self.pert.frame.shape[0]} rows for a spectrum of "
@@ -95,11 +89,12 @@ class MasterOperator:
             )
         if self.pert.m > self.spectrum.n:
             raise ModelError("perturbation rank exceeds spectrum size")
-        if self.coupling is Coupling.MULTIPLICATIVE:
-            if not self.spectrum.is_psd:
-                raise ModelError("multiplicative coupling needs a PSD spectrum")
-            if self.pert.m and self.pert.thetas[-1] <= -1.0:
-                raise ModelError("multiplicative strengths must exceed -1")
+        if self.model.kind.multiplicative and self.pert.m and self.pert.thetas[-1] <= -1.0:
+            raise ModelError("multiplicative strengths must exceed -1")
+
+    @property
+    def spectrum(self) -> SpectrumModel:
+        return self.model.spectrum
 
     @property
     def m(self) -> int:
@@ -107,14 +102,9 @@ class MasterOperator:
 
     def _weights(self, z: float) -> np.ndarray:
         lam = self.spectrum.eigenvalues
-        if self.coupling is Coupling.ADDITIVE:
-            return 1.0 / (z - lam)
-        return lam / (z - lam)
-
-    def _model(self) -> Model:
-        if self.coupling is Coupling.ADDITIVE:
-            return Model.additive(self.spectrum)
-        return Model.multiplicative(self.spectrum)
+        if self.model.kind.multiplicative:
+            return lam / (z - lam)
+        return 1.0 / (z - lam)
 
 
 def _require_outside(spectrum: SpectrumModel, z: float) -> None:
@@ -227,7 +217,6 @@ def locate_outliers(
         tol = 1e-9 * (1.0 + op.spectrum.norm_bound)
     if op.m == 0:
         return []
-    model = op._model()
     m = op.m
     m1 = op.pert.m_positive
     lam_max = op.spectrum.lam_max
@@ -236,7 +225,7 @@ def locate_outliers(
     ranks = range(1, m1 + 1) if side is Side.UPPER else range(m1 + 1, m + 1)
     roots: list[OutlierRoot] = []
     for rank in ranks:
-        verdict = check_separation(model, window, float(thetas[rank - 1]))
+        verdict = check_separation(op.model, window, float(thetas[rank - 1]))
         if not verdict:
             continue
         if side is Side.UPPER:

@@ -23,6 +23,7 @@ from .spectral_core import (
     NotSeparatedError,
     PerturbationSpec,
     Separation,
+    SpectralWindow,
     check_separation,
     target_index,
 )
@@ -66,18 +67,35 @@ class OutlierPrediction:
         return self.separation.separated
 
 
-def _separated_location(model: Model, theta: float, delta: float, tf: Transform) -> tuple[Separation, float]:
-    verdict = check_separation(model, model.window(delta), theta)
+def _predict_one(model: Model, window: SpectralWindow, tf: Transform, theta: float):
+    """``(verdict, location, squared projection)`` for one strength; the last
+    two are ``None`` when it is not separated."""
+    verdict = check_separation(model, window, theta)
+    if not verdict:
+        return verdict, None, None
+    if model.kind.closed_form:
+        z = tf.invert(1.0 / theta)
+    else:
+        # For empirical kinds the separation statistic already is the location.
+        z = verdict.statistic
+    if model.kind.additive:
+        norm_sq = -1.0 / (theta * theta * tf.deriv(z))
+    else:
+        norm_sq = -(theta + 1.0) / (theta * theta * z * tf.deriv(z))
+    return verdict, z, norm_sq
+
+
+def _predict_separated(model: Model, theta: float, delta: float):
+    """``(transform, location, squared projection)``; raises below the threshold."""
+    tf = transform_for(model)
+    verdict, z, norm_sq = _predict_one(model, model.window(delta), tf, theta)
     if not verdict:
         raise NotSeparatedError(
             f"theta={theta:g} fails the separation test "
             f"(statistic {verdict.statistic:g} vs threshold {verdict.threshold:g})",
             verdict,
         )
-    if model.kind.closed_form:
-        return verdict, tf.invert(1.0 / theta)
-    # For empirical kinds the separation statistic already is the location.
-    return verdict, verdict.statistic
+    return tf, z, norm_sq
 
 
 def predict_location(model: Model, theta: float, delta: float = DEFAULT_DELTA) -> float:
@@ -87,17 +105,12 @@ def predict_location(model: Model, theta: float, delta: float = DEFAULT_DELTA) -
     Empirical kinds solve ``m(z) = 1/theta`` or ``T(z) = 1/theta`` outside
     the bulk.  Raises :class:`NotSeparatedError` below the threshold.
     """
-    _, z = _separated_location(model, theta, delta, transform_for(model))
-    return z
+    return _predict_separated(model, theta, delta)[1]
 
 
 def predict_projection_norm(model: Model, theta: float, delta: float = DEFAULT_DELTA) -> float:
     """Predicted squared projection of the outlier's eigenvector onto the frame."""
-    tf = transform_for(model)
-    _, z = _separated_location(model, theta, delta, tf)
-    if model.kind.additive:
-        return -1.0 / (theta * theta * tf.deriv(z))
-    return -(theta + 1.0) / (theta * theta * z * tf.deriv(z))
+    return _predict_separated(model, theta, delta)[2]
 
 
 def predict_whitened_norm(model: Model, theta: float, delta: float = DEFAULT_DELTA) -> float:
@@ -109,8 +122,7 @@ def predict_whitened_norm(model: Model, theta: float, delta: float = DEFAULT_DEL
     """
     if not model.kind.multiplicative:
         raise ModelError("whitened projections only exist for multiplicative kinds")
-    tf = transform_for(model)
-    _, z = _separated_location(model, theta, delta, tf)
+    tf, z, _ = _predict_separated(model, theta, delta)
     return -1.0 / (theta + theta * theta * z * tf.deriv(z))
 
 
@@ -131,19 +143,7 @@ def predict(
     out: list[OutlierPrediction] = []
     for i, theta in enumerate(pert.thetas, start=1):
         theta = float(theta)
-        verdict = check_separation(model, window, theta)
-        if verdict:
-            if model.kind.closed_form:
-                z = tf.invert(1.0 / theta)
-            else:
-                z = verdict.statistic
-            if model.kind.additive:
-                norm_sq = -1.0 / (theta * theta * tf.deriv(z))
-            else:
-                norm_sq = -(theta + 1.0) / (theta * theta * z * tf.deriv(z))
-        else:
-            z = None
-            norm_sq = None
+        verdict, z, norm_sq = _predict_one(model, window, tf, theta)
         out.append(
             OutlierPrediction(
                 rank=i,

@@ -418,18 +418,15 @@ def check_separation(model: Model, window: SpectralWindow, theta: float) -> Sepa
     delta = window.delta
     side = Side.UPPER if theta > 0.0 else Side.LOWER
 
-    if model.kind is ModelKind.WIGNER:
-        threshold = 1.0 + 2.0 * delta
-        return Separation(abs(theta) >= threshold, side if abs(theta) >= threshold else None,
-                          abs(theta), threshold)
-    if model.kind is ModelKind.WISHART:
-        threshold = math.sqrt(model.phi) + 2.0 * delta
+    if model.kind.closed_form:
+        critical = 1.0 if model.kind is ModelKind.WIGNER else math.sqrt(model.phi)
+        threshold = critical + 2.0 * delta
         ok = abs(theta) >= threshold
         return Separation(ok, side if ok else None, abs(theta), threshold)
 
     spectrum = model.spectrum
     try:
-        if model.kind is ModelKind.ORTH_INVARIANT_ADDITIVE:
+        if model.kind.additive:
             location = transforms.invert_stieltjes(spectrum, 1.0 / theta)
         else:
             location = transforms.invert_t_transform(spectrum, 1.0 / theta)

@@ -9,7 +9,8 @@ limits, derivatives, and inverses, plus the densities and deterministic
 quantile spectra used to discretize the limit laws.
 
 Inverses outside the bulk are computed by bisection on a certified bracket
-followed by a Newton polish; results satisfy ``|f(z) - t| <= 1e-12 * max(1, |t|)``.
+followed by a Newton polish; results satisfy ``|f(z) - t| <= 1e-12 * max(1, |t|)``,
+and a solve that misses that residual raises :class:`InversionError`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .spectral_core import MesoSpectraError, Model, ModelError, ModelKind, SpectrumModel
 
 __all__ = [
+    "InversionError",
     "TransformDomainError",
     "stieltjes",
     "stieltjes_deriv",
@@ -64,6 +66,10 @@ class TransformDomainError(MesoSpectraError, ValueError):
     def __init__(self, message: str, interval: tuple[float, float]):
         super().__init__(message)
         self.interval = interval
+
+
+class InversionError(MesoSpectraError, ArithmeticError):
+    """An inverse solve of an attainable target missed its residual tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +126,8 @@ def _bisect_newton(
     """Solve ``f(z) = t`` for decreasing ``f`` with ``f(lo) >= t >= f(hi)``.
 
     Bisection narrows the bracket, then Newton steps (clamped to it) polish
-    the root to ``INVERSION_RTOL``.
+    the root to ``INVERSION_RTOL``; raises :class:`InversionError` if they
+    do not get there.
     """
     tol_resid = INVERSION_RTOL * max(1.0, abs(t))
     width_goal = 1e-13 * max(1.0, abs(lo), abs(hi))
@@ -142,6 +149,10 @@ def _bisect_newton(
         if not lo <= z_new <= hi:
             z_new = 0.5 * (lo + hi)
         z = z_new
+    resid = f(z) - t
+    if abs(resid) > tol_resid:
+        raise InversionError(f"inverse solve for t={t:g} stopped at z={z!r} with "
+                             f"residual {resid:.3g} (tolerance {tol_resid:.3g})")
     return z
 
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from meso_spectra import (
-    Coupling,
     MasterOperator,
+    Model,
     PerturbationSpec,
     RngStream,
     Side,
@@ -177,21 +177,21 @@ def agreement_suite(seed=104, instances=100):
             vals = gen.uniform(-1.5, 1.5, n)
             thetas = gen.choice([-1.0, 1.0], m) * gen.uniform(2.2, 4.0, m)
             psd = None
-            coupling = Coupling.ADDITIVE
+            model_of = Model.additive
         else:
             vals = gen.uniform(0.5, 2.5, n)
             thetas = np.where(gen.random(m) < 0.7,
                               gen.uniform(1.5, 4.0, m),
                               gen.uniform(-0.95, -0.55, m))
             psd = True
-            coupling = Coupling.MULTIPLICATIVE
+            model_of = Model.multiplicative
         # One shared spec keeps the operator and the assembled matrix on
         # the same frame; strengths are sorted before the frame attaches.
         order = np.argsort(thetas)[::-1]
         frame = sample_haar_frame(n, m, RngStream(seed, k))
         spectrum = SpectrumModel.from_values(vals, is_psd=psd)
         pert = PerturbationSpec.from_values(thetas[order], frame=frame)
-        op = MasterOperator(coupling=coupling, spectrum=spectrum, pert=pert)
+        op = MasterOperator(model=model_of(spectrum), pert=pert)
         window = SpectralWindow.from_spectrum(spectrum, 0.1)
         base = np.diag(spectrum.eigenvalues)
         matrix = (perturb_additive(base, pert) if additive
@@ -252,7 +252,7 @@ class TestAcceptance:
 
     def test_detector_matches_eigensolve_everywhere(self, agreement_rows):
         rows, elapsed = agreement_rows
-        # Both couplings, mixed signs: the sweep should locate hundreds.
+        # Both model kinds, mixed signs: the sweep should locate hundreds.
         assert len(rows) >= 300
         worst = max(abs(loc - realized) for _, _, loc, realized in rows)
         assert worst <= AGREEMENT_TOL

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from meso_spectra import ModelError, SpectrumModel
+from meso_spectra import InversionError, MissingRootError, SpectrumModel
 from meso_spectra.experiments import (
+    ConfigError,
     ExperimentConfig,
     ExperimentError,
     aggregate,
     deviation_norm,
+    harness,
     read_report,
     reports_equal,
-    run_concentration_experiment,
+    run_concentration_from_config,
     run_eigenvector_experiment,
     run_experiment,
     run_location_experiment,
@@ -73,6 +75,23 @@ class TestLocationDriver:
         rep = run_location_experiment(cfg)
         assert rep.aggregates["detector_delta_max"] < 1e-6
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "wigner", "n_values": [300],
+         "theta_spec": {"values": [1.5, 2.0, -2.2, 0.9]}},
+        {"kind": "wishart", "phi": 0.5, "n_values": [200],
+         "theta_spec": {"values": [2.0, 1.2, -0.9]}},
+    ], ids=["wigner", "wishart"])
+    def test_closed_form_cross_check_agrees(self, doc):
+        # The detector runs on the realized base spectrum, so a strength near
+        # the closed-form threshold may fall inside that spectrum's margin
+        # and go unlocated; every trial still locates its strong spikes.
+        cfg = location_cfg(spectrum=None, cross_check=True, trials=3, seed=7,
+                           **doc)
+        rep = run_location_experiment(cfg)
+        for rec in rep.records:
+            assert any(out.detector_location is not None for out in rec.outliers)
+        assert rep.aggregates["detector_delta_max"] <= 1e-8
+
     def test_deterministic_rerun(self):
         cfg = location_cfg()
         assert reports_equal(run_location_experiment(cfg),
@@ -106,6 +125,48 @@ class TestLocationDriver:
     def test_dispatch(self):
         cfg = location_cfg(trials=2)
         assert reports_equal(run_experiment(cfg), run_location_experiment(cfg))
+
+
+class TestTrialFailures:
+    def run_with_failing_detector(self, monkeypatch, cfg, bad_streams, error):
+        """Run ``cfg`` with the detector raising ``error`` on ``bad_streams``."""
+        current = {}
+        real_sample = harness.sample_ensemble
+        real_locate = harness.locate_outliers
+
+        def sample(model, pert, n, stream, law):
+            current["stream"] = stream.stream_id
+            return real_sample(model, pert, n, stream, law)
+
+        def locate(op, window, side, tol=None):
+            if current["stream"] in bad_streams:
+                raise error
+            return real_locate(op, window, side, tol)
+
+        monkeypatch.setattr(harness, "sample_ensemble", sample)
+        monkeypatch.setattr(harness, "locate_outliers", locate)
+        return run_location_experiment(cfg)
+
+    @pytest.mark.parametrize("error", [
+        MissingRootError("no root found above the bulk for rank 1", 1),
+        InversionError("inverse solve missed its tolerance"),
+    ], ids=["missing-root", "inversion"])
+    def test_detector_failure_fails_one_trial(self, monkeypatch, error):
+        cfg = location_cfg(trials=10)
+        clean = run_location_experiment(cfg)
+        rep = self.run_with_failing_detector(monkeypatch, cfg, {3}, error)
+        failed = [rec for rec in rep.records if rec.failed]
+        assert [rec.stream_id for rec in failed] == [3]
+        assert failed[0].failure == f"detector failed: {error}"
+        assert failed[0].outliers == ()
+        kept = [rec for rec in clean.records if rec.stream_id != 3]
+        assert [rec for rec in rep.records if not rec.failed] == kept
+
+    def test_detector_failures_over_limit_abort(self, monkeypatch):
+        cfg = location_cfg(trials=10)
+        error = MissingRootError("no root found above the bulk for rank 1", 1)
+        with pytest.raises(ExperimentError):
+            self.run_with_failing_detector(monkeypatch, cfg, {2, 5}, error)
 
 
 class TestEigenvectorDriver:
@@ -220,22 +281,9 @@ class TestConcentration:
         with pytest.raises(Exception):
             deviation_norm(s, 0.5, frame)
 
-    def test_summary_shape(self):
-        s = SpectrumModel.from_values(np.linspace(-1.9, 1.9, 120))
-        out = run_concentration_experiment(120, 6, 3.0, s, trials=16, seed=29)
-        assert out["n"] == 120 and out["m"] == 6 and out["trials"] == 16
-        assert 0.0 < out["median"] <= out["p95"] < 1.0
-
-    def test_reproducible(self):
-        s = SpectrumModel.from_values(np.linspace(-1.9, 1.9, 80))
-        a = run_concentration_experiment(80, 5, 3.0, s, trials=8, seed=31)
-        b = run_concentration_experiment(80, 5, 3.0, s, trials=8, seed=31)
-        assert a == b
-
-    def test_size_mismatch(self):
-        s = SpectrumModel.from_values(np.linspace(-1, 1, 50))
-        with pytest.raises(ModelError):
-            run_concentration_experiment(60, 5, 3.0, s, trials=4, seed=1)
+    def test_wrong_experiment_rejected(self):
+        with pytest.raises(ConfigError):
+            run_concentration_from_config(location_cfg())
 
     def test_config_driver_ratio(self):
         cfg = ExperimentConfig.from_dict({
@@ -250,5 +298,7 @@ class TestConcentration:
         rep = run_experiment(cfg)
         agg = rep.aggregates
         assert set(agg["deviation_per_n"]) == {"100", "400"}
+        for stats in agg["deviation_per_n"].values():
+            assert 0.0 < stats["median"] <= stats["p95"] < 1.0
         # Quadrupling n should roughly halve the deviation norm.
         assert 1.2 < agg["median_ratio"] < 3.2

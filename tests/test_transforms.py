@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meso_spectra import (
+    InversionError,
+    MesoSpectraError,
     Model,
     ModelError,
     SpectrumModel,
@@ -39,6 +41,7 @@ from meso_spectra import (
     t_transform_deriv,
     transform_for,
 )
+from meso_spectra.transforms import _bisect_newton
 
 S200 = SpectrumModel.from_values(np.linspace(-1.0, 1.0, 200))
 S300 = SpectrumModel.from_values(np.linspace(0.5, 2.5, 300))
@@ -154,6 +157,15 @@ class TestInversion:
             invert_t_transform(s, -0.5)
         with pytest.raises(TransformDomainError):
             invert_t_transform(s, -0.6)
+
+    def test_unreachable_tolerance_raises(self):
+        # A decreasing step has no point within the tolerance of t = 0, so
+        # bisection and Newton both stall at the jump.
+        step = lambda z: 1.0 if z < 0.5 else -1.0
+        with pytest.raises(InversionError) as info:
+            _bisect_newton(step, lambda z: -1.0, 0.0, 0.0, 1.0)
+        assert isinstance(info.value, (MesoSpectraError, ArithmeticError))
+        assert not isinstance(info.value, TransformDomainError)
 
     @given(spectra, st.floats(0.05, 0.95))
     @settings(derandomize=True, max_examples=60)
