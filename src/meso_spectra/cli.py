@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["additive", "multiplicative"], default="additive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    p.add_argument("--tol", type=float, help="bisection width (default 1e-9 scale)")
+    p.add_argument("--tol", type=float, help="root tolerance (default 1e-9 scale)")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("verify", help="run a config and check its thresholds")

@@ -2,8 +2,8 @@
 
 Each trial is an independent unit keyed by its stream id, so runs are
 reproducible and records merge deterministically regardless of execution
-order.  A trial whose eigensolve or detector fails is marked failed and the
-run continues; more than 10% failures aborts the run.
+order.  A trial whose eigensolve, detector or prediction fails is marked
+failed and the run continues; more than 10% failures aborts the run.
 """
 
 from __future__ import annotations
@@ -90,7 +90,10 @@ def _detector_locations(
 
     Orthogonally invariant kinds reuse the known base spectrum and the
     sampled frame.  Closed-form kinds first diagonalize the realized base
-    matrix and transport the frame into its eigenbasis.
+    matrix and transport the frame into its eigenbasis; their separation
+    verdicts then come from that realized spectrum, not from the closed
+    form, so a strength near the closed-form threshold may be scored but
+    not located (the report's ``detector_located`` counts those that are).
     """
     # Taken before ``model`` is swapped for one on the realized spectrum.
     window = model.window(delta)
@@ -300,14 +303,19 @@ def run_pushforward_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             model = cfg.model_for(n)
             thetas = theta_gen.uniform(low, high, m)
             pert = PerturbationSpec.from_values(thetas)
+            failure = None
             try:
                 sample = sample_ensemble(model, pert, n, matrix_stream, cfg.entry_law)
                 evals = np.linalg.eigvalsh(sample.perturbed)[::-1]
                 predicted = pushforward_sample(model, pert.thetas)
             except np.linalg.LinAlgError as exc:
+                failure = f"eigensolve failed: {exc}"
+            except InversionError as exc:
+                failure = f"prediction failed: {exc}"
+            if failure is not None:
                 records.append(
                     TrialRecord(stream_id=unit, n=n, batch=batch, failed=True,
-                                failure=f"eigensolve failed: {exc}")
+                                failure=failure)
                 )
                 continue
             records.append(

@@ -228,6 +228,7 @@ def _aggregate_location(records, epsilon: float | None) -> dict:
     }
     if detector_deltas:
         agg["detector_delta_max"] = float(np.max(detector_deltas))
+        agg["detector_located"] = len(detector_deltas)
     return agg
 
 

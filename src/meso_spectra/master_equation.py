@@ -10,13 +10,17 @@ selects:
 
 ``D`` is increasing in ``z`` on each side of the bulk, so the number of
 nonnegative eigenvalues of ``D(z)`` is a non-decreasing step function whose
-jumps sit at the perturbed eigenvalues.  Bisection on that counting function
-locates each separated outlier without ever touching an ``n x n`` eigensolve,
-giving a route independent of dense diagonalization.
+jumps sit at the perturbed eigenvalues.  Each separated outlier is the zero
+of one eigenvalue branch of ``D(z)``, whose derivative is the closed form
+``U^T diag(w') U`` seen through its eigenvector.  Newton steps on that
+branch, falling back to bisection on a bracket the counting function
+certifies, locate the outlier without ever touching an ``n x n``
+eigensolve, giving a route independent of dense diagonalization.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -106,6 +110,14 @@ class MasterOperator:
             return lam / (z - lam)
         return 1.0 / (z - lam)
 
+    def _weight_slopes(self, z: float) -> np.ndarray:
+        """Minus the ``z``-derivative of :meth:`_weights`, so that
+        ``D'(z) = U^T diag(slopes) U``."""
+        lam = self.spectrum.eigenvalues
+        if self.model.kind.multiplicative:
+            return lam / (z - lam) ** 2
+        return 1.0 / (z - lam) ** 2
+
 
 def _require_outside(spectrum: SpectrumModel, z: float) -> None:
     if spectrum.lam_min <= z <= spectrum.lam_max:
@@ -142,6 +154,24 @@ def counting_function(op: MasterOperator, z: float) -> int:
     return int(np.sum(tau >= 0.0))
 
 
+def _crossing(op: MasterOperator, z: float, target: int) -> tuple[int, float, float]:
+    """The count, the crossing eigenvalue ``g`` and its slope at ``z``.
+
+    ``g`` is the ``target``-th largest eigenvalue of ``D(z)``, so
+    ``count >= target`` exactly when ``g >= 0``.  With ``v`` its unit
+    eigenvector, ``g' = v^T D'(z) v = sum_i w'_i (U v)_i^2``.
+    """
+    tau, vecs = np.linalg.eigh(evaluate_d(op, z))
+    k = op.m - target
+    slopes = op._weight_slopes(z)
+    if op.pert.frame is None:
+        uv = vecs[:, k]
+        slopes = slopes[: op.m]
+    else:
+        uv = op.pert.frame @ vecs[:, k]
+    return int(np.sum(tau >= 0.0)), float(tau[k]), float(slopes @ (uv * uv))
+
+
 def _locate_root(
     op: MasterOperator,
     rank: int,
@@ -150,11 +180,18 @@ def _locate_root(
     hi: float,
     expand_hi: bool,
     tol: float,
+    start: float,
 ) -> float:
     """Smallest z with counting_function >= target, bracketed in [lo, hi].
 
     One of the endpoints may need geometric expansion (away from the bulk
-    for the lower side, upward for the upper side).
+    for the lower side, upward for the upper side).  Inside the bracket,
+    Newton steps on the crossing eigenvalue of ``D(z)`` start at ``start``
+    (the midpoint when ``start`` is outside the bracket); a step that leaves
+    the bracket, or a nonpositive slope, takes the midpoint instead.  Once a
+    step is at most ``tol / 4`` the stepped-to point is returned if the
+    counting function certifies it within ``tol / 2`` on both sides;
+    otherwise the bracket shrinks to ``tol`` and its midpoint is returned.
     """
     count = lambda z: counting_function(op, z)
     if expand_hi:
@@ -187,14 +224,29 @@ def _locate_root(
                 f"rank {rank}: counting function never reaches target below "
                 f"the bulk", rank
             )
+    z = start if lo < start < hi else 0.5 * (lo + hi)
     for _ in range(400):
         if hi - lo <= tol:
             break
-        mid = 0.5 * (lo + hi)
-        if count(mid) >= target:
-            hi = mid
+        reached, g, slope = _crossing(op, z, target)
+        if reached >= target:
+            hi = z
         else:
-            lo = mid
+            lo = z
+        step = g / slope if slope > 0.0 else math.inf
+        z -= step
+        if abs(step) <= 0.25 * tol:
+            above, below = z + 0.5 * tol, z - 0.5 * tol
+            certified_above = count(above) >= target
+            certified_below = count(below) < target
+            if certified_above and certified_below:
+                return z
+            if not certified_above:
+                lo = above
+            if not certified_below:
+                hi = below
+        if not lo < z < hi:
+            z = 0.5 * (lo + hi)
     return 0.5 * (lo + hi)
 
 
@@ -207,9 +259,11 @@ def locate_outliers(
     """Locate every separated outlier on one side of the bulk.
 
     Ranks failing the separation test are skipped (their roots may not exist
-    or may hide inside the window).  For each remaining rank the counting
-    function is bisected to width ``tol``; the returned location ``z``
-    satisfies ``n(z + tol) >= target > n(z - tol)``.
+    or may hide inside the window).  For each remaining rank, Newton steps
+    on the crossing eigenvalue of ``D(z)``, started at the separation
+    verdict's location, run inside a bracket the counting function certifies,
+    with bisection as the fallback; the returned location ``z`` satisfies
+    ``n(z + tol) >= target > n(z - tol)``.
 
     Default ``tol`` is ``1e-9 * (1 + max |lambda|)``.
     """
@@ -236,6 +290,7 @@ def locate_outliers(
                 hi=lam_max + float(thetas[0]) + 1.0,
                 expand_hi=True,
                 tol=tol,
+                start=verdict.statistic,
             )
         else:
             target = m1 + (m - rank + 1)
@@ -245,6 +300,7 @@ def locate_outliers(
                 hi=lam_min - tol,
                 expand_hi=False,
                 tol=tol,
+                start=verdict.statistic,
             )
         roots.append(OutlierRoot(rank=rank, location=z))
     return roots

@@ -123,10 +123,15 @@ class SpectrumModel:
         Descending, finite, read-only.
     is_psd : bool
         Whether every eigenvalue is nonnegative (after clipping).
+
+    The inverse transforms of a spectrum are memoized on it, keyed on the
+    transform and the target value; the eigenvalues are read-only, so an
+    entry never goes stale.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
     is_psd: bool
+    _inverses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_values(cls, values, is_psd: bool | None = None) -> "SpectrumModel":
@@ -161,6 +166,10 @@ class SpectrumModel:
             raise ModelError("eigenvalues must be in descending order")
         if self.is_psd and ev[-1] < 0.0:
             raise ModelError("PSD spectrum has a negative eigenvalue")
+        if ev.flags.writeable or ev.base is not None:
+            ev = ev.copy()
+            ev.setflags(write=False)
+            object.__setattr__(self, "eigenvalues", ev)
 
     def __eq__(self, other):
         if not isinstance(other, SpectrumModel):

@@ -11,6 +11,8 @@ quantile spectra used to discretize the limit laws.
 Inverses outside the bulk are computed by bisection on a certified bracket
 followed by a Newton polish; results satisfy ``|f(z) - t| <= 1e-12 * max(1, |t|)``,
 and a solve that misses that residual raises :class:`InversionError`.
+A spectrum memoizes its solved inverses, so repeating a target costs a
+lookup.
 """
 
 from __future__ import annotations
@@ -156,12 +158,28 @@ def _bisect_newton(
     return z
 
 
+def _memoized(solve: Callable[[SpectrumModel, float], float],
+              spectrum: SpectrumModel, t: float) -> float:
+    """``solve(spectrum, t)``, served from the spectrum's memo after the first
+    success; a solve that raises is not remembered and raises again."""
+    key = (solve.__name__, t)
+    memo = spectrum._inverses
+    if key not in memo:
+        memo[key] = solve(spectrum, t)
+    return memo[key]
+
+
 def invert_stieltjes(spectrum: SpectrumModel, t: float) -> float:
     """Solve ``m(z) = t`` on the branch outside the bulk selected by sign(t).
 
     For ``t > 0`` the solution is the unique ``z > lam_max``; for ``t < 0``
-    the unique ``z < lam_min``.  ``t = 0`` has no finite preimage.
+    the unique ``z < lam_min``.  ``t = 0`` has no finite preimage.  Results
+    are memoized per spectrum.
     """
+    return _memoized(_solve_stieltjes, spectrum, t)
+
+
+def _solve_stieltjes(spectrum: SpectrumModel, t: float) -> float:
     if t == 0.0 or not math.isfinite(t):
         raise TransformDomainError(
             "the Stieltjes transform only attains finite nonzero values "
@@ -170,7 +188,7 @@ def invert_stieltjes(spectrum: SpectrumModel, t: float) -> float:
     if t < 0.0:
         # m_{-spectrum}(-z) = -m_spectrum(z): solve the mirrored problem.
         mirrored = SpectrumModel.from_values(-np.asarray(spectrum.eigenvalues), is_psd=None)
-        return -invert_stieltjes(mirrored, -t)
+        return -_solve_stieltjes(mirrored, -t)
     lam = spectrum.eigenvalues
     n = spectrum.n
     lam_max = spectrum.lam_max
@@ -190,7 +208,12 @@ def invert_t_transform(spectrum: SpectrumModel, t: float) -> float:
     For ``t < 0`` the branch is ``z < lam_min``; when ``lam_min = 0`` that
     branch only attains ``(-q, 0)`` with ``q`` the fraction of nonzero
     eigenvalues, and values at or below ``-q`` raise ``TransformDomainError``.
+    Results are memoized per spectrum.
     """
+    return _memoized(_solve_t_transform, spectrum, t)
+
+
+def _solve_t_transform(spectrum: SpectrumModel, t: float) -> float:
     if not spectrum.is_psd:
         raise ModelError("the T-transform inverse is defined for PSD spectra")
     if t == 0.0 or not math.isfinite(t):

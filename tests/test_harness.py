@@ -61,6 +61,8 @@ class TestLocationDriver:
     def test_detector_cross_check_auto(self):
         rep = run_location_experiment(location_cfg())
         assert rep.aggregates["detector_delta_max"] < 1e-6
+        # The known spectrum judges separation for both routes alike.
+        assert rep.aggregates["detector_located"] == rep.aggregates["outliers_evaluated"]
         for rec in rep.records:
             for out in rec.outliers:
                 assert out.detector_location is not None
@@ -68,6 +70,7 @@ class TestLocationDriver:
     def test_detector_cross_check_disabled(self):
         rep = run_location_experiment(location_cfg(cross_check=False))
         assert "detector_delta_max" not in rep.aggregates
+        assert "detector_located" not in rep.aggregates
 
     def test_closed_kind_cross_check_opt_in(self):
         cfg = location_cfg(kind="wigner", spectrum=None, n_values=[120],
@@ -84,13 +87,18 @@ class TestLocationDriver:
     def test_closed_form_cross_check_agrees(self, doc):
         # The detector runs on the realized base spectrum, so a strength near
         # the closed-form threshold may fall inside that spectrum's margin
-        # and go unlocated; every trial still locates its strong spikes.
+        # and go unlocated; every trial still locates its strong spikes, and
+        # the report counts the located ones.
         cfg = location_cfg(spectrum=None, cross_check=True, trials=3, seed=7,
                            **doc)
         rep = run_location_experiment(cfg)
         for rec in rep.records:
             assert any(out.detector_location is not None for out in rec.outliers)
-        assert rep.aggregates["detector_delta_max"] <= 1e-8
+        agg = rep.aggregates
+        assert agg["detector_delta_max"] <= 1e-8
+        located = sum(out.detector_location is not None
+                      for rec in rep.records for out in rec.outliers)
+        assert agg["detector_located"] == located < agg["outliers_evaluated"]
 
     def test_deterministic_rerun(self):
         cfg = location_cfg()
@@ -259,6 +267,38 @@ class TestPushforwardDriver:
         cfg = self.make_cfg()
         assert reports_equal(run_pushforward_experiment(cfg),
                              run_pushforward_experiment(cfg))
+
+    def run_with_failing_prediction(self, monkeypatch, cfg, bad_units):
+        """Run ``cfg`` with ``pushforward_sample`` failing on ``bad_units``."""
+        real = harness.pushforward_sample
+        units = iter(range(cfg.batches * len(cfg.n_values)))
+
+        def sample(model, thetas):
+            if next(units) in bad_units:
+                raise InversionError("inverse solve missed its tolerance")
+            return real(model, thetas)
+
+        monkeypatch.setattr(harness, "pushforward_sample", sample)
+        return run_pushforward_experiment(cfg)
+
+    def test_prediction_failure_fails_one_unit(self, monkeypatch):
+        cfg = self.make_cfg(n_values=[60, 120], batches=5)
+        clean = run_pushforward_experiment(cfg)
+        rep = self.run_with_failing_prediction(monkeypatch, cfg, {3})
+        failed = [rec for rec in rep.records if rec.failed]
+        assert len(rep.records) == 10
+        assert [rec.stream_id for rec in failed] == [3]
+        assert failed[0].failure == (
+            "prediction failed: inverse solve missed its tolerance"
+        )
+        assert failed[0].w1 is None
+        kept = [rec for rec in clean.records if rec.stream_id != 3]
+        assert [rec for rec in rep.records if not rec.failed] == kept
+
+    def test_prediction_failures_over_limit_abort(self, monkeypatch):
+        cfg = self.make_cfg(n_values=[60, 120], batches=5)
+        with pytest.raises(ExperimentError):
+            self.run_with_failing_prediction(monkeypatch, cfg, {2, 7})
 
     def test_records_carry_batch_and_w1(self):
         rep = run_pushforward_experiment(self.make_cfg(batches=2))

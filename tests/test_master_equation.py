@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meso_spectra import (
     MasterOperator,
@@ -19,8 +21,10 @@ from meso_spectra import (
     perturb_multiplicative,
     sample_haar_frame,
     RngStream,
+    stieltjes,
     target_index,
 )
+from meso_spectra import master_equation
 
 
 def make_operator(model_of, spectrum_values, thetas, frame=None, psd=None):
@@ -161,3 +165,176 @@ class TestLocateOutliers:
         a = locate_outliers(op, window, Side.UPPER)
         b = locate_outliers(op, window, Side.UPPER)
         assert a == b
+
+
+def dense_evals(op) -> np.ndarray:
+    """Descending eigenvalues of the assembled ``n x n`` matrix."""
+    base = np.diag(op.spectrum.eigenvalues)
+    assemble = perturb_multiplicative if op.model.kind.multiplicative else perturb_additive
+    return np.linalg.eigvalsh(assemble(base, op.pert))[::-1]
+
+
+def located(op, delta, tol=None):
+    window = SpectralWindow.from_spectrum(op.spectrum, delta)
+    return locate_outliers(op, window, Side.UPPER, tol) + locate_outliers(
+        op, window, Side.LOWER, tol
+    )
+
+
+def assert_contract(op, roots, tol=None):
+    """Each root meets ``n(z + tol) >= target > n(z - tol)`` and lies within
+    ``tol`` of the dense eigenvalue at its target index."""
+    if tol is None:
+        tol = 1e-9 * (1.0 + op.spectrum.norm_bound)
+    pert, n = op.pert, op.spectrum.n
+    evals = dense_evals(op)
+    m1 = pert.m_positive
+    for root in roots:
+        z = root.location
+        target = m1 - root.rank + 1 if root.rank <= m1 else m1 + pert.m - root.rank + 1
+        assert counting_function(op, z + tol) >= target > counting_function(op, z - tol)
+        assert abs(z - evals[target_index(pert, root.rank, n) - 1]) <= tol
+
+
+def haar_operator(model_of, values, thetas, seed, psd=None):
+    frame = sample_haar_frame(len(values), len(thetas), RngStream(seed, 0))
+    op, _, _ = make_operator(model_of, values, thetas, frame=frame, psd=psd)
+    return op
+
+
+# Strengths beyond the spectrum's spread always detach an outlier (Weyl), so
+# every separated rank below has a root to find.
+strong = st.floats(2.5, 4.0)
+seeds = st.integers(0, 2**16)
+
+
+class TestAdversarialDetector:
+    @given(st.integers(12, 90), strong, st.integers(2, 4), st.booleans(), seeds)
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    def test_repeated_strengths_on_haar_frame(self, n, theta, repeats, lower, seed):
+        thetas = [theta] * repeats + ([-theta] * repeats if lower else [])
+        op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, n), thetas, seed)
+        roots = located(op, 0.1)
+        assert [r.rank for r in roots] == list(range(1, len(thetas) + 1))
+        assert_contract(op, roots)
+
+    @given(st.integers(1, 30), st.integers(2, 5))
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    def test_coinciding_crossings(self, n_extra, m):
+        # A flat spectrum on the leading coordinates makes D(z) a multiple of
+        # the identity: every crossing eigenvalue meets zero at z = theta.
+        op, _, _ = make_operator(Model.additive, [0.0] * (m + n_extra), [1.5] * m)
+        roots = located(op, 0.1)
+        assert [r.rank for r in roots] == list(range(1, m + 1))
+        assert_contract(op, roots)
+
+    @given(st.integers(40, 160), st.floats(1e-3, 0.05), st.floats(1e-9, 1e-6),
+           st.booleans(), seeds)
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    def test_strength_a_hair_above_the_margin(self, n, delta, hair, lower, seed):
+        spectrum = SpectrumModel.from_values(np.linspace(-1.0, 1.0, n))
+        # The strength whose mean-field location clears the edge by 2 delta
+        # plus a hair, so the root sits close to the pole at the edge.
+        edge = spectrum.lam_min if lower else spectrum.lam_max
+        offset = (2.0 * delta + hair) * (-1.0 if lower else 1.0)
+        theta = 1.0 / stieltjes(spectrum, edge + offset)
+        op = haar_operator(Model.additive, spectrum.eigenvalues, [theta], seed)
+        roots = located(op, delta)
+        assert [r.rank for r in roots] == [1]
+        assert_contract(op, roots)
+
+    @given(st.integers(30, 120), st.integers(1, 15), st.floats(1.5, 3.0),
+           st.floats(-0.9, -0.1), seeds)
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    def test_psd_spectrum_with_zero_floor(self, n, zeros, boost, negative, seed):
+        values = np.concatenate([np.zeros(zeros), np.linspace(0.5, 1.5, n)])
+        frame = sample_haar_frame(values.size, 3, RngStream(seed, 0))
+        lam = np.sort(values)[::-1]
+        # The matrix has the eigenvalues of Lambda + Q+ + Q-, with
+        # Q = Lambda^1/2 U diag(theta) U^T Lambda^1/2 split by sign.  Lambda + Q-
+        # is PSD (theta > -1), so lambda_r >= lambda_r(Q+) >= theta_min *
+        # lambda_min(U+^T Lambda U+) (Weyl, then Ostrowski): both upper roots
+        # clear the edge.
+        floor = np.linalg.eigvalsh(frame[:, :2].T @ (lam[:, None] * frame[:, :2]))[0]
+        theta = boost * lam[0] / floor
+        op, spectrum, _ = make_operator(
+            Model.multiplicative, values, [theta, 1.5 * theta, negative],
+            frame=frame, psd=True,
+        )
+        assert spectrum.lam_min == 0.0
+        window = SpectralWindow.from_spectrum(spectrum, 0.1)
+        # The lower branch of T only reaches (-q, 0): no negative strength
+        # of a multiplicative model detaches below a zero floor.
+        assert locate_outliers(op, window, Side.LOWER) == []
+        roots = locate_outliers(op, window, Side.UPPER)
+        assert [r.rank for r in roots] == [1, 2]
+        assert_contract(op, roots)
+
+    @given(st.integers(2, 7), st.lists(strong, min_size=6, max_size=6),
+           st.lists(st.booleans(), min_size=6, max_size=6), seeds)
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    def test_tiny_n_with_rank_n_minus_one(self, n, magnitudes, signs, seed):
+        thetas = [t if up else -t for t, up in zip(magnitudes[: n - 1], signs)]
+        op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, n), thetas, seed)
+        roots = located(op, 0.1)
+        assert [r.rank for r in roots] == list(range(1, n))
+        assert_contract(op, roots)
+
+    @given(st.integers(8, 80), st.lists(strong, min_size=1, max_size=4),
+           st.lists(st.booleans(), min_size=4, max_size=4), seeds)
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    def test_mirror_symmetry(self, n, magnitudes, signs, seed):
+        values = np.sort(RngStream(seed, 1).generator().uniform(-1.0, 1.0, n))
+        thetas = [t if up else -t for t, up in zip(magnitudes, signs)]
+        frame = sample_haar_frame(n, len(thetas), RngStream(seed, 0))
+        op, _, _ = make_operator(Model.additive, values, thetas, frame=frame)
+        # Negating reverses the descending order, so the frame's rows flip.
+        mirror, _, _ = make_operator(
+            Model.additive, -values, [-t for t in thetas], frame=frame[::-1]
+        )
+        tol = 1e-9 * (1.0 + op.spectrum.norm_bound)
+        roots, mirrored = located(op, 0.1), located(mirror, 0.1)
+        assert_contract(op, roots)
+        assert_contract(mirror, mirrored)
+        z = np.sort([r.location for r in roots])
+        z_mirror = np.sort([-r.location for r in mirrored])
+        assert z.size == len(thetas)
+        assert np.all(np.abs(z - z_mirror) <= tol)
+
+
+class TestNewtonSteps:
+    @pytest.mark.parametrize("broken", [
+        lambda reached, g, slope: (reached, g, 0.0),
+        # Newton converges 100 tol away; certification must reject it.
+        lambda reached, g, slope: (reached, g + 1e-8, slope),
+    ], ids=["zero-slope", "biased"])
+    def test_bisection_fallback_meets_contract(self, monkeypatch, broken):
+        real = master_equation._crossing
+        monkeypatch.setattr(master_equation, "_crossing",
+                            lambda op, z, target: broken(*real(op, z, target)))
+        op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, 60),
+                           [2.6, 2.2, -2.4], seed=35)
+        tol = 1e-10
+        roots = located(op, 0.1, tol)
+        assert [r.rank for r in roots] == [1, 2, 3]
+        assert_contract(op, roots, tol)
+
+    def test_traced_call_sites_reached(self, monkeypatch):
+        counts = {"counting_function": 0, "check_separation": 0}
+        for name in counts:
+            real = getattr(master_equation, name)
+
+            def counted(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(master_equation, name, counted)
+        op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, 80),
+                           [2.4, 2.0, -2.2], seed=36)
+        roots = located(op, 0.1)
+        assert len(roots) == 3
+        assert counts["check_separation"] == 3
+        # Bracket ends and certification go through the module global; the
+        # Newton steps do the rest.
+        assert 2 * len(roots) <= counts["counting_function"] <= 6 * len(roots)
+        assert_contract(op, roots)

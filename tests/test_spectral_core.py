@@ -70,6 +70,14 @@ class TestSpectrumModel:
         with pytest.raises(ValueError):
             s.eigenvalues[0] = 5.0
 
+    def test_direct_construction_freezes_a_copy(self):
+        values = np.array([2.0, 1.0])
+        s = SpectrumModel(eigenvalues=values, is_psd=True)
+        values[0] = 5.0
+        assert s.eigenvalues.tolist() == [2.0, 1.0]
+        with pytest.raises(ValueError):
+            s.eigenvalues[0] = 5.0
+
     def test_equality_and_unhashable(self):
         a = SpectrumModel.from_values([1.0, 2.0])
         b = SpectrumModel.from_values([2.0, 1.0])

@@ -41,6 +41,7 @@ from meso_spectra import (
     t_transform_deriv,
     transform_for,
 )
+from meso_spectra import SpectralWindow, check_separation, transforms
 from meso_spectra.transforms import _bisect_newton
 
 S200 = SpectrumModel.from_values(np.linspace(-1.0, 1.0, 200))
@@ -187,6 +188,67 @@ class TestInversion:
         z = invert_t_transform(S300, t)
         assert z > S300.lam_max
         assert t_transform(S300, z) == pytest.approx(t, rel=1e-10)
+
+
+class TestInverseMemo:
+    def count_solves(self, monkeypatch) -> list:
+        calls = []
+        real = transforms._bisect_newton
+
+        def counted(f, fprime, t, lo, hi):
+            calls.append(t)
+            return real(f, fprime, t, lo, hi)
+
+        monkeypatch.setattr(transforms, "_bisect_newton", counted)
+        return calls
+
+    def test_repeated_separation_solves_once_per_strength(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        model = Model.additive(SpectrumModel.from_values(np.linspace(-1.0, 1.0, 200)))
+        window = SpectralWindow.from_spectrum(model.spectrum, 0.1)
+        thetas = [2.4, 1.9, 0.9, -2.2, -1.7]
+        first = [check_separation(model, window, theta) for theta in thetas]
+        for _ in range(3):
+            again = [check_separation(model, window, theta) for theta in thetas]
+            assert again == first
+        assert len(calls) == len(thetas)
+
+    def test_t_transform_memoized(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        s = SpectrumModel.from_values(np.linspace(0.5, 2.5, 300))
+        first = [invert_t_transform(s, t) for t in (0.4, -0.5)]
+        assert [invert_t_transform(s, t) for t in (0.4, -0.5)] == first
+        assert calls == [0.4, -0.5]
+
+    def test_unattainable_target_raises_every_time(self, monkeypatch):
+        # Half the mass at zero caps the lower branch at -1/2.
+        capped = SpectrumModel.from_values([0.0, 0.0, 1.0, 2.0])
+        for _ in range(3):
+            with pytest.raises(TransformDomainError):
+                invert_t_transform(capped, -0.6)
+
+        # A missed tolerance is not remembered either.
+        def missed(*args):
+            raise InversionError("missed")
+
+        monkeypatch.setattr(transforms, "_bisect_newton", missed)
+        s = SpectrumModel.from_values(np.linspace(-1.0, 1.0, 200))
+        for _ in range(2):
+            with pytest.raises(InversionError):
+                invert_stieltjes(s, 0.6)
+        monkeypatch.undo()
+        assert stieltjes(s, invert_stieltjes(s, 0.6)) == pytest.approx(0.6)
+
+    def test_negative_target_bits_unchanged(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        s = SpectrumModel.from_values(np.linspace(-1.0, 1.0, 200))
+        # Bit patterns of the solver before the memo was added.
+        assert invert_stieltjes(s, -0.7).hex() == "-0x1.a82561325f4e3p+0"
+        assert invert_stieltjes(s, -0.3).hex() == "-0x1.b78481e1581acp+1"
+        mirrored = SpectrumModel.from_values(-np.asarray(s.eigenvalues))
+        assert invert_stieltjes(s, -0.7) == -invert_stieltjes(mirrored, 0.7)
+        # One solve per negative target, however often it is asked for.
+        assert calls == [0.7, 0.3, 0.7]
 
 
 class TestClosedForms:
