@@ -16,13 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from ..ensembles import EntryLaw
-from ..spectral_core import (
-    MesoSpectraError,
-    Model,
-    ModelKind,
-    SpectrumModel,
-    check_separation,
-)
+from ..predictor import check_separation
+from ..spectral_core import MesoSpectraError, Model, ModelKind, SpectrumModel
 from ..transforms import empirical_quantiles, mp_quantiles, semicircle_quantiles
 
 __all__ = [

@@ -292,15 +292,17 @@ def run_pushforward_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ExperimentError(f"config describes {cfg.experiment!r}, not pushforward")
     start = time.perf_counter()
     low, high = cfg.theta_spec["low"], cfg.theta_spec["high"]
+    # One model per size, shared by every batch, so each spectrum is built
+    # once and keeps its memo of solved inverses.
+    models = [cfg.model_for(n) for n in cfg.n_values]
     records: list[TrialRecord] = []
     for batch in range(cfg.batches):
-        for n_index, n in enumerate(cfg.n_values):
+        for n_index, (n, model) in enumerate(zip(cfg.n_values, models)):
             unit = batch * len(cfg.n_values) + n_index
             # Two disjoint streams per unit: strengths, then the matrix.
             theta_gen = RngStream(cfg.seed, 2 * unit).generator()
             matrix_stream = RngStream(cfg.seed, 2 * unit + 1)
             m = cfg.m_for(n)
-            model = cfg.model_for(n)
             thetas = theta_gen.uniform(low, high, m)
             pert = PerturbationSpec.from_values(thetas)
             failure = None

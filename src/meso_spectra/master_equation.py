@@ -34,9 +34,9 @@ from .spectral_core import (
     Side,
     SpectralWindow,
     SpectrumModel,
-    check_separation,
 )
-from .transforms import TransformDomainError
+from .predictor import check_separation
+from .transforms import _check_outside
 
 __all__ = [
     "MasterOperator",
@@ -119,18 +119,9 @@ class MasterOperator:
         return 1.0 / (z - lam) ** 2
 
 
-def _require_outside(spectrum: SpectrumModel, z: float) -> None:
-    if spectrum.lam_min <= z <= spectrum.lam_max:
-        raise TransformDomainError(
-            f"z={z:g} must lie strictly outside [{spectrum.lam_min:g}, "
-            f"{spectrum.lam_max:g}]",
-            (spectrum.lam_min, spectrum.lam_max),
-        )
-
-
 def evaluate_d(op: MasterOperator, z: float) -> np.ndarray:
     """The ``m x m`` symmetric matrix ``D(z)``, for ``z`` outside the bulk."""
-    _require_outside(op.spectrum, z)
+    _check_outside(op.spectrum, z)
     m = op.m
     w = op._weights(z)
     if op.pert.frame is None:

@@ -2,9 +2,11 @@
 
 The objects here describe the inputs of a perturbation experiment: a base
 spectrum, a finite-rank perturbation, the model family tying them together,
-and the separation verdict that decides whether a spike produces an outlier.
-Everything is immutable after construction; samplers and experiment drivers
-treat these as values.
+and the separation verdict that decides whether a spike produces an outlier
+(the test that reaches it lives in :mod:`meso_spectra.predictor`, which owns
+every choice of transform).  Everything is immutable after construction;
+samplers and experiment drivers treat these as values.  This module imports
+no sibling module.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "SpectralWindow",
     "Model",
     "Separation",
-    "check_separation",
     "target_index",
     "norm_bound",
 ]
@@ -400,57 +401,6 @@ class Separation:
 
     def __bool__(self) -> bool:
         return self.separated
-
-
-def _validate_theta(model: Model, theta: float) -> None:
-    if theta == 0.0 or not math.isfinite(theta):
-        raise InvalidPerturbationError(f"theta must be finite and nonzero, got {theta}")
-    if model.kind.multiplicative and theta <= -1.0:
-        raise InvalidPerturbationError(
-            f"multiplicative strengths must exceed -1, got {theta}"
-        )
-
-
-def check_separation(model: Model, window: SpectralWindow, theta: float) -> Separation:
-    """Decide whether strength ``theta`` detaches an outlier from the bulk.
-
-    Closed-form kinds compare ``|theta|`` with the critical value plus
-    ``2 * delta``.  Empirical kinds invert the relevant transform at
-    ``1 / theta`` and ask the solution to clear the spectrum's edge by
-    ``2 * delta``; an unattainable ``1 / theta`` is reported as not
-    separated, never as an error.
-    """
-    _validate_theta(model, theta)
-    # Imported here: transforms depends on the types above.
-    from . import transforms
-
-    delta = window.delta
-    side = Side.UPPER if theta > 0.0 else Side.LOWER
-
-    if model.kind.closed_form:
-        critical = 1.0 if model.kind is ModelKind.WIGNER else math.sqrt(model.phi)
-        threshold = critical + 2.0 * delta
-        ok = abs(theta) >= threshold
-        return Separation(ok, side if ok else None, abs(theta), threshold)
-
-    spectrum = model.spectrum
-    try:
-        if model.kind.additive:
-            location = transforms.invert_stieltjes(spectrum, 1.0 / theta)
-        else:
-            location = transforms.invert_t_transform(spectrum, 1.0 / theta)
-    except transforms.TransformDomainError:
-        edge = spectrum.lam_max if theta > 0.0 else spectrum.lam_min
-        threshold = edge + 2.0 * delta if theta > 0.0 else edge - 2.0 * delta
-        return Separation(False, None, math.nan, threshold)
-
-    if theta > 0.0:
-        threshold = spectrum.lam_max + 2.0 * delta
-        ok = location >= threshold
-    else:
-        threshold = spectrum.lam_min - 2.0 * delta
-        ok = location <= threshold
-    return Separation(ok, side if ok else None, location, threshold)
 
 
 def target_index(pert: PerturbationSpec, i: int, n: int) -> int:

@@ -9,8 +9,10 @@ limits, derivatives, and inverses, plus the densities and deterministic
 quantile spectra used to discretize the limit laws.
 
 Inverses outside the bulk are computed by bisection on a certified bracket
-followed by a Newton polish; results satisfy ``|f(z) - t| <= 1e-12 * max(1, |t|)``,
-and a solve that misses that residual raises :class:`InversionError`.
+followed by a Newton polish (repeated after bisecting to the float spacing
+when the first polish misses); results satisfy
+``|f(z) - t| <= 1e-12 * max(1, |t|)``, and a solve that misses that residual
+raises :class:`InversionError`.
 A spectrum memoizes its solved inverses, so repeating a target costs a
 lookup.
 """
@@ -18,12 +20,11 @@ lookup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .spectral_core import MesoSpectraError, Model, ModelError, ModelKind, SpectrumModel
+from .spectral_core import MesoSpectraError, ModelError, SpectrumModel
 
 __all__ = [
     "InversionError",
@@ -44,12 +45,6 @@ __all__ = [
     "semicircle_quantiles",
     "mp_quantiles",
     "empirical_quantiles",
-    "Transform",
-    "empirical_stieltjes_transform",
-    "empirical_t_transform",
-    "semicircle_transform",
-    "marchenko_pastur_transform",
-    "transform_for",
 ]
 
 # Residual tolerance for inverse solves, relative to max(1, |t|).
@@ -128,34 +123,37 @@ def _bisect_newton(
     """Solve ``f(z) = t`` for decreasing ``f`` with ``f(lo) >= t >= f(hi)``.
 
     Bisection narrows the bracket, then Newton steps (clamped to it) polish
-    the root to ``INVERSION_RTOL``; raises :class:`InversionError` if they
-    do not get there.
+    the root to ``INVERSION_RTOL``.  A root closer to a pole of ``f`` than
+    the first bisection's width (a T-transform root next to a tiny
+    eigenvalue) is polished again after bisecting down to the float
+    spacing; raises :class:`InversionError` if that misses too.
     """
     tol_resid = INVERSION_RTOL * max(1.0, abs(t))
-    width_goal = 1e-13 * max(1.0, abs(lo), abs(hi))
-    for _ in range(200):
-        if hi - lo <= width_goal:
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= t:
-            lo = mid
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
-    for _ in range(8):
+    passes = ((1e-13 * max(1.0, abs(lo), abs(hi)), 200), (0.0, 2200))
+    for width_goal, steps in passes:
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= width_goal or not lo < mid < hi:
+                break
+            if f(mid) >= t:
+                lo = mid
+            else:
+                hi = mid
+        z = 0.5 * (lo + hi)
+        for _ in range(8):
+            resid = f(z) - t
+            if abs(resid) <= tol_resid:
+                return z
+            dz = resid / fprime(z)
+            z_new = z - dz
+            if not lo <= z_new <= hi:
+                z_new = 0.5 * (lo + hi)
+            z = z_new
         resid = f(z) - t
         if abs(resid) <= tol_resid:
             return z
-        dz = resid / fprime(z)
-        z_new = z - dz
-        if not lo <= z_new <= hi:
-            z_new = 0.5 * (lo + hi)
-        z = z_new
-    resid = f(z) - t
-    if abs(resid) > tol_resid:
-        raise InversionError(f"inverse solve for t={t:g} stopped at z={z!r} with "
-                             f"residual {resid:.3g} (tolerance {tol_resid:.3g})")
-    return z
+    raise InversionError(f"inverse solve for t={t:g} stopped at z={z!r} with "
+                         f"residual {resid:.3g} (tolerance {tol_resid:.3g})")
 
 
 def _memoized(solve: Callable[[SpectrumModel, float], float],
@@ -186,8 +184,9 @@ def _solve_stieltjes(spectrum: SpectrumModel, t: float) -> float:
             "outside the bulk", (0.0, 0.0),
         )
     if t < 0.0:
-        # m_{-spectrum}(-z) = -m_spectrum(z): solve the mirrored problem.
-        mirrored = SpectrumModel.from_values(-np.asarray(spectrum.eigenvalues), is_psd=None)
+        # m_{-spectrum}(-z) = -m_spectrum(z): solve the mirrored problem.  It
+        # is declared non-PSD so that no value is clipped to zero.
+        mirrored = SpectrumModel.from_values(-np.asarray(spectrum.eigenvalues), is_psd=False)
         return -_solve_stieltjes(mirrored, -t)
     lam = spectrum.eigenvalues
     n = spectrum.n
@@ -414,91 +413,3 @@ def empirical_quantiles(values, n: int) -> np.ndarray:
     probs = (np.arange(n) + 0.5) / n
     idx = np.minimum((probs * values.size).astype(int), values.size - 1)
     return values[idx][::-1].copy()
-
-
-# ---------------------------------------------------------------------------
-# Uniform facade
-
-
-@dataclass(frozen=True)
-class Transform:
-    """Value, derivative, and inverse of one transform under a common interface.
-
-    ``invert`` maps a target ``t`` to the unique ``z`` outside the bulk on
-    the branch selected by ``sign(t)``; closed-form kinds use algebraic
-    inverses, empirical kinds the bracketed solver.
-    """
-
-    label: str
-    value: Callable[[float], float]
-    deriv: Callable[[float], float]
-    invert: Callable[[float], float]
-
-
-def empirical_stieltjes_transform(spectrum: SpectrumModel) -> Transform:
-    return Transform(
-        label="empirical-stieltjes",
-        value=lambda z: stieltjes(spectrum, z),
-        deriv=lambda z: stieltjes_deriv(spectrum, z),
-        invert=lambda t: invert_stieltjes(spectrum, t),
-    )
-
-
-def empirical_t_transform(spectrum: SpectrumModel) -> Transform:
-    return Transform(
-        label="empirical-t",
-        value=lambda z: t_transform(spectrum, z),
-        deriv=lambda z: t_transform_deriv(spectrum, z),
-        invert=lambda t: invert_t_transform(spectrum, t),
-    )
-
-
-def _semicircle_invert(t: float) -> float:
-    # m(z) = t with |z| >= 2 solves z = t + 1/t, valid for 0 < |t| <= 1.
-    if t == 0.0 or abs(t) > 1.0:
-        raise TransformDomainError(
-            f"the semicircle Stieltjes transform attains [-1, 0) u (0, 1], got {t:g}",
-            (-1.0, 1.0),
-        )
-    return t + 1.0 / t
-
-
-def semicircle_transform() -> Transform:
-    return Transform(
-        label="semicircle",
-        value=semicircle_stieltjes,
-        deriv=semicircle_stieltjes_deriv,
-        invert=_semicircle_invert,
-    )
-
-
-def marchenko_pastur_transform(phi: float) -> Transform:
-    mp_edges(phi)  # validate once
-
-    def invert(t: float) -> float:
-        # T(z) = t solves z = phi + 1 + 1/t + phi t, valid for 0 < |t| <= 1/sqrt(phi).
-        bound = 1.0 / math.sqrt(phi)
-        if t == 0.0 or abs(t) > bound:
-            raise TransformDomainError(
-                f"the MP T-transform attains [{-bound:g}, 0) u (0, {bound:g}], got {t:g}",
-                (-bound, bound),
-            )
-        return phi + 1.0 + 1.0 / t + phi * t
-
-    return Transform(
-        label="marchenko-pastur",
-        value=lambda z: mp_t_transform(phi, z),
-        deriv=lambda z: mp_t_transform_deriv(phi, z),
-        invert=invert,
-    )
-
-
-def transform_for(model: Model) -> Transform:
-    """The transform that governs outliers of ``model``'s kind."""
-    if model.kind is ModelKind.WIGNER:
-        return semicircle_transform()
-    if model.kind is ModelKind.WISHART:
-        return marchenko_pastur_transform(model.phi)
-    if model.kind is ModelKind.ORTH_INVARIANT_ADDITIVE:
-        return empirical_stieltjes_transform(model.spectrum)
-    return empirical_t_transform(model.spectrum)

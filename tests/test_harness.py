@@ -300,6 +300,22 @@ class TestPushforwardDriver:
         with pytest.raises(ExperimentError):
             self.run_with_failing_prediction(monkeypatch, cfg, {2, 7})
 
+    def test_each_size_builds_its_spectrum_once(self, monkeypatch):
+        cfg = self.make_cfg(kind="orth-invariant-multiplicative",
+                            spectrum={"name": "marchenko-pastur", "phi": 0.5},
+                            n_values=[40, 80, 160])
+        real = ExperimentConfig.spectrum_for
+        sizes = []
+
+        def counted(self, n):
+            sizes.append(n)
+            return real(self, n)
+
+        monkeypatch.setattr(ExperimentConfig, "spectrum_for", counted)
+        rep = run_pushforward_experiment(cfg)
+        assert len(rep.records) == cfg.batches * len(cfg.n_values)
+        assert sizes == list(cfg.n_values)
+
     def test_records_carry_batch_and_w1(self):
         rep = run_pushforward_experiment(self.make_cfg(batches=2))
         batches = sorted({rec.batch for rec in rep.records})

@@ -20,11 +20,8 @@ from meso_spectra import (
     SpectrumModel,
     TransformDomainError,
     empirical_quantiles,
-    empirical_stieltjes_transform,
-    empirical_t_transform,
     invert_stieltjes,
     invert_t_transform,
-    marchenko_pastur_transform,
     mp_density,
     mp_edges,
     mp_quantiles,
@@ -34,12 +31,10 @@ from meso_spectra import (
     semicircle_quantiles,
     semicircle_stieltjes,
     semicircle_stieltjes_deriv,
-    semicircle_transform,
     stieltjes,
     stieltjes_deriv,
     t_transform,
     t_transform_deriv,
-    transform_for,
 )
 from meso_spectra import SpectralWindow, check_separation, transforms
 from meso_spectra.transforms import _bisect_newton
@@ -167,6 +162,21 @@ class TestInversion:
             _bisect_newton(step, lambda z: -1.0, 0.0, 0.0, 1.0)
         assert isinstance(info.value, (MesoSpectraError, ArithmeticError))
         assert not isinstance(info.value, TransformDomainError)
+
+    def test_t_root_next_to_a_tiny_eigenvalue(self):
+        # The lower root sits at 2 lam_min / 3, far inside the first
+        # bisection's width: only bisecting to the float spacing reaches it.
+        s = SpectrumModel.from_values([1.0, 2.0**-149])
+        z = invert_t_transform(s, -2.0)
+        assert 0.0 < z < s.lam_min
+        assert t_transform(s, z) == pytest.approx(-2.0, rel=1e-12)
+
+    def test_lower_stieltjes_root_keeps_tiny_values(self):
+        # Negated, this spectrum would pass as PSD and lose its top value to
+        # clipping; the mirrored solve must see it unchanged.
+        s = SpectrumModel.from_values([5e-11, 0.0])
+        z = invert_stieltjes(s, -1.0)
+        assert abs(stieltjes(s, z) + 1.0) <= transforms.INVERSION_RTOL
 
     @given(spectra, st.floats(0.05, 0.95))
     @settings(derandomize=True, max_examples=60)
@@ -367,39 +377,3 @@ class TestDensitiesAndQuantiles:
         assert got.shape == (2,)
         assert got[0] > got[1]
 
-
-class TestFacade:
-    def test_labels(self):
-        assert transform_for(Model.wigner()).label == "semicircle"
-        assert transform_for(Model.wishart(0.5)).label == "marchenko-pastur"
-        assert transform_for(Model.additive(S200)).label == "empirical-stieltjes"
-        assert transform_for(Model.multiplicative(S300)).label == "empirical-t"
-
-    def test_closed_inverse_bitwise_formulas(self):
-        tf = semicircle_transform()
-        for theta in (1.5, 2.0, 3.0, -2.0):
-            t = 1.0 / theta
-            assert tf.invert(t) == pytest.approx(theta + 1.0 / theta, rel=1e-14)
-        mp = marchenko_pastur_transform(0.5)
-        assert mp.invert(0.5) == pytest.approx(3.75, rel=1e-14)
-
-    def test_semicircle_invert_domain(self):
-        tf = semicircle_transform()
-        with pytest.raises(TransformDomainError):
-            tf.invert(1.2)
-        with pytest.raises(TransformDomainError):
-            tf.invert(0.0)
-
-    def test_mp_invert_domain(self):
-        mp = marchenko_pastur_transform(0.25)
-        with pytest.raises(TransformDomainError):
-            mp.invert(1.0 / math.sqrt(0.25) + 0.5)
-
-    def test_empirical_facades_match_functions(self):
-        tf = empirical_stieltjes_transform(S200)
-        assert tf.value(1.5) == stieltjes(S200, 1.5)
-        assert tf.deriv(1.5) == stieltjes_deriv(S200, 1.5)
-        assert tf.invert(0.6) == invert_stieltjes(S200, 0.6)
-        tt = empirical_t_transform(S300)
-        assert tt.value(3.0) == t_transform(S300, 3.0)
-        assert tt.invert(0.4) == invert_t_transform(S300, 0.4)
