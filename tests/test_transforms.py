@@ -27,6 +27,7 @@ from meso_spectra import (
     mp_quantiles,
     mp_t_transform,
     mp_t_transform_deriv,
+    pushforward_map,
     semicircle_density,
     semicircle_quantiles,
     semicircle_stieltjes,
@@ -312,6 +313,27 @@ class TestClosedForms:
             semicircle_stieltjes(1.0)
         with pytest.raises(TransformDomainError):
             mp_t_transform(0.5, 1.5)
+
+
+class TestFacade:
+    """Inverting a closed-form transform outside the values it attains.
+
+    The inverse is reached through `pushforward_map`: strength theta asks
+    for the transform's inverse at t = 1 / theta.
+    """
+
+    def test_semicircle_invert_domain(self):
+        # t = 1.2 lies beyond the semicircle bound 1; t = 0 (theta = inf)
+        # is never attained.
+        with pytest.raises(TransformDomainError):
+            pushforward_map(Model.wigner(), 1.0 / 1.2)
+        with pytest.raises(TransformDomainError):
+            pushforward_map(Model.wigner(), math.inf)
+
+    def test_mp_invert_domain(self):
+        t = 1.0 / math.sqrt(0.25) + 0.5
+        with pytest.raises(TransformDomainError):
+            pushforward_map(Model.wishart(0.25), 1.0 / t)
 
 
 class TestDensitiesAndQuantiles:
