@@ -164,20 +164,52 @@ def perturb_additive(base: np.ndarray, pert: PerturbationSpec) -> np.ndarray:
     return out
 
 
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """The ``n * (n - 1)`` off-diagonal entries of a square array.
+
+    A view when ``a`` is C-contiguous (a copy otherwise): after the first
+    entry, the flat array falls into rows of ``n + 1`` whose last entry is
+    the next diagonal one.
+    """
+    n = a.shape[0]
+    return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n] if n > 1 else a[:0]
+
+
 def _check_psd(base: np.ndarray) -> None:
-    try:
-        np.linalg.cholesky(base + PSD_SHIFT * np.eye(base.shape[0]))
-    except np.linalg.LinAlgError:
-        raise ModelError(
-            "multiplicative perturbation requires a PSD base matrix"
-        ) from None
+    """Raise unless ``base + PSD_SHIFT * I`` has a Cholesky factor.
+
+    On a diagonal base the factorization's pivots are ``d_i + PSD_SHIFT``
+    themselves and it fails iff one is ``<= 0``, so that verdict is read
+    straight from the diagonal.  (A NaN pivot passes, as it passes the
+    OpenBLAS factorization numpy ships with.)
+    """
+    if not _off_diagonal(base).any():
+        psd = not np.any(np.diagonal(base) + PSD_SHIFT <= 0.0)
+    else:
+        try:
+            np.linalg.cholesky(base + PSD_SHIFT * np.eye(base.shape[0]))
+            psd = True
+        except np.linalg.LinAlgError:
+            psd = False
+    if not psd:
+        raise ModelError("multiplicative perturbation requires a PSD base matrix")
 
 
 def perturb_multiplicative(base: np.ndarray, pert: PerturbationSpec) -> np.ndarray:
     """``S base S`` with ``S = (I + V diag(theta) V^T)^(1/2)``.
 
-    The base matrix must be PSD (checked by a shifted Cholesky) and every
-    strength must exceed -1 so that ``S`` is well defined.
+    The base matrix must be PSD and every strength must exceed -1 so that
+    ``S`` is well defined.  PSD means that ``base + PSD_SHIFT * I`` has a
+    Cholesky factor; for a diagonal base that verdict is read from the
+    diagonal, any other base is factorized.
+
+    With leading coordinates ``S`` is diagonal and only the first ``M`` rows
+    and columns are rescaled.  On a frame ``V``, ``S = I + V C V^T`` with
+    ``C = diag(sqrt(1 + theta) - 1)``, and ``S base S`` is assembled as the
+    rank-2M update ``base + W K W^T`` where ``W = [V, base V]``,
+    ``G = V^T base V`` and ``K = [[C G C, C], [C, 0]]``: O(n^2 M) work and
+    one n x n temporary (the exact symmetrization) instead of two dense
+    n x n products.
     """
     n = base.shape[0]
     m = pert.m
@@ -185,20 +217,28 @@ def perturb_multiplicative(base: np.ndarray, pert: PerturbationSpec) -> np.ndarr
         raise ModelError(f"rank {m} exceeds matrix size {n}")
     if m and pert.thetas[-1] <= -1.0:
         raise ModelError("multiplicative strengths must exceed -1")
+    base = np.ascontiguousarray(base, dtype=float)
     _check_psd(base)
-    out = np.array(base, dtype=float, copy=True)
     if m == 0:
-        return out
+        return base.copy()
     v = _frame_columns(n, pert)
     scale = np.sqrt(1.0 + pert.thetas)
     if v is None:
         # S is diagonal: entry (i, j) picks up scale_i * scale_j.
+        out = base.copy()
         out[:m, :] *= scale[:, None]
         out[:, :m] *= scale[None, :]
-    else:
-        s = np.eye(n) + (v * (scale - 1.0)) @ v.T
-        out = s @ out @ s
-        out = 0.5 * (out + out.T)
+        return out
+    c = scale - 1.0
+    bv = base @ v
+    k = np.zeros((2 * m, 2 * m))
+    k[:m, :m] = c[:, None] * (v.T @ bv) * c[None, :]
+    k[:m, m:] = k[m:, :m] = np.diag(c)
+    w = np.hstack([v, bv])
+    out = (w @ k) @ w.T
+    out += base
+    out += out.T
+    out *= 0.5
     return out
 
 
@@ -293,8 +333,10 @@ def eigensolve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ModelError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    dev = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+    # max|a| and max|a - a^T| without an abs() copy: a - a^T is exactly
+    # antisymmetric, so its largest entry is its largest magnitude.
+    scale = max(1.0, float(a.max()), -float(a.min())) if a.size else 1.0
+    dev = float((a - a.T).max()) if a.size else 0.0
     if dev > SYMMETRY_TOLERANCE * scale:
         raise ModelError(f"matrix is not symmetric (deviation {dev:.2e})")
     vals, vecs = np.linalg.eigh(a)

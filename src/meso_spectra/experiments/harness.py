@@ -52,7 +52,8 @@ __all__ = [
 # Fraction of failed trials beyond which a run is considered broken.
 MAX_FAILURE_FRACTION = 0.10
 
-# Realized eigenvalues closer than this are treated as one degenerate cluster.
+# Realized eigenvalues closer than this, relative to max(1, spectral radius),
+# are treated as one degenerate cluster.
 DEGENERACY_TOLERANCE = 1e-10
 
 
@@ -134,12 +135,18 @@ def _whitened_projection(
 
 
 def _cluster_bounds(evals: np.ndarray, idx: int) -> tuple[int, int]:
-    """Half-open index range of the degenerate cluster containing ``idx``."""
+    """Half-open index range of the degenerate cluster containing ``idx``.
+
+    ``evals`` is descending; neighbours count as degenerate when their gap is
+    at most ``DEGENERACY_TOLERANCE * max(1, |evals[0]|, |evals[-1]|)``, the
+    scale :func:`eigensolve` measures symmetry against.
+    """
+    tol = DEGENERACY_TOLERANCE * max(1.0, abs(evals[0]), abs(evals[-1]))
     lo = idx
-    while lo > 0 and abs(evals[lo - 1] - evals[lo]) <= DEGENERACY_TOLERANCE:
+    while lo > 0 and abs(evals[lo - 1] - evals[lo]) <= tol:
         lo -= 1
     hi = idx + 1
-    while hi < evals.size and abs(evals[hi] - evals[hi - 1]) <= DEGENERACY_TOLERANCE:
+    while hi < evals.size and abs(evals[hi] - evals[hi - 1]) <= tol:
         hi += 1
     return lo, hi
 
@@ -178,6 +185,73 @@ def _measure_vectors(
     return out
 
 
+def _run_trial(
+    cfg: ExperimentConfig,
+    model: Model,
+    pert: PerturbationSpec,
+    preds: list[OutlierPrediction],
+    whitened_preds: dict[int, float],
+    cross: bool,
+    stream: RngStream,
+    n: int,
+    with_vectors: bool,
+) -> TrialRecord:
+    """Sample, solve and score one trial.
+
+    A function of its own so that the trial's n x n sample and eigenvectors
+    are released when it returns, before the next trial is sampled.
+    """
+    failure = None
+    try:
+        sample = sample_ensemble(model, pert, n, stream, cfg.entry_law)
+        if with_vectors:
+            evals, evecs = eigensolve(sample.perturbed)
+        else:
+            evals = np.linalg.eigvalsh(sample.perturbed)[::-1]
+            evecs = None
+        try:
+            detector = (
+                _detector_locations(model, pert, sample, cfg.delta) if cross else {}
+            )
+        except (MissingRootError, InversionError) as exc:
+            failure = f"detector failed: {exc}"
+    except np.linalg.LinAlgError as exc:
+        failure = f"eigensolve failed: {exc}"
+    if failure is not None:
+        return TrialRecord(stream_id=stream.stream_id, n=n, failed=True,
+                           failure=failure)
+    outliers = []
+    for pred in preds:
+        if not pred.separated:
+            continue
+        realized = float(evals[pred.target_index - 1])
+        abs_error = abs(realized - pred.location)
+        extra: dict = {}
+        if with_vectors:
+            extra = _measure_vectors(
+                sample, pert, pred, whitened_preds.get(pred.rank), evals, evecs,
+            )
+        det_loc = detector.get(pred.rank)
+        outliers.append(
+            OutlierRecord(
+                rank=pred.rank,
+                theta=pred.theta,
+                target_index=pred.target_index,
+                predicted=pred.location,
+                realized=realized,
+                abs_error=abs_error,
+                in_band=abs_error <= cfg.epsilon,
+                proj_norm_pred=pred.projection_norm_sq,
+                detector_location=det_loc,
+                detector_delta=(
+                    abs(det_loc - realized) if det_loc is not None else None
+                ),
+                **extra,
+            )
+        )
+    return TrialRecord(stream_id=stream.stream_id, n=n, outliers=tuple(outliers))
+
+
 def _run_trials(cfg: ExperimentConfig, with_vectors: bool) -> ExperimentReport:
     start = time.perf_counter()
     records: list[TrialRecord] = []
@@ -194,63 +268,9 @@ def _run_trials(cfg: ExperimentConfig, with_vectors: bool) -> ExperimentReport:
         cross = cfg.cross_check_for(n)
         for trial in range(cfg.trials):
             stream = RngStream(cfg.seed, n_index * cfg.trials + trial)
-            failure = None
-            try:
-                sample = sample_ensemble(model, pert, n, stream, cfg.entry_law)
-                if with_vectors:
-                    evals, evecs = eigensolve(sample.perturbed)
-                else:
-                    evals = np.linalg.eigvalsh(sample.perturbed)[::-1]
-                    evecs = None
-                try:
-                    detector = (
-                        _detector_locations(model, pert, sample, cfg.delta)
-                        if cross
-                        else {}
-                    )
-                except (MissingRootError, InversionError) as exc:
-                    failure = f"detector failed: {exc}"
-            except np.linalg.LinAlgError as exc:
-                failure = f"eigensolve failed: {exc}"
-            if failure is not None:
-                records.append(
-                    TrialRecord(stream_id=stream.stream_id, n=n, failed=True,
-                                failure=failure)
-                )
-                continue
-            outliers = []
-            for pred in preds:
-                if not pred.separated:
-                    continue
-                realized = float(evals[pred.target_index - 1])
-                abs_error = abs(realized - pred.location)
-                extra: dict = {}
-                if with_vectors:
-                    extra = _measure_vectors(
-                        sample, pert, pred, whitened_preds.get(pred.rank),
-                        evals, evecs,
-                    )
-                det_loc = detector.get(pred.rank)
-                outliers.append(
-                    OutlierRecord(
-                        rank=pred.rank,
-                        theta=pred.theta,
-                        target_index=pred.target_index,
-                        predicted=pred.location,
-                        realized=realized,
-                        abs_error=abs_error,
-                        in_band=abs_error <= cfg.epsilon,
-                        proj_norm_pred=pred.projection_norm_sq,
-                        detector_location=det_loc,
-                        detector_delta=(
-                            abs(det_loc - realized) if det_loc is not None else None
-                        ),
-                        **extra,
-                    )
-                )
             records.append(
-                TrialRecord(stream_id=stream.stream_id, n=n,
-                            outliers=tuple(outliers))
+                _run_trial(cfg, model, pert, preds, whitened_preds, cross,
+                           stream, n, with_vectors)
             )
     return _finish(cfg, records, start, cfg.epsilon)
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from meso_spectra import ensembles
+
 from meso_spectra import (
     EntryLaw,
     Model,
@@ -145,6 +147,105 @@ class TestPerturbations:
             perturb_additive(base, pert)
 
 
+def dense_sandwich(base, pert):
+    """Reference ``S @ base @ S`` with S built densely from the frame."""
+    v = pert.frame
+    s = np.eye(base.shape[0]) + (v * (np.sqrt(1.0 + pert.thetas) - 1.0)) @ v.T
+    return s @ base @ s
+
+
+def wishart_base(n, seed):
+    x = np.random.default_rng(seed).normal(size=(n, 2 * n))
+    w = x @ x.T / (2 * n)
+    return 0.5 * (w + w.T)
+
+
+def diagonal_base(n, seed):
+    return np.diag(np.random.default_rng(seed).uniform(0.0, 3.0, n))
+
+
+class TestRankTwoMAssembly:
+    """Framed ``perturb_multiplicative`` is the rank-2M update of the base."""
+
+    @pytest.mark.parametrize("make_base", [wishart_base, diagonal_base],
+                             ids=["wishart", "diagonal"])
+    @pytest.mark.parametrize("n", [2, 9, 60])
+    @pytest.mark.parametrize("rank", ["one", "five", "n-1"])
+    def test_matches_dense_sandwich(self, make_base, n, rank):
+        m = {"one": 1, "five": min(5, n - 1), "n-1": n - 1}[rank]
+        base = make_base(n, seed=100 + n)
+        thetas = np.linspace(3.0, -0.99, m) if m > 1 else np.array([-0.99])
+        frame = sample_haar_frame(n, m, RngStream(31, n * 10 + m))
+        pert = PerturbationSpec.from_values(thetas, frame=frame)
+        out = perturb_multiplicative(base, pert)
+        ref = dense_sandwich(base, pert)
+        bound = 1e-12 * max(1.0, np.linalg.norm(base, 2))
+        assert np.max(np.abs(out - ref)) <= bound
+        assert np.array_equal(out, out.T)
+
+    def test_input_untouched_and_output_fresh(self):
+        base = wishart_base(12, seed=5)
+        keep = base.copy()
+        pert = PerturbationSpec.from_values(
+            [1.0, -0.5], frame=sample_haar_frame(12, 2, RngStream(32, 0)))
+        out = perturb_multiplicative(base, pert)
+        assert np.array_equal(base, keep)
+        assert not np.shares_memory(out, base)
+        empty = perturb_multiplicative(base, PerturbationSpec.from_values([]))
+        assert np.array_equal(empty, base) and not np.shares_memory(empty, base)
+
+
+class TestPsdCheck:
+    """``_check_psd`` reads a diagonal base's verdict off its diagonal."""
+
+    @staticmethod
+    def cholesky_verdict(base):
+        try:
+            np.linalg.cholesky(base + ensembles.PSD_SHIFT * np.eye(base.shape[0]))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    @staticmethod
+    def check_verdict(base):
+        try:
+            ensembles._check_psd(base)
+        except ModelError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("lam_min", [
+        0.0, -0.5 * ensembles.PSD_SHIFT, -2.0 * ensembles.PSD_SHIFT, np.nan,
+    ], ids=["zero", "half-shift-below", "two-shifts-below", "nan"])
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    def test_diagonal_agrees_with_cholesky(self, lam_min, position):
+        diag = np.linspace(0.5, 2.0, 7)
+        diag[position] = lam_min
+        base = np.diag(diag)
+        assert self.check_verdict(base) == self.cholesky_verdict(base)
+
+    def test_diagonal_skips_the_factorization(self, monkeypatch):
+        def no_cholesky(a):
+            raise AssertionError("a diagonal base must not be factorized")
+
+        monkeypatch.setattr(ensembles.np.linalg, "cholesky", no_cholesky)
+        ensembles._check_psd(np.diag([0.0, 1.0, 2.0]))
+        with pytest.raises(ModelError):
+            ensembles._check_psd(np.diag([1.0, -1.0, 2.0]))
+
+    def test_indefinite_dense_base_raises(self):
+        rot = sample_haar_frame(6, 6, RngStream(33, 0))
+        base = (rot * np.array([2.0, 1.5, 1.0, 0.5, 0.1, -1e-3])) @ rot.T
+        base = 0.5 * (base + base.T)
+        assert np.count_nonzero(base - np.diag(np.diagonal(base))) > 0
+        with pytest.raises(ModelError):
+            ensembles._check_psd(base)
+        pert = PerturbationSpec.from_values(
+            [1.0], frame=sample_haar_frame(6, 1, RngStream(33, 1)))
+        with pytest.raises(ModelError):
+            perturb_multiplicative(base, pert)
+
+
 class TestSampleEnsemble:
     def test_wigner_sample_fields(self):
         pert = PerturbationSpec.from_values([2.0])
@@ -216,3 +317,20 @@ class TestEigensolve:
     def test_rejects_asymmetric(self):
         with pytest.raises(ModelError):
             eigensolve(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("skew", [0.0, 1e-13, 2.9e-12, 3.1e-12, 1e-9])
+    def test_symmetry_check_matches_abs_formula(self, sign, skew):
+        # The check must keep scale = max(1, max|a|), dev = max|a - a^T|.
+        rng = np.random.default_rng(22)
+        a = rng.uniform(-1.0, 1.0, size=(7, 7))
+        a = 0.5 * (a + a.T)
+        a[2, 5] = sign * 3.0
+        a[5, 2] = sign * 3.0 + skew
+        scale = max(1.0, float(np.max(np.abs(a))))
+        dev = float(np.max(np.abs(a - a.T)))
+        if dev > 1e-12 * scale:
+            with pytest.raises(ModelError, match=f"deviation {dev:.2e}"):
+                eigensolve(a)
+        else:
+            eigensolve(a)

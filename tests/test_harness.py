@@ -1,9 +1,18 @@
 """End-to-end tests for the experiment drivers at desk scale."""
 
+import os
+import subprocess
+import sys
+import textwrap
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from meso_spectra import InversionError, MissingRootError, SpectrumModel
+import meso_spectra
+from meso_spectra import (InversionError, MissingRootError, SpectrumModel,
+                          eigensolve)
 from meso_spectra.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -175,6 +184,119 @@ class TestTrialFailures:
         error = MissingRootError("no root found above the bulk for rank 1", 1)
         with pytest.raises(ExperimentError):
             self.run_with_failing_detector(monkeypatch, cfg, {2, 5}, error)
+
+
+def eigenvector_cfg(**overrides):
+    doc = {
+        "experiment": "eigenvector",
+        "kind": "orth-invariant-multiplicative",
+        "n_values": [120],
+        "theta_spec": {"values": [3.0, -0.9]},
+        "delta": 0.1,
+        "epsilon": 0.1,
+        "trials": 4,
+        "seed": 23,
+        "spectrum": {"name": "uniform", "low": 0.5, "high": 2.5},
+    }
+    doc.update(overrides)
+    return ExperimentConfig.from_dict(doc)
+
+
+class TestTrialBuffersReleased:
+    """Trial k's n x n sample is gone before trial k+1 is sampled."""
+
+    def run_watched(self, monkeypatch, cfg, run, failing_stream=None):
+        real_sample = harness.sample_ensemble
+        refs: list = []
+        alive_at_draw: list[int] = []
+
+        def sample(model, pert, n, stream, law):
+            alive_at_draw.append(sum(ref() is not None for ref in refs))
+            drawn = real_sample(model, pert, n, stream, law)
+            refs.extend(weakref.ref(obj)
+                        for obj in (drawn, drawn.base, drawn.perturbed))
+            return drawn
+
+        def solve(matrix):
+            if len(alive_at_draw) - 1 == failing_stream:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigensolve(matrix)
+
+        monkeypatch.setattr(harness, "sample_ensemble", sample)
+        monkeypatch.setattr(harness, "eigensolve", solve)
+        rep = run(cfg)
+        assert alive_at_draw == [0] * cfg.trials
+        return rep
+
+    def test_location_trials(self, monkeypatch):
+        cfg = location_cfg()
+        rep = self.run_watched(monkeypatch, cfg, run_location_experiment)
+        assert reports_equal(rep, run_location_experiment(cfg))
+
+    def test_eigenvector_trials(self, monkeypatch):
+        cfg = eigenvector_cfg()
+        rep = self.run_watched(monkeypatch, cfg, run_eigenvector_experiment)
+        assert reports_equal(rep, run_eigenvector_experiment(cfg))
+
+    def test_trial_failing_in_eigensolve(self, monkeypatch):
+        cfg = eigenvector_cfg(trials=10)
+        rep = self.run_watched(monkeypatch, cfg, run_eigenvector_experiment,
+                               failing_stream=4)
+        failed = [rec for rec in rep.records if rec.failed]
+        assert [rec.stream_id for rec in failed] == [4]
+        assert failed[0].failure.startswith("eigensolve failed:")
+
+
+class TestDegeneracyTolerance:
+    """Cluster gaps are measured against max(1, spectral radius)."""
+
+    def test_large_scale_pair_flagged(self):
+        scale = 1e6
+        vals = scale * np.array([3.0, 2.0 * (1.0 + 1e-11), 2.0, 1.0])
+        rot = np.linalg.qr(np.random.default_rng(29).normal(size=(4, 4)))[0]
+        mat = (rot * vals) @ rot.T
+        evals, _ = eigensolve(0.5 * (mat + mat.T))
+        gap = evals[1] - evals[2]
+        assert gap > 1e-10  # an absolute tolerance would split the pair
+        assert harness._cluster_bounds(evals, 1) == (1, 3)
+        assert harness._cluster_bounds(evals, 0) == (0, 1)
+
+    @pytest.mark.parametrize("radius", [1.0, 0.3])
+    def test_unit_scale_unchanged(self, radius):
+        tol = harness.DEGENERACY_TOLERANCE
+        close = np.array([radius, 0.2 + 0.9 * tol, 0.2, -0.1])
+        apart = np.array([radius, 0.2 + 1.1 * tol, 0.2, -0.1])
+        assert harness._cluster_bounds(close, 2) == (1, 3)
+        assert harness._cluster_bounds(apart, 2) == (2, 3)
+
+    def test_scale_from_either_end(self):
+        tol = harness.DEGENERACY_TOLERANCE
+        evals = np.array([1.0, 0.5 + 50.0 * tol, 0.5, -100.0])
+        assert harness._cluster_bounds(evals, 1) == (1, 3)
+        assert harness._cluster_bounds(evals[:3], 1) == (1, 2)
+
+
+def test_runtime_path_does_not_import_scipy():
+    script = textwrap.dedent("""
+        import sys
+        from meso_spectra.experiments import ExperimentConfig, run_experiment
+        rep = run_experiment(ExperimentConfig.from_dict({
+            "experiment": "eigenvector",
+            "kind": "orth-invariant-multiplicative",
+            "n_values": [60],
+            "theta_spec": {"values": [2.0, -0.9]},
+            "trials": 2,
+            "seed": 3,
+            "spectrum": {"name": "uniform", "low": 0.5, "high": 2.5},
+        }))
+        assert not any(rec.failed for rec in rep.records)
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """)
+    src = str(Path(meso_spectra.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestEigenvectorDriver:
