@@ -5,7 +5,12 @@ sends its extreme eigenvalues (and how the matching eigenvectors project
 onto the perturbation), detects those eigenvalues independently through a
 small master-equation operator, and ships a seeded Monte Carlo harness that
 confronts the predictions with sampled realizations.
+
+The library logs through the ``meso_spectra`` stdlib logger, which carries a
+``NullHandler`` and is silent unless the application configures logging.
 """
+
+import logging
 
 from .spectral_core import (
     InvalidPerturbationError,
@@ -76,6 +81,8 @@ from .predictor import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "DEFAULT_DELTA",

@@ -1,14 +1,23 @@
-"""Random-matrix sampling and deterministic perturbation assembly.
+"""Random-matrix sampling, deterministic perturbation assembly, eigensolves.
 
 All randomness flows through :class:`RngStream`, a (master_seed, stream_id)
 pair mapped to an independent ``numpy`` generator via ``SeedSequence`` spawn
 keys, so trials are reproducible and order-independent.  Matrix assembly
 itself is deterministic given the sampled ingredients.
+
+:func:`eigensolve` on a matrix returns the full spectrum.  On a sample of an
+orthogonally invariant kind it returns only the top ``M+`` and bottom
+``M-`` eigenpairs (``M+``/``M-`` the numbers of positive/negative
+strengths), certified by a block Lanczos solve on the diagonal-plus-low-rank
+structure; when the certificate fails it falls back to the full dense
+spectrum and logs the fallback on the ``meso_spectra`` logger.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +51,24 @@ SYMMETRY_TOLERANCE = 1e-12
 # Shift used by the Cholesky-based PSD guard: factorization of base + shift*I
 # succeeds iff lambda_min(base) > -shift.
 PSD_SHIFT = 1e-10
+
+# Realized eigenvalues closer than this, relative to max(1, spectral radius),
+# are treated as one degenerate cluster.  The partial eigensolve certifies
+# every pair it returns to be farther than this from its neighbours.
+DEGENERACY_TOLERANCE = 1e-10
+
+# A Ritz pair of the partial eigensolve has converged once its residual is at
+# most this, relative to max(1, largest |Ritz value|).
+LANCZOS_TOLERANCE = 1e-12
+
+# Block Lanczos steps before the partial eigensolve falls back to the dense
+# one.  The first Rayleigh-Ritz check comes after LANCZOS_CHECK_EVERY steps,
+# later ones where the residuals' observed geometric rate says they reach
+# the tolerance (or LANCZOS_CHECK_EVERY steps on when they do not fall).
+LANCZOS_MAX_STEPS = 60
+LANCZOS_CHECK_EVERY = 4
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -146,11 +173,16 @@ def _frame_columns(n: int, pert: PerturbationSpec) -> np.ndarray | None:
 
 
 def perturb_additive(base: np.ndarray, pert: PerturbationSpec) -> np.ndarray:
-    """``base + V diag(theta) V^T`` (leading coordinates when ``frame=None``)."""
+    """``base + V diag(theta) V^T`` (leading coordinates when ``frame=None``).
+
+    A base with a non-finite entry raises ``ModelError``.
+    """
     n = base.shape[0]
     m = pert.m
     if m > n:
         raise ModelError(f"rank {m} exceeds matrix size {n}")
+    if not np.isfinite(base).all():
+        raise ModelError("base matrix has non-finite entries")
     out = np.array(base, dtype=float, copy=True)
     v = _frame_columns(n, pert)
     if m == 0:
@@ -176,15 +208,19 @@ def _off_diagonal(a: np.ndarray) -> np.ndarray:
 
 
 def _check_psd(base: np.ndarray) -> None:
-    """Raise unless ``base + PSD_SHIFT * I`` has a Cholesky factor.
+    """Raise unless ``base`` is finite and ``base + PSD_SHIFT * I`` has a
+    Cholesky factor.
 
     On a diagonal base the factorization's pivots are ``d_i + PSD_SHIFT``
     themselves and it fails iff one is ``<= 0``, so that verdict is read
-    straight from the diagonal.  (A NaN pivot passes, as it passes the
-    OpenBLAS factorization numpy ships with.)
+    straight from the diagonal.  Finiteness is checked separately because
+    the OpenBLAS factorization numpy ships with passes a NaN pivot.
     """
     if not _off_diagonal(base).any():
-        psd = not np.any(np.diagonal(base) + PSD_SHIFT <= 0.0)
+        d = np.diagonal(base)
+        psd = bool(np.isfinite(d).all() and (d + PSD_SHIFT > 0.0).all())
+    elif not np.isfinite(base).all():
+        psd = False
     else:
         try:
             np.linalg.cholesky(base + PSD_SHIFT * np.eye(base.shape[0]))
@@ -192,24 +228,40 @@ def _check_psd(base: np.ndarray) -> None:
         except np.linalg.LinAlgError:
             psd = False
     if not psd:
-        raise ModelError("multiplicative perturbation requires a PSD base matrix")
+        raise ModelError(
+            "multiplicative perturbation requires a finite PSD base matrix"
+        )
+
+
+def _sandwich_update(v: np.ndarray, bv: np.ndarray,
+                     thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``W`` and ``K`` with ``S B S = B + W K W^T``.
+
+    ``S = (I + V diag(theta) V^T)^(1/2) = I + V C V^T`` with
+    ``C = diag(sqrt(1 + theta) - 1)``, and ``bv`` is ``B V``.  With
+    ``G = V^T B V``: ``W = [V, B V]`` and ``K = [[C G C, C], [C, 0]]``.
+    """
+    m = thetas.size
+    c = np.sqrt(1.0 + thetas) - 1.0
+    k = np.zeros((2 * m, 2 * m))
+    k[:m, :m] = c[:, None] * (v.T @ bv) * c[None, :]
+    k[:m, m:] = k[m:, :m] = np.diag(c)
+    return np.hstack([v, bv]), k
 
 
 def perturb_multiplicative(base: np.ndarray, pert: PerturbationSpec) -> np.ndarray:
     """``S base S`` with ``S = (I + V diag(theta) V^T)^(1/2)``.
 
-    The base matrix must be PSD and every strength must exceed -1 so that
-    ``S`` is well defined.  PSD means that ``base + PSD_SHIFT * I`` has a
-    Cholesky factor; for a diagonal base that verdict is read from the
-    diagonal, any other base is factorized.
+    The base matrix must be finite and PSD, and every strength must exceed
+    -1 so that ``S`` is well defined.  PSD means that
+    ``base + PSD_SHIFT * I`` has a Cholesky factor; for a diagonal base that
+    verdict is read from the diagonal, any other base is factorized.
 
     With leading coordinates ``S`` is diagonal and only the first ``M`` rows
-    and columns are rescaled.  On a frame ``V``, ``S = I + V C V^T`` with
-    ``C = diag(sqrt(1 + theta) - 1)``, and ``S base S`` is assembled as the
-    rank-2M update ``base + W K W^T`` where ``W = [V, base V]``,
-    ``G = V^T base V`` and ``K = [[C G C, C], [C, 0]]``: O(n^2 M) work and
-    one n x n temporary (the exact symmetrization) instead of two dense
-    n x n products.
+    and columns are rescaled.  On a frame ``V``, ``S base S`` is assembled as
+    the rank-2M update ``base + W K W^T`` of :func:`_sandwich_update`: O(n^2 M)
+    work and one n x n temporary (the exact symmetrization) instead of two
+    dense n x n products.
     """
     n = base.shape[0]
     m = pert.m
@@ -222,19 +274,14 @@ def perturb_multiplicative(base: np.ndarray, pert: PerturbationSpec) -> np.ndarr
     if m == 0:
         return base.copy()
     v = _frame_columns(n, pert)
-    scale = np.sqrt(1.0 + pert.thetas)
     if v is None:
         # S is diagonal: entry (i, j) picks up scale_i * scale_j.
+        scale = np.sqrt(1.0 + pert.thetas)
         out = base.copy()
         out[:m, :] *= scale[:, None]
         out[:, :m] *= scale[None, :]
         return out
-    c = scale - 1.0
-    bv = base @ v
-    k = np.zeros((2 * m, 2 * m))
-    k[:m, :m] = c[:, None] * (v.T @ bv) * c[None, :]
-    k[:m, m:] = k[m:, :m] = np.diag(c)
-    w = np.hstack([v, bv])
+    w, k = _sandwich_update(v, base @ v, pert.thetas)
     out = (w @ k) @ w.T
     out += base
     out += out.T
@@ -249,11 +296,13 @@ class EnsembleSample:
     ``frame`` is the orthonormal carrier actually used (``None`` stands for
     the leading coordinate axes), which downstream code needs to project
     eigenvectors and to build the finite-rank resolvent operator.
+    ``thetas`` are the strengths it carries, in descending order.
     """
 
     base: np.ndarray = field(repr=False)
     perturbed: np.ndarray = field(repr=False)
     frame: np.ndarray | None = field(repr=False)
+    thetas: np.ndarray = field(repr=False)
     kind: ModelKind
     n: int
     m: int
@@ -315,6 +364,7 @@ def sample_ensemble(
         base=base,
         perturbed=perturbed,
         frame=frame,
+        thetas=pert.thetas,
         kind=kind,
         n=n,
         m=pert.m,
@@ -324,20 +374,172 @@ def sample_ensemble(
     )
 
 
-def eigensolve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lanczos_extremes(
+    d: np.ndarray, w: np.ndarray, k: np.ndarray, start: np.ndarray,
+    upper: int, lower: int, psd: bool,
+) -> tuple[np.ndarray, np.ndarray] | str:
+    """Certified top ``upper`` and bottom ``lower`` eigenpairs of
+    ``A = diag(d) + W K W^T``, or the reason they could not be certified.
+
+    Block Lanczos with full reorthogonalization (Golub-Underwood), started on
+    the orthonormal ``start`` and applying ``A`` as ``d * x + W (K (W^T x))``.
+    At scheduled steps (see ``LANCZOS_CHECK_EVERY``), and when the Krylov
+    space becomes invariant, a Rayleigh-Ritz solve checks whether the wanted
+    Ritz pairs have converged; converged pairs ``(mu, u)`` are then
+    certified with their explicit residuals ``r = |A u - mu u|``.
+
+    Each interval ``[mu - r, mu + r]`` holds an eigenvalue.  ``A`` has at
+    most ``upper`` eigenvalues above ``max d`` and at most ``lower`` below
+    ``min d``: additively by Weyl interlacing, and multiplicatively because
+    ``S B S`` has the spectrum of ``B + (B^1/2 V) Theta (B^1/2 V)^T`` when
+    ``B`` is PSD (``psd``).  So when the upper intervals lie beyond
+    ``max d`` and the lower ones beyond ``min d``, each side's intervals
+    apart from one another and from the bulk by more than
+    ``DEGENERACY_TOLERANCE * max(1, max|d|, largest |Ritz value|)`` (a bound
+    on the spectral radius once this holds), they hold exactly
+    ``lambda_1 .. lambda_upper`` and the ``lower`` smallest eigenvalues,
+    none of them in a degenerate cluster.
+
+    Values are returned descending (top pairs, then bottom pairs).  Each has
+    residual ``r <= LANCZOS_TOLERANCE * max(1, largest |Ritz value|)`` (so
+    at most ``LANCZOS_TOLERANCE * max(1, |A|)``), which bounds its distance
+    to its eigenvalue; its vector is within angle ``r / gap`` of the
+    eigenvector (Davis-Kahan), ``gap`` the distance to the rest of the
+    spectrum.
+    """
+    n, width = start.shape
+    cap = min(n, width * (LANCZOS_MAX_STEPS + 1))
+    basis = np.empty((cap, n))  # Lanczos vectors as rows
+    proj = np.zeros((cap, cap))  # basis A basis^T, lower triangle
+    basis[:width] = start.T
+    prev, lo, hi = 0, 0, width  # previous block, current block, basis size
+    d_abs = max(1.0, float(np.abs(d).max()))
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return d[:, None] * x + w @ (k @ (w.T @ x))
+
+    check_at, seen = LANCZOS_CHECK_EVERY, None
+    for step in range(1, LANCZOS_MAX_STEPS + 1):
+        q, near = basis[:hi], basis[prev:hi]
+        z = apply(basis[lo:hi].T)
+        # The three-term recurrence, then one full reorthogonalization pass.
+        local = near @ z
+        z -= near.T @ local
+        coupling = q @ z
+        z -= q.T @ coupling
+        coupling[prev:] += local
+        proj[lo:hi, :hi] = coupling.T
+        # Directions below the tolerance end the Krylov space (breakdown);
+        # the certificate's explicit residuals account for what they drop.
+        left, sing, right = np.linalg.svd(z, full_matrices=False)
+        grow = min(int(np.count_nonzero(sing > LANCZOS_TOLERANCE * d_abs)),
+                   cap - hi)
+        last = step == LANCZOS_MAX_STEPS
+        if grow == 0 or last or step == check_at:
+            ritz, vecs = np.linalg.eigh(proj[:hi, :hi])
+            wanted = np.r_[np.arange(hi - 1, hi - 1 - upper, -1),
+                           np.arange(lower - 1, -1, -1)]
+            # Ritz values lie inside the spectrum, max|d| need not.
+            radius = max(1.0, abs(ritz[0]), abs(ritz[-1]))
+            tol = LANCZOS_TOLERANCE * radius
+            # A q^T = q^T proj + z e_last^T, so a Ritz pair's residual is z
+            # applied to the last block of its coordinates.
+            estimate = np.linalg.norm(
+                (sing[:, None] * right) @ vecs[lo:hi, wanted], axis=0)
+            worst = float(estimate.max())
+            if grow == 0 or worst <= tol:
+                return _certify(apply, q.T @ vecs[:, wanted], d, upper, psd,
+                                tol, DEGENERACY_TOLERANCE * max(radius, d_abs))
+            if last:
+                break
+            wait = LANCZOS_CHECK_EVERY
+            if seen is not None and 0.0 < worst < seen[1]:
+                rate = math.log(worst / seen[1]) / (step - seen[0])
+                wait = max(1, math.ceil(math.log(tol / worst) / rate))
+            seen = (step, worst)
+            check_at = min(step + wait, LANCZOS_MAX_STEPS)
+        basis[hi:hi + grow] = left[:, :grow].T
+        prev, lo, hi = lo, hi, hi + grow
+    return "step cap reached"
+
+
+def _certify(apply, vecs: np.ndarray, d: np.ndarray, upper: int, psd: bool,
+             tol: float, margin: float) -> tuple[np.ndarray, np.ndarray] | str:
+    """The certificate of :func:`_lanczos_extremes` on its Ritz vectors."""
+    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    image = apply(vecs)
+    values = np.einsum("ij,ij->j", vecs, image)
+    resid = np.linalg.norm(image - vecs * values, axis=0)
+    # The bulk [min d, max d] sits between the upper and the lower intervals;
+    # consecutive intervals must be apart by more than the margin.
+    low = np.insert(values - resid, upper, d.min())
+    high = np.insert(values + resid, upper, d.max())
+    certified = (
+        (resid <= tol).all()
+        and (low[:-1] - high[1:] > margin).all()
+        and (not psd or d.min() >= 0.0)
+    )
+    if not certified:
+        return "certificate failed"
+    return values, vecs
+
+
+def _partial_eigensolve(sample: EnsembleSample) -> tuple[np.ndarray, np.ndarray] | str:
+    """Certified extreme pairs of an orthogonally invariant, framed sample."""
+    d = np.diagonal(sample.base)
+    if not np.isfinite(d).all():
+        raise ModelError("base matrix has non-finite entries")
+    v, thetas = sample.frame, sample.thetas
+    if sample.kind.multiplicative:
+        w, k = _sandwich_update(v, d[:, None] * v, thetas)
+        k = 0.5 * (k + k.T)
+    else:
+        w, k = v, np.diag(thetas)
+    upper = int(np.count_nonzero(thetas > 0.0))
+    return _lanczos_extremes(d, w, k, v, upper, thetas.size - upper,
+                             sample.kind.multiplicative)
+
+
+def eigensolve(
+    matrix: np.ndarray | EnsembleSample,
+) -> tuple[np.ndarray, np.ndarray]:
     """Descending eigenvalues and matching eigenvector columns.
 
-    The input must be symmetric to ``SYMMETRY_TOLERANCE`` (relative to its
-    largest entry); the solve itself delegates to LAPACK's ``eigh``.
+    A matrix gets its full spectrum from LAPACK's ``eigh``.  It must be
+    finite and symmetric to ``SYMMETRY_TOLERANCE`` (relative to its largest
+    entry).
+
+    A sample of an orthogonally invariant kind with a frame gets only its
+    top ``M+`` and bottom ``M-`` pairs, ``M+``/``M-`` the numbers of
+    positive/negative strengths: ``M = M+ + M-`` values (top then bottom,
+    descending) and ``n x M`` vectors, certified as in
+    :func:`_lanczos_extremes`.  So column ``j`` holds eigenvalue ``j + 1``
+    for ``j < M+`` and eigenvalue ``j + 1 + n - M`` after.  When the
+    certificate fails, or the solve reaches ``LANCZOS_MAX_STEPS``, the
+    fallback is logged at DEBUG level and the sample's dense ``perturbed``
+    matrix gets the full spectrum.  Every other sample takes the dense path
+    directly.
     """
+    if isinstance(matrix, EnsembleSample):
+        sample = matrix
+        if not sample.kind.closed_form and sample.frame is not None:
+            pairs = _partial_eigensolve(sample)
+            if not isinstance(pairs, str):
+                return pairs
+            _log.debug("dense eigensolve fallback: stream %d, n=%d: %s",
+                       sample.stream_id, sample.n, pairs)
+        matrix = sample.perturbed
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ModelError(f"expected a square matrix, got shape {a.shape}")
     # max|a| and max|a - a^T| without an abs() copy: a - a^T is exactly
-    # antisymmetric, so its largest entry is its largest magnitude.
+    # antisymmetric, so its largest entry is its largest magnitude.  A
+    # non-finite entry makes dev NaN or infinite, which fails the test.
     scale = max(1.0, float(a.max()), -float(a.min())) if a.size else 1.0
-    dev = float((a - a.T).max()) if a.size else 0.0
-    if dev > SYMMETRY_TOLERANCE * scale:
-        raise ModelError(f"matrix is not symmetric (deviation {dev:.2e})")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and rejected
+        dev = float((a - a.T).max()) if a.size else 0.0
+    if not dev <= SYMMETRY_TOLERANCE * scale:
+        raise ModelError(
+            f"matrix is not finite and symmetric (deviation {dev:.2e})")
     vals, vecs = np.linalg.eigh(a)
     return vals[::-1].copy(), vecs[:, ::-1].copy()

@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 
-from ..ensembles import (EnsembleSample, RngStream, eigensolve, sample_ensemble,
-                         sample_haar_frame)
+from ..ensembles import (DEGENERACY_TOLERANCE, EnsembleSample, RngStream,
+                         eigensolve, sample_ensemble, sample_haar_frame)
 from ..master_equation import MasterOperator, MissingRootError, locate_outliers
 from ..predictor import (
     OutlierPrediction,
@@ -51,10 +51,6 @@ __all__ = [
 
 # Fraction of failed trials beyond which a run is considered broken.
 MAX_FAILURE_FRACTION = 0.10
-
-# Realized eigenvalues closer than this, relative to max(1, spectral radius),
-# are treated as one degenerate cluster.
-DEGENERACY_TOLERANCE = 1e-10
 
 
 class ExperimentError(MesoSpectraError, RuntimeError):
@@ -138,8 +134,12 @@ def _cluster_bounds(evals: np.ndarray, idx: int) -> tuple[int, int]:
     """Half-open index range of the degenerate cluster containing ``idx``.
 
     ``evals`` is descending; neighbours count as degenerate when their gap is
-    at most ``DEGENERACY_TOLERANCE * max(1, |evals[0]|, |evals[-1]|)``, the
-    scale :func:`eigensolve` measures symmetry against.
+    at most ``DEGENERACY_TOLERANCE * max(1, |evals[0]|, |evals[-1]|)``.  On a
+    full spectrum that scale is the spectral radius.  ``evals`` may also be
+    the truncated top-and-bottom result :func:`eigensolve` gives a sample;
+    it certifies every gap there, including the one where the top and bottom
+    pairs meet, to exceed the tolerance at the spectral radius, so no
+    cluster forms and none is split.
     """
     tol = DEGENERACY_TOLERANCE * max(1.0, abs(evals[0]), abs(evals[-1]))
     lo = idx
@@ -158,8 +158,8 @@ def _measure_vectors(
     whitened_pred: float | None,
     evals: np.ndarray,
     evecs: np.ndarray,
+    idx: int,
 ) -> dict:
-    idx = pred.target_index - 1
     vector = evecs[:, idx]
     vt = sample.project(vector)
     proj_norm = float(vt @ vt)
@@ -205,7 +205,7 @@ def _run_trial(
     try:
         sample = sample_ensemble(model, pert, n, stream, cfg.entry_law)
         if with_vectors:
-            evals, evecs = eigensolve(sample.perturbed)
+            evals, evecs = eigensolve(sample)
         else:
             evals = np.linalg.eigvalsh(sample.perturbed)[::-1]
             evecs = None
@@ -224,12 +224,17 @@ def _run_trial(
     for pred in preds:
         if not pred.separated:
             continue
-        realized = float(evals[pred.target_index - 1])
+        # Column of the target eigenvalue, in a full or a top-and-bottom
+        # (truncated) spectrum alike.
+        t = pred.target_index
+        col = t - 1 if t <= pert.m_positive else t - 1 - (n - evals.size)
+        realized = float(evals[col])
         abs_error = abs(realized - pred.location)
         extra: dict = {}
         if with_vectors:
             extra = _measure_vectors(
                 sample, pert, pred, whitened_preds.get(pred.rank), evals, evecs,
+                col,
             )
         det_loc = detector.get(pred.rank)
         outliers.append(

@@ -237,7 +237,7 @@ class PerturbationSpec:
             frame = frame[:, order].copy()
             gram = frame.T @ frame
             dev = np.max(np.abs(gram - np.eye(arr.size))) if arr.size else 0.0
-            if dev > FRAME_TOLERANCE:
+            if not dev <= FRAME_TOLERANCE:  # a non-finite entry makes dev NaN
                 raise ModelError(
                     f"frame columns are not orthonormal (deviation {dev:.2e})"
                 )

@@ -1,14 +1,21 @@
 """Tests for matrix sampling, perturbation assembly, and eigensolves."""
 
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meso_spectra import ensembles
 
 from meso_spectra import (
+    EnsembleSample,
     EntryLaw,
     Model,
     ModelError,
+    ModelKind,
     PerturbationSpec,
     RngStream,
     SpectrumModel,
@@ -21,6 +28,8 @@ from meso_spectra import (
     sample_wigner,
     sample_wishart,
 )
+from meso_spectra.experiments import (ExperimentConfig, harness,
+                                      run_eigenvector_experiment)
 
 
 class TestRngStream:
@@ -219,10 +228,12 @@ class TestPsdCheck:
     ], ids=["zero", "half-shift-below", "two-shifts-below", "nan"])
     @pytest.mark.parametrize("position", [0, 3, 6])
     def test_diagonal_agrees_with_cholesky(self, lam_min, position):
+        # The factorization passes a NaN pivot; the check must not.
         diag = np.linspace(0.5, 2.0, 7)
         diag[position] = lam_min
         base = np.diag(diag)
-        assert self.check_verdict(base) == self.cholesky_verdict(base)
+        expected = self.cholesky_verdict(base) and not np.isnan(lam_min)
+        assert self.check_verdict(base) == expected
 
     def test_diagonal_skips_the_factorization(self, monkeypatch):
         def no_cholesky(a):
@@ -334,3 +345,242 @@ class TestEigensolve:
                 eigensolve(a)
         else:
             eigensolve(a)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    def test_perturbations_reject(self, bad, where):
+        base = np.diag([2.0, 1.5, 1.0, 0.5])
+        i, j = (1, 1) if where == "diagonal" else (0, 2)
+        base[i, j] = base[j, i] = bad
+        frame = sample_haar_frame(4, 1, RngStream(34, 0))
+        for pert in (PerturbationSpec.from_values([1.0]),
+                     PerturbationSpec.from_values([1.0], frame=frame)):
+            with pytest.raises(ModelError):
+                perturb_additive(base, pert)
+            with pytest.raises(ModelError):
+                perturb_multiplicative(base, pert)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_frame_rejected(self, bad):
+        frame = np.eye(3)[:, :1]
+        frame[2, 0] = bad
+        with pytest.raises(ModelError, match="not orthonormal"):
+            PerturbationSpec.from_values([1.0], frame=frame)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2)])
+    def test_eigensolve_rejects(self, bad, where):
+        a = np.diag([2.0, 1.0, 0.5])
+        a[where] = a[where[::-1]] = bad
+        with pytest.raises(ModelError, match="not finite and symmetric"):
+            eigensolve(a)
+
+    def test_eigensolve_rejects_sample(self):
+        spec = SpectrumModel.from_values(np.linspace(-1.0, 1.0, 20))
+        s = sample_ensemble(Model.additive(spec), PerturbationSpec.from_values([3.0]),
+                            20, RngStream(35, 0))
+        base = s.base.copy()
+        base[4, 4] = np.nan
+        with pytest.raises(ModelError):
+            eigensolve(dataclasses.replace(s, base=base))
+
+
+def framed_sample(multiplicative, values, thetas, frame, stream_id=0):
+    """An orthogonally invariant sample on an explicit diagonal and frame."""
+    base = np.diag(np.asarray(values, dtype=float))
+    pert = PerturbationSpec.from_values(thetas, frame=frame)
+    perturb = perturb_multiplicative if multiplicative else perturb_additive
+    kind = (ModelKind.ORTH_INVARIANT_MULTIPLICATIVE if multiplicative
+            else ModelKind.ORTH_INVARIANT_ADDITIVE)
+    return EnsembleSample(
+        base=base, perturbed=perturb(base, pert), frame=pert.frame,
+        thetas=pert.thetas, kind=kind, n=base.shape[0], m=pert.m,
+        master_seed=0, stream_id=stream_id, law=None,
+    )
+
+
+def cluster_sums(evals, evecs, frame):
+    """Degenerate flag and summed squared frame projection of each cluster."""
+    out = []
+    for j in range(evals.size):
+        lo, hi = harness._cluster_bounds(evals, j)
+        coords = frame.T @ evecs[:, lo:hi]
+        out.append((hi - lo > 1, float(np.sum(coords * coords))))
+    return out
+
+
+def assert_matches_dense(sample):
+    """``eigensolve(sample)`` against dense ``eigh`` on ``sample.perturbed``.
+
+    Returns whether the certified partial solve answered.
+    """
+    vals, vecs = eigensolve(sample)
+    dense_vals, dense_vecs = eigensolve(sample.perturbed)
+    n, m = sample.n, sample.m
+    if vals.size == n:
+        assert np.array_equal(vals, dense_vals)
+        assert np.array_equal(vecs, dense_vecs)
+        return False
+    upper = int(np.count_nonzero(sample.thetas > 0.0))
+    idx = np.r_[np.arange(upper), np.arange(n - (m - upper), n)]
+    assert vals.shape == (m,) and vecs.shape == (n, m)
+    size = max(1.0, float(np.max(np.abs(dense_vals))))
+    assert np.max(np.abs(vals - dense_vals[idx])) <= 1e-12 * size
+    partial = cluster_sums(vals, vecs, sample.frame)
+    dense = cluster_sums(dense_vals, dense_vecs, sample.frame)
+    for j, i in enumerate(idx):
+        assert partial[j][0] == dense[i][0]
+        # Davis-Kahan: each vector is within angle residual / gap.
+        gap = np.min(np.abs(np.delete(dense_vals, i) - dense_vals[i]))
+        vector_tol = 4.0 * (ensembles.LANCZOS_TOLERANCE + 1e-14) * size / gap
+        assert abs(partial[j][1] - dense[i][1]) <= 1e-12 + vector_tol
+    return True
+
+
+def strength_list(multiplicative):
+    """Strong, near-threshold and repeated strengths of both signs."""
+    negative = st.floats(-0.95, -0.02) if multiplicative else st.floats(-4.0, -0.02)
+    single = st.one_of(st.floats(1.5, 4.0), st.floats(0.02, 0.3), negative)
+    return st.lists(st.tuples(single, st.integers(1, 3)), min_size=1, max_size=4).map(
+        lambda pairs: [theta for theta, repeats in pairs for _ in range(repeats)])
+
+
+@st.composite
+def orth_configs(draw):
+    multiplicative = draw(st.booleans())
+    # Small n fills the Krylov space; larger n stops it short of that.
+    n = draw(st.one_of(st.integers(2, 40), st.integers(60, 200)))
+    low = 0.0 if multiplicative else -1.5
+    if draw(st.booleans()):
+        values = draw(st.lists(st.floats(low, 1.5), min_size=n, max_size=n))
+    else:  # flat, so the Krylov space breaks down after one step
+        values = [draw(st.floats(max(low, 0.1), 1.5))] * n
+    thetas = draw(strength_list(multiplicative))
+    if draw(st.booleans()):  # rank n - 1
+        thetas = (thetas * n)[: n - 1]
+    return multiplicative, values, thetas[: n - 1]
+
+
+class TestCertifiedPartialEigensolve:
+    """The certified extreme pairs of an orthogonally invariant sample."""
+
+    @given(orth_configs(), st.integers(0, 2**16))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_matches_dense_eigh(self, config, seed):
+        multiplicative, values, thetas = config
+        spectrum = SpectrumModel.from_values(values, is_psd=multiplicative or None)
+        model = (Model.multiplicative if multiplicative else Model.additive)(spectrum)
+        sample = sample_ensemble(model, PerturbationSpec.from_values(thetas),
+                                 spectrum.n, RngStream(seed, 0))
+        assert np.array_equal(sample.thetas, np.sort(thetas)[::-1])
+        assert_matches_dense(sample)
+
+    @given(st.integers(8, 60), st.lists(st.floats(2.5, 4.0), min_size=1, max_size=4),
+           st.lists(st.booleans(), min_size=4, max_size=4), st.integers(0, 2**16))
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    def test_mirror_symmetry(self, n, magnitudes, signs, seed):
+        # Strengths beyond the spread 2 of the values detach every outlier
+        # (Weyl); negating the diagonal and the strengths negates the matrix.
+        values = RngStream(seed, 1).generator().uniform(-1.0, 1.0, n)
+        thetas = [t if up else -t for t, up in zip(magnitudes, signs)]
+        frame = sample_haar_frame(n, len(thetas), RngStream(seed, 0))
+        sample = framed_sample(False, values, thetas, frame)
+        mirror = framed_sample(False, -values, [-t for t in thetas], frame)
+        assert assert_matches_dense(sample) == assert_matches_dense(mirror)
+        vals, vecs = eigensolve(sample)
+        mirror_vals, mirror_vecs = eigensolve(mirror)
+        assert np.allclose(mirror_vals, -vals[::-1], rtol=0.0, atol=1e-11)
+        proj = np.sum((frame.T @ vecs) ** 2, axis=0)
+        mirror_proj = np.sum((frame.T @ mirror_vecs) ** 2, axis=0)
+        assert np.allclose(mirror_proj, proj[::-1], rtol=0.0, atol=1e-10)
+
+    def test_breakdown_on_a_flat_spectrum(self):
+        # diag(1) + V Theta V^T leaves span V invariant after one step.
+        frame = sample_haar_frame(30, 3, RngStream(36, 0))
+        thetas = [2.0, 1.0, -0.5]
+        for multiplicative in (False, True):
+            sample = framed_sample(multiplicative, np.ones(30), thetas, frame)
+            assert assert_matches_dense(sample)
+            # S I S = S^2 = I + V Theta V^T: the same spectrum both ways.
+            vals, _ = eigensolve(sample)
+            assert np.allclose(vals, 1.0 + np.array(thetas), rtol=0.0, atol=1e-14)
+
+    def test_repeated_strengths_on_a_flat_spectrum_fall_back(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        frame = sample_haar_frame(30, 2, RngStream(37, 0))
+        sample = framed_sample(False, np.ones(30), [2.0, 2.0], frame, stream_id=5)
+        assert not assert_matches_dense(sample)
+        assert [r.getMessage() for r in caplog.records] == [
+            "dense eigensolve fallback: stream 5, n=30: certificate failed"]
+
+    def test_near_threshold_strength_falls_back(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        spectrum = SpectrumModel.from_values(np.linspace(-2.0, 2.0, 400))
+        # Far below the threshold 1/G(lam_max): lambda_1 hugs the edge.
+        sample = sample_ensemble(Model.additive(spectrum),
+                                 PerturbationSpec.from_values([0.3]), 400,
+                                 RngStream(38, 7))
+        vals, _ = eigensolve(sample)
+        assert vals.size == 400
+        assert [r.getMessage() for r in caplog.records] == [
+            "dense eigensolve fallback: stream 7, n=400: step cap reached"]
+        assert all(r.levelno == logging.DEBUG and r.name.startswith("meso_spectra")
+                   for r in caplog.records)
+
+    def test_converged_pair_inside_the_bulk_falls_back(self, caplog):
+        # At n = 20 the Krylov space fills up, so every Ritz pair is exact;
+        # lambda_2 is still not returned, because it lies below max d where
+        # Weyl interlacing no longer says which eigenvalue it is.
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        values = np.linspace(-1.0, 1.0, 20)
+        frame = sample_haar_frame(20, 2, RngStream(42, 0))
+        sample = framed_sample(False, values, [3.0, 0.05], frame, stream_id=3)
+        assert np.linalg.eigvalsh(sample.perturbed)[-2] < values.max()
+        assert not assert_matches_dense(sample)
+        assert [r.getMessage() for r in caplog.records] == [
+            "dense eigensolve fallback: stream 3, n=20: certificate failed"]
+
+    def test_bench_shaped_config_logs_no_fallback(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        rep = run_eigenvector_experiment(ExperimentConfig.from_dict({
+            "experiment": "eigenvector",
+            "kind": "orth-invariant-multiplicative",
+            "n_values": [300],
+            "spectrum": {"name": "uniform", "low": 0.5, "high": 2.5},
+            "theta_spec": {"values": [1.5, 1.2, 1.0, -0.88, -0.92, -0.96]},
+            "delta": 0.15,
+            "epsilon": 0.15,
+            "trials": 3,
+            "seed": 39,
+            "cross_check": False,
+        }))
+        assert not any(rec.failed for rec in rep.records)
+        assert caplog.records == []
+
+    def test_closed_form_and_unframed_samples_stay_dense(self, monkeypatch):
+        def no_lanczos(*args):
+            raise AssertionError("the partial solve must not run")
+
+        monkeypatch.setattr(ensembles, "_lanczos_extremes", no_lanczos)
+        pert = PerturbationSpec.from_values([3.0])
+        wigner = sample_ensemble(Model.wigner(), pert, 20, RngStream(40, 0))
+        unframed = framed_sample(False, np.linspace(0, 1, 20), [], None)
+        for sample in (wigner, unframed):
+            vals, _ = eigensolve(sample)
+            assert vals.size == 20
+            assert np.array_equal(vals, eigensolve(sample.perturbed)[0])
+
+    def test_draws_no_random_numbers(self, monkeypatch):
+        spectrum = SpectrumModel.from_values(np.linspace(0.5, 2.5, 50))
+        sample = sample_ensemble(Model.multiplicative(spectrum),
+                                 PerturbationSpec.from_values([2.0, -0.9]), 50,
+                                 RngStream(41, 0))
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("the eigensolve must draw no random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        vals, _ = eigensolve(sample)
+        assert vals.size == 2

@@ -299,6 +299,45 @@ def test_runtime_path_does_not_import_scipy():
     assert done.stdout.strip() == "[]"
 
 
+class TestBenchContract:
+    """The call pattern the benchmark's layer tracing relies on.
+
+    The tracer wraps ``harness.eigensolve`` and ``np.linalg.eigvalsh`` and
+    expects one of them per orthogonally invariant trial.
+    """
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"eigensolve": [], "eigvalsh": 0}
+        real_solve, real_eigvalsh = harness.eigensolve, np.linalg.eigvalsh
+
+        def solve(arg):
+            result = real_solve(arg)
+            calls["eigensolve"].append((type(arg).__name__, result[0].size))
+            return result
+
+        def eigvalsh(*args, **kwargs):
+            calls["eigvalsh"] += 1
+            return real_eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "eigensolve", solve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        return calls
+
+    def test_eigenvector_trial_solves_once_without_eigvalsh(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        rep = run_eigenvector_experiment(eigenvector_cfg(trials=3, cross_check=False))
+        assert not any(rec.failed for rec in rep.records)
+        # The certified partial solve answers with the two extreme pairs.
+        assert calls == {"eigensolve": [("EnsembleSample", 2)] * 3, "eigvalsh": 0}
+
+    def test_location_trial_calls_eigvalsh_once(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        rep = run_location_experiment(location_cfg(trials=3, cross_check=False))
+        assert not any(rec.failed for rec in rep.records)
+        assert calls == {"eigensolve": [], "eigvalsh": 3}
+
+
 class TestEigenvectorDriver:
     def test_wigner_projection_accuracy(self):
         cfg = ExperimentConfig.from_dict({
