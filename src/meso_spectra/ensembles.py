@@ -6,11 +6,12 @@ keys, so trials are reproducible and order-independent.  Matrix assembly
 itself is deterministic given the sampled ingredients.
 
 :func:`eigensolve` on a matrix returns the full spectrum.  On a sample of an
-orthogonally invariant kind it returns only the top ``M+`` and bottom
-``M-`` eigenpairs (``M+``/``M-`` the numbers of positive/negative
-strengths), certified by a block Lanczos solve on the diagonal-plus-low-rank
-structure; when the certificate fails it falls back to the full dense
-spectrum and logs the fallback on the ``meso_spectra`` logger.
+orthogonally invariant kind (above a size set by ``LANCZOS_ROWS_PER_PAIR``)
+it returns only the top ``M+`` and bottom ``M-`` eigenpairs (``M+``/``M-``
+the numbers of positive/negative strengths), certified by a block Lanczos
+solve on the diagonal-plus-low-rank structure; when that solve cannot
+certify them it falls back to the full dense spectrum and logs the fallback
+on the ``meso_spectra`` logger.
 """
 
 from __future__ import annotations
@@ -58,15 +59,20 @@ PSD_SHIFT = 1e-10
 DEGENERACY_TOLERANCE = 1e-10
 
 # A Ritz pair of the partial eigensolve has converged once its residual is at
-# most this, relative to max(1, largest |Ritz value|).
+# most this, relative to the smaller of max(1, largest |Ritz value|) and its
+# distance to the rest of the spectrum.
 LANCZOS_TOLERANCE = 1e-12
 
 # Block Lanczos steps before the partial eigensolve falls back to the dense
-# one.  The first Rayleigh-Ritz check comes after LANCZOS_CHECK_EVERY steps,
-# later ones where the residuals' observed geometric rate says they reach
-# the tolerance (or LANCZOS_CHECK_EVERY steps on when they do not fall).
+# one, and the steps before its first Rayleigh-Ritz check.
 LANCZOS_MAX_STEPS = 60
 LANCZOS_CHECK_EVERY = 4
+
+# The partial eigensolve runs only on samples with more than this many rows
+# per pair, plus one: n > LANCZOS_ROWS_PER_PAIR * (M + 1).  On smaller ones
+# the dense eigh is faster; measured crossovers (2 cores, OpenBLAS) were
+# n = 110, 150, 300 and 700 for M = 1, 2, 6 and 12.
+LANCZOS_ROWS_PER_PAIR = 60
 
 _log = logging.getLogger(__name__)
 
@@ -383,29 +389,36 @@ def _lanczos_extremes(
 
     Block Lanczos with full reorthogonalization (Golub-Underwood), started on
     the orthonormal ``start`` and applying ``A`` as ``d * x + W (K (W^T x))``.
-    At scheduled steps (see ``LANCZOS_CHECK_EVERY``), and when the Krylov
-    space becomes invariant, a Rayleigh-Ritz solve checks whether the wanted
-    Ritz pairs have converged; converged pairs ``(mu, u)`` are then
-    certified with their explicit residuals ``r = |A u - mu u|``.
+    After ``LANCZOS_CHECK_EVERY`` steps, then at the step where the residual
+    estimates' geometric fall between the last two checks says they reach
+    their tolerance (``LANCZOS_CHECK_EVERY`` steps on when they did not
+    fall), and when the Krylov space becomes invariant, a Rayleigh-Ritz
+    solve checks the wanted Ritz pairs.  It gives up at once when their
+    values are not beyond the bulk ``[min d, max d]`` and apart from one
+    another.  Once every pair's residual estimate has reached its tolerance
+    (below), the pairs ``(mu, u)`` are certified with their explicit
+    residuals ``r = |A u - mu u|``.
 
     Each interval ``[mu - r, mu + r]`` holds an eigenvalue.  ``A`` has at
     most ``upper`` eigenvalues above ``max d`` and at most ``lower`` below
-    ``min d``: additively by Weyl interlacing, and multiplicatively because
-    ``S B S`` has the spectrum of ``B + (B^1/2 V) Theta (B^1/2 V)^T`` when
-    ``B`` is PSD (``psd``).  So when the upper intervals lie beyond
-    ``max d`` and the lower ones beyond ``min d``, each side's intervals
-    apart from one another and from the bulk by more than
-    ``DEGENERACY_TOLERANCE * max(1, max|d|, largest |Ritz value|)`` (a bound
-    on the spectral radius once this holds), they hold exactly
-    ``lambda_1 .. lambda_upper`` and the ``lower`` smallest eigenvalues,
-    none of them in a degenerate cluster.
+    ``min d``, and the others lie in ``[min d, max d]``: additively by Weyl
+    interlacing, and multiplicatively because ``S B S`` has the spectrum of
+    ``B + (B^1/2 V) Theta (B^1/2 V)^T`` when ``B`` is PSD (``psd``).  So
+    when the upper intervals lie beyond ``max d`` and the lower ones beyond
+    ``min d``, each side's intervals apart from one another and from the
+    bulk by more than ``DEGENERACY_TOLERANCE * max(1, max|d|, largest |Ritz
+    value|)`` (a bound on the spectral radius once this holds), they hold
+    exactly ``lambda_1 .. lambda_upper`` and the ``lower`` smallest
+    eigenvalues, none of them in a degenerate cluster.  The rest of the
+    spectrum then lies at least ``gap`` from ``mu``: ``gap`` is the distance
+    to the nearest other interval or to the bulk.
 
     Values are returned descending (top pairs, then bottom pairs).  Each has
-    residual ``r <= LANCZOS_TOLERANCE * max(1, largest |Ritz value|)`` (so
-    at most ``LANCZOS_TOLERANCE * max(1, |A|)``), which bounds its distance
-    to its eigenvalue; its vector is within angle ``r / gap`` of the
-    eigenvector (Davis-Kahan), ``gap`` the distance to the rest of the
-    spectrum.
+    ``r <= LANCZOS_TOLERANCE * min(max(1, largest |Ritz value|), gap)``.
+    So its value is within ``LANCZOS_TOLERANCE * max(1, |A|)`` of its
+    eigenvalue, and its vector within angle ``r / gap <= LANCZOS_TOLERANCE``
+    of the eigenvector (Davis-Kahan).  Pairs too close to one another or to
+    the bulk for rounding to reach that residual fail the certificate.
     """
     n, width = start.shape
     cap = min(n, width * (LANCZOS_MAX_STEPS + 1))
@@ -434,48 +447,62 @@ def _lanczos_extremes(
         left, sing, right = np.linalg.svd(z, full_matrices=False)
         grow = min(int(np.count_nonzero(sing > LANCZOS_TOLERANCE * d_abs)),
                    cap - hi)
-        last = step == LANCZOS_MAX_STEPS
-        if grow == 0 or last or step == check_at:
+        if grow == 0 or step == check_at:
             ritz, vecs = np.linalg.eigh(proj[:hi, :hi])
             wanted = np.r_[np.arange(hi - 1, hi - 1 - upper, -1),
                            np.arange(lower - 1, -1, -1)]
             # Ritz values lie inside the spectrum, max|d| need not.
             radius = max(1.0, abs(ritz[0]), abs(ritz[-1]))
-            tol = LANCZOS_TOLERANCE * radius
+            margin = DEGENERACY_TOLERANCE * max(radius, d_abs)
+            _, _, gap = _intervals(ritz[wanted], 0.0, upper, d)
+            if not (gap > margin).all():
+                return "Ritz values not separated"
             # A q^T = q^T proj + z e_last^T, so a Ritz pair's residual is z
             # applied to the last block of its coordinates.
             estimate = np.linalg.norm(
                 (sing[:, None] * right) @ vecs[lo:hi, wanted], axis=0)
-            worst = float(estimate.max())
-            if grow == 0 or worst <= tol:
+            ratio = float(np.max(
+                estimate / (LANCZOS_TOLERANCE * np.minimum(radius, gap))))
+            if grow == 0 or ratio <= 1.0:
                 return _certify(apply, q.T @ vecs[:, wanted], d, upper, psd,
-                                tol, DEGENERACY_TOLERANCE * max(radius, d_abs))
-            if last:
-                break
+                                radius, margin)
+            # Check next where the estimates' geometric fall since the last
+            # check says they reach their tolerance.
             wait = LANCZOS_CHECK_EVERY
-            if seen is not None and 0.0 < worst < seen[1]:
-                rate = math.log(worst / seen[1]) / (step - seen[0])
-                wait = max(1, math.ceil(math.log(tol / worst) / rate))
-            seen = (step, worst)
+            if seen is not None and ratio < seen[1]:
+                wait = max(1, math.ceil(
+                    math.log(ratio) * (step - seen[0]) / math.log(seen[1] / ratio)))
+            seen = (step, ratio)
             check_at = min(step + wait, LANCZOS_MAX_STEPS)
         basis[hi:hi + grow] = left[:, :grow].T
         prev, lo, hi = lo, hi, hi + grow
     return "step cap reached"
 
 
+def _intervals(values: np.ndarray, resid, upper: int, d: np.ndarray):
+    """Intervals ``[values - resid, values + resid]`` with the bulk
+    ``[min d, max d]`` inserted after the top ``upper``, as ``(low, high)``,
+    and each value's distance to the intervals next to it."""
+    low = np.insert(values - resid, upper, d.min())
+    high = np.insert(values + resid, upper, d.max())
+    centre = np.insert(values, upper, 0.5 * (low[upper] + high[upper]))
+    gap = np.minimum(np.r_[np.inf, low[:-1]] - centre,
+                     centre - np.r_[high[1:], -np.inf])
+    return low, high, np.delete(gap, upper)
+
+
 def _certify(apply, vecs: np.ndarray, d: np.ndarray, upper: int, psd: bool,
-             tol: float, margin: float) -> tuple[np.ndarray, np.ndarray] | str:
+             radius: float, margin: float) -> tuple[np.ndarray, np.ndarray] | str:
     """The certificate of :func:`_lanczos_extremes` on its Ritz vectors."""
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     image = apply(vecs)
     values = np.einsum("ij,ij->j", vecs, image)
     resid = np.linalg.norm(image - vecs * values, axis=0)
-    # The bulk [min d, max d] sits between the upper and the lower intervals;
-    # consecutive intervals must be apart by more than the margin.
-    low = np.insert(values - resid, upper, d.min())
-    high = np.insert(values + resid, upper, d.max())
+    # Consecutive intervals, the bulk among them, must be apart by more
+    # than the margin.
+    low, high, gap = _intervals(values, resid, upper, d)
     certified = (
-        (resid <= tol).all()
+        (resid <= LANCZOS_TOLERANCE * np.minimum(radius, gap)).all()
         and (low[:-1] - high[1:] > margin).all()
         and (not psd or d.min() >= 0.0)
     )
@@ -489,6 +516,8 @@ def _partial_eigensolve(sample: EnsembleSample) -> tuple[np.ndarray, np.ndarray]
     d = np.diagonal(sample.base)
     if not np.isfinite(d).all():
         raise ModelError("base matrix has non-finite entries")
+    if _off_diagonal(sample.base).any():
+        return "base is not diagonal"
     v, thetas = sample.frame, sample.thetas
     if sample.kind.multiplicative:
         w, k = _sandwich_update(v, d[:, None] * v, thetas)
@@ -509,20 +538,23 @@ def eigensolve(
     finite and symmetric to ``SYMMETRY_TOLERANCE`` (relative to its largest
     entry).
 
-    A sample of an orthogonally invariant kind with a frame gets only its
-    top ``M+`` and bottom ``M-`` pairs, ``M+``/``M-`` the numbers of
-    positive/negative strengths: ``M = M+ + M-`` values (top then bottom,
-    descending) and ``n x M`` vectors, certified as in
-    :func:`_lanczos_extremes`.  So column ``j`` holds eigenvalue ``j + 1``
-    for ``j < M+`` and eigenvalue ``j + 1 + n - M`` after.  When the
-    certificate fails, or the solve reaches ``LANCZOS_MAX_STEPS``, the
-    fallback is logged at DEBUG level and the sample's dense ``perturbed``
-    matrix gets the full spectrum.  Every other sample takes the dense path
-    directly.
+    A sample of an orthogonally invariant kind with a frame and
+    ``n > LANCZOS_ROWS_PER_PAIR * (M + 1)`` gets only its top ``M+`` and
+    bottom ``M-`` pairs, ``M+``/``M-`` the numbers of positive/negative
+    strengths: ``M = M+ + M-`` values (top then bottom, descending) and
+    ``n x M`` vectors, certified as in :func:`_lanczos_extremes`.  So column
+    ``j`` holds eigenvalue ``j + 1`` for ``j < M+`` and eigenvalue
+    ``j + 1 + n - M`` after.  When the sample's base is not diagonal, the
+    wanted Ritz values are not beyond the bulk and apart, the certificate
+    fails or the solve reaches ``LANCZOS_MAX_STEPS``, the fallback and its
+    reason are logged at DEBUG level and the sample's dense ``perturbed``
+    matrix gets the full spectrum.  Every other sample, smaller ones
+    included, takes the dense path directly.
     """
     if isinstance(matrix, EnsembleSample):
         sample = matrix
-        if not sample.kind.closed_form and sample.frame is not None:
+        if (not sample.kind.closed_form and sample.frame is not None
+                and sample.n > LANCZOS_ROWS_PER_PAIR * (sample.m + 1)):
             pairs = _partial_eigensolve(sample)
             if not isinstance(pairs, str):
                 return pairs
