@@ -6,10 +6,11 @@ keys, so trials are reproducible and order-independent.  Matrix assembly
 itself is deterministic given the sampled ingredients.
 
 :func:`eigensolve` on a matrix returns the full spectrum.  On a sample of an
-orthogonally invariant kind (above a size set by ``LANCZOS_ROWS_PER_PAIR``)
+orthogonally invariant kind (above a size set by ``FILTER_ROWS_PER_PAIR``)
 it returns only the top ``M+`` and bottom ``M-`` eigenpairs (``M+``/``M-``
-the numbers of positive/negative strengths), certified by a block Lanczos
-solve on the diagonal-plus-low-rank structure; when that solve cannot
+the numbers of positive/negative strengths), certified by a Chebyshev-
+filtered subspace iteration on the diagonal-plus-low-rank structure, whose
+bulk interval ``[min d, max d]`` is known exactly; when that solve cannot
 certify them it falls back to the full dense spectrum and logs the fallback
 on the ``meso_spectra`` logger.
 """
@@ -61,18 +62,21 @@ DEGENERACY_TOLERANCE = 1e-10
 # A Ritz pair of the partial eigensolve has converged once its residual is at
 # most this, relative to the smaller of max(1, largest |Ritz value|) and its
 # distance to the rest of the spectrum.
-LANCZOS_TOLERANCE = 1e-12
+FILTER_TOLERANCE = 1e-12
 
-# Block Lanczos steps before the partial eigensolve falls back to the dense
-# one, and the steps before its first Rayleigh-Ritz check.
-LANCZOS_MAX_STEPS = 60
-LANCZOS_CHECK_EVERY = 4
+# The total Chebyshev filter degree the partial eigensolve may spend before
+# it falls back to the dense one, and the degree by which the Ritz values
+# must be beyond the bulk and apart.  One degree applies A to the block
+# once, as one block Lanczos step does.
+FILTER_MAX_DEGREE = 200
+FILTER_FIRST_DEGREE = 12
 
 # The partial eigensolve runs only on samples with more than this many rows
-# per pair, plus one: n > LANCZOS_ROWS_PER_PAIR * (M + 1).  On smaller ones
-# the dense eigh is faster; measured crossovers (2 cores, OpenBLAS) were
-# n = 110, 150, 300 and 700 for M = 1, 2, 6 and 12.
-LANCZOS_ROWS_PER_PAIR = 60
+# per pair, plus one: n > FILTER_ROWS_PER_PAIR * (M + 1).  This was the
+# crossover with dense eigh for block Lanczos (n = 110, 150, 300 and 700 for
+# M = 1, 2, 6 and 12, on 2 cores with OpenBLAS); the filter's crossovers are
+# lower (n = 90, 115, 130 and 150), so the rule is conservative.
+FILTER_ROWS_PER_PAIR = 60
 
 _log = logging.getLogger(__name__)
 
@@ -114,6 +118,29 @@ class EntryLaw(str, enum.Enum):
         return 2.0 * gen.integers(0, 2, size=shape).astype(float) - 1.0
 
 
+def _upper_blocks(n: int):
+    """Slices ``(rows, cols)`` of the 128 x 128 blocks on and above the
+    diagonal of an n x n array; a block and its mirror image stay in cache
+    (128 was the fastest size at n = 1000 and 2000)."""
+    for i in range(0, n, 128):
+        for j in range(i, n, 128):
+            yield slice(i, i + 128), slice(j, j + 128)
+
+
+def _symmetrize(p: np.ndarray) -> np.ndarray:
+    """``p`` overwritten with ``(p + p^T) * 0.5``, block by block.
+
+    Addition commutes exactly, so this has the bits of ``0.5 * (p + p.T)``
+    while holding one block, not an n x n temporary.
+    """
+    for rows, cols in _upper_blocks(p.shape[0]):
+        block = p[rows, cols] + p[cols, rows].T
+        block *= 0.5
+        p[rows, cols] = block
+        p[cols, rows] = block.T
+    return p
+
+
 def sample_wigner(n: int, law: EntryLaw, rng) -> np.ndarray:
     """Symmetric Wigner matrix, entries of variance ``1/n``.
 
@@ -123,9 +150,14 @@ def sample_wigner(n: int, law: EntryLaw, rng) -> np.ndarray:
     """
     gen = _as_generator(rng)
     raw = law.sample(gen, (n, n))
-    upper = np.triu(raw)
-    sym = upper + np.triu(raw, 1).T
-    return sym / np.sqrt(n)
+    raw /= np.sqrt(n)
+    for rows, cols in _upper_blocks(n):  # mirror the upper triangle
+        if rows == cols:
+            block = raw[rows, rows]
+            raw[rows, rows] = np.triu(block) + np.triu(block, 1).T
+        else:
+            raw[cols, rows] = raw[rows, cols].T
+    return raw
 
 
 def sample_wishart(n: int, p: int, law: EntryLaw, rng) -> np.ndarray:
@@ -138,8 +170,7 @@ def sample_wishart(n: int, p: int, law: EntryLaw, rng) -> np.ndarray:
         raise ModelError(f"need p >= n for an undersampled-free Wishart, got {n=} {p=}")
     gen = _as_generator(rng)
     x = law.sample(gen, (n, p))
-    w = x @ x.T / p
-    return 0.5 * (w + w.T)
+    return _symmetrize(x @ x.T / p)
 
 
 def sample_haar_frame(n: int, m: int, rng) -> np.ndarray:
@@ -164,8 +195,7 @@ def sample_haar_frame(n: int, m: int, rng) -> np.ndarray:
 def sample_conjugated(spectrum: SpectrumModel, rng) -> np.ndarray:
     """Haar rotation ``U diag(lambda) U^T`` of a deterministic spectrum."""
     u = sample_haar_frame(spectrum.n, spectrum.n, rng)
-    w = (u * spectrum.eigenvalues) @ u.T
-    return 0.5 * (w + w.T)
+    return _symmetrize((u * spectrum.eigenvalues) @ u.T)
 
 
 def _frame_columns(n: int, pert: PerturbationSpec) -> np.ndarray | None:
@@ -198,7 +228,7 @@ def perturb_additive(base: np.ndarray, pert: PerturbationSpec) -> np.ndarray:
         out[idx, idx] += pert.thetas
     else:
         out += (v * pert.thetas) @ v.T
-        out = 0.5 * (out + out.T)
+        _symmetrize(out)
     return out
 
 
@@ -213,16 +243,17 @@ def _off_diagonal(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n] if n > 1 else a[:0]
 
 
-def _check_psd(base: np.ndarray) -> None:
+def _check_psd(base: np.ndarray) -> bool:
     """Raise unless ``base`` is finite and ``base + PSD_SHIFT * I`` has a
-    Cholesky factor.
+    Cholesky factor; return whether ``base`` is diagonal.
 
     On a diagonal base the factorization's pivots are ``d_i + PSD_SHIFT``
     themselves and it fails iff one is ``<= 0``, so that verdict is read
     straight from the diagonal.  Finiteness is checked separately because
     the OpenBLAS factorization numpy ships with passes a NaN pivot.
     """
-    if not _off_diagonal(base).any():
+    diagonal = not _off_diagonal(base).any()
+    if diagonal:
         d = np.diagonal(base)
         psd = bool(np.isfinite(d).all() and (d + PSD_SHIFT > 0.0).all())
     elif not np.isfinite(base).all():
@@ -237,6 +268,7 @@ def _check_psd(base: np.ndarray) -> None:
         raise ModelError(
             "multiplicative perturbation requires a finite PSD base matrix"
         )
+    return diagonal
 
 
 def _sandwich_update(v: np.ndarray, bv: np.ndarray,
@@ -266,8 +298,9 @@ def perturb_multiplicative(base: np.ndarray, pert: PerturbationSpec) -> np.ndarr
     With leading coordinates ``S`` is diagonal and only the first ``M`` rows
     and columns are rescaled.  On a frame ``V``, ``S base S`` is assembled as
     the rank-2M update ``base + W K W^T`` of :func:`_sandwich_update`: O(n^2 M)
-    work and one n x n temporary (the exact symmetrization) instead of two
-    dense n x n products.
+    work and no n x n temporary (the exact symmetrization goes block by
+    block) instead of two dense n x n products.  On a diagonal base,
+    ``B V`` is a row scaling and ``base`` adds to the diagonal alone.
     """
     n = base.shape[0]
     m = pert.m
@@ -276,7 +309,7 @@ def perturb_multiplicative(base: np.ndarray, pert: PerturbationSpec) -> np.ndarr
     if m and pert.thetas[-1] <= -1.0:
         raise ModelError("multiplicative strengths must exceed -1")
     base = np.ascontiguousarray(base, dtype=float)
-    _check_psd(base)
+    diagonal = _check_psd(base)
     if m == 0:
         return base.copy()
     v = _frame_columns(n, pert)
@@ -287,12 +320,17 @@ def perturb_multiplicative(base: np.ndarray, pert: PerturbationSpec) -> np.ndarr
         out[:m, :] *= scale[:, None]
         out[:, :m] *= scale[None, :]
         return out
-    w, k = _sandwich_update(v, base @ v, pert.thetas)
+    # On a diagonal base, B V and the sum with B differ from the dense
+    # products only by exact zeros, so they keep every bit.
+    d = np.diagonal(base)
+    w, k = _sandwich_update(v, d[:, None] * v if diagonal else base @ v,
+                            pert.thetas)
     out = (w @ k) @ w.T
-    out += base
-    out += out.T
-    out *= 0.5
-    return out
+    if diagonal:
+        np.fill_diagonal(out, np.diagonal(out) + d)
+    else:
+        out += base
+    return _symmetrize(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,103 +418,132 @@ def sample_ensemble(
     )
 
 
-def _lanczos_extremes(
+def _filtered_extremes(
     d: np.ndarray, w: np.ndarray, k: np.ndarray, start: np.ndarray,
-    upper: int, lower: int, psd: bool,
+    upper: int, psd: bool,
 ) -> tuple[np.ndarray, np.ndarray] | str:
-    """Certified top ``upper`` and bottom ``lower`` eigenpairs of
-    ``A = diag(d) + W K W^T``, or the reason they could not be certified.
+    """Certified top ``upper`` and bottom ``M - upper`` eigenpairs of
+    ``A = diag(d) + W K W^T`` (``M`` the columns of ``start``), or the
+    reason they could not be certified.
 
-    Block Lanczos with full reorthogonalization (Golub-Underwood), started on
-    the orthonormal ``start`` and applying ``A`` as ``d * x + W (K (W^T x))``.
-    After ``LANCZOS_CHECK_EVERY`` steps, then at the step where the residual
-    estimates' geometric fall between the last two checks says they reach
-    their tolerance (``LANCZOS_CHECK_EVERY`` steps on when they did not
-    fall), and when the Krylov space becomes invariant, a Rayleigh-Ritz
-    solve checks the wanted Ritz pairs.  It gives up at once when their
-    values are not beyond the bulk ``[min d, max d]`` and apart from one
-    another.  Once every pair's residual estimate has reached its tolerance
-    (below), the pairs ``(mu, u)`` are certified with their explicit
-    residuals ``r = |A u - mu u|``.
+    Chebyshev-filtered subspace iteration (Zhou, Saad, Tiago and
+    Chelikowsky, J. Comput. Phys. 219, 2006) on a block of ``M`` vectors
+    started on the orthonormal ``start``, applying ``A`` as
+    ``d * x + W (K (W^T x))``.  All eigenvalues but the wanted ones lie in
+    the bulk ``[min d, max d]`` (see :func:`_certify`), on which
+    ``T_m((A - centre) / half)`` is at most 1 in modulus, while it
+    multiplies an eigenvector at ``lambda`` beyond the bulk by about
+    ``rho^m / 2``, with ``rho = |x| + sqrt(x^2 - 1)`` at the mapped
+    ``x = (lambda - centre) / half``.  Each stage filters the block by the
+    three-term recurrence, orthonormalizes it by QR and solves an ``M x M``
+    Rayleigh-Ritz problem.  Pairs whose residual has reached the tolerance
+    of :func:`_certify` are locked: later stages filter only the others and
+    project the locked vectors out at every step of the recurrence.
 
-    Each interval ``[mu - r, mu + r]`` holds an eigenvalue.  ``A`` has at
-    most ``upper`` eigenvalues above ``max d`` and at most ``lower`` below
-    ``min d``, and the others lie in ``[min d, max d]``: additively by Weyl
-    interlacing, and multiplicatively because ``S B S`` has the spectrum of
-    ``B + (B^1/2 V) Theta (B^1/2 V)^T`` when ``B`` is PSD (``psd``).  So
-    when the upper intervals lie beyond ``max d`` and the lower ones beyond
-    ``min d``, each side's intervals apart from one another and from the
-    bulk by more than ``DEGENERACY_TOLERANCE * max(1, max|d|, largest |Ritz
-    value|)`` (a bound on the spectral radius once this holds), they hold
-    exactly ``lambda_1 .. lambda_upper`` and the ``lower`` smallest
-    eigenvalues, none of them in a degenerate cluster.  The rest of the
-    spectrum then lies at least ``gap`` from ``mu``: ``gap`` is the distance
-    to the nearest other interval or to the bulk.
-
-    Values are returned descending (top pairs, then bottom pairs).  Each has
-    ``r <= LANCZOS_TOLERANCE * min(max(1, largest |Ritz value|), gap)``.
-    So its value is within ``LANCZOS_TOLERANCE * max(1, |A|)`` of its
-    eigenvalue, and its vector within angle ``r / gap <= LANCZOS_TOLERANCE``
-    of the eigenvector (Davis-Kahan).  Pairs too close to one another or to
-    the bulk for rounding to reach that residual fail the certificate.
+    The solve gives up ("Ritz values not separated") once the filter has
+    reached ``FILTER_FIRST_DEGREE`` and the Ritz values are not beyond the
+    bulk and apart from one another; a Ritz value never passes its
+    eigenvalue (Cauchy interlacing), so a subcritical strength never gets
+    there.  Each later stage takes the degree at which the residuals'
+    predicted fall by ``2 / rho^m`` reaches the tolerance, and the solve
+    gives up ("step cap reached") when that makes the total exceed
+    ``FILTER_MAX_DEGREE``.  Every stage's degree is bounded so that no
+    unconverged pair outgrows another by more than
+    ``1 / sqrt(FILTER_TOLERANCE)``, beyond which rounding swamps the
+    slower one; the first stage bounds the fastest growth through Weyl's
+    bound ``half + |W K W^T|`` on ``|A - centre|``.  A stage whose residuals
+    fell by less than half the predicted amount has met the rounding floor,
+    and the certificate decides on the pairs as they are.  No random
+    numbers are drawn.
     """
-    n, width = start.shape
-    cap = min(n, width * (LANCZOS_MAX_STEPS + 1))
-    basis = np.empty((cap, n))  # Lanczos vectors as rows
-    proj = np.zeros((cap, cap))  # basis A basis^T, lower triangle
-    basis[:width] = start.T
-    prev, lo, hi = 0, 0, width  # previous block, current block, basis size
+    low, high = float(d.min()), float(d.max())
+    centre = 0.5 * (low + high)
     d_abs = max(1.0, float(np.abs(d).max()))
+    # Half the bulk's width, floored so that a flat spectrum maps too.
+    half = max(0.5 * (high - low), FILTER_TOLERANCE * d_abs)
+    log_growth_cap = -0.5 * math.log(FILTER_TOLERANCE)
+    wt = np.ascontiguousarray(w.T)
 
+    # Blocks hold their vectors as rows, so that d scales contiguous rows.
     def apply(x: np.ndarray) -> np.ndarray:
-        return d[:, None] * x + w @ (k @ (w.T @ x))
+        return ((x @ w) @ k) @ wt + d * x
 
-    check_at, seen = LANCZOS_CHECK_EVERY, None
-    for step in range(1, LANCZOS_MAX_STEPS + 1):
-        q, near = basis[:hi], basis[prev:hi]
-        z = apply(basis[lo:hi].T)
-        # The three-term recurrence, then one full reorthogonalization pass.
-        local = near @ z
-        z -= near.T @ local
-        coupling = q @ z
-        z -= q.T @ coupling
-        coupling[prev:] += local
-        proj[lo:hi, :hi] = coupling.T
-        # Directions below the tolerance end the Krylov space (breakdown);
-        # the certificate's explicit residuals account for what they drop.
-        left, sing, right = np.linalg.svd(z, full_matrices=False)
-        grow = min(int(np.count_nonzero(sing > LANCZOS_TOLERANCE * d_abs)),
-                   cap - hi)
-        if grow == 0 or step == check_at:
-            ritz, vecs = np.linalg.eigh(proj[:hi, :hi])
-            wanted = np.r_[np.arange(hi - 1, hi - 1 - upper, -1),
-                           np.arange(lower - 1, -1, -1)]
-            # Ritz values lie inside the spectrum, max|d| need not.
-            radius = max(1.0, abs(ritz[0]), abs(ritz[-1]))
-            margin = DEGENERACY_TOLERANCE * max(radius, d_abs)
-            _, _, gap = _intervals(ritz[wanted], 0.0, upper, d)
-            if not (gap > margin).all():
-                return "Ritz values not separated"
-            # A q^T = q^T proj + z e_last^T, so a Ritz pair's residual is z
-            # applied to the last block of its coordinates.
-            estimate = np.linalg.norm(
-                (sing[:, None] * right) @ vecs[lo:hi, wanted], axis=0)
-            ratio = float(np.max(
-                estimate / (LANCZOS_TOLERANCE * np.minimum(radius, gap))))
-            if grow == 0 or ratio <= 1.0:
-                return _certify(apply, q.T @ vecs[:, wanted], d, upper, psd,
-                                radius, margin)
-            # Check next where the estimates' geometric fall since the last
-            # check says they reach their tolerance.
-            wait = LANCZOS_CHECK_EVERY
-            if seen is not None and ratio < seen[1]:
-                wait = max(1, math.ceil(
-                    math.log(ratio) * (step - seen[0]) / math.log(seen[1] / ratio)))
-            seen = (step, ratio)
-            check_at = min(step + wait, LANCZOS_MAX_STEPS)
-        basis[hi:hi + grow] = left[:, :grow].T
-        prev, lo, hi = lo, hi, hi + grow
-    return "step cap reached"
+    def log_rho(values: np.ndarray) -> np.ndarray:
+        x = np.maximum(np.abs(values - centre) / half, 1.0)
+        return np.log(x + np.sqrt(x * x - 1.0))
+
+    # x -> 2 (A - centre) x / half, the recurrence's step, kept orthogonal
+    # to the locked vectors.
+    scaled_d, scaled_k = (d - centre) * (2.0 / half), k * (2.0 / half)
+    locked, locked_vals = np.empty((0, d.size)), np.empty(0)
+
+    def step(x: np.ndarray) -> np.ndarray:
+        y = ((x @ w) @ scaled_k) @ wt
+        y += scaled_d * x
+        if locked_vals.size:
+            y -= (y @ locked.T) @ locked
+        return y
+
+    # Weyl: no eigenvalue is farther than half + |W K W^T| from centre.
+    low_rank = float(np.abs(np.linalg.eigvals(k @ (wt @ w))).max())
+    fastest = float(log_rho(centre + half + low_rank))
+    degree = min(FILTER_FIRST_DEGREE, FILTER_MAX_DEGREE)
+    if fastest > 0.0:
+        degree = min(degree, max(1, int(log_growth_cap / fastest)))
+    block, used, expected = start.T, 0, None
+    while True:
+        prev, cur = block, step(block)
+        cur *= 0.5  # T_1(x) = x, then T_j+1(x) = 2 x T_j(x) - T_j-1(x)
+        for _ in range(degree - 1):
+            nxt = step(cur)
+            nxt -= prev
+            prev, cur = cur, nxt
+        used += degree
+        q = np.linalg.qr(cur.T)[0].T
+        image = apply(q)
+        ritz, rot = np.linalg.eigh(image @ q.T)
+        vecs, image = rot.T @ q, rot.T @ image
+        resid = np.linalg.norm(image - ritz[:, None] * vecs, axis=1)
+        values = np.r_[locked_vals, ritz]
+        order = np.argsort(values)[::-1]
+        radius = max(1.0, abs(values[order[0]]), abs(values[order[-1]]))
+        margin = DEGENERACY_TOLERANCE * max(radius, d_abs)
+        _, _, gap = _intervals(values[order], 0.0, upper, d)
+        separated = bool((gap > margin).all())
+        if not separated and used >= FILTER_FIRST_DEGREE:
+            return "Ritz values not separated"
+        target = np.empty(values.size)
+        target[order] = FILTER_TOLERANCE * np.minimum(radius, gap)
+        target = target[locked_vals.size:]
+        done = resid <= target
+        locked = np.vstack([locked, vecs[done]])
+        locked_vals = np.r_[locked_vals, ritz[done]]
+        block, ritz = vecs[~done], ritz[~done]
+        rates = log_rho(ritz)
+        stalled = False
+        if separated and ritz.size:
+            # log(residual / tolerance) of each pair still converging.
+            excess = np.log(resid[~done] / target[~done])
+            stalled = expected is not None and worst - excess.max() < 0.5 * expected
+        if stalled or not ritz.size:
+            order = np.argsort(np.r_[locked_vals, ritz])[::-1]
+            pairs = np.vstack([locked, block])[order]
+            return _certify(lambda x: apply(x.T).T, pairs.T, d, upper, psd,
+                            radius, margin)
+        if separated:
+            need = float(((math.log(2.0) + excess) / rates).max())
+        else:
+            need = FILTER_FIRST_DEGREE - used
+        if not used + need <= FILTER_MAX_DEGREE:
+            return "step cap reached"
+        degree = math.ceil(need)
+        spread = float(rates.max() - rates.min())
+        if spread > 0.0:
+            degree = min(degree, max(1, int(log_growth_cap / spread)))
+        expected = None
+        if separated:  # the slowest pair's predicted fall, in log
+            worst = excess.max()
+            expected = degree * float(rates.min()) - math.log(2.0)
 
 
 def _intervals(values: np.ndarray, resid, upper: int, d: np.ndarray):
@@ -493,7 +560,35 @@ def _intervals(values: np.ndarray, resid, upper: int, d: np.ndarray):
 
 def _certify(apply, vecs: np.ndarray, d: np.ndarray, upper: int, psd: bool,
              radius: float, margin: float) -> tuple[np.ndarray, np.ndarray] | str:
-    """The certificate of :func:`_lanczos_extremes` on its Ritz vectors."""
+    """The Ritz pairs of ``A = diag(d) + W K W^T`` (applied by ``apply``)
+    on the columns of ``vecs``, the top ``upper`` first, or
+    ``"certificate failed"``.
+
+    The pairs ``(mu, u)`` are certified with their explicit residuals
+    ``r = |A u - mu u|``.  Each interval ``[mu - r, mu + r]`` holds an
+    eigenvalue.  ``A`` has at most ``upper`` eigenvalues above ``max d``
+    and at most ``M - upper`` below ``min d``, and the others lie in
+    ``[min d, max d]``: additively by Weyl interlacing, and
+    multiplicatively because ``S B S`` has the spectrum of
+    ``B + (B^1/2 V) Theta (B^1/2 V)^T`` when ``B`` is PSD (``psd``).  So
+    when the upper intervals lie beyond ``max d`` and the lower ones beyond
+    ``min d``, each side's intervals apart from one another and from the
+    bulk by more than ``margin`` (``DEGENERACY_TOLERANCE`` times
+    ``max(1, max|d|, largest |Ritz value|)``, a bound on the spectral radius
+    once this holds), they hold exactly ``lambda_1 .. lambda_upper`` and the
+    ``M - upper`` smallest eigenvalues, none of them in a degenerate
+    cluster.  The rest of the spectrum then lies at least ``gap`` from
+    ``mu``: ``gap`` is the distance to the nearest other interval or to the
+    bulk.
+
+    Values are returned descending with their unit vectors.  Each has
+    ``r <= FILTER_TOLERANCE * min(radius, gap)``, ``radius`` being
+    ``max(1, largest |Ritz value|)``.  So its value is within
+    ``FILTER_TOLERANCE * max(1, |A|)`` of its eigenvalue, and its vector
+    within angle ``r / gap <= FILTER_TOLERANCE`` of the eigenvector
+    (Davis-Kahan).  Pairs too close to one another or to the bulk for
+    rounding to reach that residual fail the certificate.
+    """
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     image = apply(vecs)
     values = np.einsum("ij,ij->j", vecs, image)
@@ -502,7 +597,7 @@ def _certify(apply, vecs: np.ndarray, d: np.ndarray, upper: int, psd: bool,
     # than the margin.
     low, high, gap = _intervals(values, resid, upper, d)
     certified = (
-        (resid <= LANCZOS_TOLERANCE * np.minimum(radius, gap)).all()
+        (resid <= FILTER_TOLERANCE * np.minimum(radius, gap)).all()
         and (low[:-1] - high[1:] > margin).all()
         and (not psd or d.min() >= 0.0)
     )
@@ -525,8 +620,7 @@ def _partial_eigensolve(sample: EnsembleSample) -> tuple[np.ndarray, np.ndarray]
     else:
         w, k = v, np.diag(thetas)
     upper = int(np.count_nonzero(thetas > 0.0))
-    return _lanczos_extremes(d, w, k, v, upper, thetas.size - upper,
-                             sample.kind.multiplicative)
+    return _filtered_extremes(d, w, k, v, upper, sample.kind.multiplicative)
 
 
 def eigensolve(
@@ -539,22 +633,23 @@ def eigensolve(
     entry).
 
     A sample of an orthogonally invariant kind with a frame and
-    ``n > LANCZOS_ROWS_PER_PAIR * (M + 1)`` gets only its top ``M+`` and
+    ``n > FILTER_ROWS_PER_PAIR * (M + 1)`` gets only its top ``M+`` and
     bottom ``M-`` pairs, ``M+``/``M-`` the numbers of positive/negative
     strengths: ``M = M+ + M-`` values (top then bottom, descending) and
-    ``n x M`` vectors, certified as in :func:`_lanczos_extremes`.  So column
-    ``j`` holds eigenvalue ``j + 1`` for ``j < M+`` and eigenvalue
-    ``j + 1 + n - M`` after.  When the sample's base is not diagonal, the
-    wanted Ritz values are not beyond the bulk and apart, the certificate
-    fails or the solve reaches ``LANCZOS_MAX_STEPS``, the fallback and its
-    reason are logged at DEBUG level and the sample's dense ``perturbed``
-    matrix gets the full spectrum.  Every other sample, smaller ones
-    included, takes the dense path directly.
+    ``n x M`` vectors, found by :func:`_filtered_extremes` and certified as
+    in :func:`_certify`.  So column ``j`` holds eigenvalue ``j + 1`` for
+    ``j < M+`` and eigenvalue ``j + 1 + n - M`` after.  When the sample's
+    base is not diagonal, the Ritz values are not beyond the bulk and apart
+    once the filter reaches ``FILTER_FIRST_DEGREE``, the solve would need
+    more than ``FILTER_MAX_DEGREE`` in total or the certificate fails, the
+    fallback and its reason are logged at DEBUG level and the sample's dense
+    ``perturbed`` matrix gets the full spectrum.  Every other sample,
+    smaller ones included, takes the dense path directly.
     """
     if isinstance(matrix, EnsembleSample):
         sample = matrix
         if (not sample.kind.closed_form and sample.frame is not None
-                and sample.n > LANCZOS_ROWS_PER_PAIR * (sample.m + 1)):
+                and sample.n > FILTER_ROWS_PER_PAIR * (sample.m + 1)):
             pairs = _partial_eigensolve(sample)
             if not isinstance(pairs, str):
                 return pairs

@@ -204,6 +204,56 @@ class TestRankTwoMAssembly:
         assert np.array_equal(empty, base) and not np.shares_memory(empty, base)
 
 
+class TestBlockedSymmetrization:
+    """Samplers and framed assemblies symmetrize block by block in place,
+    with the bits of the whole-matrix formulas they replaced."""
+
+    @pytest.mark.parametrize("law", list(EntryLaw))
+    @pytest.mark.parametrize("n", [1, 5, 128, 300])
+    def test_wigner_matches_triangle_formula(self, law, n):
+        raw = law.sample(RngStream(46, n).generator(), (n, n))
+        ref = (np.triu(raw) + np.triu(raw, 1).T) / np.sqrt(n)
+        assert np.array_equal(sample_wigner(n, law, RngStream(46, n)), ref)
+
+    @pytest.mark.parametrize("law", list(EntryLaw))
+    @pytest.mark.parametrize("n", [5, 300])
+    def test_wishart_and_conjugated_match_whole_matrix_formula(self, law, n):
+        x = law.sample(RngStream(49, n).generator(), (n, 2 * n))
+        w = x @ x.T / (2 * n)
+        ref = 0.5 * (w + w.T)
+        assert np.array_equal(sample_wishart(n, 2 * n, law, RngStream(49, n)), ref)
+        spectrum = SpectrumModel.from_values(np.linspace(-1.0, 2.0, n))
+        u = sample_haar_frame(n, n, RngStream(50, n))
+        w = (u * spectrum.eigenvalues) @ u.T
+        ref = 0.5 * (w + w.T)
+        assert np.array_equal(sample_conjugated(spectrum, RngStream(50, n)), ref)
+
+    @pytest.mark.parametrize("make_base", [wishart_base, diagonal_base],
+                             ids=["wishart", "diagonal"])
+    @pytest.mark.parametrize("n", [9, 300])
+    def test_multiplicative_matches_unblocked_update(self, make_base, n):
+        base = make_base(n, seed=200 + n)
+        pert = PerturbationSpec.from_values(
+            [2.0, 0.5, -0.5, -0.9], frame=sample_haar_frame(n, 4, RngStream(47, n)))
+        w, k = ensembles._sandwich_update(pert.frame, base @ pert.frame, pert.thetas)
+        ref = (w @ k) @ w.T
+        ref += base
+        ref += ref.T
+        ref *= 0.5
+        assert np.array_equal(perturb_multiplicative(base, pert), ref)
+
+    @pytest.mark.parametrize("make_base", [wishart_base, diagonal_base],
+                             ids=["wishart", "diagonal"])
+    @pytest.mark.parametrize("n", [9, 300])
+    def test_additive_matches_unblocked_update(self, make_base, n):
+        base = make_base(n, seed=300 + n)
+        pert = PerturbationSpec.from_values(
+            [2.0, -1.0], frame=sample_haar_frame(n, 2, RngStream(48, n)))
+        ref = base + (pert.frame * pert.thetas) @ pert.frame.T
+        ref = 0.5 * (ref + ref.T)
+        assert np.array_equal(perturb_additive(base, pert), ref)
+
+
 class TestPsdCheck:
     """``_check_psd`` reads a diagonal base's verdict off its diagonal."""
 
@@ -389,7 +439,7 @@ class TestNonFiniteInput:
 
 
 # The size rule as shipped, before any test patches it.
-ROWS_PER_PAIR = ensembles.LANCZOS_ROWS_PER_PAIR
+ROWS_PER_PAIR = ensembles.FILTER_ROWS_PER_PAIR
 
 
 def framed_sample(multiplicative, values, thetas, frame, stream_id=0):
@@ -437,7 +487,7 @@ def assert_matches_dense(sample):
     dense = cluster_sums(dense_vals, dense_vecs, sample.frame)
     for j, i in enumerate(idx):
         assert partial[j][0] == dense[i][0]
-        # Each certified vector is within angle LANCZOS_TOLERANCE of its
+        # Each certified vector is within angle FILTER_TOLERANCE of its
         # eigenvector, so its squared projection is within twice that.
         assert abs(partial[j][1] - dense[i][1]) <= 1e-11
     return True
@@ -475,7 +525,7 @@ class TestCertifiedPartialEigensolve:
         # Small samples keep these properties fast; at the default rows per
         # pair they would take the dense path.
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ensembles, "LANCZOS_ROWS_PER_PAIR", 0)
+            patch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", 0)
             yield
 
     @given(orth_configs(), st.integers(0, 2**16))
@@ -536,6 +586,16 @@ class TestCertifiedPartialEigensolve:
             vals, _ = eigensolve(sample)
             assert np.allclose(vals, 1.0 + np.array(thetas), rtol=0.0, atol=1e-14)
 
+    def test_zero_base_falls_back(self, caplog):
+        # S 0 S = 0: no outlier, and W K W^T has no nonzero eigenvalue to
+        # bound the first filter's growth by.
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        frame = sample_haar_frame(30, 2, RngStream(56, 0))
+        sample = framed_sample(True, np.zeros(30), [1.0, -0.5], frame, stream_id=8)
+        assert not assert_matches_dense(sample)
+        assert [r.getMessage() for r in caplog.records] == [
+            "dense eigensolve fallback: stream 8, n=30: Ritz values not separated"]
+
     def test_repeated_strengths_on_a_flat_spectrum_fall_back(self, caplog):
         caplog.set_level(logging.DEBUG, logger="meso_spectra")
         frame = sample_haar_frame(30, 2, RngStream(37, 0))
@@ -546,7 +606,7 @@ class TestCertifiedPartialEigensolve:
 
     def test_step_cap_falls_back(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="meso_spectra")
-        monkeypatch.setattr(ensembles, "LANCZOS_MAX_STEPS", 4)
+        monkeypatch.setattr(ensembles, "FILTER_MAX_DEGREE", 4)
         frame = sample_haar_frame(200, 2, RngStream(44, 0))
         sample = framed_sample(False, np.linspace(-1.0, 1.0, 200), [1.5, -1.5],
                                frame, stream_id=6)
@@ -599,17 +659,62 @@ class TestCertifiedPartialEigensolve:
         assert [r.getMessage() for r in caplog.records] == [
             "dense eigensolve fallback: stream 3, n=20: Ritz values not separated"]
 
+    @staticmethod
+    def uniform_sample(multiplicative, low, high, thetas, seed):
+        spectrum = SpectrumModel.from_values(np.linspace(low, high, 1000))
+        model = (Model.multiplicative if multiplicative else Model.additive)(spectrum)
+        return sample_ensemble(model, PerturbationSpec.from_values(thetas), 1000,
+                               RngStream(seed, 0))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_strong_and_weak_strengths_are_certified(self, caplog, seed):
+        # The outlier near 50 outgrows the two near 1.5 by about 40 per
+        # filter degree; filtered along with them, unlocked and with no bound
+        # on that ratio, it swamps them in rounding.
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        sample = self.uniform_sample(False, -1.0, 1.0, [50.0, 1.2, -1.2], 49 + seed)
+        assert assert_matches_dense(sample)
+        assert caplog.records == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weak_multiplicative_strengths_are_certified(self, caplog, seed):
+        # Both outliers sit close to the bulk: the Ritz values of the frame
+        # itself lie inside it, and only filtering moves them out.
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        sample = self.uniform_sample(True, 0.5, 2.5, [0.7, -0.7], 52 + seed)
+        assert assert_matches_dense(sample)
+        assert caplog.records == []
+
+    def test_subcritical_strengths_give_up_at_the_first_check(self, caplog,
+                                                              monkeypatch):
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        sample = self.uniform_sample(True, 0.5, 2.5, [0.3, -0.3], 55)
+        sizes = []
+        real_eigh = np.linalg.eigh
+
+        def eigh(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        vals, _ = eigensolve(sample)
+        assert vals.size == sample.n
+        # One Rayleigh-Ritz solve, then the dense fallback.
+        assert len(sizes) == 2 and sizes[0] < sample.n == sizes[1]
+        assert [r.getMessage() for r in caplog.records] == [
+            "dense eigensolve fallback: stream 0, n=1000: Ritz values not separated"]
+
     def test_bench_shaped_config_logs_no_fallback(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="meso_spectra")
-        monkeypatch.setattr(ensembles, "LANCZOS_ROWS_PER_PAIR", ROWS_PER_PAIR)
+        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
         answers = []
-        real_lanczos = ensembles._lanczos_extremes
+        real_solve = ensembles._filtered_extremes
 
-        def lanczos(*args):
-            answers.append(real_lanczos(*args))
+        def solve(*args):
+            answers.append(real_solve(*args))
             return answers[-1]
 
-        monkeypatch.setattr(ensembles, "_lanczos_extremes", lanczos)
+        monkeypatch.setattr(ensembles, "_filtered_extremes", solve)
         rep = run_eigenvector_experiment(ExperimentConfig.from_dict({
             "experiment": "eigenvector",
             "kind": "orth-invariant-multiplicative",
@@ -628,16 +733,16 @@ class TestCertifiedPartialEigensolve:
         assert caplog.records == []
 
     def test_closed_form_unframed_and_small_samples_stay_dense(self, monkeypatch):
-        def no_lanczos(*args):
+        def no_partial_solve(*args):
             raise AssertionError("the partial solve must not run")
 
-        monkeypatch.setattr(ensembles, "_lanczos_extremes", no_lanczos)
+        monkeypatch.setattr(ensembles, "_filtered_extremes", no_partial_solve)
         pert = PerturbationSpec.from_values([3.0])
         wigner = sample_ensemble(Model.wigner(), pert, 20, RngStream(40, 0))
         unframed = framed_sample(False, np.linspace(0, 1, 20), [], None)
         frame = sample_haar_frame(180, 2, RngStream(40, 1))
         small = framed_sample(False, np.linspace(0, 1, 180), [3.0, -3.0], frame)
-        monkeypatch.setattr(ensembles, "LANCZOS_ROWS_PER_PAIR", ROWS_PER_PAIR)
+        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
         assert small.n <= ROWS_PER_PAIR * (small.m + 1)
         for sample in (wigner, unframed, small):
             vals, _ = eigensolve(sample)
