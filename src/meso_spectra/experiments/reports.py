@@ -12,7 +12,7 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,11 @@ class ReportIOError(MesoSpectraError, OSError):
     def __init__(self, message: str, path):
         super().__init__(message)
         self.path = str(path)
+
+
+def _shallow_dict(record) -> dict:
+    """A record's fields by name; every field but ``outliers`` is a scalar."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,8 @@ class TrialRecord:
     deviation_norm: float | None = None
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["outliers"] = [asdict(o) for o in self.outliers]
+        doc = _shallow_dict(self)
+        doc["outliers"] = [_shallow_dict(o) for o in self.outliers]
         return doc
 
     @classmethod
@@ -356,8 +361,7 @@ def write_report(report: ExperimentReport, path) -> None:
     doc = report.to_dict()
 
     def write_json(handle):
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     def write_csv(handle):
         writer = csv.writer(handle)

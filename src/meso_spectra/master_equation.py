@@ -15,13 +15,19 @@ of one eigenvalue branch of ``D(z)``, whose derivative is the closed form
 ``U^T diag(w') U`` seen through its eigenvector.  Newton steps on that
 branch, falling back to bisection on a bracket the counting function
 certifies, locate the outlier without ever touching an ``n x n``
-eigensolve, giving a route independent of dense diagonalization.
+eigensolve, giving a route independent of dense diagonalization.  The
+counting function is a pure function of ``z``, so one side's search
+evaluates it at most once per point: the bracket ends shared by every
+rank are counted once, and a bound the bracket already certifies is not
+counted at all.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -49,7 +55,7 @@ __all__ = [
 
 
 class MissingRootError(MesoSpectraError, RuntimeError):
-    """A separated rank's root could not be bracketed.
+    """A separated rank's root could not be bracketed to the tolerance.
 
     Attributes
     ----------
@@ -104,6 +110,11 @@ class MasterOperator:
     def m(self) -> int:
         return self.pert.m
 
+    @cached_property
+    def _inverse_strengths(self) -> np.ndarray:
+        """``diag(1/theta)``, the constant part of ``D(z)``."""
+        return np.diag(1.0 / self.pert.thetas)
+
     def _weights(self, z: float) -> np.ndarray:
         lam = self.spectrum.eigenvalues
         if self.model.kind.multiplicative:
@@ -130,7 +141,7 @@ def evaluate_d(op: MasterOperator, z: float) -> np.ndarray:
         u = op.pert.frame
         g = u.T @ (w[:, None] * u)
         g = 0.5 * (g + g.T)
-    return np.diag(1.0 / op.pert.thetas) - g
+    return op._inverse_strengths - g
 
 
 def counting_function(op: MasterOperator, z: float) -> int:
@@ -142,7 +153,7 @@ def counting_function(op: MasterOperator, z: float) -> int:
     if op.m == 0:
         return 0
     tau = np.linalg.eigvalsh(evaluate_d(op, z))
-    return int(np.sum(tau >= 0.0))
+    return int(np.count_nonzero(tau >= 0.0))
 
 
 def _crossing(op: MasterOperator, z: float, target: int) -> tuple[int, float, float]:
@@ -160,11 +171,12 @@ def _crossing(op: MasterOperator, z: float, target: int) -> tuple[int, float, fl
         slopes = slopes[: op.m]
     else:
         uv = op.pert.frame @ vecs[:, k]
-    return int(np.sum(tau >= 0.0)), float(tau[k]), float(slopes @ (uv * uv))
+    return int(np.count_nonzero(tau >= 0.0)), float(tau[k]), float(slopes @ (uv * uv))
 
 
 def _locate_root(
     op: MasterOperator,
+    count: Callable[[float], int],
     rank: int,
     target: int,
     lo: float,
@@ -173,18 +185,22 @@ def _locate_root(
     tol: float,
     start: float,
 ) -> float:
-    """Smallest z with counting_function >= target, bracketed in [lo, hi].
+    """Smallest z with ``count(z) >= target``, bracketed in [lo, hi].
 
-    One of the endpoints may need geometric expansion (away from the bulk
-    for the lower side, upward for the upper side).  Inside the bracket,
-    Newton steps on the crossing eigenvalue of ``D(z)`` start at ``start``
-    (the midpoint when ``start`` is outside the bracket); a step that leaves
-    the bracket, or a nonpositive slope, takes the midpoint instead.  Once a
-    step is at most ``tol / 4`` the stepped-to point is returned if the
-    counting function certifies it within ``tol / 2`` on both sides;
-    otherwise the bracket shrinks to ``tol`` and its midpoint is returned.
+    ``count`` is the counting function of ``op``.  One of the endpoints may
+    need geometric expansion (away from the bulk for the lower side, upward
+    for the upper side).  Inside the bracket, which keeps
+    ``count(lo) < target <= count(hi)``, Newton steps on the crossing
+    eigenvalue of ``D(z)`` start at ``start`` (the midpoint when ``start``
+    is outside the bracket); a step that leaves the bracket, or a
+    nonpositive slope, takes the midpoint instead.  Once a step is at most
+    ``tol / 4`` the stepped-to point is returned if it is certified within
+    ``tol / 2`` on both sides.  A bracket end within ``tol / 2`` already
+    certifies its side, because the count is non-decreasing; only the
+    other side is counted.  Otherwise the bracket shrinks to ``tol``, by
+    bisection on the count once the Newton steps run out, and its midpoint
+    is returned.
     """
-    count = lambda z: counting_function(op, z)
     if expand_hi:
         anchor = lo
         for _ in range(60):
@@ -228,8 +244,8 @@ def _locate_root(
         z -= step
         if abs(step) <= 0.25 * tol:
             above, below = z + 0.5 * tol, z - 0.5 * tol
-            certified_above = count(above) >= target
-            certified_below = count(below) < target
+            certified_above = hi <= above or count(above) >= target
+            certified_below = lo >= below or count(below) < target
             if certified_above and certified_below:
                 return z
             if not certified_above:
@@ -238,6 +254,17 @@ def _locate_root(
                 hi = below
         if not lo < z < hi:
             z = 0.5 * (lo + hi)
+    while hi - lo > tol:
+        z = 0.5 * (lo + hi)
+        if not lo < z < hi:
+            raise MissingRootError(
+                f"rank {rank}: bracket [{lo!r}, {hi!r}] cannot shrink to "
+                f"tol {tol!r}", rank
+            )
+        if count(z) >= target:
+            hi = z
+        else:
+            lo = z
     return 0.5 * (lo + hi)
 
 
@@ -254,7 +281,11 @@ def locate_outliers(
     on the crossing eigenvalue of ``D(z)``, started at the separation
     verdict's location, run inside a bracket the counting function certifies,
     with bisection as the fallback; the returned location ``z`` satisfies
-    ``n(z + tol) >= target > n(z - tol)``.
+    ``n(z + tol) >= target > n(z - tol)``.  Every rank on the side starts
+    from the same bracket, and the counting function is evaluated at most
+    once per point within the call.  A root that cannot be bracketed to
+    ``tol`` (for instance a ``tol`` below the spacing of doubles at the
+    root) raises :class:`MissingRootError`.
 
     Default ``tol`` is ``1e-9 * (1 + max |lambda|)``.
     """
@@ -268,6 +299,13 @@ def locate_outliers(
     lam_min = op.spectrum.lam_min
     thetas = op.pert.thetas
     ranks = range(1, m1 + 1) if side is Side.UPPER else range(m1 + 1, m + 1)
+    counts: dict[float, int] = {}
+
+    def count(z: float) -> int:
+        if z not in counts:
+            counts[z] = counting_function(op, z)
+        return counts[z]
+
     roots: list[OutlierRoot] = []
     for rank in ranks:
         verdict = check_separation(op.model, window, float(thetas[rank - 1]))
@@ -276,7 +314,7 @@ def locate_outliers(
         if side is Side.UPPER:
             target = m1 - rank + 1
             z = _locate_root(
-                op, rank, target,
+                op, count, rank, target,
                 lo=lam_max + tol,
                 hi=lam_max + float(thetas[0]) + 1.0,
                 expand_hi=True,
@@ -286,7 +324,7 @@ def locate_outliers(
         else:
             target = m1 + (m - rank + 1)
             z = _locate_root(
-                op, rank, target,
+                op, count, rank, target,
                 lo=lam_min + float(thetas[-1]) - 1.0,
                 hi=lam_min - tol,
                 expand_hi=False,

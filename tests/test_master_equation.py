@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from meso_spectra import (
     MasterOperator,
+    MissingRootError,
     Model,
     ModelError,
     PerturbationSpec,
@@ -338,3 +339,94 @@ class TestNewtonSteps:
         # Newton steps do the rest.
         assert 2 * len(roots) <= counts["counting_function"] <= 6 * len(roots)
         assert_contract(op, roots)
+
+
+def golden_operator(name):
+    kind, values, thetas, seed = {
+        "additive-haar-repeated": (
+            Model.additive, np.linspace(-1.0, 1.0, 80), [2.4, 2.4, 2.0, -2.2, -2.2], 7),
+        "additive-leading": (
+            Model.additive, np.sort(np.random.default_rng(3).uniform(-1.0, 1.0, 50)),
+            [3.0, 1.8, 1.8, -1.8, -2.5], None),
+        "additive-flat-coinciding": (
+            Model.additive, np.zeros(8), [1.5, 1.5, 1.5, -1.5, -1.5], None),
+        "multiplicative-haar-repeated": (
+            Model.multiplicative, np.linspace(0.5, 2.5, 120), [1.5, 1.5, 1.0, -0.9, -0.9], 11),
+        "multiplicative-leading": (
+            Model.multiplicative, np.linspace(0.5, 1.5, 40), [2.0, 2.0, -0.95], None),
+    }[name]
+    if seed is None:
+        op, _, _ = make_operator(kind, values, thetas)
+        return op
+    return haar_operator(kind, values, thetas, seed)
+
+
+# Roots of the Newton-and-bisection detector as float.hex, recorded before
+# its counting-function evaluations were shared and skipped; both only
+# avoid evaluations whose outcome is already known, so every bit stays.
+GOLDEN_ROOTS = {
+    ("additive-haar-repeated", None): ["0x1.508f682e0f85ap+1", "0x1.2e334e89ca12cp+1", "0x1.1ebcb24c4bf58p+1", "-0x1.29cb5ad27e9d2p+1", "-0x1.34f8b2ed43a83p+1"],
+    ("additive-haar-repeated", 1e-10): ["0x1.508f682e0f85ap+1", "0x1.2e334e89ca12cp+1", "0x1.1ebcb24c4bf58p+1", "-0x1.29cb5ad27e9d2p+1", "-0x1.34f8b2ed43a83p+1"],
+    ("additive-leading", None): ["0x1.f934b14c13b0dp+1", "0x1.5b3454b028203p+1", "0x1.54dad0afeb930p+1", "-0x1.043e7252b6bb5p+0", "-0x1.be37d861594adp+0"],
+    ("additive-leading", 1e-10): ["0x1.f934b14c13b0dp+1", "0x1.5b3454b028203p+1", "0x1.54dad0afeb930p+1", "-0x1.043e7252b6bb4p+0", "-0x1.be37d861594adp+0"],
+    ("multiplicative-haar-repeated", None): ["0x1.0e82de4ea3b0dp+2", "0x1.036fb69859886p+2", "0x1.9e0a1badb470ap+1", "0x1.1024a8a3a9e46p-3", "0x1.ba091c78e03d9p-4"],
+    ("multiplicative-haar-repeated", 1e-10): ["0x1.0e82de4ea3b0ep+2", "0x1.036fb69859886p+2", "0x1.9e0a1badb470ap+1", "0x1.1024a8a3a9e46p-3", "0x1.ba091c78e03d9p-4"],
+    ("additive-flat-coinciding", None): ["0x1.8000000000000p+0", "0x1.8000000000000p+0", "0x1.8000000000000p+0", "-0x1.8000000000000p+0", "-0x1.8000000000000p+0"],
+    ("additive-flat-coinciding", 1e-10): ["0x1.8000000000000p+0", "0x1.8000000000000p+0", "0x1.8000000000000p+0", "-0x1.8000000000000p+0", "-0x1.8000000000000p+0"],
+    ("multiplicative-leading", None): ["0x1.2000000000000p+2", "0x1.1b13b13b13b14p+2", "0x1.28b28b28b28adp-4"],
+    ("multiplicative-leading", 1e-10): ["0x1.1ffffffffa27cp+2", "0x1.1b13b13b13b14p+2", "0x1.28b28b28b28adp-4"],
+}
+
+
+class TestSharedCounts:
+    @pytest.mark.parametrize("name, tol", list(GOLDEN_ROOTS))
+    def test_roots_are_bit_for_bit(self, name, tol):
+        roots = located(golden_operator(name), 0.1, tol)
+        assert [r.rank for r in roots] == list(range(1, len(roots) + 1))
+        assert [r.location.hex() for r in roots] == GOLDEN_ROOTS[name, tol]
+
+    @pytest.mark.parametrize("name", sorted({name for name, _ in GOLDEN_ROOTS}))
+    def test_no_point_is_counted_twice(self, monkeypatch, name):
+        seen = []
+        real = master_equation.counting_function
+
+        def counted(op, z):
+            seen.append(z)
+            return real(op, z)
+
+        monkeypatch.setattr(master_equation, "counting_function", counted)
+        op = golden_operator(name)
+        window = SpectralWindow.from_spectrum(op.spectrum, 0.1)
+        for side in (Side.UPPER, Side.LOWER):
+            seen.clear()
+            roots = locate_outliers(op, window, side)
+            assert len(set(seen)) == len(seen)
+            # One count per bracket end, then at most two per root.
+            assert len(seen) <= 2 + 2 * len(roots)
+
+
+class TestStepCap:
+    def test_step_cap_finishes_by_bisection(self, monkeypatch):
+        # Steps a millionth of Newton's cannot close the bracket in 400 steps.
+        real = master_equation._crossing
+
+        def crawling(op, z, target):
+            reached, g, slope = real(op, z, target)
+            return reached, g, 1e6 * slope
+
+        monkeypatch.setattr(master_equation, "_crossing", crawling)
+        op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, 60),
+                           [2.6, 2.2, -2.4], seed=35)
+        tol = 1e-10
+        roots = located(op, 0.1, tol)
+        assert [r.rank for r in roots] == [1, 2, 3]
+        assert_contract(op, roots, tol)
+
+    def test_tolerance_below_float_spacing_is_reported(self):
+        # The root lies near 3, where doubles are 4.4e-16 apart: no bracket
+        # of two distinct doubles is as narrow as tol, yet lam_max + tol is
+        # still above the bulk edge at 1.
+        op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, 60), [2.6], seed=35)
+        window = SpectralWindow.from_spectrum(op.spectrum, 0.1)
+        with pytest.raises(MissingRootError, match="cannot shrink"):
+            locate_outliers(op, window, Side.UPPER, tol=3e-16)
