@@ -49,6 +49,7 @@ from .spectral_core import (
 )
 from .experiments import (
     ConfigError,
+    ExperimentError,
     PreconditionError,
     aggregate,
     load_config,
@@ -57,7 +58,6 @@ from .experiments import (
     run_experiment,
     verify_sandwich_bounds,
 )
-from .experiments.harness import ExperimentError
 from .transforms import empirical_quantiles
 
 USAGE_ERROR = 2
@@ -106,8 +106,9 @@ def cmd_predict(args) -> int:
     model = Model(kind=kind, spectrum=spectrum, phi=args.phi)
     pert = PerturbationSpec.from_values(args.theta)
     n_hint = args.n or (model.spectrum.n if model.spectrum else pert.m + 1)
+    preds = predict(model, pert, n_hint, args.delta)
     print("theta\tseparated\tlocation\tproj_norm_sq")
-    for pred in predict(model, pert, n_hint, args.delta):
+    for pred in preds:
         yn = "yes" if pred.separated else "no"
         print(f"{pred.theta:g}\t{yn}\t{_fmt(pred.location)}\t"
               f"{_fmt(pred.projection_norm_sq)}")
@@ -146,9 +147,7 @@ def cmd_sample(args) -> int:
 def cmd_detect(args) -> int:
     seed = _resolve_seed(args.seed)
     thetas = list(args.theta)
-    m = args.m if args.m is not None else len(thetas)
-    if m != len(thetas):
-        raise ConfigError(f"--m {m} does not match {len(thetas)} strengths")
+    m = len(thetas)
     values = load_spectrum_values(args.spectrum_file)
     n = args.n if args.n is not None else values.size
     if m > n:
@@ -160,10 +159,9 @@ def cmd_detect(args) -> int:
     pert = PerturbationSpec.from_values(thetas, frame)
     model = Model(kind=ModelKind(f"orth-invariant-{args.kind}"), spectrum=spectrum)
     op = MasterOperator(model=model, pert=pert)
-    window = model.window(args.delta)
     roots = []
     for side in (Side.UPPER, Side.LOWER):
-        roots.extend(locate_outliers(op, window, side, tol=args.tol))
+        roots.extend(locate_outliers(op, args.delta, side, tol=args.tol))
     if not roots:
         print("no separated outliers")
         return 0
@@ -323,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum-file", required=True)
     p.add_argument("--theta", required=True, nargs="+", type=float)
     p.add_argument("--n", type=int, help="resample the spectrum to this size")
-    p.add_argument("--m", type=int, help="rank; must equal the number of strengths")
     p.add_argument("--kind", choices=["additive", "multiplicative"], default="additive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)

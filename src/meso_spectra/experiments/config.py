@@ -355,8 +355,7 @@ class ExperimentConfig:
                      "n_values: pushforward ladder must be strictly increasing")
             if self.kind.closed_form:
                 model = self.model_for(self.n_values[0])
-                verdict = check_separation(model, model.window(self.delta),
-                                           self.theta_spec["low"])
+                verdict = check_separation(model, self.delta, self.theta_spec["low"])
                 _require(verdict.separated,
                          "theta_spec.low: support must clear the separation "
                          f"threshold {verdict.threshold:g}")

@@ -1,9 +1,11 @@
 """Monte Carlo drivers confronting predictions with sampled realizations.
 
-Each trial is an independent unit keyed by its stream id, so runs are
-reproducible and records merge deterministically regardless of execution
-order.  A trial whose eigensolve, detector or prediction fails is marked
-failed and the run continues; more than 10% failures aborts the run.
+:func:`run_experiment` is the one entry point; it dispatches on the
+config's experiment to a private driver.  Each trial is an independent unit
+keyed by its stream id, so runs are reproducible and records merge
+deterministically regardless of execution order.  A trial whose eigensolve,
+detector or prediction fails is marked failed and the run continues; more
+than 10% failures aborts the run.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from ..predictor import (
 from ..spectral_core import (
     MesoSpectraError,
     Model,
+    ModelError,
     PerturbationSpec,
     Side,
     SpectrumModel,
 )
 from ..transforms import InversionError
-from .concentration import deviation_norm
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .reports import (
     ExperimentReport,
     OutlierRecord,
@@ -40,14 +42,7 @@ from .reports import (
     write_report,
 )
 
-__all__ = [
-    "ExperimentError",
-    "run_location_experiment",
-    "run_eigenvector_experiment",
-    "run_pushforward_experiment",
-    "run_concentration_from_config",
-    "run_experiment",
-]
+__all__ = ["ExperimentError", "deviation_norm", "run_experiment"]
 
 # Fraction of failed trials beyond which a run is considered broken.
 MAX_FAILURE_FRACTION = 0.10
@@ -92,8 +87,6 @@ def _detector_locations(
     form, so a strength near the closed-form threshold may be scored but
     not located (the report's ``detector_located`` counts those that are).
     """
-    # Taken before ``model`` is swapped for one on the realized spectrum.
-    window = model.window(delta)
     if model.kind.closed_form:
         base_vals, base_vecs = eigensolve(sample.base)
         multiplicative = model.kind.multiplicative
@@ -109,7 +102,7 @@ def _detector_locations(
     op = MasterOperator(model=model, pert=placed)
     found: dict[int, float] = {}
     for side in (Side.UPPER, Side.LOWER):
-        for root in locate_outliers(op, window, side):
+        for root in locate_outliers(op, delta, side):
             found[root.rank] = root.location
     return found
 
@@ -280,41 +273,7 @@ def _run_trials(cfg: ExperimentConfig, with_vectors: bool) -> ExperimentReport:
     return _finish(cfg, records, start, cfg.epsilon)
 
 
-def run_location_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Sample, eigensolve, and score realized outlier locations per trial.
-
-    Non-separated strengths are excluded up front; each separated rank is
-    paired with the realized eigenvalue at its target index and scored
-    against the epsilon band.
-    """
-    if cfg.experiment != "location":
-        raise ExperimentError(f"config describes {cfg.experiment!r}, not location")
-    return _run_trials(cfg, with_vectors=False)
-
-
-def run_eigenvector_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Location run plus eigenvector projections, residuals, and whitening.
-
-    Additive kinds record the frame-coordinate residual
-    ``|diag(theta) v~ - theta_i v~|``; multiplicative kinds record the
-    whitened projection instead.  Near-degenerate realized eigenvalues are
-    flagged and scored by their whole cluster's summed projection.
-    """
-    if cfg.experiment != "eigenvector":
-        raise ExperimentError(f"config describes {cfg.experiment!r}, not eigenvector")
-    return _run_trials(cfg, with_vectors=True)
-
-
-def run_pushforward_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Compare top-M eigenvalues against the pushed-forward strength sample.
-
-    Per (batch, n): draw M strengths from the configured distribution, sample
-    the ensemble, and record the W1 distance between the top-M realized
-    eigenvalues and the predicted locations.  Batches give i.i.d. repeats of
-    the whole ladder.
-    """
-    if cfg.experiment != "pushforward":
-        raise ExperimentError(f"config describes {cfg.experiment!r}, not pushforward")
+def _run_pushforward(cfg: ExperimentConfig) -> ExperimentReport:
     start = time.perf_counter()
     low, high = cfg.theta_spec["low"], cfg.theta_spec["high"]
     # One model per size, shared by every batch, so each spectrum is built
@@ -356,14 +315,29 @@ def run_pushforward_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return _finish(cfg, records, start)
 
 
-def run_concentration_from_config(cfg: ExperimentConfig) -> ExperimentReport:
-    """Deviation norms of Haar-frame compressions down a ladder of sizes.
+def deviation_norm(spectrum: SpectrumModel, z: float, frame: np.ndarray) -> float:
+    """Operator norm of ``U^T A U - (Tr A / n) I`` for ``A = (z - H)^(-1)``.
 
-    Per (n, trial): draw an ``n x M`` Haar frame and record
-    :func:`deviation_norm` of the configured spectrum's resolvent at ``z``.
+    For a Haar frame U (n x m) this concentrates at order ``sqrt(m/n)`` at
+    fixed ``z`` outside the spectrum of the diagonal ``H``.
     """
-    if cfg.experiment != "concentration":
-        raise ConfigError(f"config describes {cfg.experiment!r}, not concentration")
+    if spectrum.lam_min <= z <= spectrum.lam_max:
+        raise ModelError(
+            f"z={z:g} must lie outside the spectrum "
+            f"[{spectrum.lam_min:g}, {spectrum.lam_max:g}]"
+        )
+    if frame.shape[0] != spectrum.n:
+        raise ModelError("frame size does not match the spectrum")
+    weights = 1.0 / (z - spectrum.eigenvalues)
+    c = frame.T @ (weights[:, None] * frame)
+    c = 0.5 * (c + c.T)
+    c -= np.mean(weights) * np.eye(frame.shape[1])
+    if c.size == 0:
+        return 0.0
+    return float(np.max(np.abs(np.linalg.eigvalsh(c))))
+
+
+def _run_concentration(cfg: ExperimentConfig) -> ExperimentReport:
     start = time.perf_counter()
     records: list[TrialRecord] = []
     for n_index, n in enumerate(cfg.n_values):
@@ -383,11 +357,32 @@ def run_concentration_from_config(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Dispatch on ``cfg.experiment``."""
-    if cfg.experiment == "location":
-        return run_location_experiment(cfg)
-    if cfg.experiment == "eigenvector":
-        return run_eigenvector_experiment(cfg)
+    """Run the experiment ``cfg`` describes and return its report.
+
+    The report is written to ``cfg.report_path`` when one is set.
+
+    * ``location``: sample, eigensolve, and score each separated strength's
+      realized outlier (the eigenvalue at its target index) against the
+      ``epsilon`` band; non-separated strengths are excluded up front.  When
+      cross-checking, each trial also locates the outliers with the
+      master-equation detector.
+    * ``eigenvector``: a location run plus eigenvector projections.
+      Additive kinds record the frame-coordinate residual
+      ``|diag(theta) v~ - theta_i v~|``; multiplicative kinds record the
+      whitened projection instead.  Near-degenerate realized eigenvalues are
+      flagged and scored by their whole cluster's summed projection.
+    * ``pushforward``: per (batch, n), draw M strengths from the configured
+      distribution, sample the ensemble, and record the W1 distance between
+      the top-M realized eigenvalues and the pushed-forward strengths.
+      Batches give i.i.d. repeats of the whole ladder.
+    * ``concentration``: per (n, trial), draw an ``n x M`` Haar frame and
+      record :func:`deviation_norm` of the configured spectrum's resolvent
+      at ``z``.
+
+    Raises :class:`ExperimentError` when more than 10% of the trials fail.
+    """
     if cfg.experiment == "pushforward":
-        return run_pushforward_experiment(cfg)
-    return run_concentration_from_config(cfg)
+        return _run_pushforward(cfg)
+    if cfg.experiment == "concentration":
+        return _run_concentration(cfg)
+    return _run_trials(cfg, with_vectors=cfg.experiment == "eigenvector")

@@ -38,8 +38,8 @@ from .spectral_core import (
     ModelError,
     PerturbationSpec,
     Side,
-    SpectralWindow,
     SpectrumModel,
+    _check_delta,
 )
 from .predictor import check_separation
 from .transforms import _check_outside
@@ -270,14 +270,16 @@ def _locate_root(
 
 def locate_outliers(
     op: MasterOperator,
-    window: SpectralWindow,
+    delta: float,
     side: Side,
     tol: float | None = None,
 ) -> list[OutlierRoot]:
     """Locate every separated outlier on one side of the bulk.
 
-    Ranks failing the separation test are skipped (their roots may not exist
-    or may hide inside the window).  For each remaining rank, Newton steps
+    Ranks failing the separation test at margin ``delta`` are skipped (their
+    roots may not exist or may hide within ``2 * delta`` of the bulk); a
+    ``delta`` that is not positive and finite raises :class:`ModelError`,
+    even on a side with no ranks.  For each remaining rank, Newton steps
     on the crossing eigenvalue of ``D(z)``, started at the separation
     verdict's location, run inside a bracket the counting function certifies,
     with bisection as the fallback; the returned location ``z`` satisfies
@@ -289,6 +291,7 @@ def locate_outliers(
 
     Default ``tol`` is ``1e-9 * (1 + max |lambda|)``.
     """
+    _check_delta(delta)
     if tol is None:
         tol = 1e-9 * (1.0 + op.spectrum.norm_bound)
     if op.m == 0:
@@ -308,7 +311,7 @@ def locate_outliers(
 
     roots: list[OutlierRoot] = []
     for rank in ranks:
-        verdict = check_separation(op.model, window, float(thetas[rank - 1]))
+        verdict = check_separation(op.model, delta, float(thetas[rank - 1]))
         if not verdict:
             continue
         if side is Side.UPPER:

@@ -34,7 +34,7 @@ from .spectral_core import (
     PerturbationSpec,
     Separation,
     Side,
-    SpectralWindow,
+    _check_delta,
     target_index,
 )
 
@@ -62,16 +62,18 @@ def _validate_theta(model: Model, theta: float) -> None:
         )
 
 
-def check_separation(model: Model, window: SpectralWindow, theta: float) -> Separation:
+def check_separation(model: Model, delta: float, theta: float) -> Separation:
     """Decide whether strength ``theta`` detaches an outlier from the bulk.
 
-    Closed-form kinds compare ``|theta|`` with the critical value plus
-    ``2 * delta``.  Empirical kinds ask the location map's value to clear
-    the spectrum's edge by ``2 * delta``; an unattainable ``1 / theta`` is
-    reported as not separated, never as an error.
+    ``delta`` is the separation margin.  Closed-form kinds compare
+    ``|theta|`` with the critical value plus ``2 * delta``.  Empirical kinds
+    ask the location map's value to clear the spectrum's edge by
+    ``2 * delta``; an unattainable ``1 / theta`` is reported as not
+    separated, never as an error.  Raises :class:`ModelError` unless
+    ``delta`` is positive and finite.
     """
+    _check_delta(delta)
     _validate_theta(model, theta)
-    delta = window.delta
     side = Side.UPPER if theta > 0.0 else Side.LOWER
 
     if model.kind.closed_form:
@@ -113,10 +115,10 @@ class OutlierPrediction:
         return self.separation.separated
 
 
-def _predict_one(model: Model, window: SpectralWindow, theta: float):
+def _predict_one(model: Model, delta: float, theta: float):
     """``(verdict, location, squared projection)`` for one strength; the last
     two are ``None`` when it is not separated."""
-    verdict = check_separation(model, window, theta)
+    verdict = check_separation(model, delta, theta)
     if not verdict:
         return verdict, None, None
     z = pushforward_map(model, theta)
@@ -129,7 +131,7 @@ def _predict_one(model: Model, window: SpectralWindow, theta: float):
 
 def _predict_separated(model: Model, theta: float, delta: float):
     """``(location, squared projection)``; raises below the threshold."""
-    verdict, z, norm_sq = _predict_one(model, model.window(delta), theta)
+    verdict, z, norm_sq = _predict_one(model, delta, theta)
     if not verdict:
         raise NotSeparatedError(
             f"theta={theta:g} fails the separation test "
@@ -144,13 +146,17 @@ def predict_location(model: Model, theta: float, delta: float = DEFAULT_DELTA) -
 
     Wigner: ``theta + 1/theta``.  Wishart: ``phi + 1 + theta + phi/theta``.
     Empirical kinds solve ``m(z) = 1/theta`` or ``T(z) = 1/theta`` outside
-    the bulk.  Raises :class:`NotSeparatedError` below the threshold.
+    the bulk.  Raises :class:`NotSeparatedError` when ``theta`` fails the
+    separation test at margin ``delta`` (see :func:`check_separation`).
     """
     return _predict_separated(model, theta, delta)[0]
 
 
 def predict_projection_norm(model: Model, theta: float, delta: float = DEFAULT_DELTA) -> float:
-    """Predicted squared projection of the outlier's eigenvector onto the frame."""
+    """Predicted squared projection of the outlier's eigenvector onto the frame.
+
+    Raises :class:`NotSeparatedError` as :func:`predict_location` does.
+    """
     return _predict_separated(model, theta, delta)[1]
 
 
@@ -159,7 +165,8 @@ def predict_whitened_norm(model: Model, theta: float, delta: float = DEFAULT_DEL
 
     The whitened vector is ``(I + P)^(-1/2) v`` renormalized; its squared
     projection is ``-1 / (theta + theta^2 z T'(z))``.  Only defined for
-    multiplicative kinds.
+    multiplicative kinds; raises :class:`NotSeparatedError` as
+    :func:`predict_location` does.
     """
     if not model.kind.multiplicative:
         raise ModelError("whitened projections only exist for multiplicative kinds")
@@ -175,15 +182,16 @@ def predict(
 ) -> list[OutlierPrediction]:
     """Predictions for every strength of ``pert``, separated or not.
 
-    Non-separated strengths appear with ``location`` and
-    ``projection_norm_sq`` set to ``None`` so callers can report them without
-    special-casing exceptions.
+    Each strength is tested at margin ``delta``.  Non-separated strengths
+    appear with ``location`` and ``projection_norm_sq`` set to ``None`` so
+    callers can report them without special-casing exceptions.  ``delta``
+    must be positive and finite even when ``pert`` has rank zero.
     """
-    window = model.window(delta)
+    _check_delta(delta)
     out: list[OutlierPrediction] = []
     for i, theta in enumerate(pert.thetas, start=1):
         theta = float(theta)
-        verdict, z, norm_sq = _predict_one(model, window, theta)
+        verdict, z, norm_sq = _predict_one(model, delta, theta)
         out.append(
             OutlierPrediction(
                 rank=i,

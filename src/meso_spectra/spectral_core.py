@@ -26,11 +26,9 @@ __all__ = [
     "Side",
     "SpectrumModel",
     "PerturbationSpec",
-    "SpectralWindow",
     "Model",
     "Separation",
     "target_index",
-    "norm_bound",
 ]
 
 # Eigenvalues above this floor (in absolute value) count as nonnegative when
@@ -289,39 +287,6 @@ class PerturbationSpec:
         return f"PerturbationSpec(m={self.m}, m_positive={self.m_positive}, {placed})"
 
 
-@dataclass(frozen=True)
-class SpectralWindow:
-    """A margin ``delta`` around the bulk ``[lower_edge, upper_edge]``.
-
-    Outliers are only sought outside the widened interval
-    ``[lower_edge - delta, upper_edge + delta]``; separation thresholds use
-    ``2 * delta``.
-    """
-
-    delta: float
-    lower_edge: float
-    upper_edge: float
-
-    def __post_init__(self):
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ModelError(f"delta must be positive and finite, got {self.delta}")
-        if not self.lower_edge <= self.upper_edge:
-            raise ModelError("window edges are out of order")
-
-    @classmethod
-    def from_spectrum(cls, spectrum: SpectrumModel, delta: float) -> "SpectralWindow":
-        return cls(delta=delta, lower_edge=spectrum.lam_min, upper_edge=spectrum.lam_max)
-
-    @classmethod
-    def semicircle(cls, delta: float) -> "SpectralWindow":
-        return cls(delta=delta, lower_edge=-2.0, upper_edge=2.0)
-
-    @classmethod
-    def marchenko_pastur(cls, phi: float, delta: float) -> "SpectralWindow":
-        root = math.sqrt(phi)
-        return cls(delta=delta, lower_edge=(1.0 - root) ** 2, upper_edge=(1.0 + root) ** 2)
-
-
 @dataclass(frozen=True, eq=False)
 class Model:
     """A base-matrix family plus the data its kind requires.
@@ -376,13 +341,11 @@ class Model:
             raise ModelError("p_for is only defined for wishart models")
         return self.p if self.p is not None else int(round(n / self.phi))
 
-    def window(self, delta: float) -> SpectralWindow:
-        """The spectral window matching this model's bulk."""
-        if self.kind is ModelKind.WIGNER:
-            return SpectralWindow.semicircle(delta)
-        if self.kind is ModelKind.WISHART:
-            return SpectralWindow.marchenko_pastur(self.phi, delta)
-        return SpectralWindow.from_spectrum(self.spectrum, delta)
+
+def _check_delta(delta: float) -> None:
+    """Reject a separation margin ``delta`` that is not positive and finite."""
+    if not (delta > 0.0 and math.isfinite(delta)):
+        raise ModelError(f"delta must be positive and finite, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -418,7 +381,3 @@ def target_index(pert: PerturbationSpec, i: int, n: int) -> int:
         return i
     return n - pert.m + i
 
-
-def norm_bound(spectrum: SpectrumModel, pert: PerturbationSpec) -> float:
-    """``B = max(||H||, max |theta|)``, the scale entering stability bounds."""
-    return max(spectrum.norm_bound, pert.norm_bound)

@@ -17,26 +17,24 @@ from meso_spectra import (
     PerturbationSpec,
     RngStream,
     Side,
-    SpectralWindow,
     SpectrumModel,
-    eigensolve,
-    invert_stieltjes,
-    invert_t_transform,
     locate_outliers,
-    mp_t_transform,
     perturb_additive,
     perturb_multiplicative,
     sample_haar_frame,
+    target_index,
+)
+from meso_spectra.ensembles import eigensolve
+from meso_spectra.experiments import random_stability_sweep, run_experiment
+from meso_spectra.experiments.config import ExperimentConfig
+from meso_spectra.experiments.reports import reports_equal
+from meso_spectra.transforms import (
+    invert_stieltjes,
+    invert_t_transform,
+    mp_t_transform,
     semicircle_stieltjes,
     stieltjes,
     t_transform,
-    target_index,
-)
-from meso_spectra.experiments import (
-    ExperimentConfig,
-    random_stability_sweep,
-    reports_equal,
-    run_experiment,
 )
 
 COVERAGE_MIN = 0.95
@@ -192,13 +190,12 @@ def agreement_suite(seed=104, instances=100):
         spectrum = SpectrumModel.from_values(vals, is_psd=psd)
         pert = PerturbationSpec.from_values(thetas[order], frame=frame)
         op = MasterOperator(model=model_of(spectrum), pert=pert)
-        window = SpectralWindow.from_spectrum(spectrum, 0.1)
         base = np.diag(spectrum.eigenvalues)
         matrix = (perturb_additive(base, pert) if additive
                   else perturb_multiplicative(base, pert))
         evals, _ = eigensolve(matrix)
-        roots = (locate_outliers(op, window, Side.UPPER)
-                 + locate_outliers(op, window, Side.LOWER))
+        roots = (locate_outliers(op, 0.1, Side.UPPER)
+                 + locate_outliers(op, 0.1, Side.LOWER))
         for root in roots:
             idx = target_index(pert, root.rank, n)
             rows.append((k, root.rank, root.location, float(evals[idx - 1])))

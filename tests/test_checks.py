@@ -6,11 +6,10 @@ import pytest
 from meso_spectra import SpectrumModel
 from meso_spectra.experiments import (
     PreconditionError,
-    SandwichRow,
     random_stability_sweep,
     verify_sandwich_bounds,
 )
-from meso_spectra.experiments.checks import FAMILIES
+from meso_spectra.experiments.checks import FAMILIES, SandwichRow
 
 SIGNED = SpectrumModel.from_values(np.linspace(-1.0, 1.0, 150))
 PSD = SpectrumModel.from_values(np.linspace(0.3, 2.0, 150))

@@ -72,6 +72,14 @@ class TestPredict:
             main(["predict", "--kind", "banded", "--theta", "2.0"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("delta", ["0", "-1", "nan", "inf"])
+    def test_bad_delta_prints_no_table(self, capsys, delta):
+        code, out, err = run_cli(capsys, "predict", "--kind", "wigner",
+                                 "--theta", "2", f"--delta={delta}")
+        assert code == 2
+        assert out == ""
+        assert "delta must be positive and finite" in err
+
 
 class TestSample:
     def test_summary_and_out_file(self, tmp_path, capsys):
@@ -153,12 +161,13 @@ class TestDetect:
         assert code == 0
         assert out.strip() == "no separated outliers"
 
-    def test_rank_flag_must_match(self, tmp_path, capsys):
+    def test_bad_delta_usage_error(self, tmp_path, capsys):
         spec = write_spectrum(tmp_path / "s.txt", np.linspace(-1, 1, 90))
-        code, _, err = run_cli(capsys, "detect", "--spectrum-file", spec,
-                               "--theta", "2.0", "--m", "3",
-                               "--kind", "additive", "--seed", "1")
+        code, out, err = run_cli(capsys, "detect", "--spectrum-file", spec,
+                                 "--theta", "2.4", "--seed", "11", "--delta", "0")
         assert code == 2
+        assert out == ""
+        assert "delta must be positive and finite" in err
 
 
 class TestVerify:

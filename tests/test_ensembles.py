@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from meso_spectra import ensembles
 
 from meso_spectra import (
-    EnsembleSample,
     EntryLaw,
     Model,
     ModelError,
@@ -19,17 +18,16 @@ from meso_spectra import (
     PerturbationSpec,
     RngStream,
     SpectrumModel,
-    eigensolve,
     perturb_additive,
     perturb_multiplicative,
     sample_conjugated,
-    sample_ensemble,
     sample_haar_frame,
     sample_wigner,
     sample_wishart,
 )
-from meso_spectra.experiments import (ExperimentConfig, harness,
-                                      run_eigenvector_experiment)
+from meso_spectra.ensembles import EnsembleSample, eigensolve, sample_ensemble
+from meso_spectra.experiments import harness, run_experiment
+from meso_spectra.experiments.config import ExperimentConfig
 
 
 class TestRngStream:
@@ -715,7 +713,7 @@ class TestCertifiedPartialEigensolve:
             return answers[-1]
 
         monkeypatch.setattr(ensembles, "_filtered_extremes", solve)
-        rep = run_eigenvector_experiment(ExperimentConfig.from_dict({
+        rep = run_experiment(ExperimentConfig.from_dict({
             "experiment": "eigenvector",
             "kind": "orth-invariant-multiplicative",
             "n_values": [500],

@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from meso_spectra import ModelKind
-from meso_spectra.experiments import (
-    ConfigError,
-    ExperimentConfig,
-    load_config,
-    load_spectrum_values,
-)
+from meso_spectra.experiments import ConfigError, load_config, load_spectrum_values
+from meso_spectra.experiments.config import ExperimentConfig
 
 
 def base_doc(**overrides):

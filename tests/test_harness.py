@@ -11,23 +11,12 @@ import numpy as np
 import pytest
 
 import meso_spectra
-from meso_spectra import (InversionError, MissingRootError, SpectrumModel,
-                          eigensolve)
-from meso_spectra.experiments import (
-    ConfigError,
-    ExperimentConfig,
-    ExperimentError,
-    aggregate,
-    deviation_norm,
-    harness,
-    read_report,
-    reports_equal,
-    run_concentration_from_config,
-    run_eigenvector_experiment,
-    run_experiment,
-    run_location_experiment,
-    run_pushforward_experiment,
-)
+from meso_spectra import InversionError, MissingRootError, SpectrumModel
+from meso_spectra.ensembles import eigensolve
+from meso_spectra.experiments import ExperimentError, aggregate, harness, run_experiment
+from meso_spectra.experiments.config import ExperimentConfig
+from meso_spectra.experiments.harness import deviation_norm
+from meso_spectra.experiments.reports import read_report, reports_equal
 
 
 def location_cfg(**overrides):
@@ -48,7 +37,7 @@ def location_cfg(**overrides):
 
 class TestLocationDriver:
     def test_report_shape(self):
-        rep = run_location_experiment(location_cfg())
+        rep = run_experiment(location_cfg())
         assert len(rep.records) == 4
         assert rep.aggregates["trials"] == 4
         assert rep.aggregates["outliers_evaluated"] == 8
@@ -61,14 +50,14 @@ class TestLocationDriver:
     def test_coverage_and_bands(self):
         # Coverage at this toy size is noisy; the 0.95 claim is exercised at
         # full scale by the acceptance suite.
-        rep = run_location_experiment(location_cfg())
+        rep = run_experiment(location_cfg())
         assert rep.aggregates["coverage"] >= 0.75
         for rec in rep.records:
             for out in rec.outliers:
                 assert out.in_band is (out.abs_error <= 0.15)
 
     def test_detector_cross_check_auto(self):
-        rep = run_location_experiment(location_cfg())
+        rep = run_experiment(location_cfg())
         assert rep.aggregates["detector_delta_max"] < 1e-6
         # The known spectrum judges separation for both routes alike.
         assert rep.aggregates["detector_located"] == rep.aggregates["outliers_evaluated"]
@@ -77,14 +66,14 @@ class TestLocationDriver:
                 assert out.detector_location is not None
 
     def test_detector_cross_check_disabled(self):
-        rep = run_location_experiment(location_cfg(cross_check=False))
+        rep = run_experiment(location_cfg(cross_check=False))
         assert "detector_delta_max" not in rep.aggregates
         assert "detector_located" not in rep.aggregates
 
     def test_closed_kind_cross_check_opt_in(self):
         cfg = location_cfg(kind="wigner", spectrum=None, n_values=[120],
                            cross_check=True, trials=2)
-        rep = run_location_experiment(cfg)
+        rep = run_experiment(cfg)
         assert rep.aggregates["detector_delta_max"] < 1e-6
 
     @pytest.mark.parametrize("doc", [
@@ -100,7 +89,7 @@ class TestLocationDriver:
         # the report counts the located ones.
         cfg = location_cfg(spectrum=None, cross_check=True, trials=3, seed=7,
                            **doc)
-        rep = run_location_experiment(cfg)
+        rep = run_experiment(cfg)
         for rec in rep.records:
             assert any(out.detector_location is not None for out in rec.outliers)
         agg = rep.aggregates
@@ -111,37 +100,33 @@ class TestLocationDriver:
 
     def test_deterministic_rerun(self):
         cfg = location_cfg()
-        assert reports_equal(run_location_experiment(cfg),
-                             run_location_experiment(cfg))
+        assert reports_equal(run_experiment(cfg),
+                             run_experiment(cfg))
 
     def test_aggregates_recomputable(self):
         cfg = location_cfg()
-        rep = run_location_experiment(cfg)
+        rep = run_experiment(cfg)
         again = aggregate("location", rep.records, epsilon=cfg.epsilon)
         assert again == rep.aggregates
 
     def test_unseparated_strengths_reported_empty(self):
         cfg = location_cfg(theta_spec={"values": [2.2, 1.01]})
-        rep = run_location_experiment(cfg)
+        rep = run_experiment(cfg)
         for rec in rep.records:
             ranks = [o.rank for o in rec.outliers if o.abs_error is not None]
             assert ranks == [1]
 
-    def test_wrong_experiment_rejected(self):
-        cfg = location_cfg()
-        with pytest.raises(ExperimentError):
-            run_eigenvector_experiment(cfg)
-
     def test_report_path_written(self, tmp_path):
         target = tmp_path / "out" / "loc.json"
         cfg = location_cfg(report_path=str(target), trials=2)
-        rep = run_location_experiment(cfg)
+        rep = run_experiment(cfg)
         assert reports_equal(read_report(target), rep)
         assert target.with_suffix(".csv").exists()
 
     def test_dispatch(self):
         cfg = location_cfg(trials=2)
-        assert reports_equal(run_experiment(cfg), run_location_experiment(cfg))
+        assert reports_equal(run_experiment(cfg),
+                             harness._run_trials(cfg, with_vectors=False))
 
 
 class TestTrialFailures:
@@ -155,14 +140,14 @@ class TestTrialFailures:
             current["stream"] = stream.stream_id
             return real_sample(model, pert, n, stream, law)
 
-        def locate(op, window, side, tol=None):
+        def locate(op, delta, side, tol=None):
             if current["stream"] in bad_streams:
                 raise error
-            return real_locate(op, window, side, tol)
+            return real_locate(op, delta, side, tol)
 
         monkeypatch.setattr(harness, "sample_ensemble", sample)
         monkeypatch.setattr(harness, "locate_outliers", locate)
-        return run_location_experiment(cfg)
+        return run_experiment(cfg)
 
     @pytest.mark.parametrize("error", [
         MissingRootError("no root found above the bulk for rank 1", 1),
@@ -170,7 +155,7 @@ class TestTrialFailures:
     ], ids=["missing-root", "inversion"])
     def test_detector_failure_fails_one_trial(self, monkeypatch, error):
         cfg = location_cfg(trials=10)
-        clean = run_location_experiment(cfg)
+        clean = run_experiment(cfg)
         rep = self.run_with_failing_detector(monkeypatch, cfg, {3}, error)
         failed = [rec for rec in rep.records if rec.failed]
         assert [rec.stream_id for rec in failed] == [3]
@@ -230,17 +215,17 @@ class TestTrialBuffersReleased:
 
     def test_location_trials(self, monkeypatch):
         cfg = location_cfg()
-        rep = self.run_watched(monkeypatch, cfg, run_location_experiment)
-        assert reports_equal(rep, run_location_experiment(cfg))
+        rep = self.run_watched(monkeypatch, cfg, run_experiment)
+        assert reports_equal(rep, run_experiment(cfg))
 
     def test_eigenvector_trials(self, monkeypatch):
         cfg = eigenvector_cfg()
-        rep = self.run_watched(monkeypatch, cfg, run_eigenvector_experiment)
-        assert reports_equal(rep, run_eigenvector_experiment(cfg))
+        rep = self.run_watched(monkeypatch, cfg, run_experiment)
+        assert reports_equal(rep, run_experiment(cfg))
 
     def test_trial_failing_in_eigensolve(self, monkeypatch):
         cfg = eigenvector_cfg(trials=10)
-        rep = self.run_watched(monkeypatch, cfg, run_eigenvector_experiment,
+        rep = self.run_watched(monkeypatch, cfg, run_experiment,
                                failing_stream=4)
         failed = [rec for rec in rep.records if rec.failed]
         assert [rec.stream_id for rec in failed] == [4]
@@ -279,7 +264,8 @@ class TestDegeneracyTolerance:
 def test_runtime_path_does_not_import_scipy():
     script = textwrap.dedent("""
         import sys
-        from meso_spectra.experiments import ExperimentConfig, run_experiment
+        from meso_spectra.experiments import run_experiment
+        from meso_spectra.experiments.config import ExperimentConfig
         rep = run_experiment(ExperimentConfig.from_dict({
             "experiment": "eigenvector",
             "kind": "orth-invariant-multiplicative",
@@ -326,7 +312,7 @@ class TestBenchContract:
 
     def test_eigenvector_trial_solves_once_without_eigvalsh(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
-        rep = run_eigenvector_experiment(
+        rep = run_experiment(
             eigenvector_cfg(n_values=[200], trials=3, cross_check=False))
         assert not any(rec.failed for rec in rep.records)
         # The certified partial solve answers with the two extreme pairs.
@@ -334,7 +320,7 @@ class TestBenchContract:
 
     def test_location_trial_calls_eigvalsh_once(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
-        rep = run_location_experiment(location_cfg(trials=3, cross_check=False))
+        rep = run_experiment(location_cfg(trials=3, cross_check=False))
         assert not any(rec.failed for rec in rep.records)
         assert calls == {"eigensolve": [], "eigvalsh": 3}
 
@@ -351,7 +337,7 @@ class TestEigenvectorDriver:
             "trials": 6,
             "seed": 13,
         })
-        rep = run_eigenvector_experiment(cfg)
+        rep = run_experiment(cfg)
         for rec in rep.records:
             out = rec.outliers[0]
             assert out.proj_norm_pred == pytest.approx(0.75, rel=1e-12)
@@ -372,7 +358,7 @@ class TestEigenvectorDriver:
             "seed": 17,
             "spectrum": {"name": "uniform", "low": 0.5, "high": 2.5},
         })
-        rep = run_eigenvector_experiment(cfg)
+        rep = run_experiment(cfg)
         for rec in rep.records:
             out = rec.outliers[0]
             assert out.whitened_pred is not None
@@ -392,7 +378,7 @@ class TestEigenvectorDriver:
             "seed": 19,
             "spectrum": {"name": "values", "values": [1.0]},
         })
-        rep = run_eigenvector_experiment(cfg)
+        rep = run_experiment(cfg)
         for rec in rep.records:
             out = rec.outliers[0]
             assert out.proj_norm_meas == pytest.approx(1.0, abs=1e-10)
@@ -416,7 +402,7 @@ class TestPushforwardDriver:
         return ExperimentConfig.from_dict(doc)
 
     def test_ladder_monotone(self):
-        rep = run_pushforward_experiment(self.make_cfg())
+        rep = run_experiment(self.make_cfg())
         agg = rep.aggregates
         assert agg["batches"] == 3
         assert len(rep.records) == 9
@@ -427,8 +413,8 @@ class TestPushforwardDriver:
 
     def test_deterministic(self):
         cfg = self.make_cfg()
-        assert reports_equal(run_pushforward_experiment(cfg),
-                             run_pushforward_experiment(cfg))
+        assert reports_equal(run_experiment(cfg),
+                             run_experiment(cfg))
 
     def run_with_failing_prediction(self, monkeypatch, cfg, bad_units):
         """Run ``cfg`` with ``pushforward_sample`` failing on ``bad_units``."""
@@ -441,11 +427,11 @@ class TestPushforwardDriver:
             return real(model, thetas)
 
         monkeypatch.setattr(harness, "pushforward_sample", sample)
-        return run_pushforward_experiment(cfg)
+        return run_experiment(cfg)
 
     def test_prediction_failure_fails_one_unit(self, monkeypatch):
         cfg = self.make_cfg(n_values=[60, 120], batches=5)
-        clean = run_pushforward_experiment(cfg)
+        clean = run_experiment(cfg)
         rep = self.run_with_failing_prediction(monkeypatch, cfg, {3})
         failed = [rec for rec in rep.records if rec.failed]
         assert len(rep.records) == 10
@@ -474,12 +460,12 @@ class TestPushforwardDriver:
             return real(self, n)
 
         monkeypatch.setattr(ExperimentConfig, "spectrum_for", counted)
-        rep = run_pushforward_experiment(cfg)
+        rep = run_experiment(cfg)
         assert len(rep.records) == cfg.batches * len(cfg.n_values)
         assert sizes == list(cfg.n_values)
 
     def test_records_carry_batch_and_w1(self):
-        rep = run_pushforward_experiment(self.make_cfg(batches=2))
+        rep = run_experiment(self.make_cfg(batches=2))
         batches = sorted({rec.batch for rec in rep.records})
         assert batches == [0, 1]
         for rec in rep.records:
@@ -498,10 +484,6 @@ class TestConcentration:
         frame = np.eye(2)[:, :1]
         with pytest.raises(Exception):
             deviation_norm(s, 0.5, frame)
-
-    def test_wrong_experiment_rejected(self):
-        with pytest.raises(ConfigError):
-            run_concentration_from_config(location_cfg())
 
     def test_config_driver_ratio(self):
         cfg = ExperimentConfig.from_dict({

@@ -12,19 +12,17 @@ from meso_spectra import (
     ModelError,
     PerturbationSpec,
     Side,
-    SpectralWindow,
     SpectrumModel,
-    counting_function,
-    eigensolve,
-    evaluate_d,
     locate_outliers,
     perturb_additive,
     perturb_multiplicative,
     sample_haar_frame,
     RngStream,
-    stieltjes,
     target_index,
 )
+from meso_spectra.ensembles import eigensolve
+from meso_spectra.master_equation import counting_function, evaluate_d
+from meso_spectra.transforms import stieltjes
 from meso_spectra import master_equation
 
 
@@ -88,17 +86,17 @@ class TestOperator:
 class TestLocateOutliers:
     def test_diagonal_exact_roots(self):
         op, spectrum, pert = make_operator(Model.additive, [0.0] * 20, [2.0])
-        window = SpectralWindow.from_spectrum(spectrum, 0.15)
-        roots = locate_outliers(op, window, Side.UPPER)
+        delta = 0.15
+        roots = locate_outliers(op, delta, Side.UPPER)
         assert len(roots) == 1
         assert roots[0].rank == 1
         assert roots[0].location == pytest.approx(2.0, abs=1e-8)
 
     def test_bisection_tolerance_contract(self):
         op, spectrum, _ = make_operator(Model.additive, [0.0] * 10, [3.0])
-        window = SpectralWindow.from_spectrum(spectrum, 0.2)
+        delta = 0.2
         tol = 1e-10
-        roots = locate_outliers(op, window, Side.UPPER, tol=tol)
+        roots = locate_outliers(op, delta, Side.UPPER, tol=tol)
         z = roots[0].location
         assert counting_function(op, z + tol) >= 1 > counting_function(op, z - tol)
 
@@ -108,11 +106,11 @@ class TestLocateOutliers:
         vals = np.linspace(-1.0, 1.0, n)
         frame = sample_haar_frame(n, len(thetas), rng)
         op, spectrum, pert = make_operator(Model.additive, vals, thetas, frame=frame)
-        window = SpectralWindow.from_spectrum(spectrum, 0.1)
+        delta = 0.1
         matrix = perturb_additive(np.diag(spectrum.eigenvalues), pert.with_frame(frame))
         evals, _ = eigensolve(matrix)
-        found = locate_outliers(op, window, Side.UPPER) + locate_outliers(
-            op, window, Side.LOWER
+        found = locate_outliers(op, delta, Side.UPPER) + locate_outliers(
+            op, delta, Side.LOWER
         )
         assert [r.rank for r in found] == [1, 2, 3]
         for root in found:
@@ -127,13 +125,13 @@ class TestLocateOutliers:
         op, spectrum, pert = make_operator(
             Model.multiplicative, vals, thetas, frame=frame, psd=True
         )
-        window = SpectralWindow.from_spectrum(spectrum, 0.1)
+        delta = 0.1
         matrix = perturb_multiplicative(
             np.diag(spectrum.eigenvalues), pert.with_frame(frame)
         )
         evals, _ = eigensolve(matrix)
-        upper = locate_outliers(op, window, Side.UPPER)
-        lower = locate_outliers(op, window, Side.LOWER)
+        upper = locate_outliers(op, delta, Side.UPPER)
+        lower = locate_outliers(op, delta, Side.LOWER)
         assert [r.rank for r in upper] == [1]
         assert [r.rank for r in lower] == [2]
         for root in upper + lower:
@@ -144,15 +142,15 @@ class TestLocateOutliers:
         vals = np.linspace(-1.0, 1.0, 200)
         # 1/0.9 inverts to about 1.24, inside the 2 delta margin at 1.3.
         op, spectrum, _ = make_operator(Model.additive, vals, [2.5, 0.9])
-        window = SpectralWindow.from_spectrum(spectrum, 0.15)
-        roots = locate_outliers(op, window, Side.UPPER)
+        delta = 0.15
+        roots = locate_outliers(op, delta, Side.UPPER)
         assert [r.rank for r in roots] == [1]
 
     def test_lower_side_only_negative_ranks(self):
         vals = np.linspace(-1.0, 1.0, 150)
         op, spectrum, _ = make_operator(Model.additive, vals, [2.0, -2.0])
-        window = SpectralWindow.from_spectrum(spectrum, 0.1)
-        lower = locate_outliers(op, window, Side.LOWER)
+        delta = 0.1
+        lower = locate_outliers(op, delta, Side.LOWER)
         assert [r.rank for r in lower] == [2]
         assert lower[0].location < spectrum.lam_min
 
@@ -162,9 +160,9 @@ class TestLocateOutliers:
         frame = sample_haar_frame(n, 2, rng)
         vals = np.linspace(-1.0, 1.0, n)
         op, spectrum, _ = make_operator(Model.additive, vals, [2.4, 2.0], frame=frame)
-        window = SpectralWindow.from_spectrum(spectrum, 0.1)
-        a = locate_outliers(op, window, Side.UPPER)
-        b = locate_outliers(op, window, Side.UPPER)
+        delta = 0.1
+        a = locate_outliers(op, delta, Side.UPPER)
+        b = locate_outliers(op, delta, Side.UPPER)
         assert a == b
 
 
@@ -176,9 +174,8 @@ def dense_evals(op) -> np.ndarray:
 
 
 def located(op, delta, tol=None):
-    window = SpectralWindow.from_spectrum(op.spectrum, delta)
-    return locate_outliers(op, window, Side.UPPER, tol) + locate_outliers(
-        op, window, Side.LOWER, tol
+    return locate_outliers(op, delta, Side.UPPER, tol) + locate_outliers(
+        op, delta, Side.LOWER, tol
     )
 
 
@@ -263,11 +260,11 @@ class TestAdversarialDetector:
             frame=frame, psd=True,
         )
         assert spectrum.lam_min == 0.0
-        window = SpectralWindow.from_spectrum(spectrum, 0.1)
+        delta = 0.1
         # The lower branch of T only reaches (-q, 0): no negative strength
         # of a multiplicative model detaches below a zero floor.
-        assert locate_outliers(op, window, Side.LOWER) == []
-        roots = locate_outliers(op, window, Side.UPPER)
+        assert locate_outliers(op, delta, Side.LOWER) == []
+        roots = locate_outliers(op, delta, Side.UPPER)
         assert [r.rank for r in roots] == [1, 2]
         assert_contract(op, roots)
 
@@ -396,10 +393,10 @@ class TestSharedCounts:
 
         monkeypatch.setattr(master_equation, "counting_function", counted)
         op = golden_operator(name)
-        window = SpectralWindow.from_spectrum(op.spectrum, 0.1)
+        delta = 0.1
         for side in (Side.UPPER, Side.LOWER):
             seen.clear()
-            roots = locate_outliers(op, window, side)
+            roots = locate_outliers(op, delta, side)
             assert len(set(seen)) == len(seen)
             # One count per bracket end, then at most two per root.
             assert len(seen) <= 2 + 2 * len(roots)
@@ -427,6 +424,6 @@ class TestStepCap:
         # of two distinct doubles is as narrow as tol, yet lam_max + tol is
         # still above the bulk edge at 1.
         op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, 60), [2.6], seed=35)
-        window = SpectralWindow.from_spectrum(op.spectrum, 0.1)
+        delta = 0.1
         with pytest.raises(MissingRootError, match="cannot shrink"):
-            locate_outliers(op, window, Side.UPPER, tol=3e-16)
+            locate_outliers(op, delta, Side.UPPER, tol=3e-16)

@@ -19,25 +19,28 @@ from meso_spectra import (
     ModelError,
     NotSeparatedError,
     PerturbationSpec,
-    SpectralWindow,
     SpectrumModel,
-    TransformDomainError,
-    check_separation,
-    invert_stieltjes,
-    invert_t_transform,
     master_equation,
     predict,
     predict_location,
     predict_projection_norm,
-    predict_whitened_norm,
     predictor,
-    pushforward_map,
-    pushforward_sample,
-    stieltjes,
-    t_transform,
     transforms,
 )
 from meso_spectra.experiments import config
+from meso_spectra.predictor import (
+    check_separation,
+    predict_whitened_norm,
+    pushforward_map,
+    pushforward_sample,
+)
+from meso_spectra.transforms import (
+    TransformDomainError,
+    invert_stieltjes,
+    invert_t_transform,
+    stieltjes,
+    t_transform,
+)
 
 S1K = SpectrumModel.from_values(np.linspace(0.5, 2.5, 1000))
 
@@ -269,11 +272,10 @@ class TestHardInputs:
         spectrum = SpectrumModel.from_values(values)
         model = (Model.multiplicative if multiplicative else Model.additive)(spectrum)
         transform = t_transform if multiplicative else stieltjes
-        window = SpectralWindow.from_spectrum(spectrum, delta)
         edge = (spectrum.lam_min - 2.0 * delta) if lower else (spectrum.lam_max + 2.0 * delta)
         critical = 1.0 / transform(spectrum, edge)
-        assert check_separation(model, window, critical * (1.0 + 1e-9))
-        assert not check_separation(model, window, critical * (1.0 - 1e-9))
+        assert check_separation(model, delta, critical * (1.0 + 1e-9))
+        assert not check_separation(model, delta, critical * (1.0 - 1e-9))
 
     @given(psd_value_lists, st.integers(1, 10),
            st.lists(st.floats(-0.99, -0.01), min_size=1, max_size=4))
@@ -339,7 +341,7 @@ class TestOneDispatchPoint:
         counts = self.count_inversions(monkeypatch)
         name = "invert_stieltjes" if kind == "additive" else "invert_t_transform"
         model = getattr(Model, kind)(SpectrumModel.from_values(np.linspace(0.5, 2.5, 100)))
-        assert check_separation(model, model.window(0.1), 3.0)
+        assert check_separation(model, 0.1, 3.0)
         assert counts[name] == 1
         preds = predict(model, PerturbationSpec.from_values([3.0, 2.5]), 100)
         assert all(pred.separated for pred in preds)

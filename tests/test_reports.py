@@ -7,14 +7,14 @@ import random
 import numpy as np
 import pytest
 
-from meso_spectra.experiments import (
+from meso_spectra.experiments import aggregate
+from meso_spectra.experiments.reports import (
     CSV_COLUMNS,
+    REPORT_SCHEMA,
     ExperimentReport,
     OutlierRecord,
-    REPORT_SCHEMA,
     ReportIOError,
     TrialRecord,
-    aggregate,
     coverage_at,
     read_report,
     reports_equal,

@@ -1,5 +1,7 @@
 """Tests for the core model types: spectra, perturbations, separation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,19 +9,21 @@ from hypothesis import strategies as st
 
 from meso_spectra import (
     InvalidPerturbationError,
+    MasterOperator,
     Model,
     ModelError,
     ModelKind,
     NotSeparatedError,
     PerturbationSpec,
-    Separation,
     Side,
-    SpectralWindow,
     SpectrumModel,
-    check_separation,
-    norm_bound,
+    locate_outliers,
+    predict,
+    predict_location,
     target_index,
 )
+from meso_spectra.predictor import check_separation
+from meso_spectra.spectral_core import Separation
 
 RNG = np.random.default_rng(20260823)
 
@@ -143,28 +147,44 @@ class TestPerturbationSpec:
         assert p.norm_bound == 3.0
 
 
+BAD_DELTAS = [0.0, -1.0, math.nan, math.inf]
+DELTA_MESSAGE = "delta must be positive and finite"
+
+
+@pytest.mark.parametrize("delta", BAD_DELTAS, ids=["zero", "negative", "nan", "inf"])
+class TestDeltaMargin:
+    """Every entry point taking a separation margin rejects a bad one."""
+
+    def test_check_separation(self, delta):
+        additive = Model.additive(SpectrumModel.from_values(np.linspace(-1, 1, 50)))
+        for model in (Model.wigner(), additive):
+            with pytest.raises(ModelError, match=DELTA_MESSAGE):
+                check_separation(model, delta, 3.0)
+
+    def test_predict(self, delta):
+        model = Model.wigner()
+        with pytest.raises(ModelError, match=DELTA_MESSAGE):
+            predict(model, PerturbationSpec.from_values([3.0, -2.0]), 10, delta)
+        with pytest.raises(ModelError, match=DELTA_MESSAGE):
+            predict(model, PerturbationSpec.from_values([]), 10, delta)
+        with pytest.raises(ModelError, match=DELTA_MESSAGE):
+            predict_location(model, 3.0, delta)
+
+    def test_locate_outliers(self, delta):
+        spectrum = SpectrumModel.from_values(np.linspace(-1, 1, 20))
+        op = MasterOperator(model=Model.additive(spectrum),
+                            pert=PerturbationSpec.from_values([3.0]))
+        # The lower side has no ranks to test, and still rejects delta.
+        for side in (Side.UPPER, Side.LOWER):
+            with pytest.raises(ModelError, match=DELTA_MESSAGE):
+                locate_outliers(op, delta, side)
+        empty = MasterOperator(model=Model.additive(spectrum),
+                               pert=PerturbationSpec.from_values([]))
+        with pytest.raises(ModelError, match=DELTA_MESSAGE):
+            locate_outliers(empty, delta, Side.UPPER)
+
+
 class TestWindowAndModel:
-    def test_window_requires_positive_delta(self):
-        with pytest.raises(ModelError):
-            SpectralWindow(delta=0.0, lower_edge=0.0, upper_edge=1.0)
-        with pytest.raises(ModelError):
-            SpectralWindow(delta=0.1, lower_edge=1.0, upper_edge=0.0)
-
-    def test_semicircle_window(self):
-        w = SpectralWindow.semicircle(0.25)
-        assert w.lower_edge == -2.0 and w.upper_edge == 2.0 and w.delta == 0.25
-
-    def test_mp_window(self):
-        w = SpectralWindow.marchenko_pastur(0.5, 0.1)
-        root = np.sqrt(0.5)
-        assert w.lower_edge == pytest.approx((1 - root) ** 2, rel=1e-15)
-        assert w.upper_edge == pytest.approx((1 + root) ** 2, rel=1e-15)
-
-    def test_from_spectrum(self):
-        s = SpectrumModel.from_values([-1.0, 3.0])
-        w = SpectralWindow.from_spectrum(s, 0.2)
-        assert w.lower_edge == -1.0 and w.upper_edge == 3.0
-
     def test_wigner_and_wishart_constructors(self):
         assert Model.wigner().kind is ModelKind.WIGNER
         m = Model.wishart(0.5)
@@ -198,59 +218,53 @@ class TestWindowAndModel:
 
 class TestSeparation:
     def test_wigner_threshold(self):
-        w = SpectralWindow.semicircle(0.2)
         model = Model.wigner()
-        assert check_separation(model, w, 1.5)
-        assert not check_separation(model, w, 1.3)
-        verdict = check_separation(model, w, 1.3)
+        assert check_separation(model, 0.2, 1.5)
+        assert not check_separation(model, 0.2, 1.3)
+        verdict = check_separation(model, 0.2, 1.3)
         assert verdict.threshold == pytest.approx(1.4)
         assert verdict.statistic == pytest.approx(1.3)
 
     def test_wigner_negative_theta_side(self):
-        w = SpectralWindow.semicircle(0.1)
-        verdict = check_separation(Model.wigner(), w, -2.0)
+        verdict = check_separation(Model.wigner(), 0.1, -2.0)
         assert verdict and verdict.side is Side.LOWER
 
     def test_wishart_threshold(self):
         model = Model.wishart(0.25)
-        w = model.window(0.1)
         # Threshold sqrt(phi) + 2 delta = 0.7.
-        assert check_separation(model, w, 0.75)
-        assert not check_separation(model, w, 0.65)
+        assert check_separation(model, 0.1, 0.75)
+        assert not check_separation(model, 0.1, 0.65)
 
     def test_empirical_separation_uses_transform_inverse(self):
         s = SpectrumModel.from_values(np.linspace(-1, 1, 200))
         model = Model.additive(s)
-        w = model.window(0.1)
         # m^{-1}(1/2) = 1.864 clears lam_max + 2 delta = 1.2.
-        verdict = check_separation(model, w, 2.0)
+        verdict = check_separation(model, 0.1, 2.0)
         assert verdict and verdict.side is Side.UPPER
         assert verdict.statistic == pytest.approx(2.1655734072361854, rel=1e-12)
 
     def test_empirical_not_separated_marginal_theta(self):
         s = SpectrumModel.from_values(np.linspace(-1, 1, 400))
         model = Model.additive(s)
-        w = model.window(0.5)
-        assert not check_separation(model, w, 1.05)
+        assert not check_separation(model, 0.5, 1.05)
 
     def test_unattainable_inverse_reports_not_separated(self):
         s = SpectrumModel.from_values(np.linspace(0.5, 2.5, 100))
         model = Model.multiplicative(s)
-        w = model.window(0.1)
         # 1/theta = -25 is solved just under lam_min, inside the 2 delta
         # margin, so the verdict must be negative.
-        verdict = check_separation(model, w, -0.04)
+        verdict = check_separation(model, 0.1, -0.04)
         assert not verdict
 
     def test_zero_theta_rejected(self):
         with pytest.raises(InvalidPerturbationError):
-            check_separation(Model.wigner(), SpectralWindow.semicircle(0.1), 0.0)
+            check_separation(Model.wigner(), 0.1, 0.0)
 
     def test_multiplicative_theta_floor(self):
         s = SpectrumModel.from_values(np.linspace(0.5, 2.5, 50))
         model = Model.multiplicative(s)
         with pytest.raises(InvalidPerturbationError):
-            check_separation(model, model.window(0.1), -1.0)
+            check_separation(model, 0.1, -1.0)
 
     def test_separation_bool_protocol(self):
         good = Separation(separated=True, side=Side.UPPER, statistic=2.0, threshold=1.4)
@@ -290,9 +304,3 @@ class TestTargetIndex:
         p = PerturbationSpec.from_values([2.0, 1.0, -1.0])
         with pytest.raises(ModelError):
             target_index(p, 1, 2)
-
-
-def test_norm_bound_combines_spectrum_and_strengths():
-    s = SpectrumModel.from_values([-1.0, 2.0])
-    p = PerturbationSpec.from_values([3.0, -0.5])
-    assert norm_bound(s, p) == 3.0

@@ -18,8 +18,13 @@ from meso_spectra import (
     Model,
     ModelError,
     SpectrumModel,
-    TransformDomainError,
     empirical_quantiles,
+    transforms,
+)
+from meso_spectra.predictor import check_separation, pushforward_map
+from meso_spectra.transforms import (
+    TransformDomainError,
+    _bisect_newton,
     invert_stieltjes,
     invert_t_transform,
     mp_density,
@@ -27,7 +32,6 @@ from meso_spectra import (
     mp_quantiles,
     mp_t_transform,
     mp_t_transform_deriv,
-    pushforward_map,
     semicircle_density,
     semicircle_quantiles,
     semicircle_stieltjes,
@@ -37,8 +41,6 @@ from meso_spectra import (
     t_transform,
     t_transform_deriv,
 )
-from meso_spectra import SpectralWindow, check_separation, transforms
-from meso_spectra.transforms import _bisect_newton
 
 S200 = SpectrumModel.from_values(np.linspace(-1.0, 1.0, 200))
 S300 = SpectrumModel.from_values(np.linspace(0.5, 2.5, 300))
@@ -216,11 +218,10 @@ class TestInverseMemo:
     def test_repeated_separation_solves_once_per_strength(self, monkeypatch):
         calls = self.count_solves(monkeypatch)
         model = Model.additive(SpectrumModel.from_values(np.linspace(-1.0, 1.0, 200)))
-        window = SpectralWindow.from_spectrum(model.spectrum, 0.1)
         thetas = [2.4, 1.9, 0.9, -2.2, -1.7]
-        first = [check_separation(model, window, theta) for theta in thetas]
+        first = [check_separation(model, 0.1, theta) for theta in thetas]
         for _ in range(3):
-            again = [check_separation(model, window, theta) for theta in thetas]
+            again = [check_separation(model, 0.1, theta) for theta in thetas]
             assert again == first
         assert len(calls) == len(thetas)
 
