@@ -11,8 +11,9 @@ power of the margin ``delta``:
     |xi|/(8 B^4) <= |T'(x_t + xi) - T'(x_t)|  <= 8 B |xi| / delta^4
 
 where ``x_m = m^(-1)(1/theta)`` and ``x_t = T^(-1)(1/theta)`` must clear the
-spectrum's edge by ``2 delta`` and ``|xi| <= delta``.  Everything here is a
-pure function of its inputs; repeated calls are identical.
+spectrum's edge by ``2 delta`` and ``|xi| <= delta``; the first is checked
+with the separation test's threshold strength before anything is inverted.
+Everything here is a pure function of its inputs; repeated calls are identical.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from ..spectral_core import MesoSpectraError, SpectrumModel
 from ..transforms import (
-    TransformDomainError,
+    _separation_threshold,
     invert_stieltjes,
     invert_t_transform,
     stieltjes,
@@ -84,22 +85,16 @@ class SandwichResult:
 def _hypothesis_location(
     spectrum: SpectrumModel, theta: float, delta: float, use_t: bool
 ) -> float:
-    name = "T" if use_t else "m"
-    try:
-        if use_t:
-            x = invert_t_transform(spectrum, 1.0 / theta)
-        else:
-            x = invert_stieltjes(spectrum, 1.0 / theta)
-    except TransformDomainError as exc:
+    """``f^(-1)(1/theta)`` for ``f = T`` or ``m``, once ``|theta|`` reaches
+    the threshold strength that puts it ``2 * delta`` clear of the edge."""
+    threshold = _separation_threshold(spectrum, delta, theta > 0.0, use_t)
+    if abs(theta) < threshold:
         raise PreconditionError(
-            f"1/theta is outside the attainable range of {name}: {exc}"
-        ) from exc
-    if not (x >= spectrum.lam_max + 2.0 * delta or x <= spectrum.lam_min - 2.0 * delta):
-        raise PreconditionError(
-            f"{name}^(-1)(1/theta) = {x:g} is within 2*delta of the spectrum "
-            f"[{spectrum.lam_min:g}, {spectrum.lam_max:g}], delta={delta:g}"
+            f"|theta| = {abs(theta):g} is below {threshold:g}, where "
+            f"{'T' if use_t else 'm'}^(-1)(1/theta) clears the spectrum "
+            f"[{spectrum.lam_min:g}, {spectrum.lam_max:g}] by 2*delta, delta={delta:g}"
         )
-    return x
+    return (invert_t_transform if use_t else invert_stieltjes)(spectrum, 1.0 / theta)
 
 
 def verify_sandwich_bounds(
@@ -188,9 +183,9 @@ def random_stability_sweep(
     """Seeded sweep over random PSD spectra with separated strengths.
 
     Instances alternate upper- and lower-side strengths; each strength is
-    redrawn until both inverse-transform locations clear the edge by
-    ``2 * delta``, so every instance evaluates all four families on a grid
-    of ``xi_points`` offsets spanning ``[-delta, delta]``.
+    redrawn until it meets both transforms' threshold strengths, so every
+    instance evaluates all four families on a grid of ``xi_points`` offsets
+    spanning ``[-delta, delta]``.
     """
     gen = np.random.default_rng(seed)
     results: list[SandwichResult] = []
@@ -199,23 +194,17 @@ def random_stability_sweep(
         spectrum = SpectrumModel.from_values(gen.uniform(0.2, 2.2, n))
         delta = float(gen.uniform(0.05, 0.25))
         upper = k % 2 == 0
-        theta = None
+        threshold = max(_separation_threshold(spectrum, delta, upper, use_t)
+                        for use_t in (False, True))
         for _ in range(100):
             if upper:
-                candidate = float(
-                    gen.uniform(spectrum.lam_max + 2.0 * delta + 0.5,
-                                spectrum.lam_max + 2.0 * delta + 3.0)
-                )
+                theta = float(gen.uniform(spectrum.lam_max + 2.0 * delta + 0.5,
+                                          spectrum.lam_max + 2.0 * delta + 3.0))
             else:
-                candidate = float(-gen.uniform(1.2, 3.0))
-            try:
-                _hypothesis_location(spectrum, candidate, delta, use_t=False)
-                _hypothesis_location(spectrum, candidate, delta, use_t=True)
-            except PreconditionError:
-                continue
-            theta = candidate
-            break
-        if theta is None:  # pragma: no cover - seeded sweep never hits this
+                theta = float(-gen.uniform(1.2, 3.0))
+            if abs(theta) >= threshold:
+                break
+        else:  # pragma: no cover - seeded sweep never hits this
             raise RuntimeError(f"instance {k}: no separated strength found")
         xi_grid = np.linspace(-delta, delta, xi_points)
         results.append(verify_sandwich_bounds(spectrum, theta, delta, xi_grid))

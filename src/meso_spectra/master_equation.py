@@ -41,7 +41,7 @@ from .spectral_core import (
     SpectrumModel,
     _check_delta,
 )
-from .predictor import check_separation
+from .predictor import check_separation, pushforward_map
 from .transforms import _check_outside
 
 __all__ = [
@@ -199,7 +199,7 @@ def _locate_root(
     certifies its side, because the count is non-decreasing; only the
     other side is counted.  Otherwise the bracket shrinks to ``tol``, by
     bisection on the count once the Newton steps run out, and its midpoint
-    is returned.
+    is returned, unless rounding hides the root (see :func:`_resolved`).
     """
     if expand_hi:
         anchor = lo
@@ -232,6 +232,7 @@ def _locate_root(
                 f"the bulk", rank
             )
     z = start if lo < start < hi else 0.5 * (lo + hi)
+    slope = 0.0
     for _ in range(400):
         if hi - lo <= tol:
             break
@@ -247,7 +248,7 @@ def _locate_root(
             certified_above = hi <= above or count(above) >= target
             certified_below = lo >= below or count(below) < target
             if certified_above and certified_below:
-                return z
+                return _resolved(op, rank, z, slope, tol)
             if not certified_above:
                 lo = above
             if not certified_below:
@@ -265,7 +266,19 @@ def _locate_root(
             hi = z
         else:
             lo = z
-    return 0.5 * (lo + hi)
+    return _resolved(op, rank, 0.5 * (lo + hi), slope, tol)
+
+
+def _resolved(op: MasterOperator, rank: int, z: float, slope: float, tol: float) -> float:
+    """``z``, unless rounding can flip the counts that certify it: the
+    eigenvalues of ``D(z)`` carry errors up to ``eps * ||D(z)||``, at most
+    ``eps * (max |1/theta| + max |w(z)|)``, which must stay below the
+    crossing branch's change ``slope * tol / 2`` (unchecked without a slope)."""
+    norm = 1.0 / np.abs(op.pert.thetas).min() + np.abs(op._weights(z)).max()
+    if 0.0 < slope * tol <= 2.0 * np.finfo(float).eps * norm:
+        raise MissingRootError(f"rank {rank}: rounding in D(z) (norm {norm:.3g}) "
+                               f"hides the root near {z!r} at tol {tol!r}", rank)
+    return z
 
 
 def locate_outliers(
@@ -280,8 +293,8 @@ def locate_outliers(
     roots may not exist or may hide within ``2 * delta`` of the bulk); a
     ``delta`` that is not positive and finite raises :class:`ModelError`,
     even on a side with no ranks.  For each remaining rank, Newton steps
-    on the crossing eigenvalue of ``D(z)``, started at the separation
-    verdict's location, run inside a bracket the counting function certifies,
+    on the crossing eigenvalue of ``D(z)``, started at the predicted
+    location, run inside a bracket the counting function certifies,
     with bisection as the fallback; the returned location ``z`` satisfies
     ``n(z + tol) >= target > n(z - tol)``.  Every rank on the side starts
     from the same bracket, and the counting function is evaluated at most
@@ -298,10 +311,13 @@ def locate_outliers(
         return []
     m = op.m
     m1 = op.pert.m_positive
-    lam_max = op.spectrum.lam_max
-    lam_min = op.spectrum.lam_min
     thetas = op.pert.thetas
-    ranks = range(1, m1 + 1) if side is Side.UPPER else range(m1 + 1, m + 1)
+    upper = side is Side.UPPER
+    ranks = range(1, m1 + 1) if upper else range(m1 + 1, m + 1)
+    if upper:
+        lo, hi = op.spectrum.lam_max + tol, op.spectrum.lam_max + float(thetas[0]) + 1.0
+    else:
+        lo, hi = op.spectrum.lam_min + float(thetas[-1]) - 1.0, op.spectrum.lam_min - tol
     counts: dict[float, int] = {}
 
     def count(z: float) -> int:
@@ -311,28 +327,11 @@ def locate_outliers(
 
     roots: list[OutlierRoot] = []
     for rank in ranks:
-        verdict = check_separation(op.model, delta, float(thetas[rank - 1]))
-        if not verdict:
+        theta = float(thetas[rank - 1])
+        if not check_separation(op.model, delta, theta):
             continue
-        if side is Side.UPPER:
-            target = m1 - rank + 1
-            z = _locate_root(
-                op, count, rank, target,
-                lo=lam_max + tol,
-                hi=lam_max + float(thetas[0]) + 1.0,
-                expand_hi=True,
-                tol=tol,
-                start=verdict.statistic,
-            )
-        else:
-            target = m1 + (m - rank + 1)
-            z = _locate_root(
-                op, count, rank, target,
-                lo=lam_min + float(thetas[-1]) - 1.0,
-                hi=lam_min - tol,
-                expand_hi=False,
-                tol=tol,
-                start=verdict.statistic,
-            )
+        target = m1 - rank + 1 if upper else m1 + (m - rank + 1)
+        z = _locate_root(op, count, rank, target, lo, hi, upper, tol,
+                         start=pushforward_map(op.model, theta))
         roots.append(OutlierRoot(rank=rank, location=z))
     return roots

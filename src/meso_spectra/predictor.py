@@ -4,9 +4,10 @@ A model's kind decides the transform that governs its outliers: the
 semicircle Stieltjes transform (Wigner), the Marchenko-Pastur T-transform
 (Wishart), or the empirical Stieltjes or T-transform of the base spectrum
 (orthogonally invariant additive or multiplicative).  This module is the one
-place that makes that decision.  :func:`pushforward_map` inverts the kind's
-transform at ``1/theta``, giving the location an outlier sits at;
-:func:`check_separation` decides whether that location clears the bulk; the
+place that makes that decision.  :func:`check_separation` compares
+``|theta|`` with a threshold strength (for empirical kinds, from one
+transform evaluation); :func:`pushforward_map` inverts the transform at
+``1/theta`` for a separated strength, giving its outlier's location; the
 squared projection of a perturbed eigenvector onto the perturbation frame
 comes from the derivative of the same transform at that location:
 
@@ -65,33 +66,22 @@ def _validate_theta(model: Model, theta: float) -> None:
 def check_separation(model: Model, delta: float, theta: float) -> Separation:
     """Decide whether strength ``theta`` detaches an outlier from the bulk.
 
-    ``delta`` is the separation margin.  Closed-form kinds compare
-    ``|theta|`` with the critical value plus ``2 * delta``.  Empirical kinds
-    ask the location map's value to clear the spectrum's edge by
-    ``2 * delta``; an unattainable ``1 / theta`` is reported as not
-    separated, never as an error.  Raises :class:`ModelError` unless
-    ``delta`` is positive and finite.
+    It does when ``|theta|`` reaches the threshold strength at margin
+    ``delta``: the critical value plus ``2 * delta`` for closed-form kinds,
+    and for empirical kinds the strength whose location clears the edge by
+    ``2 * delta``, from one transform evaluation and no inverse.  Raises
+    :class:`ModelError` unless ``delta`` is positive and finite.
     """
     _check_delta(delta)
     _validate_theta(model, theta)
-    side = Side.UPPER if theta > 0.0 else Side.LOWER
-
+    upper = theta > 0.0
     if model.kind.closed_form:
         threshold = _critical(model) + 2.0 * delta
-        ok = abs(theta) >= threshold
-        return Separation(ok, side if ok else None, abs(theta), threshold)
-
-    spectrum = model.spectrum
-    if theta > 0.0:
-        threshold = spectrum.lam_max + 2.0 * delta
     else:
-        threshold = spectrum.lam_min - 2.0 * delta
-    try:
-        location = pushforward_map(model, theta)
-    except transforms.TransformDomainError:
-        return Separation(False, None, math.nan, threshold)
-    ok = location >= threshold if theta > 0.0 else location <= threshold
-    return Separation(ok, side if ok else None, location, threshold)
+        threshold = transforms._separation_threshold(model.spectrum, delta, upper,
+                                                     model.kind.multiplicative)
+    ok = abs(theta) >= threshold
+    return Separation(ok, (Side.UPPER if upper else Side.LOWER) if ok else None, threshold)
 
 
 @dataclass(frozen=True)
@@ -135,7 +125,7 @@ def _predict_separated(model: Model, theta: float, delta: float):
     if not verdict:
         raise NotSeparatedError(
             f"theta={theta:g} fails the separation test "
-            f"(statistic {verdict.statistic:g} vs threshold {verdict.threshold:g})",
+            f"(|theta| below the threshold {verdict.threshold:g})",
             verdict,
         )
     return z, norm_sq

@@ -3,10 +3,10 @@
 The objects here describe the inputs of a perturbation experiment: a base
 spectrum, a finite-rank perturbation, the model family tying them together,
 and the separation verdict that decides whether a spike produces an outlier
-(the test that reaches it lives in :mod:`meso_spectra.predictor`, which owns
-every choice of transform).  Everything is immutable after construction;
-samplers and experiment drivers treat these as values.  This module imports
-no sibling module.
+by ``|theta|`` against a threshold strength (the test that reaches it lives
+in :mod:`meso_spectra.predictor`, which owns every choice of transform).
+Everything is immutable after construction; samplers and experiment drivers
+treat these as values.  This module imports no sibling module.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class NotSeparatedError(MesoSpectraError, ValueError):
     Attributes
     ----------
     separation : Separation
-        The failing verdict, with the statistic and threshold that decided it.
+        The failing verdict, with the threshold strength ``|theta|`` missed.
     """
 
     def __init__(self, message: str, separation: "Separation"):
@@ -352,14 +352,13 @@ def _check_delta(delta: float) -> None:
 class Separation:
     """Verdict of the separation test for a single strength.
 
-    ``statistic`` is the quantity compared against ``threshold``: ``|theta|``
-    for the closed-form kinds, the inverse-transform location for the
-    empirical kinds.  ``side`` is ``None`` when not separated.
+    The strength separates when ``|theta| >= threshold``; ``threshold`` is a
+    strength for every kind (``inf`` when no strength on that side
+    separates).  ``side`` is ``None`` when not separated.
     """
 
     separated: bool
     side: Side | None
-    statistic: float
     threshold: float
 
     def __bool__(self) -> bool:

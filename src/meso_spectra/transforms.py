@@ -6,7 +6,8 @@ strictly decreasing on each real interval outside the spectrum, which makes
 their restrictions to the outside of the bulk invertible.  This module
 evaluates the empirical transforms, the semicircle and Marchenko-Pastur
 limits, derivatives, and inverses, plus the densities and deterministic
-quantile spectra used to discretize the limit laws.
+quantile spectra used to discretize the limit laws.  Monotonicity also
+makes the separation threshold one evaluation (:func:`_separation_threshold`).
 
 Inverses outside the bulk are computed by bisection on a certified bracket
 followed by a Newton polish (repeated after bisecting to the float spacing
@@ -107,6 +108,23 @@ def t_transform_deriv(spectrum: SpectrumModel, z: float) -> float:
     _check_outside(spectrum, z)
     lam = spectrum.eigenvalues
     return float(-np.mean(lam / (z - lam) ** 2.0))
+
+
+def _separation_threshold(spectrum: SpectrumModel, delta: float, upper: bool,
+                          use_t: bool) -> float:
+    """Smallest ``|theta|`` whose outlier clears the bulk by ``2 * delta``.
+
+    ``f`` (``T`` when ``use_t``, else ``m``) is monotone outside the bulk,
+    so ``f^(-1)(1/theta)`` clears ``z = lam_max + 2 delta`` (or
+    ``lam_min - 2 delta`` below) exactly when ``|theta| >= 1/|f(z)|``: ``inf``
+    where ``f(z) = 0``, and ``0`` where ``z`` rounds onto the edge, a pole.
+    """
+    edge = spectrum.lam_max if upper else spectrum.lam_min
+    z = edge + 2.0 * delta if upper else edge - 2.0 * delta
+    if z == edge:
+        return 0.0
+    value = abs(t_transform(spectrum, z) if use_t else stieltjes(spectrum, z))
+    return 1.0 / value if value > 0.0 else math.inf
 
 
 # ---------------------------------------------------------------------------

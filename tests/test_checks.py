@@ -9,6 +9,7 @@ from meso_spectra.experiments import (
     random_stability_sweep,
     verify_sandwich_bounds,
 )
+from meso_spectra.experiments import checks
 from meso_spectra.experiments.checks import FAMILIES, SandwichRow
 
 SIGNED = SpectrumModel.from_values(np.linspace(-1.0, 1.0, 150))
@@ -62,6 +63,19 @@ class TestVerify:
         # 1/1.05 inverts too close to the edge to clear 2 delta.
         with pytest.raises(PreconditionError):
             verify_sandwich_bounds(SIGNED, 1.05, 0.2, [0.0])
+
+    @pytest.mark.parametrize("theta", [0.5, 0.01, -0.3, -0.01])
+    def test_precondition_inverts_nothing(self, monkeypatch, theta):
+        # The hypothesis is decided from the threshold strength alone; a
+        # failing strength never reaches an inverse solve.
+        def broken(*args):
+            raise AssertionError("a precondition inverted a transform")
+
+        for name in ("invert_stieltjes", "invert_t_transform"):
+            monkeypatch.setattr(checks, name, broken)
+        for spectrum in (SIGNED, PSD):
+            with pytest.raises(PreconditionError, match="below"):
+                verify_sandwich_bounds(spectrum, theta, 0.2, [0.0])
 
     def test_zero_strength_rejected(self):
         with pytest.raises(PreconditionError):

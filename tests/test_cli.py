@@ -80,6 +80,25 @@ class TestPredict:
         assert out == ""
         assert "delta must be positive and finite" in err
 
+    def test_weak_strength_near_the_edge_is_not_separated(self, tmp_path, capsys):
+        # 1/0.01 is attained only ~3e-5 above lam_max, where an inverse solve
+        # cannot meet its residual; the verdict must not need one.
+        spec = write_spectrum(tmp_path / "s.txt", np.linspace(0.5, 2.5, 300))
+        code, out, _ = run_cli(capsys, "predict", "--kind",
+                               "orth-invariant-additive", "--spectrum-file",
+                               spec, "--theta", "3", "0.01")
+        assert code == 0
+        rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["3", "yes"], ["0.01", "no"]]
+
+    def test_zero_multiplicative_spectrum_has_no_outlier(self, tmp_path, capsys):
+        spec = write_spectrum(tmp_path / "s.txt", np.zeros(5))
+        code, out, _ = run_cli(capsys, "predict", "--kind",
+                               "orth-invariant-multiplicative", "--spectrum-file",
+                               spec, "--theta", "0.5")
+        assert code == 0
+        assert out.strip().splitlines()[1].split("\t") == ["0.5", "no", "-", "-"]
+
 
 class TestSample:
     def test_summary_and_out_file(self, tmp_path, capsys):
@@ -160,6 +179,14 @@ class TestDetect:
                                "--seed", "11", "--delta", "0.1")
         assert code == 0
         assert out.strip() == "no separated outliers"
+
+    def test_weak_strength_near_the_edge_is_skipped(self, tmp_path, capsys):
+        spec = write_spectrum(tmp_path / "s.txt", np.linspace(0.5, 2.5, 300))
+        code, out, _ = run_cli(capsys, "detect", "--spectrum-file", spec,
+                               "--theta", "3", "0.01")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert [line.split("\t")[:2] for line in lines[1:]] == [["1", "3"]]
 
     def test_bad_delta_usage_error(self, tmp_path, capsys):
         spec = write_spectrum(tmp_path / "s.txt", np.linspace(-1, 1, 90))
@@ -272,3 +299,13 @@ class TestSandwichCommand:
         code, _, err = run_cli(capsys, "sandwich", "--spectrum-file", spec,
                                "--theta", "1.01", "--delta", "0.2")
         assert code == 2
+
+    @pytest.mark.parametrize("theta", ["0.01", "0.001"])
+    def test_weak_strength_near_the_edge_fails_the_hypothesis(self, tmp_path, capsys,
+                                                             theta):
+        spec = write_spectrum(tmp_path / "s.txt", np.linspace(0.5, 2.5, 300))
+        code, out, err = run_cli(capsys, "sandwich", "--spectrum-file", spec,
+                                 "--theta", theta)
+        assert code == 2
+        assert out == ""
+        assert "below" in err

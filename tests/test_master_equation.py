@@ -402,6 +402,25 @@ class TestSharedCounts:
             assert len(seen) <= 2 + 2 * len(roots)
 
 
+class TestRoundingGuard:
+    def test_strengths_decades_apart_hide_no_root(self):
+        # 1/theta = -3.2e10 swamps D(z): its eigenvalues carry errors near
+        # 1e-7, so counts near the strength-1 root are noise and bisection
+        # on them landed 2e-7 from the eigenvalue, 100 tol away.
+        values = np.linspace(-1.0, 1.0, 14)
+        values[[0, -1]] = values[[1, -2]] + [-0.1, 0.1]
+        op = haar_operator(Model.additive, values,
+                           [1.0, -3.07993186e-11, -1.0, -1.0, -1.1, -1.1, -1.2], seed=0)
+        with pytest.raises(MissingRootError, match="rounding in D"):
+            locate_outliers(op, 1e-12, Side.UPPER)
+
+    def test_resolvable_roots_pass_the_guard(self):
+        op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, 14), [1.5, 1e-3], seed=0)
+        roots = locate_outliers(op, 1e-3, Side.UPPER)
+        assert [r.rank for r in roots] == [1]
+        assert_contract(op, roots)
+
+
 class TestStepCap:
     def test_step_cap_finishes_by_bisection(self, monkeypatch):
         # Steps a millionth of Newton's cannot close the bracket in 400 steps.

@@ -290,7 +290,8 @@ class TestHardInputs:
                         spectrum.n + len(negatives))
         for pred in preds:
             assert not pred.separated
-            assert math.isnan(pred.separation.statistic)
+            # No admissible strength (|theta| < 1) reaches the threshold.
+            assert pred.separation.threshold > 1.0
             assert pred.location is None and pred.projection_norm_sq is None
 
     @given(value_lists, strengths, st.integers(2, 4), st.booleans())
@@ -320,7 +321,13 @@ class TestHardInputs:
                 continue
             assert pred.location == pushforward_map(model, pred.theta)
             if not model.kind.closed_form:
-                assert pred.location == pred.separation.statistic
+                # The threshold strength puts the location 2 delta clear of
+                # the edge, up to the inverse solve's residual.
+                margin = 2.0 * DEFAULT_DELTA - 1e-9
+                if pred.theta > 0.0:
+                    assert pred.location >= spectrum.lam_max + margin
+                else:
+                    assert pred.location <= spectrum.lam_min - margin
 
 
 class TestOneDispatchPoint:
@@ -341,14 +348,30 @@ class TestOneDispatchPoint:
         counts = self.count_inversions(monkeypatch)
         name = "invert_stieltjes" if kind == "additive" else "invert_t_transform"
         model = getattr(Model, kind)(SpectrumModel.from_values(np.linspace(0.5, 2.5, 100)))
+        # The separation test evaluates the transform once and inverts nothing.
         assert check_separation(model, 0.1, 3.0)
-        assert counts[name] == 1
-        preds = predict(model, PerturbationSpec.from_values([3.0, 2.5]), 100)
-        assert all(pred.separated for pred in preds)
-        # Per strength: one inversion in the separation test, one (a memo
-        # hit) for the location.
-        assert counts[name] == 1 + 2 * len(preds)
+        assert counts[name] == 0
+        preds = predict(model, PerturbationSpec.from_values([3.0, 2.5, 0.1]), 100)
+        assert [pred.separated for pred in preds] == [True, True, False]
+        # One inversion per separated strength, for its location.
+        assert counts[name] == 2
         assert sum(counts.values()) == counts[name]
+
+    @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+    def test_verdicts_never_invert(self, monkeypatch, kind):
+        model = getattr(Model, kind)(SpectrumModel.from_values(np.linspace(0.5, 2.5, 100)))
+        thetas = [3.0, 0.9, 0.2, 0.01, -0.5, -0.9]
+        before = [check_separation(model, delta, theta)
+                  for delta in (1e-17, 1e-6, 0.1) for theta in thetas]
+
+        def broken(*args):
+            raise AssertionError("a verdict inverted a transform")
+
+        for name in ("invert_stieltjes", "invert_t_transform"):
+            monkeypatch.setattr(transforms, name, broken)
+        after = [check_separation(model, delta, theta)
+                 for delta in (1e-17, 1e-6, 0.1) for theta in thetas]
+        assert after == before
 
     def test_one_separation_test(self):
         assert master_equation.check_separation is predictor.check_separation

@@ -22,8 +22,9 @@ from meso_spectra import (
     predict_location,
     target_index,
 )
-from meso_spectra.predictor import check_separation
+from meso_spectra.predictor import check_separation, pushforward_map
 from meso_spectra.spectral_core import Separation
+from meso_spectra.transforms import stieltjes
 
 RNG = np.random.default_rng(20260823)
 
@@ -223,7 +224,6 @@ class TestSeparation:
         assert not check_separation(model, 0.2, 1.3)
         verdict = check_separation(model, 0.2, 1.3)
         assert verdict.threshold == pytest.approx(1.4)
-        assert verdict.statistic == pytest.approx(1.3)
 
     def test_wigner_negative_theta_side(self):
         verdict = check_separation(Model.wigner(), 0.1, -2.0)
@@ -235,13 +235,15 @@ class TestSeparation:
         assert check_separation(model, 0.1, 0.75)
         assert not check_separation(model, 0.1, 0.65)
 
-    def test_empirical_separation_uses_transform_inverse(self):
+    def test_empirical_separation_uses_one_transform_value(self):
         s = SpectrumModel.from_values(np.linspace(-1, 1, 200))
         model = Model.additive(s)
-        # m^{-1}(1/2) = 1.864 clears lam_max + 2 delta = 1.2.
+        # m^{-1}(1/2) = 2.166 clears lam_max + 2 delta = 1.2, exactly when
+        # 2 reaches the threshold strength 1/m(1.2).
         verdict = check_separation(model, 0.1, 2.0)
         assert verdict and verdict.side is Side.UPPER
-        assert verdict.statistic == pytest.approx(2.1655734072361854, rel=1e-12)
+        assert verdict.threshold == 1.0 / stieltjes(s, 1.2)
+        assert pushforward_map(model, 2.0) == pytest.approx(2.1655734072361854, rel=1e-12)
 
     def test_empirical_not_separated_marginal_theta(self):
         s = SpectrumModel.from_values(np.linspace(-1, 1, 400))
@@ -256,6 +258,30 @@ class TestSeparation:
         verdict = check_separation(model, 0.1, -0.04)
         assert not verdict
 
+    def test_margin_below_float_spacing_meets_the_pole(self):
+        # lam_max + 2 delta rounds to lam_max, where m has its pole: every
+        # positive strength separates, as the location map's value always
+        # clears the rounded margin.
+        s = SpectrumModel.from_values(np.linspace(0.5, 2.5, 300))
+        assert s.lam_max + 2e-17 == s.lam_max
+        for model in (Model.additive(s), Model.multiplicative(s)):
+            verdict = check_separation(model, 1e-17, 3.0)
+            assert verdict and verdict.side is Side.UPPER
+            assert verdict.threshold == 0.0
+
+    def test_zero_multiplicative_spectrum_never_separates(self):
+        # S 0 S = 0 has no outlier: T vanishes identically.
+        model = Model.multiplicative(SpectrumModel.from_values(np.zeros(5)))
+        for theta in (0.5, 100.0, -0.5):
+            verdict = check_separation(model, 0.1, theta)
+            assert not verdict and verdict.side is None
+            assert verdict.threshold == math.inf
+        preds = predict(model, PerturbationSpec.from_values([0.5]), 5)
+        assert not preds[0].separated and preds[0].location is None
+
+    def test_separation_fields(self):
+        assert list(Separation.__dataclass_fields__) == ["separated", "side", "threshold"]
+
     def test_zero_theta_rejected(self):
         with pytest.raises(InvalidPerturbationError):
             check_separation(Model.wigner(), 0.1, 0.0)
@@ -267,12 +293,12 @@ class TestSeparation:
             check_separation(model, 0.1, -1.0)
 
     def test_separation_bool_protocol(self):
-        good = Separation(separated=True, side=Side.UPPER, statistic=2.0, threshold=1.4)
-        bad = Separation(separated=False, side=Side.UPPER, statistic=1.0, threshold=1.4)
+        good = Separation(separated=True, side=Side.UPPER, threshold=1.4)
+        bad = Separation(separated=False, side=Side.UPPER, threshold=1.4)
         assert bool(good) and not bool(bad)
 
     def test_not_separated_error_carries_verdict(self):
-        verdict = Separation(separated=False, side=Side.UPPER, statistic=1.0, threshold=1.4)
+        verdict = Separation(separated=False, side=Side.UPPER, threshold=1.4)
         err = NotSeparatedError("too weak", verdict)
         assert err.separation is verdict
 

@@ -17,8 +17,10 @@ from meso_spectra import (
     MesoSpectraError,
     Model,
     ModelError,
+    PerturbationSpec,
     SpectrumModel,
     empirical_quantiles,
+    predict,
     transforms,
 )
 from meso_spectra.predictor import check_separation, pushforward_map
@@ -215,15 +217,21 @@ class TestInverseMemo:
         monkeypatch.setattr(transforms, "_bisect_newton", counted)
         return calls
 
-    def test_repeated_separation_solves_once_per_strength(self, monkeypatch):
+    def test_repeated_prediction_solves_once_per_strength(self, monkeypatch):
         calls = self.count_solves(monkeypatch)
         model = Model.additive(SpectrumModel.from_values(np.linspace(-1.0, 1.0, 200)))
-        thetas = [2.4, 1.9, 0.9, -2.2, -1.7]
-        first = [check_separation(model, 0.1, theta) for theta in thetas]
+        thetas = [2.4, 1.9, 0.5, -1.7, -2.2]
+        verdicts = [check_separation(model, 0.1, theta) for theta in thetas]
+        assert [bool(v) for v in verdicts] == [True, True, False, True, True]
+        assert calls == []
+        pert = PerturbationSpec.from_values(thetas)
+        first = predict(model, pert, 200)
         for _ in range(3):
-            again = [check_separation(model, 0.1, theta) for theta in thetas]
-            assert again == first
-        assert len(calls) == len(thetas)
+            again = predict(model, pert, 200)
+            assert [p.location for p in again] == [p.location for p in first]
+        assert [p.separation for p in first] == verdicts
+        # One solve per separated strength, the first time it is predicted.
+        assert len(calls) == 4
 
     def test_t_transform_memoized(self, monkeypatch):
         calls = self.count_solves(monkeypatch)
