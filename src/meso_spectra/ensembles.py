@@ -5,6 +5,10 @@ pair mapped to an independent ``numpy`` generator via ``SeedSequence`` spawn
 keys, so trials are reproducible and order-independent.  Matrix assembly
 itself is deterministic given the sampled ingredients.
 
+A sample of an orthogonally invariant kind is ``diag(d)`` plus a rank-2M
+update, and it holds just that: the diagonal ``d``, the frame and the
+strengths, O(n M) in all.  Its dense n x n matrices are built on first read.
+
 :func:`eigensolve` on a matrix returns the full spectrum.  On a sample of an
 orthogonally invariant kind (above a size set by ``FILTER_ROWS_PER_PAIR``)
 it returns only the top ``M+`` and bottom ``M-`` eigenpairs (``M+``/``M-``
@@ -208,6 +212,33 @@ def _frame_columns(n: int, pert: PerturbationSpec) -> np.ndarray | None:
     return pert.frame
 
 
+def _check_perturbation(n: int, pert: PerturbationSpec, multiplicative: bool) -> None:
+    """Raise unless ``pert`` fits an n x n base: rank at most ``n`` and,
+    when ``multiplicative``, every strength above -1."""
+    if pert.m > n:
+        raise ModelError(f"rank {pert.m} exceeds matrix size {n}")
+    if multiplicative and pert.m and pert.thetas[-1] <= -1.0:
+        raise ModelError("multiplicative strengths must exceed -1")
+
+
+_NOT_PSD = "multiplicative perturbation requires a finite PSD base matrix"
+
+
+def _check_diagonal(d: np.ndarray, multiplicative: bool) -> None:
+    """Raise, in O(n), the error a perturbation of the base ``diag(d)``
+    raises: ``d`` must be finite and, when ``multiplicative``, PSD.
+
+    PSD means, as in :func:`_check_psd`, that ``diag(d) + PSD_SHIFT * I``
+    has a Cholesky factor; its pivots are ``d_i + PSD_SHIFT`` themselves and
+    it fails iff one is ``<= 0``, so the verdict needs ``d`` alone.
+    """
+    finite = bool(np.isfinite(d).all())
+    if multiplicative and not (finite and (d + PSD_SHIFT > 0.0).all()):
+        raise ModelError(_NOT_PSD)
+    if not finite:
+        raise ModelError("base matrix has non-finite entries")
+
+
 def perturb_additive(base: np.ndarray, pert: PerturbationSpec) -> np.ndarray:
     """``base + V diag(theta) V^T`` (leading coordinates when ``frame=None``).
 
@@ -215,8 +246,7 @@ def perturb_additive(base: np.ndarray, pert: PerturbationSpec) -> np.ndarray:
     """
     n = base.shape[0]
     m = pert.m
-    if m > n:
-        raise ModelError(f"rank {m} exceeds matrix size {n}")
+    _check_perturbation(n, pert, multiplicative=False)
     if not np.isfinite(base).all():
         raise ModelError("base matrix has non-finite entries")
     out = np.array(base, dtype=float, copy=True)
@@ -247,28 +277,20 @@ def _check_psd(base: np.ndarray) -> bool:
     """Raise unless ``base`` is finite and ``base + PSD_SHIFT * I`` has a
     Cholesky factor; return whether ``base`` is diagonal.
 
-    On a diagonal base the factorization's pivots are ``d_i + PSD_SHIFT``
-    themselves and it fails iff one is ``<= 0``, so that verdict is read
-    straight from the diagonal.  Finiteness is checked separately because
-    the OpenBLAS factorization numpy ships with passes a NaN pivot.
+    A diagonal base gets the verdict of :func:`_check_diagonal`, without a
+    factorization.  Finiteness is checked separately because the OpenBLAS
+    factorization numpy ships with passes a NaN pivot.
     """
-    diagonal = not _off_diagonal(base).any()
-    if diagonal:
-        d = np.diagonal(base)
-        psd = bool(np.isfinite(d).all() and (d + PSD_SHIFT > 0.0).all())
-    elif not np.isfinite(base).all():
-        psd = False
-    else:
-        try:
-            np.linalg.cholesky(base + PSD_SHIFT * np.eye(base.shape[0]))
-            psd = True
-        except np.linalg.LinAlgError:
-            psd = False
-    if not psd:
-        raise ModelError(
-            "multiplicative perturbation requires a finite PSD base matrix"
-        )
-    return diagonal
+    if not _off_diagonal(base).any():
+        _check_diagonal(np.diagonal(base), multiplicative=True)
+        return True
+    if not np.isfinite(base).all():
+        raise ModelError(_NOT_PSD)
+    try:
+        np.linalg.cholesky(base + PSD_SHIFT * np.eye(base.shape[0]))
+    except np.linalg.LinAlgError:
+        raise ModelError(_NOT_PSD) from None
+    return False
 
 
 def _sandwich_update(v: np.ndarray, bv: np.ndarray,
@@ -304,10 +326,7 @@ def perturb_multiplicative(base: np.ndarray, pert: PerturbationSpec) -> np.ndarr
     """
     n = base.shape[0]
     m = pert.m
-    if m > n:
-        raise ModelError(f"rank {m} exceeds matrix size {n}")
-    if m and pert.thetas[-1] <= -1.0:
-        raise ModelError("multiplicative strengths must exceed -1")
+    _check_perturbation(n, pert, multiplicative=True)
     base = np.ascontiguousarray(base, dtype=float)
     diagonal = _check_psd(base)
     if m == 0:
@@ -335,16 +354,22 @@ def perturb_multiplicative(base: np.ndarray, pert: PerturbationSpec) -> np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class EnsembleSample:
-    """One realized instance: base matrix, perturbed matrix, and provenance.
+    """One realized instance: its base and perturbed matrices, and provenance.
 
     ``frame`` is the orthonormal carrier actually used (``None`` stands for
     the leading coordinate axes), which downstream code needs to project
     eigenvectors and to build the finite-rank resolvent operator.
     ``thetas`` are the strengths it carries, in descending order.
+
+    A sample of an orthogonally invariant kind holds its structure alone:
+    ``diagonal``, the base's eigenvalues ``d``, with ``frame`` and
+    ``thetas``, O(n M) in all.  Its ``base`` ``diag(d)`` and its
+    ``perturbed``, :func:`perturb_additive` or :func:`perturb_multiplicative`
+    of ``diag(d)``, are built on first read and then kept.  A closed-form
+    sample (Wigner, Wishart) holds both dense matrices from the start, as
+    ``dense``.  The dense matrices are read-only.
     """
 
-    base: np.ndarray = field(repr=False)
-    perturbed: np.ndarray = field(repr=False)
     frame: np.ndarray | None = field(repr=False)
     thetas: np.ndarray = field(repr=False)
     kind: ModelKind
@@ -353,12 +378,48 @@ class EnsembleSample:
     master_seed: int
     stream_id: int
     law: EntryLaw | None
+    diagonal: np.ndarray | None = field(default=None, repr=False)
+    dense: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _built: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        closed = self.kind.closed_form
+        if (self.dense is not None) != closed or (self.diagonal is None) != closed:
+            held = "its dense matrices" if closed else "its diagonal"
+            raise ModelError(f"a {self.kind.value} sample holds {held} alone")
+
+    @property
+    def base(self) -> np.ndarray:
+        """The n x n base matrix."""
+        if self.dense is not None:
+            return self.dense[0]
+        if "base" not in self._built:
+            self._built["base"] = _read_only(np.diag(self.diagonal))
+        return self._built["base"]
+
+    @property
+    def perturbed(self) -> np.ndarray:
+        """The n x n perturbed matrix."""
+        if self.dense is not None:
+            return self.dense[1]
+        if "perturbed" not in self._built:
+            perturb = (perturb_multiplicative if self.kind.multiplicative
+                       else perturb_additive)
+            placed = PerturbationSpec(thetas=self.thetas, frame=self.frame)
+            self._built["perturbed"] = _read_only(
+                perturb(np.diag(self.diagonal), placed))
+        return self._built["perturbed"]
 
     def project(self, vector: np.ndarray) -> np.ndarray:
         """Coordinates of ``vector`` in the perturbation frame."""
         if self.frame is None:
             return np.asarray(vector, dtype=float)[: self.m].copy()
         return self.frame.T @ np.asarray(vector, dtype=float)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def sample_ensemble(
@@ -371,51 +432,42 @@ def sample_ensemble(
     """Draw one instance of ``model`` perturbed by ``pert`` at size ``n``.
 
     Wigner and Wishart base matrices use ``law`` and place the perturbation
-    on ``pert.frame`` (leading coordinates when absent).  Orthogonally
-    invariant kinds keep the base diagonal and carry the perturbation on a
-    freshly sampled Haar frame, which realizes the same joint law as
-    conjugating the base by a Haar rotation; ``model.spectrum`` must already
-    have length ``n``.
+    on ``pert.frame`` (leading coordinates when absent); both dense matrices
+    are built here.  Orthogonally invariant kinds keep the base diagonal and
+    carry the perturbation on a freshly sampled Haar frame, which realizes
+    the same joint law as conjugating the base by a Haar rotation;
+    ``model.spectrum`` must already have length ``n``.  Such a sample holds
+    the diagonal, frame and strengths and builds its dense matrices on first
+    read, but every error their assembly would raise is raised here, in
+    O(n).
     """
     gen = rng.generator()
     kind = model.kind
-    perturb = perturb_multiplicative if kind.multiplicative else perturb_additive
-    if kind.closed_form:
-        if kind is ModelKind.WIGNER:
-            base = sample_wigner(n, law, gen)
-        else:
-            base = sample_wishart(n, model.p_for(n), law, gen)
-        frame = pert.frame
-        placed = pert
-        used_law = law
-    else:
+    provenance = dict(thetas=pert.thetas, kind=kind, n=n, m=pert.m,
+                      master_seed=rng.master_seed, stream_id=rng.stream_id)
+    if not kind.closed_form:
         if model.spectrum.n != n:
             raise ModelError(
                 f"spectrum has {model.spectrum.n} eigenvalues but n={n}; "
                 "resample it first"
             )
-        base = np.diag(model.spectrum.eigenvalues)
-        frame = sample_haar_frame(n, pert.m, gen) if pert.m else None
-        placed = pert.with_frame(frame) if frame is not None else pert
-        used_law = None
-    perturbed = perturb(base, placed)
-    for arr in (base, perturbed):
-        arr.setflags(write=False)
+        d = model.spectrum.eigenvalues
+        frame = _read_only(sample_haar_frame(n, pert.m, gen)) if pert.m else None
+        _check_perturbation(n, pert, kind.multiplicative)
+        _check_diagonal(d, kind.multiplicative)
+        return EnsembleSample(frame=frame, law=None, diagonal=d, **provenance)
+    if kind is ModelKind.WIGNER:
+        base = sample_wigner(n, law, gen)
+    else:
+        base = sample_wishart(n, model.p_for(n), law, gen)
+    perturb = perturb_multiplicative if kind.multiplicative else perturb_additive
+    perturbed = perturb(base, pert)
+    frame = pert.frame
     if frame is not None and frame.flags.writeable:
-        frame = frame.copy()
-        frame.setflags(write=False)
-    return EnsembleSample(
-        base=base,
-        perturbed=perturbed,
-        frame=frame,
-        thetas=pert.thetas,
-        kind=kind,
-        n=n,
-        m=pert.m,
-        master_seed=rng.master_seed,
-        stream_id=rng.stream_id,
-        law=used_law,
-    )
+        frame = _read_only(frame.copy())
+    return EnsembleSample(frame=frame, law=law,
+                          dense=(_read_only(base), _read_only(perturbed)),
+                          **provenance)
 
 
 def _filtered_extremes(
@@ -608,11 +660,8 @@ def _certify(apply, vecs: np.ndarray, d: np.ndarray, upper: int, psd: bool,
 
 def _partial_eigensolve(sample: EnsembleSample) -> tuple[np.ndarray, np.ndarray] | str:
     """Certified extreme pairs of an orthogonally invariant, framed sample."""
-    d = np.diagonal(sample.base)
-    if not np.isfinite(d).all():
-        raise ModelError("base matrix has non-finite entries")
-    if _off_diagonal(sample.base).any():
-        return "base is not diagonal"
+    d = sample.diagonal
+    _check_diagonal(d, multiplicative=False)
     v, thetas = sample.frame, sample.thetas
     if sample.kind.multiplicative:
         w, k = _sandwich_update(v, d[:, None] * v, thetas)
@@ -638,13 +687,14 @@ def eigensolve(
     strengths: ``M = M+ + M-`` values (top then bottom, descending) and
     ``n x M`` vectors, found by :func:`_filtered_extremes` and certified as
     in :func:`_certify`.  So column ``j`` holds eigenvalue ``j + 1`` for
-    ``j < M+`` and eigenvalue ``j + 1 + n - M`` after.  When the sample's
-    base is not diagonal, the Ritz values are not beyond the bulk and apart
-    once the filter reaches ``FILTER_FIRST_DEGREE``, the solve would need
-    more than ``FILTER_MAX_DEGREE`` in total or the certificate fails, the
-    fallback and its reason are logged at DEBUG level and the sample's dense
-    ``perturbed`` matrix gets the full spectrum.  Every other sample,
-    smaller ones included, takes the dense path directly.
+    ``j < M+`` and eigenvalue ``j + 1 + n - M`` after.  The solve reads the
+    sample's diagonal, frame and strengths, never its dense matrices.  When
+    the Ritz values are not beyond the bulk and apart once the filter
+    reaches ``FILTER_FIRST_DEGREE``, the solve would need more than
+    ``FILTER_MAX_DEGREE`` in total or the certificate fails, the fallback
+    and its reason are logged at DEBUG level and the sample's dense
+    ``perturbed`` matrix, built on that read, gets the full spectrum.  Every
+    other sample, smaller ones included, takes the dense path directly.
     """
     if isinstance(matrix, EnsembleSample):
         sample = matrix

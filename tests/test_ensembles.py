@@ -2,6 +2,8 @@
 
 import dataclasses
 import logging
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -362,6 +364,130 @@ class TestSampleEnsemble:
             s.perturbed[0, 0] = 9.9
 
 
+class TestStructuredSample:
+    """An orthogonally invariant sample holds ``d``, frame and strengths, and
+    builds its dense matrices on first read."""
+
+    @pytest.mark.parametrize("thetas", [[2.0, -0.5], []], ids=["framed", "rank-0"])
+    @pytest.mark.parametrize("multiplicative", [False, True],
+                             ids=["additive", "multiplicative"])
+    def test_dense_matrices_keep_their_bits(self, multiplicative, thetas):
+        spectrum = SpectrumModel.from_values(np.linspace(0.5, 2.5, 300))
+        model = (Model.multiplicative if multiplicative else Model.additive)(spectrum)
+        pert = PerturbationSpec.from_values(thetas)
+        sample = sample_ensemble(model, pert, 300, RngStream(57, 0))
+        d = spectrum.eigenvalues
+        assert sample.diagonal is d
+        assert (sample.frame is None) == (not thetas)
+        placed = pert.with_frame(sample.frame) if thetas else pert
+        perturb = perturb_multiplicative if multiplicative else perturb_additive
+        assert np.array_equal(sample.perturbed, perturb(np.diag(d), placed))
+        assert np.array_equal(sample.base, np.diag(d))
+        for name in ("base", "perturbed"):
+            first = getattr(sample, name)
+            assert getattr(sample, name) is first
+            with pytest.raises(ValueError):
+                first[0, 0] = 9.9
+
+    def test_sample_holds_either_structure_or_dense(self):
+        provenance = dict(frame=None, thetas=np.empty(0), n=2, m=0,
+                          master_seed=0, stream_id=0, law=None)
+        with pytest.raises(ModelError, match="its diagonal alone"):
+            EnsembleSample(kind=ModelKind.ORTH_INVARIANT_ADDITIVE,
+                           dense=(np.eye(2), np.eye(2)), **provenance)
+        with pytest.raises(ModelError, match="its dense matrices alone"):
+            EnsembleSample(kind=ModelKind.WIGNER, diagonal=np.ones(2),
+                           **provenance)
+
+    def test_eigenvector_run_holds_no_dense_matrix(self, caplog):
+        # Above the size rule and without a cross-check every trial takes
+        # the partial solve, which reads no n x n matrix, so none is built.
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        n = 2000
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "eigenvector",
+            "kind": "orth-invariant-multiplicative",
+            "n_values": [n],
+            "spectrum": {"name": "uniform", "low": 0.5, "high": 2.5},
+            "theta_spec": {"values": [1.5, 1.2, 1.0, -0.88, -0.92, -0.96]},
+            "delta": 0.15,
+            "epsilon": 0.15,
+            "trials": 2,
+            "seed": 59,
+            "cross_check": False,
+        })
+        tracemalloc.start()
+        try:
+            rep = run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not any(rec.failed for rec in rep.records)
+        assert caplog.records == []
+        assert peak < 8 * n * n
+
+
+class TestEagerValidation:
+    """``sample_ensemble`` raises, in O(n) and at once, every error that
+    assembling an orthogonally invariant sample's dense matrices would."""
+
+    @pytest.fixture(autouse=True)
+    def no_assembly(self, monkeypatch):
+        def assemble(*args):
+            raise AssertionError("validation must not assemble a matrix")
+
+        for name in ("perturb_additive", "perturb_multiplicative"):
+            monkeypatch.setattr(ensembles, name, assemble)
+
+    @staticmethod
+    def dense_error(multiplicative, values, thetas):
+        d = np.asarray(values, dtype=float)
+        pert = PerturbationSpec.from_values(thetas)
+        if pert.m:
+            pert = pert.with_frame(np.eye(d.size)[:, : pert.m])
+        perturb = perturb_multiplicative if multiplicative else perturb_additive
+        with pytest.raises(ModelError) as raised:
+            perturb(np.diag(d), pert)
+        return str(raised.value)
+
+    def assert_sampling_raises(self, multiplicative, values, thetas):
+        expected = self.dense_error(multiplicative, values, thetas)
+        # Past Model's own checks, which keep non-finite and (multiplicative)
+        # indefinite spectra out.
+        spectrum = SpectrumModel(eigenvalues=np.asarray(values, dtype=float),
+                                 is_psd=False)
+        kind = (ModelKind.ORTH_INVARIANT_MULTIPLICATIVE if multiplicative
+                else ModelKind.ORTH_INVARIANT_ADDITIVE)
+        model = types.SimpleNamespace(kind=kind, spectrum=spectrum)
+        with pytest.raises(ModelError) as raised:
+            sample_ensemble(model, PerturbationSpec.from_values(thetas),
+                            len(values), RngStream(58, 0))
+        assert str(raised.value) == expected
+
+    def test_rank_above_size(self):
+        spectrum = SpectrumModel.from_values(np.linspace(0.5, 2.5, 4))
+        pert = PerturbationSpec.from_values([2.0, 1.5, 1.2, 1.1, 1.05])
+        for model in (Model.additive(spectrum), Model.multiplicative(spectrum)):
+            # The Haar frame is drawn first, and it cannot have 5 columns.
+            with pytest.raises(ModelError, match="need 0 <= m <= n"):
+                sample_ensemble(model, pert, 4, RngStream(58, 0))
+
+    def test_multiplicative_strength_at_minus_one(self):
+        self.assert_sampling_raises(True, [2.0, 1.0, 0.5], [1.0, -1.0])
+
+    @pytest.mark.parametrize("multiplicative", [False, True],
+                             ids=["additive", "multiplicative"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("thetas", [[1.0], []], ids=["framed", "rank-0"])
+    def test_non_finite_base(self, multiplicative, bad, thetas):
+        self.assert_sampling_raises(multiplicative, [bad, 1.0, 0.5], thetas)
+
+    @pytest.mark.parametrize("thetas", [[1.0], []], ids=["framed", "rank-0"])
+    def test_indefinite_multiplicative_base(self, thetas):
+        values = [2.0, 1.0, -2.0 * ensembles.PSD_SHIFT]
+        self.assert_sampling_raises(True, values, thetas)
+
+
 class TestEigensolve:
     def test_descending_and_consistent(self):
         rng = np.random.default_rng(21)
@@ -426,14 +552,14 @@ class TestNonFiniteInput:
             eigensolve(a)
 
     def test_eigensolve_rejects_sample(self):
-        # Large enough for the partial solve, which reads the base diagonal.
+        # Large enough for the partial solve, which reads the diagonal.
         spec = SpectrumModel.from_values(np.linspace(-1.0, 1.0, 200))
         s = sample_ensemble(Model.additive(spec), PerturbationSpec.from_values([3.0]),
                             200, RngStream(35, 0))
-        base = s.base.copy()
-        base[4, 4] = np.nan
-        with pytest.raises(ModelError):
-            eigensolve(dataclasses.replace(s, base=base))
+        diagonal = s.diagonal.copy()
+        diagonal[4] = np.nan
+        with pytest.raises(ModelError, match="non-finite"):
+            eigensolve(dataclasses.replace(s, diagonal=diagonal))
 
 
 # The size rule as shipped, before any test patches it.
@@ -442,15 +568,13 @@ ROWS_PER_PAIR = ensembles.FILTER_ROWS_PER_PAIR
 
 def framed_sample(multiplicative, values, thetas, frame, stream_id=0):
     """An orthogonally invariant sample on an explicit diagonal and frame."""
-    base = np.diag(np.asarray(values, dtype=float))
+    d = np.asarray(values, dtype=float)
     pert = PerturbationSpec.from_values(thetas, frame=frame)
-    perturb = perturb_multiplicative if multiplicative else perturb_additive
     kind = (ModelKind.ORTH_INVARIANT_MULTIPLICATIVE if multiplicative
             else ModelKind.ORTH_INVARIANT_ADDITIVE)
     return EnsembleSample(
-        base=base, perturbed=perturb(base, pert), frame=pert.frame,
-        thetas=pert.thetas, kind=kind, n=base.shape[0], m=pert.m,
-        master_seed=0, stream_id=stream_id, law=None,
+        diagonal=d, frame=pert.frame, thetas=pert.thetas, kind=kind, n=d.size,
+        m=pert.m, master_seed=0, stream_id=stream_id, law=None,
     )
 
 
@@ -611,23 +735,6 @@ class TestCertifiedPartialEigensolve:
         assert not assert_matches_dense(sample)
         assert [r.getMessage() for r in caplog.records] == [
             "dense eigensolve fallback: stream 6, n=200: step cap reached"]
-
-    def test_dense_base_falls_back(self, caplog):
-        # An EnsembleSample built by hand may carry a base that is not
-        # diagonal; the partial solve only knows diag(d) + W K W^T.
-        caplog.set_level(logging.DEBUG, logger="meso_spectra")
-        frame = sample_haar_frame(40, 2, RngStream(45, 0))
-        rotation = sample_haar_frame(40, 40, RngStream(45, 1))
-        base = (rotation * np.linspace(0.5, 2.5, 40)) @ rotation.T
-        base = 0.5 * (base + base.T)
-        diagonal = framed_sample(True, np.linspace(0.5, 2.5, 40), [3.0, -0.9],
-                                 frame, stream_id=4)
-        pert = PerturbationSpec.from_values([3.0, -0.9], frame=frame)
-        sample = dataclasses.replace(
-            diagonal, base=base, perturbed=perturb_multiplicative(base, pert))
-        assert not assert_matches_dense(sample)
-        assert [r.getMessage() for r in caplog.records] == [
-            "dense eigensolve fallback: stream 4, n=40: base is not diagonal"]
 
     def test_near_threshold_strength_falls_back(self, caplog):
         caplog.set_level(logging.DEBUG, logger="meso_spectra")
