@@ -27,10 +27,8 @@ from . import __version__
 from .ensembles import (
     EntryLaw,
     RngStream,
-    perturb_additive,
-    perturb_multiplicative,
     sample_conjugated,
-    sample_haar_frame,
+    sample_ensemble,
     sample_wigner,
     sample_wishart,
 )
@@ -43,7 +41,6 @@ from .spectral_core import (
     ModelError,
     ModelKind,
     PerturbationSpec,
-    Side,
     SpectrumModel,
     target_index,
 )
@@ -80,6 +77,14 @@ def _resolve_seed(seed: int) -> int:
         return int(env)
     except ValueError:
         raise ConfigError(f"MESO_SEED: not an integer: {env!r}") from None
+
+
+def positive_int(text: str) -> int:
+    """Argparse type for counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def _spectrum_from_file(path: str, n: int | None) -> SpectrumModel:
@@ -146,31 +151,20 @@ def cmd_sample(args) -> int:
 
 def cmd_detect(args) -> int:
     seed = _resolve_seed(args.seed)
-    thetas = list(args.theta)
-    m = len(thetas)
-    values = load_spectrum_values(args.spectrum_file)
-    n = args.n if args.n is not None else values.size
-    if m > n:
-        raise ConfigError(f"rank {m} exceeds size {n}")
-    spectrum = SpectrumModel.from_values(
-        empirical_quantiles(values, n) if n != values.size else values
-    )
-    frame = sample_haar_frame(n, m, RngStream(seed, 0))
-    pert = PerturbationSpec.from_values(thetas, frame)
+    spectrum = _spectrum_from_file(args.spectrum_file, args.n)
     model = Model(kind=ModelKind(f"orth-invariant-{args.kind}"), spectrum=spectrum)
-    op = MasterOperator(model=model, pert=pert)
-    roots = []
-    for side in (Side.UPPER, Side.LOWER):
-        roots.extend(locate_outliers(op, args.delta, side, tol=args.tol))
+    pert = PerturbationSpec.from_values(args.theta)
+    n = spectrum.n
+    sample = sample_ensemble(model, pert, n, RngStream(seed, 0))
+    op = MasterOperator(model=model, pert=pert.with_frame(sample.frame))
+    roots = locate_outliers(op, args.delta, tol=args.tol)
     if not roots:
         print("no separated outliers")
         return 0
 
-    perturb = perturb_multiplicative if model.kind.multiplicative else perturb_additive
-    perturbed = perturb(np.diag(spectrum.eigenvalues), pert)
-    evals = np.linalg.eigvalsh(perturbed)[::-1]
+    evals = np.linalg.eigvalsh(sample.perturbed)[::-1]
     print("rank\ttheta\tmaster\teigensolve\tdelta")
-    for root in sorted(roots):
+    for root in roots:
         idx = target_index(pert, root.rank, n)
         realized = float(evals[idx - 1])
         print(f"{root.rank}\t{pert.thetas[root.rank - 1]:g}\t"
@@ -302,13 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one or more strengths")
     p.add_argument("--phi", type=float, help="aspect ratio n/p (wishart only)")
     p.add_argument("--spectrum-file", help="base spectrum (orth-invariant kinds)")
-    p.add_argument("--n", type=int, help="resample the spectrum file to this size")
+    p.add_argument("--n", type=positive_int,
+                   help="resample the spectrum file to this size")
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("sample", help="draw a base ensemble, print its spectrum summary")
     p.add_argument("--kind", required=True, choices=["wigner", "wishart", "conjugated"])
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=positive_int)
     p.add_argument("--phi", type=float)
     p.add_argument("--p", type=int)
     p.add_argument("--law", choices=[l.value for l in EntryLaw], default="gaussian")
@@ -320,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="master-equation vs eigensolve locations")
     p.add_argument("--spectrum-file", required=True)
     p.add_argument("--theta", required=True, nargs="+", type=float)
-    p.add_argument("--n", type=int, help="resample the spectrum to this size")
+    p.add_argument("--n", type=positive_int, help="resample the spectrum to this size")
     p.add_argument("--kind", choices=["additive", "multiplicative"], default="additive")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
@@ -338,10 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sandwich", help="deterministic transform stability bounds")
     p.add_argument("--spectrum-file")
     p.add_argument("--theta", type=float)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=positive_int)
     p.add_argument("--delta", type=float, default=0.2)
-    p.add_argument("--xi-count", type=int, default=11)
-    p.add_argument("--random", type=int, metavar="K",
+    p.add_argument("--xi-count", type=positive_int, default=11)
+    p.add_argument("--random", type=positive_int, metavar="K",
                    help="sweep K random separated instances instead")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sandwich)

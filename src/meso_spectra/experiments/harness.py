@@ -28,7 +28,6 @@ from ..spectral_core import (
     Model,
     ModelError,
     PerturbationSpec,
-    Side,
     SpectrumModel,
 )
 from ..transforms import InversionError
@@ -100,11 +99,7 @@ def _detector_locations(
     else:
         placed = pert.with_frame(sample.frame) if sample.frame is not None else pert
     op = MasterOperator(model=model, pert=placed)
-    found: dict[int, float] = {}
-    for side in (Side.UPPER, Side.LOWER):
-        for root in locate_outliers(op, delta, side):
-            found[root.rank] = root.location
-    return found
+    return {r.rank: r.location for r in locate_outliers(op, delta)}
 
 
 def _whitened_projection(

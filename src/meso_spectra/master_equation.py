@@ -16,9 +16,9 @@ of one eigenvalue branch of ``D(z)``, whose derivative is the closed form
 branch, falling back to bisection on a bracket the counting function
 certifies, locate the outlier without ever touching an ``n x n``
 eigensolve, giving a route independent of dense diagonalization.  The
-counting function is a pure function of ``z``, so one side's search
-evaluates it at most once per point: the bracket ends shared by every
-rank are counted once, and a bound the bracket already certifies is not
+counting function is a pure function of ``z``, so one search evaluates
+it at most once per point: the bracket ends shared by every rank on a
+side are counted once, and a bound the bracket already certifies is not
 counted at all.
 """
 
@@ -37,7 +37,6 @@ from .spectral_core import (
     Model,
     ModelError,
     PerturbationSpec,
-    Side,
     SpectrumModel,
     _check_delta,
 )
@@ -115,6 +114,13 @@ class MasterOperator:
         """``diag(1/theta)``, the constant part of ``D(z)``."""
         return np.diag(1.0 / self.pert.thetas)
 
+    @cached_property
+    def _frame(self) -> np.ndarray:
+        """``U``: the perturbation's frame, or the leading coordinate axes."""
+        if self.pert.frame is None:
+            return np.eye(self.spectrum.n, self.m)
+        return self.pert.frame
+
     def _weights(self, z: float) -> np.ndarray:
         lam = self.spectrum.eigenvalues
         if self.model.kind.multiplicative:
@@ -133,15 +139,9 @@ class MasterOperator:
 def evaluate_d(op: MasterOperator, z: float) -> np.ndarray:
     """The ``m x m`` symmetric matrix ``D(z)``, for ``z`` outside the bulk."""
     _check_outside(op.spectrum, z)
-    m = op.m
-    w = op._weights(z)
-    if op.pert.frame is None:
-        g = np.diag(w[:m])
-    else:
-        u = op.pert.frame
-        g = u.T @ (w[:, None] * u)
-        g = 0.5 * (g + g.T)
-    return op._inverse_strengths - g
+    u = op._frame
+    g = u.T @ (op._weights(z)[:, None] * u)
+    return op._inverse_strengths - 0.5 * (g + g.T)
 
 
 def counting_function(op: MasterOperator, z: float) -> int:
@@ -165,13 +165,9 @@ def _crossing(op: MasterOperator, z: float, target: int) -> tuple[int, float, fl
     """
     tau, vecs = np.linalg.eigh(evaluate_d(op, z))
     k = op.m - target
-    slopes = op._weight_slopes(z)
-    if op.pert.frame is None:
-        uv = vecs[:, k]
-        slopes = slopes[: op.m]
-    else:
-        uv = op.pert.frame @ vecs[:, k]
-    return int(np.count_nonzero(tau >= 0.0)), float(tau[k]), float(slopes @ (uv * uv))
+    uv = op._frame @ vecs[:, k]
+    slope = op._weight_slopes(z) @ (uv * uv)
+    return int(np.count_nonzero(tau >= 0.0)), float(tau[k]), float(slope)
 
 
 def _locate_root(
@@ -179,17 +175,17 @@ def _locate_root(
     count: Callable[[float], int],
     rank: int,
     target: int,
-    lo: float,
-    hi: float,
-    expand_hi: bool,
+    near: float,
+    far: float,
     tol: float,
     start: float,
 ) -> float:
-    """Smallest z with ``count(z) >= target``, bracketed in [lo, hi].
+    """Smallest z with ``count(z) >= target``, bracketed by ``near`` and ``far``.
 
-    ``count`` is the counting function of ``op``.  One of the endpoints may
-    need geometric expansion (away from the bulk for the lower side, upward
-    for the upper side).  Inside the bracket, which keeps
+    ``count`` is the counting function of ``op``.  ``near`` lies just off
+    the bulk edge and ``far`` beyond it (above the bulk when
+    ``far > near``); ``far`` moves away from ``near`` geometrically until
+    the two bracket the root.  Inside the bracket [lo, hi], which keeps
     ``count(lo) < target <= count(hi)``, Newton steps on the crossing
     eigenvalue of ``D(z)`` start at ``start`` (the midpoint when ``start``
     is outside the bracket); a step that leaves the bracket, or a
@@ -201,36 +197,19 @@ def _locate_root(
     bisection on the count once the Newton steps run out, and its midpoint
     is returned, unless rounding hides the root (see :func:`_resolved`).
     """
-    if expand_hi:
-        anchor = lo
-        for _ in range(60):
-            if count(hi) >= target:
-                break
-            hi = anchor + 2.0 * (hi - anchor)
-        else:
-            raise MissingRootError(
-                f"no root found above the bulk for rank {rank}", rank
-            )
-        if count(lo) >= target:
-            raise MissingRootError(
-                f"rank {rank}: counting function already at target at the "
-                f"bulk edge", rank
-            )
+    upper = far > near
+    where = "above" if upper else "below"
+    for _ in range(60):
+        if (count(far) >= target) == upper:
+            break
+        far = near + 2.0 * (far - near)
     else:
-        anchor = hi
-        for _ in range(60):
-            if count(lo) < target:
-                break
-            lo = anchor + 2.0 * (lo - anchor)
-        else:
-            raise MissingRootError(
-                f"no bracket found below the bulk for rank {rank}", rank
-            )
-        if count(hi) < target:
-            raise MissingRootError(
-                f"rank {rank}: counting function never reaches target below "
-                f"the bulk", rank
-            )
+        raise MissingRootError(f"rank {rank}: no bracket found {where} the bulk", rank)
+    if (count(near) >= target) == upper:
+        raise MissingRootError(
+            f"rank {rank}: the bulk edge {where} does not bracket the root", rank
+        )
+    lo, hi = (near, far) if upper else (far, near)
     z = start if lo < start < hi else 0.5 * (lo + hi)
     slope = 0.0
     for _ in range(400):
@@ -284,40 +263,35 @@ def _resolved(op: MasterOperator, rank: int, z: float, slope: float, tol: float)
 def locate_outliers(
     op: MasterOperator,
     delta: float,
-    side: Side,
     tol: float | None = None,
 ) -> list[OutlierRoot]:
-    """Locate every separated outlier on one side of the bulk.
+    """Locate every separated outlier, above and below the bulk, in rank order.
 
-    Ranks failing the separation test at margin ``delta`` are skipped (their
-    roots may not exist or may hide within ``2 * delta`` of the bulk); a
-    ``delta`` that is not positive and finite raises :class:`ModelError`,
-    even on a side with no ranks.  For each remaining rank, Newton steps
-    on the crossing eigenvalue of ``D(z)``, started at the predicted
-    location, run inside a bracket the counting function certifies,
-    with bisection as the fallback; the returned location ``z`` satisfies
-    ``n(z + tol) >= target > n(z - tol)``.  Every rank on the side starts
-    from the same bracket, and the counting function is evaluated at most
-    once per point within the call.  A root that cannot be bracketed to
-    ``tol`` (for instance a ``tol`` below the spacing of doubles at the
-    root) raises :class:`MissingRootError`.
+    Ranks ``1 .. m_positive`` (positive strengths) lie above the bulk and
+    the rest below it.  Ranks failing the separation test at margin
+    ``delta`` are skipped (their roots may not exist or may hide within
+    ``2 * delta`` of the bulk); a ``delta`` or ``tol`` that is not positive
+    and finite raises :class:`ModelError`, even without ranks.  For each
+    remaining rank, Newton steps on the crossing eigenvalue of ``D(z)``,
+    started at the predicted location, run inside a bracket the counting
+    function certifies, with bisection as the fallback; the returned
+    location ``z`` satisfies ``n(z + tol) >= target > n(z - tol)``.  Every
+    rank on a side starts from the same bracket, and the counting function
+    is evaluated at most once per point within the call.  A root that
+    cannot be bracketed to ``tol`` (for instance a ``tol`` below the
+    spacing of doubles at the root) raises :class:`MissingRootError`.
 
     Default ``tol`` is ``1e-9 * (1 + max |lambda|)``.
     """
     _check_delta(delta)
     if tol is None:
         tol = 1e-9 * (1.0 + op.spectrum.norm_bound)
-    if op.m == 0:
-        return []
+    elif not (math.isfinite(tol) and tol > 0.0):
+        raise ModelError(f"tol must be positive and finite, got {tol!r}")
     m = op.m
     m1 = op.pert.m_positive
     thetas = op.pert.thetas
-    upper = side is Side.UPPER
-    ranks = range(1, m1 + 1) if upper else range(m1 + 1, m + 1)
-    if upper:
-        lo, hi = op.spectrum.lam_max + tol, op.spectrum.lam_max + float(thetas[0]) + 1.0
-    else:
-        lo, hi = op.spectrum.lam_min + float(thetas[-1]) - 1.0, op.spectrum.lam_min - tol
+    lam_max, lam_min = op.spectrum.lam_max, op.spectrum.lam_min
     counts: dict[float, int] = {}
 
     def count(z: float) -> int:
@@ -326,12 +300,17 @@ def locate_outliers(
         return counts[z]
 
     roots: list[OutlierRoot] = []
-    for rank in ranks:
+    for rank in range(1, m + 1):
         theta = float(thetas[rank - 1])
         if not check_separation(op.model, delta, theta):
             continue
-        target = m1 - rank + 1 if upper else m1 + (m - rank + 1)
-        z = _locate_root(op, count, rank, target, lo, hi, upper, tol,
+        if rank <= m1:
+            target = m1 - rank + 1
+            near, far = lam_max + tol, lam_max + float(thetas[0]) + 1.0
+        else:
+            target = m1 + (m - rank + 1)
+            near, far = lam_min - tol, lam_min + float(thetas[-1]) - 1.0
+        z = _locate_root(op, count, rank, target, near, far, tol,
                          start=pushforward_map(op.model, theta))
         roots.append(OutlierRoot(rank=rank, location=z))
     return roots

@@ -16,7 +16,6 @@ from meso_spectra import (
     Model,
     PerturbationSpec,
     RngStream,
-    Side,
     SpectrumModel,
     locate_outliers,
     perturb_additive,
@@ -194,9 +193,7 @@ def agreement_suite(seed=104, instances=100):
         matrix = (perturb_additive(base, pert) if additive
                   else perturb_multiplicative(base, pert))
         evals, _ = eigensolve(matrix)
-        roots = (locate_outliers(op, 0.1, Side.UPPER)
-                 + locate_outliers(op, 0.1, Side.LOWER))
-        for root in roots:
+        for root in locate_outliers(op, 0.1):
             idx = target_index(pert, root.rank, n)
             rows.append((k, root.rank, root.location, float(evals[idx - 1])))
     return rows

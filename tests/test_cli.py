@@ -196,6 +196,27 @@ class TestDetect:
         assert out == ""
         assert "delta must be positive and finite" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tol_usage_error(self, tmp_path, capsys, tol):
+        spec = write_spectrum(tmp_path / "s.txt", np.linspace(-1, 1, 90))
+        code, out, err = run_cli(capsys, "detect", "--spectrum-file", spec,
+                                 "--theta", "2.5", "--seed", "11", f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "tol must be positive and finite" in err
+
+    def test_theta_order_does_not_matter(self, tmp_path, capsys):
+        spec = write_spectrum(tmp_path / "s.txt", np.linspace(0.5, 2.5, 300))
+        tables = []
+        for thetas in (["3.0", "-0.8"], ["-0.8", "3.0"]):
+            code, out, _ = run_cli(capsys, "detect", "--spectrum-file", spec,
+                                   "--n", "200", "--theta", *thetas,
+                                   "--kind", "multiplicative", "--seed", "5")
+            assert code == 0
+            tables.append(out)
+        assert len(tables[0].splitlines()) == 3
+        assert tables[0] == tables[1]
+
 
 class TestVerify:
     def write_cfg(self, tmp_path, **overrides):
@@ -268,6 +289,28 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].split("\t")[0] == "100"
         assert lines[2].split("\t")[0] == "200"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--kind", "wigner", "--n", "0"],
+    ["sample", "--kind", "wigner", "--n=-3"],
+    ["sample", "--kind", "wigner", "--n", "2.5"],
+    ["predict", "--kind", "wigner", "--theta", "2", "--n", "0"],
+    ["detect", "--spectrum-file", "s.txt", "--theta", "2", "--n", "0"],
+    ["sandwich", "--spectrum-file", "s.txt", "--theta", "2", "--n", "0"],
+    ["sandwich", "--spectrum-file", "s.txt", "--theta", "2", "--xi-count=-2"],
+    ["sandwich", "--random", "2", "--xi-count", "0"],
+    ["sandwich", "--random", "0"],
+], ids=["sample-n-0", "sample-n-negative", "sample-n-fraction", "predict-n-0",
+        "detect-n-0", "sandwich-n-0", "sandwich-xi-count-negative",
+        "sandwich-xi-count-0", "sandwich-random-0"])
+def test_counts_must_be_positive_integers(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive" in captured.err
 
 
 class TestSandwichCommand:

@@ -140,10 +140,10 @@ class TestTrialFailures:
             current["stream"] = stream.stream_id
             return real_sample(model, pert, n, stream, law)
 
-        def locate(op, delta, side, tol=None):
+        def locate(op, delta, tol=None):
             if current["stream"] in bad_streams:
                 raise error
-            return real_locate(op, delta, side, tol)
+            return real_locate(op, delta, tol)
 
         monkeypatch.setattr(harness, "sample_ensemble", sample)
         monkeypatch.setattr(harness, "locate_outliers", locate)

@@ -11,7 +11,6 @@ from meso_spectra import (
     Model,
     ModelError,
     PerturbationSpec,
-    Side,
     SpectrumModel,
     locate_outliers,
     perturb_additive,
@@ -87,7 +86,7 @@ class TestLocateOutliers:
     def test_diagonal_exact_roots(self):
         op, spectrum, pert = make_operator(Model.additive, [0.0] * 20, [2.0])
         delta = 0.15
-        roots = locate_outliers(op, delta, Side.UPPER)
+        roots = locate_outliers(op, delta)
         assert len(roots) == 1
         assert roots[0].rank == 1
         assert roots[0].location == pytest.approx(2.0, abs=1e-8)
@@ -96,7 +95,7 @@ class TestLocateOutliers:
         op, spectrum, _ = make_operator(Model.additive, [0.0] * 10, [3.0])
         delta = 0.2
         tol = 1e-10
-        roots = locate_outliers(op, delta, Side.UPPER, tol=tol)
+        roots = locate_outliers(op, delta, tol=tol)
         z = roots[0].location
         assert counting_function(op, z + tol) >= 1 > counting_function(op, z - tol)
 
@@ -109,9 +108,7 @@ class TestLocateOutliers:
         delta = 0.1
         matrix = perturb_additive(np.diag(spectrum.eigenvalues), pert.with_frame(frame))
         evals, _ = eigensolve(matrix)
-        found = locate_outliers(op, delta, Side.UPPER) + locate_outliers(
-            op, delta, Side.LOWER
-        )
+        found = locate_outliers(op, delta)
         assert [r.rank for r in found] == [1, 2, 3]
         for root in found:
             idx = target_index(pert, root.rank, n)
@@ -130,11 +127,11 @@ class TestLocateOutliers:
             np.diag(spectrum.eigenvalues), pert.with_frame(frame)
         )
         evals, _ = eigensolve(matrix)
-        upper = locate_outliers(op, delta, Side.UPPER)
-        lower = locate_outliers(op, delta, Side.LOWER)
-        assert [r.rank for r in upper] == [1]
-        assert [r.rank for r in lower] == [2]
-        for root in upper + lower:
+        roots = locate_outliers(op, delta)
+        assert [r.rank for r in roots] == [1, 2]
+        assert roots[0].location > spectrum.lam_max
+        assert roots[1].location < spectrum.lam_min
+        for root in roots:
             idx = target_index(pert, root.rank, n)
             assert root.location == pytest.approx(evals[idx - 1], abs=1e-8)
 
@@ -143,16 +140,25 @@ class TestLocateOutliers:
         # 1/0.9 inverts to about 1.24, inside the 2 delta margin at 1.3.
         op, spectrum, _ = make_operator(Model.additive, vals, [2.5, 0.9])
         delta = 0.15
-        roots = locate_outliers(op, delta, Side.UPPER)
+        roots = locate_outliers(op, delta)
         assert [r.rank for r in roots] == [1]
 
     def test_lower_side_only_negative_ranks(self):
         vals = np.linspace(-1.0, 1.0, 150)
         op, spectrum, _ = make_operator(Model.additive, vals, [2.0, -2.0])
         delta = 0.1
-        lower = locate_outliers(op, delta, Side.LOWER)
+        roots = locate_outliers(op, delta)
+        lower = [r for r in roots if r.rank > op.pert.m_positive]
         assert [r.rank for r in lower] == [2]
         assert lower[0].location < spectrum.lam_min
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        op, _, _ = make_operator(Model.additive, [0.0] * 10, [3.0])
+        empty, _, _ = make_operator(Model.additive, [0.0] * 10, [])
+        for target in (op, empty):
+            with pytest.raises(ModelError, match="tol must be positive and finite"):
+                locate_outliers(target, 0.2, tol=tol)
 
     def test_deterministic_reruns(self):
         rng = RngStream(34, 0)
@@ -161,8 +167,8 @@ class TestLocateOutliers:
         vals = np.linspace(-1.0, 1.0, n)
         op, spectrum, _ = make_operator(Model.additive, vals, [2.4, 2.0], frame=frame)
         delta = 0.1
-        a = locate_outliers(op, delta, Side.UPPER)
-        b = locate_outliers(op, delta, Side.UPPER)
+        a = locate_outliers(op, delta)
+        b = locate_outliers(op, delta)
         assert a == b
 
 
@@ -171,12 +177,6 @@ def dense_evals(op) -> np.ndarray:
     base = np.diag(op.spectrum.eigenvalues)
     assemble = perturb_multiplicative if op.model.kind.multiplicative else perturb_additive
     return np.linalg.eigvalsh(assemble(base, op.pert))[::-1]
-
-
-def located(op, delta, tol=None):
-    return locate_outliers(op, delta, Side.UPPER, tol) + locate_outliers(
-        op, delta, Side.LOWER, tol
-    )
 
 
 def assert_contract(op, roots, tol=None):
@@ -212,7 +212,7 @@ class TestAdversarialDetector:
     def test_repeated_strengths_on_haar_frame(self, n, theta, repeats, lower, seed):
         thetas = [theta] * repeats + ([-theta] * repeats if lower else [])
         op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, n), thetas, seed)
-        roots = located(op, 0.1)
+        roots = locate_outliers(op, 0.1)
         assert [r.rank for r in roots] == list(range(1, len(thetas) + 1))
         assert_contract(op, roots)
 
@@ -222,7 +222,7 @@ class TestAdversarialDetector:
         # A flat spectrum on the leading coordinates makes D(z) a multiple of
         # the identity: every crossing eigenvalue meets zero at z = theta.
         op, _, _ = make_operator(Model.additive, [0.0] * (m + n_extra), [1.5] * m)
-        roots = located(op, 0.1)
+        roots = locate_outliers(op, 0.1)
         assert [r.rank for r in roots] == list(range(1, m + 1))
         assert_contract(op, roots)
 
@@ -237,7 +237,7 @@ class TestAdversarialDetector:
         offset = (2.0 * delta + hair) * (-1.0 if lower else 1.0)
         theta = 1.0 / stieltjes(spectrum, edge + offset)
         op = haar_operator(Model.additive, spectrum.eigenvalues, [theta], seed)
-        roots = located(op, delta)
+        roots = locate_outliers(op, delta)
         assert [r.rank for r in roots] == [1]
         assert_contract(op, roots)
 
@@ -263,8 +263,7 @@ class TestAdversarialDetector:
         delta = 0.1
         # The lower branch of T only reaches (-q, 0): no negative strength
         # of a multiplicative model detaches below a zero floor.
-        assert locate_outliers(op, delta, Side.LOWER) == []
-        roots = locate_outliers(op, delta, Side.UPPER)
+        roots = locate_outliers(op, delta)
         assert [r.rank for r in roots] == [1, 2]
         assert_contract(op, roots)
 
@@ -274,7 +273,7 @@ class TestAdversarialDetector:
     def test_tiny_n_with_rank_n_minus_one(self, n, magnitudes, signs, seed):
         thetas = [t if up else -t for t, up in zip(magnitudes[: n - 1], signs)]
         op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, n), thetas, seed)
-        roots = located(op, 0.1)
+        roots = locate_outliers(op, 0.1)
         assert [r.rank for r in roots] == list(range(1, n))
         assert_contract(op, roots)
 
@@ -291,7 +290,7 @@ class TestAdversarialDetector:
             Model.additive, -values, [-t for t in thetas], frame=frame[::-1]
         )
         tol = 1e-9 * (1.0 + op.spectrum.norm_bound)
-        roots, mirrored = located(op, 0.1), located(mirror, 0.1)
+        roots, mirrored = locate_outliers(op, 0.1), locate_outliers(mirror, 0.1)
         assert_contract(op, roots)
         assert_contract(mirror, mirrored)
         z = np.sort([r.location for r in roots])
@@ -313,7 +312,7 @@ class TestNewtonSteps:
         op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, 60),
                            [2.6, 2.2, -2.4], seed=35)
         tol = 1e-10
-        roots = located(op, 0.1, tol)
+        roots = locate_outliers(op, 0.1, tol)
         assert [r.rank for r in roots] == [1, 2, 3]
         assert_contract(op, roots, tol)
 
@@ -329,7 +328,7 @@ class TestNewtonSteps:
             monkeypatch.setattr(master_equation, name, counted)
         op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, 80),
                            [2.4, 2.0, -2.2], seed=36)
-        roots = located(op, 0.1)
+        roots = locate_outliers(op, 0.1)
         assert len(roots) == 3
         assert counts["check_separation"] == 3
         # Bracket ends and certification go through the module global; the
@@ -378,7 +377,7 @@ GOLDEN_ROOTS = {
 class TestSharedCounts:
     @pytest.mark.parametrize("name, tol", list(GOLDEN_ROOTS))
     def test_roots_are_bit_for_bit(self, name, tol):
-        roots = located(golden_operator(name), 0.1, tol)
+        roots = locate_outliers(golden_operator(name), 0.1, tol)
         assert [r.rank for r in roots] == list(range(1, len(roots) + 1))
         assert [r.location.hex() for r in roots] == GOLDEN_ROOTS[name, tol]
 
@@ -393,13 +392,12 @@ class TestSharedCounts:
 
         monkeypatch.setattr(master_equation, "counting_function", counted)
         op = golden_operator(name)
-        delta = 0.1
-        for side in (Side.UPPER, Side.LOWER):
-            seen.clear()
-            roots = locate_outliers(op, delta, side)
-            assert len(set(seen)) == len(seen)
-            # One count per bracket end, then at most two per root.
-            assert len(seen) <= 2 + 2 * len(roots)
+        roots = locate_outliers(op, 0.1)
+        assert len(set(seen)) == len(seen)
+        # One count per bracket end of each side searched, then at most two
+        # per root.
+        sides = {r.rank <= op.pert.m_positive for r in roots}
+        assert len(seen) <= 2 * len(sides) + 2 * len(roots)
 
 
 class TestRoundingGuard:
@@ -412,11 +410,11 @@ class TestRoundingGuard:
         op = haar_operator(Model.additive, values,
                            [1.0, -3.07993186e-11, -1.0, -1.0, -1.1, -1.1, -1.2], seed=0)
         with pytest.raises(MissingRootError, match="rounding in D"):
-            locate_outliers(op, 1e-12, Side.UPPER)
+            locate_outliers(op, 1e-12)
 
     def test_resolvable_roots_pass_the_guard(self):
         op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, 14), [1.5, 1e-3], seed=0)
-        roots = locate_outliers(op, 1e-3, Side.UPPER)
+        roots = locate_outliers(op, 1e-3)
         assert [r.rank for r in roots] == [1]
         assert_contract(op, roots)
 
@@ -434,7 +432,7 @@ class TestStepCap:
         op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, 60),
                            [2.6, 2.2, -2.4], seed=35)
         tol = 1e-10
-        roots = located(op, 0.1, tol)
+        roots = locate_outliers(op, 0.1, tol)
         assert [r.rank for r in roots] == [1, 2, 3]
         assert_contract(op, roots, tol)
 
@@ -445,4 +443,4 @@ class TestStepCap:
         op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, 60), [2.6], seed=35)
         delta = 0.1
         with pytest.raises(MissingRootError, match="cannot shrink"):
-            locate_outliers(op, delta, Side.UPPER, tol=3e-16)
+            locate_outliers(op, delta, tol=3e-16)

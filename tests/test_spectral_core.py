@@ -175,14 +175,13 @@ class TestDeltaMargin:
         spectrum = SpectrumModel.from_values(np.linspace(-1, 1, 20))
         op = MasterOperator(model=Model.additive(spectrum),
                             pert=PerturbationSpec.from_values([3.0]))
-        # The lower side has no ranks to test, and still rejects delta.
-        for side in (Side.UPPER, Side.LOWER):
-            with pytest.raises(ModelError, match=DELTA_MESSAGE):
-                locate_outliers(op, delta, side)
+        with pytest.raises(ModelError, match=DELTA_MESSAGE):
+            locate_outliers(op, delta)
+        # Without ranks to test, delta is still rejected.
         empty = MasterOperator(model=Model.additive(spectrum),
                                pert=PerturbationSpec.from_values([]))
         with pytest.raises(ModelError, match=DELTA_MESSAGE):
-            locate_outliers(empty, delta, Side.UPPER)
+            locate_outliers(empty, delta)
 
 
 class TestWindowAndModel:

@@ -21,7 +21,6 @@ from meso_spectra import (
     Model,
     PerturbationSpec,
     RngStream,
-    Side,
     SpectrumModel,
     locate_outliers,
     predict,
@@ -114,13 +113,12 @@ def solve(sample):
 
 def detect(op, delta, at_index):
     tol = 1e-9 * (1.0 + op.spectrum.norm_bound)
-    for side in (Side.UPPER, Side.LOWER):
-        for root in locate_outliers(op, delta, side):
-            index = target_index(op.pert, root.rank, op.spectrum.n)
-            realized = at_index(root.rank, index)
-            # The eigensolve's own error is below 1e-12 relative (its
-            # certificate, or LAPACK's backward error at n <= 200).
-            assert abs(root.location - realized) <= tol + 1e-12 * (1.0 + abs(realized))
+    for root in locate_outliers(op, delta):
+        index = target_index(op.pert, root.rank, op.spectrum.n)
+        realized = at_index(root.rank, index)
+        # The eigensolve's own error is below 1e-12 relative (its
+        # certificate, or LAPACK's backward error at n <= 200).
+        assert abs(root.location - realized) <= tol + 1e-12 * (1.0 + abs(realized))
 
 
 @given(instances())
