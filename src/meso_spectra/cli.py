@@ -10,8 +10,9 @@ sweep       run a config across its size ladder and print the trend
 sandwich    evaluate the deterministic transform stability bounds
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage or config error.
-``MESO_SEED`` overrides ``--seed`` wherever a seed flag exists.  All tables
-are tab-separated with a header line.
+``MESO_SEED`` overrides ``--seed`` wherever a seed flag exists; a seed
+outside ``[0, 2**64)`` is a usage error.  All tables are tab-separated with
+a header line.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from . import __version__
 from .ensembles import (
     EntryLaw,
     RngStream,
+    eigensolve,
     sample_conjugated,
     sample_ensemble,
     sample_wigner,
     sample_wishart,
+    spectrum_column,
 )
 from .master_equation import MasterOperator, locate_outliers
 from .predictor import DEFAULT_DELTA, predict
@@ -55,6 +58,7 @@ from .experiments import (
     run_experiment,
     verify_sandwich_bounds,
 )
+from .experiments.config import SEED_LIMIT
 from .transforms import empirical_quantiles
 
 USAGE_ERROR = 2
@@ -70,13 +74,18 @@ def _fmt(value, spec: str = "g") -> str:
 
 
 def _resolve_seed(seed: int) -> int:
-    env = os.environ.get("MESO_SEED")
-    if env is None:
-        return seed
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"MESO_SEED: not an integer: {env!r}") from None
+    """``MESO_SEED`` when set, else ``--seed``; either must lie in
+    ``[0, 2**64)``, as a config's ``seed`` must."""
+    source, env = "--seed", os.environ.get("MESO_SEED")
+    if env is not None:
+        source = "MESO_SEED"
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError(f"MESO_SEED: not an integer: {env!r}") from None
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"{source}: must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def positive_int(text: str) -> int:
@@ -162,11 +171,12 @@ def cmd_detect(args) -> int:
         print("no separated outliers")
         return 0
 
-    evals = np.linalg.eigvalsh(sample.perturbed)[::-1]
+    evals = eigensolve(sample, vectors=False)
     print("rank\ttheta\tmaster\teigensolve\tdelta")
     for root in roots:
-        idx = target_index(pert, root.rank, n)
-        realized = float(evals[idx - 1])
+        col = spectrum_column(target_index(pert, root.rank, n), pert.m_positive,
+                              n, evals.size)
+        realized = float(evals[col])
         print(f"{root.rank}\t{pert.thetas[root.rank - 1]:g}\t"
               f"{root.location:.6f}\t{realized:.6f}\t"
               f"{abs(root.location - realized):.3g}")

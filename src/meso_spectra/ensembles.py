@@ -11,12 +11,15 @@ strengths, O(n M) in all.  Its dense n x n matrices are built on first read.
 
 :func:`eigensolve` on a matrix returns the full spectrum.  On a sample of an
 orthogonally invariant kind (above a size set by ``FILTER_ROWS_PER_PAIR``)
-it returns only the top ``M+`` and bottom ``M-`` eigenpairs (``M+``/``M-``
-the numbers of positive/negative strengths), certified by a Chebyshev-
-filtered subspace iteration on the diagonal-plus-low-rank structure, whose
-bulk interval ``[min d, max d]`` is known exactly; when that solve cannot
-certify them it falls back to the full dense spectrum and logs the fallback
-on the ``meso_spectra`` logger.
+it returns only the top ``M+`` and bottom ``M-`` eigenpairs, or their values
+alone with ``vectors=False`` (``M+``/``M-`` the numbers of positive/negative
+strengths), certified by a Chebyshev-filtered subspace iteration on the
+diagonal-plus-low-rank structure, whose bulk interval ``[min d, max d]`` is
+known exactly; values alone need no gap between outliers.  When that solve
+cannot certify them it falls back to the full dense spectrum and logs the
+fallback on the ``meso_spectra`` logger.  Experiment trials read realized
+values through ``eigensolve(sample, vectors=False)`` alone, so a value-only
+trial of an orthogonally invariant kind builds no n x n matrix.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "perturb_multiplicative",
     "sample_ensemble",
     "eigensolve",
+    "spectrum_column",
 ]
 
 # A matrix passed to eigensolve may deviate from exact symmetry by at most
@@ -65,7 +69,8 @@ DEGENERACY_TOLERANCE = 1e-10
 
 # A Ritz pair of the partial eigensolve has converged once its residual is at
 # most this, relative to the smaller of max(1, largest |Ritz value|) and its
-# distance to the rest of the spectrum.
+# distance to the rest of the spectrum.  Values alone have converged once
+# the block's residual norm is at most this relative to the former alone.
 FILTER_TOLERANCE = 1e-12
 
 # The total Chebyshev filter degree the partial eigensolve may spend before
@@ -76,11 +81,14 @@ FILTER_MAX_DEGREE = 200
 FILTER_FIRST_DEGREE = 12
 
 # The partial eigensolve runs only on samples with more than this many rows
-# per pair, plus one: n > FILTER_ROWS_PER_PAIR * (M + 1).  This was the
-# crossover with dense eigh for block Lanczos (n = 110, 150, 300 and 700 for
-# M = 1, 2, 6 and 12, on 2 cores with OpenBLAS); the filter's crossovers are
-# lower (n = 90, 115, 130 and 150), so the rule is conservative.
-FILTER_ROWS_PER_PAIR = 60
+# per pair, plus one: n > FILTER_ROWS_PER_PAIR * (M + 1).  On 2 cores with
+# OpenBLAS, with the dense n x n assembly counted in the dense side's cost,
+# values alone cross over with eigvalsh at n = 90, 120, 130, 140 and 160 for
+# M = 1, 2, 4, 8 and 12 (at n = 400, M = 8: 12 ms dense, 1.5 ms partial),
+# and pairs cross over with eigh lower, at n = 80, 80, 95 and 110 for
+# M = 1, 2, 4 and 8.  So the rule is conservative for both (at M = 1, for
+# values, within the timing noise).
+FILTER_ROWS_PER_PAIR = 40
 
 _log = logging.getLogger(__name__)
 
@@ -472,11 +480,11 @@ def sample_ensemble(
 
 def _filtered_extremes(
     d: np.ndarray, w: np.ndarray, k: np.ndarray, start: np.ndarray,
-    upper: int, psd: bool,
-) -> tuple[np.ndarray, np.ndarray] | str:
+    upper: int, psd: bool, vectors: bool,
+) -> tuple[np.ndarray, np.ndarray] | np.ndarray | str:
     """Certified top ``upper`` and bottom ``M - upper`` eigenpairs of
-    ``A = diag(d) + W K W^T`` (``M`` the columns of ``start``), or the
-    reason they could not be certified.
+    ``A = diag(d) + W K W^T`` (``M`` the columns of ``start``), their values
+    alone when not ``vectors``, or the reason they could not be certified.
 
     Chebyshev-filtered subspace iteration (Zhou, Saad, Tiago and
     Chelikowsky, J. Comput. Phys. 219, 2006) on a block of ``M`` vectors
@@ -489,18 +497,19 @@ def _filtered_extremes(
     ``x = (lambda - centre) / half``.  Each stage filters the block by the
     three-term recurrence, orthonormalizes it by QR and solves an ``M x M``
     Rayleigh-Ritz problem.  Pairs whose residual has reached the tolerance
-    of :func:`_certify` are locked: later stages filter only the others and
-    project the locked vectors out at every step of the recurrence.
+    of :func:`_certify` (of :func:`_certify_values` when not ``vectors``)
+    are locked: later stages filter only the others and project the locked
+    vectors out at every step of the recurrence.
 
     The solve gives up ("Ritz values not separated") once the filter has
     reached ``FILTER_FIRST_DEGREE`` and the Ritz values are not beyond the
-    bulk and apart from one another; a Ritz value never passes its
-    eigenvalue (Cauchy interlacing), so a subcritical strength never gets
-    there.  Each later stage takes the degree at which the residuals'
-    predicted fall by ``2 / rho^m`` reaches the tolerance, and the solve
-    gives up ("step cap reached") when that makes the total exceed
-    ``FILTER_MAX_DEGREE``.  Every stage's degree is bounded so that no
-    unconverged pair outgrows another by more than
+    bulk and, when ``vectors``, apart from one another; a Ritz value never
+    passes its eigenvalue (Cauchy interlacing), so a subcritical strength
+    never gets there.  Each later stage takes the degree at which the
+    residuals' predicted fall by ``2 / rho^m`` reaches the tolerance, and
+    the solve gives up ("step cap reached") when that makes the total
+    exceed ``FILTER_MAX_DEGREE``.  Every stage's degree is bounded so that
+    no unconverged pair outgrows another by more than
     ``1 / sqrt(FILTER_TOLERANCE)``, beyond which rounding swamps the
     slower one; the first stage bounds the fastest growth through Weyl's
     bound ``half + |W K W^T|`` on ``|A - centre|``.  A stage whose residuals
@@ -560,12 +569,19 @@ def _filtered_extremes(
         order = np.argsort(values)[::-1]
         radius = max(1.0, abs(values[order[0]]), abs(values[order[-1]]))
         margin = DEGENERACY_TOLERANCE * max(radius, d_abs)
-        _, _, gap = _intervals(values[order], 0.0, upper, d)
+        if vectors:
+            _, _, gap = _intervals(values[order], 0.0, upper, d)
+            tolerance = FILTER_TOLERANCE * np.minimum(radius, gap)
+        else:
+            # Values need only clear the bulk, not one another, and the
+            # residuals' root sum of squares must meet the tolerance.
+            gap = np.r_[values[order[:upper]] - high, low - values[order[upper:]]]
+            tolerance = FILTER_TOLERANCE * radius / math.sqrt(values.size)
         separated = bool((gap > margin).all())
         if not separated and used >= FILTER_FIRST_DEGREE:
             return "Ritz values not separated"
         target = np.empty(values.size)
-        target[order] = FILTER_TOLERANCE * np.minimum(radius, gap)
+        target[order] = tolerance
         target = target[locked_vals.size:]
         done = resid <= target
         locked = np.vstack([locked, vecs[done]])
@@ -580,8 +596,11 @@ def _filtered_extremes(
         if stalled or not ritz.size:
             order = np.argsort(np.r_[locked_vals, ritz])[::-1]
             pairs = np.vstack([locked, block])[order]
-            return _certify(lambda x: apply(x.T).T, pairs.T, d, upper, psd,
-                            radius, margin)
+            if vectors:
+                return _certify(lambda x: apply(x.T).T, pairs.T, d, upper, psd,
+                                radius, margin)
+            return _certify_values(lambda x: apply(x.T).T, pairs.T, d, upper,
+                                   psd, margin)
         if separated:
             need = float(((math.log(2.0) + excess) / rates).max())
         else:
@@ -658,8 +677,59 @@ def _certify(apply, vecs: np.ndarray, d: np.ndarray, upper: int, psd: bool,
     return values, vecs
 
 
-def _partial_eigensolve(sample: EnsembleSample) -> tuple[np.ndarray, np.ndarray] | str:
-    """Certified extreme pairs of an orthogonally invariant, framed sample."""
+def _certify_values(apply, vecs: np.ndarray, d: np.ndarray, upper: int,
+                    psd: bool, margin: float) -> np.ndarray | str:
+    """The top ``upper`` and bottom ``M - upper`` eigenvalues of
+    ``A = diag(d) + W K W^T`` (applied by ``apply``), descending, from the
+    span of the columns of ``vecs``, or ``"certificate failed"``.
+
+    ``Q`` is an orthonormal basis of that span from a QR factorization,
+    ``H = Q^T A Q`` with eigenvalues ``theta`` and ``R = A Q - Q H``.  When
+    ``Q`` is exactly orthonormal, ``A`` has ``M`` eigenvalues, with distinct
+    indices, each within ``|R|_2`` of its own ``theta`` (Kahan's residual
+    bound; Parlett, The Symmetric Eigenvalue Problem, ch. 11).  With the
+    computed ``Q``, ``eta = |Q^T Q - I|_F < 1``, the same holds with
+    ``bound = (|R|_F + 3 eta |H|_2) / (1 - eta)``: the bound for the
+    orthonormal polar factor ``U = Q (Q^T Q)^(-1/2)`` is at most
+    ``|R|_2 / (1 - eta)``, and Weyl's bound moves ``U^T A U``'s eigenvalues
+    from ``theta`` by at most ``3 eta |H|_2 / (1 - eta)``.
+
+    ``A`` has at most ``upper`` eigenvalues above ``max d`` and at most
+    ``M - upper`` below ``min d`` (see :func:`_certify`; multiplicatively
+    when ``psd`` holds).  So when the top ``upper`` values lie above
+    ``max d`` and the others below ``min d``, each by more than
+    ``bound + margin``, their eigenvalues are exactly ``lambda_1 ..
+    lambda_upper`` and the ``M - upper`` smallest, in order, and each value
+    is within ``bound`` of its eigenvalue.  The certificate asks
+    ``bound <= FILTER_TOLERANCE * max(1, largest |theta|)`` and no gap
+    between the values, so close or repeated outliers certify.
+    """
+    q = np.linalg.qr(vecs)[0]
+    image = apply(q)
+    h = q.T @ image
+    h = 0.5 * (h + h.T)
+    # eigh, as in the Rayleigh-Ritz steps: eigvalsh is left to dense solves.
+    values = np.linalg.eigh(h)[0][::-1]
+    size = max(abs(values[0]), abs(values[-1]))
+    eta = np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
+    bound = (np.linalg.norm(image - q @ h) + 3.0 * eta * size) / (1.0 - eta)
+    certified = (
+        eta < 1.0
+        and bound <= FILTER_TOLERANCE * max(1.0, size)
+        and (values[:upper] - bound > d.max() + margin).all()
+        and (values[upper:] + bound < d.min() - margin).all()
+        and (not psd or d.min() >= 0.0)
+    )
+    if not certified:
+        return "certificate failed"
+    return values
+
+
+def _partial_eigensolve(
+    sample: EnsembleSample, vectors: bool,
+) -> tuple[np.ndarray, np.ndarray] | np.ndarray | str:
+    """Certified extreme pairs of an orthogonally invariant, framed sample,
+    or their values alone when not ``vectors``."""
     d = sample.diagonal
     _check_diagonal(d, multiplicative=False)
     v, thetas = sample.frame, sample.thetas
@@ -669,42 +739,54 @@ def _partial_eigensolve(sample: EnsembleSample) -> tuple[np.ndarray, np.ndarray]
     else:
         w, k = v, np.diag(thetas)
     upper = int(np.count_nonzero(thetas > 0.0))
-    return _filtered_extremes(d, w, k, v, upper, sample.kind.multiplicative)
+    return _filtered_extremes(d, w, k, v, upper, sample.kind.multiplicative,
+                              vectors)
 
 
 def eigensolve(
-    matrix: np.ndarray | EnsembleSample,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues and matching eigenvector columns.
+    matrix: np.ndarray | EnsembleSample, vectors: bool = True,
+) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
+    """Descending eigenvalues and matching eigenvector columns, or the
+    eigenvalues alone when not ``vectors``.
 
-    A matrix gets its full spectrum from LAPACK's ``eigh``.  It must be
-    finite and symmetric to ``SYMMETRY_TOLERANCE`` (relative to its largest
-    entry).
+    A matrix gets its full spectrum from LAPACK (``eigh``, or ``eigvalsh``
+    for values alone).  It must be finite and symmetric to
+    ``SYMMETRY_TOLERANCE`` (relative to its largest entry).
 
     A sample of an orthogonally invariant kind with a frame and
     ``n > FILTER_ROWS_PER_PAIR * (M + 1)`` gets only its top ``M+`` and
-    bottom ``M-`` pairs, ``M+``/``M-`` the numbers of positive/negative
-    strengths: ``M = M+ + M-`` values (top then bottom, descending) and
-    ``n x M`` vectors, found by :func:`_filtered_extremes` and certified as
-    in :func:`_certify`.  So column ``j`` holds eigenvalue ``j + 1`` for
-    ``j < M+`` and eigenvalue ``j + 1 + n - M`` after.  The solve reads the
-    sample's diagonal, frame and strengths, never its dense matrices.  When
-    the Ritz values are not beyond the bulk and apart once the filter
+    bottom ``M-`` values, ``M+``/``M-`` the numbers of positive/negative
+    strengths: ``M = M+ + M-`` values (top then bottom, descending), found
+    by :func:`_filtered_extremes`.  So entry ``j`` holds eigenvalue
+    ``j + 1`` for ``j < M+`` and eigenvalue ``j + 1 + n - M`` after
+    (:func:`spectrum_column`).  With ``vectors`` each pair is certified as in
+    :func:`_certify`, value within ``FILTER_TOLERANCE`` times the spectral
+    radius and vector within an angle of ``FILTER_TOLERANCE``, and the
+    ``n x M`` vectors come with them.  Values alone are certified as in
+    :func:`_certify_values`, to the same tolerance on the values but with
+    no gap between outliers, so close ones (about ``1/M`` apart when ``M``
+    grows with ``n``) certify too.  The solve reads the sample's diagonal,
+    frame and strengths, never its dense matrices.  When the Ritz values are
+    not beyond the bulk (and, with ``vectors``, apart) once the filter
     reaches ``FILTER_FIRST_DEGREE``, the solve would need more than
     ``FILTER_MAX_DEGREE`` in total or the certificate fails, the fallback
     and its reason are logged at DEBUG level and the sample's dense
     ``perturbed`` matrix, built on that read, gets the full spectrum.  Every
-    other sample, smaller ones included, takes the dense path directly.
+    other sample, smaller and closed-form ones included, takes the dense
+    path directly; a sample's matrix is symmetric by construction, so values
+    alone are read from it with ``eigvalsh`` and no symmetry check.
     """
     if isinstance(matrix, EnsembleSample):
         sample = matrix
         if (not sample.kind.closed_form and sample.frame is not None
                 and sample.n > FILTER_ROWS_PER_PAIR * (sample.m + 1)):
-            pairs = _partial_eigensolve(sample)
-            if not isinstance(pairs, str):
-                return pairs
+            found = _partial_eigensolve(sample, vectors)
+            if not isinstance(found, str):
+                return found
             _log.debug("dense eigensolve fallback: stream %d, n=%d: %s",
-                       sample.stream_id, sample.n, pairs)
+                       sample.stream_id, sample.n, found)
+        if not vectors:
+            return np.linalg.eigvalsh(sample.perturbed)[::-1]
         matrix = sample.perturbed
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -718,5 +800,20 @@ def eigensolve(
     if not dev <= SYMMETRY_TOLERANCE * scale:
         raise ModelError(
             f"matrix is not finite and symmetric (deviation {dev:.2e})")
+    if not vectors:
+        return np.linalg.eigvalsh(a)[::-1]
     vals, vecs = np.linalg.eigh(a)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
+
+
+def spectrum_column(index: int, m_positive: int, n: int, size: int) -> int:
+    """Column of eigenvalue number ``index`` (1-based, descending) of an
+    n x n matrix in a spectrum of ``size`` values from :func:`eigensolve`.
+
+    The full spectrum (``size == n``) holds it at ``index - 1``; the top
+    ``m_positive`` and bottom values of a partial solve hold the bottom ones
+    ``n - size`` columns earlier.  ``index`` is a strength's target index
+    (:func:`~meso_spectra.spectral_core.target_index`), which lies in the
+    top ``m_positive`` or the bottom ``M - m_positive`` of the spectrum.
+    """
+    return index - 1 if index <= m_positive else index - 1 - (n - size)

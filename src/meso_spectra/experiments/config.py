@@ -29,6 +29,10 @@ __all__ = [
 
 EXPERIMENTS = ("location", "eigenvector", "pushforward", "concentration")
 
+# Seeds seed numpy's SeedSequence through RngStream, which takes
+# non-negative integers; 64 bits is the range a config or the CLI accepts.
+SEED_LIMIT = 2**64
+
 # Cross-checking the master-equation detector against the eigensolve is
 # automatic for orthogonally invariant kinds up to this size.
 CROSS_CHECK_MAX_N = 400
@@ -174,7 +178,7 @@ class ExperimentConfig:
 
         _require("seed" in doc, "seed: required")
         seed = _as_int(doc["seed"], "seed")
-        _require(0 <= seed < 2**64, "seed: must fit in 64 bits")
+        _require(0 <= seed < SEED_LIMIT, "seed: must fit in 64 bits")
 
         # Rank used for the default bands: the largest over the ladder.
         m_probe = None

@@ -15,7 +15,8 @@ import time
 import numpy as np
 
 from ..ensembles import (DEGENERACY_TOLERANCE, EnsembleSample, RngStream,
-                         eigensolve, sample_ensemble, sample_haar_frame)
+                         eigensolve, sample_ensemble, sample_haar_frame,
+                         spectrum_column)
 from ..master_equation import MasterOperator, MissingRootError, locate_outliers
 from ..predictor import (
     OutlierPrediction,
@@ -124,7 +125,7 @@ def _cluster_bounds(evals: np.ndarray, idx: int) -> tuple[int, int]:
     ``evals`` is descending; neighbours count as degenerate when their gap is
     at most ``DEGENERACY_TOLERANCE * max(1, |evals[0]|, |evals[-1]|)``.  On a
     full spectrum that scale is the spectral radius.  ``evals`` may also be
-    the truncated top-and-bottom result :func:`eigensolve` gives a sample;
+    the truncated top-and-bottom pairs :func:`eigensolve` gives a sample;
     it certifies every gap there, including the one where the top and bottom
     pairs meet, to exceed the tolerance at the spectral radius, so no
     cluster forms and none is split.
@@ -195,8 +196,7 @@ def _run_trial(
         if with_vectors:
             evals, evecs = eigensolve(sample)
         else:
-            evals = np.linalg.eigvalsh(sample.perturbed)[::-1]
-            evecs = None
+            evals, evecs = eigensolve(sample, vectors=False), None
         try:
             detector = (
                 _detector_locations(model, pert, sample, cfg.delta) if cross else {}
@@ -212,10 +212,7 @@ def _run_trial(
     for pred in preds:
         if not pred.separated:
             continue
-        # Column of the target eigenvalue, in a full or a top-and-bottom
-        # (truncated) spectrum alike.
-        t = pred.target_index
-        col = t - 1 if t <= pert.m_positive else t - 1 - (n - evals.size)
+        col = spectrum_column(pred.target_index, pert.m_positive, n, evals.size)
         realized = float(evals[col])
         abs_error = abs(realized - pred.location)
         extra: dict = {}
@@ -287,7 +284,9 @@ def _run_pushforward(cfg: ExperimentConfig) -> ExperimentReport:
             failure = None
             try:
                 sample = sample_ensemble(model, pert, n, matrix_stream, cfg.entry_law)
-                evals = np.linalg.eigvalsh(sample.perturbed)[::-1]
+                # Every strength is positive: evals[:m] are the top m values
+                # of a full or a partial spectrum alike.
+                evals = eigensolve(sample, vectors=False)
                 predicted = pushforward_sample(model, pert.thetas)
             except np.linalg.LinAlgError as exc:
                 failure = f"eigensolve failed: {exc}"

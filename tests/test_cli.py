@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from meso_spectra import Model, PerturbationSpec, SpectrumModel, ensembles
 from meso_spectra.cli import main
 
 
@@ -146,6 +147,24 @@ class TestSample:
         assert code == 2
         assert "MESO_SEED" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_usage_error(self, tmp_path, capsys, seed):
+        spec = write_spectrum(tmp_path / "s.txt", np.linspace(-1, 1, 90))
+        for argv in (["sample", "--kind", "wigner", "--n", "5"],
+                     ["detect", "--spectrum-file", spec, "--theta", "2.4"],
+                     ["sandwich", "--random", "1"]):
+            code, out, err = run_cli(capsys, *argv, f"--seed={seed}")
+            assert code == 2 and out == ""
+            assert err == f"error: --seed: must lie in [0, 2**64), got {seed}\n"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_meso_seed_outside_64_bits_usage_error(self, capsys, monkeypatch, seed):
+        monkeypatch.setenv("MESO_SEED", seed)
+        code, out, err = run_cli(capsys, "sample", "--kind", "wigner", "--n", "5",
+                                 "--seed", "5")
+        assert code == 2 and out == ""
+        assert err == f"error: MESO_SEED: must lie in [0, 2**64), got {seed}\n"
+
 
 class TestDetect:
     def test_roots_match_eigensolve(self, tmp_path, capsys):
@@ -162,6 +181,33 @@ class TestDetect:
             assert float(fields[4]) < 1e-6
         assert lines[1].split("\t")[1] == "2.4"
         assert lines[2].split("\t")[1] == "-2.1"
+
+    def test_large_instance_reads_values_from_the_partial_solve(
+            self, tmp_path, capsys, monkeypatch):
+        # Above the size rule the table's eigensolve column comes from the
+        # certified partial solve, with no n x n matrix built, and matches
+        # the dense values to the printed digits.
+        n, thetas, seed = 400, [2.4, 2.0, -2.1], 13
+        assert n > ensembles.FILTER_ROWS_PER_PAIR * (len(thetas) + 1)
+        values = np.linspace(-1, 1, n)
+        spec = write_spectrum(tmp_path / "s.txt", values)
+
+        def no_dense(*args):
+            raise AssertionError("detect must build no n x n matrix")
+
+        monkeypatch.setattr(ensembles, "perturb_additive", no_dense)
+        code, out, _ = run_cli(capsys, "detect", "--spectrum-file", spec,
+                               "--theta", *map(str, thetas), "--seed", str(seed),
+                               "--delta", "0.1")
+        monkeypatch.undo()
+        assert code == 0
+        sample = ensembles.sample_ensemble(
+            Model.additive(SpectrumModel.from_values(values)),
+            PerturbationSpec.from_values(thetas), n, ensembles.RngStream(seed, 0))
+        dense = np.linalg.eigvalsh(sample.perturbed)[::-1]
+        rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["1", "2", "3"]
+        assert [row[3] for row in rows] == [f"{v:.6f}" for v in dense[[0, 1, -1]]]
 
     def test_multiplicative_detection(self, tmp_path, capsys):
         spec = write_spectrum(tmp_path / "s.txt", np.linspace(0.5, 2.5, 80))

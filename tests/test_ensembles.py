@@ -30,6 +30,7 @@ from meso_spectra import (
 from meso_spectra.ensembles import EnsembleSample, eigensolve, sample_ensemble
 from meso_spectra.experiments import harness, run_experiment
 from meso_spectra.experiments.config import ExperimentConfig
+from meso_spectra.transforms import semicircle_quantiles
 
 
 class TestRngStream:
@@ -498,10 +499,13 @@ class TestEigensolve:
         for k in (0, 10, 24):
             resid = a @ vecs[:, k] - vals[k] * vecs[:, k]
             assert np.linalg.norm(resid) < 1e-10
+        assert np.array_equal(eigensolve(a, vectors=False),
+                              np.linalg.eigvalsh(a)[::-1])
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(ModelError):
-            eigensolve(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for vectors in (True, False):
+            with pytest.raises(ModelError):
+                eigensolve(np.array([[0.0, 1.0], [0.0, 0.0]]), vectors=vectors)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("skew", [0.0, 1e-13, 2.9e-12, 3.1e-12, 1e-9])
@@ -588,6 +592,13 @@ def cluster_sums(evals, evecs, frame):
     return out
 
 
+def extreme_indices(sample):
+    """Where the values of a partial solve sit in the full spectrum."""
+    n, m = sample.n, sample.m
+    upper = int(np.count_nonzero(sample.thetas > 0.0))
+    return np.r_[np.arange(upper), np.arange(n - (m - upper), n)]
+
+
 def assert_matches_dense(sample):
     """``eigensolve(sample)`` against dense ``eigh`` on ``sample.perturbed``.
 
@@ -600,8 +611,7 @@ def assert_matches_dense(sample):
         assert np.array_equal(vals, dense_vals)
         assert np.array_equal(vecs, dense_vecs)
         return False
-    upper = int(np.count_nonzero(sample.thetas > 0.0))
-    idx = np.r_[np.arange(upper), np.arange(n - (m - upper), n)]
+    idx = extreme_indices(sample)
     assert vals.shape == (m,) and vecs.shape == (n, m)
     size = max(1.0, float(np.max(np.abs(dense_vals))))
     assert np.max(np.abs(vals - dense_vals[idx])) <= 1e-12 * size
@@ -612,6 +622,23 @@ def assert_matches_dense(sample):
         # Each certified vector is within angle FILTER_TOLERANCE of its
         # eigenvector, so its squared projection is within twice that.
         assert abs(partial[j][1] - dense[i][1]) <= 1e-11
+    return True
+
+
+def assert_values_match_dense(sample):
+    """``eigensolve(sample, vectors=False)`` against dense ``eigvalsh``.
+
+    Returns whether the certified partial solve answered; a fallback must
+    return ``eigvalsh``'s bits.
+    """
+    vals = eigensolve(sample, vectors=False)
+    dense = np.linalg.eigvalsh(sample.perturbed)[::-1]
+    if vals.size == sample.n:
+        assert np.array_equal(vals, dense)
+        return False
+    assert vals.shape == (sample.m,)
+    error = np.max(np.abs(vals - dense[extreme_indices(sample)]))
+    assert error <= 1e-12 * max(1.0, np.max(np.abs(dense)))
     return True
 
 
@@ -660,6 +687,7 @@ class TestCertifiedPartialEigensolve:
                                  spectrum.n, RngStream(seed, 0))
         assert np.array_equal(sample.thetas, np.sort(thetas)[::-1])
         assert_matches_dense(sample)
+        assert_values_match_dense(sample)
 
     @given(st.integers(8, 60), st.lists(st.floats(2.5, 4.0), min_size=1, max_size=4),
            st.lists(st.booleans(), min_size=4, max_size=4), st.integers(0, 2**16))
@@ -837,6 +865,82 @@ class TestCertifiedPartialEigensolve:
         assert not any(isinstance(answer, str) for answer in answers)
         assert caplog.records == []
 
+    def test_detect_shaped_location_config_logs_no_fallback(self, caplog,
+                                                           monkeypatch):
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
+        answers = []
+        real_solve = ensembles._filtered_extremes
+
+        def solve(*args):
+            answers.append(real_solve(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(ensembles, "_filtered_extremes", solve)
+        rep = run_experiment(ExperimentConfig.from_dict({
+            "experiment": "location",
+            "kind": "orth-invariant-additive",
+            "n_values": [400],
+            "spectrum": {"name": "semicircle"},
+            "theta_spec": {"values": [2.4, 2.2, 2.0, 1.9, -1.9, -2.0, -2.2, -2.4]},
+            "delta": 0.15,
+            "epsilon": 0.15,
+            "trials": 5,
+            "seed": 11,
+            "cross_check": False,
+        }))
+        assert not any(rec.failed for rec in rep.records)
+        assert len(answers) == 5
+        assert all(answer.shape == (8,) for answer in answers)
+        assert caplog.records == []
+
+    def test_values_certificate(self):
+        # Exact outlier vectors certify; a rough span, a span holding a bulk
+        # eigenvalue, or the wrong count above the bulk does not.
+        d = np.linspace(-1.0, 1.0, 60)
+        frame = sample_haar_frame(60, 2, RngStream(58, 0))
+        a = framed_sample(False, d, [3.0, -3.0], frame).perturbed
+        vals, vecs = np.linalg.eigh(a)
+        margin = ensembles.DEGENERACY_TOLERANCE * 3.0
+
+        def certify(columns, upper):
+            return ensembles._certify_values(lambda x: a @ x, vecs[:, columns], d,
+                                             upper, False, margin)
+
+        values = certify([-1, 0], 1)
+        assert np.max(np.abs(values - vals[[-1, 0]])) <= 1e-14
+        rough = vecs[:, [-1, 0]] + 1e-9 * np.ones((60, 2))
+        assert ensembles._certify_values(lambda x: a @ x, rough, d, 1, False,
+                                         margin) == "certificate failed"
+        assert certify([-1, -2], 1) == "certificate failed"
+        assert certify([-1, 0], 2) == "certificate failed"
+        assert certify([-1, 0], 0) == "certificate failed"
+
+    def test_close_outliers_at_m_near_sqrt_n(self, caplog, monkeypatch):
+        # M = 45 strengths uniform on [1.5, 2.5] at n = 2000 put outliers
+        # about 1e-3 apart, where no residual reaches 1e-12 times the gap:
+        # the values certify, the pairs fall back.
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
+        n, m = 2000, 45
+        spectrum = SpectrumModel.from_values(semicircle_quantiles(n))
+        thetas = RngStream(57, 1).generator().uniform(1.5, 2.5, m)
+        sample = sample_ensemble(Model.additive(spectrum),
+                                 PerturbationSpec.from_values(thetas), n,
+                                 RngStream(57, 0))
+        assert n > ROWS_PER_PAIR * (m + 1)
+        values = eigensolve(sample, vectors=False)
+        assert values.shape == (m,) and caplog.records == []
+        assert "perturbed" not in sample._built
+        dense = np.linalg.eigvalsh(sample.perturbed)[::-1]
+        radius = max(1.0, float(np.max(np.abs(dense))))
+        assert np.max(np.abs(values - dense[:m])) <= 1e-12 * radius
+        assert np.min(-np.diff(values)) < 1e-2
+        vals, _ = eigensolve(sample)
+        assert vals.size == n
+        assert [r.getMessage() for r in caplog.records] == [
+            "dense eigensolve fallback: stream 0, n=2000: certificate failed"]
+
     def test_closed_form_unframed_and_small_samples_stay_dense(self, monkeypatch):
         def no_partial_solve(*args):
             raise AssertionError("the partial solve must not run")
@@ -845,14 +949,36 @@ class TestCertifiedPartialEigensolve:
         pert = PerturbationSpec.from_values([3.0])
         wigner = sample_ensemble(Model.wigner(), pert, 20, RngStream(40, 0))
         unframed = framed_sample(False, np.linspace(0, 1, 20), [], None)
-        frame = sample_haar_frame(180, 2, RngStream(40, 1))
-        small = framed_sample(False, np.linspace(0, 1, 180), [3.0, -3.0], frame)
+        frame = sample_haar_frame(120, 2, RngStream(40, 1))
+        small = framed_sample(False, np.linspace(0, 1, 120), [3.0, -3.0], frame)
         monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
         assert small.n <= ROWS_PER_PAIR * (small.m + 1)
         for sample in (wigner, unframed, small):
             vals, _ = eigensolve(sample)
             assert vals.size == sample.n
             assert np.array_equal(vals, eigensolve(sample.perturbed)[0])
+            values = eigensolve(sample, vectors=False)
+            assert np.array_equal(values, np.linalg.eigvalsh(sample.perturbed)[::-1])
+
+    def test_closed_form_values_add_no_temporary(self):
+        # eigvalsh on the sample's own matrix and nothing else: no symmetry
+        # check, whose a - a^T would be one more n x n array.
+        n = 300
+        sample = sample_ensemble(Model.wigner(), PerturbationSpec.from_values([3.0]),
+                                 n, RngStream(40, 2))
+
+        def peak(solve):
+            tracemalloc.start()
+            try:
+                values = solve()
+                return tracemalloc.get_traced_memory()[1], values
+            finally:
+                tracemalloc.stop()
+
+        direct, expected = peak(lambda: np.linalg.eigvalsh(sample.perturbed)[::-1])
+        through, values = peak(lambda: eigensolve(sample, vectors=False))
+        assert np.array_equal(values, expected)
+        assert through - direct < 8 * n * n // 4
 
     def test_draws_no_random_numbers(self, monkeypatch):
         spectrum = SpectrumModel.from_values(np.linspace(0.5, 2.5, 50))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import meso_spectra
-from meso_spectra import InversionError, MissingRootError, SpectrumModel
+from meso_spectra import InversionError, MissingRootError, SpectrumModel, ensembles
 from meso_spectra.ensembles import eigensolve
 from meso_spectra.experiments import ExperimentError, aggregate, harness, run_experiment
 from meso_spectra.experiments.config import ExperimentConfig
@@ -202,10 +202,10 @@ class TestTrialBuffersReleased:
                         for obj in (drawn, drawn.base, drawn.perturbed))
             return drawn
 
-        def solve(matrix):
+        def solve(matrix, vectors=True):
             if len(alive_at_draw) - 1 == failing_stream:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigensolve(matrix)
+            return eigensolve(matrix, vectors=vectors)
 
         monkeypatch.setattr(harness, "sample_ensemble", sample)
         monkeypatch.setattr(harness, "eigensolve", solve)
@@ -288,8 +288,9 @@ def test_runtime_path_does_not_import_scipy():
 class TestBenchContract:
     """The call pattern the benchmark's layer tracing relies on.
 
-    The tracer wraps ``harness.eigensolve`` and ``np.linalg.eigvalsh`` and
-    expects one of them per orthogonally invariant trial.
+    The tracer wraps ``harness.eigensolve`` and ``np.linalg.eigvalsh``.
+    Every trial reads its realized values through one ``eigensolve`` call;
+    ``eigvalsh`` runs inside it only where the spectrum is solved densely.
     """
 
     @staticmethod
@@ -297,9 +298,10 @@ class TestBenchContract:
         calls = {"eigensolve": [], "eigvalsh": 0}
         real_solve, real_eigvalsh = harness.eigensolve, np.linalg.eigvalsh
 
-        def solve(arg):
-            result = real_solve(arg)
-            calls["eigensolve"].append((type(arg).__name__, result[0].size))
+        def solve(arg, vectors=True):
+            result = real_solve(arg, vectors=vectors)
+            values = result[0] if vectors else result
+            calls["eigensolve"].append((type(arg).__name__, vectors, values.size))
             return result
 
         def eigvalsh(*args, **kwargs):
@@ -316,13 +318,27 @@ class TestBenchContract:
             eigenvector_cfg(n_values=[200], trials=3, cross_check=False))
         assert not any(rec.failed for rec in rep.records)
         # The certified partial solve answers with the two extreme pairs.
-        assert calls == {"eigensolve": [("EnsembleSample", 2)] * 3, "eigvalsh": 0}
+        assert calls == {"eigensolve": [("EnsembleSample", True, 2)] * 3,
+                         "eigvalsh": 0}
 
     def test_location_trial_calls_eigvalsh_once(self, monkeypatch):
+        # A closed-form sample's values come from one dense eigvalsh.
+        calls = self.count_calls(monkeypatch)
+        rep = run_experiment(location_cfg(kind="wigner", spectrum=None,
+                                          n_values=[120], trials=3,
+                                          cross_check=False))
+        assert not any(rec.failed for rec in rep.records)
+        assert calls == {"eigensolve": [("EnsembleSample", False, 120)] * 3,
+                         "eigvalsh": 3}
+
+    def test_orth_location_trial_solves_values_once_without_eigvalsh(
+            self, monkeypatch):
+        # The certified partial solve answers with the two extreme values.
         calls = self.count_calls(monkeypatch)
         rep = run_experiment(location_cfg(trials=3, cross_check=False))
         assert not any(rec.failed for rec in rep.records)
-        assert calls == {"eigensolve": [], "eigvalsh": 3}
+        assert calls == {"eigensolve": [("EnsembleSample", False, 2)] * 3,
+                         "eigvalsh": 0}
 
 
 class TestEigenvectorDriver:
@@ -415,6 +431,29 @@ class TestPushforwardDriver:
         cfg = self.make_cfg()
         assert reports_equal(run_experiment(cfg),
                              run_experiment(cfg))
+
+    def test_orth_invariant_batches_read_top_values_alone(self, monkeypatch):
+        # All strengths are positive, so the partial solve's values are the
+        # top m; W1 matches a dense read to rounding.
+        cfg = self.make_cfg(kind="orth-invariant-additive",
+                            spectrum={"name": "semicircle"},
+                            n_values=[300, 600], m_rule={"fixed": 4}, batches=2)
+        sizes = []
+        real_solve = harness.eigensolve
+
+        def solve(sample, vectors=True):
+            values = real_solve(sample, vectors=vectors)
+            sizes.append(values.size)
+            return values
+
+        monkeypatch.setattr(harness, "eigensolve", solve)
+        rep = run_experiment(cfg)
+        assert sizes == [4] * 4
+        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", 1000)
+        dense = run_experiment(cfg)
+        assert sizes[4:] == [300, 600] * 2
+        for got, want in zip(rep.records, dense.records):
+            assert got.w1 == pytest.approx(want.w1, rel=0.0, abs=1e-12)
 
     def run_with_failing_prediction(self, monkeypatch, cfg, bad_units):
         """Run ``cfg`` with ``pushforward_sample`` failing on ``bad_units``."""
