@@ -13,13 +13,16 @@ strengths, O(n M) in all.  Its dense n x n matrices are built on first read.
 orthogonally invariant kind (above a size set by ``FILTER_ROWS_PER_PAIR``)
 it returns only the top ``M+`` and bottom ``M-`` eigenpairs, or their values
 alone with ``vectors=False`` (``M+``/``M-`` the numbers of positive/negative
-strengths), certified by a Chebyshev-filtered subspace iteration on the
-diagonal-plus-low-rank structure, whose bulk interval ``[min d, max d]`` is
-known exactly; values alone need no gap between outliers.  When that solve
-cannot certify them it falls back to the full dense spectrum and logs the
-fallback on the ``meso_spectra`` logger.  Experiment trials read realized
-values through ``eigensolve(sample, vectors=False)`` alone, so a value-only
-trial of an orthogonally invariant kind builds no n x n matrix.
+strengths).  They are found on the diagonal-plus-low-rank structure, whose
+bulk interval ``[min d, max d]`` is known exactly: a first Chebyshev filter
+stage, then shift-and-invert sweeps at the Ritz values, O(n M^2) per vector
+through the Woodbury identity, wherever a sweep costs less than the next
+filter stage.  Certificates decide on them (values alone need no gap
+between outliers); when they fail, the solve falls back to the full dense
+spectrum and logs the fallback on the ``meso_spectra`` logger.  Experiment
+trials read realized values through ``eigensolve(sample, vectors=False)``
+alone, so a value-only trial of an orthogonally invariant kind builds no
+n x n matrix.
 """
 
 from __future__ import annotations
@@ -82,12 +85,15 @@ FILTER_FIRST_DEGREE = 12
 
 # The partial eigensolve runs only on samples with more than this many rows
 # per pair, plus one: n > FILTER_ROWS_PER_PAIR * (M + 1).  On 2 cores with
-# OpenBLAS, with the dense n x n assembly counted in the dense side's cost,
-# values alone cross over with eigvalsh at n = 90, 120, 130, 140 and 160 for
-# M = 1, 2, 4, 8 and 12 (at n = 400, M = 8: 12 ms dense, 1.5 ms partial),
-# and pairs cross over with eigh lower, at n = 80, 80, 95 and 110 for
-# M = 1, 2, 4 and 8.  So the rule is conservative for both (at M = 1, for
-# values, within the timing noise).
+# OpenBLAS, with the dense n x n assembly counted in the dense side's cost
+# and the partial solve's sweeps in its own, values alone (additive, on
+# semicircle quantiles) stay faster than eigvalsh from n = 130, 140, 150, 150
+# and 180 for M = 1, 2, 4, 8 and 12 (at n = 400, M = 8: 11 ms dense, 1.9 ms
+# partial), and pairs (multiplicative, on a uniform spectrum) stay faster
+# than eigh from n = 70, 90, 90, 110 and 130.  So the rule is conservative
+# for pairs, and for values from M = 4; for values at M = 1 and 2 it admits
+# samples from n = 81 and 121, where the partial solve costs up to about
+# 0.5 ms more than the dense one.
 FILTER_ROWS_PER_PAIR = 40
 
 _log = logging.getLogger(__name__)
@@ -486,35 +492,49 @@ def _filtered_extremes(
     ``A = diag(d) + W K W^T`` (``M`` the columns of ``start``), their values
     alone when not ``vectors``, or the reason they could not be certified.
 
-    Chebyshev-filtered subspace iteration (Zhou, Saad, Tiago and
-    Chelikowsky, J. Comput. Phys. 219, 2006) on a block of ``M`` vectors
-    started on the orthonormal ``start``, applying ``A`` as
-    ``d * x + W (K (W^T x))``.  All eigenvalues but the wanted ones lie in
+    A first Chebyshev filter stage (Zhou, Saad, Tiago and Chelikowsky,
+    J. Comput. Phys. 219, 2006) on a block of ``M`` vectors started on the
+    orthonormal ``start``, applying ``A`` as ``d * x + W (K (W^T x))``, then
+    Rayleigh quotient iteration by shift-and-invert sweeps where they cost
+    less than further filtering.  All eigenvalues but the wanted ones lie in
     the bulk ``[min d, max d]`` (see :func:`_certify`), on which
     ``T_m((A - centre) / half)`` is at most 1 in modulus, while it
     multiplies an eigenvector at ``lambda`` beyond the bulk by about
     ``rho^m / 2``, with ``rho = |x| + sqrt(x^2 - 1)`` at the mapped
-    ``x = (lambda - centre) / half``.  Each stage filters the block by the
-    three-term recurrence, orthonormalizes it by QR and solves an ``M x M``
-    Rayleigh-Ritz problem.  Pairs whose residual has reached the tolerance
-    of :func:`_certify` (of :func:`_certify_values` when not ``vectors``)
-    are locked: later stages filter only the others and project the locked
-    vectors out at every step of the recurrence.
+    ``x = (lambda - centre) / half``.  A filter stage applies the three-term
+    recurrence to the block; a sweep replaces each vector ``x`` of the block
+    by ``(A - sigma)^-1 x`` at its own Ritz value ``sigma``, through the
+    Woodbury identity with ``E = (diag(d) - sigma)^-1``:
+    ``E x - E W K (I + W^T E W K)^-1 W^T E x``.  Either is followed by a QR
+    orthonormalization and an ``M x M`` Rayleigh-Ritz problem.  Pairs whose
+    residual has reached the tolerance of :func:`_certify` (of
+    :func:`_certify_values` when not ``vectors``) are locked: later filter
+    stages filter only the others and project the locked vectors out at
+    every step of the recurrence, and later sweeps shift only the others.
 
     The solve gives up ("Ritz values not separated") once the filter has
     reached ``FILTER_FIRST_DEGREE`` and the Ritz values are not beyond the
     bulk and, when ``vectors``, apart from one another; a Ritz value never
     passes its eigenvalue (Cauchy interlacing), so a subcritical strength
-    never gets there.  Each later stage takes the degree at which the
-    residuals' predicted fall by ``2 / rho^m`` reaches the tolerance, and
-    the solve gives up ("step cap reached") when that makes the total
-    exceed ``FILTER_MAX_DEGREE``.  Every stage's degree is bounded so that
-    no unconverged pair outgrows another by more than
-    ``1 / sqrt(FILTER_TOLERANCE)``, beyond which rounding swamps the
-    slower one; the first stage bounds the fastest growth through Weyl's
-    bound ``half + |W K W^T|`` on ``|A - centre|``.  A stage whose residuals
-    fell by less than half the predicted amount has met the rounding floor,
-    and the certificate decides on the pairs as they are.  No random
+    never gets there.  After that check a next filter stage would take the
+    degree ``need`` at which the residuals' predicted fall by ``2 / rho^m``
+    reaches the tolerance.  For ``n`` rows and ``W`` of rank ``m'``, that
+    stage costs ``need n m'`` per vector and a sweep ``n m'^2``, so the
+    solve sweeps when ``m' < need`` and each shift lies within half its
+    distance to the other Ritz values and the bulk (so that it is nearest
+    its own eigenvalue); a sweep is charged ``m'`` degrees, and one whose
+    solve is singular or not finite gives way to the filter stage.  The
+    solve gives up ("step cap reached") when the next stage or sweep would
+    make the total exceed ``FILTER_MAX_DEGREE``.  Every stage's degree is
+    bounded so that no unconverged pair outgrows another by more than
+    ``1 / sqrt(FILTER_TOLERANCE)``, beyond which rounding swamps the slower
+    one; the first stage bounds the fastest growth through Weyl's bound
+    ``half + |W K W^T|`` on ``|A - centre|``.  A sweep is predicted to take
+    a residual ``r`` at distance ``apart`` from the rest to about
+    ``r^3 / apart^2``.  A stage or sweep whose residuals fell by less than
+    half the predicted amount has met the rounding floor, and the
+    certificate decides on the pairs as they are.  Sweeps change only how
+    the block is found: the same certificates decide on it.  No random
     numbers are drawn.
     """
     low, high = float(d.min()), float(d.max())
@@ -545,56 +565,78 @@ def _filtered_extremes(
             y -= (y @ locked.T) @ locked
         return y
 
+    def filtered(x: np.ndarray, degree: int) -> np.ndarray:
+        prev, cur = x, step(x)
+        cur *= 0.5  # T_1(x) = x, then T_j+1(x) = 2 x T_j(x) - T_j-1(x)
+        for _ in range(degree - 1):
+            nxt = step(cur)
+            nxt -= prev
+            prev, cur = cur, nxt
+        return cur
+
+    rank = w.shape[1]
+    identity = np.eye(rank)
+
+    def swept(x: np.ndarray, shifts: np.ndarray) -> np.ndarray | None:
+        # Row j becomes (A - shift_j)^-1 x_j, or None when a solve is
+        # singular or not finite.
+        with np.errstate(all="ignore"):
+            e = 1.0 / (d - shifts[:, None])
+            wew = np.stack([(wt * row) @ w for row in e])  # W^T E W, row by row
+            try:
+                z = np.linalg.solve(identity + wew @ k, ((e * x) @ w)[:, :, None])
+            except np.linalg.LinAlgError:
+                return None
+            y = e * (x - (z[:, :, 0] @ k.T) @ wt)
+        return y if np.isfinite(y).all() else None
+
     # Weyl: no eigenvalue is farther than half + |W K W^T| from centre.
     low_rank = float(np.abs(np.linalg.eigvals(k @ (wt @ w))).max())
     fastest = float(log_rho(centre + half + low_rank))
     degree = min(FILTER_FIRST_DEGREE, FILTER_MAX_DEGREE)
     if fastest > 0.0:
         degree = min(degree, max(1, int(log_growth_cap / fastest)))
-    block, used, expected = start.T, 0, None
+    block, used, expected = filtered(start.T, degree), degree, None
     while True:
-        prev, cur = block, step(block)
-        cur *= 0.5  # T_1(x) = x, then T_j+1(x) = 2 x T_j(x) - T_j-1(x)
-        for _ in range(degree - 1):
-            nxt = step(cur)
-            nxt -= prev
-            prev, cur = cur, nxt
-        used += degree
-        q = np.linalg.qr(cur.T)[0].T
+        q = np.linalg.qr(block.T)[0].T
         image = apply(q)
         ritz, rot = np.linalg.eigh(image @ q.T)
         vecs, image = rot.T @ q, rot.T @ image
         resid = np.linalg.norm(image - ritz[:, None] * vecs, axis=1)
-        values = np.r_[locked_vals, ritz]
+        values = np.concatenate((locked_vals, ritz))
         order = np.argsort(values)[::-1]
         radius = max(1.0, abs(values[order[0]]), abs(values[order[-1]]))
         margin = DEGENERACY_TOLERANCE * max(radius, d_abs)
+        # Each value's distance to the others and to the bulk.
+        _, _, apart = _intervals(values[order], 0.0, upper, d)
         if vectors:
-            _, _, gap = _intervals(values[order], 0.0, upper, d)
+            gap = apart
             tolerance = FILTER_TOLERANCE * np.minimum(radius, gap)
         else:
             # Values need only clear the bulk, not one another, and the
             # residuals' root sum of squares must meet the tolerance.
-            gap = np.r_[values[order[:upper]] - high, low - values[order[upper:]]]
+            gap = np.concatenate((values[order[:upper]] - high,
+                                  low - values[order[upper:]]))
             tolerance = FILTER_TOLERANCE * radius / math.sqrt(values.size)
         separated = bool((gap > margin).all())
         if not separated and used >= FILTER_FIRST_DEGREE:
             return "Ritz values not separated"
-        target = np.empty(values.size)
-        target[order] = tolerance
-        target = target[locked_vals.size:]
+        target, isolation = np.empty(values.size), np.empty(values.size)
+        target[order], isolation[order] = tolerance, apart
+        target, isolation = target[locked_vals.size:], isolation[locked_vals.size:]
         done = resid <= target
         locked = np.vstack([locked, vecs[done]])
-        locked_vals = np.r_[locked_vals, ritz[done]]
+        locked_vals = np.concatenate((locked_vals, ritz[done]))
         block, ritz = vecs[~done], ritz[~done]
+        resid, isolation = resid[~done], isolation[~done]
         rates = log_rho(ritz)
         stalled = False
         if separated and ritz.size:
             # log(residual / tolerance) of each pair still converging.
-            excess = np.log(resid[~done] / target[~done])
+            excess = np.log(resid / target[~done])
             stalled = expected is not None and worst - excess.max() < 0.5 * expected
         if stalled or not ritz.size:
-            order = np.argsort(np.r_[locked_vals, ritz])[::-1]
+            order = np.argsort(np.concatenate((locked_vals, ritz)))[::-1]
             pairs = np.vstack([locked, block])[order]
             if vectors:
                 return _certify(lambda x: apply(x.T).T, pairs.T, d, upper, psd,
@@ -603,6 +645,17 @@ def _filtered_extremes(
                                    psd, margin)
         if separated:
             need = float(((math.log(2.0) + excess) / rates).max())
+            # A shift within half its distance to the other values and the
+            # bulk is nearest its own eigenvalue, and shift-and-invert takes
+            # its residual r to about r^3 / apart^2 (Rayleigh quotient
+            # iteration).
+            if (rank < need and used + rank <= FILTER_MAX_DEGREE
+                    and (2.0 * resid < isolation).all()):
+                rows = swept(block, ritz)
+                if rows is not None:
+                    block, used, worst = rows, used + rank, excess.max()
+                    expected = 2.0 * float(np.log(isolation / resid).min())
+                    continue
         else:
             need = FILTER_FIRST_DEGREE - used
         if not used + need <= FILTER_MAX_DEGREE:
@@ -615,18 +668,22 @@ def _filtered_extremes(
         if separated:  # the slowest pair's predicted fall, in log
             worst = excess.max()
             expected = degree * float(rates.min()) - math.log(2.0)
+        block, used = filtered(block, degree), used + degree
 
 
 def _intervals(values: np.ndarray, resid, upper: int, d: np.ndarray):
     """Intervals ``[values - resid, values + resid]`` with the bulk
     ``[min d, max d]`` inserted after the top ``upper``, as ``(low, high)``,
     and each value's distance to the intervals next to it."""
-    low = np.insert(values - resid, upper, d.min())
-    high = np.insert(values + resid, upper, d.max())
-    centre = np.insert(values, upper, 0.5 * (low[upper] + high[upper]))
-    gap = np.minimum(np.r_[np.inf, low[:-1]] - centre,
-                     centre - np.r_[high[1:], -np.inf])
-    return low, high, np.delete(gap, upper)
+    def insert(a: np.ndarray, value: float) -> np.ndarray:
+        return np.concatenate((a[:upper], [value], a[upper:]))
+
+    low = insert(values - resid, d.min())
+    high = insert(values + resid, d.max())
+    centre = insert(values, 0.5 * (low[upper] + high[upper]))
+    gap = np.minimum(np.concatenate(([np.inf], low[:-1])) - centre,
+                     centre - np.concatenate((high[1:], [-np.inf])))
+    return low, high, np.concatenate((gap[:upper], gap[upper + 1:]))
 
 
 def _certify(apply, vecs: np.ndarray, d: np.ndarray, upper: int, psd: bool,
@@ -757,7 +814,10 @@ def eigensolve(
     ``n > FILTER_ROWS_PER_PAIR * (M + 1)`` gets only its top ``M+`` and
     bottom ``M-`` values, ``M+``/``M-`` the numbers of positive/negative
     strengths: ``M = M+ + M-`` values (top then bottom, descending), found
-    by :func:`_filtered_extremes`.  So entry ``j`` holds eigenvalue
+    by :func:`_filtered_extremes`: a first Chebyshev filter stage, then
+    shift-and-invert sweeps through the Woodbury identity while a sweep
+    (``n m'^2`` per vector, ``m'`` the update's rank) costs less than the
+    next filter stage (``need n m'``).  So entry ``j`` holds eigenvalue
     ``j + 1`` for ``j < M+`` and eigenvalue ``j + 1 + n - M`` after
     (:func:`spectrum_column`).  With ``vectors`` each pair is certified as in
     :func:`_certify`, value within ``FILTER_TOLERANCE`` times the spectral

@@ -11,9 +11,11 @@ makes the separation threshold one evaluation (:func:`_separation_threshold`).
 
 Inverses outside the bulk are computed by bisection on a certified bracket
 followed by a Newton polish (repeated after bisecting to the float spacing
-when the first polish misses); results satisfy
-``|f(z) - t| <= 1e-12 * max(1, |t|)``, and a solve that misses that residual
-raises :class:`InversionError`.
+when the first polish misses); each result has residual
+``|f(z) - t| <= INVERSION_RTOL * max(1, |t|)``, or the root pinned to one
+float spacing (next to a pole, where ``f`` changes across one spacing by
+more than that), and a solve that achieves neither raises
+:class:`InversionError`.
 A spectrum memoizes its solved inverses, so repeating a target costs a
 lookup.
 """
@@ -67,7 +69,9 @@ class TransformDomainError(MesoSpectraError, ValueError):
 
 
 class InversionError(MesoSpectraError, ArithmeticError):
-    """An inverse solve of an attainable target missed its residual tolerance."""
+    """An inverse solve of an attainable target achieved neither residual
+    ``<= INVERSION_RTOL * max(1, |t|)`` nor the root pinned to one float
+    spacing."""
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +148,10 @@ def _bisect_newton(
     the root to ``INVERSION_RTOL``.  A root closer to a pole of ``f`` than
     the first bisection's width (a T-transform root next to a tiny
     eigenvalue) is polished again after bisecting down to the float
-    spacing; raises :class:`InversionError` if that misses too.
+    spacing.  If that misses too, the bracket's ends are adjacent floats and
+    the nearer one is returned when its residual is within what ``f``
+    changes across the spacing (by ``fprime``); otherwise raises
+    :class:`InversionError`.
     """
     tol_resid = INVERSION_RTOL * max(1.0, abs(t))
     passes = ((1e-13 * max(1.0, abs(lo), abs(hi)), 200), (0.0, 2200))
@@ -170,6 +177,12 @@ def _bisect_newton(
         resid = f(z) - t
         if abs(resid) <= tol_resid:
             return z
+    # Bisection has pinned the root between adjacent floats.  Next to a pole
+    # f changes across that spacing by more than the tolerance, and no float
+    # does better than the nearer end; a larger residual is a jump, not a root.
+    miss, nearer = min((abs(f(x) - t), x) for x in (lo, hi))
+    if miss <= max(abs(fprime(lo)), abs(fprime(hi))) * (hi - lo):
+        return nearer
     raise InversionError(f"inverse solve for t={t:g} stopped at z={z!r} with "
                          f"residual {resid:.3g} (tolerance {tol_resid:.3g})")
 

@@ -4,10 +4,11 @@ import dataclasses
 import logging
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from meso_spectra import ensembles
@@ -791,6 +792,90 @@ class TestCertifiedPartialEigensolve:
         assert not assert_matches_dense(sample)
         assert [r.getMessage() for r in caplog.records] == [
             "dense eigensolve fallback: stream 3, n=20: Ritz values not separated"]
+
+    @given(st.booleans(), st.integers(30, 100), st.booleans(),
+           st.sampled_from(["repeated", "close", "strong and weak", "twins"]),
+           st.floats(1.2, 3.0), st.integers(1, 10), st.booleans(),
+           st.integers(0, 2**16))
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_shifts_beside_converged_eigenvalues(self, caplog, multiplicative, k,
+                                                 flat, family, theta, digits,
+                                                 below, seed):
+        # Sweeps shift at Ritz values next to eigenvalues already locked, or
+        # onto their own once rounding stops a residual short of its
+        # tolerance: repeated strengths, strengths 10^-digits apart, an
+        # outlier near 50 beside two near 1.5, and twins, two copies of one
+        # block whose outliers are 10^-digits apart and decouple exactly.  A
+        # shifted solve that is singular, warns or is not finite must stay
+        # inside the solve, which certifies or falls back with a logged reason.
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        thetas = {
+            "repeated": [theta, theta],
+            "close": [theta, theta * (1.0 + 10.0 ** -digits)],
+            "strong and weak": [50.0, 1.5, 1.5 * (1.0 + 10.0 ** -digits)],
+            "twins": [theta],
+        }[family]
+        if below and not multiplicative:
+            thetas = [-t for t in thetas]
+        values = (np.ones(k) if flat and family != "twins"
+                  else RngStream(seed, 1).generator().uniform(0.5, 2.5, k))
+        frame = sample_haar_frame(k, len(thetas), RngStream(seed, 0))
+        if family == "twins":
+            values = np.r_[values, values]
+            frame = np.block([[frame, np.zeros_like(frame)],
+                              [np.zeros_like(frame), frame]])
+            thetas += [thetas[0] * (1.0 + 10.0 ** -digits)]
+        sample = framed_sample(multiplicative, values, thetas, frame)
+        reasons = ("Ritz values not separated", "step cap reached",
+                   "certificate failed")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in (assert_matches_dense, assert_values_match_dense):
+                caplog.clear()
+                if check(sample):
+                    assert caplog.records == []
+                else:
+                    (record,) = caplog.records
+                    assert record.getMessage() in [
+                        f"dense eigensolve fallback: stream 0, n={sample.n}: {reason}"
+                        for reason in reasons]
+            vals, vecs = eigensolve(sample)
+        assert np.isfinite(vals).all() and np.isfinite(vecs).all()
+
+    def test_bench_shaped_pairs_take_at_most_two_sweeps(self, monkeypatch):
+        # After the first filter stage each Rayleigh-Ritz step follows a
+        # shift-and-invert sweep, one batched solve: no second filter stage.
+        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "eigenvector",
+            "kind": "orth-invariant-multiplicative",
+            "n_values": [500],
+            "spectrum": {"name": "uniform", "low": 0.5, "high": 2.5},
+            "theta_spec": {"values": [1.5, 1.2, 1.0, -0.88, -0.92, -0.96]},
+            "trials": 3,
+            "seed": 39,
+        })
+        model = cfg.model_for(500)
+        pert = PerturbationSpec.from_values(cfg.thetas())
+        steps = []
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                steps.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.linalg, "eigh", spy("rayleigh-ritz", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "solve", spy("sweep", np.linalg.solve))
+        for trial in range(cfg.trials):
+            sample = sample_ensemble(model, pert, 500, RngStream(cfg.seed, trial))
+            steps.clear()
+            vals, _ = eigensolve(sample)
+            assert vals.shape == (6,)
+            sweeps = steps.count("sweep")
+            assert 1 <= sweeps <= 2
+            assert steps == ["rayleigh-ritz"] + ["sweep", "rayleigh-ritz"] * sweeps
 
     @staticmethod
     def uniform_sample(multiplicative, low, high, thetas, seed):

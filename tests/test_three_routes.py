@@ -71,7 +71,8 @@ def instances(draw):
 
 def check_prediction(model, pert, n, delta):
     """Every separated location solves ``f(z) = 1/theta`` to the inverse's
-    residual tolerance and clears the edge by ``2 delta``."""
+    residual tolerance, or pins the root to one float spacing, and clears
+    the edge by ``2 delta``."""
     spectrum = model.spectrum
     transform = t_transform if model.kind.multiplicative else stieltjes
     for pred in predict(model, pert, n, delta):
@@ -80,7 +81,12 @@ def check_prediction(model, pert, n, delta):
             continue
         t = 1.0 / pred.theta
         z = pred.location
-        assert abs(transform(spectrum, z) - t) <= INVERSION_RTOL * max(1.0, abs(t))
+        f = transform(spectrum, z)
+        # f decreases, so a pinned root has t between f at z and f at one
+        # of z's neighbours.
+        assert (abs(f - t) <= INVERSION_RTOL * max(1.0, abs(t))
+                or transform(spectrum, np.nextafter(z, -np.inf)) >= t >= f
+                or f >= t >= transform(spectrum, np.nextafter(z, np.inf)))
         if pred.theta > 0.0:
             assert z > spectrum.lam_max
         else:

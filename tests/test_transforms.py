@@ -14,13 +14,17 @@ from hypothesis import strategies as st
 
 from meso_spectra import (
     InversionError,
+    MasterOperator,
     MesoSpectraError,
     Model,
     ModelError,
     PerturbationSpec,
+    RngStream,
     SpectrumModel,
     empirical_quantiles,
+    locate_outliers,
     predict,
+    sample_haar_frame,
     transforms,
 )
 from meso_spectra.predictor import check_separation, pushforward_map
@@ -167,6 +171,22 @@ class TestInversion:
             _bisect_newton(step, lambda z: -1.0, 0.0, 0.0, 1.0)
         assert isinstance(info.value, (MesoSpectraError, ArithmeticError))
         assert not isinstance(info.value, TransformDomainError)
+
+    def test_root_within_a_float_spacing_of_the_edge(self):
+        # At delta = 1e-6 the root lies 2e-6 above lam_max, where f changes
+        # by 3.7e-7 per float spacing, above the 1.7e-9 tolerance on t ~ 1668.
+        model = Model.additive(S300)
+        theta = 1.001 * check_separation(model, 1e-6, 1.0).threshold
+        pert = PerturbationSpec.from_values([theta])
+        (pred,) = predict(model, pert, S300.n, 1e-6)
+        z = pred.location
+        assert pred.separated and S300.lam_max < z < S300.lam_max + 3e-6
+        spacing = np.spacing(z)
+        assert stieltjes(S300, z - spacing) >= 1.0 / theta >= stieltjes(S300, z + spacing)
+        frame = sample_haar_frame(S300.n, 1, RngStream(59, 0))
+        op = MasterOperator(model=model, pert=pert.with_frame(frame))
+        (root,) = locate_outliers(op, 1e-6)
+        assert root.rank == 1 and root.location > S300.lam_max
 
     def test_t_root_next_to_a_tiny_eigenvalue(self):
         # The lower root sits at 2 lam_min / 3, far inside the first
