@@ -316,7 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=positive_int)
     p.add_argument("--phi", type=float)
     p.add_argument("--p", type=int)
-    p.add_argument("--law", choices=[l.value for l in EntryLaw], default="gaussian")
+    p.add_argument("--law", choices=[l.value for l in EntryLaw], default="gaussian",
+                   help="entry law; a gaussian wigner matrix is GOE (diagonal "
+                        "variance 2/n, off-diagonal 1/n), a rademacher one has "
+                        "+-1/sqrt(n) everywhere (default: gaussian)")
     p.add_argument("--spectrum-file", help="source spectrum (conjugated only)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write eigenvalues here, one per line")

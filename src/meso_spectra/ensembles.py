@@ -5,24 +5,35 @@ pair mapped to an independent ``numpy`` generator via ``SeedSequence`` spawn
 keys, so trials are reproducible and order-independent.  Matrix assembly
 itself is deterministic given the sampled ingredients.
 
-A sample of an orthogonally invariant kind is ``diag(d)`` plus a rank-2M
-update, and it holds just that: the diagonal ``d``, the frame and the
-strengths, O(n M) in all.  Its dense n x n matrices are built on first read.
+Two kinds of sample are structured and hold O(n M) numbers; their dense
+n x n matrices are built on first read.  A sample of an orthogonally
+invariant kind is ``diag(d)`` plus a rank-2M update, and it holds the
+diagonal ``d``, the frame and the strengths.  A Gaussian Wigner sample on
+the leading coordinates (no frame) holds a band matrix ``T`` of half
+bandwidth ``w = max(M, 1)``: a block Householder reduction that fixes the
+leading ``w`` coordinates takes GOE to ``T`` (Dumitriu and Edelman, J. Math.
+Phys. 43, 2002; Bloemendal and Virag, PTRF 156, 2013), so ``T`` plus the
+strengths has the joint law of outlier values and leading-coordinate
+eigenvector projections of GOE plus the strengths.
 
-:func:`eigensolve` on a matrix returns the full spectrum.  On a sample of an
-orthogonally invariant kind (above a size set by ``FILTER_ROWS_PER_PAIR``)
-it returns only the top ``M+`` and bottom ``M-`` eigenpairs, or their values
-alone with ``vectors=False`` (``M+``/``M-`` the numbers of positive/negative
-strengths).  They are found on the diagonal-plus-low-rank structure, whose
-bulk interval ``[min d, max d]`` is known exactly: a first Chebyshev filter
-stage, then shift-and-invert sweeps at the Ritz values, O(n M^2) per vector
-through the Woodbury identity, wherever a sweep costs less than the next
-filter stage.  Certificates decide on them (values alone need no gap
+:func:`eigensolve` on a matrix returns the full spectrum.  On a structured
+sample (above a size set by ``FILTER_ROWS_PER_PAIR``) it returns only the
+top ``M+`` and bottom ``M-`` eigenpairs, or their values alone with
+``vectors=False`` (``M+``/``M-`` the numbers of positive/negative
+strengths).  An orthogonally invariant sample's are found on the
+diagonal-plus-low-rank structure, whose bulk interval ``[min d, max d]`` is
+known exactly: a first Chebyshev filter stage, then shift-and-invert sweeps
+at the Ritz values, O(n M^2) per vector through the Woodbury identity,
+wherever a sweep costs less than the next filter stage.  A band sample's
+are the Ritz pairs of a leading principal block of ``T``, the Rayleigh-Ritz
+problem of block Lanczos started on the leading coordinates, and the bulk
+is bounded by exact counts from Sylvester's inertia of a block LDL^T
+factorization.  Certificates decide on them (values alone need no gap
 between outliers); when they fail, the solve falls back to the full dense
 spectrum and logs the fallback on the ``meso_spectra`` logger.  Experiment
 trials read realized values through ``eigensolve(sample, vectors=False)``
-alone, so a value-only trial of an orthogonally invariant kind builds no
-n x n matrix.
+alone, so a value-only trial of a structured sample builds no n x n
+matrix.
 """
 
 from __future__ import annotations
@@ -96,6 +107,10 @@ FILTER_FIRST_DEGREE = 12
 # 0.5 ms more than the dense one.
 FILTER_ROWS_PER_PAIR = 40
 
+# The band solve's first leading block has this many blocks of w rows; the
+# second has twice as many, and their residuals' fall predicts the rest.
+BAND_FIRST_BLOCKS = 4
+
 _log = logging.getLogger(__name__)
 
 
@@ -125,7 +140,13 @@ def _as_generator(rng) -> np.random.Generator:
 
 
 class EntryLaw(str, enum.Enum):
-    """Entry distribution for Wigner/Wishart sampling (unit variance both)."""
+    """Entry distribution for Wigner/Wishart sampling (unit variance both).
+
+    A Gaussian Wigner matrix is GOE: off-diagonal entries of variance
+    ``1/n`` and diagonal ones of variance ``2/n``, the one Wigner law that is
+    orthogonally invariant.  A Rademacher Wigner matrix has ``+-1/sqrt(n)``
+    everywhere, the diagonal included.
+    """
 
     GAUSSIAN = "gaussian"
     RADEMACHER = "rademacher"
@@ -160,11 +181,12 @@ def _symmetrize(p: np.ndarray) -> np.ndarray:
 
 
 def sample_wigner(n: int, law: EntryLaw, rng) -> np.ndarray:
-    """Symmetric Wigner matrix, entries of variance ``1/n``.
+    """Symmetric Wigner matrix, off-diagonal entries of variance ``1/n``.
 
     Off-diagonal entries are i.i.d. mean-zero unit-variance draws scaled by
-    ``1/sqrt(n)``; the diagonal uses the same law.  The bulk follows the
-    semicircle law on ``[-2, 2]``.
+    ``1/sqrt(n)``.  The diagonal uses the same draws, and a Gaussian one is
+    scaled by a further ``sqrt(2)``, which makes the Gaussian matrix GOE.
+    The bulk follows the semicircle law on ``[-2, 2]``.
     """
     gen = _as_generator(rng)
     raw = law.sample(gen, (n, n))
@@ -175,7 +197,54 @@ def sample_wigner(n: int, law: EntryLaw, rng) -> np.ndarray:
             raw[rows, rows] = np.triu(block) + np.triu(block, 1).T
         else:
             raw[cols, rows] = raw[rows, cols].T
+    if law is EntryLaw.GAUSSIAN:
+        np.fill_diagonal(raw, np.diagonal(raw) * math.sqrt(2.0))
     return raw
+
+
+def _goe_band(n: int, width: int, gen: np.random.Generator) -> np.ndarray:
+    """A GOE matrix reduced to half bandwidth ``width``, in lower band
+    storage: ``band[j, i] = T[i + j, i]`` (zero where ``i + j >= n``).
+
+    Householder reflections on coordinates ``width + 1 .. n``, then on the
+    next ``width`` after those and so on, take a GOE matrix to a block
+    tridiagonal one.  Its diagonal blocks are GOE(``width``); the block below
+    block ``k`` (1-based) is the R factor of the Gaussian columns beneath it,
+    a Bartlett triangle with ``chi`` of ``n - k width - i + 1`` degrees of
+    freedom on its diagonal (row ``i``) and N(0, 1) above, all scaled by
+    ``1/sqrt(n)``.  In band storage that is N(0, 2/n) on the diagonal,
+    N(0, 1/n) on the next ``width - 1`` diagonals and ``chi`` of
+    ``n - width - i`` degrees of freedom over ``sqrt(n)`` at
+    ``band[width, i]``; a last block shorter than ``width`` needs no case of
+    its own.  The reflections fix the leading ``width`` coordinates, so
+    adding strengths there commutes with them.
+    """
+    band = np.zeros((width + 1, n))
+    band[:width] = gen.standard_normal((width, n))
+    band[0] *= math.sqrt(2.0)
+    band[width, : n - width] = np.sqrt(gen.chisquare(np.arange(n - width, 0, -1)))
+    for j in range(1, width):
+        band[j, n - j:] = 0.0
+    band /= math.sqrt(n)
+    return band
+
+
+def _with_strengths(band: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """A copy of ``band`` with ``thetas`` added to its leading diagonal."""
+    out = band.copy()
+    out[0, : thetas.size] += thetas
+    return out
+
+
+def _band_window(band: np.ndarray, size: int) -> np.ndarray:
+    """The leading ``size`` rows and columns of the band matrix, dense."""
+    out = np.zeros((size, size))
+    flat = out.reshape(-1)
+    for j in range(min(band.shape[0], size)):
+        entries = band[j, : size - j]
+        flat[j * size:: size + 1] = entries  # the j-th sub-diagonal
+        flat[j: (size - j) * size: size + 1] = entries  # and its mirror
+    return out
 
 
 def sample_wishart(n: int, p: int, law: EntryLaw, rng) -> np.ndarray:
@@ -375,13 +444,22 @@ class EnsembleSample:
     eigenvectors and to build the finite-rank resolvent operator.
     ``thetas`` are the strengths it carries, in descending order.
 
-    A sample of an orthogonally invariant kind holds its structure alone:
-    ``diagonal``, the base's eigenvalues ``d``, with ``frame`` and
-    ``thetas``, O(n M) in all.  Its ``base`` ``diag(d)`` and its
-    ``perturbed``, :func:`perturb_additive` or :func:`perturb_multiplicative`
-    of ``diag(d)``, are built on first read and then kept.  A closed-form
-    sample (Wigner, Wishart) holds both dense matrices from the start, as
-    ``dense``.  The dense matrices are read-only.
+    Two kinds of sample hold their structure alone, O(n M) numbers, and
+    build ``base`` and ``perturbed`` on first read, then keep them:
+
+    * an orthogonally invariant sample holds ``diagonal``, the base's
+      eigenvalues ``d``, with ``frame`` and ``thetas``; its ``base`` is
+      ``diag(d)`` and its ``perturbed`` :func:`perturb_additive` or
+      :func:`perturb_multiplicative` of ``diag(d)``;
+    * a Gaussian Wigner sample on the leading coordinates holds ``band``,
+      the lower band storage ``band[j, i] = T[i + j, i]`` of a GOE matrix
+      reduced to half bandwidth ``max(M, 1)`` (see :func:`_goe_band`); its
+      ``base`` is ``T`` and its ``perturbed`` is ``T`` with ``thetas`` added
+      to the leading diagonal entries, :func:`perturb_additive` of ``T``.
+
+    Every other closed-form sample (a framed or Rademacher Wigner one, a
+    Wishart one) holds both dense matrices from the start, as ``dense``.
+    The dense matrices are read-only.
     """
 
     frame: np.ndarray | None = field(repr=False)
@@ -394,12 +472,18 @@ class EnsembleSample:
     law: EntryLaw | None
     diagonal: np.ndarray | None = field(default=None, repr=False)
     dense: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    band: np.ndarray | None = field(default=None, repr=False)
     _built: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         closed = self.kind.closed_form
-        if (self.dense is not None) != closed or (self.diagonal is None) != closed:
-            held = "its dense matrices" if closed else "its diagonal"
+        wigner = self.kind is ModelKind.WIGNER
+        held = (self.dense is not None) + (self.band is not None)
+        if held != closed or (self.diagonal is None) != closed or (
+                self.band is not None and not wigner):
+            held = ("its diagonal" if not closed else
+                    "its band or its dense matrices" if wigner else
+                    "its dense matrices")
             raise ModelError(f"a {self.kind.value} sample holds {held} alone")
 
     @property
@@ -408,7 +492,9 @@ class EnsembleSample:
         if self.dense is not None:
             return self.dense[0]
         if "base" not in self._built:
-            self._built["base"] = _read_only(np.diag(self.diagonal))
+            self._built["base"] = _read_only(
+                np.diag(self.diagonal) if self.band is None
+                else _band_window(self.band, self.n))
         return self._built["base"]
 
     @property
@@ -417,11 +503,14 @@ class EnsembleSample:
         if self.dense is not None:
             return self.dense[1]
         if "perturbed" not in self._built:
-            perturb = (perturb_multiplicative if self.kind.multiplicative
-                       else perturb_additive)
-            placed = PerturbationSpec(thetas=self.thetas, frame=self.frame)
-            self._built["perturbed"] = _read_only(
-                perturb(np.diag(self.diagonal), placed))
+            if self.band is not None:
+                built = _band_window(_with_strengths(self.band, self.thetas), self.n)
+            else:
+                perturb = (perturb_multiplicative if self.kind.multiplicative
+                           else perturb_additive)
+                placed = PerturbationSpec(thetas=self.thetas, frame=self.frame)
+                built = perturb(np.diag(self.diagonal), placed)
+            self._built["perturbed"] = _read_only(built)
         return self._built["perturbed"]
 
     def project(self, vector: np.ndarray) -> np.ndarray:
@@ -447,13 +536,14 @@ def sample_ensemble(
 
     Wigner and Wishart base matrices use ``law`` and place the perturbation
     on ``pert.frame`` (leading coordinates when absent); both dense matrices
-    are built here.  Orthogonally invariant kinds keep the base diagonal and
-    carry the perturbation on a freshly sampled Haar frame, which realizes
-    the same joint law as conjugating the base by a Haar rotation;
-    ``model.spectrum`` must already have length ``n``.  Such a sample holds
-    the diagonal, frame and strengths and builds its dense matrices on first
-    read, but every error their assembly would raise is raised here, in
-    O(n).
+    are built here, except for a Gaussian Wigner sample on the leading
+    coordinates.  That one draws the band matrix of :func:`_goe_band`, half
+    bandwidth ``max(M, 1)``, in O(n M).  Orthogonally invariant kinds keep
+    the base diagonal and carry the perturbation on a freshly sampled Haar
+    frame, which realizes the same joint law as conjugating the base by a
+    Haar rotation; ``model.spectrum`` must already have length ``n``.  Such
+    samples build their dense matrices on first read, but every error their
+    assembly would raise is raised here, in O(n).
     """
     gen = rng.generator()
     kind = model.kind
@@ -470,6 +560,10 @@ def sample_ensemble(
         _check_perturbation(n, pert, kind.multiplicative)
         _check_diagonal(d, kind.multiplicative)
         return EnsembleSample(frame=frame, law=None, diagonal=d, **provenance)
+    if kind is ModelKind.WIGNER and law is EntryLaw.GAUSSIAN and pert.frame is None:
+        _check_perturbation(n, pert, multiplicative=False)
+        band = _read_only(_goe_band(n, max(pert.m, 1), gen))
+        return EnsembleSample(frame=None, law=law, band=band, **provenance)
     if kind is ModelKind.WIGNER:
         base = sample_wigner(n, law, gen)
     else:
@@ -674,7 +768,8 @@ def _filtered_extremes(
 def _intervals(values: np.ndarray, resid, upper: int, d: np.ndarray):
     """Intervals ``[values - resid, values + resid]`` with the bulk
     ``[min d, max d]`` inserted after the top ``upper``, as ``(low, high)``,
-    and each value's distance to the intervals next to it."""
+    and each value's distance to the intervals next to it.  ``d`` is the
+    base's diagonal, or any array whose ends bound the bulk."""
     def insert(a: np.ndarray, value: float) -> np.ndarray:
         return np.concatenate((a[:upper], [value], a[upper:]))
 
@@ -708,6 +803,10 @@ def _certify(apply, vecs: np.ndarray, d: np.ndarray, upper: int, psd: bool,
     cluster.  The rest of the spectrum then lies at least ``gap`` from
     ``mu``: ``gap`` is the distance to the nearest other interval or to the
     bulk.
+
+    The band solve passes, as ``d``, the two ends of an interval that its
+    counts prove to hold every eigenvalue but the ``M`` extreme ones, and
+    the same argument holds with that interval as the bulk.
 
     Values are returned descending with their unit vectors.  Each has
     ``r <= FILTER_TOLERANCE * min(radius, gap)``, ``radius`` being
@@ -759,7 +858,9 @@ def _certify_values(apply, vecs: np.ndarray, d: np.ndarray, upper: int,
     lambda_upper`` and the ``M - upper`` smallest, in order, and each value
     is within ``bound`` of its eigenvalue.  The certificate asks
     ``bound <= FILTER_TOLERANCE * max(1, largest |theta|)`` and no gap
-    between the values, so close or repeated outliers certify.
+    between the values, so close or repeated outliers certify.  As in
+    :func:`_certify`, ``d`` may instead be the two ends of an interval
+    proved to hold every other eigenvalue.
     """
     q = np.linalg.qr(vecs)[0]
     image = apply(q)
@@ -800,6 +901,202 @@ def _partial_eigensolve(
                               vectors)
 
 
+def _band_blocks(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``w x w`` diagonal blocks ``A_k`` and the blocks ``B_k`` below
+    them of the band matrix, as two stacks, the last block padded with zero
+    rows and columns."""
+    width = band.shape[0] - 1
+    count = -(-band.shape[1] // width)
+    padded = np.zeros((width + 1, count * width))
+    padded[:, : band.shape[1]] = band
+    corner = np.arange(count)[:, None] * width
+    diag = np.zeros((count, width, width))
+    rows, cols = np.tril_indices(width)
+    diag[:, rows, cols] = diag[:, cols, rows] = padded[rows - cols, corner + cols]
+    below = np.zeros((count - 1, width, width))
+    rows, cols = np.triu_indices(width)  # the band reaches no further
+    below[:, rows, cols] = padded[width + rows - cols, corner[:-1] + cols]
+    return diag, below
+
+
+def _band_inertia(band: np.ndarray,
+                  shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """How many eigenvalues of the band matrix ``T`` lie below each of
+    ``shifts``, and the radius ``delta`` around each shift within which its
+    count may err.
+
+    ``T - c I`` is block tridiagonal in ``w x w`` blocks.  Block cyclic
+    reduction eliminates every other block at once: the eliminated blocks
+    are coupled only to the kept ones, so with ``P`` the eliminated blocks'
+    (block diagonal) pivot, ``T - c I`` has the inertia of ``P`` plus that
+    of the Schur complement on the kept blocks, again block tridiagonal with
+    half as many blocks (Sylvester's law of inertia).  Each level
+    diagonalizes its pivots with one batched ``eigh``, which gives their
+    inertia and applies their inverses; the leading block is kept to the
+    last level, so the pivots before it are Schur complements of runs of
+    blocks that carry no strength.  A last block shorter than ``w`` is
+    padded with isolated rows at ``-1`` in ``T - c I``, and their count is
+    taken off.  In floating point each pivot is the exact one of ``T - c I
+    + E`` with ``E`` block diagonal, each block within about ``4 w u (|P_k|
+    + 3 |C_k|_F^2 / min |eig(P_k)|)`` of zero, ``C_k`` the pivot's two
+    couplings and ``u`` the unit roundoff (the block LU analysis of Demmel,
+    Higham and Schreiber, Numer. Linear Algebra Appl. 2, 1995, with the
+    constant taken as ``4 w``).  ``delta`` is the largest of these, so by
+    Weyl's bound the count lies between those of ``T`` at ``c - delta`` and
+    ``c + delta``.  A near-singular pivot makes ``delta`` large or infinite.
+    """
+    n, width = band.shape[1], band.shape[0] - 1
+    diag, below = _band_blocks(band)
+    pivots = diag[None] - shifts[:, None, None, None] * np.eye(width)
+    padding = diag.shape[0] * width - n
+    for row in range(width - padding, width):
+        pivots[:, -1, row, row] = -1.0
+    below = np.broadcast_to(below, (shifts.size,) + below.shape)
+    negative = np.full(shifts.size, -padding)
+    worst = np.zeros(shifts.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while pivots.shape[1] > 1:
+            values, vecs = np.linalg.eigh(pivots[:, 1::2])
+            negative += np.count_nonzero(values < 0.0, axis=(1, 2))
+            inverse = (vecs / values[..., None, :]) @ vecs.swapaxes(-1, -2)
+            # Eliminated block 2q + 1 couples up to kept block q and down to
+            # kept block q + 1.
+            up, down = below[:, 0::2], below[:, 1::2]
+            lower = down.shape[1]
+            kept = pivots[:, 0::2].copy()
+            kept[:, : up.shape[1]] -= up.swapaxes(-1, -2) @ inverse @ up
+            kept[:, 1: lower + 1] -= down @ inverse[:, :lower] @ down.swapaxes(-1, -2)
+            coupling = np.sum(up * up, axis=(2, 3))
+            coupling[:, :lower] += np.sum(down * down, axis=(2, 3))
+            size = np.abs(values)
+            worst = np.maximum(worst, np.max(
+                size.max(axis=2) + 3.0 * coupling / size.min(axis=2), axis=1))
+            below = -(down @ inverse[:, :lower] @ up[:, :lower])
+            pivots = kept
+        # eigh, as in the Rayleigh-Ritz steps: eigvalsh is left to dense solves.
+        values = np.linalg.eigh(pivots[:, 0])[0]
+        negative += np.count_nonzero(values < 0.0, axis=1)
+        worst = np.maximum(worst, np.abs(values).max(axis=1))
+    unit = 0.5 * np.finfo(float).eps
+    return negative, 4.0 * width * unit * worst
+
+
+def _band_extremes(
+    band: np.ndarray, thetas: np.ndarray, vectors: bool,
+) -> tuple[np.ndarray, np.ndarray] | np.ndarray | str:
+    """Certified top ``M+`` and bottom ``M-`` eigenpairs of ``T``, the band
+    matrix ``band`` (half bandwidth ``w``) with ``thetas`` (``M+`` positive,
+    ``M-`` negative) added to its leading diagonal, their values alone when
+    not ``vectors``, or the reason they could not be certified.
+
+    Block Lanczos started on the leading ``w`` coordinates reproduces ``T``'s
+    own blocks, so its Rayleigh-Ritz problem after ``k`` steps is ``T``'s
+    leading ``k w`` rows and columns, solved by ``eigh``.  A Ritz pair
+    ``(mu, y)`` padded with zeros has the residual ``T [y; 0] - mu [y; 0]``
+    of the block below alone, exactly ``|B_k y_last|``.  The first two
+    leading blocks span ``BAND_FIRST_BLOCKS`` and twice that many blocks of
+    ``w`` rows; after that the residuals' geometric fall between the last
+    two predicts the size at which the slowest reaches its tolerance (half
+    that of the certificate), and the next block has that size, at most
+    twice the last.
+    The solve gives up ("step cap reached") once the prediction, or the
+    block, would exceed ``n / (2 w)`` blocks.  At ``M`` near ``sqrt(n)``
+    the leading block would need most of ``T``, and the solve gives up after
+    the two first, cheap blocks.  A subcritical strength's value lies at the
+    bulk's edge; the edge eigenvectors of this band model live on its first
+    rows, so such a value often certifies too, and otherwise its slow fall
+    gives up on small blocks.
+
+    The rest of the spectrum is then bounded by exact counts.  On each side
+    with outliers a cut ``c`` goes halfway from the innermost outlier's Ritz
+    value to the next Ritz value, and :func:`_band_inertia` counts the
+    eigenvalues beyond it.  A cut must keep its distance from every
+    eigenvalue, the outliers' included, or a pivot block of the count is
+    near-singular.  When a count's ``delta`` exceeds the margin
+    (``DEGENERACY_TOLERANCE`` times ``max(1, |T_k|)``) the solve gives up
+    ("near-singular pivot block"), and when the count is not ``M+`` above
+    the upper cut and ``M-`` below the lower one ("count disagrees").
+    Otherwise every eigenvalue but the ``M`` extreme ones lies between the
+    cuts widened by ``delta``, the interval that takes the place of
+    ``[min d, max d]``: values alone are certified by
+    :func:`_certify_values`, to ``FILTER_TOLERANCE`` times ``max(1, |T|)``
+    with no gap between outliers, and pairs by :func:`_certify`, with a
+    gap to the cut, and their vectors are returned padded with zeros to
+    ``n`` rows.  No random numbers are drawn.
+    """
+    n, width = band.shape[1], band.shape[0] - 1
+    m = thetas.size
+    upper = int(np.count_nonzero(thetas > 0.0))
+    lower = m - upper
+    if not m:
+        return (np.empty(0), np.empty((n, 0))) if vectors else np.empty(0)
+    band = _with_strengths(band, thetas)
+    cap = n // (2 * width)
+    blocks, before = min(BAND_FIRST_BLOCKS, cap), None
+    while True:
+        rows = blocks * width
+        if rows <= m:
+            return "step cap reached"
+        window = _band_window(band, rows + width)
+        ritz, basis = np.linalg.eigh(window[:rows, :rows])
+        pick = np.concatenate((np.arange(rows - 1, rows - 1 - upper, -1),
+                               np.arange(lower - 1, -1, -1)))
+        values, vecs = ritz[pick], basis[:, pick]
+        resid = np.linalg.norm(window[rows:, rows - width: rows] @ vecs[rows - width:],
+                               axis=0)
+        radius = max(1.0, abs(values[0]), abs(values[-1]))
+        margin = DEGENERACY_TOLERANCE * max(1.0, abs(ritz[0]), abs(ritz[-1]))
+        # A cut on each side of the bulk, halfway from the innermost outlier
+        # to the next Ritz value (the next Ritz value itself on a side
+        # without outliers).
+        high, low = ritz[rows - 1 - upper], ritz[lower]
+        if upper:
+            high = 0.5 * (values[upper - 1] + high)
+        if lower:
+            low = 0.5 * (values[upper] + low)
+        if vectors:
+            _, _, gap = _intervals(values, 0.0, upper, np.array([low, high]))
+            target = 0.5 * FILTER_TOLERANCE * np.minimum(radius, gap)
+        else:
+            target = 0.5 * FILTER_TOLERANCE * radius / math.sqrt(m)
+        if (resid <= target).all():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log(resid)
+            if before is None:  # no fall measured yet: double the block
+                need, size = blocks + 1.0, 2.0 * blocks
+            else:
+                rate = (before[1] - logs) / (blocks - before[0])
+                steps = np.where(rate > 0.0, np.log(resid / target) / rate, np.inf)
+                need = size = blocks + float(steps[resid > target].max())
+        if blocks >= cap or not need <= cap:
+            return "step cap reached"
+        before = blocks, logs
+        blocks = min(cap, 2 * blocks, max(blocks + 1, math.ceil(size)))
+
+    cuts = np.array([high] * bool(upper) + [low] * bool(lower))
+    below, delta = _band_inertia(band, cuts)
+    if not (delta <= margin).all():
+        return "near-singular pivot block"
+    if (upper and n - below[0] != upper) or (lower and below[-1] != lower):
+        return "count disagrees"
+    bulk = np.array([low - (delta[-1] if lower else 0.0),
+                     high + (delta[0] if upper else 0.0)])
+    padded = np.vstack((vecs, np.zeros((width, m))))
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return window @ x
+
+    if not vectors:
+        return _certify_values(apply, padded, bulk, upper, False, margin)
+    found = _certify(apply, padded, bulk, upper, False, radius, margin)
+    if isinstance(found, str):
+        return found
+    pairs = np.zeros((n, m))
+    pairs[: rows + width] = found[1]
+    return found[0], pairs
+
+
 def eigensolve(
     matrix: np.ndarray | EnsembleSample, vectors: bool = True,
 ) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
@@ -810,37 +1107,50 @@ def eigensolve(
     for values alone).  It must be finite and symmetric to
     ``SYMMETRY_TOLERANCE`` (relative to its largest entry).
 
-    A sample of an orthogonally invariant kind with a frame and
-    ``n > FILTER_ROWS_PER_PAIR * (M + 1)`` gets only its top ``M+`` and
-    bottom ``M-`` values, ``M+``/``M-`` the numbers of positive/negative
-    strengths: ``M = M+ + M-`` values (top then bottom, descending), found
-    by :func:`_filtered_extremes`: a first Chebyshev filter stage, then
-    shift-and-invert sweeps through the Woodbury identity while a sweep
-    (``n m'^2`` per vector, ``m'`` the update's rank) costs less than the
-    next filter stage (``need n m'``).  So entry ``j`` holds eigenvalue
-    ``j + 1`` for ``j < M+`` and eigenvalue ``j + 1 + n - M`` after
-    (:func:`spectrum_column`).  With ``vectors`` each pair is certified as in
-    :func:`_certify`, value within ``FILTER_TOLERANCE`` times the spectral
-    radius and vector within an angle of ``FILTER_TOLERANCE``, and the
-    ``n x M`` vectors come with them.  Values alone are certified as in
-    :func:`_certify_values`, to the same tolerance on the values but with
-    no gap between outliers, so close ones (about ``1/M`` apart when ``M``
-    grows with ``n``) certify too.  The solve reads the sample's diagonal,
-    frame and strengths, never its dense matrices.  When the Ritz values are
-    not beyond the bulk (and, with ``vectors``, apart) once the filter
-    reaches ``FILTER_FIRST_DEGREE``, the solve would need more than
-    ``FILTER_MAX_DEGREE`` in total or the certificate fails, the fallback
-    and its reason are logged at DEBUG level and the sample's dense
-    ``perturbed`` matrix, built on that read, gets the full spectrum.  Every
-    other sample, smaller and closed-form ones included, takes the dense
-    path directly; a sample's matrix is symmetric by construction, so values
-    alone are read from it with ``eigvalsh`` and no symmetry check.
+    A structured sample with ``n > FILTER_ROWS_PER_PAIR * (M + 1)`` (an
+    orthogonally invariant one with a frame, or a band one) gets only its
+    top ``M+`` and bottom ``M-`` values, ``M+``/``M-`` the numbers of
+    positive/negative strengths: ``M = M+ + M-`` values (top then bottom,
+    descending).  So entry ``j`` holds eigenvalue ``j + 1`` for ``j < M+``
+    and eigenvalue ``j + 1 + n - M`` after (:func:`spectrum_column`).  With
+    ``vectors`` each pair is certified as in :func:`_certify`, value within
+    ``FILTER_TOLERANCE`` times the spectral radius and vector within an
+    angle of ``FILTER_TOLERANCE``, and the ``n x M`` vectors come with them.
+    Values alone are certified as in :func:`_certify_values`, to the same
+    tolerance on the values but with no gap between outliers, so close ones
+    (about ``1/M`` apart when ``M`` grows with ``n``) certify too.  The
+    solve reads the sample's structure, never its dense matrices.
+
+    * An orthogonally invariant sample's are found by
+      :func:`_filtered_extremes`: a first Chebyshev filter stage, then
+      shift-and-invert sweeps through the Woodbury identity while a sweep
+      (``n m'^2`` per vector, ``m'`` the update's rank) costs less than the
+      next filter stage (``need n m'``).  The bulk ``[min d, max d]`` is
+      known.  It gives up when the Ritz values are not beyond the bulk
+      (and, with ``vectors``, apart) once the filter reaches
+      ``FILTER_FIRST_DEGREE``, or when it would need more than
+      ``FILTER_MAX_DEGREE`` in total.
+    * A band sample's are the Ritz pairs of a leading block of ``T`` grown
+      by :func:`_band_extremes`, and the interval holding the rest of the
+      spectrum is proved by exact counts (Sylvester's inertia, from
+      :func:`_band_inertia`) at a cut on each side.  It gives up when the
+      leading block would pass ``n / (2M)`` blocks, a pivot block of the
+      count is near-singular, or a count is not ``M+`` (or ``M-``).
+
+    When a solve gives up or its certificate fails, the fallback and its
+    reason are logged at DEBUG level and the sample's dense ``perturbed``
+    matrix, built on that read, gets the full spectrum.  Every other sample,
+    smaller and dense ones included, takes the dense path directly; a
+    sample's matrix is symmetric by construction, so values alone are read
+    from it with ``eigvalsh`` and no symmetry check.
     """
     if isinstance(matrix, EnsembleSample):
         sample = matrix
-        if (not sample.kind.closed_form and sample.frame is not None
+        framed = not sample.kind.closed_form and sample.frame is not None
+        if ((framed or sample.band is not None)
                 and sample.n > FILTER_ROWS_PER_PAIR * (sample.m + 1)):
-            found = _partial_eigensolve(sample, vectors)
+            found = (_partial_eigensolve(sample, vectors) if framed
+                     else _band_extremes(sample.band, sample.thetas, vectors))
             if not isinstance(found, str):
                 return found
             _log.debug("dense eigensolve fallback: stream %d, n=%d: %s",

@@ -213,8 +213,11 @@ class TestBlockedSymmetrization:
     @pytest.mark.parametrize("law", list(EntryLaw))
     @pytest.mark.parametrize("n", [1, 5, 128, 300])
     def test_wigner_matches_triangle_formula(self, law, n):
+        # A Gaussian Wigner matrix is GOE: its diagonal has variance 2/n.
         raw = law.sample(RngStream(46, n).generator(), (n, n))
         ref = (np.triu(raw) + np.triu(raw, 1).T) / np.sqrt(n)
+        if law is EntryLaw.GAUSSIAN:
+            np.fill_diagonal(ref, np.diagonal(ref) * np.sqrt(2.0))
         assert np.array_equal(sample_wigner(n, law, RngStream(46, n)), ref)
 
     @pytest.mark.parametrize("law", list(EntryLaw))
@@ -1047,10 +1050,12 @@ class TestCertifiedPartialEigensolve:
 
     def test_closed_form_values_add_no_temporary(self):
         # eigvalsh on the sample's own matrix and nothing else: no symmetry
-        # check, whose a - a^T would be one more n x n array.
+        # check, whose a - a^T would be one more n x n array.  A Rademacher
+        # Wigner sample holds its dense matrices (a Gaussian one, its band).
         n = 300
         sample = sample_ensemble(Model.wigner(), PerturbationSpec.from_values([3.0]),
-                                 n, RngStream(40, 2))
+                                 n, RngStream(40, 2), EntryLaw.RADEMACHER)
+        assert sample.dense is not None
 
         def peak(solve):
             tracemalloc.start()
