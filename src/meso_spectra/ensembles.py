@@ -5,9 +5,11 @@ pair mapped to an independent ``numpy`` generator via ``SeedSequence`` spawn
 keys, so trials are reproducible and order-independent.  Matrix assembly
 itself is deterministic given the sampled ingredients.
 
-Two kinds of sample are structured and hold O(n M) numbers; their dense
-n x n matrices are built on first read.  A sample of an orthogonally
-invariant kind is ``diag(d)`` plus a rank-2M update, and it holds the
+A framed perturbation of ``X``, additive or multiplicative, is one low-rank
+update ``X + W K W^T``, and one helper assembles it.  A sample is validated
+when it is built.  Two kinds of sample are structured and hold O(n M)
+numbers; their dense n x n matrices are built on first read.  A sample of
+an orthogonally invariant kind is ``diag(d) + W K W^T``, and it holds the
 diagonal ``d``, the frame and the strengths.  A Gaussian Wigner sample on
 the leading coordinates (no frame) holds a band matrix ``T`` of half
 bandwidth ``w = max(M, 1)``: a block Householder reduction that fixes the
@@ -285,6 +287,13 @@ def sample_conjugated(spectrum: SpectrumModel, rng) -> np.ndarray:
     return _symmetrize((u * spectrum.eigenvalues) @ u.T)
 
 
+def _square_size(a: np.ndarray) -> int:
+    """``n`` for an n x n array; anything else raises ``ModelError``."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ModelError(f"expected a square matrix, got shape {a.shape}")
+    return a.shape[0]
+
+
 def _frame_columns(n: int, pert: PerturbationSpec) -> np.ndarray | None:
     if pert.frame is None:
         return None
@@ -295,12 +304,12 @@ def _frame_columns(n: int, pert: PerturbationSpec) -> np.ndarray | None:
     return pert.frame
 
 
-def _check_perturbation(n: int, pert: PerturbationSpec, multiplicative: bool) -> None:
-    """Raise unless ``pert`` fits an n x n base: rank at most ``n`` and,
-    when ``multiplicative``, every strength above -1."""
-    if pert.m > n:
-        raise ModelError(f"rank {pert.m} exceeds matrix size {n}")
-    if multiplicative and pert.m and pert.thetas[-1] <= -1.0:
+def _check_perturbation(n: int, thetas: np.ndarray, multiplicative: bool) -> None:
+    """Raise unless the descending ``thetas`` fit an n x n base: rank at
+    most ``n`` and, when ``multiplicative``, every strength above -1."""
+    if thetas.size > n:
+        raise ModelError(f"rank {thetas.size} exceeds matrix size {n}")
+    if multiplicative and thetas.size and thetas[-1] <= -1.0:
         raise ModelError("multiplicative strengths must exceed -1")
 
 
@@ -322,58 +331,54 @@ def _check_diagonal(d: np.ndarray, multiplicative: bool) -> None:
         raise ModelError("base matrix has non-finite entries")
 
 
+def _assemble(base: np.ndarray, w: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``base + W K W^T`` as one new n x n array, symmetrized in place by
+    :func:`_symmetrize`: O(n^2 rank(W)) work and no n x n temporary.
+
+    ``base`` is n x n, or the diagonal ``d`` of ``diag(d)``, added to the
+    diagonal alone; the dense sum differs only by exact zeros.
+    """
+    out = (w @ k) @ w.T
+    if base.ndim == 1:
+        np.fill_diagonal(out, np.diagonal(out) + base)
+    else:
+        out += base
+    return _symmetrize(out)
+
+
 def perturb_additive(base: np.ndarray, pert: PerturbationSpec) -> np.ndarray:
     """``base + V diag(theta) V^T`` (leading coordinates when ``frame=None``).
 
-    A base with a non-finite entry raises ``ModelError``.
+    A base with a non-finite entry raises ``ModelError``.  On a frame the
+    sum is :func:`_assemble`'s, with ``W = V`` and ``K = diag(theta)``.
     """
-    n = base.shape[0]
+    n = _square_size(base)
     m = pert.m
-    _check_perturbation(n, pert, multiplicative=False)
+    _check_perturbation(n, pert.thetas, multiplicative=False)
     if not np.isfinite(base).all():
         raise ModelError("base matrix has non-finite entries")
-    out = np.array(base, dtype=float, copy=True)
     v = _frame_columns(n, pert)
-    if m == 0:
-        return out
-    if v is None:
+    if v is None or m == 0:
+        out = np.array(base, dtype=float, copy=True)
         idx = np.arange(m)
         out[idx, idx] += pert.thetas
-    else:
-        out += (v * pert.thetas) @ v.T
-        _symmetrize(out)
-    return out
+        return out
+    return _assemble(base, v, np.diag(pert.thetas))
 
 
-def _off_diagonal(a: np.ndarray) -> np.ndarray:
-    """The ``n * (n - 1)`` off-diagonal entries of a square array.
-
-    A view when ``a`` is C-contiguous (a copy otherwise): after the first
-    entry, the flat array falls into rows of ``n + 1`` whose last entry is
-    the next diagonal one.
-    """
-    n = a.shape[0]
-    return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n] if n > 1 else a[:0]
-
-
-def _check_psd(base: np.ndarray) -> bool:
+def _check_psd(base: np.ndarray) -> None:
     """Raise unless ``base`` is finite and ``base + PSD_SHIFT * I`` has a
-    Cholesky factor; return whether ``base`` is diagonal.
+    Cholesky factor.
 
-    A diagonal base gets the verdict of :func:`_check_diagonal`, without a
-    factorization.  Finiteness is checked separately because the OpenBLAS
-    factorization numpy ships with passes a NaN pivot.
+    Finiteness is checked separately because the OpenBLAS factorization
+    numpy ships with passes a NaN pivot.
     """
-    if not _off_diagonal(base).any():
-        _check_diagonal(np.diagonal(base), multiplicative=True)
-        return True
     if not np.isfinite(base).all():
         raise ModelError(_NOT_PSD)
     try:
         np.linalg.cholesky(base + PSD_SHIFT * np.eye(base.shape[0]))
     except np.linalg.LinAlgError:
         raise ModelError(_NOT_PSD) from None
-    return False
 
 
 def _sandwich_update(v: np.ndarray, bv: np.ndarray,
@@ -397,42 +402,31 @@ def perturb_multiplicative(base: np.ndarray, pert: PerturbationSpec) -> np.ndarr
 
     The base matrix must be finite and PSD, and every strength must exceed
     -1 so that ``S`` is well defined.  PSD means that
-    ``base + PSD_SHIFT * I`` has a Cholesky factor; for a diagonal base that
-    verdict is read from the diagonal, any other base is factorized.
+    ``base + PSD_SHIFT * I`` has a Cholesky factor (:func:`_check_psd`).
+    """
+    _check_perturbation(_square_size(base), pert.thetas, multiplicative=True)
+    base = np.ascontiguousarray(base, dtype=float)
+    _check_psd(base)
+    return _sandwich(base, pert)
+
+
+def _sandwich(base: np.ndarray, pert: PerturbationSpec) -> np.ndarray:
+    """:func:`perturb_multiplicative` without its checks, as a new array.
 
     With leading coordinates ``S`` is diagonal and only the first ``M`` rows
-    and columns are rescaled.  On a frame ``V``, ``S base S`` is assembled as
-    the rank-2M update ``base + W K W^T`` of :func:`_sandwich_update`: O(n^2 M)
-    work and no n x n temporary (the exact symmetrization goes block by
-    block) instead of two dense n x n products.  On a diagonal base,
-    ``B V`` is a row scaling and ``base`` adds to the diagonal alone.
+    and columns are rescaled.  On a frame ``V``, ``S base S`` is
+    :func:`_assemble` of the ``W`` and ``K`` of :func:`_sandwich_update`.
     """
-    n = base.shape[0]
     m = pert.m
-    _check_perturbation(n, pert, multiplicative=True)
-    base = np.ascontiguousarray(base, dtype=float)
-    diagonal = _check_psd(base)
-    if m == 0:
-        return base.copy()
-    v = _frame_columns(n, pert)
-    if v is None:
+    v = _frame_columns(base.shape[0], pert)
+    if v is None or m == 0:
         # S is diagonal: entry (i, j) picks up scale_i * scale_j.
         scale = np.sqrt(1.0 + pert.thetas)
         out = base.copy()
         out[:m, :] *= scale[:, None]
         out[:, :m] *= scale[None, :]
         return out
-    # On a diagonal base, B V and the sum with B differ from the dense
-    # products only by exact zeros, so they keep every bit.
-    d = np.diagonal(base)
-    w, k = _sandwich_update(v, d[:, None] * v if diagonal else base @ v,
-                            pert.thetas)
-    out = (w @ k) @ w.T
-    if diagonal:
-        np.fill_diagonal(out, np.diagonal(out) + d)
-    else:
-        out += base
-    return _symmetrize(out)
+    return _assemble(base, *_sandwich_update(v, base @ v, pert.thetas))
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,8 +443,9 @@ class EnsembleSample:
 
     * an orthogonally invariant sample holds ``diagonal``, the base's
       eigenvalues ``d``, with ``frame`` and ``thetas``; its ``base`` is
-      ``diag(d)`` and its ``perturbed`` :func:`perturb_additive` or
-      :func:`perturb_multiplicative` of ``diag(d)``;
+      ``diag(d)`` and its ``perturbed`` ``diag(d) + W K W^T`` with the
+      ``W`` and ``K`` of :meth:`_update`, the bits of :func:`perturb_additive`
+      or :func:`perturb_multiplicative` of ``diag(d)``;
     * a Gaussian Wigner sample on the leading coordinates holds ``band``,
       the lower band storage ``band[j, i] = T[i + j, i]`` of a GOE matrix
       reduced to half bandwidth ``max(M, 1)`` (see :func:`_goe_band`); its
@@ -460,6 +455,10 @@ class EnsembleSample:
     Every other closed-form sample (a framed or Rademacher Wigner one, a
     Wishart one) holds both dense matrices from the start, as ``dense``.
     The dense matrices are read-only.
+
+    A sample is validated once, when it is built: the strengths must fit
+    ``n`` and a held ``diagonal`` must pass :func:`_check_diagonal`, so
+    building its dense matrices raises nothing.
     """
 
     frame: np.ndarray | None = field(repr=False)
@@ -485,6 +484,9 @@ class EnsembleSample:
                     "its band or its dense matrices" if wigner else
                     "its dense matrices")
             raise ModelError(f"a {self.kind.value} sample holds {held} alone")
+        _check_perturbation(self.n, self.thetas, self.kind.multiplicative)
+        if self.diagonal is not None:
+            _check_diagonal(self.diagonal, self.kind.multiplicative)
 
     @property
     def base(self) -> np.ndarray:
@@ -505,13 +507,21 @@ class EnsembleSample:
         if "perturbed" not in self._built:
             if self.band is not None:
                 built = _band_window(_with_strengths(self.band, self.thetas), self.n)
+            elif self.frame is None:
+                built = np.diag(self.diagonal)
             else:
-                perturb = (perturb_multiplicative if self.kind.multiplicative
-                           else perturb_additive)
-                placed = PerturbationSpec(thetas=self.thetas, frame=self.frame)
-                built = perturb(np.diag(self.diagonal), placed)
+                built = _assemble(self.diagonal, *self._update())
             self._built["perturbed"] = _read_only(built)
         return self._built["perturbed"]
+
+    def _update(self) -> tuple[np.ndarray, np.ndarray]:
+        """``W`` and ``K`` with ``perturbed = diag(d) + W K W^T``, for an
+        orthogonally invariant sample with a frame ``V``: ``V`` and
+        ``diag(theta)``, or :func:`_sandwich_update` with ``B V = d V``."""
+        if self.kind.multiplicative:
+            return _sandwich_update(self.frame, self.diagonal[:, None] * self.frame,
+                                    self.thetas)
+        return self.frame, np.diag(self.thetas)
 
     def project(self, vector: np.ndarray) -> np.ndarray:
         """Coordinates of ``vector`` in the perturbation frame."""
@@ -543,7 +553,8 @@ def sample_ensemble(
     frame, which realizes the same joint law as conjugating the base by a
     Haar rotation; ``model.spectrum`` must already have length ``n``.  Such
     samples build their dense matrices on first read, but every error their
-    assembly would raise is raised here, in O(n).
+    assembly would raise is raised here, in O(n).  A Wishart base
+    ``X X^T / p`` is PSD by construction and takes no Cholesky check.
     """
     gen = rng.generator()
     kind = model.kind
@@ -555,21 +566,20 @@ def sample_ensemble(
                 f"spectrum has {model.spectrum.n} eigenvalues but n={n}; "
                 "resample it first"
             )
-        d = model.spectrum.eigenvalues
         frame = _read_only(sample_haar_frame(n, pert.m, gen)) if pert.m else None
-        _check_perturbation(n, pert, kind.multiplicative)
-        _check_diagonal(d, kind.multiplicative)
-        return EnsembleSample(frame=frame, law=None, diagonal=d, **provenance)
+        return EnsembleSample(frame=frame, law=None,
+                              diagonal=model.spectrum.eigenvalues, **provenance)
+    # The band's draw and the unchecked Wishart assembly need these first.
+    _check_perturbation(n, pert.thetas, kind.multiplicative)
     if kind is ModelKind.WIGNER and law is EntryLaw.GAUSSIAN and pert.frame is None:
-        _check_perturbation(n, pert, multiplicative=False)
         band = _read_only(_goe_band(n, max(pert.m, 1), gen))
         return EnsembleSample(frame=None, law=law, band=band, **provenance)
     if kind is ModelKind.WIGNER:
         base = sample_wigner(n, law, gen)
+        perturbed = perturb_additive(base, pert)
     else:
         base = sample_wishart(n, model.p_for(n), law, gen)
-    perturb = perturb_multiplicative if kind.multiplicative else perturb_additive
-    perturbed = perturb(base, pert)
+        perturbed = _sandwich(base, pert)
     frame = pert.frame
     if frame is not None and frame.flags.writeable:
         frame = _read_only(frame.copy())
@@ -883,24 +893,6 @@ def _certify_values(apply, vecs: np.ndarray, d: np.ndarray, upper: int,
     return values
 
 
-def _partial_eigensolve(
-    sample: EnsembleSample, vectors: bool,
-) -> tuple[np.ndarray, np.ndarray] | np.ndarray | str:
-    """Certified extreme pairs of an orthogonally invariant, framed sample,
-    or their values alone when not ``vectors``."""
-    d = sample.diagonal
-    _check_diagonal(d, multiplicative=False)
-    v, thetas = sample.frame, sample.thetas
-    if sample.kind.multiplicative:
-        w, k = _sandwich_update(v, d[:, None] * v, thetas)
-        k = 0.5 * (k + k.T)
-    else:
-        w, k = v, np.diag(thetas)
-    upper = int(np.count_nonzero(thetas > 0.0))
-    return _filtered_extremes(d, w, k, v, upper, sample.kind.multiplicative,
-                              vectors)
-
-
 def _band_blocks(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ``w x w`` diagonal blocks ``A_k`` and the blocks ``B_k`` below
     them of the band matrix, as two stacks, the last block padded with zero
@@ -1122,11 +1114,11 @@ def eigensolve(
     solve reads the sample's structure, never its dense matrices.
 
     * An orthogonally invariant sample's are found by
-      :func:`_filtered_extremes`: a first Chebyshev filter stage, then
-      shift-and-invert sweeps through the Woodbury identity while a sweep
-      (``n m'^2`` per vector, ``m'`` the update's rank) costs less than the
-      next filter stage (``need n m'``).  The bulk ``[min d, max d]`` is
-      known.  It gives up when the Ritz values are not beyond the bulk
+      :func:`_filtered_extremes` on its :meth:`EnsembleSample._update`: a
+      first Chebyshev filter stage, then shift-and-invert sweeps through
+      the Woodbury identity while a sweep (``n m'^2`` per vector, ``m'`` the
+      update's rank) costs less than the next filter stage (``need n m'``).
+      The bulk ``[min d, max d]`` is known.  It gives up when the Ritz values are not beyond the bulk
       (and, with ``vectors``, apart) once the filter reaches
       ``FILTER_FIRST_DEGREE``, or when it would need more than
       ``FILTER_MAX_DEGREE`` in total.
@@ -1140,36 +1132,41 @@ def eigensolve(
     When a solve gives up or its certificate fails, the fallback and its
     reason are logged at DEBUG level and the sample's dense ``perturbed``
     matrix, built on that read, gets the full spectrum.  Every other sample,
-    smaller and dense ones included, takes the dense path directly; a
-    sample's matrix is symmetric by construction, so values alone are read
-    from it with ``eigvalsh`` and no symmetry check.
+    smaller and dense ones included, takes the dense path directly.  A
+    sample's matrix is validated when built and symmetric by construction
+    (to rounding), so it is read with no symmetry check and no n x n
+    temporary.
     """
     if isinstance(matrix, EnsembleSample):
         sample = matrix
         framed = not sample.kind.closed_form and sample.frame is not None
         if ((framed or sample.band is not None)
                 and sample.n > FILTER_ROWS_PER_PAIR * (sample.m + 1)):
-            found = (_partial_eigensolve(sample, vectors) if framed
-                     else _band_extremes(sample.band, sample.thetas, vectors))
+            if framed:
+                w, k = sample._update()
+                found = _filtered_extremes(
+                    sample.diagonal, w, 0.5 * (k + k.T), sample.frame,
+                    int(np.count_nonzero(sample.thetas > 0.0)),
+                    sample.kind.multiplicative, vectors)
+            else:
+                found = _band_extremes(sample.band, sample.thetas, vectors)
             if not isinstance(found, str):
                 return found
             _log.debug("dense eigensolve fallback: stream %d, n=%d: %s",
                        sample.stream_id, sample.n, found)
-        if not vectors:
-            return np.linalg.eigvalsh(sample.perturbed)[::-1]
-        matrix = sample.perturbed
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ModelError(f"expected a square matrix, got shape {a.shape}")
-    # max|a| and max|a - a^T| without an abs() copy: a - a^T is exactly
-    # antisymmetric, so its largest entry is its largest magnitude.  A
-    # non-finite entry makes dev NaN or infinite, which fails the test.
-    scale = max(1.0, float(a.max()), -float(a.min())) if a.size else 1.0
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and rejected
-        dev = float((a - a.T).max()) if a.size else 0.0
-    if not dev <= SYMMETRY_TOLERANCE * scale:
-        raise ModelError(
-            f"matrix is not finite and symmetric (deviation {dev:.2e})")
+        a = sample.perturbed
+    else:
+        a = np.asarray(matrix, dtype=float)
+        _square_size(a)
+        # max|a| and max|a - a^T| without an abs() copy: a - a^T is exactly
+        # antisymmetric, so its largest entry is its largest magnitude.  A
+        # non-finite entry makes dev NaN or infinite, which fails the test.
+        scale = max(1.0, float(a.max()), -float(a.min())) if a.size else 1.0
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and rejected
+            dev = float((a - a.T).max()) if a.size else 0.0
+        if not dev <= SYMMETRY_TOLERANCE * scale:
+            raise ModelError(
+                f"matrix is not finite and symmetric (deviation {dev:.2e})")
     if not vectors:
         return np.linalg.eigvalsh(a)[::-1]
     vals, vecs = np.linalg.eigh(a)

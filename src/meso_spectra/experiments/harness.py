@@ -18,12 +18,7 @@ from ..ensembles import (DEGENERACY_TOLERANCE, EnsembleSample, RngStream,
                          eigensolve, sample_ensemble, sample_haar_frame,
                          spectrum_column)
 from ..master_equation import MasterOperator, MissingRootError, locate_outliers
-from ..predictor import (
-    OutlierPrediction,
-    predict,
-    predict_whitened_norm,
-    pushforward_sample,
-)
+from ..predictor import OutlierPrediction, predict, pushforward_sample
 from ..spectral_core import (
     MesoSpectraError,
     Model,
@@ -144,7 +139,6 @@ def _measure_vectors(
     sample: EnsembleSample,
     pert: PerturbationSpec,
     pred: OutlierPrediction,
-    whitened_pred: float | None,
     evals: np.ndarray,
     evecs: np.ndarray,
     idx: int,
@@ -169,7 +163,7 @@ def _measure_vectors(
             np.linalg.norm((pert.thetas - pred.theta) * vt)
         )
     else:
-        out["whitened_pred"] = whitened_pred
+        out["whitened_pred"] = pred.whitened_norm_sq
         out["whitened_meas"] = _whitened_projection(sample, pert, vector)
     return out
 
@@ -179,7 +173,6 @@ def _run_trial(
     model: Model,
     pert: PerturbationSpec,
     preds: list[OutlierPrediction],
-    whitened_preds: dict[int, float],
     cross: bool,
     stream: RngStream,
     n: int,
@@ -217,10 +210,7 @@ def _run_trial(
         abs_error = abs(realized - pred.location)
         extra: dict = {}
         if with_vectors:
-            extra = _measure_vectors(
-                sample, pert, pred, whitened_preds.get(pred.rank), evals, evecs,
-                col,
-            )
+            extra = _measure_vectors(sample, pert, pred, evals, evecs, col)
         det_loc = detector.get(pred.rank)
         outliers.append(
             OutlierRecord(
@@ -250,17 +240,12 @@ def _run_trials(cfg: ExperimentConfig, with_vectors: bool) -> ExperimentReport:
     for n_index, n in enumerate(cfg.n_values):
         model = cfg.model_for(n)
         preds = predict(model, pert, n, cfg.delta)
-        whitened_preds = {
-            p.rank: predict_whitened_norm(model, p.theta, cfg.delta)
-            for p in preds
-            if p.separated and model.kind.multiplicative
-        }
         cross = cfg.cross_check_for(n)
         for trial in range(cfg.trials):
             stream = RngStream(cfg.seed, n_index * cfg.trials + trial)
             records.append(
-                _run_trial(cfg, model, pert, preds, whitened_preds, cross,
-                           stream, n, with_vectors)
+                _run_trial(cfg, model, pert, preds, cross, stream, n,
+                           with_vectors)
             )
     return _finish(cfg, records, start, cfg.epsilon)
 

@@ -89,8 +89,10 @@ class OutlierPrediction:
     """Prediction for one strength: where its outlier sits and how it projects.
 
     ``location`` and ``projection_norm_sq`` are ``None`` exactly when the
-    strength is not separated.  ``target_index`` is the 1-based position the
-    outlier claims in the descending eigenvalue list.
+    strength is not separated, and ``whitened_norm_sq`` (see
+    :func:`predict_whitened_norm`) also for an additive kind.
+    ``target_index`` is the 1-based position the outlier claims in the
+    descending eigenvalue list.
     """
 
     rank: int
@@ -99,6 +101,7 @@ class OutlierPrediction:
     separation: Separation
     location: float | None
     projection_norm_sq: float | None
+    whitened_norm_sq: float | None
 
     @property
     def separated(self) -> bool:
@@ -106,29 +109,31 @@ class OutlierPrediction:
 
 
 def _predict_one(model: Model, delta: float, theta: float):
-    """``(verdict, location, squared projection)`` for one strength; the last
-    two are ``None`` when it is not separated."""
+    """``(verdict, location, squared projection, whitened one)`` for one
+    strength; the last three are ``None`` when it is not separated, and the
+    whitened one also for an additive kind."""
     verdict = check_separation(model, delta, theta)
     if not verdict:
-        return verdict, None, None
+        return verdict, None, None, None
     z = pushforward_map(model, theta)
+    slope = _slope(model, z)
     if model.kind.additive:
-        norm_sq = -1.0 / (theta * theta * _slope(model, z))
-    else:
-        norm_sq = -(theta + 1.0) / (theta * theta * z * _slope(model, z))
-    return verdict, z, norm_sq
+        return verdict, z, -1.0 / (theta * theta * slope), None
+    norm_sq = -(theta + 1.0) / (theta * theta * z * slope)
+    return verdict, z, norm_sq, -1.0 / (theta + theta * theta * z * slope)
 
 
 def _predict_separated(model: Model, theta: float, delta: float):
-    """``(location, squared projection)``; raises below the threshold."""
-    verdict, z, norm_sq = _predict_one(model, delta, theta)
+    """``(location, squared projection, whitened one)``; raises below the
+    threshold."""
+    verdict, *predicted = _predict_one(model, delta, theta)
     if not verdict:
         raise NotSeparatedError(
             f"theta={theta:g} fails the separation test "
             f"(|theta| below the threshold {verdict.threshold:g})",
             verdict,
         )
-    return z, norm_sq
+    return predicted
 
 
 def predict_location(model: Model, theta: float, delta: float = DEFAULT_DELTA) -> float:
@@ -160,8 +165,7 @@ def predict_whitened_norm(model: Model, theta: float, delta: float = DEFAULT_DEL
     """
     if not model.kind.multiplicative:
         raise ModelError("whitened projections only exist for multiplicative kinds")
-    z, _ = _predict_separated(model, theta, delta)
-    return -1.0 / (theta + theta * theta * z * _slope(model, z))
+    return _predict_separated(model, theta, delta)[2]
 
 
 def predict(
@@ -181,7 +185,7 @@ def predict(
     out: list[OutlierPrediction] = []
     for i, theta in enumerate(pert.thetas, start=1):
         theta = float(theta)
-        verdict, z, norm_sq = _predict_one(model, delta, theta)
+        verdict, z, norm_sq, whitened = _predict_one(model, delta, theta)
         out.append(
             OutlierPrediction(
                 rank=i,
@@ -190,6 +194,7 @@ def predict(
                 separation=verdict,
                 location=z,
                 projection_norm_sq=norm_sq,
+                whitened_norm_sq=whitened,
             )
         )
     return out

@@ -151,6 +151,15 @@ class TestPerturbations:
         with pytest.raises(ModelError):
             perturb_multiplicative(base, PerturbationSpec.from_values([-1.5]))
 
+    @pytest.mark.parametrize("perturb", [perturb_additive, perturb_multiplicative])
+    def test_base_must_be_square(self, perturb):
+        # A 1-d base is not read as a diagonal.
+        pert = PerturbationSpec.from_values(
+            [2.0], frame=sample_haar_frame(4, 1, RngStream(67, 0)))
+        for base in (np.linspace(1.0, 2.0, 4), np.ones((4, 5))):
+            with pytest.raises(ModelError, match="square"):
+                perturb(base, pert)
+
     def test_rank_cannot_exceed_size(self):
         base = np.eye(2)
         pert = PerturbationSpec.from_values([1.0, 2.0, 3.0])
@@ -260,7 +269,8 @@ class TestBlockedSymmetrization:
 
 
 class TestPsdCheck:
-    """``_check_psd`` reads a diagonal base's verdict off its diagonal."""
+    """``_check_psd`` factorizes every base, and rejects a non-finite one
+    that the factorization would pass."""
 
     @staticmethod
     def cholesky_verdict(base):
@@ -289,15 +299,6 @@ class TestPsdCheck:
         base = np.diag(diag)
         expected = self.cholesky_verdict(base) and not np.isnan(lam_min)
         assert self.check_verdict(base) == expected
-
-    def test_diagonal_skips_the_factorization(self, monkeypatch):
-        def no_cholesky(a):
-            raise AssertionError("a diagonal base must not be factorized")
-
-        monkeypatch.setattr(ensembles.np.linalg, "cholesky", no_cholesky)
-        ensembles._check_psd(np.diag([0.0, 1.0, 2.0]))
-        with pytest.raises(ModelError):
-            ensembles._check_psd(np.diag([1.0, -1.0, 2.0]))
 
     def test_indefinite_dense_base_raises(self):
         rot = sample_haar_frame(6, 6, RngStream(33, 0))
@@ -403,6 +404,38 @@ class TestStructuredSample:
         with pytest.raises(ModelError, match="its dense matrices alone"):
             EnsembleSample(kind=ModelKind.WIGNER, diagonal=np.ones(2),
                            **provenance)
+
+    @pytest.mark.parametrize("multiplicative", [False, True],
+                             ids=["additive", "multiplicative"])
+    def test_nan_diagonal_raises_when_built(self, multiplicative):
+        with pytest.raises(ModelError):
+            framed_sample(multiplicative, [2.0, np.nan, 0.5], [1.0],
+                          np.eye(3)[:, :1])
+
+    @pytest.mark.parametrize("theta", [-1.0, -1.5])
+    def test_strength_at_most_minus_one_raises_when_built(self, theta):
+        with pytest.raises(ModelError, match="must exceed -1"):
+            framed_sample(True, [2.0, 1.0, 0.5], [2.0, theta], np.eye(3)[:, :2])
+        with pytest.raises(ModelError, match="must exceed -1"):
+            EnsembleSample(frame=None, thetas=np.array([theta]),
+                           kind=ModelKind.WISHART, n=3, m=1, master_seed=0,
+                           stream_id=0, law=EntryLaw.GAUSSIAN,
+                           dense=(np.eye(3), np.eye(3)))
+
+    @pytest.mark.parametrize("framed", [False, True], ids=["coordinates", "frame"])
+    def test_wishart_sample_skips_the_cholesky_check(self, monkeypatch, framed):
+        # X X^T / p is PSD by construction; only the public assembly checks.
+        frame = sample_haar_frame(60, 2, RngStream(66, 1)) if framed else None
+        pert = PerturbationSpec.from_values([2.0, -0.5], frame=frame)
+
+        def no_cholesky(a):
+            raise AssertionError("a Wishart base must not be factorized")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_cholesky)
+        sample = sample_ensemble(Model.wishart(0.5), pert, 60, RngStream(66, 0))
+        monkeypatch.undo()
+        assert np.array_equal(sample.perturbed,
+                              perturb_multiplicative(sample.base, pert))
 
     def test_eigenvector_run_holds_no_dense_matrix(self, caplog):
         # Above the size rule and without a cross-check every trial takes
