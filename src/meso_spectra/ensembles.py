@@ -27,15 +27,16 @@ diagonal-plus-low-rank structure, whose bulk interval ``[min d, max d]`` is
 known exactly: a first Chebyshev filter stage, then shift-and-invert sweeps
 at the Ritz values, O(n M^2) per vector through the Woodbury identity,
 wherever a sweep costs less than the next filter stage.  A band sample's
-are the Ritz pairs of a leading principal block of ``T``, the Rayleigh-Ritz
-problem of block Lanczos started on the leading coordinates, and the bulk
-is bounded by exact counts from Sylvester's inertia of a block LDL^T
-factorization.  Certificates decide on them (values alone need no gap
-between outliers); when they fail, the solve falls back to the full dense
-spectrum and logs the fallback on the ``meso_spectra`` logger.  Experiment
-trials read realized values through ``eigensolve(sample, vectors=False)``
-alone, so a value-only trial of a structured sample builds no n x n
-matrix.
+start as the Ritz pairs of a leading principal block of ``T``, the
+Rayleigh-Ritz problem of block Lanczos started on the leading coordinates,
+and end with shift-and-invert sweeps on all of ``T``, O(n M^2) per vector
+through block cyclic reduction; the bulk is bounded by exact counts from
+Sylvester's inertia of a block LDL^T factorization.  Certificates decide on
+them (values alone need no gap between outliers); when they fail, the
+solve falls back to the full dense spectrum and logs the fallback on the
+``meso_spectra`` logger.  Experiment trials read realized values through
+``eigensolve(sample, vectors=False)`` alone, so a value-only trial of a
+structured sample builds no n x n matrix.
 """
 
 from __future__ import annotations
@@ -414,17 +415,22 @@ def _sandwich(base: np.ndarray, pert: PerturbationSpec) -> np.ndarray:
     """:func:`perturb_multiplicative` without its checks, as a new array.
 
     With leading coordinates ``S`` is diagonal and only the first ``M`` rows
-    and columns are rescaled.  On a frame ``V``, ``S base S`` is
+    and columns are rescaled; the leading ``M x M`` block takes its upper
+    triangle from its lower one, which ``eigh`` and ``eigvalsh`` read, so
+    the result is exactly symmetric.  On a frame ``V``, ``S base S`` is
     :func:`_assemble` of the ``W`` and ``K`` of :func:`_sandwich_update`.
     """
     m = pert.m
     v = _frame_columns(base.shape[0], pert)
     if v is None or m == 0:
-        # S is diagonal: entry (i, j) picks up scale_i * scale_j.
+        # S is diagonal: entry (i, j) picks up scale_i * scale_j, rounded in
+        # a different order in (j, i) when both are below M.
         scale = np.sqrt(1.0 + pert.thetas)
         out = base.copy()
         out[:m, :] *= scale[:, None]
         out[:, :m] *= scale[None, :]
+        rows, cols = np.triu_indices(m, 1)
+        out[rows, cols] = out[cols, rows]
         return out
     return _assemble(base, *_sandwich_update(v, base @ v, pert.thetas))
 
@@ -911,6 +917,36 @@ def _band_blocks(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, below
 
 
+def _shifted_blocks(band: np.ndarray, shifts: np.ndarray):
+    """``T - c I`` for each ``c`` of ``shifts``: its stacks of diagonal
+    blocks and of the blocks below them (:func:`_band_blocks`), and how many
+    rows pad the last block.  Padding rows are isolated, at ``-1``."""
+    n, width = band.shape[1], band.shape[0] - 1
+    diag, below = _band_blocks(band)
+    pivots = diag[None] - shifts[:, None, None, None] * np.eye(width)
+    padding = diag.shape[0] * width - n
+    for row in range(width - padding, width):
+        pivots[:, -1, row, row] = -1.0
+    return pivots, np.broadcast_to(below, (shifts.size,) + below.shape), padding
+
+
+def _eliminate_odd(pivots: np.ndarray, below: np.ndarray,
+                   inverse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One level of block cyclic reduction: the Schur complement on the even
+    blocks once the odd ones, whose pivots have the inverses ``inverse``,
+    are eliminated, as its diagonal blocks and the blocks below them.
+
+    Eliminated block ``2q + 1`` couples up to kept block ``q`` through
+    ``B_2q`` and down to kept block ``q + 1`` through ``B_2q+1``.
+    """
+    up, down = below[:, 0::2], below[:, 1::2]
+    lower = down.shape[1]
+    kept = pivots[:, 0::2].copy()
+    kept[:, : up.shape[1]] -= up.swapaxes(-1, -2) @ inverse @ up
+    kept[:, 1: lower + 1] -= down @ inverse[:, :lower] @ down.swapaxes(-1, -2)
+    return kept, -(down @ inverse[:, :lower] @ up[:, :lower])
+
+
 def _band_inertia(band: np.ndarray,
                   shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """How many eigenvalues of the band matrix ``T`` lie below each of
@@ -937,13 +973,8 @@ def _band_inertia(band: np.ndarray,
     Weyl's bound the count lies between those of ``T`` at ``c - delta`` and
     ``c + delta``.  A near-singular pivot makes ``delta`` large or infinite.
     """
-    n, width = band.shape[1], band.shape[0] - 1
-    diag, below = _band_blocks(band)
-    pivots = diag[None] - shifts[:, None, None, None] * np.eye(width)
-    padding = diag.shape[0] * width - n
-    for row in range(width - padding, width):
-        pivots[:, -1, row, row] = -1.0
-    below = np.broadcast_to(below, (shifts.size,) + below.shape)
+    width = band.shape[0] - 1
+    pivots, below, padding = _shifted_blocks(band, shifts)
     negative = np.full(shifts.size, -padding)
     worst = np.zeros(shifts.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -951,26 +982,76 @@ def _band_inertia(band: np.ndarray,
             values, vecs = np.linalg.eigh(pivots[:, 1::2])
             negative += np.count_nonzero(values < 0.0, axis=(1, 2))
             inverse = (vecs / values[..., None, :]) @ vecs.swapaxes(-1, -2)
-            # Eliminated block 2q + 1 couples up to kept block q and down to
-            # kept block q + 1.
             up, down = below[:, 0::2], below[:, 1::2]
             lower = down.shape[1]
-            kept = pivots[:, 0::2].copy()
-            kept[:, : up.shape[1]] -= up.swapaxes(-1, -2) @ inverse @ up
-            kept[:, 1: lower + 1] -= down @ inverse[:, :lower] @ down.swapaxes(-1, -2)
             coupling = np.sum(up * up, axis=(2, 3))
             coupling[:, :lower] += np.sum(down * down, axis=(2, 3))
             size = np.abs(values)
             worst = np.maximum(worst, np.max(
                 size.max(axis=2) + 3.0 * coupling / size.min(axis=2), axis=1))
-            below = -(down @ inverse[:, :lower] @ up[:, :lower])
-            pivots = kept
+            pivots, below = _eliminate_odd(pivots, below, inverse)
         # eigh, as in the Rayleigh-Ritz steps: eigvalsh is left to dense solves.
         values = np.linalg.eigh(pivots[:, 0])[0]
         negative += np.count_nonzero(values < 0.0, axis=1)
         worst = np.maximum(worst, np.abs(values).max(axis=1))
     unit = 0.5 * np.finfo(float).eps
     return negative, 4.0 * width * unit * worst
+
+
+def _band_solve(band: np.ndarray, shifts: np.ndarray,
+                rhs: np.ndarray) -> np.ndarray | None:
+    """Row ``j`` of ``rhs`` (``s x n``) solved against ``T - shifts_j I``,
+    or ``None`` when a pivot block is singular or the solution not finite.
+
+    The block cyclic reduction of :func:`_band_inertia`, batched over the
+    shifts, with each level's pivots inverted.  On the way down each level
+    folds the eliminated blocks' right-hand sides into the kept ones; on
+    the way up it recovers the eliminated blocks' solutions from those of
+    their kept neighbours.  O(n w^2) work per shift.
+    """
+    n, width = band.shape[1], band.shape[0] - 1
+    pivots, below, _ = _shifted_blocks(band, shifts)
+    b = np.zeros((shifts.size, pivots.shape[1] * width))
+    b[:, :n] = rhs
+    b = b.reshape(shifts.size, -1, width, 1)
+    levels = []
+    with np.errstate(all="ignore"):
+        try:
+            while pivots.shape[1] > 1:
+                inverse = np.linalg.inv(pivots[:, 1::2])
+                up, down = below[:, 0::2], below[:, 1::2]
+                lower = down.shape[1]
+                scaled = inverse @ b[:, 1::2]
+                kept = b[:, 0::2].copy()
+                kept[:, : up.shape[1]] -= up.swapaxes(-1, -2) @ scaled
+                kept[:, 1: lower + 1] -= down @ scaled[:, :lower]
+                levels.append((inverse, up, down, b[:, 1::2]))
+                pivots, below = _eliminate_odd(pivots, below, inverse)
+                b = kept
+            x = np.linalg.inv(pivots) @ b
+        except np.linalg.LinAlgError:
+            return None
+        for inverse, up, down, eliminated in reversed(levels):
+            lower = down.shape[1]
+            rest = eliminated - up @ x[:, : up.shape[1]]
+            rest[:, :lower] -= down.swapaxes(-1, -2) @ x[:, 1: lower + 1]
+            full = np.empty((shifts.size, x.shape[1] + up.shape[1], width, 1))
+            full[:, 0::2], full[:, 1::2] = x, inverse @ rest
+            x = full
+    x = x.reshape(shifts.size, -1)[:, :n]
+    return x if np.isfinite(x).all() else None
+
+
+def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``T x`` for the band matrix ``T`` and ``x`` with ``n`` rows, in
+    O(n w) work per column."""
+    n = band.shape[1]
+    y = band[0][:, None] * x
+    for j in range(1, band.shape[0]):
+        entries = band[j, : n - j, None]
+        y[j:] += entries * x[: n - j]
+        y[: n - j] += entries * x[j:]
+    return y
 
 
 def _band_extremes(
@@ -981,40 +1062,67 @@ def _band_extremes(
     ``M-`` negative) added to its leading diagonal, their values alone when
     not ``vectors``, or the reason they could not be certified.
 
-    Block Lanczos started on the leading ``w`` coordinates reproduces ``T``'s
-    own blocks, so its Rayleigh-Ritz problem after ``k`` steps is ``T``'s
-    leading ``k w`` rows and columns, solved by ``eigh``.  A Ritz pair
-    ``(mu, y)`` padded with zeros has the residual ``T [y; 0] - mu [y; 0]``
-    of the block below alone, exactly ``|B_k y_last|``.  The first two
-    leading blocks span ``BAND_FIRST_BLOCKS`` and twice that many blocks of
-    ``w`` rows; after that the residuals' geometric fall between the last
-    two predicts the size at which the slowest reaches its tolerance (half
-    that of the certificate), and the next block has that size, at most
-    twice the last.
-    The solve gives up ("step cap reached") once the prediction, or the
-    block, would exceed ``n / (2 w)`` blocks.  At ``M`` near ``sqrt(n)``
-    the leading block would need most of ``T``, and the solve gives up after
-    the two first, cheap blocks.  A subcritical strength's value lies at the
-    bulk's edge; the edge eigenvectors of this band model live on its first
-    rows, so such a value often certifies too, and otherwise its slow fall
-    gives up on small blocks.
+    Growth.  Block Lanczos started on the leading ``w`` coordinates
+    reproduces ``T``'s own blocks, so its Rayleigh-Ritz problem after ``k``
+    steps is ``T``'s leading ``k w`` rows and columns, solved by ``eigh``.
+    A Ritz pair ``(mu, y)`` padded with zeros has the residual
+    ``T [y; 0] - mu [y; 0]`` of the block below alone, exactly
+    ``|B_k y_last|``.  The first two leading blocks span
+    ``BAND_FIRST_BLOCKS`` and twice that many blocks of ``w`` rows; after
+    that the residuals' geometric fall between the last two predicts the
+    size at which the slowest reaches its tolerance (half that of the
+    certificate), and the next block has that size, at most twice the last.
 
-    The rest of the spectrum is then bounded by exact counts.  On each side
-    with outliers a cut ``c`` goes halfway from the innermost outlier's Ritz
-    value to the next Ritz value, and :func:`_band_inertia` counts the
-    eigenvalues beyond it.  A cut must keep its distance from every
-    eigenvalue, the outliers' included, or a pivot block of the count is
-    near-singular.  When a count's ``delta`` exceeds the margin
-    (``DEGENERACY_TOLERANCE`` times ``max(1, |T_k|)``) the solve gives up
-    ("near-singular pivot block"), and when the count is not ``M+`` above
-    the upper cut and ``M-`` below the lower one ("count disagrees").
-    Otherwise every eigenvalue but the ``M`` extreme ones lies between the
-    cuts widened by ``delta``, the interval that takes the place of
-    ``[min d, max d]``: values alone are certified by
-    :func:`_certify_values`, to ``FILTER_TOLERANCE`` times ``max(1, |T|)``
-    with no gap between outliers, and pairs by :func:`_certify`, with a
-    gap to the cut, and their vectors are returned padded with zeros to
-    ``n`` rows.  No random numbers are drawn.
+    Sweeps.  From the second block on, the solve takes Rayleigh quotient
+    iteration from the current block's Ritz vectors, padded with zeros to
+    ``n`` rows, in place of further growth, when one sweep is predicted to
+    meet the tolerance and the predicted block would have more than
+    ``FILTER_ROWS_PER_PAIR`` rows per pair (the size rule of
+    :func:`eigensolve`: below it a dense ``eigh`` costs less than a pass
+    over all of ``T``).  A sweep replaces each pair still above its
+    tolerance, ``(mu, x)``, by ``(T - mu I)^-1 x`` (:func:`_band_solve`,
+    O(n w^2) per pair), then takes a QR orthonormalization and an
+    ``M x M`` Rayleigh-Ritz problem, whose residuals :func:`_band_apply`
+    measures on all of ``T``.  A sweep takes a residual ``r`` at distance
+    ``apart`` from the other values and the bulk's edge to about
+    ``r^3 / apart^2``, while the block's residuals fall geometrically, and
+    faster deeper in the band than the prediction assumes, so the grown
+    block would overshoot.  As in :func:`_filtered_extremes`, each shift
+    must lie within half its distance to the other values and to the
+    bulk's edge (so that it is nearest its own eigenvalue), and the sweeps
+    go on while each takes the worst residual at least halfway, in log, to
+    its predicted value.  A sweep that is unsafe or falls short, or whose
+    solve is singular or not finite, gives way to the block growth, so the
+    counts and certificates below only ever see pairs whose residuals have
+    met the tolerance.
+
+    Give-ups.  The solve gives up ("step cap reached") once the
+    prediction, or the block, would exceed ``n / (2 w)`` blocks.  At ``M``
+    near ``sqrt(n)`` the leading block would need most of ``T``, and the
+    solve gives up after the two first, cheap blocks; a sweep there would
+    cost about as much as the dense solve.  A subcritical strength's value
+    lies at the bulk's edge; the edge eigenvectors of this band model live
+    on its first rows, so such a value often certifies too, and otherwise
+    its slow fall gives up on small blocks.
+
+    Counts.  The rest of the spectrum is then bounded by exact counts.  On
+    each side with outliers a cut ``c`` goes halfway from the innermost
+    outlier's value to the last leading block's next Ritz value, and
+    :func:`_band_inertia` counts the eigenvalues beyond it.  That Ritz value
+    lies no farther out than the bulk's true edge (Cauchy interlacing), and
+    the sweeps refine the outliers alone, so the cut comes from a leading
+    block.  A cut must keep its distance from every eigenvalue,
+    the outliers' included, or a pivot block of the count is near-singular.
+    When a count's ``delta`` exceeds the margin (``DEGENERACY_TOLERANCE``
+    times ``max(1, |T_k|)``) the solve gives up ("near-singular pivot
+    block"), and when the count is not ``M+`` above the upper cut and
+    ``M-`` below the lower one ("count disagrees").  Otherwise every
+    eigenvalue but the ``M`` extreme ones lies between the cuts widened by
+    ``delta``, the interval that takes the place of ``[min d, max d]``:
+    values alone are certified by :func:`_certify_values`, to
+    ``FILTER_TOLERANCE`` times ``max(1, |T|)`` with no gap between
+    outliers, and pairs by :func:`_certify`, with a gap to the cut; both
+    apply all of ``T``.  No random numbers are drawn.
     """
     n, width = band.shape[1], band.shape[0] - 1
     m = thetas.size
@@ -1023,6 +1131,65 @@ def _band_extremes(
     if not m:
         return (np.empty(0), np.empty((n, 0))) if vectors else np.empty(0)
     band = _with_strengths(band, thetas)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return _band_apply(band, x)
+
+    def padded(vecs: np.ndarray) -> np.ndarray:
+        # Leading-block vectors with zeros below, to n rows.
+        return np.vstack((vecs, np.zeros((n - vecs.shape[0], m))))
+
+    def cuts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        # Halfway from the innermost outlier to the bulk's edge on each side
+        # (the edge itself on a side without outliers), as (low, high).
+        out = edges.copy()
+        if lower:
+            out[0] = 0.5 * (values[upper] + edges[0])
+        if upper:
+            out[1] = 0.5 * (values[upper - 1] + edges[1])
+        return out
+
+    def targets(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        radius = max(1.0, abs(values[0]), abs(values[-1]))
+        if vectors:
+            _, _, gap = _intervals(values, 0.0, upper, cuts(values, edges))
+            return 0.5 * FILTER_TOLERANCE * np.minimum(radius, gap)
+        return np.full(m, 0.5 * FILTER_TOLERANCE * radius / math.sqrt(m))
+
+    def swept(values, vecs, resid, target, edges):
+        # Rayleigh quotient iteration, or None when a sweep gives way.  A
+        # sweep takes a residual r to about r^3 / apart^2, apart being its
+        # value's isolation from the other values and the bulk's edge: the
+        # first must be predicted to meet the tolerance, and each must fall
+        # at least half as far as predicted, in log.
+        predicted = None
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while True:
+                todo = resid > target
+                if not todo.any():
+                    return values, vecs
+                excess = np.log(resid[todo] / target[todo])
+                if predicted is not None and worst - excess.max() < 0.5 * predicted:
+                    return None  # a stall short of the tolerance
+                _, _, isolation = _intervals(values, 0.0, upper, edges)
+                r, isolation = resid[todo], isolation[todo]
+                fall = 2.0 * np.log(isolation / r)
+                if not (2.0 * r < isolation).all() or (
+                        predicted is None and (fall < excess).any()):
+                    return None
+                rows = _band_solve(band, values[todo], vecs[:, todo].T)
+                if rows is None:
+                    return None
+                worst, predicted = excess.max(), fall.min()
+                vecs[:, todo] = rows.T
+                q = np.linalg.qr(vecs)[0]
+                image = apply(q)
+                ritz, rot = np.linalg.eigh(q.T @ image)
+                values, rot = ritz[::-1], rot[:, ::-1]
+                vecs = q @ rot
+                resid = np.linalg.norm(image @ rot - vecs * values, axis=0)
+                target = targets(values, edges)
+
     cap = n // (2 * width)
     blocks, before = min(BAND_FIRST_BLOCKS, cap), None
     while True:
@@ -1036,21 +1203,11 @@ def _band_extremes(
         values, vecs = ritz[pick], basis[:, pick]
         resid = np.linalg.norm(window[rows:, rows - width: rows] @ vecs[rows - width:],
                                axis=0)
-        radius = max(1.0, abs(values[0]), abs(values[-1]))
         margin = DEGENERACY_TOLERANCE * max(1.0, abs(ritz[0]), abs(ritz[-1]))
-        # A cut on each side of the bulk, halfway from the innermost outlier
-        # to the next Ritz value (the next Ritz value itself on a side
-        # without outliers).
-        high, low = ritz[rows - 1 - upper], ritz[lower]
-        if upper:
-            high = 0.5 * (values[upper - 1] + high)
-        if lower:
-            low = 0.5 * (values[upper] + low)
-        if vectors:
-            _, _, gap = _intervals(values, 0.0, upper, np.array([low, high]))
-            target = 0.5 * FILTER_TOLERANCE * np.minimum(radius, gap)
-        else:
-            target = 0.5 * FILTER_TOLERANCE * radius / math.sqrt(m)
+        # The next Ritz value on each side: the bulk's edges, as the block
+        # sees them.
+        edges = np.array([ritz[lower], ritz[rows - 1 - upper]])
+        target = targets(values, edges)
         if (resid <= target).all():
             break
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -1063,30 +1220,29 @@ def _band_extremes(
                 need = size = blocks + float(steps[resid > target].max())
         if blocks >= cap or not need <= cap:
             return "step cap reached"
+        # Sweep instead of growing past the size below which eigh is cheaper.
+        if before is not None and size * width > FILTER_ROWS_PER_PAIR * (m + 1):
+            found = swept(values, padded(vecs), resid, target, edges)
+            if found is not None:
+                values, vecs = found
+                break
         before = blocks, logs
         blocks = min(cap, 2 * blocks, max(blocks + 1, math.ceil(size)))
 
-    cuts = np.array([high] * bool(upper) + [low] * bool(lower))
-    below, delta = _band_inertia(band, cuts)
+    vecs = padded(vecs)
+    bounds = cuts(values, edges)
+    shifts = bounds[[1] * bool(upper) + [0] * bool(lower)]
+    below, delta = _band_inertia(band, shifts)
     if not (delta <= margin).all():
         return "near-singular pivot block"
     if (upper and n - below[0] != upper) or (lower and below[-1] != lower):
         return "count disagrees"
-    bulk = np.array([low - (delta[-1] if lower else 0.0),
-                     high + (delta[0] if upper else 0.0)])
-    padded = np.vstack((vecs, np.zeros((width, m))))
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        return window @ x
-
+    bulk = np.array([bounds[0] - (delta[-1] if lower else 0.0),
+                     bounds[1] + (delta[0] if upper else 0.0)])
     if not vectors:
-        return _certify_values(apply, padded, bulk, upper, False, margin)
-    found = _certify(apply, padded, bulk, upper, False, radius, margin)
-    if isinstance(found, str):
-        return found
-    pairs = np.zeros((n, m))
-    pairs[: rows + width] = found[1]
-    return found[0], pairs
+        return _certify_values(apply, vecs, bulk, upper, False, margin)
+    radius = max(1.0, abs(values[0]), abs(values[-1]))
+    return _certify(apply, vecs, bulk, upper, False, radius, margin)
 
 
 def eigensolve(
@@ -1118,16 +1274,19 @@ def eigensolve(
       first Chebyshev filter stage, then shift-and-invert sweeps through
       the Woodbury identity while a sweep (``n m'^2`` per vector, ``m'`` the
       update's rank) costs less than the next filter stage (``need n m'``).
-      The bulk ``[min d, max d]`` is known.  It gives up when the Ritz values are not beyond the bulk
-      (and, with ``vectors``, apart) once the filter reaches
-      ``FILTER_FIRST_DEGREE``, or when it would need more than
-      ``FILTER_MAX_DEGREE`` in total.
-    * A band sample's are the Ritz pairs of a leading block of ``T`` grown
-      by :func:`_band_extremes`, and the interval holding the rest of the
-      spectrum is proved by exact counts (Sylvester's inertia, from
-      :func:`_band_inertia`) at a cut on each side.  It gives up when the
-      leading block would pass ``n / (2M)`` blocks, a pivot block of the
-      count is near-singular, or a count is not ``M+`` (or ``M-``).
+      The bulk ``[min d, max d]`` is known.  It gives up when the Ritz
+      values are not beyond the bulk (and, with ``vectors``, apart) once
+      the filter reaches ``FILTER_FIRST_DEGREE``, or when it would need
+      more than ``FILTER_MAX_DEGREE`` in total.
+    * A band sample's are found by :func:`_band_extremes`: the Ritz pairs
+      of a leading block of ``T``, grown until one shift-and-invert sweep
+      on all of ``T`` (``O(n M^2)`` per vector through block cyclic
+      reduction) is predicted to finish them, then such sweeps.  The
+      interval holding the rest of the spectrum is proved by exact counts
+      (Sylvester's inertia, from :func:`_band_inertia`) at a cut on each
+      side.  It gives up when the leading block would pass ``n / (2M)``
+      blocks, a pivot block of the count is near-singular, or a count is
+      not ``M+`` (or ``M-``).
 
     When a solve gives up or its certificate fails, the fallback and its
     reason are logged at DEBUG level and the sample's dense ``perturbed``

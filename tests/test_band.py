@@ -9,10 +9,11 @@ sample's own ``perturbed`` matrix.
 
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from meso_spectra import (
@@ -225,6 +226,24 @@ def band_configs(draw):
     return n, [theta * draw(st.sampled_from([1.0, -1.0])) for theta in thetas]
 
 
+@st.composite
+def sweep_configs(draw):
+    """Strengths whose outliers sweeps must tell apart: repeated, 10^-k
+    apart, of both signs, and at times one near the threshold or below."""
+    theta = draw(st.floats(1.5, 3.0))
+    apart = theta * (1.0 + 10.0 ** -draw(st.integers(1, 12)))
+    thetas = draw(st.sampled_from([
+        [theta] * 3, [theta, apart], [theta, -theta, apart, -apart]]))
+    if draw(st.integers(0, 3)) == 0:
+        thetas = thetas + [draw(st.one_of(st.floats(0.9, 1.1), st.floats(0.02, 0.9)))]
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return draw(st.integers(250, 600)), [sign * t for t in thetas]
+
+
+FALLBACK_REASONS = ("step cap reached", "near-singular pivot block", "count disagrees",
+                    "certificate failed")
+
+
 class TestBandEigensolve:
     """The certified extreme values and pairs of a band sample."""
 
@@ -239,6 +258,26 @@ class TestBandEigensolve:
     def test_matches_dense(self, config, seed):
         n, thetas = config
         assert_matches_dense(wigner_sample(n, thetas, seed=seed))
+
+    @given(sweep_configs(), st.integers(0, 2**16))
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_sweeps_beside_close_outliers(self, caplog, config, seed):
+        # Shifts next to other outliers, or onto an eigenvalue once a
+        # residual nears its tolerance: a sweep that is singular, warns or
+        # is not finite must stay inside the solve, which certifies or falls
+        # back with one logged reason per solve.
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        caplog.clear()
+        n, thetas = config
+        sample = wigner_sample(n, thetas, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            answered = assert_matches_dense(sample)  # NaN fails its bounds
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == answered.count(False)
+        assert set(messages) <= {f"dense eigensolve fallback: stream 0, n={n}: {reason}"
+                                 for reason in FALLBACK_REASONS}
 
     @pytest.mark.parametrize("n,thetas", [
         (403, [3.0, 2.5, -3.5]),     # n not a multiple of M
@@ -356,6 +395,70 @@ class TestBandFallbacks:
         band = self.decoupled_band(500, 2, 450, cuts[0][0], seed=72)
         assert self.fallback_reason(caplog, band_sample(band, [3.0, -3.0]), False) == (
             "dense eigensolve fallback: stream 0, n=500: near-singular pivot block")
+
+
+class TestBandSweeps:
+    """Shift-and-invert sweeps finish the band solve in place of its last
+    leading block, and give way to that block when they cannot."""
+
+    @pytest.fixture(autouse=True)
+    def debug_log(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+
+    @staticmethod
+    def sweeps(monkeypatch):
+        """Each sweep's shifts, and whether its solve returned."""
+        done = []
+        real = ensembles._band_solve
+
+        def solve(band, shifts, rhs):
+            found = real(band, shifts, rhs)
+            done.append((shifts.copy(), found is not None))
+            return found
+
+        monkeypatch.setattr(ensembles, "_band_solve", solve)
+        return done
+
+    def test_singular_sweep_gives_way(self, caplog, monkeypatch):
+        # First record the shifts of the sweep, then place a decoupled
+        # eigenvalue exactly on the first, beyond the leading blocks:
+        # T - sigma I is singular, and the solve takes the predicted block.
+        # That block cannot see the new eigenvalue, so the count disagrees.
+        # The rule that leaves small blocks to eigh would not sweep here.
+        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", 0)
+        decoupled = TestBandFallbacks.decoupled_band
+        sweeps = self.sweeps(monkeypatch)
+        clean = band_sample(decoupled(500, 2, 450, 0.0, seed=72), [3.0, -3.0])
+        assert eigensolve(clean, vectors=False).size == 2
+        ((shifts, solved),) = sweeps
+        assert solved
+        sweeps.clear()
+        sample = band_sample(decoupled(500, 2, 450, shifts[0], seed=72), [3.0, -3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = eigensolve(sample, vectors=False)
+        ((again, solved),) = sweeps
+        assert np.array_equal(again, shifts) and not solved
+        assert np.array_equal(values, np.linalg.eigvalsh(sample.perturbed)[::-1])
+        assert [r.getMessage() for r in caplog.records] == [
+            "dense eigensolve fallback: stream 0, n=500: count disagrees"]
+
+    def test_bench_shaped_solve_sweeps_after_a_32_block_window(self, caplog,
+                                                               monkeypatch):
+        # n = 2000, M = 10: the leading blocks grow to 32 blocks of w rows,
+        # where the last, predicted one would take 55 or more, and one or
+        # two sweeps finish the values.
+        n, m = 2000, 10
+        sizes = TestBandFallbacks.leading_sizes(monkeypatch)
+        sweeps = self.sweeps(monkeypatch)
+        for stream in range(3):
+            sample = wigner_sample(n, np.linspace(2.4, 1.5, m), seed=75, stream=stream)
+            sizes.clear()
+            sweeps.clear()
+            assert eigensolve(sample, vectors=False).shape == (m,)
+            assert max(sizes) <= 32 * m + m
+            assert 1 <= len(sweeps) <= 2 and all(solved for _, solved in sweeps)
+        assert caplog.records == []
 
 
 def test_location_trial_peaks_below_one_dense_matrix(caplog):

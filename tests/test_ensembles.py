@@ -256,6 +256,23 @@ class TestBlockedSymmetrization:
         ref *= 0.5
         assert np.array_equal(perturb_multiplicative(base, pert), ref)
 
+    def test_leading_coordinate_sandwich_is_exactly_symmetric(self):
+        # S = diag(sqrt(1 + theta)) scales rows, then columns, so entries
+        # (i, j) and (j, i) of the leading M x M block are rounded in
+        # different orders; the upper triangle takes the lower one's bits,
+        # which eigh and eigvalsh read.
+        n, pert = 300, PerturbationSpec.from_values([2.0, 0.7, -0.3, -0.6])
+        sample = sample_ensemble(Model.wishart(0.5), pert, n, RngStream(51, 0))
+        base = wishart_base(n, seed=52)
+        for base, p in ((sample.base, sample.perturbed),
+                        (base, perturb_multiplicative(base, pert))):
+            scale = np.sqrt(1.0 + pert.thetas)
+            rows_then_columns = base.copy()
+            rows_then_columns[:4] *= scale[:, None]
+            rows_then_columns[:, :4] *= scale
+            assert np.array_equal(p, p.T)
+            assert np.array_equal(np.tril(p), np.tril(rows_then_columns))
+
     @pytest.mark.parametrize("make_base", [wishart_base, diagonal_base],
                              ids=["wishart", "diagonal"])
     @pytest.mark.parametrize("n", [9, 300])
