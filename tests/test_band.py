@@ -422,8 +422,8 @@ class TestBandSweeps:
     def test_singular_sweep_gives_way(self, caplog, monkeypatch):
         # First record the shifts of the sweep, then place a decoupled
         # eigenvalue exactly on the first, beyond the leading blocks:
-        # T - sigma I is singular, and the solve takes the predicted block.
-        # That block cannot see the new eigenvalue, so the count disagrees.
+        # T - sigma I is singular, the sweep gives way and the leading block
+        # grows.  No block sees the new eigenvalue, so the count disagrees.
         # The rule that leaves small blocks to eigh would not sweep here.
         monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", 0)
         decoupled = TestBandFallbacks.decoupled_band
