@@ -29,8 +29,9 @@ at the Ritz values, O(n M^2) per vector through the Woodbury identity,
 wherever a sweep costs less than the next filter stage.  A band sample's
 start as the Ritz pairs of a leading principal block of ``T``, the
 Rayleigh-Ritz problem of block Lanczos started on the leading coordinates,
-and end with shift-and-invert sweeps on all of ``T``, O(n M^2) per vector
-through block cyclic reduction; the bulk is bounded by exact counts from
+and end with shift-and-invert sweeps on the leading rows of ``T`` that the
+pairs need, O(M^2) per row and vector through block cyclic reduction, with
+residuals taken on all of ``T``; the bulk is bounded by exact counts from
 Sylvester's inertia of a block LDL^T factorization.  Certificates decide on
 them (values alone need no gap between outliers); when they fail, the
 solve falls back to the full dense spectrum and logs the fallback on the
@@ -42,9 +43,11 @@ structured sample builds no n x n matrix.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,15 +242,20 @@ def _with_strengths(band: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_window(band: np.ndarray, size: int) -> np.ndarray:
-    """The leading ``size`` rows and columns of the band matrix, dense."""
-    out = np.zeros((size, size))
-    flat = out.reshape(-1)
+def _band_window(band: np.ndarray, size: int,
+                 buffer: np.ndarray | None = None) -> np.ndarray:
+    """The leading ``size`` rows and columns of the band matrix, dense; built
+    in the leading ``size**2`` entries of the flat ``buffer`` when given."""
+    if buffer is None:
+        flat = np.zeros(size * size)
+    else:
+        flat = buffer[: size * size]
+        flat.fill(0.0)
     for j in range(min(band.shape[0], size)):
         entries = band[j, : size - j]
         flat[j * size:: size + 1] = entries  # the j-th sub-diagonal
         flat[j: (size - j) * size: size + 1] = entries  # and its mirror
-    return out
+    return flat.reshape(size, size)
 
 
 def sample_wishart(n: int, p: int, law: EntryLaw, rng) -> np.ndarray:
@@ -899,10 +907,26 @@ def _certify_values(apply, vecs: np.ndarray, d: np.ndarray, upper: int,
     return values
 
 
-def _band_blocks(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``w x w`` diagonal blocks ``A_k`` and the blocks ``B_k`` below
-    them of the band matrix, as two stacks, the last block padded with zero
-    rows and columns."""
+class _BandBlocks(NamedTuple):
+    """The band matrix ``T`` as two stacks, its ``w x w`` diagonal blocks
+    ``A_k`` and the blocks ``B_k`` below them, the last block padded with
+    zero rows and columns, and how many of the stacks' rows are ``T``'s."""
+
+    diag: np.ndarray
+    below: np.ndarray
+    rows: int
+
+    def leading(self, count: int) -> _BandBlocks:
+        """The stacks of ``T``'s leading ``count`` blocks: all of them once
+        ``count`` reaches ``T``'s block count."""
+        if count >= self.diag.shape[0]:
+            return self
+        return _BandBlocks(self.diag[:count], self.below[: count - 1],
+                           count * self.diag.shape[1])
+
+
+def _band_blocks(band: np.ndarray) -> _BandBlocks:
+    """The block stacks of the band matrix (:class:`_BandBlocks`)."""
     width = band.shape[0] - 1
     count = -(-band.shape[1] // width)
     padded = np.zeros((width + 1, count * width))
@@ -914,20 +938,20 @@ def _band_blocks(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     below = np.zeros((count - 1, width, width))
     rows, cols = np.triu_indices(width)  # the band reaches no further
     below[:, rows, cols] = padded[width + rows - cols, corner[:-1] + cols]
-    return diag, below
+    return _BandBlocks(diag, below, band.shape[1])
 
 
-def _shifted_blocks(band: np.ndarray, shifts: np.ndarray):
+def _shifted_blocks(blocks: _BandBlocks, shifts: np.ndarray):
     """``T - c I`` for each ``c`` of ``shifts``: its stacks of diagonal
-    blocks and of the blocks below them (:func:`_band_blocks`), and how many
-    rows pad the last block.  Padding rows are isolated, at ``-1``."""
-    n, width = band.shape[1], band.shape[0] - 1
-    diag, below = _band_blocks(band)
-    pivots = diag[None] - shifts[:, None, None, None] * np.eye(width)
-    padding = diag.shape[0] * width - n
+    blocks and of the blocks below them, and how many rows pad the last
+    block.  Padding rows are isolated, at ``-1``."""
+    count, width = blocks.diag.shape[:2]
+    pivots = blocks.diag[None] - shifts[:, None, None, None] * np.eye(width)
+    padding = count * width - blocks.rows
     for row in range(width - padding, width):
         pivots[:, -1, row, row] = -1.0
-    return pivots, np.broadcast_to(below, (shifts.size,) + below.shape), padding
+    return (pivots, np.broadcast_to(blocks.below, (shifts.size,) + blocks.below.shape),
+            padding)
 
 
 def _eliminate_odd(pivots: np.ndarray, below: np.ndarray,
@@ -947,11 +971,11 @@ def _eliminate_odd(pivots: np.ndarray, below: np.ndarray,
     return kept, -(down @ inverse[:, :lower] @ up[:, :lower])
 
 
-def _band_inertia(band: np.ndarray,
+def _band_inertia(blocks: _BandBlocks,
                   shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """How many eigenvalues of the band matrix ``T`` lie below each of
-    ``shifts``, and the radius ``delta`` around each shift within which its
-    count may err.
+    """How many eigenvalues of the band matrix ``T``, given by its block
+    stacks, lie below each of ``shifts``, and the radius ``delta`` around
+    each shift within which its count may err.
 
     ``T - c I`` is block tridiagonal in ``w x w`` blocks.  Block cyclic
     reduction eliminates every other block at once: the eliminated blocks
@@ -973,8 +997,8 @@ def _band_inertia(band: np.ndarray,
     Weyl's bound the count lies between those of ``T`` at ``c - delta`` and
     ``c + delta``.  A near-singular pivot makes ``delta`` large or infinite.
     """
-    width = band.shape[0] - 1
-    pivots, below, padding = _shifted_blocks(band, shifts)
+    width = blocks.diag.shape[1]
+    pivots, below, padding = _shifted_blocks(blocks, shifts)
     negative = np.full(shifts.size, -padding)
     worst = np.zeros(shifts.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -998,10 +1022,12 @@ def _band_inertia(band: np.ndarray,
     return negative, 4.0 * width * unit * worst
 
 
-def _band_solve(band: np.ndarray, shifts: np.ndarray,
+def _band_solve(blocks: _BandBlocks, shifts: np.ndarray,
                 rhs: np.ndarray) -> np.ndarray | None:
-    """Row ``j`` of ``rhs`` (``s x n``) solved against ``T - shifts_j I``,
-    or ``None`` when a pivot block is singular or the solution not finite.
+    """Row ``j`` of ``rhs`` (``s x blocks.rows``) solved against ``T -
+    shifts_j I``, ``T`` being the band matrix of the block stacks
+    ``blocks``, or ``None`` when a pivot block is singular or the solution
+    not finite.
 
     The block cyclic reduction of :func:`_band_inertia`, batched over the
     shifts, with each level's pivots inverted.  On the way down each level
@@ -1009,8 +1035,8 @@ def _band_solve(band: np.ndarray, shifts: np.ndarray,
     the way up it recovers the eliminated blocks' solutions from those of
     their kept neighbours.  O(n w^2) work per shift.
     """
-    n, width = band.shape[1], band.shape[0] - 1
-    pivots, below, _ = _shifted_blocks(band, shifts)
+    n, width = blocks.rows, blocks.diag.shape[1]
+    pivots, below, _ = _shifted_blocks(blocks, shifts)
     b = np.zeros((shifts.size, pivots.shape[1] * width))
     b[:, :n] = rhs
     b = b.reshape(shifts.size, -1, width, 1)
@@ -1075,26 +1101,37 @@ def _band_extremes(
 
     Sweeps.  From the second block on, the solve takes Rayleigh quotient
     iteration from the current block's Ritz vectors, padded with zeros to
-    ``n`` rows, in place of further growth, when one sweep is predicted to
-    meet the tolerance and the predicted block would have more than
+    ``n`` rows, in place of further growth, when two sweeps are predicted
+    to meet the tolerance and the predicted block would have more than
     ``FILTER_ROWS_PER_PAIR`` rows per pair (the size rule of
-    :func:`eigensolve`: below it a dense ``eigh`` costs less than a pass
-    over all of ``T``).  A sweep replaces each pair still above its
-    tolerance, ``(mu, x)``, by ``(T - mu I)^-1 x`` (:func:`_band_solve`,
-    O(n w^2) per pair), then takes a QR orthonormalization and an
-    ``M x M`` Rayleigh-Ritz problem, whose residuals :func:`_band_apply`
-    measures on all of ``T``.  A sweep takes a residual ``r`` at distance
-    ``apart`` from the other values and the bulk's edge to about
-    ``r^3 / apart^2``, while the block's residuals fall geometrically, and
-    faster deeper in the band than the prediction assumes, so the grown
-    block would overshoot.  As in :func:`_filtered_extremes`, each shift
-    must lie within half its distance to the other values and to the
-    bulk's edge (so that it is nearest its own eigenvalue), and the sweeps
-    go on while each takes the worst residual at least halfway, in log, to
-    its predicted value.  A sweep that is unsafe or falls short, or whose
-    solve is singular or not finite, gives way to the block growth, so the
-    counts and certificates below only ever see pairs whose residuals have
-    met the tolerance.
+    :func:`eigensolve`: below it a dense ``eigh`` costs less than a
+    sweep).  A sweep runs on ``T_k``, ``T``'s leading ``k`` blocks, ``k``
+    being the predicted block count rounded up (all of ``T`` once that
+    reaches it): the outlier eigenvectors fall geometrically down the
+    band, and the prediction is the size at which a leading block's Ritz
+    pairs meet the tolerance.  A sweep replaces each pair still above its
+    tolerance, ``(mu, x)``, by ``(T_k - mu I)^-1 x_k`` padded with zeros,
+    ``x_k`` being the leading ``k w`` rows of ``x`` (:func:`_band_solve` on
+    a prefix of ``T``'s block stacks, O(k w^3) per pair), then takes a QR
+    orthonormalization and an ``M x M`` Rayleigh-Ritz problem, whose
+    residuals :func:`_band_apply` measures on all of ``T``.  So a ``k``
+    too small leaves a residual above the tolerance, which the stall test
+    below catches, and never an unchecked pair.  A sweep takes a residual
+    ``r`` at distance ``apart`` from the other values and the bulk's edge
+    to about ``r^3 / apart^2``, so two take it to ``r^9 / apart^8``, four
+    times the first one's fall in log, while the block's residuals fall
+    geometrically, and faster deeper in the band than the prediction
+    assumes, so the grown block would overshoot.  As in
+    :func:`_filtered_extremes`, each shift must lie within half its
+    distance to the other values and to the bulk's edge (so that it is
+    nearest its own eigenvalue), and the sweeps go on while each takes the
+    worst residual at least halfway, in log, to its predicted value.  A
+    sweep that is unsafe or falls short, or whose solve is singular or not
+    finite, gives way to the block growth, so the counts and certificates
+    below only ever see pairs whose residuals on all of ``T`` have met the
+    tolerance.  ``T``'s block stacks are built once, when a sweep or the
+    counts first need them, and one buffer holds the leading windows while
+    each next one fits.
 
     Give-ups.  The solve gives up ("step cap reached") once the
     prediction, or the block, would exceed ``n / (2 w)`` blocks.  At ``M``
@@ -1156,12 +1193,14 @@ def _band_extremes(
             return 0.5 * FILTER_TOLERANCE * np.minimum(radius, gap)
         return np.full(m, 0.5 * FILTER_TOLERANCE * radius / math.sqrt(m))
 
-    def swept(values, vecs, resid, target, edges):
-        # Rayleigh quotient iteration, or None when a sweep gives way.  A
+    def swept(values, vecs, resid, target, edges, leading):
+        # Rayleigh quotient iteration solved on the leading rows of T whose
+        # block stacks are ``leading``, or None when a sweep gives way.  A
         # sweep takes a residual r to about r^3 / apart^2, apart being its
-        # value's isolation from the other values and the bulk's edge: the
-        # first must be predicted to meet the tolerance, and each must fall
-        # at least half as far as predicted, in log.
+        # value's isolation from the other values and the bulk's edge, so
+        # two take it four times as far in log as one: two must be predicted
+        # to meet the tolerance, and each must fall at least half as far as
+        # predicted, in log.
         predicted = None
         with np.errstate(divide="ignore", invalid="ignore"):
             while True:
@@ -1175,13 +1214,15 @@ def _band_extremes(
                 r, isolation = resid[todo], isolation[todo]
                 fall = 2.0 * np.log(isolation / r)
                 if not (2.0 * r < isolation).all() or (
-                        predicted is None and (fall < excess).any()):
+                        predicted is None and (4.0 * fall < excess).any()):
                     return None
-                rows = _band_solve(band, values[todo], vecs[:, todo].T)
-                if rows is None:
+                solved = _band_solve(leading, values[todo],
+                                     vecs[: leading.rows, todo].T)
+                if solved is None:
                     return None
                 worst, predicted = excess.max(), fall.min()
-                vecs[:, todo] = rows.T
+                vecs[:, todo] = 0.0
+                vecs[: leading.rows, todo] = solved.T
                 q = np.linalg.qr(vecs)[0]
                 image = apply(q)
                 ritz, rot = np.linalg.eigh(q.T @ image)
@@ -1190,13 +1231,19 @@ def _band_extremes(
                 resid = np.linalg.norm(image @ rot - vecs * values, axis=0)
                 target = targets(values, edges)
 
+    # T's block stacks, built once if a sweep or the counts need them.
+    stacks = functools.cache(lambda: _band_blocks(band))
     cap = n // (2 * width)
     blocks, before = min(BAND_FIRST_BLOCKS, cap), None
+    buffer = np.empty(0)
     while True:
         rows = blocks * width
         if rows <= m:
             return "step cap reached"
-        window = _band_window(band, rows + width)
+        if buffer.size < (rows + width) ** 2:
+            # Room for the next window too: a block at most doubles.
+            buffer = np.empty(((min(2 * blocks, cap) + 1) * width) ** 2)
+        window = _band_window(band, rows + width, buffer)
         ritz, basis = np.linalg.eigh(window[:rows, :rows])
         pick = np.concatenate((np.arange(rows - 1, rows - 1 - upper, -1),
                                np.arange(lower - 1, -1, -1)))
@@ -1220,9 +1267,11 @@ def _band_extremes(
                 need = size = blocks + float(steps[resid > target].max())
         if blocks >= cap or not need <= cap:
             return "step cap reached"
-        # Sweep instead of growing past the size below which eigh is cheaper.
+        # Sweep instead of growing past the size below which eigh is cheaper,
+        # on the rows the block would have needed.
         if before is not None and size * width > FILTER_ROWS_PER_PAIR * (m + 1):
-            found = swept(values, padded(vecs), resid, target, edges)
+            found = swept(values, padded(vecs), resid, target, edges,
+                          stacks().leading(math.ceil(size)))
             if found is not None:
                 values, vecs = found
                 break
@@ -1232,7 +1281,7 @@ def _band_extremes(
     vecs = padded(vecs)
     bounds = cuts(values, edges)
     shifts = bounds[[1] * bool(upper) + [0] * bool(lower)]
-    below, delta = _band_inertia(band, shifts)
+    below, delta = _band_inertia(stacks(), shifts)
     if not (delta <= margin).all():
         return "near-singular pivot block"
     if (upper and n - below[0] != upper) or (lower and below[-1] != lower):
@@ -1279,14 +1328,15 @@ def eigensolve(
       the filter reaches ``FILTER_FIRST_DEGREE``, or when it would need
       more than ``FILTER_MAX_DEGREE`` in total.
     * A band sample's are found by :func:`_band_extremes`: the Ritz pairs
-      of a leading block of ``T``, grown until one shift-and-invert sweep
-      on all of ``T`` (``O(n M^2)`` per vector through block cyclic
-      reduction) is predicted to finish them, then such sweeps.  The
-      interval holding the rest of the spectrum is proved by exact counts
-      (Sylvester's inertia, from :func:`_band_inertia`) at a cut on each
-      side.  It gives up when the leading block would pass ``n / (2M)``
-      blocks, a pivot block of the count is near-singular, or a count is
-      not ``M+`` (or ``M-``).
+      of a leading block of ``T``, grown until two shift-and-invert sweeps
+      are predicted to finish them, then such sweeps on the leading rows of
+      ``T`` that the grown block was predicted to need (``O(M^2)`` per row
+      and vector through block cyclic reduction), with residuals measured
+      on all of ``T``.  The interval holding the rest of the spectrum is
+      proved by exact counts (Sylvester's inertia, from
+      :func:`_band_inertia`) at a cut on each side.  It gives up when the
+      leading block would pass ``n / (2M)`` blocks, a pivot block of the
+      count is near-singular, or a count is not ``M+`` (or ``M-``).
 
     When a solve gives up or its certificate fails, the fallback and its
     reason are logged at DEBUG level and the sample's dense ``perturbed``

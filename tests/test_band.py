@@ -317,9 +317,9 @@ class TestBandFallbacks:
         sizes = []
         real = ensembles._band_window
 
-        def window(band, size):
+        def window(band, size, *buffer):
             sizes.append(size)
-            return real(band, size)
+            return real(band, size, *buffer)
 
         monkeypatch.setattr(ensembles, "_band_window", window)
         return sizes
@@ -398,8 +398,9 @@ class TestBandFallbacks:
 
 
 class TestBandSweeps:
-    """Shift-and-invert sweeps finish the band solve in place of its last
-    leading block, and give way to that block when they cannot."""
+    """Shift-and-invert sweeps on T's predicted leading rows finish the band
+    solve in place of its last leading blocks, and give way to those blocks
+    when they cannot."""
 
     @pytest.fixture(autouse=True)
     def debug_log(self, caplog):
@@ -407,47 +408,54 @@ class TestBandSweeps:
 
     @staticmethod
     def sweeps(monkeypatch):
-        """Each sweep's shifts, and whether its solve returned."""
+        """Each sweep's shifts, how many rows it solved on, and whether its
+        solve returned."""
         done = []
         real = ensembles._band_solve
 
-        def solve(band, shifts, rhs):
-            found = real(band, shifts, rhs)
-            done.append((shifts.copy(), found is not None))
+        def solve(blocks, shifts, rhs):
+            found = real(blocks, shifts, rhs)
+            done.append((shifts.copy(), rhs.shape[1], found is not None))
             return found
 
         monkeypatch.setattr(ensembles, "_band_solve", solve)
         return done
 
     def test_singular_sweep_gives_way(self, caplog, monkeypatch):
-        # First record the shifts of the sweep, then place a decoupled
-        # eigenvalue exactly on the first, beyond the leading blocks:
-        # T - sigma I is singular, the sweep gives way and the leading block
-        # grows.  No block sees the new eigenvalue, so the count disagrees.
-        # The rule that leaves small blocks to eigh would not sweep here.
+        # First record the shifts of the first sweep, then place a decoupled
+        # eigenvalue exactly on the first shift, at a row beyond the leading
+        # blocks but among those the sweep solves on: T_k - sigma I is
+        # singular, the sweep gives way and the leading block grows.  No
+        # block sees the new eigenvalue, so the count disagrees.  The rule
+        # that leaves small blocks to eigh would not sweep here.
         monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", 0)
         decoupled = TestBandFallbacks.decoupled_band
+        sizes = TestBandFallbacks.leading_sizes(monkeypatch)
         sweeps = self.sweeps(monkeypatch)
-        clean = band_sample(decoupled(500, 2, 450, 0.0, seed=72), [3.0, -3.0])
+        at = 45
+        clean = band_sample(decoupled(500, 2, at, 0.0, seed=72), [3.0, -3.0])
         assert eigensolve(clean, vectors=False).size == 2
-        ((shifts, solved),) = sweeps
-        assert solved
+        (shifts, rows, solved), *_ = sweeps
+        assert solved and max(sizes) <= at < rows < 500
         sweeps.clear()
-        sample = band_sample(decoupled(500, 2, 450, shifts[0], seed=72), [3.0, -3.0])
+        sizes.clear()
+        sample = band_sample(decoupled(500, 2, at, shifts[0], seed=72), [3.0, -3.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = eigensolve(sample, vectors=False)
-        ((again, solved),) = sweeps
-        assert np.array_equal(again, shifts) and not solved
+        (again, again_rows, solved), *_ = sweeps
+        assert np.array_equal(again, shifts) and again_rows == rows and not solved
+        assert max(sizes[:-1]) <= at  # the last window is the dense fallback's
         assert np.array_equal(values, np.linalg.eigvalsh(sample.perturbed)[::-1])
         assert [r.getMessage() for r in caplog.records] == [
             "dense eigensolve fallback: stream 0, n=500: count disagrees"]
 
-    def test_bench_shaped_solve_sweeps_after_a_32_block_window(self, caplog,
-                                                               monkeypatch):
-        # n = 2000, M = 10: the leading blocks grow to 32 blocks of w rows,
-        # where the last, predicted one would take 55 or more, and one or
-        # two sweeps finish the values.
+    def test_bench_shaped_solve_sweeps_on_leading_rows_after_a_16_block_window(
+            self, caplog, monkeypatch):
+        # n = 2000, M = 10: the leading blocks grow to 16 blocks of w rows,
+        # where two sweeps are predicted to finish the values, and one to
+        # three sweeps do, each on the leading rows of T the prediction
+        # asks for, not on all n.
         n, m = 2000, 10
         sizes = TestBandFallbacks.leading_sizes(monkeypatch)
         sweeps = self.sweeps(monkeypatch)
@@ -456,9 +464,53 @@ class TestBandSweeps:
             sizes.clear()
             sweeps.clear()
             assert eigensolve(sample, vectors=False).shape == (m,)
-            assert max(sizes) <= 32 * m + m
-            assert 1 <= len(sweeps) <= 2 and all(solved for _, solved in sweeps)
+            assert max(sizes) <= 16 * m + m
+            assert 1 <= len(sweeps) <= 3
+            assert all(solved and rows < n for _, rows, solved in sweeps)
         assert caplog.records == []
+
+    @pytest.mark.parametrize("n,thetas", [
+        (2000, [3.0, 2.2, 1.6, 1.05, -1.05, -2.5]),  # near the threshold, both signs
+        (2000, [1.05, 1.05, 1.5, -3.0]),             # repeated at the threshold
+        (3000, [2.4, 2.4, 1.7, 1.7, -1.05]),         # repeated, both signs
+        (3000, [-2.2, -2.2, -2.2, 1.1]),             # repeated on the lower side
+    ])
+    def test_truncated_sweeps_answer_or_fall_back(self, caplog, monkeypatch, n, thetas):
+        # Each values and pairs solve matches dense or falls back with one
+        # logged reason: first with the sweeps on the leading rows the
+        # prediction asks for, then on half as many blocks.  Half is too few
+        # for these pairs: their residuals, taken on all of T, stay above
+        # the tolerance, the sweeps stall and the leading block grows, so no
+        # outcome changes.  Residuals taken on the truncated rows alone
+        # would pass those sweeps, and their certificates would fail.
+        sample = wigner_sample(n, thetas, seed=76, stream=1)
+        m = sample.m
+        sweeps = self.sweeps(monkeypatch)
+        reasons = {f"dense eigensolve fallback: stream 1, n={n}: {reason}"
+                   for reason in FALLBACK_REASONS}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            answered = assert_matches_dense(sample)
+            values = eigensolve(sample, vectors=False)
+            vals, vecs = eigensolve(sample)
+            messages = [r.getMessage() for r in caplog.records]
+            assert len(messages) == 2 * answered.count(False)
+            assert set(messages) <= reasons
+            assert all(rows < n for _, rows, _ in sweeps)
+            caplog.clear()
+            leading = ensembles._BandBlocks.leading
+            monkeypatch.setattr(ensembles._BandBlocks, "leading",
+                                lambda blocks, count: leading(blocks, count // 2))
+            short_values = eigensolve(sample, vectors=False)
+            short_vals, short_vecs = eigensolve(sample)
+        assert [short_values.size == m, short_vals.size == m] == answered
+        assert [r.getMessage() for r in caplog.records] == messages[: answered.count(False)]
+        # Both are within the tolerance of the same eigenpairs.
+        scale = 2.0 * FILTER_TOLERANCE * max(1.0, float(np.max(np.abs(values))))
+        assert np.max(np.abs(short_values - values)) <= scale
+        assert np.max(np.abs(short_vals - vals)) <= scale
+        assert np.max(np.abs(np.sum(short_vecs[:m] ** 2, axis=0)
+                             - np.sum(vecs[:m] ** 2, axis=0))) <= 2e-11
 
 
 def test_location_trial_peaks_below_one_dense_matrix(caplog):
