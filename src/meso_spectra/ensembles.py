@@ -242,20 +242,15 @@ def _with_strengths(band: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_window(band: np.ndarray, size: int,
-                 buffer: np.ndarray | None = None) -> np.ndarray:
-    """The leading ``size`` rows and columns of the band matrix, dense; built
-    in the leading ``size**2`` entries of the flat ``buffer`` when given."""
-    if buffer is None:
-        flat = np.zeros(size * size)
-    else:
-        flat = buffer[: size * size]
-        flat.fill(0.0)
+def _band_window(band: np.ndarray, size: int) -> np.ndarray:
+    """The leading ``size`` rows and columns of the band matrix, dense."""
+    out = np.zeros((size, size))
+    flat = out.reshape(-1)
     for j in range(min(band.shape[0], size)):
         entries = band[j, : size - j]
         flat[j * size:: size + 1] = entries  # the j-th sub-diagonal
         flat[j: (size - j) * size: size + 1] = entries  # and its mirror
-    return flat.reshape(size, size)
+    return out
 
 
 def sample_wishart(n: int, p: int, law: EntryLaw, rng) -> np.ndarray:
@@ -917,10 +912,8 @@ class _BandBlocks(NamedTuple):
     rows: int
 
     def leading(self, count: int) -> _BandBlocks:
-        """The stacks of ``T``'s leading ``count`` blocks: all of them once
-        ``count`` reaches ``T``'s block count."""
-        if count >= self.diag.shape[0]:
-            return self
+        """The stacks of ``T``'s leading ``count`` blocks, ``count`` being
+        below ``T``'s block count."""
         return _BandBlocks(self.diag[:count], self.below[: count - 1],
                            count * self.diag.shape[1])
 
@@ -1106,10 +1099,10 @@ def _band_extremes(
     ``FILTER_ROWS_PER_PAIR`` rows per pair (the size rule of
     :func:`eigensolve`: below it a dense ``eigh`` costs less than a
     sweep).  A sweep runs on ``T_k``, ``T``'s leading ``k`` blocks, ``k``
-    being the predicted block count rounded up (all of ``T`` once that
-    reaches it): the outlier eigenvectors fall geometrically down the
-    band, and the prediction is the size at which a leading block's Ritz
-    pairs meet the tolerance.  A sweep replaces each pair still above its
+    being the predicted block count rounded up, which the step cap below
+    holds to ``n / (2 w)`` blocks, about half of ``T``: the outlier
+    eigenvectors fall geometrically down the band, and the prediction is
+    the size at which a leading block's Ritz pairs meet the tolerance.  A sweep replaces each pair still above its
     tolerance, ``(mu, x)``, by ``(T_k - mu I)^-1 x_k`` padded with zeros,
     ``x_k`` being the leading ``k w`` rows of ``x`` (:func:`_band_solve` on
     a prefix of ``T``'s block stacks, O(k w^3) per pair), then takes a QR
@@ -1130,8 +1123,7 @@ def _band_extremes(
     finite, gives way to the block growth, so the counts and certificates
     below only ever see pairs whose residuals on all of ``T`` have met the
     tolerance.  ``T``'s block stacks are built once, when a sweep or the
-    counts first need them, and one buffer holds the leading windows while
-    each next one fits.
+    counts first need them.
 
     Give-ups.  The solve gives up ("step cap reached") once the
     prediction, or the block, would exceed ``n / (2 w)`` blocks.  At ``M``
@@ -1235,15 +1227,11 @@ def _band_extremes(
     stacks = functools.cache(lambda: _band_blocks(band))
     cap = n // (2 * width)
     blocks, before = min(BAND_FIRST_BLOCKS, cap), None
-    buffer = np.empty(0)
     while True:
         rows = blocks * width
         if rows <= m:
             return "step cap reached"
-        if buffer.size < (rows + width) ** 2:
-            # Room for the next window too: a block at most doubles.
-            buffer = np.empty(((min(2 * blocks, cap) + 1) * width) ** 2)
-        window = _band_window(band, rows + width, buffer)
+        window = _band_window(band, rows + width)
         ritz, basis = np.linalg.eigh(window[:rows, :rows])
         pick = np.concatenate((np.arange(rows - 1, rows - 1 - upper, -1),
                                np.arange(lower - 1, -1, -1)))
