@@ -15,20 +15,27 @@ of one eigenvalue branch of ``D(z)``, whose derivative is the closed form
 ``U^T diag(w') U`` seen through its eigenvector.  Newton steps on that
 branch, falling back to bisection on a bracket the counting function
 certifies, locate the outlier without ever touching an ``n x n``
-eigensolve, giving a route independent of dense diagonalization.  The
-counting function is a pure function of ``z``, so one search evaluates
-it at most once per point: the bracket ends shared by every rank on a
-side are counted once, and a bound the bracket already certifies is not
-counted at all.
+eigensolve, giving a route independent of dense diagonalization.
+
+Every rank's search runs in lock-step with the others, on both sides of
+the bulk.  A round collects each pending search's next request and answers
+them together: one stacked ``eigh`` for the Newton steps and one stacked
+``eigvalsh`` for the counts, so the ``m x m`` solves of a call cost a few
+batched calls rather than one call per rank per step.  A stacked
+evaluation equals the same points evaluated one at a time, bit for bit.
+The counting function is a pure function of ``z``, so one search evaluates
+it at most once per point: the bracket ends shared by every rank on a side
+are counted once, and a bound the bracket already certifies is not counted
+at all.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Generator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -121,91 +128,121 @@ class MasterOperator:
             return np.eye(self.spectrum.n, self.m)
         return self.pert.frame
 
-    def _weights(self, z: float) -> np.ndarray:
-        lam = self.spectrum.eigenvalues
-        if self.model.kind.multiplicative:
-            return lam / (z - lam)
-        return 1.0 / (z - lam)
+    @cached_property
+    def _frame_rows(self) -> np.ndarray:
+        """``U^T``, contiguous."""
+        return np.ascontiguousarray(self._frame.T)
 
-    def _weight_slopes(self, z: float) -> np.ndarray:
+    def _weights(self, z: float | np.ndarray) -> np.ndarray:
+        """Resolvent weights at ``z``, one row of ``n`` per point for an array."""
+        lam = self.spectrum.eigenvalues
+        shift = np.asarray(z)[..., None] - lam
+        if self.model.kind.multiplicative:
+            return lam / shift
+        return 1.0 / shift
+
+    def _weight_slopes(self, z: float | np.ndarray) -> np.ndarray:
         """Minus the ``z``-derivative of :meth:`_weights`, so that
         ``D'(z) = U^T diag(slopes) U``."""
         lam = self.spectrum.eigenvalues
+        shift = np.asarray(z)[..., None] - lam
         if self.model.kind.multiplicative:
-            return lam / (z - lam) ** 2
-        return 1.0 / (z - lam) ** 2
+            return lam / shift ** 2
+        return 1.0 / shift ** 2
 
 
-def evaluate_d(op: MasterOperator, z: float) -> np.ndarray:
-    """The ``m x m`` symmetric matrix ``D(z)``, for ``z`` outside the bulk."""
-    _check_outside(op.spectrum, z)
-    u = op._frame
-    g = u.T @ (op._weights(z)[:, None] * u)
-    return op._inverse_strengths - 0.5 * (g + g.T)
+def evaluate_d(op: MasterOperator, z: float | np.ndarray) -> np.ndarray:
+    """The ``m x m`` symmetric matrix ``D(z)``, for ``z`` outside the bulk.
+
+    For a 1-D array of points the result stacks one ``D`` per point; each
+    equals, bit for bit, the matrix at that point alone.
+    """
+    points = np.asarray(z, dtype=float)
+    inside = points[(op.spectrum.lam_min <= points) & (points <= op.spectrum.lam_max)]
+    if inside.size:
+        _check_outside(op.spectrum, float(inside.flat[0]))
+    # One stacked matmul, making the same gemm per point as for that point
+    # alone.  The weighted frame w * U is formed row-major as w * U^T, where
+    # the products run along the n axis, and handed to the gemm transposed.
+    weighted = op._weights(points)[..., None, :] * op._frame_rows
+    g = np.matmul(op._frame.T, np.swapaxes(weighted, -1, -2))
+    return op._inverse_strengths - 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
-def counting_function(op: MasterOperator, z: float) -> int:
-    """Number of nonnegative eigenvalues of ``D(z)``.
+def counting_function(op: MasterOperator, z: float | np.ndarray) -> int | np.ndarray:
+    """Number of nonnegative eigenvalues of ``D(z)``, per point for an array.
 
     Non-decreasing and right-continuous in ``z`` on each side of the bulk;
     its jump points are the perturbed eigenvalues outside the bulk.
     """
+    points = np.asarray(z, dtype=float)
     if op.m == 0:
-        return 0
-    tau = np.linalg.eigvalsh(evaluate_d(op, z))
-    return int(np.count_nonzero(tau >= 0.0))
+        counts = np.zeros(points.shape, dtype=int)
+    else:
+        tau = np.linalg.eigvalsh(evaluate_d(op, points))
+        counts = np.count_nonzero(tau >= 0.0, axis=-1)
+    return int(counts) if points.ndim == 0 else counts
 
 
-def _crossing(op: MasterOperator, z: float, target: int) -> tuple[int, float, float]:
-    """The count, the crossing eigenvalue ``g`` and its slope at ``z``.
+def _crossing(
+    op: MasterOperator, z: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The counts, the crossing eigenvalues ``g`` and their slopes at the points ``z``.
 
-    ``g`` is the ``target``-th largest eigenvalue of ``D(z)``, so
+    ``g[k]`` is the ``target[k]``-th largest eigenvalue of ``D(z[k])``, so
     ``count >= target`` exactly when ``g >= 0``.  With ``v`` its unit
     eigenvector, ``g' = v^T D'(z) v = sum_i w'_i (U v)_i^2``.
     """
     tau, vecs = np.linalg.eigh(evaluate_d(op, z))
+    points = np.arange(z.size)
     k = op.m - target
-    uv = op._frame @ vecs[:, k]
-    slope = op._weight_slopes(z) @ (uv * uv)
-    return int(np.count_nonzero(tau >= 0.0)), float(tau[k]), float(slope)
+    uv = np.matmul(op._frame, vecs[points, :, k][..., None])
+    slope = np.matmul(op._weight_slopes(z)[:, None, :], uv * uv)
+    return np.count_nonzero(tau >= 0.0, axis=-1), tau[points, k], slope[:, 0, 0]
+
+
+# A rank's search yields requests and returns its root: ``(z, None)`` asks
+# for the count at ``z``, and ``(z, target)`` for :func:`_crossing` at ``z``.
+_Search = Generator[tuple[float, int | None], Any, float]
 
 
 def _locate_root(
     op: MasterOperator,
-    count: Callable[[float], int],
     rank: int,
     target: int,
     near: float,
     far: float,
     tol: float,
     start: float,
-) -> float:
+) -> _Search:
     """Smallest z with ``count(z) >= target``, bracketed by ``near`` and ``far``.
 
-    ``count`` is the counting function of ``op``.  ``near`` lies just off
-    the bulk edge and ``far`` beyond it (above the bulk when
-    ``far > near``); ``far`` moves away from ``near`` geometrically until
-    the two bracket the root.  Inside the bracket [lo, hi], which keeps
-    ``count(lo) < target <= count(hi)``, Newton steps on the crossing
-    eigenvalue of ``D(z)`` start at ``start`` (the midpoint when ``start``
-    is outside the bracket); a step that leaves the bracket, or a
-    nonpositive slope, takes the midpoint instead.  Once a step is at most
-    ``tol / 4`` the stepped-to point is returned if it is certified within
-    ``tol / 2`` on both sides.  A bracket end within ``tol / 2`` already
-    certifies its side, because the count is non-decreasing; only the
-    other side is counted.  Otherwise the bracket shrinks to ``tol``, by
-    bisection on the count once the Newton steps run out, and its midpoint
-    is returned, unless rounding hides the root (see :func:`_resolved`).
+    A generator: it yields each evaluation it needs as a request (see
+    ``_Search``), is sent the answer, and returns the root.  ``count`` is
+    the counting function of ``op``.  ``near`` lies just off the bulk edge
+    and ``far`` beyond it (above the bulk when ``far > near``); ``far``
+    moves away from ``near`` geometrically until the two bracket the root.
+    Inside the bracket [lo, hi], which keeps ``count(lo) < target <=
+    count(hi)``, Newton steps on the crossing eigenvalue of ``D(z)`` start
+    at ``start`` (the midpoint when ``start`` is outside the bracket); a
+    step that leaves the bracket, or a nonpositive slope, takes the
+    midpoint instead.  Once a step is at most ``tol / 4`` the stepped-to
+    point is returned if it is certified within ``tol / 2`` on both sides.
+    A bracket end within ``tol / 2`` already certifies its side, because
+    the count is non-decreasing; only the other side is counted.  Otherwise
+    the bracket shrinks to ``tol``, by bisection on the count once the
+    Newton steps run out, and its midpoint is returned, unless rounding
+    hides the root (see :func:`_resolved`).
     """
     upper = far > near
     where = "above" if upper else "below"
     for _ in range(60):
-        if (count(far) >= target) == upper:
+        if ((yield far, None) >= target) == upper:
             break
         far = near + 2.0 * (far - near)
     else:
         raise MissingRootError(f"rank {rank}: no bracket found {where} the bulk", rank)
-    if (count(near) >= target) == upper:
+    if ((yield near, None) >= target) == upper:
         raise MissingRootError(
             f"rank {rank}: the bulk edge {where} does not bracket the root", rank
         )
@@ -215,7 +252,7 @@ def _locate_root(
     for _ in range(400):
         if hi - lo <= tol:
             break
-        reached, g, slope = _crossing(op, z, target)
+        reached, g, slope = yield z, target
         if reached >= target:
             hi = z
         else:
@@ -224,8 +261,8 @@ def _locate_root(
         z -= step
         if abs(step) <= 0.25 * tol:
             above, below = z + 0.5 * tol, z - 0.5 * tol
-            certified_above = hi <= above or count(above) >= target
-            certified_below = lo >= below or count(below) < target
+            certified_above = hi <= above or (yield above, None) >= target
+            certified_below = lo >= below or (yield below, None) < target
             if certified_above and certified_below:
                 return _resolved(op, rank, z, slope, tol)
             if not certified_above:
@@ -241,7 +278,7 @@ def _locate_root(
                 f"rank {rank}: bracket [{lo!r}, {hi!r}] cannot shrink to "
                 f"tol {tol!r}", rank
             )
-        if count(z) >= target:
+        if (yield z, None) >= target:
             hi = z
         else:
             lo = z
@@ -260,6 +297,48 @@ def _resolved(op: MasterOperator, rank: int, z: float, slope: float, tol: float)
     return z
 
 
+def _in_rounds(op: MasterOperator, searches: dict[int, _Search]) -> list[OutlierRoot]:
+    """Run every rank's search in lock-step and return the roots in rank order.
+
+    Each round sends every pending search its answer and collects its next
+    request.  The round's new count points go to one stacked
+    :func:`counting_function` call, memoized for the whole run, and its
+    crossings to one stacked :func:`_crossing` call.  A failed search drops
+    the searches above it, and the lowest failed rank's error is raised.
+    """
+    counts: dict[float, int] = {}
+    roots: dict[int, float] = {}
+    failures: dict[int, MissingRootError] = {}
+    answers: dict[int, Any] = dict.fromkeys(searches)
+    while answers:
+        requests: dict[int, tuple[float, int | None]] = {}
+        for rank, answer in answers.items():
+            if failures and rank > min(failures):
+                continue
+            try:
+                requests[rank] = searches[rank].send(answer)
+            except StopIteration as done:
+                roots[rank] = done.value
+            except MissingRootError as exc:
+                failures[rank] = exc
+        fresh = list(dict.fromkeys(
+            z for z, target in requests.values() if target is None and z not in counts))
+        if fresh:
+            counts.update(zip(fresh, counting_function(op, np.array(fresh)).tolist()))
+        crossings = [(rank, z, target) for rank, (z, target) in requests.items()
+                     if target is not None]
+        crossed = {}
+        if crossings:
+            ranks, points, targets = zip(*crossings)
+            found = _crossing(op, np.array(points), np.array(targets))
+            crossed = dict(zip(ranks, zip(*(a.tolist() for a in found))))
+        answers = {rank: crossed[rank] if target is not None else counts[z]
+                   for rank, (z, target) in requests.items()}
+    if failures:
+        raise failures[min(failures)]
+    return [OutlierRoot(rank=rank, location=roots[rank]) for rank in sorted(roots)]
+
+
 def locate_outliers(
     op: MasterOperator,
     delta: float,
@@ -276,10 +355,14 @@ def locate_outliers(
     started at the predicted location, run inside a bracket the counting
     function certifies, with bisection as the fallback; the returned
     location ``z`` satisfies ``n(z + tol) >= target > n(z - tol)``.  Every
-    rank on a side starts from the same bracket, and the counting function
-    is evaluated at most once per point within the call.  A root that
-    cannot be bracketed to ``tol`` (for instance a ``tol`` below the
-    spacing of doubles at the root) raises :class:`MissingRootError`.
+    rank on a side starts from the same bracket.  The ranks search in
+    rounds: each round evaluates every rank's next Newton step in one
+    stacked call, and every new count point in another, so a rank's root
+    is the one it would find searched alone.  The counting function is
+    evaluated at most once per point within the call.  A root that cannot
+    be bracketed to ``tol`` (for instance a ``tol`` below the spacing of
+    doubles at the root) raises :class:`MissingRootError`; when several
+    ranks fail, the call raises the lowest rank's error.
 
     Default ``tol`` is ``1e-9 * (1 + max |lambda|)``.
     """
@@ -292,14 +375,7 @@ def locate_outliers(
     m1 = op.pert.m_positive
     thetas = op.pert.thetas
     lam_max, lam_min = op.spectrum.lam_max, op.spectrum.lam_min
-    counts: dict[float, int] = {}
-
-    def count(z: float) -> int:
-        if z not in counts:
-            counts[z] = counting_function(op, z)
-        return counts[z]
-
-    roots: list[OutlierRoot] = []
+    searches: dict[int, _Search] = {}
     for rank in range(1, m + 1):
         theta = float(thetas[rank - 1])
         if not check_separation(op.model, delta, theta):
@@ -310,7 +386,6 @@ def locate_outliers(
         else:
             target = m1 + (m - rank + 1)
             near, far = lam_min - tol, lam_min + float(thetas[-1]) - 1.0
-        z = _locate_root(op, count, rank, target, near, far, tol,
-                         start=pushforward_map(op.model, theta))
-        roots.append(OutlierRoot(rank=rank, location=z))
-    return roots
+        searches[rank] = _locate_root(op, rank, target, near, far, tol,
+                                      start=pushforward_map(op.model, theta))
+    return _in_rounds(op, searches)

@@ -5,7 +5,8 @@ half-width as ``delta`` and ``epsilon`` and a report path, then runs
 ``meso-spectra verify`` on it.  A run that exits non-zero or records a
 failed trial makes the benchmark refuse its outputs; this guard sees it
 from the tier-1 suite, without editing or running the bench.  The Wigner
-workload must also take the band solve throughout, never the dense one.
+workload must also take the band solve throughout, never the dense one, and
+the detector workload must locate every outlier it evaluates.
 """
 
 import importlib.util
@@ -34,8 +35,14 @@ def test_workload_config_verifies(name, tmp_path, caplog, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert cli.main(["verify", str(config)]) == 0
-    records = json.loads(report.read_text())["records"]
+    result = json.loads(report.read_text())
+    records = result["records"]
     assert len(records) and not any(r["failed"] for r in records)
+    if name == "orth-detect":
+        # The detector-delta gate bounds only located roots; every evaluated
+        # outlier must be one of them, so a dropped rank shows here.
+        aggregates = result["aggregates"]
+        assert aggregates["detector_located"] == aggregates["outliers_evaluated"] > 0
     if name == "wigner-location":
         assert not [r for r in caplog.records
                     if r.getMessage().startswith("dense eigensolve fallback")]

@@ -21,7 +21,7 @@ from meso_spectra import (
 )
 from meso_spectra.ensembles import eigensolve
 from meso_spectra.master_equation import counting_function, evaluate_d
-from meso_spectra.transforms import stieltjes
+from meso_spectra.transforms import TransformDomainError, stieltjes
 from meso_spectra import master_equation
 
 
@@ -72,6 +72,40 @@ class TestOperator:
     def test_frame_must_span_matrix_rows(self):
         with pytest.raises(ModelError):
             make_operator(Model.additive, [1.0, -1.0], [2.0], frame=np.eye(3)[:, :1])
+
+    @pytest.mark.parametrize("model_of, values, thetas, framed", [
+        (Model.additive, np.linspace(-1.0, 1.0, 40), [2.0, 1.2, -1.5], True),
+        (Model.additive, np.linspace(-1.0, 1.0, 40), [2.0, 1.2, -1.5], False),
+        (Model.multiplicative, np.linspace(0.5, 1.5, 30), [1.5, 0.8, -0.6, -0.9], True),
+        (Model.multiplicative, np.linspace(0.5, 1.5, 30), [1.5, 0.8, -0.6, -0.9], False),
+        (Model.additive, np.linspace(-1.0, 1.0, 40), [], True),
+    ], ids=["additive-frame", "additive-leading", "multiplicative-frame",
+            "multiplicative-leading", "rank-zero"])
+    def test_point_arrays_match_single_points(self, model_of, values, thetas, framed):
+        frame = sample_haar_frame(len(values), len(thetas), RngStream(37, 0)) if framed else None
+        psd = True if model_of is Model.multiplicative else None
+        op, spectrum, _ = make_operator(model_of, values, thetas, frame=frame, psd=psd)
+        points = np.array([spectrum.lam_max + 0.3, spectrum.lam_min - 0.05,
+                           spectrum.lam_max + 2.0, spectrum.lam_min - 1.5])
+        d = evaluate_d(op, points)
+        counts = counting_function(op, points)
+        assert d.shape == (points.size, op.m, op.m)
+        assert counts.shape == points.shape
+        for z, d_z, count in zip(points.tolist(), d, counts.tolist()):
+            assert np.array_equal(evaluate_d(op, z), d_z)
+            assert counting_function(op, z) == count
+            assert isinstance(counting_function(op, z), int)
+        if op.m:
+            targets = np.arange(points.size) % op.m + 1
+            stacked = master_equation._crossing(op, points, targets)
+            for i in range(points.size):
+                alone = master_equation._crossing(op, points[i:i + 1], targets[i:i + 1])
+                assert [a[i] for a in stacked] == [a[0] for a in alone]
+
+    def test_point_arrays_must_lie_outside_the_bulk(self):
+        op, _, _ = make_operator(Model.additive, np.linspace(-1.0, 1.0, 10), [2.0])
+        with pytest.raises(TransformDomainError, match="z=0.5 lies inside"):
+            evaluate_d(op, np.array([3.0, 0.5, -0.5]))
 
     def test_counting_function_monotone(self):
         rng = np.random.default_rng(31)
@@ -301,7 +335,7 @@ class TestAdversarialDetector:
 
 class TestNewtonSteps:
     @pytest.mark.parametrize("broken", [
-        lambda reached, g, slope: (reached, g, 0.0),
+        lambda reached, g, slope: (reached, g, np.zeros_like(slope)),
         # Newton converges 100 tol away; certification must reject it.
         lambda reached, g, slope: (reached, g + 1e-8, slope),
     ], ids=["zero-slope", "biased"])
@@ -316,13 +350,40 @@ class TestNewtonSteps:
         assert [r.rank for r in roots] == [1, 2, 3]
         assert_contract(op, roots, tol)
 
+    def test_ranks_share_crossing_calls(self, monkeypatch):
+        # Eight ranks on both sides: each round stacks every pending rank's
+        # Newton step into one _crossing call, so the calls follow the
+        # slowest rank's step count, not the sum over ranks (about 32).
+        calls, steps = [], {}
+        real = master_equation._crossing
+
+        def counted(op, z, target):
+            calls.append(z.size)
+            for t in target.tolist():
+                steps[t] = steps.get(t, 0) + 1
+            return real(op, z, target)
+
+        monkeypatch.setattr(master_equation, "_crossing", counted)
+        op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, 400),
+                           [2.4, 2.2, 2.0, 1.9, -1.9, -2.0, -2.2, -2.4], seed=38)
+        roots = locate_outliers(op, 0.1)
+        assert [r.rank for r in roots] == list(range(1, 9))
+        assert_contract(op, roots)
+        # Targets are distinct across the eight ranks, so they name a rank's steps.
+        assert len(steps) == 8
+        assert sum(calls) == sum(steps.values()) >= 16
+        assert len(calls) <= max(steps.values()) + 2
+
     def test_traced_call_sites_reached(self, monkeypatch):
+        # Separation is checked once per rank; counts are tallied per point,
+        # since one counting_function call evaluates a round's points.
         counts = {"counting_function": 0, "check_separation": 0}
-        for name in counts:
+        for name, points in (("counting_function", lambda op, z: np.size(z)),
+                             ("check_separation", lambda *args: 1)):
             real = getattr(master_equation, name)
 
-            def counted(*args, _real=real, _name=name):
-                counts[_name] += 1
+            def counted(*args, _real=real, _name=name, _points=points):
+                counts[_name] += _points(*args)
                 return _real(*args)
 
             monkeypatch.setattr(master_equation, name, counted)
@@ -387,7 +448,7 @@ class TestSharedCounts:
         real = master_equation.counting_function
 
         def counted(op, z):
-            seen.append(z)
+            seen.extend(np.atleast_1d(z).tolist())
             return real(op, z)
 
         monkeypatch.setattr(master_equation, "counting_function", counted)
@@ -435,6 +496,15 @@ class TestStepCap:
         roots = locate_outliers(op, 0.1, tol)
         assert [r.rank for r in roots] == [1, 2, 3]
         assert_contract(op, roots, tol)
+
+    def test_lowest_failing_rank_is_reported(self):
+        # Both roots lie in [2, 4), where doubles are 4.4e-16 apart, so both
+        # ranks fail; rank 2 fails in an earlier round than rank 1, and the
+        # call must still raise what a rank-by-rank search raises first.
+        op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, 60), [2.2, 1.6], seed=35)
+        with pytest.raises(MissingRootError, match="cannot shrink") as failed:
+            locate_outliers(op, 0.1, tol=3e-16)
+        assert failed.value.rank == 1
 
     def test_tolerance_below_float_spacing_is_reported(self):
         # The root lies near 3, where doubles are 4.4e-16 apart: no bracket
