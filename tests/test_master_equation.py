@@ -353,7 +353,7 @@ class TestNewtonSteps:
     def test_ranks_share_crossing_calls(self, monkeypatch):
         # Eight ranks on both sides: each round stacks every pending rank's
         # Newton step into one _crossing call, so the calls follow the
-        # slowest rank's step count, not the sum over ranks (about 32).
+        # slowest rank's step count (4 here), not the sum over ranks (31).
         calls, steps = [], {}
         real = master_equation._crossing
 
