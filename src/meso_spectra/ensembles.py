@@ -853,12 +853,16 @@ def _certify(apply, vecs: np.ndarray, d: np.ndarray, upper: int, psd: bool,
 
 
 def _certify_values(apply, vecs: np.ndarray, d: np.ndarray, upper: int,
-                    psd: bool, margin: float) -> np.ndarray | str:
+                    psd: bool, margin: float,
+                    basis: tuple[np.ndarray, np.ndarray] | None = None,
+                    ) -> np.ndarray | str:
     """The top ``upper`` and bottom ``M - upper`` eigenvalues of
     ``A = diag(d) + W K W^T`` (applied by ``apply``), descending, from the
     span of the columns of ``vecs``, or ``"certificate failed"``.
 
-    ``Q`` is an orthonormal basis of that span from a QR factorization,
+    ``Q`` is an orthonormal basis of that span from a QR factorization, or
+    the first of ``basis``, a ``(Q, A Q)`` the caller already holds for a
+    basis of the same span (then no QR is taken and ``A`` is not applied).
     ``H = Q^T A Q`` with eigenvalues ``theta`` and ``R = A Q - Q H``.  When
     ``Q`` is exactly orthonormal, ``A`` has ``M`` eigenvalues, with distinct
     indices, each within ``|R|_2`` of its own ``theta`` (Kahan's residual
@@ -881,8 +885,10 @@ def _certify_values(apply, vecs: np.ndarray, d: np.ndarray, upper: int,
     :func:`_certify`, ``d`` may instead be the two ends of an interval
     proved to hold every other eigenvalue.
     """
-    q = np.linalg.qr(vecs)[0]
-    image = apply(q)
+    if basis is None:
+        q = np.linalg.qr(vecs)[0]
+        basis = q, apply(q)
+    q, image = basis
     h = q.T @ image
     h = 0.5 * (h + h.T)
     # eigh, as in the Rayleigh-Ritz steps: eigvalsh is left to dense solves.
@@ -916,6 +922,19 @@ class _BandBlocks(NamedTuple):
         below ``T``'s block count."""
         return _BandBlocks(self.diag[:count], self.below[: count - 1],
                            count * self.diag.shape[1])
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``T x`` for ``x`` with ``rows`` rows: ``x`` padded to whole blocks
+        ``x_k``, then ``y_k = A_k x_k + B_(k-1) x_(k-1) + B_k^T x_(k+1)`` as
+        three batched matmuls, O(n w) work per column."""
+        count, width = self.diag.shape[:2]
+        blocks = np.zeros((count * width, x.shape[1]))
+        blocks[: self.rows] = x
+        blocks = blocks.reshape(count, width, -1)
+        y = self.diag @ blocks
+        y[1:] += self.below @ blocks[:-1]
+        y[:-1] += self.below.swapaxes(-1, -2) @ blocks[1:]
+        return y.reshape(count * width, -1)[: self.rows]
 
 
 def _band_blocks(band: np.ndarray) -> _BandBlocks:
@@ -1061,18 +1080,6 @@ def _band_solve(blocks: _BandBlocks, shifts: np.ndarray,
     return x if np.isfinite(x).all() else None
 
 
-def _band_apply(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``T x`` for the band matrix ``T`` and ``x`` with ``n`` rows, in
-    O(n w) work per column."""
-    n = band.shape[1]
-    y = band[0][:, None] * x
-    for j in range(1, band.shape[0]):
-        entries = band[j, : n - j, None]
-        y[j:] += entries * x[: n - j]
-        y[: n - j] += entries * x[j:]
-    return y
-
-
 def _band_extremes(
     band: np.ndarray, thetas: np.ndarray, vectors: bool,
 ) -> tuple[np.ndarray, np.ndarray] | np.ndarray | str:
@@ -1098,16 +1105,23 @@ def _band_extremes(
     to meet the tolerance and the predicted block would have more than
     ``FILTER_ROWS_PER_PAIR`` rows per pair (the size rule of
     :func:`eigensolve`: below it a dense ``eigh`` costs less than a
-    sweep).  A sweep runs on ``T_k``, ``T``'s leading ``k`` blocks, ``k``
-    being the predicted block count rounded up, which the step cap below
-    holds to ``n / (2 w)`` blocks, about half of ``T``: the outlier
-    eigenvectors fall geometrically down the band, and the prediction is
-    the size at which a leading block's Ritz pairs meet the tolerance.  A sweep replaces each pair still above its
-    tolerance, ``(mu, x)``, by ``(T_k - mu I)^-1 x_k`` padded with zeros,
-    ``x_k`` being the leading ``k w`` rows of ``x`` (:func:`_band_solve` on
-    a prefix of ``T``'s block stacks, O(k w^3) per pair), then takes a QR
-    orthonormalization and an ``M x M`` Rayleigh-Ritz problem, whose
-    residuals :func:`_band_apply` measures on all of ``T``.  So a ``k``
+    sweep).  A sweep runs on ``T_k``, ``T``'s leading ``k`` blocks: the
+    outlier eigenvectors fall geometrically down the band, so the rows a
+    sweep needs follow from the residuals' per-block fall rate that the
+    growth uses.  The first sweep's ``k`` is the block count at which the
+    leading block's residuals would fall to that sweep's own goal, per pair
+    the larger of its tolerance and ``r^3 / apart^2`` (the residual it is
+    predicted to reach, below), rounded up and held between one block past
+    the current one and the predicted block count rounded up.  Later sweeps
+    run on that predicted count, at which a leading block's Ritz pairs
+    meet the tolerance; the step cap below holds it to ``n / (2 w)``
+    blocks, about half of ``T``.  A sweep replaces each pair still above
+    its tolerance, ``(mu, x)``, by ``(T_k - mu I)^-1 x_k`` padded with
+    zeros, ``x_k`` being the leading ``k w`` rows of ``x``
+    (:func:`_band_solve` on a prefix of ``T``'s block stacks, O(k w^3) per
+    pair), then takes a QR orthonormalization ``Q`` and an ``M x M``
+    Rayleigh-Ritz problem, whose residuals come from ``T Q`` on all of
+    ``T`` (:meth:`_BandBlocks.apply`, one product per sweep).  So a ``k``
     too small leaves a residual above the tolerance, which the stall test
     below catches, and never an unchecked pair.  A sweep takes a residual
     ``r`` at distance ``apart`` from the other values and the bulk's edge
@@ -1122,8 +1136,8 @@ def _band_extremes(
     sweep that is unsafe or falls short, or whose solve is singular or not
     finite, gives way to the block growth, so the counts and certificates
     below only ever see pairs whose residuals on all of ``T`` have met the
-    tolerance.  ``T``'s block stacks are built once, when a sweep or the
-    counts first need them.
+    tolerance.  ``T``'s block stacks are built once, when a sweep, a
+    product with ``T`` or the counts first need them.
 
     Give-ups.  The solve gives up ("step cap reached") once the
     prediction, or the block, would exceed ``n / (2 w)`` blocks.  At ``M``
@@ -1151,7 +1165,10 @@ def _band_extremes(
     values alone are certified by :func:`_certify_values`, to
     ``FILTER_TOLERANCE`` times ``max(1, |T|)`` with no gap between
     outliers, and pairs by :func:`_certify`, with a gap to the cut; both
-    apply all of ``T``.  No random numbers are drawn.
+    measure residuals on all of ``T``.  After a sweep the values
+    certificate takes that sweep's ``Q`` and ``T Q``, which span the
+    returned vectors, in place of a QR and a product of its own.  No random
+    numbers are drawn.
     """
     n, width = band.shape[1], band.shape[0] - 1
     m = thetas.size
@@ -1160,9 +1177,6 @@ def _band_extremes(
     if not m:
         return (np.empty(0), np.empty((n, 0))) if vectors else np.empty(0)
     band = _with_strengths(band, thetas)
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        return _band_apply(band, x)
 
     def padded(vecs: np.ndarray) -> np.ndarray:
         # Leading-block vectors with zeros below, to n rows.
@@ -1185,20 +1199,22 @@ def _band_extremes(
             return 0.5 * FILTER_TOLERANCE * np.minimum(radius, gap)
         return np.full(m, 0.5 * FILTER_TOLERANCE * radius / math.sqrt(m))
 
-    def swept(values, vecs, resid, target, edges, leading):
-        # Rayleigh quotient iteration solved on the leading rows of T whose
-        # block stacks are ``leading``, or None when a sweep gives way.  A
-        # sweep takes a residual r to about r^3 / apart^2, apart being its
-        # value's isolation from the other values and the bulk's edge, so
-        # two take it four times as far in log as one: two must be predicted
-        # to meet the tolerance, and each must fall at least half as far as
-        # predicted, in log.
-        predicted = None
+    def swept(values, vecs, resid, target, edges, first, later):
+        # Rayleigh quotient iteration solved on leading rows of T, those of
+        # the block stacks ``first`` for the first sweep and of ``later``
+        # after it, or None when a sweep gives way.  Returns the values, the
+        # vectors and the last sweep's basis Q with T Q (None without a
+        # sweep).  A sweep takes a residual r to about r^3 / apart^2, apart
+        # being its value's isolation from the other values and the bulk's
+        # edge, so two take it four times as far in log as one: two must be
+        # predicted to meet the tolerance, and each must fall at least half
+        # as far as predicted, in log.
+        predicted = basis = None
         with np.errstate(divide="ignore", invalid="ignore"):
             while True:
                 todo = resid > target
                 if not todo.any():
-                    return values, vecs
+                    return values, vecs, basis
                 excess = np.log(resid[todo] / target[todo])
                 if predicted is not None and worst - excess.max() < 0.5 * predicted:
                     return None  # a stall short of the tolerance
@@ -1208,6 +1224,7 @@ def _band_extremes(
                 if not (2.0 * r < isolation).all() or (
                         predicted is None and (4.0 * fall < excess).any()):
                     return None
+                leading = first if predicted is None else later
                 solved = _band_solve(leading, values[todo],
                                      vecs[: leading.rows, todo].T)
                 if solved is None:
@@ -1216,17 +1233,19 @@ def _band_extremes(
                 vecs[:, todo] = 0.0
                 vecs[: leading.rows, todo] = solved.T
                 q = np.linalg.qr(vecs)[0]
-                image = apply(q)
+                image = stacks().apply(q)
+                basis = q, image
                 ritz, rot = np.linalg.eigh(q.T @ image)
                 values, rot = ritz[::-1], rot[:, ::-1]
                 vecs = q @ rot
                 resid = np.linalg.norm(image @ rot - vecs * values, axis=0)
                 target = targets(values, edges)
 
-    # T's block stacks, built once if a sweep or the counts need them.
+    # T's block stacks, built once when a sweep, a product or the counts
+    # first need them.
     stacks = functools.cache(lambda: _band_blocks(band))
     cap = n // (2 * width)
-    blocks, before = min(BAND_FIRST_BLOCKS, cap), None
+    blocks, before, last_basis = min(BAND_FIRST_BLOCKS, cap), None, None
     while True:
         rows = blocks * width
         if rows <= m:
@@ -1256,12 +1275,20 @@ def _band_extremes(
         if blocks >= cap or not need <= cap:
             return "step cap reached"
         # Sweep instead of growing past the size below which eigh is cheaper,
-        # on the rows the block would have needed.
+        # on the rows the block would have needed; the first sweep only on
+        # those at which the block would reach that sweep's own goal.
         if before is not None and size * width > FILTER_ROWS_PER_PAIR * (m + 1):
+            full = math.ceil(size)
+            _, _, isolation = _intervals(values, 0.0, upper, edges)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                goal = np.maximum(target, resid ** 3 / isolation ** 2)
+                reach = np.where(rate > 0.0, np.log(resid / goal) / rate, np.inf)
+            first = int(np.clip(np.ceil(blocks + reach[resid > target].max()),
+                                blocks + 1, full))
             found = swept(values, padded(vecs), resid, target, edges,
-                          stacks().leading(math.ceil(size)))
+                          stacks().leading(first), stacks().leading(full))
             if found is not None:
-                values, vecs = found
+                values, vecs, last_basis = found
                 break
         before = blocks, logs
         blocks = min(cap, 2 * blocks, max(blocks + 1, math.ceil(size)))
@@ -1277,9 +1304,10 @@ def _band_extremes(
     bulk = np.array([bounds[0] - (delta[-1] if lower else 0.0),
                      bounds[1] + (delta[0] if upper else 0.0)])
     if not vectors:
-        return _certify_values(apply, vecs, bulk, upper, False, margin)
+        return _certify_values(stacks().apply, vecs, bulk, upper, False, margin,
+                               last_basis)
     radius = max(1.0, abs(values[0]), abs(values[-1]))
-    return _certify(apply, vecs, bulk, upper, False, radius, margin)
+    return _certify(stacks().apply, vecs, bulk, upper, False, radius, margin)
 
 
 def eigensolve(
@@ -1317,11 +1345,14 @@ def eigensolve(
       more than ``FILTER_MAX_DEGREE`` in total.
     * A band sample's are found by :func:`_band_extremes`: the Ritz pairs
       of a leading block of ``T``, grown until two shift-and-invert sweeps
-      are predicted to finish them, then such sweeps on the leading rows of
-      ``T`` that the grown block was predicted to need (``O(M^2)`` per row
-      and vector through block cyclic reduction), with residuals measured
-      on all of ``T``.  The interval holding the rest of the spectrum is
-      proved by exact counts (Sylvester's inertia, from
+      are predicted to finish them, then such sweeps on leading rows of
+      ``T`` (``O(M^2)`` per row and vector through block cyclic
+      reduction): the first on the rows at which the grown block would
+      reach that sweep's predicted residual, later ones on the rows it was
+      predicted to need to meet the tolerance.  Residuals are measured on
+      all of ``T``, and a values certificate reuses the last sweep's
+      basis and its product with ``T``.  The interval holding the rest of
+      the spectrum is proved by exact counts (Sylvester's inertia, from
       :func:`_band_inertia`) at a cut on each side.  It gives up when the
       leading block would pass ``n / (2M)`` blocks, a pivot block of the
       count is near-singular, or a count is not ``M+`` (or ``M-``).

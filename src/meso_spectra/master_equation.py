@@ -122,6 +122,11 @@ class MasterOperator:
         return np.diag(1.0 / self.pert.thetas)
 
     @cached_property
+    def _inverse_strength_norm(self) -> float:
+        """``max |1/theta|``, the norm of ``diag(1/theta)``."""
+        return 1.0 / np.abs(self.pert.thetas).min()
+
+    @cached_property
     def _frame(self) -> np.ndarray:
         """``U``: the perturbation's frame, or the leading coordinate axes."""
         if self.pert.frame is None:
@@ -140,6 +145,16 @@ class MasterOperator:
         if self.model.kind.multiplicative:
             return lam / shift
         return 1.0 / shift
+
+    def _largest_weight(self, z: float) -> float:
+        """``max |w(z)|`` over the resolvent weights, for ``z`` outside the
+        bulk.  An additive weight ``1/(z - lambda)`` is largest in size at
+        the nearer edge, and rounding keeps that order, so the edge's weight
+        is the same float as the maximum over all ``n``."""
+        if self.model.kind.multiplicative:
+            return np.abs(self._weights(z)).max()
+        lam_max, lam_min = self.spectrum.lam_max, self.spectrum.lam_min
+        return abs(1.0 / (z - (lam_max if z > lam_max else lam_min)))
 
     def _weight_slopes(self, z: float | np.ndarray) -> np.ndarray:
         """Minus the ``z``-derivative of :meth:`_weights`, so that
@@ -290,7 +305,7 @@ def _resolved(op: MasterOperator, rank: int, z: float, slope: float, tol: float)
     eigenvalues of ``D(z)`` carry errors up to ``eps * ||D(z)||``, at most
     ``eps * (max |1/theta| + max |w(z)|)``, which must stay below the
     crossing branch's change ``slope * tol / 2`` (unchecked without a slope)."""
-    norm = 1.0 / np.abs(op.pert.thetas).min() + np.abs(op._weights(z)).max()
+    norm = op._inverse_strength_norm + op._largest_weight(z)
     if 0.0 < slope * tol <= 2.0 * np.finfo(float).eps * norm:
         raise MissingRootError(f"rank {rank}: rounding in D(z) (norm {norm:.3g}) "
                                f"hides the root near {z!r} at tol {tol!r}", rank)

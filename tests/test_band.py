@@ -180,6 +180,29 @@ class TestBandStructuredSample:
         assert not np.array_equal(a.band, wigner_sample(40, [2.0, -1.5], seed=66).band)
 
 
+class TestBandBlocks:
+    """The block stacks of T, and T x through them."""
+
+    @pytest.mark.parametrize("n,width", [
+        (50, 4),    # a padded last block
+        (48, 4),    # whole blocks
+        (30, 1),    # T tridiagonal
+        (7, 7),     # one block
+        (503, 10),  # a padded last block, bench-wide
+    ])
+    def test_apply_matches_dense(self, n, width):
+        # Within a few ulps of |T| |x| of the dense product, per column.
+        gen = RngStream(77, n).generator()
+        band = ensembles._with_strengths(ensembles._goe_band(n, width, gen),
+                                         np.linspace(3.0, -2.0, width))
+        x = gen.standard_normal((n, 5))
+        dense = ensembles._band_window(band, n)
+        y = ensembles._band_blocks(band).apply(x)
+        assert y.shape == (n, 5)
+        bound = 4.0 * np.finfo(float).eps * np.linalg.norm(dense, 2) * np.linalg.norm(x, axis=0)
+        assert (np.abs(y - dense @ x).max(axis=0) <= bound).all()
+
+
 def assert_matches_dense(sample):
     """Values and pairs of ``eigensolve(sample)`` against dense
     ``eigvalsh``/``eigh`` of ``sample.perturbed``; returns whether the band
@@ -449,6 +472,32 @@ class TestBandSweeps:
         assert np.array_equal(values, np.linalg.eigvalsh(sample.perturbed)[::-1])
         assert [r.getMessage() for r in caplog.records] == [
             "dense eigensolve fallback: stream 0, n=500: count disagrees"]
+
+    def test_bench_shaped_first_sweep_is_shorter_and_certificate_reuses_its_basis(
+            self, caplog, monkeypatch):
+        # n = 2000, M = 10: the first sweep solves on the rows its own
+        # predicted residual needs, fewer than the last sweep's, and a values
+        # solve applies all of T once per sweep, the certificate taking the
+        # last sweep's basis and its image instead of applying T again.
+        n, m = 2000, 10
+        sweeps = self.sweeps(monkeypatch)
+        applied = []
+        real = ensembles._BandBlocks.apply
+
+        def apply(blocks, x):
+            applied.append((blocks.rows, x.shape[0]))
+            return real(blocks, x)
+
+        monkeypatch.setattr(ensembles._BandBlocks, "apply", apply)
+        for stream in range(3):
+            sample = wigner_sample(n, np.linspace(2.4, 1.5, m), seed=75, stream=stream)
+            sweeps.clear()
+            applied.clear()
+            assert eigensolve(sample, vectors=False).shape == (m,)
+            assert len(sweeps) >= 2 and all(solved for _, _, solved in sweeps)
+            assert sweeps[0][1] < sweeps[-1][1]
+            assert applied == [(n, n)] * len(sweeps)
+        assert caplog.records == []
 
     def test_bench_shaped_solve_sweeps_on_leading_rows_after_a_16_block_window(
             self, caplog, monkeypatch):

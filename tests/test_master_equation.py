@@ -473,6 +473,19 @@ class TestRoundingGuard:
         with pytest.raises(MissingRootError, match="rounding in D"):
             locate_outliers(op, 1e-12)
 
+    @pytest.mark.parametrize("model_of", [Model.additive, Model.multiplicative])
+    def test_largest_weight_is_the_vectors_maximum(self, model_of):
+        # The guard's max |w(z)|, read at the nearer edge for additive
+        # weights, is the maximum over all n weights bit for bit, from far
+        # off down to a hair outside either edge.
+        gen = RngStream(38, 0).generator()
+        values = gen.uniform(0.1, 3.0, 300)
+        op, spectrum, _ = make_operator(model_of, values, [1.5, -0.5], psd=True)
+        offsets = 10.0 ** np.linspace(-12.0, 2.0, 29)
+        for z in np.concatenate((spectrum.lam_max + offsets,
+                                 spectrum.lam_min - offsets)).tolist():
+            assert op._largest_weight(z) == np.abs(op._weights(z)).max()
+
     def test_resolvable_roots_pass_the_guard(self):
         op = haar_operator(Model.additive, np.linspace(-1.0, 1.0, 14), [1.5, 1e-3], seed=0)
         roots = locate_outliers(op, 1e-3)
