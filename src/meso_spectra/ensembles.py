@@ -22,22 +22,24 @@ eigenvector projections of GOE plus the strengths.
 sample (above a size set by ``FILTER_ROWS_PER_PAIR``) it returns only the
 top ``M+`` and bottom ``M-`` eigenpairs, or their values alone with
 ``vectors=False`` (``M+``/``M-`` the numbers of positive/negative
-strengths).  An orthogonally invariant sample's are found on the
-diagonal-plus-low-rank structure, whose bulk interval ``[min d, max d]`` is
-known exactly: a first Chebyshev filter stage, then shift-and-invert sweeps
-at the Ritz values, O(n M^2) per vector through the Woodbury identity,
-wherever a sweep costs less than the next filter stage.  A band sample's
-start as the Ritz pairs of a leading principal block of ``T``, the
-Rayleigh-Ritz problem of block Lanczos started on the leading coordinates,
-and end with shift-and-invert sweeps on the leading rows of ``T`` that the
-pairs need, O(M^2) per row and vector through block cyclic reduction, with
-residuals taken on all of ``T``; the bulk is bounded by exact counts from
-Sylvester's inertia of a block LDL^T factorization.  Certificates decide on
-them (values alone need no gap between outliers); when they fail, the
-solve falls back to the full dense spectrum and logs the fallback on the
-``meso_spectra`` logger.  Experiment trials read realized values through
-``eigensolve(sample, vectors=False)`` alone, so a value-only trial of a
-structured sample builds no n x n matrix.
+strengths).  Both solves refine Ritz pairs in one loop, :func:`_refine`,
+of shift-and-invert sweeps at the Ritz values, each followed by a
+Rayleigh-Ritz step.  An orthogonally invariant sample's start from a
+Chebyshev filter stage on the diagonal-plus-low-rank structure, whose bulk
+interval ``[min d, max d]`` is known, and sweep through the Woodbury
+identity, O(n M^2) per vector, wherever a sweep costs less than the next
+filter stage.  A band sample's start as the Ritz pairs of a leading
+principal block of ``T``, the Rayleigh-Ritz problem of block Lanczos
+started on the leading coordinates, and sweep on the leading rows of ``T``
+that the pairs need, O(M^2) per row and vector through block cyclic
+reduction, with residuals taken on all of ``T``; the bulk is bounded by
+exact counts from Sylvester's inertia of a block LDL^T factorization.
+Certificates decide on the last Rayleigh-Ritz state (values alone need no
+gap between outliers); when they fail, the solve falls back to the full
+dense spectrum and logs the fallback on the ``meso_spectra`` logger.
+Experiment trials read realized values through ``eigensolve(sample,
+vectors=False)`` alone, so a value-only trial of a structured sample
+builds no n x n matrix.
 """
 
 from __future__ import annotations
@@ -597,6 +599,109 @@ def sample_ensemble(
                           **provenance)
 
 
+class _Ritz(NamedTuple):
+    """Ritz pairs of ``A``: values descending, unit vectors as columns and
+    residual norms ``|A u - mu u|``, with the basis ``q`` and its image ``A
+    q`` of their Rayleigh-Ritz step (``None`` for pairs found otherwise)."""
+
+    values: np.ndarray
+    vecs: np.ndarray
+    resid: np.ndarray
+    q: np.ndarray | None
+    image: np.ndarray | None
+
+    @property
+    def radius(self) -> float:
+        """``max(1, largest |Ritz value|)``."""
+        return max(1.0, abs(self.values[0]), abs(self.values[-1]))
+
+
+def _rayleigh_ritz(apply, x: np.ndarray) -> _Ritz:
+    """The Ritz pairs of ``A`` (applied to columns by ``apply``) on the span
+    of the columns of ``x``, from a QR factor ``Q``, ``A Q`` and ``eigh`` of
+    ``Q^T A Q``.  The vectors keep ``x``'s memory order: a Fortran-ordered
+    block, whose columns are contiguous, stays one."""
+    q = np.linalg.qr(x)[0]
+    image = apply(q)
+    ritz, rot = np.linalg.eigh(q.T @ image)
+    values, rot = ritz[::-1], rot[:, ::-1]
+    if x.flags.c_contiguous:
+        vecs, turned = q @ rot, image @ rot
+    else:
+        vecs, turned = (rot.T @ q.T).T, (rot.T @ image.T).T
+    resid = np.linalg.norm(turned - vecs * values, axis=0)
+    return _Ritz(values, vecs, resid, q, image)
+
+
+def _sweep(solve, ritz: _Ritz, todo: np.ndarray, isolation: np.ndarray):
+    """A sweep of :func:`_refine` on the pairs ``todo`` of ``ritz``, solved
+    by ``solve(shifts, columns)``: the block with those columns replaced and
+    the predicted fall, or ``None`` when the sweep gives way."""
+    r, isolation = ritz.resid[todo], isolation[todo]
+    if not (2.0 * r < isolation).all():
+        return None
+    with np.errstate(all="ignore"):
+        try:
+            solved = solve(ritz.values[todo], ritz.vecs[:, todo])
+        except np.linalg.LinAlgError:
+            return None
+    if solved is None or not np.isfinite(solved).all():
+        return None
+    x = ritz.vecs.copy(order="K")
+    x[:, todo] = solved
+    return x, 2.0 * float(np.log(isolation / r).min())
+
+
+def _refine(apply, ritz: _Ritz, goals, step) -> tuple[_Ritz, bool] | str:
+    """The loop both structured solves refine their Ritz pairs by, from
+    ``ritz``, applying ``A`` to columns by ``apply``: the last state and
+    whether every pair met its target, or a reason to give up.
+
+    Each round ``goals(ritz)`` gives the residual targets and each value's
+    isolation, its distance to the other values and the bulk, or a reason
+    to give up.  The loop stops when every residual meets its target.
+    Otherwise ``step(ritz, todo, excess, isolation)`` steps the pairs above
+    their targets, ``todo``, ``excess`` being their ``log(residual /
+    target)``.  It returns the new block of ``M`` columns with the fall it
+    predicts for the worst excess, in log (``None`` for no prediction), a
+    reason to give up, or ``None`` to give way, which ends the loop unmet.
+    A Rayleigh-Ritz step on all ``M`` columns follows.
+
+    Sweeps (:func:`_sweep`) are Rayleigh quotient iteration (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 4): each vector ``u`` above its
+    target becomes ``(A - mu)^-1 u`` at its own Ritz value ``mu``.  A shift
+    within half its isolation is nearest its own eigenvalue, so a sweep
+    runs only when ``2 r < isolation`` for every residual ``r`` it steps,
+    and it takes ``r`` to about ``r^3 / isolation^2``, a predicted fall of
+    ``2 log(isolation / r)``.  A sweep whose solve raises ``LinAlgError``,
+    returns ``None`` or is not finite (a shift on an eigenvalue) gives way,
+    with no warning.  A step whose worst excess fell by less than half its
+    prediction has met the rounding floor: the loop stalls there, unmet,
+    and each solve decides what a stall means.
+
+    Certificates read the last state: :func:`_certify` its vectors, and
+    :func:`_certify_values` its ``Q`` and ``A Q``, which span them.
+    """
+    fall = None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            goal = goals(ritz)
+            if isinstance(goal, str):
+                return goal
+            target, isolation = goal
+            todo = ritz.resid > target
+            if not todo.any():
+                return ritz, True
+            excess = np.log(ritz.resid / target)[todo]
+            if fall is not None and worst - excess.max() < 0.5 * fall:
+                return ritz, False
+            stepped = step(ritz, todo, excess, isolation)
+            if stepped is None or isinstance(stepped, str):
+                return stepped or (ritz, False)
+            (x, fall), worst = stepped, excess.max()
+            ritz = _rayleigh_ritz(apply, x)
+
+
 def _filtered_extremes(
     d: np.ndarray, w: np.ndarray, k: np.ndarray, start: np.ndarray,
     upper: int, psd: bool, vectors: bool,
@@ -605,50 +710,38 @@ def _filtered_extremes(
     ``A = diag(d) + W K W^T`` (``M`` the columns of ``start``), their values
     alone when not ``vectors``, or the reason they could not be certified.
 
-    A first Chebyshev filter stage (Zhou, Saad, Tiago and Chelikowsky,
-    J. Comput. Phys. 219, 2006) on a block of ``M`` vectors started on the
-    orthonormal ``start``, applying ``A`` as ``d * x + W (K (W^T x))``, then
-    Rayleigh quotient iteration by shift-and-invert sweeps where they cost
-    less than further filtering.  All eigenvalues but the wanted ones lie in
-    the bulk ``[min d, max d]`` (see :func:`_certify`), on which
-    ``T_m((A - centre) / half)`` is at most 1 in modulus, while it
-    multiplies an eigenvector at ``lambda`` beyond the bulk by about
-    ``rho^m / 2``, with ``rho = |x| + sqrt(x^2 - 1)`` at the mapped
-    ``x = (lambda - centre) / half``.  A filter stage applies the three-term
-    recurrence to the block; a sweep replaces each vector ``x`` of the block
-    by ``(A - sigma)^-1 x`` at its own Ritz value ``sigma``, through the
-    Woodbury identity with ``E = (diag(d) - sigma)^-1``:
-    ``E x - E W K (I + W^T E W K)^-1 W^T E x``.  Either is followed by a QR
-    orthonormalization and an ``M x M`` Rayleigh-Ritz problem.  Pairs whose
-    residual has reached the tolerance of :func:`_certify` (of
-    :func:`_certify_values` when not ``vectors``) are locked: later filter
-    stages filter only the others and project the locked vectors out at
-    every step of the recurrence, and later sweeps shift only the others.
+    A Chebyshev filter stage (Zhou, Saad, Tiago and Chelikowsky, J. Comput.
+    Phys. 219, 2006) on a block of ``M`` vectors started on the orthonormal
+    ``start``, applying ``A`` as ``d * x + W (K (W^T x))``, then the loop of
+    :func:`_refine`, stepped by further stages or sweeps, with the
+    tolerances of :func:`_certify` (of :func:`_certify_values` when not
+    ``vectors``) as targets.  All eigenvalues but the wanted ones lie in
+    the bulk ``[min d, max d]`` (see :func:`_certify`), on which ``T_m((A -
+    centre) / half)`` is at most 1 in modulus, while it multiplies an
+    eigenvector at ``lambda`` beyond the bulk by about ``rho^m / 2``, with
+    ``rho = |x| + sqrt(x^2 - 1)`` at the mapped ``x = (lambda - centre) /
+    half``: a stage predicts that fall.  A stage filters the pairs above
+    their targets and projects the others out at every step of the
+    three-term recurrence.  A sweep solves through the Woodbury identity
+    with ``E = (diag(d) - sigma)^-1``: ``E x - E W K (I + W^T E W K)^-1 W^T
+    E x``.
 
-    The solve gives up ("Ritz values not separated") once the filter has
-    reached ``FILTER_FIRST_DEGREE`` and the Ritz values are not beyond the
-    bulk and, when ``vectors``, apart from one another; a Ritz value never
-    passes its eigenvalue (Cauchy interlacing), so a subcritical strength
-    never gets there.  After that check a next filter stage would take the
-    degree ``need`` at which the residuals' predicted fall by ``2 / rho^m``
-    reaches the tolerance.  For ``n`` rows and ``W`` of rank ``m'``, that
-    stage costs ``need n m'`` per vector and a sweep ``n m'^2``, so the
-    solve sweeps when ``m' < need`` and each shift lies within half its
-    distance to the other Ritz values and the bulk (so that it is nearest
-    its own eigenvalue); a sweep is charged ``m'`` degrees, and one whose
-    solve is singular or not finite gives way to the filter stage.  The
-    solve gives up ("step cap reached") when the next stage or sweep would
-    make the total exceed ``FILTER_MAX_DEGREE``.  Every stage's degree is
-    bounded so that no unconverged pair outgrows another by more than
-    ``1 / sqrt(FILTER_TOLERANCE)``, beyond which rounding swamps the slower
-    one; the first stage bounds the fastest growth through Weyl's bound
-    ``half + |W K W^T|`` on ``|A - centre|``.  A sweep is predicted to take
-    a residual ``r`` at distance ``apart`` from the rest to about
-    ``r^3 / apart^2``.  A stage or sweep whose residuals fell by less than
-    half the predicted amount has met the rounding floor, and the
-    certificate decides on the pairs as they are.  Sweeps change only how
-    the block is found: the same certificates decide on it.  No random
-    numbers are drawn.
+    Before it tests the targets, the solve gives up ("Ritz values not
+    separated") once the filter has reached ``FILTER_FIRST_DEGREE`` and the
+    Ritz values are not beyond the bulk and, when ``vectors``, apart from
+    one another; a Ritz value never passes its eigenvalue (Cauchy
+    interlacing), so a subcritical strength never gets there.  A next stage
+    would take the degree ``need`` at which the predicted fall reaches the
+    targets.  For ``n`` rows and ``W`` of rank ``m'`` it costs ``need n
+    m'`` per vector and a sweep ``n m'^2``, so the solve sweeps when ``m' <
+    need``, charged ``m'`` degrees, and filters when a sweep gives way.  It
+    gives up ("step cap reached") when the next stage or sweep would take
+    the total past ``FILTER_MAX_DEGREE``.  Each stage's degree is bounded
+    so that no pair above its target outgrows another by more than ``1 /
+    sqrt(FILTER_TOLERANCE)``, beyond which rounding swamps the slower one;
+    the first stage bounds the fastest growth through Weyl's bound ``half +
+    |W K W^T|`` on ``|A - centre|``.  After a stall the certificate decides
+    on the pairs as they stand.  No random numbers are drawn.
     """
     low, high = float(d.min()), float(d.max())
     centre = 0.5 * (low + high)
@@ -657,28 +750,30 @@ def _filtered_extremes(
     half = max(0.5 * (high - low), FILTER_TOLERANCE * d_abs)
     log_growth_cap = -0.5 * math.log(FILTER_TOLERANCE)
     wt = np.ascontiguousarray(w.T)
+    rank = w.shape[1]
 
-    # Blocks hold their vectors as rows, so that d scales contiguous rows.
+    # Blocks hold their vectors as rows, so that d scales contiguous rows;
+    # the refinement sees their transposes, Fortran-ordered columns.
     def apply(x: np.ndarray) -> np.ndarray:
-        return ((x @ w) @ k) @ wt + d * x
+        rows = x.T
+        return (((rows @ w) @ k) @ wt + d * rows).T
 
     def log_rho(values: np.ndarray) -> np.ndarray:
         x = np.maximum(np.abs(values - centre) / half, 1.0)
         return np.log(x + np.sqrt(x * x - 1.0))
 
-    # x -> 2 (A - centre) x / half, the recurrence's step, kept orthogonal
-    # to the locked vectors.
+    # x -> 2 (A - centre) x / half, the recurrence's step on rows, kept
+    # orthogonal to the rows ``kept``.
     scaled_d, scaled_k = (d - centre) * (2.0 / half), k * (2.0 / half)
-    locked, locked_vals = np.empty((0, d.size)), np.empty(0)
 
-    def step(x: np.ndarray) -> np.ndarray:
-        y = ((x @ w) @ scaled_k) @ wt
-        y += scaled_d * x
-        if locked_vals.size:
-            y -= (y @ locked.T) @ locked
-        return y
+    def filtered(x: np.ndarray, degree: int, kept: np.ndarray) -> np.ndarray:
+        def step(x: np.ndarray) -> np.ndarray:
+            y = ((x @ w) @ scaled_k) @ wt
+            y += scaled_d * x
+            if kept.size:
+                y -= (y @ kept.T) @ kept
+            return y
 
-    def filtered(x: np.ndarray, degree: int) -> np.ndarray:
         prev, cur = x, step(x)
         cur *= 0.5  # T_1(x) = x, then T_j+1(x) = 2 x T_j(x) - T_j-1(x)
         for _ in range(degree - 1):
@@ -687,88 +782,43 @@ def _filtered_extremes(
             prev, cur = cur, nxt
         return cur
 
-    rank = w.shape[1]
-    identity = np.eye(rank)
+    def woodbury(shifts: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # Column j becomes (A - shift_j)^-1 x_j.
+        rows = x.T
+        e = 1.0 / (d - shifts[:, None])
+        wew = np.stack([(wt * row) @ w for row in e])  # W^T E W, row by row
+        z = np.linalg.solve(np.eye(rank) + wew @ k, ((e * rows) @ w)[:, :, None])
+        return (e * (rows - (z[:, :, 0] @ k.T) @ wt)).T
 
-    def swept(x: np.ndarray, shifts: np.ndarray) -> np.ndarray | None:
-        # Row j becomes (A - shift_j)^-1 x_j, or None when a solve is
-        # singular or not finite.
-        with np.errstate(all="ignore"):
-            e = 1.0 / (d - shifts[:, None])
-            wew = np.stack([(wt * row) @ w for row in e])  # W^T E W, row by row
-            try:
-                z = np.linalg.solve(identity + wew @ k, ((e * x) @ w)[:, :, None])
-            except np.linalg.LinAlgError:
-                return None
-            y = e * (x - (z[:, :, 0] @ k.T) @ wt)
-        return y if np.isfinite(y).all() else None
-
-    # Weyl: no eigenvalue is farther than half + |W K W^T| from centre.
-    low_rank = float(np.abs(np.linalg.eigvals(k @ (wt @ w))).max())
-    fastest = float(log_rho(centre + half + low_rank))
-    degree = min(FILTER_FIRST_DEGREE, FILTER_MAX_DEGREE)
-    if fastest > 0.0:
-        degree = min(degree, max(1, int(log_growth_cap / fastest)))
-    block, used, expected = filtered(start.T, degree), degree, None
-    while True:
-        q = np.linalg.qr(block.T)[0].T
-        image = apply(q)
-        ritz, rot = np.linalg.eigh(image @ q.T)
-        vecs, image = rot.T @ q, rot.T @ image
-        resid = np.linalg.norm(image - ritz[:, None] * vecs, axis=1)
-        values = np.concatenate((locked_vals, ritz))
-        order = np.argsort(values)[::-1]
-        radius = max(1.0, abs(values[order[0]]), abs(values[order[-1]]))
+    def goals(ritz: _Ritz):
+        nonlocal separated, margin
+        values, radius = ritz.values, ritz.radius
         margin = DEGENERACY_TOLERANCE * max(radius, d_abs)
         # Each value's distance to the others and to the bulk.
-        _, _, apart = _intervals(values[order], 0.0, upper, d)
+        _, _, apart = _intervals(values, 0.0, upper, d)
         if vectors:
-            gap = apart
-            tolerance = FILTER_TOLERANCE * np.minimum(radius, gap)
+            gap, target = apart, FILTER_TOLERANCE * np.minimum(radius, apart)
         else:
             # Values need only clear the bulk, not one another, and the
             # residuals' root sum of squares must meet the tolerance.
-            gap = np.concatenate((values[order[:upper]] - high,
-                                  low - values[order[upper:]]))
-            tolerance = FILTER_TOLERANCE * radius / math.sqrt(values.size)
+            gap = np.concatenate((values[:upper] - high, low - values[upper:]))
+            target = FILTER_TOLERANCE * radius / math.sqrt(values.size)
         separated = bool((gap > margin).all())
         if not separated and used >= FILTER_FIRST_DEGREE:
             return "Ritz values not separated"
-        target, isolation = np.empty(values.size), np.empty(values.size)
-        target[order], isolation[order] = tolerance, apart
-        target, isolation = target[locked_vals.size:], isolation[locked_vals.size:]
-        done = resid <= target
-        locked = np.vstack([locked, vecs[done]])
-        locked_vals = np.concatenate((locked_vals, ritz[done]))
-        block, ritz = vecs[~done], ritz[~done]
-        resid, isolation = resid[~done], isolation[~done]
-        rates = log_rho(ritz)
-        stalled = False
-        if separated and ritz.size:
-            # log(residual / tolerance) of each pair still converging.
-            excess = np.log(resid / target[~done])
-            stalled = expected is not None and worst - excess.max() < 0.5 * expected
-        if stalled or not ritz.size:
-            order = np.argsort(np.concatenate((locked_vals, ritz)))[::-1]
-            pairs = np.vstack([locked, block])[order]
-            if vectors:
-                return _certify(lambda x: apply(x.T).T, pairs.T, d, upper, psd,
-                                radius, margin)
-            return _certify_values(lambda x: apply(x.T).T, pairs.T, d, upper,
-                                   psd, margin)
+        return target, apart
+
+    def advance(ritz: _Ritz, todo: np.ndarray, excess: np.ndarray,
+                isolation: np.ndarray):
+        nonlocal used
+        rates = log_rho(ritz.values[todo])
         if separated:
             need = float(((math.log(2.0) + excess) / rates).max())
-            # A shift within half its distance to the other values and the
-            # bulk is nearest its own eigenvalue, and shift-and-invert takes
-            # its residual r to about r^3 / apart^2 (Rayleigh quotient
-            # iteration).
-            if (rank < need and used + rank <= FILTER_MAX_DEGREE
-                    and (2.0 * resid < isolation).all()):
-                rows = swept(block, ritz)
-                if rows is not None:
-                    block, used, worst = rows, used + rank, excess.max()
-                    expected = 2.0 * float(np.log(isolation / resid).min())
-                    continue
+            if rank < need and used + rank <= FILTER_MAX_DEGREE:
+                moved = _sweep(woodbury, ritz, todo, isolation)
+                if moved is not None:
+                    used += rank
+                    return moved
         else:
             need = FILTER_FIRST_DEGREE - used
         if not used + need <= FILTER_MAX_DEGREE:
@@ -777,11 +827,27 @@ def _filtered_extremes(
         spread = float(rates.max() - rates.min())
         if spread > 0.0:
             degree = min(degree, max(1, int(log_growth_cap / spread)))
-        expected = None
-        if separated:  # the slowest pair's predicted fall, in log
-            worst = excess.max()
-            expected = degree * float(rates.min()) - math.log(2.0)
-        block, used = filtered(block, degree), used + degree
+        used += degree
+        rows = ritz.vecs.T.copy()
+        rows[todo] = filtered(rows[todo], degree, rows[~todo])
+        return rows.T, (degree * float(rates.min()) - math.log(2.0)
+                        if separated else None)
+
+    # Weyl: no eigenvalue is farther than half + |W K W^T| from centre.
+    low_rank = float(np.abs(np.linalg.eigvals(k @ (wt @ w))).max())
+    fastest = float(log_rho(centre + half + low_rank))
+    used = min(FILTER_FIRST_DEGREE, FILTER_MAX_DEGREE)
+    if fastest > 0.0:
+        used = min(used, max(1, int(log_growth_cap / fastest)))
+    separated = margin = None
+    first = filtered(start.T, used, np.empty((0, d.size))).T
+    found = _refine(apply, _rayleigh_ritz(apply, first), goals, advance)
+    if isinstance(found, str):
+        return found
+    ritz = found[0]
+    if vectors:
+        return _certify(apply, ritz.vecs, d, upper, psd, ritz.radius, margin)
+    return _certify_values(ritz.q, ritz.image, d, upper, psd, margin)
 
 
 def _intervals(values: np.ndarray, resid, upper: int, d: np.ndarray):
@@ -852,17 +918,13 @@ def _certify(apply, vecs: np.ndarray, d: np.ndarray, upper: int, psd: bool,
     return values, vecs
 
 
-def _certify_values(apply, vecs: np.ndarray, d: np.ndarray, upper: int,
-                    psd: bool, margin: float,
-                    basis: tuple[np.ndarray, np.ndarray] | None = None,
-                    ) -> np.ndarray | str:
-    """The top ``upper`` and bottom ``M - upper`` eigenvalues of
-    ``A = diag(d) + W K W^T`` (applied by ``apply``), descending, from the
-    span of the columns of ``vecs``, or ``"certificate failed"``.
+def _certify_values(q: np.ndarray, image: np.ndarray, d: np.ndarray, upper: int,
+                    psd: bool, margin: float) -> np.ndarray | str:
+    """The top ``upper`` and bottom ``M - upper`` eigenvalues of ``A =
+    diag(d) + W K W^T``, descending, from the span of ``Q = q``, orthonormal
+    up to rounding, and ``A Q = image``, the last Rayleigh-Ritz step's of
+    :func:`_refine`; or ``"certificate failed"``.
 
-    ``Q`` is an orthonormal basis of that span from a QR factorization, or
-    the first of ``basis``, a ``(Q, A Q)`` the caller already holds for a
-    basis of the same span (then no QR is taken and ``A`` is not applied).
     ``H = Q^T A Q`` with eigenvalues ``theta`` and ``R = A Q - Q H``.  When
     ``Q`` is exactly orthonormal, ``A`` has ``M`` eigenvalues, with distinct
     indices, each within ``|R|_2`` of its own ``theta`` (Kahan's residual
@@ -885,10 +947,6 @@ def _certify_values(apply, vecs: np.ndarray, d: np.ndarray, upper: int,
     :func:`_certify`, ``d`` may instead be the two ends of an interval
     proved to hold every other eigenvalue.
     """
-    if basis is None:
-        q = np.linalg.qr(vecs)[0]
-        basis = q, apply(q)
-    q, image = basis
     h = q.T @ image
     h = 0.5 * (h + h.T)
     # eigh, as in the Rayleigh-Ritz steps: eigvalsh is left to dense solves.
@@ -1038,8 +1096,9 @@ def _band_solve(blocks: _BandBlocks, shifts: np.ndarray,
                 rhs: np.ndarray) -> np.ndarray | None:
     """Row ``j`` of ``rhs`` (``s x blocks.rows``) solved against ``T -
     shifts_j I``, ``T`` being the band matrix of the block stacks
-    ``blocks``, or ``None`` when a pivot block is singular or the solution
-    not finite.
+    ``blocks``, or ``None`` when a pivot block is singular.  Its caller,
+    :func:`_sweep`, silences floating-point warnings and checks that the
+    solution is finite.
 
     The block cyclic reduction of :func:`_band_inertia`, batched over the
     shifts, with each level's pivots inverted.  On the way down each level
@@ -1053,31 +1112,29 @@ def _band_solve(blocks: _BandBlocks, shifts: np.ndarray,
     b[:, :n] = rhs
     b = b.reshape(shifts.size, -1, width, 1)
     levels = []
-    with np.errstate(all="ignore"):
-        try:
-            while pivots.shape[1] > 1:
-                inverse = np.linalg.inv(pivots[:, 1::2])
-                up, down = below[:, 0::2], below[:, 1::2]
-                lower = down.shape[1]
-                scaled = inverse @ b[:, 1::2]
-                kept = b[:, 0::2].copy()
-                kept[:, : up.shape[1]] -= up.swapaxes(-1, -2) @ scaled
-                kept[:, 1: lower + 1] -= down @ scaled[:, :lower]
-                levels.append((inverse, up, down, b[:, 1::2]))
-                pivots, below = _eliminate_odd(pivots, below, inverse)
-                b = kept
-            x = np.linalg.inv(pivots) @ b
-        except np.linalg.LinAlgError:
-            return None
-        for inverse, up, down, eliminated in reversed(levels):
+    try:
+        while pivots.shape[1] > 1:
+            inverse = np.linalg.inv(pivots[:, 1::2])
+            up, down = below[:, 0::2], below[:, 1::2]
             lower = down.shape[1]
-            rest = eliminated - up @ x[:, : up.shape[1]]
-            rest[:, :lower] -= down.swapaxes(-1, -2) @ x[:, 1: lower + 1]
-            full = np.empty((shifts.size, x.shape[1] + up.shape[1], width, 1))
-            full[:, 0::2], full[:, 1::2] = x, inverse @ rest
-            x = full
-    x = x.reshape(shifts.size, -1)[:, :n]
-    return x if np.isfinite(x).all() else None
+            scaled = inverse @ b[:, 1::2]
+            kept = b[:, 0::2].copy()
+            kept[:, : up.shape[1]] -= up.swapaxes(-1, -2) @ scaled
+            kept[:, 1: lower + 1] -= down @ scaled[:, :lower]
+            levels.append((inverse, up, down, b[:, 1::2]))
+            pivots, below = _eliminate_odd(pivots, below, inverse)
+            b = kept
+        x = np.linalg.inv(pivots) @ b
+    except np.linalg.LinAlgError:
+        return None
+    for inverse, up, down, eliminated in reversed(levels):
+        lower = down.shape[1]
+        rest = eliminated - up @ x[:, : up.shape[1]]
+        rest[:, :lower] -= down.swapaxes(-1, -2) @ x[:, 1: lower + 1]
+        full = np.empty((shifts.size, x.shape[1] + up.shape[1], width, 1))
+        full[:, 0::2], full[:, 1::2] = x, inverse @ rest
+        x = full
+    return x.reshape(shifts.size, -1)[:, :n]
 
 
 def _band_extremes(
@@ -1096,78 +1153,49 @@ def _band_extremes(
     ``|B_k y_last|``.  The first two leading blocks span
     ``BAND_FIRST_BLOCKS`` and twice that many blocks of ``w`` rows; after
     that the residuals' geometric fall between the last two predicts the
-    size at which the slowest reaches its tolerance (half that of the
-    certificate), and the next block has that size, at most twice the last.
+    size at which the slowest reaches its target (half the certificate's
+    tolerance), and the next block has that size, at most twice the last.
 
-    Sweeps.  From the second block on, the solve takes Rayleigh quotient
-    iteration from the current block's Ritz vectors, padded with zeros to
-    ``n`` rows, in place of further growth, when two sweeps are predicted
-    to meet the tolerance and the predicted block would have more than
-    ``FILTER_ROWS_PER_PAIR`` rows per pair (the size rule of
-    :func:`eigensolve`: below it a dense ``eigh`` costs less than a
-    sweep).  A sweep runs on ``T_k``, ``T``'s leading ``k`` blocks: the
-    outlier eigenvectors fall geometrically down the band, so the rows a
-    sweep needs follow from the residuals' per-block fall rate that the
-    growth uses.  The first sweep's ``k`` is the block count at which the
-    leading block's residuals would fall to that sweep's own goal, per pair
-    the larger of its tolerance and ``r^3 / apart^2`` (the residual it is
-    predicted to reach, below), rounded up and held between one block past
-    the current one and the predicted block count rounded up.  Later sweeps
-    run on that predicted count, at which a leading block's Ritz pairs
-    meet the tolerance; the step cap below holds it to ``n / (2 w)``
-    blocks, about half of ``T``.  A sweep replaces each pair still above
-    its tolerance, ``(mu, x)``, by ``(T_k - mu I)^-1 x_k`` padded with
-    zeros, ``x_k`` being the leading ``k w`` rows of ``x``
-    (:func:`_band_solve` on a prefix of ``T``'s block stacks, O(k w^3) per
-    pair), then takes a QR orthonormalization ``Q`` and an ``M x M``
-    Rayleigh-Ritz problem, whose residuals come from ``T Q`` on all of
-    ``T`` (:meth:`_BandBlocks.apply`, one product per sweep).  So a ``k``
-    too small leaves a residual above the tolerance, which the stall test
-    below catches, and never an unchecked pair.  A sweep takes a residual
-    ``r`` at distance ``apart`` from the other values and the bulk's edge
-    to about ``r^3 / apart^2``, so two take it to ``r^9 / apart^8``, four
-    times the first one's fall in log, while the block's residuals fall
-    geometrically, and faster deeper in the band than the prediction
-    assumes, so the grown block would overshoot.  As in
-    :func:`_filtered_extremes`, each shift must lie within half its
-    distance to the other values and to the bulk's edge (so that it is
-    nearest its own eigenvalue), and the sweeps go on while each takes the
-    worst residual at least halfway, in log, to its predicted value.  A
-    sweep that is unsafe or falls short, or whose solve is singular or not
-    finite, gives way to the block growth, so the counts and certificates
-    below only ever see pairs whose residuals on all of ``T`` have met the
-    tolerance.  ``T``'s block stacks are built once, when a sweep, a
-    product with ``T`` or the counts first need them.
+    Sweeps.  From the second block on, the solve refines the block's Ritz
+    pairs, padded with zeros to ``n`` rows, by the sweeps of
+    :func:`_refine` in place of further growth, when two sweeps are
+    predicted to meet the targets (``r^9 / isolation^8``, isolation taken
+    from the block's next Ritz values, the bulk's edges as it sees them)
+    and the predicted block would have more than ``FILTER_ROWS_PER_PAIR``
+    rows per pair (the size rule of :func:`eigensolve`: below it ``eigh``
+    costs less than a sweep).  A sweep solves on ``T_k``, ``T``'s leading
+    ``k`` blocks (:func:`_band_solve`, O(k w^3) per pair), with zeros
+    below: the outlier eigenvectors fall geometrically down the band, at
+    the rate the growth measures.  The first sweep's ``k`` is the block
+    count at which the leading block's residuals would reach that sweep's
+    own goal, the larger of the target and ``r^3 / isolation^2``, held
+    between one block past the current one and the predicted block count;
+    later sweeps run on that count.  Residuals are measured on all of
+    ``T`` (:meth:`_BandBlocks.apply`), so a ``k`` too small leaves a
+    residual above its target, never an unchecked pair.  A stall, or a
+    sweep that gives way, gives way to the block growth.  ``T``'s block
+    stacks are built once, when first needed.
 
     Give-ups.  The solve gives up ("step cap reached") once the
     prediction, or the block, would exceed ``n / (2 w)`` blocks.  At ``M``
     near ``sqrt(n)`` the leading block would need most of ``T``, and the
-    solve gives up after the two first, cheap blocks; a sweep there would
-    cost about as much as the dense solve.  A subcritical strength's value
-    lies at the bulk's edge; the edge eigenvectors of this band model live
-    on its first rows, so such a value often certifies too, and otherwise
-    its slow fall gives up on small blocks.
+    solve gives up after the two first, cheap blocks.  A subcritical
+    strength's value lies at the bulk's edge; the edge eigenvectors of this
+    band model live on its first rows, so such a value often certifies
+    too, and otherwise its slow fall gives up on small blocks.
 
-    Counts.  The rest of the spectrum is then bounded by exact counts.  On
-    each side with outliers a cut ``c`` goes halfway from the innermost
-    outlier's value to the last leading block's next Ritz value, and
-    :func:`_band_inertia` counts the eigenvalues beyond it.  That Ritz value
-    lies no farther out than the bulk's true edge (Cauchy interlacing), and
-    the sweeps refine the outliers alone, so the cut comes from a leading
-    block.  A cut must keep its distance from every eigenvalue,
-    the outliers' included, or a pivot block of the count is near-singular.
-    When a count's ``delta`` exceeds the margin (``DEGENERACY_TOLERANCE``
-    times ``max(1, |T_k|)``) the solve gives up ("near-singular pivot
+    Counts.  On each side with outliers a cut ``c`` goes halfway from the
+    innermost outlier's value to the last leading block's next Ritz value,
+    which lies no farther out than the bulk's true edge (Cauchy
+    interlacing), and :func:`_band_inertia` counts the eigenvalues beyond
+    it.  The solve gives up when a count's ``delta`` exceeds the margin
+    (``DEGENERACY_TOLERANCE`` times ``max(1, |T_k|)``; "near-singular pivot
     block"), and when the count is not ``M+`` above the upper cut and
     ``M-`` below the lower one ("count disagrees").  Otherwise every
     eigenvalue but the ``M`` extreme ones lies between the cuts widened by
-    ``delta``, the interval that takes the place of ``[min d, max d]``:
-    values alone are certified by :func:`_certify_values`, to
-    ``FILTER_TOLERANCE`` times ``max(1, |T|)`` with no gap between
-    outliers, and pairs by :func:`_certify`, with a gap to the cut; both
-    measure residuals on all of ``T``.  After a sweep the values
-    certificate takes that sweep's ``Q`` and ``T Q``, which span the
-    returned vectors, in place of a QR and a product of its own.  No random
+    ``delta``, which take the place of ``[min d, max d]`` in the
+    certificates.  A values solve grown to its targets with no sweep takes
+    one Rayleigh-Ritz step on all of ``T`` for its certificate.  No random
     numbers are drawn.
     """
     n, width = band.shape[1], band.shape[0] - 1
@@ -1179,8 +1207,8 @@ def _band_extremes(
     band = _with_strengths(band, thetas)
 
     def padded(vecs: np.ndarray) -> np.ndarray:
-        # Leading-block vectors with zeros below, to n rows.
-        return np.vstack((vecs, np.zeros((n - vecs.shape[0], m))))
+        # Vectors on leading rows with zeros below, to n rows.
+        return np.vstack((vecs, np.zeros((n - vecs.shape[0], vecs.shape[1]))))
 
     def cuts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
         # Halfway from the innermost outlier to the bulk's edge on each side
@@ -1192,78 +1220,51 @@ def _band_extremes(
             out[1] = 0.5 * (values[upper - 1] + edges[1])
         return out
 
-    def targets(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        radius = max(1.0, abs(values[0]), abs(values[-1]))
+    def goals(ritz: _Ritz):
+        values, radius = ritz.values, ritz.radius
+        _, _, isolation = _intervals(values, 0.0, upper, edges)
         if vectors:
             _, _, gap = _intervals(values, 0.0, upper, cuts(values, edges))
-            return 0.5 * FILTER_TOLERANCE * np.minimum(radius, gap)
-        return np.full(m, 0.5 * FILTER_TOLERANCE * radius / math.sqrt(m))
+            return 0.5 * FILTER_TOLERANCE * np.minimum(radius, gap), isolation
+        return 0.5 * FILTER_TOLERANCE * radius / math.sqrt(m), isolation
 
-    def swept(values, vecs, resid, target, edges, first, later):
-        # Rayleigh quotient iteration solved on leading rows of T, those of
-        # the block stacks ``first`` for the first sweep and of ``later``
-        # after it, or None when a sweep gives way.  Returns the values, the
-        # vectors and the last sweep's basis Q with T Q (None without a
-        # sweep).  A sweep takes a residual r to about r^3 / apart^2, apart
-        # being its value's isolation from the other values and the bulk's
-        # edge, so two take it four times as far in log as one: two must be
-        # predicted to meet the tolerance, and each must fall at least half
-        # as far as predicted, in log.
-        predicted = basis = None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while True:
-                todo = resid > target
-                if not todo.any():
-                    return values, vecs, basis
-                excess = np.log(resid[todo] / target[todo])
-                if predicted is not None and worst - excess.max() < 0.5 * predicted:
-                    return None  # a stall short of the tolerance
-                _, _, isolation = _intervals(values, 0.0, upper, edges)
-                r, isolation = resid[todo], isolation[todo]
-                fall = 2.0 * np.log(isolation / r)
-                if not (2.0 * r < isolation).all() or (
-                        predicted is None and (4.0 * fall < excess).any()):
-                    return None
-                leading = first if predicted is None else later
-                solved = _band_solve(leading, values[todo],
-                                     vecs[: leading.rows, todo].T)
-                if solved is None:
-                    return None
-                worst, predicted = excess.max(), fall.min()
-                vecs[:, todo] = 0.0
-                vecs[: leading.rows, todo] = solved.T
-                q = np.linalg.qr(vecs)[0]
-                image = stacks().apply(q)
-                basis = q, image
-                ritz, rot = np.linalg.eigh(q.T @ image)
-                values, rot = ritz[::-1], rot[:, ::-1]
-                vecs = q @ rot
-                resid = np.linalg.norm(image @ rot - vecs * values, axis=0)
-                target = targets(values, edges)
+    def sweep(ritz: _Ritz, todo: np.ndarray, excess: np.ndarray,
+              isolation: np.ndarray):
+        # The first sweep, on pairs from a leading block, solves on the
+        # leading ``first`` blocks and later ones on ``full``.
+        leading = stacks().leading(first if ritz.q is None else full)
+
+        def solve(shifts: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+            solved = _band_solve(leading, shifts, x[: leading.rows].T)
+            return None if solved is None else padded(solved.T)
+
+        return _sweep(solve, ritz, todo, isolation)
 
     # T's block stacks, built once when a sweep, a product or the counts
     # first need them.
     stacks = functools.cache(lambda: _band_blocks(band))
     cap = n // (2 * width)
-    blocks, before, last_basis = min(BAND_FIRST_BLOCKS, cap), None, None
+    blocks, before = min(BAND_FIRST_BLOCKS, cap), None
     while True:
         rows = blocks * width
         if rows <= m:
             return "step cap reached"
         window = _band_window(band, rows + width)
-        ritz, basis = np.linalg.eigh(window[:rows, :rows])
+        eigs, basis = np.linalg.eigh(window[:rows, :rows])
         pick = np.concatenate((np.arange(rows - 1, rows - 1 - upper, -1),
                                np.arange(lower - 1, -1, -1)))
-        values, vecs = ritz[pick], basis[:, pick]
+        values, vecs = eigs[pick], basis[:, pick]
         resid = np.linalg.norm(window[rows:, rows - width: rows] @ vecs[rows - width:],
                                axis=0)
-        margin = DEGENERACY_TOLERANCE * max(1.0, abs(ritz[0]), abs(ritz[-1]))
+        margin = DEGENERACY_TOLERANCE * max(1.0, abs(eigs[0]), abs(eigs[-1]))
         # The next Ritz value on each side: the bulk's edges, as the block
         # sees them.
-        edges = np.array([ritz[lower], ritz[rows - 1 - upper]])
-        target = targets(values, edges)
+        edges = np.array([eigs[lower], eigs[rows - 1 - upper]])
+        ritz = _Ritz(values, padded(vecs), resid, None, None)
+        target, isolation = goals(ritz)
         if (resid <= target).all():
             break
+        todo = resid > target
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.log(resid)
             if before is None:  # no fall measured yet: double the block
@@ -1271,30 +1272,27 @@ def _band_extremes(
             else:
                 rate = (before[1] - logs) / (blocks - before[0])
                 steps = np.where(rate > 0.0, np.log(resid / target) / rate, np.inf)
-                need = size = blocks + float(steps[resid > target].max())
-        if blocks >= cap or not need <= cap:
-            return "step cap reached"
-        # Sweep instead of growing past the size below which eigh is cheaper,
-        # on the rows the block would have needed; the first sweep only on
-        # those at which the block would reach that sweep's own goal.
-        if before is not None and size * width > FILTER_ROWS_PER_PAIR * (m + 1):
-            full = math.ceil(size)
-            _, _, isolation = _intervals(values, 0.0, upper, edges)
-            with np.errstate(divide="ignore", invalid="ignore"):
+                need = size = blocks + float(steps[todo].max())
+            if blocks >= cap or not need <= cap:
+                return "step cap reached"
+            # Two sweeps (r -> r^9 / isolation^8) must meet the targets, and a
+            # sweep replaces growth past the size below which eigh is cheaper;
+            # the first sweep solves on the rows that reach its own goal.
+            if (before is not None and size * width > FILTER_ROWS_PER_PAIR * (m + 1)
+                    and (resid ** 9 / isolation ** 8 <= target)[todo].all()):
+                full = math.ceil(size)
                 goal = np.maximum(target, resid ** 3 / isolation ** 2)
                 reach = np.where(rate > 0.0, np.log(resid / goal) / rate, np.inf)
-            first = int(np.clip(np.ceil(blocks + reach[resid > target].max()),
-                                blocks + 1, full))
-            found = swept(values, padded(vecs), resid, target, edges,
-                          stacks().leading(first), stacks().leading(full))
-            if found is not None:
-                values, vecs, last_basis = found
-                break
+                first = int(np.clip(np.ceil(blocks + reach[todo].max()),
+                                    blocks + 1, full))
+                refined, met = _refine(stacks().apply, ritz, goals, sweep)
+                if met:
+                    ritz = refined
+                    break
         before = blocks, logs
         blocks = min(cap, 2 * blocks, max(blocks + 1, math.ceil(size)))
 
-    vecs = padded(vecs)
-    bounds = cuts(values, edges)
+    bounds = cuts(ritz.values, edges)
     shifts = bounds[[1] * bool(upper) + [0] * bool(lower)]
     below, delta = _band_inertia(stacks(), shifts)
     if not (delta <= margin).all():
@@ -1303,11 +1301,12 @@ def _band_extremes(
         return "count disagrees"
     bulk = np.array([bounds[0] - (delta[-1] if lower else 0.0),
                      bounds[1] + (delta[0] if upper else 0.0)])
-    if not vectors:
-        return _certify_values(stacks().apply, vecs, bulk, upper, False, margin,
-                               last_basis)
-    radius = max(1.0, abs(values[0]), abs(values[-1]))
-    return _certify(stacks().apply, vecs, bulk, upper, False, radius, margin)
+    if vectors:
+        return _certify(stacks().apply, ritz.vecs, bulk, upper, False, ritz.radius,
+                        margin)
+    if ritz.q is None:
+        ritz = _rayleigh_ritz(stacks().apply, ritz.vecs)
+    return _certify_values(ritz.q, ritz.image, bulk, upper, False, margin)
 
 
 def eigensolve(
@@ -1334,28 +1333,28 @@ def eigensolve(
     (about ``1/M`` apart when ``M`` grows with ``n``) certify too.  The
     solve reads the sample's structure, never its dense matrices.
 
+    Both refine their Ritz pairs by the sweeps of :func:`_refine`, and the
+    certificates read its last Rayleigh-Ritz state.
+
     * An orthogonally invariant sample's are found by
       :func:`_filtered_extremes` on its :meth:`EnsembleSample._update`: a
-      first Chebyshev filter stage, then shift-and-invert sweeps through
-      the Woodbury identity while a sweep (``n m'^2`` per vector, ``m'`` the
-      update's rank) costs less than the next filter stage (``need n m'``).
-      The bulk ``[min d, max d]`` is known.  It gives up when the Ritz
-      values are not beyond the bulk (and, with ``vectors``, apart) once
-      the filter reaches ``FILTER_FIRST_DEGREE``, or when it would need
-      more than ``FILTER_MAX_DEGREE`` in total.
+      first Chebyshev filter stage, then sweeps through the Woodbury
+      identity while a sweep (``n m'^2`` per vector, ``m'`` the update's
+      rank) costs less than the next filter stage (``need n m'``).  The
+      bulk ``[min d, max d]`` is known.  It gives up when the Ritz values
+      are not beyond the bulk (and, with ``vectors``, apart) once the
+      filter reaches ``FILTER_FIRST_DEGREE``, or when it would need more
+      than ``FILTER_MAX_DEGREE`` in total.
     * A band sample's are found by :func:`_band_extremes`: the Ritz pairs
-      of a leading block of ``T``, grown until two shift-and-invert sweeps
-      are predicted to finish them, then such sweeps on leading rows of
-      ``T`` (``O(M^2)`` per row and vector through block cyclic
-      reduction): the first on the rows at which the grown block would
-      reach that sweep's predicted residual, later ones on the rows it was
-      predicted to need to meet the tolerance.  Residuals are measured on
-      all of ``T``, and a values certificate reuses the last sweep's
-      basis and its product with ``T``.  The interval holding the rest of
-      the spectrum is proved by exact counts (Sylvester's inertia, from
-      :func:`_band_inertia`) at a cut on each side.  It gives up when the
-      leading block would pass ``n / (2M)`` blocks, a pivot block of the
-      count is near-singular, or a count is not ``M+`` (or ``M-``).
+      of a leading block of ``T``, grown until two sweeps are predicted to
+      finish them, then sweeps on the leading rows of ``T`` the grown
+      block's residuals call for (``O(M^2)`` per row and vector through
+      block cyclic reduction), with residuals measured on all of ``T``.
+      The interval holding the rest of the spectrum is proved by exact
+      counts (Sylvester's inertia, from :func:`_band_inertia`) at a cut on
+      each side.  It gives up when the leading block would pass ``n /
+      (2M)`` blocks, a pivot block of the count is near-singular, or a
+      count is not ``M+`` (or ``M-``).
 
     When a solve gives up or its certificate fails, the fallback and its
     reason are logged at DEBUG level and the sample's dense ``perturbed``

@@ -4,9 +4,9 @@
 half-width as ``delta`` and ``epsilon`` and a report path, then runs
 ``meso-spectra verify`` on it.  A run that exits non-zero or records a
 failed trial makes the benchmark refuse its outputs; this guard sees it
-from the tier-1 suite, without editing or running the bench.  The Wigner
-workload must also take the band solve throughout, never the dense one, and
-the detector workload must locate every outlier it evaluates.
+from the tier-1 suite, without editing or running the bench.  Every workload
+must also take its structured solve throughout, never the dense fallback,
+and the detector workload must locate every outlier it evaluates.
 """
 
 import importlib.util
@@ -43,6 +43,5 @@ def test_workload_config_verifies(name, tmp_path, caplog, capsys):
         # outlier must be one of them, so a dropped rank shows here.
         aggregates = result["aggregates"]
         assert aggregates["detector_located"] == aggregates["outliers_evaluated"] > 0
-    if name == "wigner-location":
-        assert not [r for r in caplog.records
-                    if r.getMessage().startswith("dense eigensolve fallback")]
+    assert not [r for r in caplog.records
+                if r.getMessage().startswith("dense eigensolve fallback")]

@@ -855,7 +855,7 @@ class TestCertifiedPartialEigensolve:
     def test_shifts_beside_converged_eigenvalues(self, caplog, multiplicative, k,
                                                  flat, family, theta, digits,
                                                  below, seed):
-        # Sweeps shift at Ritz values next to eigenvalues already locked, or
+        # Sweeps shift at Ritz values next to eigenvalues already met, or
         # onto their own once rounding stops a residual short of its
         # tolerance: repeated strengths, strengths 10^-digits apart, an
         # outlier near 50 beside two near 1.5, and twins, two copies of one
@@ -940,8 +940,8 @@ class TestCertifiedPartialEigensolve:
     @pytest.mark.parametrize("seed", range(3))
     def test_strong_and_weak_strengths_are_certified(self, caplog, seed):
         # The outlier near 50 outgrows the two near 1.5 by about 40 per
-        # filter degree; filtered along with them, unlocked and with no bound
-        # on that ratio, it swamps them in rounding.
+        # filter degree; filtered along with them, not projected out and with
+        # no bound on that ratio, it swamps them in rounding.
         caplog.set_level(logging.DEBUG, logger="meso_spectra")
         sample = self.uniform_sample(False, -1.0, 1.0, [50.0, 1.2, -1.2], 49 + seed)
         assert assert_matches_dense(sample)
@@ -1032,6 +1032,32 @@ class TestCertifiedPartialEigensolve:
         assert all(answer.shape == (8,) for answer in answers)
         assert caplog.records == []
 
+    def test_detect_shaped_values_certificate_reuses_the_last_basis(self,
+                                                                   monkeypatch):
+        # n = 400, M = 8 on semicircle quantiles: each Rayleigh-Ritz round
+        # takes one QR and one eigh, and the values certificate takes the
+        # last round's basis and its image, adding its own eigh and no QR.
+        steps = []
+
+        def spy(name, real):
+            def call(*args, **kwargs):
+                steps.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(np.linalg, "qr", spy("qr", np.linalg.qr))
+        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+        spectrum = SpectrumModel.from_values(semicircle_quantiles(400))
+        pert = PerturbationSpec.from_values(
+            [2.4, 2.2, 2.0, 1.9, -1.9, -2.0, -2.2, -2.4])
+        for trial in range(3):
+            sample = sample_ensemble(Model.additive(spectrum), pert, 400,
+                                     RngStream(11, trial))
+            steps.clear()
+            assert eigensolve(sample, vectors=False).shape == (8,)
+            rounds = steps.count("qr")
+            assert rounds >= 2 and steps == ["qr", "eigh"] * rounds + ["eigh"]
+
     def test_values_certificate(self):
         # Exact outlier vectors certify; a rough span, a span holding a bulk
         # eigenvalue, or the wrong count above the bulk does not.
@@ -1041,14 +1067,18 @@ class TestCertifiedPartialEigensolve:
         vals, vecs = np.linalg.eigh(a)
         margin = ensembles.DEGENERACY_TOLERANCE * 3.0
 
+        def span(columns):
+            q = np.linalg.qr(columns)[0]
+            return q, a @ q
+
         def certify(columns, upper):
-            return ensembles._certify_values(lambda x: a @ x, vecs[:, columns], d,
-                                             upper, False, margin)
+            return ensembles._certify_values(*span(vecs[:, columns]), d, upper,
+                                             False, margin)
 
         values = certify([-1, 0], 1)
         assert np.max(np.abs(values - vals[[-1, 0]])) <= 1e-14
         rough = vecs[:, [-1, 0]] + 1e-9 * np.ones((60, 2))
-        assert ensembles._certify_values(lambda x: a @ x, rough, d, 1, False,
+        assert ensembles._certify_values(*span(rough), d, 1, False,
                                          margin) == "certificate failed"
         assert certify([-1, -2], 1) == "certificate failed"
         assert certify([-1, 0], 2) == "certificate failed"
@@ -1132,3 +1162,114 @@ class TestCertifiedPartialEigensolve:
         monkeypatch.setattr(np.random, "default_rng", no_generator)
         vals, _ = eigensolve(sample)
         assert vals.size == 2
+
+
+class TestSharedRefinement:
+    """The refinement loop and sweep both structured solves share, on a small
+    dense symmetric matrix whose two top eigenvalues, 5 and 4, lie above a
+    bulk on [-1, 1]."""
+
+    n = 40
+
+    def problem(self):
+        rng = RngStream(77, 0).generator()
+        basis = np.linalg.qr(rng.standard_normal((self.n, self.n)))[0]
+        a = (basis * np.r_[5.0, 4.0, np.linspace(-1.0, 1.0, self.n - 2)]) @ basis.T
+        a = 0.5 * (a + a.T)
+        start = basis[:, :2] + 1e-3 * rng.standard_normal((self.n, 2))
+        return a, ensembles._rayleigh_ritz(lambda x: a @ x, start)
+
+    def solve(self, a):
+        def solve(shifts, x):
+            return np.stack([np.linalg.solve(a - shift * np.eye(self.n), column)
+                             for shift, column in zip(shifts, x.T)], axis=1)
+        return solve
+
+    @staticmethod
+    def isolation(ritz):
+        return ensembles._intervals(ritz.values, 0.0, 2, np.array([-1.0, 1.0]))[2]
+
+    def test_sweep_meets_its_prediction(self):
+        a, ritz = self.problem()
+        isolation = self.isolation(ritz)
+        todo = np.array([True, True])
+        x, fall = ensembles._sweep(self.solve(a), ritz, todo, isolation)
+        after = ensembles._rayleigh_ritz(lambda x: a @ x, x)
+        assert fall == 2.0 * np.log(isolation / ritz.resid).min()
+        assert np.all(after.resid <= ritz.resid ** 3 / isolation ** 2)
+
+    def test_sweep_keeps_the_other_columns(self):
+        a, ritz = self.problem()
+        todo = np.array([False, True])
+        x, _ = ensembles._sweep(self.solve(a), ritz, todo, self.isolation(ritz))
+        assert np.array_equal(x[:, 0], ritz.vecs[:, 0])
+        assert not np.array_equal(x[:, 1], ritz.vecs[:, 1])
+
+    def test_unsafe_shift_gives_way_before_any_solve(self):
+        _, ritz = self.problem()
+
+        def solve(shifts, x):
+            raise AssertionError("an unsafe sweep must not solve")
+
+        todo = np.array([True, True])
+        isolation = self.isolation(ritz)
+        isolation[1] = 2.0 * ritz.resid[1]
+        assert ensembles._sweep(solve, ritz, todo, isolation) is None
+
+    @pytest.mark.parametrize("failure", ["raises", "inf", "divides by zero", "none"])
+    def test_failed_solve_gives_way(self, failure):
+        _, ritz = self.problem()
+
+        def solve(shifts, x):
+            if failure == "raises":
+                raise np.linalg.LinAlgError("singular")
+            if failure == "inf":
+                return np.full(x.shape, np.inf)
+            if failure == "divides by zero":
+                return x / np.zeros(x.shape)
+            return None
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ensembles._sweep(solve, ritz, np.array([True, True]),
+                                    self.isolation(ritz)) is None
+
+    def test_sweeps_meet_the_targets(self):
+        a, ritz = self.problem()
+        target = 1e-12 * ritz.radius
+
+        def step(ritz, todo, excess, isolation):
+            return ensembles._sweep(self.solve(a), ritz, todo, isolation)
+
+        state, met = ensembles._refine(lambda x: a @ x, ritz,
+                                       lambda r: (target, self.isolation(r)), step)
+        assert met and np.all(state.resid <= target)
+        assert np.allclose(state.values, [5.0, 4.0], rtol=0.0, atol=1e-13)
+
+    def test_stall_returns_the_last_state(self):
+        # A step that leaves the block as it is falls short of any predicted
+        # fall: the loop stops after it with that step's Rayleigh-Ritz state.
+        a, ritz = self.problem()
+        blocks = []
+
+        def step(ritz, todo, excess, isolation):
+            blocks.append(ritz.vecs.copy())
+            return ritz.vecs, 1.0
+
+        state, met = ensembles._refine(lambda x: a @ x, ritz,
+                                       lambda r: (1e-30, self.isolation(r)), step)
+        assert not met and len(blocks) == 1
+        last = ensembles._rayleigh_ritz(lambda x: a @ x, blocks[0])
+        for field in ("values", "vecs", "resid", "q", "image"):
+            assert np.array_equal(getattr(state, field), getattr(last, field))
+
+    def test_give_way_and_give_up(self):
+        a, ritz = self.problem()
+        goals = lambda r: (1e-30, self.isolation(r))  # noqa: E731
+        state, met = ensembles._refine(lambda x: a @ x, ritz, goals,
+                                       lambda *args: None)
+        assert state is ritz and not met
+        assert ensembles._refine(lambda x: a @ x, ritz, goals,
+                                 lambda *args: "step cap reached") == "step cap reached"
+        assert ensembles._refine(lambda x: a @ x, ritz, lambda r: "not separated",
+                                 lambda *args: None) == "not separated"
