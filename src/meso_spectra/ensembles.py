@@ -1052,37 +1052,76 @@ def _band_inertia(blocks: _BandBlocks,
     are coupled only to the kept ones, so with ``P`` the eliminated blocks'
     (block diagonal) pivot, ``T - c I`` has the inertia of ``P`` plus that
     of the Schur complement on the kept blocks, again block tridiagonal with
-    half as many blocks (Sylvester's law of inertia).  Each level
-    diagonalizes its pivots with one batched ``eigh``, which gives their
-    inertia and applies their inverses; the leading block is kept to the
-    last level, so the pivots before it are Schur complements of runs of
-    blocks that carry no strength.  A last block shorter than ``w`` is
-    padded with isolated rows at ``-1`` in ``T - c I``, and their count is
-    taken off.  In floating point each pivot is the exact one of ``T - c I
-    + E`` with ``E`` block diagonal, each block within about ``4 w u (|P_k|
-    + 3 |C_k|_F^2 / min |eig(P_k)|)`` of zero, ``C_k`` the pivot's two
-    couplings and ``u`` the unit roundoff (the block LU analysis of Demmel,
-    Higham and Schreiber, Numer. Linear Algebra Appl. 2, 1995, with the
-    constant taken as ``4 w``).  ``delta`` is the largest of these, so by
-    Weyl's bound the count lies between those of ``T`` at ``c - delta`` and
-    ``c + delta``.  A near-singular pivot makes ``delta`` large or infinite.
+    half as many blocks (Sylvester's law of inertia).  The leading block is
+    kept to the last level, so each pivot eliminated before it is a Schur
+    complement of a run of blocks without it, definite when ``c`` lies
+    outside the spectrum of ``T`` without its leading ``w`` rows, as the
+    cuts of :func:`_band_extremes` do but for near-critical strengths or an
+    eigenvalue hidden down the band.  A definite matrix has diagonal entries
+    of its own sign, so each level takes each shift's sign ``s`` from the
+    first diagonal entry of its first eliminated pivot and runs one batched
+    Cholesky of ``s P``.  A Cholesky that runs to completion proves ``s P +
+    F`` definite for an ``F`` of the size of its rounding (Demmel, "On
+    floating point errors in Cholesky", LAPACK Working Note 14, 1989),
+    which ``delta`` below covers: each pivot holds ``w`` eigenvalues of
+    sign ``s``, and ``inv`` applies its inverse.  A level whose Cholesky or
+    ``inv`` raises diagonalizes its pivots with one batched ``eigh``
+    instead, which gives their inertia and inverses, and so does the last
+    level, on the leading block.  A last block shorter than ``w`` is padded
+    with isolated rows, at ``+1`` for a shift whose first eliminated pivot
+    starts positive and at ``-1`` otherwise, and their count is taken off.
+
+    In floating point each pivot is the exact one of ``T - c I + E`` with
+    ``E`` block diagonal, each block within about ``4 w u (|P_k| + 3
+    |C_k|_F^2 |P_k^-1|)`` of zero, ``C_k`` the pivot's two couplings,
+    ``u`` the unit roundoff and ``|.|`` the 2-norm (the block LU analysis
+    of Demmel, Higham and Schreiber, Numer. Linear Algebra Appl. 2, 1995,
+    with the constant taken as ``4 w``).  A level that diagonalized its
+    pivots reads ``|P_k|`` and ``|P_k^-1| = 1 / min |eig(P_k)|`` off their
+    eigenvalues; a Cholesky level bounds both by the largest absolute row
+    sums of ``P_k`` and of ``P_k^-1``, which are at least the 2-norms of
+    symmetric matrices.  ``delta`` is the largest of these, so by Weyl's
+    bound the count lies between those of ``T`` at ``c - delta`` and ``c +
+    delta``.  A near-singular pivot makes ``delta`` large or infinite.
     """
     width = blocks.diag.shape[1]
     pivots, below, padding = _shifted_blocks(blocks, shifts)
     negative = np.full(shifts.size, -padding)
+    if pivots.shape[1] > 1:
+        # Padding rows at +1 where the first eliminated pivot is positive,
+        # so that the pivot holding them can still be definite.
+        positive = pivots[:, 1, 0, 0] > 0.0
+        for row in range(width - padding, width):
+            pivots[positive, -1, row, row] = 1.0
+        negative[positive] = 0
     worst = np.zeros(shifts.size)
+
+    def row_sums(a: np.ndarray) -> np.ndarray:
+        # The largest absolute row sum of each block, at least its 2-norm
+        # when the block is symmetric.
+        return np.abs(a).sum(axis=3).max(axis=2)
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while pivots.shape[1] > 1:
-            values, vecs = np.linalg.eigh(pivots[:, 1::2])
-            negative += np.count_nonzero(values < 0.0, axis=(1, 2))
-            inverse = (vecs / values[..., None, :]) @ vecs.swapaxes(-1, -2)
+            eliminated = pivots[:, 1::2]
             up, down = below[:, 0::2], below[:, 1::2]
             lower = down.shape[1]
             coupling = np.sum(up * up, axis=(2, 3))
             coupling[:, :lower] += np.sum(down * down, axis=(2, 3))
-            size = np.abs(values)
-            worst = np.maximum(worst, np.max(
-                size.max(axis=2) + 3.0 * coupling / size.min(axis=2), axis=1))
+            sign = np.where(eliminated[:, 0, 0, 0] < 0.0, -1.0, 1.0)
+            try:
+                np.linalg.cholesky(sign[:, None, None, None] * eliminated)
+                inverse = np.linalg.inv(eliminated)
+            except np.linalg.LinAlgError:
+                values, vecs = np.linalg.eigh(eliminated)
+                negative += np.count_nonzero(values < 0.0, axis=(1, 2))
+                inverse = (vecs / values[..., None, :]) @ vecs.swapaxes(-1, -2)
+                size = np.abs(values)
+                bound = size.max(axis=2) + 3.0 * coupling / size.min(axis=2)
+            else:
+                negative += np.where(sign < 0.0, eliminated.shape[1] * width, 0)
+                bound = row_sums(eliminated) + 3.0 * coupling * row_sums(inverse)
+            worst = np.maximum(worst, np.max(bound, axis=1))
             pivots, below = _eliminate_odd(pivots, below, inverse)
         # eigh, as in the Rayleigh-Ritz steps: eigvalsh is left to dense solves.
         values = np.linalg.eigh(pivots[:, 0])[0]
@@ -1093,12 +1132,12 @@ def _band_inertia(blocks: _BandBlocks,
 
 
 def _band_solve(blocks: _BandBlocks, shifts: np.ndarray,
-                rhs: np.ndarray) -> np.ndarray | None:
+                rhs: np.ndarray) -> np.ndarray:
     """Row ``j`` of ``rhs`` (``s x blocks.rows``) solved against ``T -
     shifts_j I``, ``T`` being the band matrix of the block stacks
-    ``blocks``, or ``None`` when a pivot block is singular.  Its caller,
-    :func:`_sweep`, silences floating-point warnings and checks that the
-    solution is finite.
+    ``blocks``; ``LinAlgError`` when a pivot block is singular.  Its caller,
+    :func:`_sweep`, gives way on that error, silences floating-point
+    warnings and checks that the solution is finite.
 
     The block cyclic reduction of :func:`_band_inertia`, batched over the
     shifts, with each level's pivots inverted.  On the way down each level
@@ -1112,21 +1151,18 @@ def _band_solve(blocks: _BandBlocks, shifts: np.ndarray,
     b[:, :n] = rhs
     b = b.reshape(shifts.size, -1, width, 1)
     levels = []
-    try:
-        while pivots.shape[1] > 1:
-            inverse = np.linalg.inv(pivots[:, 1::2])
-            up, down = below[:, 0::2], below[:, 1::2]
-            lower = down.shape[1]
-            scaled = inverse @ b[:, 1::2]
-            kept = b[:, 0::2].copy()
-            kept[:, : up.shape[1]] -= up.swapaxes(-1, -2) @ scaled
-            kept[:, 1: lower + 1] -= down @ scaled[:, :lower]
-            levels.append((inverse, up, down, b[:, 1::2]))
-            pivots, below = _eliminate_odd(pivots, below, inverse)
-            b = kept
-        x = np.linalg.inv(pivots) @ b
-    except np.linalg.LinAlgError:
-        return None
+    while pivots.shape[1] > 1:
+        inverse = np.linalg.inv(pivots[:, 1::2])
+        up, down = below[:, 0::2], below[:, 1::2]
+        lower = down.shape[1]
+        scaled = inverse @ b[:, 1::2]
+        kept = b[:, 0::2].copy()
+        kept[:, : up.shape[1]] -= up.swapaxes(-1, -2) @ scaled
+        kept[:, 1: lower + 1] -= down @ scaled[:, :lower]
+        levels.append((inverse, up, down, b[:, 1::2]))
+        pivots, below = _eliminate_odd(pivots, below, inverse)
+        b = kept
+    x = np.linalg.inv(pivots) @ b
     for inverse, up, down, eliminated in reversed(levels):
         lower = down.shape[1]
         rest = eliminated - up @ x[:, : up.shape[1]]
@@ -1188,7 +1224,11 @@ def _band_extremes(
     innermost outlier's value to the last leading block's next Ritz value,
     which lies no farther out than the bulk's true edge (Cauchy
     interlacing), and :func:`_band_inertia` counts the eigenvalues beyond
-    it.  The solve gives up when a count's ``delta`` exceeds the margin
+    it.  Below the leading block, ``T - c I`` is then mostly definite, so
+    the count proves its eliminated pivots definite by Cholesky and
+    diagonalizes only the leading block; a hidden eigenvalue or a
+    near-critical strength sends a level to ``eigh``, with the same count.
+    The solve gives up when a count's ``delta`` exceeds the margin
     (``DEGENERACY_TOLERANCE`` times ``max(1, |T_k|)``; "near-singular pivot
     block"), and when the count is not ``M+`` above the upper cut and
     ``M-`` below the lower one ("count disagrees").  Otherwise every
@@ -1234,9 +1274,8 @@ def _band_extremes(
         # leading ``first`` blocks and later ones on ``full``.
         leading = stacks().leading(first if ritz.q is None else full)
 
-        def solve(shifts: np.ndarray, x: np.ndarray) -> np.ndarray | None:
-            solved = _band_solve(leading, shifts, x[: leading.rows].T)
-            return None if solved is None else padded(solved.T)
+        def solve(shifts: np.ndarray, x: np.ndarray) -> np.ndarray:
+            return padded(_band_solve(leading, shifts, x[: leading.rows].T).T)
 
         return _sweep(solve, ritz, todo, isolation)
 

@@ -124,8 +124,9 @@ class SpectrumModel:
         Whether every eigenvalue is nonnegative (after clipping).
 
     The inverse transforms of a spectrum are memoized on it, keyed on the
-    transform and the target value; the eigenvalues are read-only, so an
-    entry never goes stale.
+    transform and the target value, and so are its separation thresholds,
+    keyed on the margin, the side and the transform; the eigenvalues are
+    read-only, so an entry never goes stale.
     """
 
     eigenvalues: np.ndarray = field(repr=False)

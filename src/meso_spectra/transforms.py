@@ -16,8 +16,8 @@ when the first polish misses); each result has residual
 float spacing (next to a pole, where ``f`` changes across one spacing by
 more than that), and a solve that achieves neither raises
 :class:`InversionError`.
-A spectrum memoizes its solved inverses, so repeating a target costs a
-lookup.
+A spectrum memoizes its solved inverses and separation thresholds, so
+repeating a target or a margin costs a lookup.
 """
 
 from __future__ import annotations
@@ -122,7 +122,13 @@ def _separation_threshold(spectrum: SpectrumModel, delta: float, upper: bool,
     so ``f^(-1)(1/theta)`` clears ``z = lam_max + 2 delta`` (or
     ``lam_min - 2 delta`` below) exactly when ``|theta| >= 1/|f(z)|``: ``inf``
     where ``f(z) = 0``, and ``0`` where ``z`` rounds onto the edge, a pole.
+    Memoized per spectrum, keyed on ``delta``, the side and the transform.
     """
+    return _memoized(_solve_separation_threshold, spectrum, delta, upper, use_t)
+
+
+def _solve_separation_threshold(spectrum: SpectrumModel, delta: float, upper: bool,
+                                use_t: bool) -> float:
     edge = spectrum.lam_max if upper else spectrum.lam_min
     z = edge + 2.0 * delta if upper else edge - 2.0 * delta
     if z == edge:
@@ -187,14 +193,13 @@ def _bisect_newton(
                          f"residual {resid:.3g} (tolerance {tol_resid:.3g})")
 
 
-def _memoized(solve: Callable[[SpectrumModel, float], float],
-              spectrum: SpectrumModel, t: float) -> float:
-    """``solve(spectrum, t)``, served from the spectrum's memo after the first
-    success; a solve that raises is not remembered and raises again."""
-    key = (solve.__name__, t)
+def _memoized(solve: Callable[..., float], spectrum: SpectrumModel, *args) -> float:
+    """``solve(spectrum, *args)``, served from the spectrum's memo after the
+    first success; a solve that raises is not remembered and raises again."""
+    key = (solve.__name__, *args)
     memo = spectrum._inverses
     if key not in memo:
-        memo[key] = solve(spectrum, t)
+        memo[key] = solve(spectrum, *args)
     return memo[key]
 
 

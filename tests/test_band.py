@@ -8,6 +8,7 @@ sample's own ``perturbed`` matrix.
 """
 
 import logging
+import math
 import tracemalloc
 import warnings
 
@@ -36,8 +37,9 @@ from meso_spectra.ensembles import (
 from meso_spectra.experiments import harness, run_experiment
 from meso_spectra.experiments.config import ExperimentConfig
 
-# The size rule as shipped, before any test patches it.
+# The size rule and the count as shipped, before any test patches them.
 ROWS_PER_PAIR = ensembles.FILTER_ROWS_PER_PAIR
+BAND_INERTIA = ensembles._band_inertia
 
 
 def wigner_sample(n, thetas, seed=0, stream=0):
@@ -201,6 +203,84 @@ class TestBandBlocks:
         assert y.shape == (n, 5)
         bound = 4.0 * np.finfo(float).eps * np.linalg.norm(dense, 2) * np.linalg.norm(x, axis=0)
         assert (np.abs(y - dense @ x).max(axis=0) <= bound).all()
+
+
+def counted_inertia(monkeypatch):
+    """Each count of the band solve: the shapes ``np.linalg.eigh`` was
+    called on during it, its block stacks, its shifts and its result."""
+    shapes, counts = [], []
+    real = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    def inertia(blocks, shifts):
+        shapes.clear()
+        found = BAND_INERTIA(blocks, shifts)
+        counts.append((list(shapes), blocks, shifts.copy(), found))
+        return found
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(ensembles, "_band_inertia", inertia)
+    return counts
+
+
+def eigh_path_inertia(blocks, shifts):
+    """``_band_inertia`` with every level diagonalized by ``eigh``, as when
+    each level's Cholesky raises."""
+    def not_definite(*args, **kwargs):
+        raise np.linalg.LinAlgError("not definite")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", not_definite)
+        return BAND_INERTIA(blocks, shifts)
+
+
+class TestBandInertia:
+    """Sylvester's inertia of T - c I by block cyclic reduction, its
+    eliminated pivots proved definite by Cholesky."""
+
+    @given(st.integers(1, 12), st.integers(2, 40), st.booleans(),
+           st.lists(st.sampled_from(["above", "below", "inside"]), min_size=1, max_size=3),
+           st.integers(0, 2**16))
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    def test_counts_match_dense(self, width, count, padded, places, seed):
+        # Shifts beyond the bulk's edges at +-2, where the solve's cuts lie,
+        # and inside the spectrum, mixed in one batch.  A definite level's
+        # row-sum norms lie between the 2-norms and sqrt(w) times them.
+        gen = RngStream(78, seed).generator()
+        n = count * width - (int(gen.integers(1, width)) if padded and width > 1 else 0)
+        band = ensembles._with_strengths(ensembles._goe_band(n, width, gen),
+                                         gen.uniform(-3.0, 3.0, width))
+        dense = np.linalg.eigvalsh(ensembles._band_window(band, n))
+        place = {"above": lambda: gen.uniform(2.1, 3.5),
+                 "below": lambda: gen.uniform(-3.5, -2.1),
+                 "inside": lambda: gen.uniform(dense[0], dense[-1])}
+        shifts = np.array([place[where]() for where in places])
+        blocks = ensembles._band_blocks(band)
+        below, delta = ensembles._band_inertia(blocks, shifts)
+        assert below.tolist() == [np.count_nonzero(dense < c) for c in shifts]
+        eigh_below, eigh_delta = eigh_path_inertia(blocks, shifts)
+        assert np.array_equal(below, eigh_below)
+        assert (eigh_delta * (1.0 - 1e-6) <= delta).all()
+        assert (delta <= math.sqrt(width) * eigh_delta * (1.0 + 1e-6)).all()
+
+    def test_bench_shaped_count_diagonalizes_the_leading_block_alone(self, monkeypatch):
+        # n = 2000, M = 10: every eliminated pivot of the count at the
+        # solve's cut is definite, so eigh runs once, on the last level's
+        # leading block, and delta is within 1.5 times the eigh path's.
+        n, m = 2000, 10
+        counts = counted_inertia(monkeypatch)
+        for stream in range(3):
+            sample = wigner_sample(n, np.linspace(2.4, 1.5, m), seed=75, stream=stream)
+            assert eigensolve(sample, vectors=False).shape == (m,)
+        assert len(counts) == 3
+        for shapes, blocks, shifts, (below, delta) in counts:
+            assert shapes == [(1, m, m)]
+            eigh_below, eigh_delta = eigh_path_inertia(blocks, shifts)
+            assert np.array_equal(below, eigh_below)
+            assert (eigh_delta <= delta).all() and (delta <= 1.5 * eigh_delta).all()
 
 
 def assert_matches_dense(sample):
@@ -401,6 +481,17 @@ class TestBandFallbacks:
             assert self.fallback_reason(caplog, sample, vectors) == (
                 "dense eigensolve fallback: stream 0, n=500: count disagrees")
 
+    def test_hidden_eigenvalue_count_takes_the_eigh_path(self, caplog, monkeypatch):
+        # The hidden eigenvalue makes the pivot that holds it indefinite, so
+        # the Cholesky of that level raises and the level falls back to
+        # eigh; the count still sees the eigenvalue.
+        band = self.decoupled_band(500, 2, 450, 5.0, seed=71)
+        counts = counted_inertia(monkeypatch)
+        assert self.fallback_reason(caplog, band_sample(band, [3.0, -3.0]), False) == (
+            "dense eigensolve fallback: stream 0, n=500: count disagrees")
+        (shapes, *_), = counts
+        assert any(len(shape) == 4 for shape in shapes)
+
     def test_singular_pivot_block(self, caplog, monkeypatch):
         # First record the upper cut, then place a decoupled eigenvalue
         # exactly on it, beyond the leading blocks, so that one pivot block
@@ -432,13 +523,17 @@ class TestBandSweeps:
     @staticmethod
     def sweeps(monkeypatch):
         """Each sweep's shifts, how many rows it solved on, and whether its
-        solve returned."""
+        solve returned; a solve that raises is recorded, then raises."""
         done = []
         real = ensembles._band_solve
 
         def solve(blocks, shifts, rhs):
-            found = real(blocks, shifts, rhs)
-            done.append((shifts.copy(), rhs.shape[1], found is not None))
+            try:
+                found = real(blocks, shifts, rhs)
+            except np.linalg.LinAlgError:
+                done.append((shifts.copy(), rhs.shape[1], False))
+                raise
+            done.append((shifts.copy(), rhs.shape[1], True))
             return found
 
         monkeypatch.setattr(ensembles, "_band_solve", solve)

@@ -373,6 +373,33 @@ class TestOneDispatchPoint:
                  for delta in (1e-17, 1e-6, 0.1) for theta in thetas]
         assert after == before
 
+    @pytest.mark.parametrize("kind", ["additive", "multiplicative"])
+    def test_one_edge_evaluation_per_margin_and_side(self, monkeypatch, kind):
+        # The threshold depends on the margin and the side alone: repeated
+        # verdicts on one spectrum evaluate its edge transform once for each
+        # and give the bits of verdicts on fresh spectra.
+        values, deltas = np.linspace(0.5, 2.5, 100), (1e-6, 0.1)
+        thetas = [3.0, 0.9, 0.2, -0.5, -0.9]
+
+        def fresh():
+            return getattr(Model, kind)(SpectrumModel.from_values(values))
+
+        alone = [check_separation(fresh(), delta, theta)
+                 for delta in deltas for theta in thetas]
+        name = "t_transform" if kind == "multiplicative" else "stieltjes"
+        real, points = getattr(transforms, name), []
+
+        def evaluated(spectrum, z):
+            points.append(z)
+            return real(spectrum, z)
+
+        monkeypatch.setattr(transforms, name, evaluated)
+        model = fresh()
+        for _ in range(3):
+            assert [check_separation(model, delta, theta)
+                    for delta in deltas for theta in thetas] == alone
+        assert len(points) == 2 * len(deltas)
+
     def test_one_separation_test(self):
         assert master_equation.check_separation is predictor.check_separation
         assert config.check_separation is predictor.check_separation
