@@ -42,7 +42,18 @@ __all__ = [
     "verify_sandwich_bounds",
 ]
 
-FAMILIES = ("stieltjes-value", "stieltjes-deriv", "t-value", "t-deriv")
+# The inequalities of the module docstring, grouped by transform (the key
+# names its location in ``SandwichResult.locations``).  Each row is
+# (family, function, c_low, p_low, c_up, p_up, p_delta) for the bounds
+#     |xi| / (c_low B^p_low) <= deviation <= c_up B^p_up |xi| / delta^p_delta.
+_BOUNDS = {
+    "stieltjes": (("stieltjes-value", stieltjes, 4.0, 2, 4.0, 0, 2),
+                  ("stieltjes-deriv", stieltjes_deriv, 8.0, 3, 8.0, 0, 3)),
+    "t": (("t-value", t_transform, 4.0, 3, 4.0, 1, 3),
+          ("t-deriv", t_transform_deriv, 8.0, 4, 8.0, 1, 4)),
+}
+
+FAMILIES = tuple(row[0] for pair in _BOUNDS.values() for row in pair)
 
 
 class PreconditionError(MesoSpectraError, ValueError):
@@ -104,7 +115,8 @@ def verify_sandwich_bounds(
 
     The Stieltjes pair is always evaluated; the T pair only for PSD spectra
     with at least one positive eigenvalue (otherwise T is identically zero
-    and has no inverse).  Hypothesis violations raise
+    and has no inverse).  Rows run per transform, then per offset, the value
+    row before the derivative row.  Hypothesis violations raise
     :class:`PreconditionError` rather than producing failed rows.
     """
     if theta == 0.0 or not math.isfinite(theta):
@@ -123,50 +135,24 @@ def verify_sandwich_bounds(
     b = max(spectrum.norm_bound, abs(theta))
     rows: list[SandwichRow] = []
     locations: dict = {}
-
-    x_m = _hypothesis_location(spectrum, theta, delta, use_t=False)
-    locations["stieltjes"] = x_m
-    # Anchor increments at the transform evaluated at the computed preimage
-    # (= 1/theta up to the inversion residual), so solver error does not
-    # register as deviation at xi = 0.
-    base_value = stieltjes(spectrum, x_m)
-    base_deriv = stieltjes_deriv(spectrum, x_m)
-    for xi in xi_grid:
-        rows.append(SandwichRow(
-            family="stieltjes-value",
-            xi=xi,
-            lower=abs(xi) / (4.0 * b**2),
-            deviation=abs(stieltjes(spectrum, x_m + xi) - base_value),
-            upper=4.0 * abs(xi) / delta**2,
-        ))
-        rows.append(SandwichRow(
-            family="stieltjes-deriv",
-            xi=xi,
-            lower=abs(xi) / (8.0 * b**3),
-            deviation=abs(stieltjes_deriv(spectrum, x_m + xi) - base_deriv),
-            upper=8.0 * abs(xi) / delta**3,
-        ))
-
-    if spectrum.is_psd and spectrum.lam_max > 0.0:
-        x_t = _hypothesis_location(spectrum, theta, delta, use_t=True)
-        locations["t"] = x_t
-        base_t_value = t_transform(spectrum, x_t)
-        base_t_deriv = t_transform_deriv(spectrum, x_t)
+    for name, pair in _BOUNDS.items():
+        use_t = name == "t"
+        if use_t and not (spectrum.is_psd and spectrum.lam_max > 0.0):
+            break
+        x = locations[name] = _hypothesis_location(spectrum, theta, delta, use_t)
+        # Anchor increments at the transform evaluated at the computed
+        # preimage (= 1/theta up to the inversion residual), so solver error
+        # does not register as deviation at xi = 0.
+        bases = [f(spectrum, x) for _, f, *_ in pair]
         for xi in xi_grid:
-            rows.append(SandwichRow(
-                family="t-value",
-                xi=xi,
-                lower=abs(xi) / (4.0 * b**3),
-                deviation=abs(t_transform(spectrum, x_t + xi) - base_t_value),
-                upper=4.0 * b * abs(xi) / delta**3,
-            ))
-            rows.append(SandwichRow(
-                family="t-deriv",
-                xi=xi,
-                lower=abs(xi) / (8.0 * b**4),
-                deviation=abs(t_transform_deriv(spectrum, x_t + xi) - base_t_deriv),
-                upper=8.0 * b * abs(xi) / delta**4,
-            ))
+            for (family, f, c_low, p_low, c_up, p_up, p_delta), base in zip(pair, bases):
+                rows.append(SandwichRow(
+                    family=family,
+                    xi=xi,
+                    lower=abs(xi) / (c_low * b**p_low),
+                    deviation=abs(f(spectrum, x + xi) - base),
+                    upper=c_up * b**p_up * abs(xi) / delta**p_delta,
+                ))
 
     return SandwichResult(
         theta=theta,

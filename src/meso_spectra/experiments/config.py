@@ -1,6 +1,6 @@
 """Experiment configuration: a single JSON document, validated eagerly.
 
-The schema mirrors :class:`ExperimentConfig` field names in snake_case.  A
+The schema's keys are the field names of :class:`ExperimentConfig`.  A
 config names the experiment, the model family, the size ladder, the rank
 rule, and the strengths; validation reports the first violation found so a
 CLI caller can surface one actionable message.
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,12 +36,6 @@ SEED_LIMIT = 2**64
 # Cross-checking the master-equation detector against the eigensolve is
 # automatic for orthogonally invariant kinds up to this size.
 CROSS_CHECK_MAX_N = 400
-
-_KNOWN_KEYS = {
-    "experiment", "kind", "n_values", "m_rule", "theta_spec", "delta",
-    "epsilon", "trials", "batches", "seed", "phi", "p", "entry_law",
-    "spectrum", "z", "report_path", "thresholds", "cross_check",
-}
 
 _SPECTRUM_NAMES = ("semicircle", "marchenko-pastur", "file", "values", "uniform")
 
@@ -126,8 +120,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         _require(isinstance(doc, dict), "config: expected a JSON object")
+        known = {f.name for f in fields(cls)}
         for key in sorted(doc):
-            _require(key in _KNOWN_KEYS, f"{key}: unknown config key")
+            _require(key in known, f"{key}: unknown config key")
         # Explicit nulls mean "not set", so round trips through to_dict work.
         doc = {k: v for k, v in doc.items() if v is not None}
 
@@ -418,27 +413,15 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        """Canonical JSON-able echo of this config (stable key set)."""
-        return {
-            "experiment": self.experiment,
-            "kind": self.kind.value if self.kind else None,
-            "n_values": list(self.n_values),
-            "m_rule": self.m_rule,
-            "theta_spec": self.theta_spec,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "trials": self.trials,
-            "batches": self.batches,
-            "seed": self.seed,
-            "phi": self.phi,
-            "p": self.p,
-            "entry_law": self.entry_law.value,
-            "spectrum": self.spectrum,
-            "z": self.z,
-            "report_path": self.report_path,
-            "thresholds": dict(self.thresholds),
-            "cross_check": self.cross_check,
-        }
+        """Canonical JSON-able echo of this config: one key per field."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc.update(
+            kind=self.kind.value if self.kind else None,
+            n_values=list(self.n_values),
+            entry_law=self.entry_law.value,
+            thresholds=dict(self.thresholds),
+        )
+        return doc
 
 
 def load_config(path) -> ExperimentConfig:

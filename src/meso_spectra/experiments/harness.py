@@ -349,7 +349,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
       Additive kinds record the frame-coordinate residual
       ``|diag(theta) v~ - theta_i v~|``; multiplicative kinds record the
       whitened projection instead.  Near-degenerate realized eigenvalues are
-      flagged and scored by their whole cluster's summed projection.
+      flagged ``degenerate`` and also record their whole cluster's summed
+      squared projection as ``subspace_norm_sq``; the aggregates still score
+      each eigenvector's own ``proj_norm_meas``.
     * ``pushforward``: per (batch, n), draw M strengths from the configured
       distribution, sample the ensemble, and record the W1 distance between
       the top-M realized eigenvalues and the pushed-forward strengths.

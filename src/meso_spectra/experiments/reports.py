@@ -50,8 +50,14 @@ class ReportIOError(MesoSpectraError, OSError):
 
 
 def _shallow_dict(record) -> dict:
-    """A record's fields by name; every field but ``outliers`` is a scalar."""
+    """A record's fields by name, values as they are (nothing is copied)."""
     return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
+def _from_known(cls, doc: dict):
+    """``cls`` built from the entries of ``doc`` that name one of its fields."""
+    known = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in doc.items() if k in known})
 
 
 @dataclass(frozen=True)
@@ -113,8 +119,7 @@ class TrialRecord:
         doc["outliers"] = tuple(
             OutlierRecord(**entry) for entry in doc.get("outliers", [])
         )
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in doc.items() if k in known})
+        return _from_known(cls, doc)
 
 
 @dataclass(frozen=True)
@@ -126,23 +131,15 @@ class ExperimentReport:
     schema: str = REPORT_SCHEMA
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "config": self.config,
-            "records": [r.to_dict() for r in self.records],
-            "aggregates": self.aggregates,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        doc = _shallow_dict(self)
+        doc["records"] = [r.to_dict() for r in self.records]
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentReport":
-        return cls(
-            config=doc["config"],
-            records=tuple(TrialRecord.from_dict(r) for r in doc["records"]),
-            aggregates=doc["aggregates"],
-            wall_clock_seconds=doc["wall_clock_seconds"],
-            schema=doc.get("schema", REPORT_SCHEMA),
-        )
+        doc = dict(doc)
+        doc["records"] = tuple(TrialRecord.from_dict(r) for r in doc["records"])
+        return _from_known(cls, doc)
 
 
 def reports_equal(a: ExperimentReport, b: ExperimentReport) -> bool:
@@ -353,9 +350,8 @@ def write_report(report: ExperimentReport, path) -> None:
     """Persist ``report`` as JSON at ``path`` plus a CSV sibling.
 
     The CSV (same stem, ``.csv`` suffix) has one row per (trial, outlier)
-    with the fixed column set ``trial, rank, theta, predicted, realized,
-    abs_error, proj_norm_pred, proj_norm_meas, residual``; missing values
-    are empty cells.
+    under the header ``CSV_COLUMNS``: the trial's stream id, then the
+    outlier's fields of the other names; missing values are empty cells.
     """
     path = Path(path)
     doc = report.to_dict()
@@ -368,9 +364,7 @@ def write_report(report: ExperimentReport, path) -> None:
         writer.writerow(CSV_COLUMNS)
         for rec in report.records:
             for out in rec.outliers:
-                row = [rec.stream_id, out.rank, out.theta, out.predicted,
-                       out.realized, out.abs_error, out.proj_norm_pred,
-                       out.proj_norm_meas, out.residual]
+                row = [rec.stream_id] + [getattr(out, name) for name in CSV_COLUMNS[1:]]
                 writer.writerow(["" if v is None else v for v in row])
 
     _write_atomic(path, write_json)

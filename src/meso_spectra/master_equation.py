@@ -138,13 +138,15 @@ class MasterOperator:
         """``U^T``, contiguous."""
         return np.ascontiguousarray(self._frame.T)
 
+    @cached_property
+    def _numerators(self) -> np.ndarray | float:
+        """Numerators of the resolvent weights: the eigenvalues for a
+        multiplicative kind, ``1`` for an additive one."""
+        return self.spectrum.eigenvalues if self.model.kind.multiplicative else 1.0
+
     def _weights(self, z: float | np.ndarray) -> np.ndarray:
         """Resolvent weights at ``z``, one row of ``n`` per point for an array."""
-        lam = self.spectrum.eigenvalues
-        shift = np.asarray(z)[..., None] - lam
-        if self.model.kind.multiplicative:
-            return lam / shift
-        return 1.0 / shift
+        return self._numerators / (np.asarray(z)[..., None] - self.spectrum.eigenvalues)
 
     def _largest_weight(self, z: float) -> float:
         """``max |w(z)|`` over the resolvent weights, for ``z`` outside the
@@ -159,11 +161,7 @@ class MasterOperator:
     def _weight_slopes(self, z: float | np.ndarray) -> np.ndarray:
         """Minus the ``z``-derivative of :meth:`_weights`, so that
         ``D'(z) = U^T diag(slopes) U``."""
-        lam = self.spectrum.eigenvalues
-        shift = np.asarray(z)[..., None] - lam
-        if self.model.kind.multiplicative:
-            return lam / shift ** 2
-        return 1.0 / shift ** 2
+        return self._numerators / (np.asarray(z)[..., None] - self.spectrum.eigenvalues) ** 2
 
 
 def evaluate_d(op: MasterOperator, z: float | np.ndarray) -> np.ndarray:

@@ -32,6 +32,18 @@ class TestVerify:
         assert len(res.rows) == 36
         assert res.all_passed
 
+    def test_row_order(self):
+        # Per transform, then per offset: the value row, then the derivative.
+        grid = [-0.1, -0.05, 0.0, 0.05, 0.1]
+        res = verify_sandwich_bounds(PSD, 4.0, 0.1, grid)
+        expected = [(family, xi)
+                    for pair in (("stieltjes-value", "stieltjes-deriv"),
+                                 ("t-value", "t-deriv"))
+                    for xi in grid for family in pair]
+        assert [(row.family, row.xi) for row in res.rows] == expected
+        assert list(res.locations) == ["stieltjes", "t"]
+        assert FAMILIES == ("stieltjes-value", "stieltjes-deriv", "t-value", "t-deriv")
+
     def test_lower_side_strength(self):
         delta = 0.1
         res = verify_sandwich_bounds(SIGNED, -2.5, delta, np.linspace(-delta, delta, 9))

@@ -7,6 +7,7 @@ import pytest
 
 from meso_spectra import Model, PerturbationSpec, SpectrumModel, ensembles
 from meso_spectra.cli import main
+from meso_spectra.experiments import harness
 
 
 def write_spectrum(path, values):
@@ -335,6 +336,97 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].split("\t")[0] == "100"
         assert lines[2].split("\t")[0] == "200"
+
+
+def write_config(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# A Wigner ladder at M = floor(sqrt(n)) needs explicit bands: the default
+# sqrt(M/N) rule gives delta = 1.34, and strengths from 1.5 would then fail
+# the separation check of the config.
+PUSHFORWARD = {
+    "experiment": "pushforward",
+    "kind": "wigner",
+    "n_values": [100, 200, 400],
+    "theta_spec": {"distribution": "uniform", "low": 1.5, "high": 2.5},
+    "m_rule": {"power": 0.5},
+    "delta": 0.15,
+    "epsilon": 0.15,
+    "batches": 3,
+    "seed": 7,
+}
+
+CONCENTRATION = {
+    "experiment": "concentration",
+    "n_values": [200, 800],
+    "m_rule": {"fixed": 5},
+    "spectrum": {"name": "semicircle"},
+    "z": 3.0,
+    "trials": 4,
+    "seed": 9,
+}
+
+
+class TestOtherExperiments:
+    """``verify`` and ``sweep`` on the pushforward and concentration drivers."""
+
+    def test_pushforward_verify(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "verify", write_config(tmp_path, PUSHFORWARD))
+        assert code == 0
+        summary = out.strip().split("\t")
+        assert summary[0] == "experiment=pushforward"
+        assert summary[1].startswith("monotone_batches=")
+        assert summary[1].endswith("/3")
+        assert summary[2].startswith("w1_median_per_n={'100': ")
+
+    def test_pushforward_sweep(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "sweep", write_config(tmp_path, PUSHFORWARD))
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "batch\tw1_n100\tw1_n200\tw1_n400"
+        assert [line.split("\t")[0] for line in lines[1:-1]] == ["0", "1", "2"]
+        assert all(len(line.split("\t")) == 4 for line in lines[1:-1])
+        assert lines[-1].startswith("monotone_batches=")
+        assert lines[-1].endswith("/3")
+
+    def test_concentration_verify(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "verify", write_config(tmp_path, CONCENTRATION))
+        assert code == 0
+        summary = out.strip().split("\t")
+        assert summary[0] == "experiment=concentration"
+        assert summary[1].startswith("deviation_per_n={'200': ")
+        assert summary[2].startswith("median_ratio=")
+        assert float(summary[2].split("=")[1]) > 0.0
+
+    def test_concentration_sweep(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, "sweep", write_config(tmp_path, CONCENTRATION))
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "n\tm\tmedian\tp95"
+        assert [line.split("\t")[:2] for line in lines[1:]] == [["200", "5"],
+                                                               ["800", "5"]]
+
+
+def test_too_many_failed_trials_abort(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(harness, "eigensolve", failing)
+    path = write_config(tmp_path, {
+        "experiment": "location",
+        "kind": "wigner",
+        "n_values": [60],
+        "theta_spec": {"values": [2.0]},
+        "trials": 3,
+        "seed": 3,
+    })
+    code, out, err = run_cli(capsys, "verify", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: 3 of 3 trials failed")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Tests for experiment configuration parsing and derived quantities."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -255,6 +256,26 @@ class TestDerived:
         cfg = ExperimentConfig.from_dict(base_doc(thresholds={"min_coverage": 0.9}))
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
+
+    @pytest.mark.parametrize("doc", [
+        base_doc(thresholds={"min_coverage": 0.9}, report_path="out/r.json"),
+        base_doc(experiment="eigenvector", kind="wishart", phi=0.5, p=400,
+                 entry_law="rademacher", theta_spec={"values": [2.0]},
+                 cross_check=True),
+        base_doc(experiment="pushforward", n_values=[100, 200], batches=4,
+                 theta_spec={"distribution": "uniform", "low": 1.5, "high": 2.5},
+                 m_rule={"power": 0.5}),
+        {"experiment": "concentration", "n_values": [100, 400],
+         "m_rule": {"fixed": 5}, "spectrum": {"name": "semicircle"}, "z": 3.0,
+         "trials": 4, "seed": 3},
+    ], ids=["location", "eigenvector", "pushforward", "concentration"])
+    def test_echo_has_one_key_per_field_and_round_trips(self, doc):
+        echo = ExperimentConfig.from_dict(doc).to_dict()
+        assert set(echo) == {f.name for f in fields(ExperimentConfig)}
+        assert json.loads(json.dumps(echo)) == echo
+        assert ExperimentConfig.from_dict(echo).to_dict() == echo
+        for key, value in doc.items():
+            assert echo[key] == value
 
 
 class TestFiles:

@@ -1,5 +1,6 @@
 """End-to-end tests for the experiment drivers at desk scale."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import meso_spectra
-from meso_spectra import InversionError, MissingRootError, SpectrumModel, ensembles
+from meso_spectra import (InversionError, MissingRootError, Model, PerturbationSpec,
+                          RngStream, SpectrumModel, ensembles, target_index)
 from meso_spectra.ensembles import eigensolve
 from meso_spectra.experiments import ExperimentError, aggregate, harness, run_experiment
 from meso_spectra.experiments.config import ExperimentConfig
@@ -399,6 +401,51 @@ class TestEigenvectorDriver:
             out = rec.outliers[0]
             assert out.proj_norm_meas == pytest.approx(1.0, abs=1e-10)
             assert out.realized == pytest.approx(2.0, abs=1e-10)
+
+    @pytest.mark.parametrize("kind", ["orth-invariant-additive",
+                                      "orth-invariant-multiplicative"])
+    def test_degenerate_cluster_records_its_subspace(self, kind):
+        # Two equal strengths on a unit spectrum realize one double
+        # outlier: each of its vectors is flagged and records the cluster's
+        # summed squared projection, 2; the simple third outlier is not.
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "eigenvector",
+            "kind": kind,
+            "n_values": [300],
+            "theta_spec": {"values": [2.0, 2.0, 1.5]},
+            "trials": 2,
+            "seed": 41,
+            "spectrum": {"name": "values", "values": [1.0]},
+        })
+        rep = run_experiment(cfg)
+        for rec in rep.records:
+            assert [out.rank for out in rec.outliers] == [1, 2, 3]
+            for out in rec.outliers[:2]:
+                assert out.degenerate
+                assert out.subspace_norm_sq == pytest.approx(2.0, abs=1e-12)
+            assert not rec.outliers[2].degenerate
+            assert rec.outliers[2].subspace_norm_sq is None
+
+
+class TestWhitenedProjection:
+    def test_leading_coordinates_match_an_explicit_frame(self):
+        # A Wishart sample carries its perturbation on the leading
+        # coordinates (frame None); the whitening there must equal the
+        # general frame branch on the same axes written out.
+        n = 200
+        pert = PerturbationSpec.from_values([2.0, 1.5, 1.2])
+        sample = ensembles.sample_ensemble(Model.wishart(0.5), pert, n,
+                                           RngStream(43, 0))
+        assert sample.frame is None
+        framed = dataclasses.replace(sample, frame=np.eye(n, pert.m))
+        evals, evecs = eigensolve(sample)
+        for rank in range(1, pert.m + 1):
+            col = ensembles.spectrum_column(target_index(pert, rank, n),
+                                            pert.m_positive, n, evals.size)
+            vector = evecs[:, col]
+            leading = harness._whitened_projection(sample, pert, vector)
+            explicit = harness._whitened_projection(framed, pert, vector)
+            assert leading == pytest.approx(explicit, abs=1e-12)
 
 
 class TestPushforwardDriver:
