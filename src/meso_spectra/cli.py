@@ -218,9 +218,13 @@ def _summary_line(experiment: str, agg: dict) -> str:
                 f"median_abs_error={_fmt(agg['abs_error']['median'], '.4g')}\t"
                 f"outliers={agg['outliers_evaluated']}")
     if experiment == "eigenvector":
+        # Multiplicative runs measure the whitened projection, not a residual.
+        last = (f"median_whitened_error={_fmt(agg['whitened_abs_error']['median'], '.4g')}"
+                if "whitened_abs_error" in agg else
+                f"median_residual={_fmt(agg['residual']['median'], '.4g')}")
         return (f"coverage={_fmt(agg.get('coverage'), '.4g')}\t"
                 f"median_norm_error={_fmt(agg['proj_norm_abs_error']['median'], '.4g')}\t"
-                f"median_residual={_fmt(agg['residual']['median'], '.4g')}")
+                f"{last}")
     if experiment == "pushforward":
         return (f"monotone_batches={agg['monotone_batches']}/{agg['batches']}\t"
                 f"w1_median_per_n={agg['w1_median_per_n']}")

@@ -535,7 +535,8 @@ class EnsembleSample:
         return self.frame, np.diag(self.thetas)
 
     def project(self, vector: np.ndarray) -> np.ndarray:
-        """Coordinates of ``vector`` in the perturbation frame."""
+        """Coordinates of ``vector`` in the perturbation frame, or of each
+        column of a block of vectors."""
         if self.frame is None:
             return np.asarray(vector, dtype=float)[: self.m].copy()
         return self.frame.T @ np.asarray(vector, dtype=float)
@@ -679,7 +680,8 @@ def _refine(apply, ritz: _Ritz, goals, step) -> tuple[_Ritz, bool] | str:
     prediction has met the rounding floor: the loop stalls there, unmet,
     and each solve decides what a stall means.
 
-    Certificates read the last state: :func:`_certify` its vectors, and
+    Certificates read the last state and apply ``A`` no more:
+    :func:`_certify` its pairs with the residuals the step formed, and
     :func:`_certify_values` its ``Q`` and ``A Q``, which span them.
     """
     fall = None
@@ -700,6 +702,39 @@ def _refine(apply, ritz: _Ritz, goals, step) -> tuple[_Ritz, bool] | str:
                 return stepped or (ritz, False)
             (x, fall), worst = stepped, excess.max()
             ritz = _rayleigh_ritz(apply, x)
+
+
+def _shifted_grams(w: np.ndarray, sandwich: bool):
+    """``grams(shifts, e)``: ``W^T E W`` for ``E = diag(e_j)``, one row
+    ``e_j = 1 / (d - shifts_j)`` of ``e`` per shift, stacked.
+
+    One batched product ``(W^T * e_j) W``, the same gemm per shift as each
+    shift alone, ``n m'^2`` per shift for ``W`` of rank ``m'``.  When
+    ``sandwich``, ``W`` is :func:`_sandwich_update`'s ``[V, B V]`` with
+    ``B = diag(d)``, and every block follows from one ``V^T E V``, ``n
+    M^2`` per shift: ``E B = I + sigma E``, so with ``V^T V`` and ``G =
+    V^T B V`` formed once, ``V^T E (B V) = V^T V + sigma V^T E V`` and
+    ``(B V)^T E (B V) = G + sigma V^T V + sigma^2 V^T E V``.
+    """
+    wt = np.ascontiguousarray(w.T)
+    if not sandwich:
+        return lambda shifts, e: (wt[None] * e[:, None, :]) @ w
+    m = w.shape[1] // 2
+    v, vt = np.ascontiguousarray(w[:, :m]), wt[:m]
+    vv, g = vt @ v, vt @ w[:, m:]
+
+    def grams(shifts: np.ndarray, e: np.ndarray) -> np.ndarray:
+        vev = (vt[None] * e[:, None, :]) @ v
+        sigma = shifts[:, None, None]
+        cross = vv + sigma * vev
+        out = np.empty((shifts.size, 2 * m, 2 * m))
+        out[:, :m, :m] = vev
+        out[:, :m, m:] = cross
+        out[:, m:, :m] = cross.swapaxes(-1, -2)
+        out[:, m:, m:] = g + sigma * (vv + sigma * vev)
+        return out
+
+    return grams
 
 
 def _filtered_extremes(
@@ -724,7 +759,10 @@ def _filtered_extremes(
     their targets and projects the others out at every step of the
     three-term recurrence.  A sweep solves through the Woodbury identity
     with ``E = (diag(d) - sigma)^-1``: ``E x - E W K (I + W^T E W K)^-1 W^T
-    E x``.
+    E x``, every shift's ``W^T E W`` from one batched product
+    (:func:`_shifted_grams`); a multiplicative sample (``psd``), whose ``W``
+    is :func:`_sandwich_update`'s ``[V, diag(d) V]``, builds them from ``V^T
+    E V`` alone.
 
     Before it tests the targets, the solve gives up ("Ritz values not
     separated") once the filter has reached ``FILTER_FIRST_DEGREE`` and the
@@ -782,12 +820,14 @@ def _filtered_extremes(
             prev, cur = cur, nxt
         return cur
 
+    grams = _shifted_grams(w, psd)
+
     def woodbury(shifts: np.ndarray, x: np.ndarray) -> np.ndarray:
         # Column j becomes (A - shift_j)^-1 x_j.
         rows = x.T
         e = 1.0 / (d - shifts[:, None])
-        wew = np.stack([(wt * row) @ w for row in e])  # W^T E W, row by row
-        z = np.linalg.solve(np.eye(rank) + wew @ k, ((e * rows) @ w)[:, :, None])
+        z = np.linalg.solve(np.eye(rank) + grams(shifts, e) @ k,
+                            ((e * rows) @ w)[:, :, None])
         return (e * (rows - (z[:, :, 0] @ k.T) @ wt)).T
 
     def goals(ritz: _Ritz):
@@ -846,7 +886,7 @@ def _filtered_extremes(
         return found
     ritz = found[0]
     if vectors:
-        return _certify(apply, ritz.vecs, d, upper, psd, ritz.radius, margin)
+        return _certify(apply, ritz, d, upper, psd, margin)
     return _certify_values(ritz.q, ritz.image, d, upper, psd, margin)
 
 
@@ -866,15 +906,20 @@ def _intervals(values: np.ndarray, resid, upper: int, d: np.ndarray):
     return low, high, np.concatenate((gap[:upper], gap[upper + 1:]))
 
 
-def _certify(apply, vecs: np.ndarray, d: np.ndarray, upper: int, psd: bool,
-             radius: float, margin: float) -> tuple[np.ndarray, np.ndarray] | str:
-    """The Ritz pairs of ``A = diag(d) + W K W^T`` (applied by ``apply``)
-    on the columns of ``vecs``, the top ``upper`` first, or
-    ``"certificate failed"``.
+def _certify(apply, ritz: _Ritz, d: np.ndarray, upper: int, psd: bool,
+             margin: float) -> tuple[np.ndarray, np.ndarray] | str:
+    """The Ritz pairs ``ritz`` of ``A = diag(d) + W K W^T``, the top
+    ``upper`` first, or ``"certificate failed"``.
 
-    The pairs ``(mu, u)`` are certified with their explicit residuals
-    ``r = |A u - mu u|``.  Each interval ``[mu - r, mu + r]`` holds an
-    eigenvalue.  ``A`` has at most ``upper`` eigenvalues above ``max d``
+    The pairs ``(mu, u)`` are certified with the residuals ``r = |A u - mu
+    u| / |u|``.  Pairs from a Rayleigh-Ritz step (``ritz.q`` not ``None``)
+    are ``u = Q y`` with the Ritz values, whose residuals ``(A Q) y - mu Q
+    y``, ``A u - mu u`` to rounding, the step has formed, so no product with
+    ``A`` is taken here.  Other pairs (the band solve's leading block) are
+    normalized, applied by ``apply`` and given their Rayleigh quotients.
+    Each interval ``[mu - r, mu + r]`` holds an eigenvalue, whatever ``mu``
+    and the norm of ``u`` (Parlett, The Symmetric Eigenvalue Problem, ch.
+    11).  ``A`` has at most ``upper`` eigenvalues above ``max d``
     and at most ``M - upper`` below ``min d``, and the others lie in
     ``[min d, max d]``: additively by Weyl interlacing, and
     multiplicatively because ``S B S`` has the spectrum of
@@ -893,23 +938,27 @@ def _certify(apply, vecs: np.ndarray, d: np.ndarray, upper: int, psd: bool,
     counts prove to hold every eigenvalue but the ``M`` extreme ones, and
     the same argument holds with that interval as the bulk.
 
-    Values are returned descending with their unit vectors.  Each has
-    ``r <= FILTER_TOLERANCE * min(radius, gap)``, ``radius`` being
-    ``max(1, largest |Ritz value|)``.  So its value is within
-    ``FILTER_TOLERANCE * max(1, |A|)`` of its eigenvalue, and its vector
-    within angle ``r / gap <= FILTER_TOLERANCE`` of the eigenvector
+    Values are returned descending with their vectors, unit up to
+    rounding.  Each has ``r <= FILTER_TOLERANCE * min(radius, gap)``,
+    ``radius`` being ``max(1, largest |Ritz value|)``.  So its value is
+    within ``FILTER_TOLERANCE * max(1, |A|)`` of its eigenvalue, and its
+    vector within angle ``r / gap <= FILTER_TOLERANCE`` of the eigenvector
     (Davis-Kahan).  Pairs too close to one another or to the bulk for
     rounding to reach that residual fail the certificate.
     """
-    vecs = vecs / np.linalg.norm(vecs, axis=0)
-    image = apply(vecs)
-    values = np.einsum("ij,ij->j", vecs, image)
-    resid = np.linalg.norm(image - vecs * values, axis=0)
+    if ritz.q is None:
+        vecs = ritz.vecs / np.linalg.norm(ritz.vecs, axis=0)
+        image = apply(vecs)
+        values = np.einsum("ij,ij->j", vecs, image)
+        resid = np.linalg.norm(image - vecs * values, axis=0)
+    else:
+        values, vecs = ritz.values, ritz.vecs
+        resid = ritz.resid / np.linalg.norm(vecs, axis=0)
     # Consecutive intervals, the bulk among them, must be apart by more
     # than the margin.
     low, high, gap = _intervals(values, resid, upper, d)
     certified = (
-        (resid <= FILTER_TOLERANCE * np.minimum(radius, gap)).all()
+        (resid <= FILTER_TOLERANCE * np.minimum(ritz.radius, gap)).all()
         and (low[:-1] - high[1:] > margin).all()
         and (not psd or d.min() >= 0.0)
     )
@@ -1234,9 +1283,10 @@ def _band_extremes(
     ``M-`` below the lower one ("count disagrees").  Otherwise every
     eigenvalue but the ``M`` extreme ones lies between the cuts widened by
     ``delta``, which take the place of ``[min d, max d]`` in the
-    certificates.  A values solve grown to its targets with no sweep takes
-    one Rayleigh-Ritz step on all of ``T`` for its certificate.  No random
-    numbers are drawn.
+    certificates.  A solve grown to its targets with no sweep has no
+    Rayleigh-Ritz state on all of ``T``: a values solve takes one step for
+    its certificate, and a pairs certificate applies ``T`` to its pairs.
+    No random numbers are drawn.
     """
     n, width = band.shape[1], band.shape[0] - 1
     m = thetas.size
@@ -1341,8 +1391,7 @@ def _band_extremes(
     bulk = np.array([bounds[0] - (delta[-1] if lower else 0.0),
                      bounds[1] + (delta[0] if upper else 0.0)])
     if vectors:
-        return _certify(stacks().apply, ritz.vecs, bulk, upper, False, ritz.radius,
-                        margin)
+        return _certify(stacks().apply, ritz, bulk, upper, False, margin)
     if ritz.q is None:
         ritz = _rayleigh_ritz(stacks().apply, ritz.vecs)
     return _certify_values(ritz.q, ritz.image, bulk, upper, False, margin)
@@ -1373,7 +1422,9 @@ def eigensolve(
     solve reads the sample's structure, never its dense matrices.
 
     Both refine their Ritz pairs by the sweeps of :func:`_refine`, and the
-    certificates read its last Rayleigh-Ritz state.
+    certificates read its last Rayleigh-Ritz state, residuals and all, with
+    no further product (a band solve whose leading block meets the targets
+    with no sweep has no such state, and applies ``T`` once more).
 
     * An orthogonally invariant sample's are found by
       :func:`_filtered_extremes` on its :meth:`EnsembleSample._update`: a

@@ -98,22 +98,6 @@ def _detector_locations(
     return {r.rank: r.location for r in locate_outliers(op, delta)}
 
 
-def _whitened_projection(
-    sample: EnsembleSample, pert: PerturbationSpec, vector: np.ndarray
-) -> float:
-    """Squared frame projection of the whitened, renormalized eigenvector."""
-    inv_scale = 1.0 / np.sqrt(1.0 + pert.thetas)
-    if sample.frame is None:
-        w = vector.copy()
-        w[: pert.m] *= inv_scale
-    else:
-        coords = sample.frame.T @ vector
-        w = vector + sample.frame @ ((inv_scale - 1.0) * coords)
-    w /= np.linalg.norm(w)
-    wt = sample.project(w)
-    return float(wt @ wt)
-
-
 def _cluster_bounds(evals: np.ndarray, idx: int) -> tuple[int, int]:
     """Half-open index range of the degenerate cluster containing ``idx``.
 
@@ -135,36 +119,53 @@ def _cluster_bounds(evals: np.ndarray, idx: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _measure_vectors(
+def _measure_outliers(
     sample: EnsembleSample,
     pert: PerturbationSpec,
-    pred: OutlierPrediction,
+    preds: list[OutlierPrediction],
+    cols: list[int],
     evals: np.ndarray,
     evecs: np.ndarray,
-    idx: int,
-) -> dict:
-    vector = evecs[:, idx]
-    vt = sample.project(vector)
-    proj_norm = float(vt @ vt)
-    lo, hi = _cluster_bounds(evals, idx)
-    degenerate = hi - lo > 1
-    subspace = None
-    if degenerate:
-        block = evecs[:, lo:hi]
-        coords = block.T @ sample.frame if sample.frame is not None else block[: pert.m].T
-        subspace = float(np.sum(coords * coords))
-    out: dict = {
-        "proj_norm_meas": proj_norm,
-        "degenerate": degenerate,
-        "subspace_norm_sq": subspace,
-    }
-    if sample.kind.additive:
-        out["residual"] = float(
-            np.linalg.norm((pert.thetas - pred.theta) * vt)
-        )
-    else:
-        out["whitened_pred"] = pred.whitened_norm_sq
-        out["whitened_meas"] = _whitened_projection(sample, pert, vector)
+) -> list[dict]:
+    """The eigenvector fields of each outlier record, that of ``preds[j]``
+    from column ``cols[j]`` of ``evecs``, all from one product.
+
+    ``C = V^T U``, ``U`` being the columns of ``evecs`` the outliers and
+    their degenerate clusters take (their leading ``M`` rows when the
+    perturbation sits on the leading coordinates).  A vector's squared
+    projection is ``|c|^2`` and its cluster's the sum over the cluster's
+    columns.  Additive kinds record the residual ``|(theta - theta_i) c|``.
+    Multiplicative kinds record the squared projection of the whitened
+    vector ``w = u + V ((s - 1) c)``, ``s = (1 + theta)^(-1/2)``,
+    renormalized: ``V^T w = s c``, and ``V^T V = I`` gives ``|w|^2 = |u|^2
+    - |c|^2 + |s c|^2``.
+    """
+    clusters = [_cluster_bounds(evals, col) for col in cols]
+    taken = sorted({c for lo, hi in clusters for c in range(lo, hi)})
+    at = {c: j for j, c in enumerate(taken)}
+    block = evecs[:, taken]
+    coords = sample.project(block)
+    squares = coords * coords
+    proj = squares.sum(axis=0)
+    if sample.kind.multiplicative:
+        whitened = (1.0 / (1.0 + pert.thetas)) @ squares
+        whitened /= np.einsum("ij,ij->j", block, block) - proj + whitened
+    out = []
+    for pred, col, (lo, hi) in zip(preds, cols, clusters):
+        j = at[col]
+        fields: dict = {
+            "proj_norm_meas": float(proj[j]),
+            "degenerate": hi - lo > 1,
+            "subspace_norm_sq": (float(proj[at[lo]: at[lo] + hi - lo].sum())
+                                 if hi - lo > 1 else None),
+        }
+        if sample.kind.additive:
+            fields["residual"] = float(
+                np.linalg.norm((pert.thetas - pred.theta) * coords[:, j]))
+        else:
+            fields["whitened_pred"] = pred.whitened_norm_sq
+            fields["whitened_meas"] = float(whitened[j])
+        out.append(fields)
     return out
 
 
@@ -201,16 +202,15 @@ def _run_trial(
     if failure is not None:
         return TrialRecord(stream_id=stream.stream_id, n=n, failed=True,
                            failure=failure)
+    scored = [pred for pred in preds if pred.separated]
+    cols = [spectrum_column(pred.target_index, pert.m_positive, n, evals.size)
+            for pred in scored]
+    extras = (_measure_outliers(sample, pert, scored, cols, evals, evecs)
+              if with_vectors else [{}] * len(scored))
     outliers = []
-    for pred in preds:
-        if not pred.separated:
-            continue
-        col = spectrum_column(pred.target_index, pert.m_positive, n, evals.size)
+    for pred, col, extra in zip(scored, cols, extras):
         realized = float(evals[col])
         abs_error = abs(realized - pred.location)
-        extra: dict = {}
-        if with_vectors:
-            extra = _measure_vectors(sample, pert, pred, evals, evecs, col)
         det_loc = detector.get(pred.rank)
         outliers.append(
             OutlierRecord(
@@ -345,10 +345,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
       ``epsilon`` band; non-separated strengths are excluded up front.  When
       cross-checking, each trial also locates the outliers with the
       master-equation detector.
-    * ``eigenvector``: a location run plus eigenvector projections.
-      Additive kinds record the frame-coordinate residual
-      ``|diag(theta) v~ - theta_i v~|``; multiplicative kinds record the
-      whitened projection instead.  Near-degenerate realized eigenvalues are
+    * ``eigenvector``: a location run plus eigenvector projections, all of
+      a trial's from one product of the frame with its outliers'
+      eigenvectors (:func:`_measure_outliers`).  Additive kinds record the
+      frame-coordinate residual ``|diag(theta) v~ - theta_i v~|``;
+      multiplicative kinds record the whitened projection instead, in
+      closed form.  Near-degenerate realized eigenvalues are
       flagged ``degenerate`` and also record their whole cluster's summed
       squared projection as ``subspace_norm_sq``; the aggregates still score
       each eigenvector's own ``proj_norm_meas``.

@@ -3,7 +3,10 @@
 A report is a config echo plus per-trial records plus aggregates that are
 recomputable from the records alone (re-aggregation is idempotent).  The JSON
 form is versioned and byte-stable for a fixed seed, except for the wall-clock
-field; the CSV sibling flattens per-outlier rows for plotting tools.
+field.  Its keys are sorted at every level; the top level, the config echo
+and the aggregates are indented by two spaces, and each trial record, its
+outliers included, sits on one line of the ``records`` list.  The CSV sibling
+flattens per-outlier rows for plotting tools.
 """
 
 from __future__ import annotations
@@ -346,6 +349,23 @@ def _write_atomic(path: Path, writer) -> None:
             tmp.unlink(missing_ok=True)
 
 
+def _report_json(doc: dict) -> str:
+    """``doc``, a report's :meth:`~ExperimentReport.to_dict`, as the JSON
+    text of the module docstring's layout: it parses to ``doc``, as
+    ``json.dumps(doc, indent=2, sort_keys=True)`` does, but each record is
+    one line from the C encoder, not an indented tree."""
+    entries = []
+    for key in sorted(doc):
+        if key == "records":
+            lines = ",\n".join("    " + json.dumps(rec, sort_keys=True)
+                               for rec in doc[key])
+            value = f"[\n{lines}\n  ]" if lines else "[]"
+        else:
+            value = json.dumps(doc[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+        entries.append(f"  {json.dumps(key)}: {value}")
+    return "{\n" + ",\n".join(entries) + "\n}\n"
+
+
 def write_report(report: ExperimentReport, path) -> None:
     """Persist ``report`` as JSON at ``path`` plus a CSV sibling.
 
@@ -357,7 +377,7 @@ def write_report(report: ExperimentReport, path) -> None:
     doc = report.to_dict()
 
     def write_json(handle):
-        handle.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        handle.write(_report_json(doc))
 
     def write_csv(handle):
         writer = csv.writer(handle)
@@ -372,9 +392,18 @@ def write_report(report: ExperimentReport, path) -> None:
 
 
 def read_report(path) -> ExperimentReport:
+    """The report written at ``path``; :class:`ReportIOError` when it cannot
+    be read or parsed, or its JSON is not a report: another schema, no
+    records, or a record with missing or unknown fields."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ReportIOError(f"failed to read {path}: {exc}", path) from exc
-    return ExperimentReport.from_dict(doc)
+    try:
+        report = ExperimentReport.from_dict(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ReportIOError(f"{path} is not a report: {exc!r}", path) from exc
+    if report.schema != REPORT_SCHEMA:
+        raise ReportIOError(f"{path} is not a report: schema {report.schema!r}", path)
+    return report

@@ -315,6 +315,25 @@ class TestVerify:
         assert target.exists()
         assert f"report={target}" in out
 
+    @pytest.mark.parametrize("kind, last", [
+        ("orth-invariant-additive", "median_residual"),
+        ("orth-invariant-multiplicative", "median_whitened_error"),
+    ])
+    def test_eigenvector_summary_names_what_the_kind_measures(self, tmp_path,
+                                                              capsys, kind, last):
+        # Additive runs record a residual, multiplicative ones the whitened
+        # projection's error; the summary prints a number for either.
+        cfg = self.write_cfg(tmp_path, experiment="eigenvector", kind=kind,
+                             n_values=[150],
+                             spectrum={"name": "uniform", "low": 0.5, "high": 2.5},
+                             theta_spec={"values": [1.5, -0.9]})
+        code, out, _ = run_cli(capsys, "verify", cfg)
+        assert code == 0
+        summary = out.strip().split("\t")
+        assert summary[0] == "experiment=eigenvector"
+        assert summary[3].split("=")[0] == last
+        assert float(summary[3].split("=")[1]) >= 0.0
+
 
 class TestSweep:
     def test_location_trend_table(self, tmp_path, capsys):

@@ -1273,3 +1273,72 @@ class TestSharedRefinement:
                                  lambda *args: "step cap reached") == "step cap reached"
         assert ensembles._refine(lambda x: a @ x, ritz, lambda r: "not separated",
                                  lambda *args: None) == "not separated"
+
+
+class TestSweepProducts:
+    """The products a pairs solve of an orthogonally invariant sample takes
+    after its filter stage: each shift's W^T E W for the Woodbury sweeps,
+    and none at all once the last Rayleigh-Ritz step is taken."""
+
+    @staticmethod
+    def update(multiplicative, n, m, seed):
+        gen = RngStream(seed, 0).generator()
+        d = np.sort(gen.uniform(0.5, 2.5, n))
+        frame = sample_haar_frame(n, m, gen)
+        thetas = np.sort(gen.uniform(-0.9, 1.5, m))[::-1]
+        w, k = framed_sample(multiplicative, d, thetas, frame)._update()
+        shifts = np.concatenate((gen.uniform(2.6, 4.0, 2), gen.uniform(0.1, 0.45, 2)))
+        return w, 1.0 / (d - shifts[:, None]), shifts
+
+    @pytest.mark.parametrize("n, m", [(300, 1), (1000, 6), (400, 12)])
+    def test_additive_batch_is_the_row_by_row_product(self, n, m):
+        w, e, shifts = self.update(False, n, m, 91)
+        wt = np.ascontiguousarray(w.T)
+        rows = np.stack([(wt * row) @ w for row in e])
+        assert np.array_equal(ensembles._shifted_grams(w, False)(shifts, e), rows)
+
+    @pytest.mark.parametrize("n, m", [(300, 1), (1000, 6), (400, 12)])
+    def test_multiplicative_blocks_follow_from_v_e_v(self, n, m):
+        w, e, shifts = self.update(True, n, m, 92)
+        assert w.shape[1] == 2 * m
+        explicit = np.stack([w.T @ (row[:, None] * w) for row in e])
+        grams = ensembles._shifted_grams(w, True)(shifts, e)
+        scale = np.linalg.norm(w, 2) ** 2 * np.abs(e).max(axis=1)
+        assert np.all(np.abs(grams - explicit).max(axis=(1, 2)) <= 1e-13 * scale)
+
+    def test_pairs_certificate_takes_no_product_after_the_last_step(self,
+                                                                    monkeypatch):
+        # The bench's orth-mult-eigenvector shape: n = 1000, uniform [0.5,
+        # 2.5] spectrum, six multiplicative strengths.  Every product with A
+        # is recorded; the certificate must read the last Rayleigh-Ritz
+        # step's residuals rather than apply A again.
+        events = []
+
+        def spied(apply):
+            def call(x):
+                events.append("apply")
+                return apply(x)
+            return call
+
+        real_rr, real_certify = ensembles._rayleigh_ritz, ensembles._certify
+
+        def rayleigh_ritz(apply, x):
+            found = real_rr(spied(apply), x)
+            events.append("rayleigh-ritz")
+            return found
+
+        monkeypatch.setattr(ensembles, "_rayleigh_ritz", rayleigh_ritz)
+        monkeypatch.setattr(ensembles, "_certify",
+                            lambda apply, *args: real_certify(spied(apply), *args))
+        n = 1000
+        model = Model.multiplicative(SpectrumModel.from_values(np.linspace(0.5, 2.5, n)))
+        pert = PerturbationSpec.from_values([1.5, 1.2, 1.0, -0.88, -0.92, -0.96])
+        assert n > ROWS_PER_PAIR * (pert.m + 1)
+        for trial in range(3):
+            sample = sample_ensemble(model, pert, n, RngStream(93, trial))
+            events.clear()
+            vals, vecs = eigensolve(sample)
+            assert vals.shape == (6,) and vecs.shape == (n, 6)
+            last = len(events) - events[::-1].index("rayleigh-ritz")
+            assert events.count("rayleigh-ritz") >= 2
+            assert "apply" not in events[last:]

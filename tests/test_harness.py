@@ -7,13 +7,15 @@ import sys
 import textwrap
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import meso_spectra
-from meso_spectra import (InversionError, MissingRootError, Model, PerturbationSpec,
-                          RngStream, SpectrumModel, ensembles, target_index)
+from meso_spectra import (InversionError, MissingRootError, Model, ModelKind,
+                          PerturbationSpec, RngStream, SpectrumModel, ensembles,
+                          predict)
 from meso_spectra.ensembles import eigensolve
 from meso_spectra.experiments import ExperimentError, aggregate, harness, run_experiment
 from meso_spectra.experiments.config import ExperimentConfig
@@ -427,25 +429,126 @@ class TestEigenvectorDriver:
             assert rec.outliers[2].subspace_norm_sq is None
 
 
+def explicit_measurements(sample, pert, pred, evals, evecs, col):
+    """One outlier's eigenvector fields from its own vector, formula by
+    formula: frame projections, the cluster's sum, and the residual or the
+    whitened, renormalized vector's projection."""
+    vector = evecs[:, col]
+    vt = sample.project(vector)
+    lo, hi = harness._cluster_bounds(evals, col)
+    subspace = None
+    if hi - lo > 1:
+        subspace = sum(float(np.sum(sample.project(evecs[:, c]) ** 2))
+                       for c in range(lo, hi))
+    out = {"proj_norm_meas": float(vt @ vt), "degenerate": hi - lo > 1,
+           "subspace_norm_sq": subspace}
+    if sample.kind.additive:
+        out["residual"] = float(np.linalg.norm((pert.thetas - pred.theta) * vt))
+        return out
+    inv_scale = 1.0 / np.sqrt(1.0 + pert.thetas)
+    if sample.frame is None:
+        w = vector.copy()
+        w[: pert.m] *= inv_scale
+    else:
+        w = vector + sample.frame @ ((inv_scale - 1.0) * vt)
+    w /= np.linalg.norm(w)
+    wt = sample.project(w)
+    out["whitened_pred"] = pred.whitened_norm_sq
+    out["whitened_meas"] = float(wt @ wt)
+    return out
+
+
+def measure_all(sample, pert, preds):
+    """Eigensolve ``sample`` and measure every outlier of ``preds`` in bulk
+    and one by one."""
+    evals, evecs = eigensolve(sample)
+    cols = [ensembles.spectrum_column(p.target_index, pert.m_positive,
+                                      sample.n, evals.size) for p in preds]
+    bulk = harness._measure_outliers(sample, pert, preds, cols, evals, evecs)
+    one_by_one = [explicit_measurements(sample, pert, p, evals, evecs, c)
+                  for p, c in zip(preds, cols)]
+    return bulk, one_by_one
+
+
+def assert_measurements_match(bulk, one_by_one, tol=1e-13):
+    assert len(bulk) == len(one_by_one)
+    for got, want in zip(bulk, one_by_one):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert abs(got[key] - value) <= tol, key
+            else:
+                assert got[key] == value, key
+
+
 class TestWhitenedProjection:
     def test_leading_coordinates_match_an_explicit_frame(self):
         # A Wishart sample carries its perturbation on the leading
         # coordinates (frame None); the whitening there must equal the
         # general frame branch on the same axes written out.
         n = 200
+        model = Model.wishart(0.5)
         pert = PerturbationSpec.from_values([2.0, 1.5, 1.2])
-        sample = ensembles.sample_ensemble(Model.wishart(0.5), pert, n,
-                                           RngStream(43, 0))
+        sample = ensembles.sample_ensemble(model, pert, n, RngStream(43, 0))
         assert sample.frame is None
         framed = dataclasses.replace(sample, frame=np.eye(n, pert.m))
+        preds = predict(model, pert, n, 0.15)
+        assert len(preds) == pert.m
         evals, evecs = eigensolve(sample)
-        for rank in range(1, pert.m + 1):
-            col = ensembles.spectrum_column(target_index(pert, rank, n),
-                                            pert.m_positive, n, evals.size)
-            vector = evecs[:, col]
-            leading = harness._whitened_projection(sample, pert, vector)
-            explicit = harness._whitened_projection(framed, pert, vector)
-            assert leading == pytest.approx(explicit, abs=1e-12)
+        cols = [ensembles.spectrum_column(p.target_index, pert.m_positive, n,
+                                          evals.size) for p in preds]
+        leading = harness._measure_outliers(sample, pert, preds, cols, evals, evecs)
+        explicit = harness._measure_outliers(framed, pert, preds, cols, evals, evecs)
+        for got, want in zip(leading, explicit):
+            assert got["whitened_meas"] == pytest.approx(want["whitened_meas"],
+                                                         abs=1e-12)
+
+
+class TestBulkMeasurement:
+    # One product C = V^T U measures every outlier; each field must match
+    # the explicit formula on the outlier's own vector within 1e-13.
+
+    @pytest.mark.parametrize("multiplicative", [False, True])
+    def test_framed_orthogonally_invariant_samples(self, multiplicative):
+        n = 400
+        spectrum = SpectrumModel.from_values(np.linspace(0.5, 2.5, n))
+        model = (Model.multiplicative if multiplicative else Model.additive)(spectrum)
+        pert = PerturbationSpec.from_values([1.5, 1.2, -0.9] if multiplicative
+                                            else [2.5, 2.0, -2.0])
+        preds = [p for p in predict(model, pert, n, 0.15) if p.separated]
+        assert len(preds) == 3
+        for trial in range(2):
+            sample = ensembles.sample_ensemble(model, pert, n, RngStream(71, trial))
+            assert_measurements_match(*measure_all(sample, pert, preds))
+
+    def test_wishart_leading_coordinates(self):
+        n = 200
+        model = Model.wishart(0.5)
+        pert = PerturbationSpec.from_values([2.0, 1.5, 1.2])
+        sample = ensembles.sample_ensemble(model, pert, n, RngStream(43, 0))
+        assert sample.frame is None
+        preds = predict(model, pert, n, 0.15)
+        assert_measurements_match(*measure_all(sample, pert, preds))
+
+    @pytest.mark.parametrize("multiplicative", [False, True])
+    def test_degenerate_cluster(self, multiplicative):
+        # A flat base and two equal strengths on a Haar frame: the two
+        # outliers are one degenerate cluster, and each record carries the
+        # cluster's summed projection.
+        n, thetas = 60, [2.0, 2.0]
+        frame = ensembles.sample_haar_frame(n, 2, RngStream(72, 0))
+        kind = (ModelKind.ORTH_INVARIANT_MULTIPLICATIVE if multiplicative
+                else ModelKind.ORTH_INVARIANT_ADDITIVE)
+        pert = PerturbationSpec.from_values(thetas, frame=frame)
+        sample = ensembles.EnsembleSample(
+            diagonal=np.ones(n), frame=frame, thetas=pert.thetas, kind=kind, n=n,
+            m=2, master_seed=0, stream_id=0, law=None)
+        preds = [SimpleNamespace(theta=2.0, whitened_norm_sq=0.5, target_index=i)
+                 for i in (1, 2)]
+        bulk, one_by_one = measure_all(sample, pert, preds)
+        assert all(fields["degenerate"] for fields in bulk)
+        assert bulk[0]["subspace_norm_sq"] == pytest.approx(2.0, abs=1e-12)
+        assert_measurements_match(bulk, one_by_one)
 
 
 class TestPushforwardDriver:

@@ -269,3 +269,79 @@ class TestPersistence:
         nested = tmp_path / "a" / "b" / "report.json"
         write_report(rep, nested)
         assert nested.exists()
+
+
+class TestReportLayout:
+    """The JSON layout: an indented, key-sorted top level, config echo and
+    aggregates, and one line per trial record."""
+
+    def test_round_trip_equals_to_dict(self, tmp_path):
+        rep = make_report()
+        path = tmp_path / "report.json"
+        write_report(rep, path)
+        doc = rep.to_dict()
+        assert json.loads(path.read_text()) == json.loads(json.dumps(doc))
+        assert read_report(path).to_dict() == json.loads(json.dumps(doc))
+
+    def test_each_record_sits_on_one_line(self, tmp_path):
+        rep = make_report()
+        path = tmp_path / "report.json"
+        write_report(rep, path)
+        lines = path.read_text().splitlines()
+        opening = lines.index('  "records": [')
+        for offset, rec in enumerate(rep.records, start=1):
+            line = lines[opening + offset].strip().rstrip(",")
+            assert json.loads(line) == json.loads(json.dumps(rec.to_dict()))
+        assert lines[opening + len(rep.records) + 1] == "  ],"
+        assert lines[:2] == ["{", '  "aggregates": {'] and lines[-1] == "}"
+
+    def test_bytes_repeat_on_every_write(self, tmp_path):
+        rep = make_report()
+        texts = []
+        for name in ("a.json", "b.json", "c.json"):
+            write_report(rep, tmp_path / name)
+            texts.append((tmp_path / name).read_bytes())
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_no_records(self, tmp_path):
+        rep = ExperimentReport(config={"seed": 1}, records=(), aggregates={},
+                               wall_clock_seconds=0.5)
+        path = tmp_path / "empty.json"
+        write_report(rep, path)
+        assert '  "records": [],' in path.read_text().splitlines()
+        assert reports_equal(read_report(path), rep)
+
+
+class TestReadNotAReport:
+    """JSON that parses but is not a report raises ReportIOError, which
+    carries the path."""
+
+    def read(self, tmp_path, doc):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ReportIOError) as caught:
+            read_report(path)
+        assert caught.value.path == str(path)
+        return caught.value
+
+    def test_other_schema(self, tmp_path):
+        self.read(tmp_path, {"schema": "x"})
+        doc = make_report().to_dict()
+        doc["schema"] = "x"
+        assert "schema" in str(self.read(tmp_path, doc))
+
+    def test_no_records(self, tmp_path):
+        doc = make_report().to_dict()
+        del doc["records"]
+        self.read(tmp_path, doc)
+
+    def test_unknown_or_missing_record_fields(self, tmp_path):
+        doc = make_report().to_dict()
+        doc["records"][0]["outliers"][0]["sharpness"] = 1.0
+        self.read(tmp_path, doc)
+        doc = make_report().to_dict()
+        del doc["records"][0]["stream_id"]
+        self.read(tmp_path, doc)
+
+    def test_not_an_object(self, tmp_path):
+        self.read(tmp_path, [1, 2, 3])
