@@ -133,11 +133,15 @@ def cmd_sample(args) -> int:
     seed = _resolve_seed(args.seed)
     law = EntryLaw(args.law)
     rng = RngStream(seed, 0)
+    if args.kind != "wishart" and (args.phi is not None or args.p is not None):
+        raise ConfigError("--phi and --p are for wishart sampling only")
+    if args.kind != "conjugated" and args.spectrum_file is not None:
+        raise ConfigError("--spectrum-file is for conjugated sampling only")
     if args.kind == "wigner":
         matrix = sample_wigner(args.n, law, rng)
     elif args.kind == "wishart":
-        if args.phi is None and args.p is None:
-            raise ConfigError("wishart sampling needs --phi or --p")
+        if (args.phi is None) == (args.p is None):
+            raise ConfigError("wishart sampling needs exactly one of --phi or --p")
         if args.phi is not None and not 0.0 < args.phi < 1.0:
             raise ConfigError("--phi must lie in (0, 1)")
         p = args.p if args.p is not None else int(round(args.n / args.phi))
@@ -318,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw a base ensemble, print its spectrum summary")
     p.add_argument("--kind", required=True, choices=["wigner", "wishart", "conjugated"])
     p.add_argument("--n", required=True, type=positive_int)
-    p.add_argument("--phi", type=float)
-    p.add_argument("--p", type=int)
+    p.add_argument("--phi", type=float, help="aspect ratio n/p (wishart only)")
+    p.add_argument("--p", type=int, help="sample count p (wishart only)")
     p.add_argument("--law", choices=[l.value for l in EntryLaw], default="gaussian",
                    help="entry law; a gaussian wigner matrix is GOE (diagonal "
                         "variance 2/n, off-diagonal 1/n), a rademacher one has "

@@ -25,9 +25,9 @@ import numpy as np
 
 from ..spectral_core import MesoSpectraError, SpectrumModel
 from ..transforms import (
-    _separation_threshold,
     invert_stieltjes,
     invert_t_transform,
+    separation_threshold,
     stieltjes,
     stieltjes_deriv,
     t_transform,
@@ -98,7 +98,7 @@ def _hypothesis_location(
 ) -> float:
     """``f^(-1)(1/theta)`` for ``f = T`` or ``m``, once ``|theta|`` reaches
     the threshold strength that puts it ``2 * delta`` clear of the edge."""
-    threshold = _separation_threshold(spectrum, delta, theta > 0.0, use_t)
+    threshold = separation_threshold(spectrum, delta, theta > 0.0, use_t)
     if abs(theta) < threshold:
         raise PreconditionError(
             f"|theta| = {abs(theta):g} is below {threshold:g}, where "
@@ -180,7 +180,7 @@ def random_stability_sweep(
         spectrum = SpectrumModel.from_values(gen.uniform(0.2, 2.2, n))
         delta = float(gen.uniform(0.05, 0.25))
         upper = k % 2 == 0
-        threshold = max(_separation_threshold(spectrum, delta, upper, use_t)
+        threshold = max(separation_threshold(spectrum, delta, upper, use_t)
                         for use_t in (False, True))
         for _ in range(100):
             if upper:

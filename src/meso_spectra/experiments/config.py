@@ -90,8 +90,9 @@ def _as_real(value, name: str) -> float:
 class ExperimentConfig:
     """Validated experiment description.
 
-    ``m_rule`` is either ``{"fixed": M}`` or ``{"power": alpha}`` meaning
-    ``M = floor(N^alpha)`` (the mesoscopic regime needs ``alpha < 1``).
+    ``m_rule`` is either ``{"fixed": M}`` with ``M >= 1`` or ``{"power":
+    alpha}`` meaning ``M = floor(N^alpha)`` (the mesoscopic regime needs
+    ``alpha < 1``).
     ``theta_spec`` is ``{"values": [...]}`` or
     ``{"distribution": "uniform", "low": a, "high": b}``.
     """
@@ -271,7 +272,7 @@ class ExperimentConfig:
         keys = set(rule)
         if keys == {"fixed"}:
             m = _as_int(rule["fixed"], "m_rule.fixed")
-            _require(m >= 0, "m_rule.fixed: must be >= 0")
+            _require(m >= 1, "m_rule.fixed: must be >= 1")
             return {"fixed": m}
         if keys == {"power"}:
             alpha = _as_real(rule["power"], "m_rule.power")

@@ -14,9 +14,9 @@ import time
 
 import numpy as np
 
-from ..ensembles import (DEGENERACY_TOLERANCE, EnsembleSample, RngStream,
-                         eigensolve, sample_ensemble, sample_haar_frame,
-                         spectrum_column)
+from .. import partial
+from ..ensembles import (EnsembleSample, RngStream, eigensolve, sample_ensemble,
+                         sample_haar_frame, spectrum_column)
 from ..master_equation import MasterOperator, MissingRootError, locate_outliers
 from ..predictor import OutlierPrediction, predict, pushforward_sample
 from ..spectral_core import (
@@ -101,15 +101,16 @@ def _detector_locations(
 def _cluster_bounds(evals: np.ndarray, idx: int) -> tuple[int, int]:
     """Half-open index range of the degenerate cluster containing ``idx``.
 
-    ``evals`` is descending; neighbours count as degenerate when their gap is
-    at most ``DEGENERACY_TOLERANCE * max(1, |evals[0]|, |evals[-1]|)``.  On a
-    full spectrum that scale is the spectral radius.  ``evals`` may also be
-    the truncated top-and-bottom pairs :func:`eigensolve` gives a sample;
-    it certifies every gap there, including the one where the top and bottom
-    pairs meet, to exceed the tolerance at the spectral radius, so no
-    cluster forms and none is split.
+    ``evals`` is descending; neighbours count as degenerate when their gap
+    is at most ``partial.DEGENERACY_TOLERANCE * max(1, |evals[0]|,
+    |evals[-1]|)``.  On a full spectrum that scale is the spectral radius.
+    ``evals`` may also be the truncated top-and-bottom pairs
+    :func:`eigensolve` gives a sample; it certifies every gap there,
+    including the one where the top and bottom pairs meet, to exceed the
+    tolerance at the spectral radius, so no cluster forms and none is
+    split.
     """
-    tol = DEGENERACY_TOLERANCE * max(1.0, abs(evals[0]), abs(evals[-1]))
+    tol = partial.DEGENERACY_TOLERANCE * max(1.0, abs(evals[0]), abs(evals[-1]))
     lo = idx
     while lo > 0 and abs(evals[lo - 1] - evals[lo]) <= tol:
         lo -= 1

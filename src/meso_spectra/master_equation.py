@@ -45,10 +45,10 @@ from .spectral_core import (
     ModelError,
     PerturbationSpec,
     SpectrumModel,
-    _check_delta,
+    check_delta,
 )
 from .predictor import check_separation, pushforward_map
-from .transforms import _check_outside
+from .transforms import check_outside
 
 __all__ = [
     "MasterOperator",
@@ -173,7 +173,7 @@ def evaluate_d(op: MasterOperator, z: float | np.ndarray) -> np.ndarray:
     points = np.asarray(z, dtype=float)
     inside = points[(op.spectrum.lam_min <= points) & (points <= op.spectrum.lam_max)]
     if inside.size:
-        _check_outside(op.spectrum, float(inside.flat[0]))
+        check_outside(op.spectrum, float(inside.flat[0]))
     # One stacked matmul, making the same gemm per point as for that point
     # alone.  The weighted frame w * U is formed row-major as w * U^T, where
     # the products run along the n axis, and handed to the gemm transposed.
@@ -379,7 +379,7 @@ def locate_outliers(
 
     Default ``tol`` is ``1e-9 * (1 + max |lambda|)``.
     """
-    _check_delta(delta)
+    check_delta(delta)
     if tol is None:
         tol = 1e-9 * (1.0 + op.spectrum.norm_bound)
     elif not (math.isfinite(tol) and tol > 0.0):

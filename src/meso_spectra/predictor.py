@@ -35,7 +35,7 @@ from .spectral_core import (
     PerturbationSpec,
     Separation,
     Side,
-    _check_delta,
+    check_delta,
     target_index,
 )
 
@@ -72,14 +72,14 @@ def check_separation(model: Model, delta: float, theta: float) -> Separation:
     ``2 * delta``, from one transform evaluation and no inverse.  Raises
     :class:`ModelError` unless ``delta`` is positive and finite.
     """
-    _check_delta(delta)
+    check_delta(delta)
     _validate_theta(model, theta)
     upper = theta > 0.0
     if model.kind.closed_form:
         threshold = _critical(model) + 2.0 * delta
     else:
-        threshold = transforms._separation_threshold(model.spectrum, delta, upper,
-                                                     model.kind.multiplicative)
+        threshold = transforms.separation_threshold(model.spectrum, delta, upper,
+                                                    model.kind.multiplicative)
     ok = abs(theta) >= threshold
     return Separation(ok, (Side.UPPER if upper else Side.LOWER) if ok else None, threshold)
 
@@ -181,7 +181,7 @@ def predict(
     callers can report them without special-casing exceptions.  ``delta``
     must be positive and finite even when ``pert`` has rank zero.
     """
-    _check_delta(delta)
+    check_delta(delta)
     out: list[OutlierPrediction] = []
     for i, theta in enumerate(pert.thetas, start=1):
         theta = float(theta)

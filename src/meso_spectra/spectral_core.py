@@ -343,7 +343,7 @@ class Model:
         return self.p if self.p is not None else int(round(n / self.phi))
 
 
-def _check_delta(delta: float) -> None:
+def check_delta(delta: float) -> None:
     """Reject a separation margin ``delta`` that is not positive and finite."""
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ModelError(f"delta must be positive and finite, got {delta}")

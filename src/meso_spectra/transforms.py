@@ -7,7 +7,7 @@ their restrictions to the outside of the bulk invertible.  This module
 evaluates the empirical transforms, the semicircle and Marchenko-Pastur
 limits, derivatives, and inverses, plus the densities and deterministic
 quantile spectra used to discretize the limit laws.  Monotonicity also
-makes the separation threshold one evaluation (:func:`_separation_threshold`).
+makes the separation threshold one evaluation (:func:`separation_threshold`).
 
 Inverses outside the bulk are computed by bisection on a certified bracket
 followed by a Newton polish (repeated after bisecting to the float spacing
@@ -78,7 +78,7 @@ class InversionError(MesoSpectraError, ArithmeticError):
 # Empirical transforms
 
 
-def _check_outside(spectrum: SpectrumModel, z: float) -> None:
+def check_outside(spectrum: SpectrumModel, z: float) -> None:
     if spectrum.lam_min <= z <= spectrum.lam_max:
         raise TransformDomainError(
             f"z={z:g} lies inside the spectral interval "
@@ -92,30 +92,30 @@ def stieltjes(spectrum: SpectrumModel, z: float) -> float:
 
     ``z`` must lie strictly outside ``[lam_min, lam_max]``.
     """
-    _check_outside(spectrum, z)
+    check_outside(spectrum, z)
     return float(np.mean(1.0 / (z - spectrum.eigenvalues)))
 
 def stieltjes_deriv(spectrum: SpectrumModel, z: float) -> float:
     """Derivative ``-(1/n) sum 1/(z - l_i)^2``; always negative."""
-    _check_outside(spectrum, z)
+    check_outside(spectrum, z)
     return float(-np.mean((z - spectrum.eigenvalues) ** -2.0))
 
 
 def t_transform(spectrum: SpectrumModel, z: float) -> float:
     """Empirical T-transform ``(1/n) sum l_i/(z - l_i) = z m(z) - 1``."""
-    _check_outside(spectrum, z)
+    check_outside(spectrum, z)
     return float(np.mean(spectrum.eigenvalues / (z - spectrum.eigenvalues)))
 
 
 def t_transform_deriv(spectrum: SpectrumModel, z: float) -> float:
     """Derivative ``-(1/n) sum l_i/(z - l_i)^2``."""
-    _check_outside(spectrum, z)
+    check_outside(spectrum, z)
     lam = spectrum.eigenvalues
     return float(-np.mean(lam / (z - lam) ** 2.0))
 
 
-def _separation_threshold(spectrum: SpectrumModel, delta: float, upper: bool,
-                          use_t: bool) -> float:
+def separation_threshold(spectrum: SpectrumModel, delta: float, upper: bool,
+                         use_t: bool) -> float:
     """Smallest ``|theta|`` whose outlier clears the bulk by ``2 * delta``.
 
     ``f`` (``T`` when ``use_t``, else ``m``) is monotone outside the bulk,

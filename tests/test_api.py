@@ -1,4 +1,5 @@
-"""The README's examples run as written, and the exported names stay fixed.
+"""The README's examples run as written, the exported names stay fixed, and
+the source modules import one another in one direction.
 
 Each ```python block of README.md runs in order in one namespace.  An
 expression statement followed by ``# value`` must have that repr, and the
@@ -19,6 +20,7 @@ import meso_spectra
 from meso_spectra import experiments
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(meso_spectra.__file__).resolve().parent
 
 ROOT_API = {
     "DEFAULT_DELTA", "EntryLaw", "InvalidPerturbationError", "InversionError",
@@ -100,3 +102,55 @@ def test_exports(module, names):
     assert set(module.__all__) == names
     for name in module.__all__:
         assert getattr(module, name) is not None
+
+
+def is_module(dotted: str) -> bool:
+    path = SRC.joinpath(*dotted.split(".")[1:])
+    return path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
+
+
+def package_imports(path: Path) -> tuple[set, set]:
+    """The package modules the source file ``path`` imports, and the names it
+    takes from them: ``(module, name)`` for each name imported from a package
+    module and each attribute read off an imported one."""
+    parts = ("meso_spectra",) + path.relative_to(SRC).parent.parts
+    tree = ast.parse(path.read_text())
+    modules, names, aliases = set(), set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "meso_spectra":
+                    modules.add(alias.name)
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module or ""
+            if node.level:
+                base = ".".join(parts[: len(parts) - node.level + 1])
+                source = f"{base}.{source}" if source else base
+            if source.split(".")[0] != "meso_spectra":
+                continue
+            for alias in node.names:
+                target = f"{source}.{alias.name}"
+                if is_module(target):
+                    modules.add(target)
+                    aliases[alias.asname or alias.name] = target
+                else:
+                    modules.add(source)
+                    names.add((source, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            names.add((aliases[node.value.id], node.attr))
+    return modules, names
+
+
+def test_modules_import_one_way():
+    imports = {path.relative_to(SRC).with_suffix("").as_posix(): package_imports(path)
+               for path in SRC.rglob("*.py")}
+    assert imports["band"][0] == set()
+    assert imports["partial"][0] == {"meso_spectra.band"}
+    assert "meso_spectra.ensembles" not in imports["band"][0] | imports["partial"][0]
+    for module, (_, names) in imports.items():
+        private = sorted(f"{source}.{name}" for source, name in names
+                         if name.startswith("_") and not name.startswith("__"))
+        assert not private, f"{module} reaches private names {private}"

@@ -24,22 +24,19 @@ from meso_spectra import (
     ModelKind,
     PerturbationSpec,
     RngStream,
-    ensembles,
+    partial,
     perturb_additive,
     sample_wigner,
 )
-from meso_spectra.ensembles import (
-    FILTER_TOLERANCE,
-    EnsembleSample,
-    eigensolve,
-    sample_ensemble,
-)
+from meso_spectra import band as band_algebra
+from meso_spectra.ensembles import EnsembleSample, eigensolve, sample_ensemble
+from meso_spectra.partial import FILTER_TOLERANCE
 from meso_spectra.experiments import harness, run_experiment
 from meso_spectra.experiments.config import ExperimentConfig
 
 # The size rule and the count as shipped, before any test patches them.
-ROWS_PER_PAIR = ensembles.FILTER_ROWS_PER_PAIR
-BAND_INERTIA = ensembles._band_inertia
+ROWS_PER_PAIR = partial.FILTER_ROWS_PER_PAIR
+BAND_INERTIA = band_algebra.inertia
 
 
 def wigner_sample(n, thetas, seed=0, stream=0):
@@ -195,11 +192,11 @@ class TestBandBlocks:
     def test_apply_matches_dense(self, n, width):
         # Within a few ulps of |T| |x| of the dense product, per column.
         gen = RngStream(77, n).generator()
-        band = ensembles._with_strengths(ensembles._goe_band(n, width, gen),
-                                         np.linspace(3.0, -2.0, width))
+        band = band_algebra.with_strengths(band_algebra.goe(n, width, gen),
+                                           np.linspace(3.0, -2.0, width))
         x = gen.standard_normal((n, 5))
-        dense = ensembles._band_window(band, n)
-        y = ensembles._band_blocks(band).apply(x)
+        dense = band_algebra.window(band, n)
+        y = band_algebra.blocks(band).apply(x)
         assert y.shape == (n, 5)
         bound = 4.0 * np.finfo(float).eps * np.linalg.norm(dense, 2) * np.linalg.norm(x, axis=0)
         assert (np.abs(y - dense @ x).max(axis=0) <= bound).all()
@@ -222,12 +219,12 @@ def counted_inertia(monkeypatch):
         return found
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    monkeypatch.setattr(ensembles, "_band_inertia", inertia)
+    monkeypatch.setattr(band_algebra, "inertia", inertia)
     return counts
 
 
 def eigh_path_inertia(blocks, shifts):
-    """``_band_inertia`` with every level diagonalized by ``eigh``, as when
+    """``band.inertia`` with every level diagonalized by ``eigh``, as when
     each level's Cholesky raises."""
     def not_definite(*args, **kwargs):
         raise np.linalg.LinAlgError("not definite")
@@ -251,15 +248,15 @@ class TestBandInertia:
         # row-sum norms lie between the 2-norms and sqrt(w) times them.
         gen = RngStream(78, seed).generator()
         n = count * width - (int(gen.integers(1, width)) if padded and width > 1 else 0)
-        band = ensembles._with_strengths(ensembles._goe_band(n, width, gen),
-                                         gen.uniform(-3.0, 3.0, width))
-        dense = np.linalg.eigvalsh(ensembles._band_window(band, n))
+        band = band_algebra.with_strengths(band_algebra.goe(n, width, gen),
+                                           gen.uniform(-3.0, 3.0, width))
+        dense = np.linalg.eigvalsh(band_algebra.window(band, n))
         place = {"above": lambda: gen.uniform(2.1, 3.5),
                  "below": lambda: gen.uniform(-3.5, -2.1),
                  "inside": lambda: gen.uniform(dense[0], dense[-1])}
         shifts = np.array([place[where]() for where in places])
-        blocks = ensembles._band_blocks(band)
-        below, delta = ensembles._band_inertia(blocks, shifts)
+        blocks = band_algebra.blocks(band)
+        below, delta = band_algebra.inertia(blocks, shifts)
         assert below.tolist() == [np.count_nonzero(dense < c) for c in shifts]
         eigh_below, eigh_delta = eigh_path_inertia(blocks, shifts)
         assert np.array_equal(below, eigh_below)
@@ -354,7 +351,7 @@ class TestBandEigensolve:
     def band_solve_at_every_size(self, monkeypatch):
         # Small samples keep these properties fast; at the default rows per
         # pair they would take the dense path.
-        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", 0)
+        monkeypatch.setattr(partial, "FILTER_ROWS_PER_PAIR", 0)
 
     @given(band_configs(), st.integers(0, 2**16))
     @settings(derandomize=True, max_examples=60, deadline=None)
@@ -418,13 +415,13 @@ class TestBandFallbacks:
     @staticmethod
     def leading_sizes(monkeypatch):
         sizes = []
-        real = ensembles._band_window
+        real = band_algebra.window
 
         def window(band, size):
             sizes.append(size)
             return real(band, size)
 
-        monkeypatch.setattr(ensembles, "_band_window", window)
+        monkeypatch.setattr(band_algebra, "window", window)
         return sizes
 
     def fallback_reason(self, caplog, sample, vectors):
@@ -454,7 +451,7 @@ class TestBandFallbacks:
         n, m = 2000, 45
         thetas = RngStream(70, 1).generator().uniform(1.5, 2.5, m)
         sample = wigner_sample(n, thetas, seed=70)
-        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
+        monkeypatch.setattr(partial, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
         assert n > ROWS_PER_PAIR * (m + 1)
         sizes = self.leading_sizes(monkeypatch)
         assert self.fallback_reason(caplog, sample, False) == (
@@ -465,7 +462,7 @@ class TestBandFallbacks:
     def decoupled_band(n, width, at, value, seed):
         """A GOE band with entry ``at`` of the diagonal set to ``value`` and
         cut off from the rest of the matrix."""
-        band = ensembles._goe_band(n, width, RngStream(seed, 0).generator())
+        band = band_algebra.goe(n, width, RngStream(seed, 0).generator())
         band[0, at] = value
         for j in range(1, width + 1):
             band[j, at] = 0.0
@@ -498,13 +495,13 @@ class TestBandFallbacks:
         # of T - c I is singular.
         clean = self.decoupled_band(500, 2, 450, 0.0, seed=72)
         cuts = []
-        real = ensembles._band_inertia
+        real = band_algebra.inertia
 
         def inertia(band, shifts):
             cuts.append(shifts.copy())
             return real(band, shifts)
 
-        monkeypatch.setattr(ensembles, "_band_inertia", inertia)
+        monkeypatch.setattr(band_algebra, "inertia", inertia)
         assert eigensolve(band_sample(clean, [3.0, -3.0]), vectors=False).size == 2
         band = self.decoupled_band(500, 2, 450, cuts[0][0], seed=72)
         assert self.fallback_reason(caplog, band_sample(band, [3.0, -3.0]), False) == (
@@ -525,7 +522,7 @@ class TestBandSweeps:
         """Each sweep's shifts, how many rows it solved on, and whether its
         solve returned; a solve that raises is recorded, then raises."""
         done = []
-        real = ensembles._band_solve
+        real = band_algebra.solve
 
         def solve(blocks, shifts, rhs):
             try:
@@ -536,7 +533,7 @@ class TestBandSweeps:
             done.append((shifts.copy(), rhs.shape[1], True))
             return found
 
-        monkeypatch.setattr(ensembles, "_band_solve", solve)
+        monkeypatch.setattr(band_algebra, "solve", solve)
         return done
 
     def test_singular_sweep_gives_way(self, caplog, monkeypatch):
@@ -546,7 +543,7 @@ class TestBandSweeps:
         # singular, the sweep gives way and the leading block grows.  No
         # block sees the new eigenvalue, so the count disagrees.  The rule
         # that leaves small blocks to eigh would not sweep here.
-        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", 0)
+        monkeypatch.setattr(partial, "FILTER_ROWS_PER_PAIR", 0)
         decoupled = TestBandFallbacks.decoupled_band
         sizes = TestBandFallbacks.leading_sizes(monkeypatch)
         sweeps = self.sweeps(monkeypatch)
@@ -577,13 +574,13 @@ class TestBandSweeps:
         n, m = 2000, 10
         sweeps = self.sweeps(monkeypatch)
         applied = []
-        real = ensembles._BandBlocks.apply
+        real = band_algebra.Blocks.apply
 
         def apply(blocks, x):
             applied.append((blocks.rows, x.shape[0]))
             return real(blocks, x)
 
-        monkeypatch.setattr(ensembles._BandBlocks, "apply", apply)
+        monkeypatch.setattr(band_algebra.Blocks, "apply", apply)
         for stream in range(3):
             sample = wigner_sample(n, np.linspace(2.4, 1.5, m), seed=75, stream=stream)
             sweeps.clear()
@@ -643,8 +640,8 @@ class TestBandSweeps:
             assert sweeps and all(rows < n for _, rows, _ in sweeps)
             caplog.clear()
             sweeps.clear()
-            leading = ensembles._BandBlocks.leading
-            monkeypatch.setattr(ensembles._BandBlocks, "leading",
+            leading = band_algebra.Blocks.leading
+            monkeypatch.setattr(band_algebra.Blocks, "leading",
                                 lambda blocks, count: leading(blocks, count // 2))
             short_values = eigensolve(sample, vectors=False)
             short_vals, short_vecs = eigensolve(sample)

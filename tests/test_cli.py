@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from meso_spectra import Model, PerturbationSpec, SpectrumModel, ensembles
+from meso_spectra import Model, PerturbationSpec, SpectrumModel, ensembles, partial
 from meso_spectra.cli import main
 from meso_spectra.experiments import harness
 
@@ -123,6 +123,22 @@ class TestSample:
         assert code == 2
         assert "--phi or --p" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--kind", "wigner", "--phi", "0.5"], "--phi and --p are for wishart"),
+        (["--kind", "wigner", "--spectrum-file", "SPEC"],
+         "--spectrum-file is for conjugated"),
+        (["--kind", "conjugated", "--spectrum-file", "SPEC", "--p", "7"],
+         "--phi and --p are for wishart"),
+        (["--kind", "wishart", "--phi", "0.5", "--p", "60"],
+         "exactly one of --phi or --p"),
+    ], ids=["wigner-phi", "wigner-spectrum-file", "conjugated-p", "wishart-phi-and-p"])
+    def test_flags_of_other_kinds_rejected(self, tmp_path, capsys, argv, message):
+        spec = write_spectrum(tmp_path / "s.txt", np.linspace(-1, 1, 50))
+        argv = [spec if arg == "SPEC" else arg for arg in argv]
+        code, out, err = run_cli(capsys, "sample", "--n", "50", "--seed", "1", *argv)
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_conjugated_spectrum(self, tmp_path, capsys):
         spec = write_spectrum(tmp_path / "s.txt", np.linspace(-1, 1, 30))
         code, out, _ = run_cli(capsys, "sample", "--kind", "conjugated", "--n", "30",
@@ -189,7 +205,7 @@ class TestDetect:
         # certified partial solve, with no n x n matrix built, and matches
         # the dense values to the printed digits.
         n, thetas, seed = 400, [2.4, 2.0, -2.1], 13
-        assert n > ensembles.FILTER_ROWS_PER_PAIR * (len(thetas) + 1)
+        assert n > partial.FILTER_ROWS_PER_PAIR * (len(thetas) + 1)
         values = np.linspace(-1, 1, n)
         spec = write_spectrum(tmp_path / "s.txt", values)
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from meso_spectra import ensembles
+from meso_spectra import ensembles, partial
 
 from meso_spectra import (
     EntryLaw,
@@ -621,7 +621,7 @@ class TestNonFiniteInput:
 
 
 # The size rule as shipped, before any test patches it.
-ROWS_PER_PAIR = ensembles.FILTER_ROWS_PER_PAIR
+ROWS_PER_PAIR = partial.FILTER_ROWS_PER_PAIR
 
 
 def framed_sample(multiplicative, values, thetas, frame, stream_id=0):
@@ -728,7 +728,7 @@ class TestCertifiedPartialEigensolve:
         # Small samples keep these properties fast; at the default rows per
         # pair they would take the dense path.
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", 0)
+            patch.setattr(partial, "FILTER_ROWS_PER_PAIR", 0)
             yield
 
     @given(orth_configs(), st.integers(0, 2**16))
@@ -810,7 +810,7 @@ class TestCertifiedPartialEigensolve:
 
     def test_step_cap_falls_back(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="meso_spectra")
-        monkeypatch.setattr(ensembles, "FILTER_MAX_DEGREE", 4)
+        monkeypatch.setattr(partial, "FILTER_MAX_DEGREE", 4)
         frame = sample_haar_frame(200, 2, RngStream(44, 0))
         sample = framed_sample(False, np.linspace(-1.0, 1.0, 200), [1.5, -1.5],
                                frame, stream_id=6)
@@ -899,7 +899,7 @@ class TestCertifiedPartialEigensolve:
     def test_bench_shaped_pairs_take_at_most_two_sweeps(self, monkeypatch):
         # After the first filter stage each Rayleigh-Ritz step follows a
         # shift-and-invert sweep, one batched solve: no second filter stage.
-        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
+        monkeypatch.setattr(partial, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
         cfg = ExperimentConfig.from_dict({
             "experiment": "eigenvector",
             "kind": "orth-invariant-multiplicative",
@@ -977,15 +977,15 @@ class TestCertifiedPartialEigensolve:
 
     def test_bench_shaped_config_logs_no_fallback(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="meso_spectra")
-        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
+        monkeypatch.setattr(partial, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
         answers = []
-        real_solve = ensembles._filtered_extremes
+        real_solve = partial.filtered_extremes
 
         def solve(*args):
             answers.append(real_solve(*args))
             return answers[-1]
 
-        monkeypatch.setattr(ensembles, "_filtered_extremes", solve)
+        monkeypatch.setattr(partial, "filtered_extremes", solve)
         rep = run_experiment(ExperimentConfig.from_dict({
             "experiment": "eigenvector",
             "kind": "orth-invariant-multiplicative",
@@ -1006,15 +1006,15 @@ class TestCertifiedPartialEigensolve:
     def test_detect_shaped_location_config_logs_no_fallback(self, caplog,
                                                            monkeypatch):
         caplog.set_level(logging.DEBUG, logger="meso_spectra")
-        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
+        monkeypatch.setattr(partial, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
         answers = []
-        real_solve = ensembles._filtered_extremes
+        real_solve = partial.filtered_extremes
 
         def solve(*args):
             answers.append(real_solve(*args))
             return answers[-1]
 
-        monkeypatch.setattr(ensembles, "_filtered_extremes", solve)
+        monkeypatch.setattr(partial, "filtered_extremes", solve)
         rep = run_experiment(ExperimentConfig.from_dict({
             "experiment": "location",
             "kind": "orth-invariant-additive",
@@ -1065,21 +1065,21 @@ class TestCertifiedPartialEigensolve:
         frame = sample_haar_frame(60, 2, RngStream(58, 0))
         a = framed_sample(False, d, [3.0, -3.0], frame).perturbed
         vals, vecs = np.linalg.eigh(a)
-        margin = ensembles.DEGENERACY_TOLERANCE * 3.0
+        margin = partial.DEGENERACY_TOLERANCE * 3.0
 
         def span(columns):
             q = np.linalg.qr(columns)[0]
             return q, a @ q
 
         def certify(columns, upper):
-            return ensembles._certify_values(*span(vecs[:, columns]), d, upper,
-                                             False, margin)
+            return partial._certify_values(*span(vecs[:, columns]), d, upper,
+                                           False, margin)
 
         values = certify([-1, 0], 1)
         assert np.max(np.abs(values - vals[[-1, 0]])) <= 1e-14
         rough = vecs[:, [-1, 0]] + 1e-9 * np.ones((60, 2))
-        assert ensembles._certify_values(*span(rough), d, 1, False,
-                                         margin) == "certificate failed"
+        assert partial._certify_values(*span(rough), d, 1, False,
+                                       margin) == "certificate failed"
         assert certify([-1, -2], 1) == "certificate failed"
         assert certify([-1, 0], 2) == "certificate failed"
         assert certify([-1, 0], 0) == "certificate failed"
@@ -1089,7 +1089,7 @@ class TestCertifiedPartialEigensolve:
         # about 1e-3 apart, where no residual reaches 1e-12 times the gap:
         # the values certify, the pairs fall back.
         caplog.set_level(logging.DEBUG, logger="meso_spectra")
-        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
+        monkeypatch.setattr(partial, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
         n, m = 2000, 45
         spectrum = SpectrumModel.from_values(semicircle_quantiles(n))
         thetas = RngStream(57, 1).generator().uniform(1.5, 2.5, m)
@@ -1113,13 +1113,13 @@ class TestCertifiedPartialEigensolve:
         def no_partial_solve(*args):
             raise AssertionError("the partial solve must not run")
 
-        monkeypatch.setattr(ensembles, "_filtered_extremes", no_partial_solve)
+        monkeypatch.setattr(partial, "filtered_extremes", no_partial_solve)
         pert = PerturbationSpec.from_values([3.0])
         wigner = sample_ensemble(Model.wigner(), pert, 20, RngStream(40, 0))
         unframed = framed_sample(False, np.linspace(0, 1, 20), [], None)
         frame = sample_haar_frame(120, 2, RngStream(40, 1))
         small = framed_sample(False, np.linspace(0, 1, 120), [3.0, -3.0], frame)
-        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
+        monkeypatch.setattr(partial, "FILTER_ROWS_PER_PAIR", ROWS_PER_PAIR)
         assert small.n <= ROWS_PER_PAIR * (small.m + 1)
         for sample in (wigner, unframed, small):
             vals, _ = eigensolve(sample)
@@ -1177,7 +1177,7 @@ class TestSharedRefinement:
         a = (basis * np.r_[5.0, 4.0, np.linspace(-1.0, 1.0, self.n - 2)]) @ basis.T
         a = 0.5 * (a + a.T)
         start = basis[:, :2] + 1e-3 * rng.standard_normal((self.n, 2))
-        return a, ensembles._rayleigh_ritz(lambda x: a @ x, start)
+        return a, partial._rayleigh_ritz(lambda x: a @ x, start)
 
     def solve(self, a):
         def solve(shifts, x):
@@ -1187,21 +1187,21 @@ class TestSharedRefinement:
 
     @staticmethod
     def isolation(ritz):
-        return ensembles._intervals(ritz.values, 0.0, 2, np.array([-1.0, 1.0]))[2]
+        return partial._intervals(ritz.values, 0.0, 2, np.array([-1.0, 1.0]))[2]
 
     def test_sweep_meets_its_prediction(self):
         a, ritz = self.problem()
         isolation = self.isolation(ritz)
         todo = np.array([True, True])
-        x, fall = ensembles._sweep(self.solve(a), ritz, todo, isolation)
-        after = ensembles._rayleigh_ritz(lambda x: a @ x, x)
+        x, fall = partial._sweep(self.solve(a), ritz, todo, isolation)
+        after = partial._rayleigh_ritz(lambda x: a @ x, x)
         assert fall == 2.0 * np.log(isolation / ritz.resid).min()
         assert np.all(after.resid <= ritz.resid ** 3 / isolation ** 2)
 
     def test_sweep_keeps_the_other_columns(self):
         a, ritz = self.problem()
         todo = np.array([False, True])
-        x, _ = ensembles._sweep(self.solve(a), ritz, todo, self.isolation(ritz))
+        x, _ = partial._sweep(self.solve(a), ritz, todo, self.isolation(ritz))
         assert np.array_equal(x[:, 0], ritz.vecs[:, 0])
         assert not np.array_equal(x[:, 1], ritz.vecs[:, 1])
 
@@ -1214,7 +1214,7 @@ class TestSharedRefinement:
         todo = np.array([True, True])
         isolation = self.isolation(ritz)
         isolation[1] = 2.0 * ritz.resid[1]
-        assert ensembles._sweep(solve, ritz, todo, isolation) is None
+        assert partial._sweep(solve, ritz, todo, isolation) is None
 
     @pytest.mark.parametrize("failure", ["raises", "inf", "divides by zero", "none"])
     def test_failed_solve_gives_way(self, failure):
@@ -1231,18 +1231,18 @@ class TestSharedRefinement:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert ensembles._sweep(solve, ritz, np.array([True, True]),
-                                    self.isolation(ritz)) is None
+            assert partial._sweep(solve, ritz, np.array([True, True]),
+                                  self.isolation(ritz)) is None
 
     def test_sweeps_meet_the_targets(self):
         a, ritz = self.problem()
         target = 1e-12 * ritz.radius
 
         def step(ritz, todo, excess, isolation):
-            return ensembles._sweep(self.solve(a), ritz, todo, isolation)
+            return partial._sweep(self.solve(a), ritz, todo, isolation)
 
-        state, met = ensembles._refine(lambda x: a @ x, ritz,
-                                       lambda r: (target, self.isolation(r)), step)
+        state, met = partial._refine(lambda x: a @ x, ritz,
+                                     lambda r: (target, self.isolation(r)), step)
         assert met and np.all(state.resid <= target)
         assert np.allclose(state.values, [5.0, 4.0], rtol=0.0, atol=1e-13)
 
@@ -1256,23 +1256,23 @@ class TestSharedRefinement:
             blocks.append(ritz.vecs.copy())
             return ritz.vecs, 1.0
 
-        state, met = ensembles._refine(lambda x: a @ x, ritz,
-                                       lambda r: (1e-30, self.isolation(r)), step)
+        state, met = partial._refine(lambda x: a @ x, ritz,
+                                     lambda r: (1e-30, self.isolation(r)), step)
         assert not met and len(blocks) == 1
-        last = ensembles._rayleigh_ritz(lambda x: a @ x, blocks[0])
+        last = partial._rayleigh_ritz(lambda x: a @ x, blocks[0])
         for field in ("values", "vecs", "resid", "q", "image"):
             assert np.array_equal(getattr(state, field), getattr(last, field))
 
     def test_give_way_and_give_up(self):
         a, ritz = self.problem()
         goals = lambda r: (1e-30, self.isolation(r))  # noqa: E731
-        state, met = ensembles._refine(lambda x: a @ x, ritz, goals,
-                                       lambda *args: None)
+        state, met = partial._refine(lambda x: a @ x, ritz, goals,
+                                     lambda *args: None)
         assert state is ritz and not met
-        assert ensembles._refine(lambda x: a @ x, ritz, goals,
-                                 lambda *args: "step cap reached") == "step cap reached"
-        assert ensembles._refine(lambda x: a @ x, ritz, lambda r: "not separated",
-                                 lambda *args: None) == "not separated"
+        assert partial._refine(lambda x: a @ x, ritz, goals,
+                               lambda *args: "step cap reached") == "step cap reached"
+        assert partial._refine(lambda x: a @ x, ritz, lambda r: "not separated",
+                               lambda *args: None) == "not separated"
 
 
 class TestSweepProducts:
@@ -1295,14 +1295,14 @@ class TestSweepProducts:
         w, e, shifts = self.update(False, n, m, 91)
         wt = np.ascontiguousarray(w.T)
         rows = np.stack([(wt * row) @ w for row in e])
-        assert np.array_equal(ensembles._shifted_grams(w, False)(shifts, e), rows)
+        assert np.array_equal(partial._shifted_grams(w, False)(shifts, e), rows)
 
     @pytest.mark.parametrize("n, m", [(300, 1), (1000, 6), (400, 12)])
     def test_multiplicative_blocks_follow_from_v_e_v(self, n, m):
         w, e, shifts = self.update(True, n, m, 92)
         assert w.shape[1] == 2 * m
         explicit = np.stack([w.T @ (row[:, None] * w) for row in e])
-        grams = ensembles._shifted_grams(w, True)(shifts, e)
+        grams = partial._shifted_grams(w, True)(shifts, e)
         scale = np.linalg.norm(w, 2) ** 2 * np.abs(e).max(axis=1)
         assert np.all(np.abs(grams - explicit).max(axis=(1, 2)) <= 1e-13 * scale)
 
@@ -1320,15 +1320,15 @@ class TestSweepProducts:
                 return apply(x)
             return call
 
-        real_rr, real_certify = ensembles._rayleigh_ritz, ensembles._certify
+        real_rr, real_certify = partial._rayleigh_ritz, partial._certify
 
         def rayleigh_ritz(apply, x):
             found = real_rr(spied(apply), x)
             events.append("rayleigh-ritz")
             return found
 
-        monkeypatch.setattr(ensembles, "_rayleigh_ritz", rayleigh_ritz)
-        monkeypatch.setattr(ensembles, "_certify",
+        monkeypatch.setattr(partial, "_rayleigh_ritz", rayleigh_ritz)
+        monkeypatch.setattr(partial, "_certify",
                             lambda apply, *args: real_certify(spied(apply), *args))
         n = 1000
         model = Model.multiplicative(SpectrumModel.from_values(np.linspace(0.5, 2.5, n)))

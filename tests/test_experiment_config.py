@@ -185,6 +185,17 @@ class TestParsing:
         cfg = ExperimentConfig.from_dict(doc)
         assert cfg.z == 3.0 and cfg.kind is None
 
+    @pytest.mark.parametrize("doc", [
+        base_doc(experiment="pushforward", n_values=[100, 200],
+                 theta_spec={"distribution": "uniform", "low": 1.5, "high": 2.5},
+                 m_rule={"fixed": 0}),
+        {"experiment": "concentration", "n_values": [100, 200], "m_rule": {"fixed": 0},
+         "spectrum": {"name": "semicircle"}, "z": 3.0, "trials": 4, "seed": 1},
+    ], ids=["pushforward", "concentration"])
+    def test_fixed_rank_at_least_one(self, doc):
+        with pytest.raises(ConfigError, match=r"m_rule\.fixed: must be >= 1"):
+            ExperimentConfig.from_dict(doc)
+
     def test_m_rule_forms(self):
         with pytest.raises(ConfigError, match="m_rule"):
             ExperimentConfig._check_m_rule({"fixed": 3, "power": 0.5})

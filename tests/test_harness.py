@@ -15,7 +15,7 @@ import pytest
 import meso_spectra
 from meso_spectra import (InversionError, MissingRootError, Model, ModelKind,
                           PerturbationSpec, RngStream, SpectrumModel, ensembles,
-                          predict)
+                          partial, predict)
 from meso_spectra.ensembles import eigensolve
 from meso_spectra.experiments import ExperimentError, aggregate, harness, run_experiment
 from meso_spectra.experiments.config import ExperimentConfig
@@ -252,14 +252,14 @@ class TestDegeneracyTolerance:
 
     @pytest.mark.parametrize("radius", [1.0, 0.3])
     def test_unit_scale_unchanged(self, radius):
-        tol = harness.DEGENERACY_TOLERANCE
+        tol = partial.DEGENERACY_TOLERANCE
         close = np.array([radius, 0.2 + 0.9 * tol, 0.2, -0.1])
         apart = np.array([radius, 0.2 + 1.1 * tol, 0.2, -0.1])
         assert harness._cluster_bounds(close, 2) == (1, 3)
         assert harness._cluster_bounds(apart, 2) == (2, 3)
 
     def test_scale_from_either_end(self):
-        tol = harness.DEGENERACY_TOLERANCE
+        tol = partial.DEGENERACY_TOLERANCE
         evals = np.array([1.0, 0.5 + 50.0 * tol, 0.5, -100.0])
         assert harness._cluster_bounds(evals, 1) == (1, 3)
         assert harness._cluster_bounds(evals[:3], 1) == (1, 2)
@@ -599,7 +599,7 @@ class TestPushforwardDriver:
         monkeypatch.setattr(harness, "eigensolve", solve)
         rep = run_experiment(cfg)
         assert sizes == [4] * 4
-        monkeypatch.setattr(ensembles, "FILTER_ROWS_PER_PAIR", 1000)
+        monkeypatch.setattr(partial, "FILTER_ROWS_PER_PAIR", 1000)
         dense = run_experiment(cfg)
         assert sizes[4:] == [300, 600] * 2
         for got, want in zip(rep.records, dense.records):

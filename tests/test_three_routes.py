@@ -26,7 +26,8 @@ from meso_spectra import (
     predict,
     target_index,
 )
-from meso_spectra.ensembles import FILTER_TOLERANCE, eigensolve, sample_ensemble
+from meso_spectra.ensembles import eigensolve, sample_ensemble
+from meso_spectra.partial import FILTER_TOLERANCE
 from meso_spectra.predictor import check_separation
 from meso_spectra.transforms import INVERSION_RTOL, stieltjes, t_transform
 
