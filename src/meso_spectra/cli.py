@@ -142,9 +142,7 @@ def cmd_sample(args) -> int:
     elif args.kind == "wishart":
         if (args.phi is None) == (args.p is None):
             raise ConfigError("wishart sampling needs exactly one of --phi or --p")
-        if args.phi is not None and not 0.0 < args.phi < 1.0:
-            raise ConfigError("--phi must lie in (0, 1)")
-        p = args.p if args.p is not None else int(round(args.n / args.phi))
+        p = args.p if args.p is not None else Model.wishart(args.phi).p_for(args.n)
         matrix = sample_wishart(args.n, p, law, rng)
     else:
         if args.spectrum_file is None:

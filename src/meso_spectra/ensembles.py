@@ -47,6 +47,7 @@ from .spectral_core import (
     ModelKind,
     PerturbationSpec,
     SpectrumModel,
+    check_fits,
 )
 
 __all__ = [
@@ -208,25 +209,6 @@ def _square_size(a: np.ndarray) -> int:
     return a.shape[0]
 
 
-def _frame_columns(n: int, pert: PerturbationSpec) -> np.ndarray | None:
-    if pert.frame is None:
-        return None
-    if pert.frame.shape[0] != n:
-        raise ModelError(
-            f"frame has {pert.frame.shape[0]} rows but the matrix has size {n}"
-        )
-    return pert.frame
-
-
-def _check_perturbation(n: int, thetas: np.ndarray, multiplicative: bool) -> None:
-    """Raise unless the descending ``thetas`` fit an n x n base: rank at
-    most ``n`` and, when ``multiplicative``, every strength above -1."""
-    if thetas.size > n:
-        raise ModelError(f"rank {thetas.size} exceeds matrix size {n}")
-    if multiplicative and thetas.size and thetas[-1] <= -1.0:
-        raise ModelError("multiplicative strengths must exceed -1")
-
-
 _NOT_PSD = "multiplicative perturbation requires a finite PSD base matrix"
 
 
@@ -266,12 +248,11 @@ def perturb_additive(base: np.ndarray, pert: PerturbationSpec) -> np.ndarray:
     A base with a non-finite entry raises ``ModelError``.  On a frame the
     sum is :func:`_assemble`'s, with ``W = V`` and ``K = diag(theta)``.
     """
-    n = _square_size(base)
     m = pert.m
-    _check_perturbation(n, pert.thetas, multiplicative=False)
+    check_fits(_square_size(base), pert.thetas, multiplicative=False, frame=pert.frame)
     if not np.isfinite(base).all():
         raise ModelError("base matrix has non-finite entries")
-    v = _frame_columns(n, pert)
+    v = pert.frame
     if v is None or m == 0:
         out = np.array(base, dtype=float, copy=True)
         idx = np.arange(m)
@@ -318,7 +299,7 @@ def perturb_multiplicative(base: np.ndarray, pert: PerturbationSpec) -> np.ndarr
     -1 so that ``S`` is well defined.  PSD means that
     ``base + PSD_SHIFT * I`` has a Cholesky factor (:func:`_check_psd`).
     """
-    _check_perturbation(_square_size(base), pert.thetas, multiplicative=True)
+    check_fits(_square_size(base), pert.thetas, multiplicative=True, frame=pert.frame)
     base = np.ascontiguousarray(base, dtype=float)
     _check_psd(base)
     return _sandwich(base, pert)
@@ -334,7 +315,7 @@ def _sandwich(base: np.ndarray, pert: PerturbationSpec) -> np.ndarray:
     :func:`_assemble` of the ``W`` and ``K`` of :func:`_sandwich_update`.
     """
     m = pert.m
-    v = _frame_columns(base.shape[0], pert)
+    v = pert.frame
     if v is None or m == 0:
         # S is diagonal: entry (i, j) picks up scale_i * scale_j, rounded in
         # a different order in (j, i) when both are below M.
@@ -375,9 +356,10 @@ class EnsembleSample:
     Wishart one) holds both dense matrices from the start, as ``dense``.
     The dense matrices are read-only.
 
-    A sample is validated once, when it is built: the strengths must fit
-    ``n`` and a held ``diagonal`` must pass :func:`_check_diagonal`, so
-    building its dense matrices raises nothing.
+    A sample is validated once, when it is built: the strengths and the
+    frame must fit ``n`` (:func:`~meso_spectra.spectral_core.check_fits`)
+    and a held ``diagonal`` must pass :func:`_check_diagonal`, so building
+    its dense matrices raises nothing.
     """
 
     frame: np.ndarray | None = field(repr=False)
@@ -403,7 +385,7 @@ class EnsembleSample:
                     "its band or its dense matrices" if wigner else
                     "its dense matrices")
             raise ModelError(f"a {self.kind.value} sample holds {held} alone")
-        _check_perturbation(self.n, self.thetas, self.kind.multiplicative)
+        check_fits(self.n, self.thetas, self.kind.multiplicative, self.frame)
         if self.diagonal is not None:
             _check_diagonal(self.diagonal, self.kind.multiplicative)
 
@@ -490,7 +472,7 @@ def sample_ensemble(
         return EnsembleSample(frame=frame, law=None,
                               diagonal=model.spectrum.eigenvalues, **provenance)
     # The band's draw and the unchecked Wishart assembly need these first.
-    _check_perturbation(n, pert.thetas, kind.multiplicative)
+    check_fits(n, pert.thetas, kind.multiplicative, pert.frame)
     if kind is ModelKind.WIGNER and law is EntryLaw.GAUSSIAN and pert.frame is None:
         storage = _read_only(band.goe(n, max(pert.m, 1), gen))
         return EnsembleSample(frame=None, law=law, band=storage, **provenance)

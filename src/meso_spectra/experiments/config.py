@@ -92,7 +92,8 @@ class ExperimentConfig:
 
     ``m_rule`` is either ``{"fixed": M}`` with ``M >= 1`` or ``{"power":
     alpha}`` meaning ``M = floor(N^alpha)`` (the mesoscopic regime needs
-    ``alpha < 1``).
+    ``alpha < 1``); ``pushforward`` and ``concentration`` require it and
+    the other experiments, whose rank is the number of strengths, refuse it.
     ``theta_spec`` is ``{"values": [...]}`` or
     ``{"distribution": "uniform", "low": a, "high": b}``.
     """
@@ -108,7 +109,6 @@ class ExperimentConfig:
     batches: int
     seed: int
     phi: float | None
-    p: int | None
     entry_law: EntryLaw
     spectrum: dict | None
     z: float | None
@@ -157,6 +157,8 @@ class ExperimentConfig:
         if experiment in ("location", "eigenvector"):
             _require(theta_spec is not None and "values" in theta_spec,
                      "theta_spec: explicit values required for this experiment")
+            _require(m_rule is None, "m_rule: not accepted for this experiment, "
+                     "whose rank is the number of theta_spec values")
         elif experiment == "pushforward":
             _require(theta_spec is not None and "distribution" in theta_spec,
                      "theta_spec: a distribution is required for pushforward")
@@ -177,17 +179,15 @@ class ExperimentConfig:
         _require(0 <= seed < SEED_LIMIT, "seed: must fit in 64 bits")
 
         # Rank used for the default bands: the largest over the ladder.
-        m_probe = None
         if m_rule is not None:
             m_probe = max(cls._m_from_rule(m_rule, n) for n in n_values)
-        elif theta_spec is not None and "values" in theta_spec:
+        else:
             m_probe = len(theta_spec["values"])
 
         epsilon = doc.get("epsilon")
         if epsilon is None:
             # Error bands scale like sqrt(M/N); the constant 3 gives slack.
-            rate = math.sqrt(m_probe / min(n_values)) if m_probe else 0.0
-            epsilon = max(0.1, 3.0 * rate)
+            epsilon = max(0.1, 3.0 * math.sqrt(m_probe / min(n_values)))
         else:
             epsilon = _as_real(epsilon, "epsilon")
             _require(epsilon > 0.0, "epsilon: must be positive")
@@ -200,15 +200,11 @@ class ExperimentConfig:
         _require(epsilon <= delta, f"epsilon: must be <= delta ({epsilon:g} > {delta:g})")
 
         phi = _as_real(doc["phi"], "phi") if "phi" in doc else None
-        p = _as_int(doc["p"], "p") if "p" in doc else None
         if kind is ModelKind.WISHART:
             _require(phi is not None, "phi: required for wishart")
             _require(0.0 < phi < 1.0, "phi: must lie in (0, 1)")
-            if p is not None:
-                _require(all(p >= n for n in n_values), "p: must be >= every n")
         else:
             _require(phi is None, "phi: only valid for wishart")
-            _require(p is None, "p: only valid for wishart")
 
         spectrum = doc.get("spectrum")
         if kind is not None and not kind.closed_form:
@@ -255,7 +251,6 @@ class ExperimentConfig:
             batches=batches,
             seed=seed,
             phi=phi,
-            p=p,
             entry_law=entry_law,
             spectrum=spectrum,
             z=z,
@@ -402,7 +397,7 @@ class ExperimentConfig:
         if self.kind is None:
             raise ConfigError("kind: not set")
         spectrum = None if self.kind.closed_form else self.spectrum_for(n)
-        return Model(kind=self.kind, spectrum=spectrum, phi=self.phi, p=self.p)
+        return Model(kind=self.kind, spectrum=spectrum, phi=self.phi)
 
     def cross_check_for(self, n: int) -> bool:
         if self.cross_check is not None:

@@ -75,26 +75,24 @@ def _detector_locations(
 ) -> dict[int, float]:
     """Independent root locations from the counting-function detector.
 
-    Orthogonally invariant kinds reuse the known base spectrum and the
-    sampled frame.  Closed-form kinds first diagonalize the realized base
-    matrix and transport the frame into its eigenbasis; their separation
-    verdicts then come from that realized spectrum, not from the closed
-    form, so a strength near the closed-form threshold may be scored but
-    not located (the report's ``detector_located`` counts those that are).
+    ``pert`` has at least one strength and no frame, as the drivers build
+    it.  Orthogonally invariant kinds reuse the known base spectrum and the
+    sampled Haar frame.  Closed-form kinds first diagonalize the realized
+    base matrix, and the leading coordinates seen in its eigenbasis are the
+    frame; their separation verdicts then come from that realized spectrum,
+    not from the closed form, so a strength near the closed-form threshold
+    may be scored but not located (the report's ``detector_located`` counts
+    those that are).
     """
     if model.kind.closed_form:
         base_vals, base_vecs = eigensolve(sample.base)
         multiplicative = model.kind.multiplicative
         spectrum = SpectrumModel.from_values(base_vals, is_psd=multiplicative or None)
-        if sample.frame is None:
-            frame = base_vecs.T[:, : pert.m].copy()
-        else:
-            frame = base_vecs.T @ sample.frame
-        placed = pert.with_frame(frame)
+        frame = base_vecs.T[:, : pert.m].copy()
         model = (Model.multiplicative if multiplicative else Model.additive)(spectrum)
     else:
-        placed = pert.with_frame(sample.frame) if sample.frame is not None else pert
-    op = MasterOperator(model=model, pert=placed)
+        frame = sample.frame
+    op = MasterOperator(model=model, pert=pert.with_frame(frame))
     return {r.rank: r.location for r in locate_outliers(op, delta)}
 
 

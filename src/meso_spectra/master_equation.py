@@ -46,6 +46,7 @@ from .spectral_core import (
     PerturbationSpec,
     SpectrumModel,
     check_delta,
+    check_fits,
 )
 from .predictor import check_separation, pushforward_map
 from .transforms import check_outside
@@ -86,10 +87,10 @@ class MasterOperator:
     """The data defining ``D(z)``: model kind, base spectrum, and perturbation.
 
     ``model`` must carry an explicit spectrum; its kind picks the additive or
-    multiplicative weights.  The perturbation's frame (``None`` for leading
-    coordinates) must have ``spectrum.n`` rows; a multiplicative model kind
-    additionally requires strengths above -1 (:class:`Model` already
-    requires its spectrum to be PSD).
+    multiplicative weights.  The perturbation must fit the spectrum's size
+    (:func:`~meso_spectra.spectral_core.check_fits`; its frame is ``None``
+    for the leading coordinates), and :class:`Model` already requires a
+    multiplicative kind's spectrum to be PSD.
     """
 
     model: Model
@@ -98,15 +99,8 @@ class MasterOperator:
     def __post_init__(self):
         if self.model.spectrum is None:
             raise ModelError(f"{self.model.kind.value} has no explicit spectrum")
-        if self.pert.frame is not None and self.pert.frame.shape[0] != self.spectrum.n:
-            raise ModelError(
-                f"frame has {self.pert.frame.shape[0]} rows for a spectrum of "
-                f"size {self.spectrum.n}"
-            )
-        if self.pert.m > self.spectrum.n:
-            raise ModelError("perturbation rank exceeds spectrum size")
-        if self.model.kind.multiplicative and self.pert.m and self.pert.thetas[-1] <= -1.0:
-            raise ModelError("multiplicative strengths must exceed -1")
+        check_fits(self.spectrum.n, self.pert.thetas, self.model.kind.multiplicative,
+                   self.pert.frame)
 
     @property
     def spectrum(self) -> SpectrumModel:

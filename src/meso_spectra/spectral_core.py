@@ -254,17 +254,6 @@ class PerturbationSpec:
         if self.frame is not None and self.frame.shape[1] != th.size:
             raise ModelError("frame width does not match rank")
 
-    def __eq__(self, other):
-        if not isinstance(other, PerturbationSpec):
-            return NotImplemented
-        if not np.array_equal(self.thetas, other.thetas):
-            return False
-        if (self.frame is None) != (other.frame is None):
-            return False
-        return self.frame is None or np.array_equal(self.frame, other.frame)
-
-    __hash__ = None
-
     @property
     def m(self) -> int:
         """Rank of the perturbation."""
@@ -274,10 +263,6 @@ class PerturbationSpec:
     def m_positive(self) -> int:
         """Number of positive strengths (descending order puts them first)."""
         return int(np.sum(self.thetas > 0.0))
-
-    @property
-    def norm_bound(self) -> float:
-        return float(np.max(np.abs(self.thetas))) if self.m else 0.0
 
     def with_frame(self, frame: np.ndarray) -> "PerturbationSpec":
         """Return a copy carrying ``frame`` (validated, same strengths)."""
@@ -294,23 +279,21 @@ class Model:
 
     Orthogonally invariant kinds need an explicit ``spectrum``; the
     multiplicative one additionally requires it to be PSD.  Wishart needs the
-    aspect ratio ``phi = n/p`` in ``(0, 1)`` and optionally a fixed ``p``.
+    aspect ratio ``phi = n/p`` in ``(0, 1)``, which fixes its sample
+    dimension at size ``n`` to ``p = round(n/phi)`` (:meth:`p_for`).
     """
 
     kind: ModelKind
     spectrum: SpectrumModel | None = None
     phi: float | None = None
-    p: int | None = None
 
     def __post_init__(self):
         kind = self.kind
         if kind is ModelKind.WISHART:
             if self.phi is None or not (0.0 < self.phi < 1.0):
                 raise ModelError(f"wishart needs phi in (0, 1), got {self.phi}")
-            if self.p is not None and self.p <= 0:
-                raise ModelError("p must be positive")
-        elif self.phi is not None or self.p is not None:
-            raise ModelError(f"phi/p are only meaningful for wishart, not {kind.value}")
+        elif self.phi is not None:
+            raise ModelError(f"phi is only meaningful for wishart, not {kind.value}")
         if kind.closed_form:
             if self.spectrum is not None:
                 raise ModelError(f"{kind.value} does not take an explicit spectrum")
@@ -325,8 +308,8 @@ class Model:
         return cls(kind=ModelKind.WIGNER)
 
     @classmethod
-    def wishart(cls, phi: float, p: int | None = None) -> "Model":
-        return cls(kind=ModelKind.WISHART, phi=phi, p=p)
+    def wishart(cls, phi: float) -> "Model":
+        return cls(kind=ModelKind.WISHART, phi=phi)
 
     @classmethod
     def additive(cls, spectrum: SpectrumModel) -> "Model":
@@ -337,10 +320,24 @@ class Model:
         return cls(kind=ModelKind.ORTH_INVARIANT_MULTIPLICATIVE, spectrum=spectrum)
 
     def p_for(self, n: int) -> int:
-        """Sample dimension for a Wishart model of size ``n``."""
+        """Sample dimension ``round(n/phi)`` for a Wishart model of size ``n``."""
         if self.kind is not ModelKind.WISHART:
             raise ModelError("p_for is only defined for wishart models")
-        return self.p if self.p is not None else int(round(n / self.phi))
+        return int(round(n / self.phi))
+
+
+def check_fits(n: int, thetas: np.ndarray, multiplicative: bool,
+               frame: np.ndarray | None = None) -> None:
+    """Raise ``ModelError`` unless the descending strengths ``thetas`` on
+    ``frame`` (``None`` for the leading coordinates) fit an n x n base:
+    rank at most ``n``, a frame of ``n`` rows and, when ``multiplicative``,
+    every strength above -1."""
+    if thetas.size > n:
+        raise ModelError(f"rank {thetas.size} exceeds matrix size {n}")
+    if frame is not None and frame.shape[0] != n:
+        raise ModelError(f"frame has {frame.shape[0]} rows but the matrix has size {n}")
+    if multiplicative and thetas.size and thetas[-1] <= -1.0:
+        raise ModelError("multiplicative strengths must exceed -1")
 
 
 def check_delta(delta: float) -> None:
@@ -375,8 +372,7 @@ def target_index(pert: PerturbationSpec, i: int, n: int) -> int:
     """
     if not 1 <= i <= pert.m:
         raise IndexError(f"rank {i} outside 1..{pert.m}")
-    if n < pert.m:
-        raise ModelError(f"matrix size {n} smaller than perturbation rank {pert.m}")
+    check_fits(n, pert.thetas, multiplicative=False)
     if pert.thetas[i - 1] > 0.0:
         return i
     return n - pert.m + i

@@ -75,7 +75,6 @@ def wishart_location():
         "experiment": "location",
         "kind": "wishart",
         "phi": 0.5,
-        "p": 2000,
         "n_values": [1000],
         "theta_spec": {"values": [2.0]},
         "delta": BAND,

@@ -5,6 +5,10 @@ Each ```python block of README.md runs in order in one namespace.  An
 expression statement followed by ``# value`` must have that repr, and the
 comment lines that close a block must be what the block printed.  Numbers
 match to a relative 1e-12, and ``...`` after one stands for further digits.
+
+Each ``$ meso-spectra`` command of a ```text block must print the lines
+shown under it, word for word: the README aligns columns with spaces where
+the command line prints tabs.
 """
 
 import ast
@@ -12,12 +16,13 @@ import contextlib
 import io
 import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import meso_spectra
-from meso_spectra import experiments
+from meso_spectra import cli, experiments
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(meso_spectra.__file__).resolve().parent
@@ -40,8 +45,29 @@ EXPERIMENTS_API = {
 }
 
 
+def blocks(language: str) -> list[str]:
+    return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
 def python_blocks() -> list[str]:
-    return re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    return blocks("python")
+
+
+def cli_examples() -> list[tuple[list[str], list[str]]]:
+    """The arguments of each ``$ meso-spectra`` command in the text blocks,
+    with the lines shown under it."""
+    examples = []
+    for block in blocks("text"):
+        for chunk in re.split(r"\n\s*\n", block.strip()):
+            command, *shown = chunk.replace("\\\n", " ").splitlines()
+            assert command.startswith("$ meso-spectra "), command
+            examples.append((shlex.split(command)[2:], shown))
+    return examples
+
+
+# The detect example reads a spectrum file, spec.txt, that the README does
+# not give, so it is not run.
+CLI_EXAMPLES = [example for example in cli_examples() if example[0][0] != "detect"]
 
 
 NUMBER = r"-?\d+(?:\.\d*)?(?:e[+-]?\d+)?"
@@ -91,6 +117,23 @@ def test_readme_examples_run_as_written():
         assert len(got) == len(printed)
         for want, line in zip(printed, got):
             assert matches(want, line), (want, line)
+
+
+def test_readme_has_the_cli_examples():
+    assert [argv[0] for argv, _ in CLI_EXAMPLES] == [
+        "predict", "sample", "sandwich", "verify", "sweep"]
+    assert len(blocks("json")) == 1
+
+
+@pytest.mark.parametrize("argv, shown", CLI_EXAMPLES,
+                         ids=[argv[0] for argv, _ in CLI_EXAMPLES])
+def test_readme_cli_examples_print_as_shown(argv, shown, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MESO_SEED", raising=False)
+    (tmp_path / "loc.json").write_text(blocks("json")[0])
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in printed] == [line.split() for line in shown]
 
 
 @pytest.mark.parametrize("module, names", [

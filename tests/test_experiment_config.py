@@ -110,10 +110,20 @@ class TestParsing:
         with pytest.raises(ConfigError, match="phi: required"):
             ExperimentConfig.from_dict(doc)
 
-    def test_wishart_p_bound(self):
-        doc = base_doc(kind="wishart", phi=0.5, p=150,
-                       theta_spec={"values": [2.0]})
-        with pytest.raises(ConfigError, match="p: must be >= every n"):
+    def test_wishart_p_follows_phi(self):
+        with pytest.raises(ConfigError, match="p: unknown config key"):
+            ExperimentConfig.from_dict(base_doc(kind="wishart", phi=0.5, p=2000,
+                                                theta_spec={"values": [2.0]}))
+        cfg = ExperimentConfig.from_dict(base_doc(kind="wishart", phi=0.5,
+                                                  n_values=[500, 1000],
+                                                  theta_spec={"values": [2.0]}))
+        assert [cfg.model_for(n).p_for(n) for n in cfg.n_values] == [1000, 2000]
+
+    @pytest.mark.parametrize("experiment", ["location", "eigenvector"])
+    def test_m_rule_rejected_where_the_strengths_set_the_rank(self, experiment):
+        doc = base_doc(experiment=experiment, kind="orth-invariant-additive",
+                       spectrum={"name": "semicircle"}, m_rule={"fixed": 30})
+        with pytest.raises(ConfigError, match="m_rule: not accepted"):
             ExperimentConfig.from_dict(doc)
 
     def test_spectrum_required_for_empirical_kinds(self):
@@ -235,6 +245,21 @@ class TestDerived:
         s = cfg.spectrum_for(6)
         assert np.allclose(s.eigenvalues, 1.0)
 
+    @pytest.mark.parametrize("n", [5, 8], ids=["file-length", "resampled"])
+    def test_spectrum_for_file_equals_values(self, tmp_path, n):
+        values = [2.5, -1.0, 0.25, 3.0, 1.0 / 3.0]
+        path = tmp_path / "spec.txt"
+        path.write_text("".join(f"{v!r}\n" for v in values))
+        spectra = [
+            ExperimentConfig.from_dict(base_doc(kind="orth-invariant-additive",
+                                                spectrum=spectrum)).spectrum_for(n)
+            for spectrum in ({"name": "file", "path": str(path)},
+                             {"name": "values", "values": values})
+        ]
+        assert spectra[0].n == n
+        assert np.array_equal(spectra[0].eigenvalues, spectra[1].eigenvalues)
+        assert spectra[0].is_psd == spectra[1].is_psd
+
     def test_model_for(self):
         cfg = ExperimentConfig.from_dict(base_doc())
         assert cfg.model_for(200).kind is ModelKind.WIGNER
@@ -270,7 +295,7 @@ class TestDerived:
 
     @pytest.mark.parametrize("doc", [
         base_doc(thresholds={"min_coverage": 0.9}, report_path="out/r.json"),
-        base_doc(experiment="eigenvector", kind="wishart", phi=0.5, p=400,
+        base_doc(experiment="eigenvector", kind="wishart", phi=0.5,
                  entry_law="rademacher", theta_spec={"values": [2.0]},
                  cross_check=True),
         base_doc(experiment="pushforward", n_values=[100, 200], batches=4,

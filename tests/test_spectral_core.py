@@ -23,7 +23,7 @@ from meso_spectra import (
     target_index,
 )
 from meso_spectra.predictor import check_separation, pushforward_map
-from meso_spectra.spectral_core import Separation
+from meso_spectra.spectral_core import Separation, check_fits
 from meso_spectra.transforms import stieltjes
 
 RNG = np.random.default_rng(20260823)
@@ -143,9 +143,31 @@ class TestPerturbationSpec:
         assert q.frame is not None and q.frame.shape == (5, 2)
         assert q.thetas.tolist() == p.thetas.tolist()
 
-    def test_norm_bound(self):
-        p = PerturbationSpec.from_values([1.0, -3.0])
-        assert p.norm_bound == 3.0
+
+class TestCheckFits:
+    """The three rules a perturbation meets to fit an n x n base, and the
+    operator that applies them to its spectrum's size."""
+
+    def test_rules(self):
+        thetas = np.array([2.0, -1.0])
+        check_fits(2, thetas, False, np.eye(2))
+        with pytest.raises(ModelError, match="rank 2 exceeds matrix size 1"):
+            check_fits(1, thetas, False)
+        with pytest.raises(ModelError, match="frame has 3 rows but the matrix has size 2"):
+            check_fits(2, thetas, False, np.eye(3)[:, :2])
+        with pytest.raises(ModelError, match="multiplicative strengths must exceed -1"):
+            check_fits(2, thetas, True)
+        check_fits(2, np.array([2.0, -0.5]), True)
+
+    @pytest.mark.parametrize("thetas, frame, message", [
+        ([2.0, 1.5, 1.2, 1.1], None, "rank 4 exceeds matrix size 3"),
+        ([2.0], np.eye(4)[:, :1], "frame has 4 rows but the matrix has size 3"),
+        ([2.0, -1.0], None, "multiplicative strengths must exceed -1"),
+    ], ids=["rank", "frame", "strength"])
+    def test_master_operator(self, thetas, frame, message):
+        model = Model.multiplicative(SpectrumModel.from_values([0.5, 1.0, 1.5]))
+        with pytest.raises(ModelError, match=message):
+            MasterOperator(model=model, pert=PerturbationSpec.from_values(thetas, frame))
 
 
 BAD_DELTAS = [0.0, -1.0, math.nan, math.inf]
@@ -190,7 +212,6 @@ class TestWindowAndModel:
         m = Model.wishart(0.5)
         assert m.kind is ModelKind.WISHART
         assert m.p_for(1000) == 2000
-        assert Model.wishart(0.5, p=1500).p_for(700) == 1500
 
     def test_wishart_phi_validated(self):
         with pytest.raises(ModelError):
