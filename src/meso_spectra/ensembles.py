@@ -509,9 +509,12 @@ def eigensolve(
     ``vectors`` each pair is certified, value within
     ``partial.FILTER_TOLERANCE`` times the spectral radius and vector within
     an angle of ``FILTER_TOLERANCE``, and the ``n x M`` vectors come with
-    them.  Values alone are certified to the same tolerance on the values
-    but with no gap between outliers, so close ones (about ``1/M`` apart
-    when ``M`` grows with ``n``) certify too.  The solve reads the sample's
+    them.  Values alone are certified to the same tolerance on the values,
+    each by the smaller of a first-order bound that needs no gap between
+    outliers, so close ones (about ``1/M`` apart when ``M`` grows with
+    ``n``) certify too, and the second-order bound ``r^2 / gap`` for one
+    apart from the rest, so their residuals ``r`` need only reach about
+    ``sqrt(FILTER_TOLERANCE * radius * gap)``.  The solve reads the sample's
     structure, never its dense matrices:
     :func:`~meso_spectra.partial.filtered_extremes` on an orthogonally
     invariant sample's :meth:`EnsembleSample._update` and

@@ -14,8 +14,12 @@ sweeps at the Ritz values, each followed by a Rayleigh-Ritz step, and both
 certify on its last Rayleigh-Ritz state, residuals and all, with no further
 product (a band solve whose leading block meets the targets with no sweep
 has no such state, and applies ``T`` once more).  Pairs are certified by
-:func:`_certify`, values alone by :func:`_certify_values`, which needs no
-gap between outliers.
+:func:`_certify`, values alone by :func:`_certify_values`: each value by
+the smaller of a first-order block bound, which needs no gap between
+outliers, and, for a value apart from the others and the bulk, the
+second-order Kato-Temple bound ``r^2 / gap``.  So a values solve's residual
+targets are per pair (:func:`_values_targets`), about the square root of
+the first-order ones, and it stops about a sweep earlier.
 
 * :func:`filtered_extremes` starts from a Chebyshev filter stage on the
   diagonal-plus-low-rank structure and sweeps through the Woodbury
@@ -26,8 +30,9 @@ gap between outliers.
   ``FILTER_MAX_DEGREE`` in total.
 * :func:`band_extremes` starts from the Ritz pairs of a leading principal
   block of ``T``, the Rayleigh-Ritz problem of block Lanczos started on the
-  leading coordinates, grown until two sweeps are predicted to finish them,
-  then sweeps on the leading rows of ``T`` that the pairs need (``O(M^2)``
+  leading coordinates, grown until two sweeps are predicted to finish them
+  and the bulk's edges, as the block sees them, have settled, then sweeps
+  on the leading rows of ``T`` that the pairs need (``O(M^2)``
   per row and vector through block cyclic reduction,
   :func:`band.solve`), with residuals taken on all of ``T``.  Exact counts
   from Sylvester's inertia of a block LDL^T factorization
@@ -55,7 +60,8 @@ DEGENERACY_TOLERANCE = 1e-10
 # A Ritz pair of the partial eigensolve has converged once its residual is at
 # most this, relative to the smaller of max(1, largest |Ritz value|) and its
 # distance to the rest of the spectrum.  Values alone have converged once
-# the block's residual norm is at most this relative to the former alone.
+# each value's bound (first or second order, see _certify_values) is at most
+# this relative to the former alone.
 FILTER_TOLERANCE = 1e-12
 
 # The total Chebyshev filter degree the partial eigensolve may spend before
@@ -69,13 +75,14 @@ FILTER_FIRST_DEGREE = 12
 # per pair, plus one: n > FILTER_ROWS_PER_PAIR * (M + 1).  On 2 cores with
 # OpenBLAS, with the dense n x n assembly counted in the dense side's cost
 # and the partial solve's sweeps in its own, values alone (additive, on
-# semicircle quantiles) stay faster than eigvalsh from n = 130, 140, 150, 150
-# and 180 for M = 1, 2, 4, 8 and 12 (at n = 400, M = 8: 11 ms dense, 1.9 ms
-# partial), and pairs (multiplicative, on a uniform spectrum) stay faster
-# than eigh from n = 70, 90, 90, 110 and 130.  So the rule is conservative
-# for pairs, and for values from M = 4; for values at M = 1 and 2 it admits
-# samples from n = 81 and 121, where the partial solve costs up to about
-# 0.5 ms more than the dense one.
+# semicircle quantiles, strengths 2.5 .. 1.5 of alternating sign) stay
+# faster than eigvalsh from n = 100 to 110, 120, 130, 140 and 180 for M = 1,
+# 2, 4, 8 and 12 (at n = 400, M = 8: 10.6 ms dense, 1.0 ms partial), and
+# pairs (multiplicative, on a uniform spectrum) stay faster than eigh from
+# n = 70, 90, 90, 110 and 130.  So the rule is conservative for pairs, and
+# for values from M = 2; for values at M = 1 it admits samples from n = 81,
+# where the partial solve costs up to about 0.1 ms more than the dense one
+# (0.68 against 0.57 ms at n = 90).
 FILTER_ROWS_PER_PAIR = 40
 
 # The band solve's first leading block has this many blocks of w rows; the
@@ -103,11 +110,13 @@ class _Ritz(NamedTuple):
 def _rayleigh_ritz(apply, x: np.ndarray) -> _Ritz:
     """The Ritz pairs of ``A`` (applied to columns by ``apply``) on the span
     of the columns of ``x``, from a QR factor ``Q``, ``A Q`` and ``eigh`` of
-    ``Q^T A Q``.  The vectors keep ``x``'s memory order: a Fortran-ordered
-    block, whose columns are contiguous, stays one."""
+    ``Q^T A Q``, symmetrized, so that each Ritz value is its vector's
+    Rayleigh quotient to rounding.  The vectors keep ``x``'s memory order: a
+    Fortran-ordered block, whose columns are contiguous, stays one."""
     q = np.linalg.qr(x)[0]
     image = apply(q)
-    ritz, rot = np.linalg.eigh(q.T @ image)
+    h = q.T @ image
+    ritz, rot = np.linalg.eigh(0.5 * (h + h.T))
     values, rot = ritz[::-1], rot[:, ::-1]
     if x.flags.c_contiguous:
         vecs, turned = q @ rot, image @ rot
@@ -115,6 +124,21 @@ def _rayleigh_ritz(apply, x: np.ndarray) -> _Ritz:
         vecs, turned = (rot.T @ q.T).T, (rot.T @ image.T).T
     resid = np.linalg.norm(turned - vecs * values, axis=0)
     return _Ritz(values, vecs, resid, q, image)
+
+
+def _values_targets(first: float, radius: float, gap: np.ndarray) -> np.ndarray:
+    """The residual targets of a values solve's pairs, each value ``gap``
+    from its neighbours and the bulk: ``first``, at which the block bound
+    of :func:`_certify_values` meets the tolerance, or, when every value is
+    apart from the rest by more than four times the block residual the
+    larger targets allow, each pair's own ``sqrt(FILTER_TOLERANCE * radius
+    * gap / 4)`` if larger, at which its second-order bound ``r^2 / (gap -
+    bound)`` meets a third of the tolerance."""
+    targets = np.maximum(first, np.sqrt(0.25 * FILTER_TOLERANCE * radius
+                                        * np.maximum(gap, 0.0)))
+    if (gap > 4.0 * np.linalg.norm(targets)).all():
+        return targets
+    return np.full(gap.shape, first)
 
 
 def _sweep(solve, ritz: _Ritz, todo: np.ndarray, isolation: np.ndarray):
@@ -232,20 +256,21 @@ def filtered_extremes(
     Phys. 219, 2006) on a block of ``M`` vectors started on the orthonormal
     ``start``, applying ``A`` as ``d * x + W (K (W^T x))``, then the loop of
     :func:`_refine`, stepped by further stages or sweeps, with the
-    tolerances of :func:`_certify` (of :func:`_certify_values` when not
-    ``vectors``) as targets.  All eigenvalues but the wanted ones lie in
-    the bulk ``[min d, max d]`` (see :func:`_certify`), on which ``T_m((A -
-    centre) / half)`` is at most 1 in modulus, while it multiplies an
-    eigenvector at ``lambda`` beyond the bulk by about ``rho^m / 2``, with
-    ``rho = |x| + sqrt(x^2 - 1)`` at the mapped ``x = (lambda - centre) /
-    half``: a stage predicts that fall.  A stage filters the pairs above
-    their targets and projects the others out at every step of the
-    three-term recurrence.  A sweep solves through the Woodbury identity
-    with ``E = (diag(d) - sigma)^-1``: ``E x - E W K (I + W^T E W K)^-1 W^T
-    E x``, every shift's ``W^T E W`` from one batched product
-    (:func:`_shifted_grams`); a multiplicative sample (``psd``), whose ``W``
-    is :func:`ensembles._sandwich_update`'s ``[V, diag(d) V]``, builds
-    them from ``V^T E V`` alone.
+    tolerances of :func:`_certify` as targets, or when not ``vectors``
+    those of :func:`_certify_values`, per pair (:func:`_values_targets`,
+    each value's gap taken to the other values and the bulk).  All
+    eigenvalues but the wanted ones lie in the bulk ``[min d, max d]`` (see
+    :func:`_certify`), on which ``T_m((A - centre) / half)`` is at most 1 in
+    modulus, while it multiplies an eigenvector at ``lambda`` beyond the
+    bulk by about ``rho^m / 2``, with ``rho = |x| + sqrt(x^2 - 1)`` at the
+    mapped ``x = (lambda - centre) / half``: a stage predicts that fall.  A
+    stage filters the pairs above their targets and projects the others out
+    at every step of the three-term recurrence.  A sweep solves through the
+    Woodbury identity with ``E = (diag(d) - sigma)^-1``: ``E x - E W K (I +
+    W^T E W K)^-1 W^T E x``, every shift's ``W^T E W`` from one batched
+    product (:func:`_shifted_grams`); a multiplicative sample (``psd``),
+    whose ``W`` is :func:`ensembles._sandwich_update`'s ``[V, diag(d) V]``,
+    builds them from ``V^T E V`` alone.
 
     Before it tests the targets, the solve gives up ("Ritz values not
     separated") once the filter has reached ``FILTER_FIRST_DEGREE`` and the
@@ -322,10 +347,10 @@ def filtered_extremes(
         if vectors:
             gap, target = apart, FILTER_TOLERANCE * np.minimum(radius, apart)
         else:
-            # Values need only clear the bulk, not one another, and the
-            # residuals' root sum of squares must meet the tolerance.
+            # Values need only clear the bulk, not one another.
             gap = np.concatenate((values[:upper] - high, low - values[upper:]))
-            target = FILTER_TOLERANCE * radius / math.sqrt(values.size)
+            target = _values_targets(
+                FILTER_TOLERANCE * radius / math.sqrt(values.size), radius, apart)
         separated = bool((gap > margin).all())
         if not separated and used >= FILTER_FIRST_DEGREE:
             return "Ritz values not separated"
@@ -473,22 +498,50 @@ def _certify_values(q: np.ndarray, image: np.ndarray, d: np.ndarray, upper: int,
     ``max d`` and the others below ``min d``, each by more than
     ``bound + margin``, their eigenvalues are exactly ``lambda_1 ..
     lambda_upper`` and the ``M - upper`` smallest, in order, and each value
-    is within ``bound`` of its eigenvalue.  The certificate asks
-    ``bound <= FILTER_TOLERANCE * max(1, largest |theta|)`` and no gap
-    between the values, so close or repeated outliers certify.  As in
-    :func:`_certify`, ``d`` may instead be the two ends of an interval
+    is within ``bound`` of its eigenvalue.  This first-order bound needs no
+    gap between the values, so close or repeated outliers certify.
+
+    Second order.  When a value's interval ``[theta_i +- bound]`` is apart
+    from its neighbours' and from the bulk by more than ``margin``, it holds
+    exactly one eigenvalue (the matching and the count leave no other), and
+    no other eigenvalue lies between the near ends ``alpha_i < theta_i <
+    beta_i`` of the intervals next to it, the bulk among them.  Then the
+    Kato-Temple bound (Temple, Proc. R. Soc. A 119, 1928; Kato, J. Phys.
+    Soc. Japan 4, 1949) holds for its Ritz vector ``u_i = Q y_i``, ``y_i``
+    the eigenvector of ``H``: the eigenvalue is within ``r^2 / min(beta -
+    rho, rho - alpha)`` of the Rayleigh quotient ``rho`` of ``u_i``, ``r``
+    the residual of ``u_i / |u_i|`` at ``rho``.  With the computed ``Q``,
+    ``|u_i|^2 >= 1 - eta``, ``r <= r_i / sqrt(1 - eta)`` for ``r_i = |A u_i
+    - theta_i u_i|``, and ``rho`` is within ``moved = 3 eta |H|_2 / (1 -
+    eta)`` of ``theta_i``, so the value is within ``r_i^2 / ((1 - eta)
+    (gap_i - moved)) + moved`` of its eigenvalue, ``gap_i`` the distance
+    from ``theta_i`` to the nearer of ``alpha_i`` and ``beta_i``.
+
+    Each value takes the smaller of its bounds, and the certificate asks
+    each to be at most ``FILTER_TOLERANCE * max(1, largest |theta|)``.  As
+    in :func:`_certify`, ``d`` may instead be the two ends of an interval
     proved to hold every other eigenvalue.
     """
     h = q.T @ image
     h = 0.5 * (h + h.T)
     # eigh, as in the Rayleigh-Ritz steps: eigvalsh is left to dense solves.
-    values = np.linalg.eigh(h)[0][::-1]
+    values, rot = np.linalg.eigh(h)
+    values, rot = values[::-1], rot[:, ::-1]
     size = max(abs(values[0]), abs(values[-1]))
     eta = np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
     bound = (np.linalg.norm(image - q @ h) + 3.0 * eta * size) / (1.0 - eta)
+    # Second order, for each value whose interval is apart from the others
+    # and from the bulk.
+    moved = 3.0 * eta * size / (1.0 - eta)
+    resid = np.linalg.norm(image @ rot - (q @ rot) * values, axis=0)
+    _, _, gap = _intervals(values, bound, upper, d)
+    apart = gap - bound > margin
+    each = np.full(values.size, bound)
+    each[apart] = np.minimum(
+        bound, resid[apart] ** 2 / ((1.0 - eta) * (gap[apart] - moved)) + moved)
     certified = (
         eta < 1.0
-        and bound <= FILTER_TOLERANCE * max(1.0, size)
+        and (each <= FILTER_TOLERANCE * max(1.0, size)).all()
         and (values[:upper] - bound > d.max() + margin).all()
         and (values[upper:] + bound < d.min() - margin).all()
         and (not psd or d.min() >= 0.0)
@@ -514,18 +567,28 @@ def band_extremes(
     ``|B_k y_last|``.  The first two leading blocks span
     ``BAND_FIRST_BLOCKS`` and twice that many blocks of ``w`` rows; after
     that the residuals' geometric fall between the last two predicts the
-    size at which the slowest reaches its target (half the certificate's
-    tolerance), and the next block has that size, at most twice the last.
+    size at which the slowest reaches its target, and the next block has
+    that size, at most twice the last.  A pair's target is half the
+    certificate's tolerance; a value's is the larger of half the first-order
+    one and its second-order target (:func:`_values_targets`), its gap taken
+    to the other values and to the cut (see Counts).
 
-    Sweeps.  From the second block on, the solve refines the block's Ritz
+    Edges.  The cuts are only as good as the block's next Ritz values,
+    which reach the bulk's edges from inside, and slowly: at ``n = 2000``
+    the second block's can lie 0.2 inside, enough to put a cut in the bulk.
+    The edges have settled once the block has doubled twice, or once each
+    cut lies farther beyond its edge than half the edge's move since the
+    last, half as large, block.  Until then the block doubles, and the
+    solve neither ends nor sweeps.
+
+    Sweeps.  Once the edges have settled, the solve refines the block's Ritz
     pairs, padded with zeros to ``n`` rows, by the sweeps of
     :func:`_refine` in place of further growth, when two sweeps are
     predicted to meet the targets (``r^9 / isolation^8``, isolation taken
-    from the block's next Ritz values, the bulk's edges as it sees them)
-    and the predicted block would have more than ``FILTER_ROWS_PER_PAIR``
-    rows per pair (the size rule of :func:`ensembles.eigensolve`: below it
-    ``eigh`` costs less than a sweep).  A sweep solves on ``T_k``, ``T``'s
-    leading ``k`` blocks (:func:`band.solve`, O(k w^3) per pair), with zeros
+    from the block's next Ritz values, the bulk's edges as it sees them).
+    A sweep solves on ``T_k``, ``T``'s leading ``k`` blocks
+    (:func:`band.solve`, O(k w^3) per pair, against O((k w)^3) for ``eigh``
+    of the block it spares, so no size rule holds it back), with zeros
     below: the outlier eigenvectors fall geometrically down the band, at
     the rate the growth measures.  The first sweep's ``k`` is the block
     count at which the leading block's residuals would reach that sweep's
@@ -589,10 +652,11 @@ def band_extremes(
     def goals(ritz: _Ritz):
         values, radius = ritz.values, ritz.radius
         _, _, isolation = _intervals(values, 0.0, upper, edges)
+        _, _, gap = _intervals(values, 0.0, upper, cuts(values, edges))
         if vectors:
-            _, _, gap = _intervals(values, 0.0, upper, cuts(values, edges))
             return 0.5 * FILTER_TOLERANCE * np.minimum(radius, gap), isolation
-        return 0.5 * FILTER_TOLERANCE * radius / math.sqrt(m), isolation
+        return _values_targets(0.5 * FILTER_TOLERANCE * radius / math.sqrt(m),
+                               radius, gap), isolation
 
     def sweep(ritz: _Ritz, todo: np.ndarray, excess: np.ndarray,
               isolation: np.ndarray):
@@ -609,7 +673,8 @@ def band_extremes(
     # first need them.
     stacks = functools.cache(lambda: band.blocks(storage))
     cap = n // (2 * width)
-    blocks, before = min(BAND_FIRST_BLOCKS, cap), None
+    blocks, before, settled = min(BAND_FIRST_BLOCKS, cap), None, False
+    sides = np.array([lower > 0, upper > 0])
     while True:
         rows = blocks * width
         if rows <= m:
@@ -627,12 +692,20 @@ def band_extremes(
         edges = np.array([eigs[lower], eigs[rows - 1 - upper]])
         ritz = _Ritz(values, padded(vecs), resid, None, None)
         target, isolation = goals(ritz)
-        if (resid <= target).all():
+        # The edges have settled once the block has doubled twice, or once
+        # each cut lies farther beyond its edge than half the edge's move
+        # since the last, half as large, block.
+        if not settled and before is not None:
+            clear = np.abs(cuts(values, edges) - edges)
+            moved = np.abs(edges - before[2])
+            settled = (blocks >= 4 * BAND_FIRST_BLOCKS
+                       or bool((clear >= 0.5 * moved)[sides].all()))
+        if (resid <= target).all() and (settled or blocks >= cap):
             break
         todo = resid > target
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.log(resid)
-            if before is None:  # no fall measured yet: double the block
+            if before is None or not todo.any():  # no fall to read: double
                 need, size = blocks + 1.0, 2.0 * blocks
             else:
                 rate = (before[1] - logs) / (blocks - before[0])
@@ -640,11 +713,9 @@ def band_extremes(
                 need = size = blocks + float(steps[todo].max())
             if blocks >= cap or not need <= cap:
                 return "step cap reached"
-            # Two sweeps (r -> r^9 / isolation^8) must meet the targets, and a
-            # sweep replaces growth past the size below which eigh is cheaper;
-            # the first sweep solves on the rows that reach its own goal.
-            if (before is not None and size * width > FILTER_ROWS_PER_PAIR * (m + 1)
-                    and (resid ** 9 / isolation ** 8 <= target)[todo].all()):
+            # Two sweeps (r -> r^9 / isolation^8) must meet the targets; the
+            # first sweep solves on the rows that reach its own goal.
+            if settled and (resid ** 9 / isolation ** 8 <= target)[todo].all():
                 full = math.ceil(size)
                 goal = np.maximum(target, resid ** 3 / isolation ** 2)
                 reach = np.where(rate > 0.0, np.log(resid / goal) / rate, np.inf)
@@ -654,8 +725,9 @@ def band_extremes(
                 if met:
                     ritz = refined
                     break
-        before = blocks, logs
-        blocks = min(cap, 2 * blocks, max(blocks + 1, math.ceil(size)))
+        # Unsettled edges are measured again on a block twice as large.
+        grown = max(blocks + 1, math.ceil(size)) if settled else 2 * blocks
+        before, blocks = (blocks, logs, edges), min(cap, 2 * blocks, grown)
 
     bounds = cuts(ritz.values, edges)
     shifts = bounds[[1] * bool(upper) + [0] * bool(lower)]

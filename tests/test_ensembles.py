@@ -1077,7 +1077,7 @@ class TestCertifiedPartialEigensolve:
 
         values = certify([-1, 0], 1)
         assert np.max(np.abs(values - vals[[-1, 0]])) <= 1e-14
-        rough = vecs[:, [-1, 0]] + 1e-9 * np.ones((60, 2))
+        rough = vecs[:, [-1, 0]] + 1e-5 * np.ones((60, 2))
         assert partial._certify_values(*span(rough), d, 1, False,
                                        margin) == "certificate failed"
         assert certify([-1, -2], 1) == "certificate failed"
@@ -1162,6 +1162,52 @@ class TestCertifiedPartialEigensolve:
         monkeypatch.setattr(np.random, "default_rng", no_generator)
         vals, _ = eigensolve(sample)
         assert vals.size == 2
+
+
+class TestSecondOrderValuesCertificate:
+    """The values certificate on spans of a dense matrix with its top two
+    eigenvalues above a bulk on [-1, 1], whose ends it is given as ``d``."""
+
+    n = 60
+    bulk = np.array([-1.0, 1.0])
+
+    def span(self, top, rough):
+        # Orthonormal Q and A Q for the top two eigenvectors, each moved by
+        # ``rough`` in every coordinate.
+        rng = RngStream(59, 0).generator()
+        basis = np.linalg.qr(rng.standard_normal((self.n, self.n)))[0]
+        a = (basis * np.r_[top, np.linspace(-1.0, 1.0, self.n - 2)]) @ basis.T
+        a = 0.5 * (a + a.T)
+        q = np.linalg.qr(basis[:, :2] + rough * np.ones((self.n, 2)))[0]
+        return q, a @ q
+
+    def certify(self, top, rough):
+        q, image = self.span(top, rough)
+        margin = partial.DEGENERACY_TOLERANCE * max(top)
+        return partial._certify_values(q, image, self.bulk, 2, False, margin)
+
+    def block_bound(self, top, rough):
+        q, image = self.span(top, rough)
+        return np.linalg.norm(image - q @ (q.T @ image))
+
+    def test_isolated_span_certifies_to_second_order(self):
+        # Residuals near 5e-8: far above the 5e-12 tolerance, while their
+        # squares over the gaps of about 1 are far below it.
+        assert self.block_bound([5.0, 4.0], 1e-9) > 1e3 * partial.FILTER_TOLERANCE * 5.0
+        values = self.certify([5.0, 4.0], 1e-9)
+        assert np.max(np.abs(values - [5.0, 4.0])) <= partial.FILTER_TOLERANCE * 5.0
+
+    def test_overlapping_cluster_certifies_by_the_block_bound_alone(self):
+        # A repeated eigenvalue: the intervals overlap, so only the block
+        # bound applies.  It certifies a fine span, not the rough span that
+        # certifies when the two values are apart.
+        assert self.block_bound([5.0, 5.0], 1e-14) <= partial.FILTER_TOLERANCE * 5.0
+        values = self.certify([5.0, 5.0], 1e-14)
+        assert np.max(np.abs(values - 5.0)) <= partial.FILTER_TOLERANCE * 5.0
+        assert self.certify([5.0, 5.0], 1e-9) == "certificate failed"
+
+    def test_rough_span_fails_both_bounds(self):
+        assert self.certify([5.0, 4.0], 1e-7) == "certificate failed"
 
 
 class TestSharedRefinement:

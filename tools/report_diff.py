@@ -1,0 +1,118 @@
+"""Compare the reports two source trees write for the same experiment configs.
+
+    python3 tools/report_diff.py OLD_SRC NEW_SRC CONFIG.json [CONFIG.json ...]
+
+Each config is run by ``meso-spectra verify`` (as ``python -m
+meso_spectra.cli verify``) once with ``OLD_SRC`` and once with ``NEW_SRC``
+first on ``PYTHONPATH``, writing its report to a temporary directory.  For
+each config the script prints whether the two reports hash the same, leaving
+out ``wall_clock_seconds`` and ``report_path``.  When they differ it prints
+the largest ``|new - old|`` of every numeric field that moved, nested keys
+joined by ``.`` and list positions dropped, so that a record field is one
+line over all records and trials.  A field present on one side only, or
+whose value is not a number, is listed with its two values.  The exit status is 0 when every pair hashes the same, 1
+otherwise.
+"""
+
+import hashlib
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+LEFT_OUT = ("wall_clock_seconds", "report_path")
+
+
+def run_report(src: Path, config: Path, workdir: Path) -> dict:
+    """The report ``verify`` writes for ``config`` with ``src`` on the path."""
+    doc = json.loads(config.read_text())
+    doc["report_path"] = str(workdir / "report.json")
+    written = workdir / "config.json"
+    written.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    # verify exits 1 when a threshold fails, and writes the report either way.
+    done = subprocess.run([sys.executable, "-m", "meso_spectra.cli", "verify", str(written)],
+                          env=env, capture_output=True, text=True)
+    report = workdir / "report.json"
+    if done.returncode not in (0, 1) or not report.exists():
+        raise SystemExit(f"{config} under {src} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(report.read_text())
+
+
+def stripped(value):
+    """``value`` without the keys in ``LEFT_OUT``, at any depth."""
+    if isinstance(value, dict):
+        return {k: stripped(v) for k, v in value.items() if k not in LEFT_OUT}
+    if isinstance(value, list):
+        return [stripped(v) for v in value]
+    return value
+
+
+def digest(report: dict) -> str:
+    text = json.dumps(stripped(report), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def leaves(value, prefix=""):
+    """``(dotted key, leaf)`` for every leaf of nested dicts and lists."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, f"{prefix}.{key}" if prefix else str(key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from leaves(item, f"{prefix}[{index}]")
+    else:
+        yield prefix, value
+
+
+def numeric(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def moves(old: dict, new: dict) -> dict:
+    """Per field, list positions dropped (``records[4].outliers[3].realized``
+    is ``records.outliers.realized``), the largest ``|new - old|`` over its
+    leaves, or a note for a leaf on one side only or not a number."""
+    old_leaves, new_leaves = dict(leaves(old)), dict(leaves(new))
+    out = {}
+    for key in sorted(old_leaves.keys() | new_leaves.keys()):
+        a, b = old_leaves.get(key, "<absent>"), new_leaves.get(key, "<absent>")
+        if a == b or (numeric(a) and numeric(b) and math.isnan(a) and math.isnan(b)):
+            continue
+        field = re.sub(r"\[\d+\]", "", key)
+        if not (numeric(a) and numeric(b)):
+            out[field] = f"{a!r} -> {b!r}"
+        elif not isinstance(out.get(field), str):
+            delta = abs(b - a)
+            out[field] = max(out.get(field, 0.0), delta if delta == delta else math.inf)
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) < 3:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    old_src, new_src = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    same_everywhere = True
+    for config in map(Path, argv[2:]):
+        with tempfile.TemporaryDirectory() as old_dir, \
+                tempfile.TemporaryDirectory() as new_dir:
+            old = run_report(old_src, config, Path(old_dir))
+            new = run_report(new_src, config, Path(new_dir))
+        same = digest(old) == digest(new)
+        same_everywhere &= same
+        print(f"{config}: {'same' if same else 'differs'} "
+              f"({digest(old)[:12]} / {digest(new)[:12]})")
+        if not same:
+            for field, move in sorted(moves(stripped(old), stripped(new)).items()):
+                print(f"  {field}  {move if isinstance(move, str) else f'max|d| {move:.3g}'}")
+    return 0 if same_everywhere else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
