@@ -75,23 +75,32 @@ class Blocks(NamedTuple):
     rows: int
 
     def leading(self, count: int) -> Blocks:
-        """The stacks of ``T``'s leading ``count`` blocks, ``count`` being
-        below ``T``'s block count."""
+        """The stacks of ``T``'s leading ``count`` blocks, all of ``T`` from
+        its block count on."""
+        if count >= self.diag.shape[0]:
+            return self
         return Blocks(self.diag[:count], self.below[: count - 1],
-                           count * self.diag.shape[1])
+                      count * self.diag.shape[1])
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """``T x`` for ``x`` with ``rows`` rows: ``x`` padded to whole blocks
-        ``x_k``, then ``y_k = A_k x_k + B_(k-1) x_(k-1) + B_k^T x_(k+1)`` as
-        three batched matmuls, O(n w) work per column."""
-        count, width = self.diag.shape[:2]
+        """``T``'s leading ``r`` rows and columns times ``x``, for ``x`` with
+        ``r <= rows`` rows.  Vectors live on their working rows, where
+        ``T``'s product is exact: when the last ``w`` rows of ``x`` are zero,
+        this is ``T`` times ``x`` padded with zeros to ``rows`` rows, on its
+        leading ``r`` rows and bit for bit, and that product is exactly zero
+        below them.  ``x`` padded to whole blocks ``x_k``, then ``y_k = A_k
+        x_k + B_(k-1) x_(k-1) + B_k^T x_(k+1)`` as three batched matmuls,
+        O(r w) work per column."""
+        rows, width = x.shape[0], self.diag.shape[1]
+        count = -(-rows // width)
+        diag, below = self.diag[:count], self.below[: count - 1]
         blocks = np.zeros((count * width, x.shape[1]))
-        blocks[: self.rows] = x
+        blocks[:rows] = x
         blocks = blocks.reshape(count, width, -1)
-        y = self.diag @ blocks
-        y[1:] += self.below @ blocks[:-1]
-        y[:-1] += self.below.swapaxes(-1, -2) @ blocks[1:]
-        return y.reshape(count * width, -1)[: self.rows]
+        y = diag @ blocks
+        y[1:] += below @ blocks[:-1]
+        y[:-1] += below.swapaxes(-1, -2) @ blocks[1:]
+        return y.reshape(count * width, -1)[:rows]
 
 
 def blocks(band: np.ndarray) -> Blocks:
@@ -136,8 +145,9 @@ def _eliminate_odd(pivots: np.ndarray, below: np.ndarray,
     lower = down.shape[1]
     kept = pivots[:, 0::2].copy()
     kept[:, : up.shape[1]] -= up.swapaxes(-1, -2) @ inverse @ up
-    kept[:, 1: lower + 1] -= down @ inverse[:, :lower] @ down.swapaxes(-1, -2)
-    return kept, -(down @ inverse[:, :lower] @ up[:, :lower])
+    scaled = down @ inverse[:, :lower]  # B_2q+1 P^-1, for both products
+    kept[:, 1: lower + 1] -= scaled @ down.swapaxes(-1, -2)
+    return kept, -(scaled @ up[:, :lower])
 
 
 def inertia(blocks: Blocks,

@@ -34,7 +34,10 @@ the first-order ones, and it stops about a sweep earlier.
   and the bulk's edges, as the block sees them, have settled, then sweeps
   on the leading rows of ``T`` that the pairs need (``O(M^2)``
   per row and vector through block cyclic reduction,
-  :func:`band.solve`), with residuals taken on all of ``T``.  Exact counts
+  :func:`band.solve`).  Vectors live on their working rows, where ``T``'s
+  product is exact: the blocks they occupy and one zero block below, so
+  residuals, Rayleigh-Ritz steps and certificates are those of all of
+  ``T`` at the cost of those rows alone.  Exact counts
   from Sylvester's inertia of a block LDL^T factorization
   (:func:`band.inertia`), at a cut on each side, prove the interval that
   holds the rest of the spectrum.  It gives up when the leading block would
@@ -582,10 +585,10 @@ def band_extremes(
     solve neither ends nor sweeps.
 
     Sweeps.  Once the edges have settled, the solve refines the block's Ritz
-    pairs, padded with zeros to ``n`` rows, by the sweeps of
-    :func:`_refine` in place of further growth, when two sweeps are
-    predicted to meet the targets (``r^9 / isolation^8``, isolation taken
-    from the block's next Ritz values, the bulk's edges as it sees them).
+    pairs by the sweeps of :func:`_refine` in place of further growth, when
+    two sweeps are predicted to meet the targets (``r^9 / isolation^8``,
+    isolation taken from the block's next Ritz values, the bulk's edges as
+    it sees them).
     A sweep solves on ``T_k``, ``T``'s leading ``k`` blocks
     (:func:`band.solve`, O(k w^3) per pair, against O((k w)^3) for ``eigh``
     of the block it spares, so no size rule holds it back), with zeros
@@ -594,8 +597,14 @@ def band_extremes(
     count at which the leading block's residuals would reach that sweep's
     own goal, the larger of the target and ``r^3 / isolation^2``, held
     between one block past the current one and the predicted block count;
-    later sweeps run on that count.  Residuals are measured on all of
-    ``T`` (:meth:`band.Blocks.apply`), so a ``k`` too small leaves a
+    later sweeps run on that count.  Vectors live on their working rows,
+    where ``T``'s product is exact: a leading block's pairs on that block's
+    rows, and the sweeps' vectors, bases and images on the predicted
+    count's, each with one block more, zero in every vector, so that ``T``
+    times the vectors padded with zeros is exactly zero below them.  ``T``
+    is applied on those rows alone (:meth:`band.Blocks.apply`), its product
+    there that of all of ``T`` bit for bit, and only a pairs solve's
+    returned vectors are padded to ``n``.  So a ``k`` too small leaves a
     residual above its target, never an unchecked pair.  A stall, or a
     sweep that gives way, gives way to the block growth.  ``T``'s block
     stacks are built once, when first needed.
@@ -622,9 +631,11 @@ def band_extremes(
     ``M-`` below the lower one ("count disagrees").  Otherwise every
     eigenvalue but the ``M`` extreme ones lies between the cuts widened by
     ``delta``, which take the place of ``[min d, max d]`` in the
-    certificates.  A solve grown to its targets with no sweep has no
-    Rayleigh-Ritz state on all of ``T``: a values solve takes one step for
-    its certificate, and a pairs certificate applies ``T`` to its pairs.
+    certificates, read on the vectors' working rows, where ``T``'s product
+    is exact; the counts factor all of ``T``.  A solve grown to its
+    targets with no sweep has no Rayleigh-Ritz state: a values solve takes
+    one step for its certificate, and a pairs certificate applies ``T`` to
+    its pairs.
     No random numbers are drawn.
     """
     n, width = storage.shape[1], storage.shape[0] - 1
@@ -635,9 +646,14 @@ def band_extremes(
         return (np.empty(0), np.empty((n, 0))) if vectors else np.empty(0)
     storage = band.with_strengths(storage, thetas)
 
-    def padded(vecs: np.ndarray) -> np.ndarray:
-        # Vectors on leading rows with zeros below, to n rows.
-        return np.vstack((vecs, np.zeros((n - vecs.shape[0], vecs.shape[1]))))
+    def padded(vecs: np.ndarray, rows: int) -> np.ndarray:
+        # Vectors on leading rows with zeros below, to ``rows`` rows.
+        return np.vstack((vecs, np.zeros((rows - vecs.shape[0], vecs.shape[1]))))
+
+    def working(count: int) -> int:
+        # The working rows of vectors on T's leading ``count`` blocks: those
+        # blocks and one zero block below, all n at most.
+        return min(n, (count + 1) * width)
 
     def cuts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
         # Halfway from the innermost outlier to the bulk's edge on each side
@@ -665,7 +681,8 @@ def band_extremes(
         leading = stacks().leading(first if ritz.q is None else full)
 
         def solve(shifts: np.ndarray, x: np.ndarray) -> np.ndarray:
-            return padded(band.solve(leading, shifts, x[: leading.rows].T).T)
+            return padded(band.solve(leading, shifts, x[: leading.rows].T).T,
+                          working(full))
 
         return _sweep(solve, ritz, todo, isolation)
 
@@ -690,7 +707,7 @@ def band_extremes(
         # The next Ritz value on each side: the bulk's edges, as the block
         # sees them.
         edges = np.array([eigs[lower], eigs[rows - 1 - upper]])
-        ritz = _Ritz(values, padded(vecs), resid, None, None)
+        ritz = _Ritz(values, padded(vecs, working(blocks)), resid, None, None)
         target, isolation = goals(ritz)
         # The edges have settled once the block has doubled twice, or once
         # each cut lies farther beyond its edge than half the edge's move
@@ -721,7 +738,9 @@ def band_extremes(
                 reach = np.where(rate > 0.0, np.log(resid / goal) / rate, np.inf)
                 first = int(np.clip(np.ceil(blocks + reach[todo].max()),
                                     blocks + 1, full))
-                refined, met = _refine(stacks().apply, ritz, goals, sweep)
+                refined, met = _refine(
+                    stacks().apply, ritz._replace(vecs=padded(vecs, working(full))),
+                    goals, sweep)
                 if met:
                     ritz = refined
                     break
@@ -739,7 +758,8 @@ def band_extremes(
     bulk = np.array([bounds[0] - (delta[-1] if lower else 0.0),
                      bounds[1] + (delta[0] if upper else 0.0)])
     if vectors:
-        return _certify(stacks().apply, ritz, bulk, upper, False, margin)
+        found = _certify(stacks().apply, ritz, bulk, upper, False, margin)
+        return found if isinstance(found, str) else (found[0], padded(found[1], n))
     if ritz.q is None:
         ritz = _rayleigh_ritz(stacks().apply, ritz.vecs)
     return _certify_values(ritz.q, ritz.image, bulk, upper, False, margin)

@@ -54,9 +54,10 @@ def timed_run(doc):
     return cfg, report, time.perf_counter() - start
 
 
-@pytest.fixture(scope="session")
-def wigner_location():
-    return timed_run({
+# The seven full-scale experiment configs, one per fixture below.
+# `tools/report_diff.py --acceptance` runs the same table.
+ACCEPTANCE_CONFIGS = {
+    "wigner_location": {
         "experiment": "location",
         "kind": "wigner",
         "n_values": [2000],
@@ -66,12 +67,8 @@ def wigner_location():
         "epsilon": BAND,
         "trials": 50,
         "seed": 101,
-    })
-
-
-@pytest.fixture(scope="session")
-def wishart_location():
-    return timed_run({
+    },
+    "wishart_location": {
         "experiment": "location",
         "kind": "wishart",
         "phi": 0.5,
@@ -81,12 +78,8 @@ def wishart_location():
         "epsilon": BAND,
         "trials": 50,
         "seed": 113,
-    })
-
-
-@pytest.fixture(scope="session")
-def additive_location():
-    return timed_run({
+    },
+    "additive_location": {
         "experiment": "location",
         "kind": "orth-invariant-additive",
         "n_values": [1000],
@@ -97,12 +90,8 @@ def additive_location():
         "epsilon": BAND,
         "trials": 50,
         "seed": 103,
-    })
-
-
-@pytest.fixture(scope="session")
-def wigner_eigenvector():
-    return timed_run({
+    },
+    "wigner_eigenvector": {
         "experiment": "eigenvector",
         "kind": "wigner",
         "n_values": [2000],
@@ -111,12 +100,8 @@ def wigner_eigenvector():
         "epsilon": BAND,
         "trials": 50,
         "seed": 105,
-    })
-
-
-@pytest.fixture(scope="session")
-def unit_spectrum_eigenvector():
-    return timed_run({
+    },
+    "unit_spectrum_eigenvector": {
         "experiment": "eigenvector",
         "kind": "orth-invariant-multiplicative",
         "n_values": [400],
@@ -126,12 +111,8 @@ def unit_spectrum_eigenvector():
         "epsilon": 0.1,
         "trials": 5,
         "seed": 106,
-    })
-
-
-@pytest.fixture(scope="session")
-def pushforward_ladder():
-    return timed_run({
+    },
+    "pushforward_ladder": {
         "experiment": "pushforward",
         "kind": "wigner",
         "n_values": [500, 1000, 2000],
@@ -141,12 +122,8 @@ def pushforward_ladder():
         "epsilon": BAND,
         "batches": 10,
         "seed": 107,
-    })
-
-
-@pytest.fixture(scope="session")
-def concentration_ladder():
-    return timed_run({
+    },
+    "concentration_ladder": {
         "experiment": "concentration",
         "n_values": [1000, 4000],
         "m_rule": {"fixed": 20},
@@ -154,7 +131,43 @@ def concentration_ladder():
         "z": 3.0,
         "trials": 200,
         "seed": 109,
-    })
+    },
+}
+
+
+@pytest.fixture(scope="session")
+def wigner_location():
+    return timed_run(ACCEPTANCE_CONFIGS["wigner_location"])
+
+
+@pytest.fixture(scope="session")
+def wishart_location():
+    return timed_run(ACCEPTANCE_CONFIGS["wishart_location"])
+
+
+@pytest.fixture(scope="session")
+def additive_location():
+    return timed_run(ACCEPTANCE_CONFIGS["additive_location"])
+
+
+@pytest.fixture(scope="session")
+def wigner_eigenvector():
+    return timed_run(ACCEPTANCE_CONFIGS["wigner_eigenvector"])
+
+
+@pytest.fixture(scope="session")
+def unit_spectrum_eigenvector():
+    return timed_run(ACCEPTANCE_CONFIGS["unit_spectrum_eigenvector"])
+
+
+@pytest.fixture(scope="session")
+def pushforward_ladder():
+    return timed_run(ACCEPTANCE_CONFIGS["pushforward_ladder"])
+
+
+@pytest.fixture(scope="session")
+def concentration_ladder():
+    return timed_run(ACCEPTANCE_CONFIGS["concentration_ladder"])
 
 
 def agreement_suite(seed=104, instances=100):

@@ -201,6 +201,51 @@ class TestBandBlocks:
         bound = 4.0 * np.finfo(float).eps * np.linalg.norm(dense, 2) * np.linalg.norm(x, axis=0)
         assert (np.abs(y - dense @ x).max(axis=0) <= bound).all()
 
+    @pytest.mark.parametrize("n,width,occupied", [
+        (2000, 10, 36),  # bench-shaped: vectors on 360 of 2000 rows
+        (503, 10, 7),    # a padded last block
+        (60, 1, 20),     # T tridiagonal
+    ])
+    def test_working_rows_product_is_exact(self, n, width, occupied):
+        # Vectors on T's leading ``occupied`` blocks: their product on those
+        # blocks and one zero block below is the product on all n rows, bit
+        # for bit, and the full product is exactly zero below.  Without the
+        # zero block the product would miss the nonzero rows just below the
+        # vectors, where B_k x_k lands.
+        gen = RngStream(79, n).generator()
+        band = band_algebra.with_strengths(band_algebra.goe(n, width, gen),
+                                           np.linspace(2.4, 1.5, width))
+        stacks = band_algebra.blocks(band)
+        rows = occupied * width
+        x = np.zeros((n, 4))
+        x[:rows] = gen.standard_normal((rows, 4))
+        full = stacks.apply(x)
+        working = rows + width
+        assert np.array_equal(stacks.apply(x[:working]), full[:working])
+        assert not full[working:].any()
+        assert (np.abs(full[rows:working]).max(axis=0) > 0.0).all()
+        assert (np.linalg.norm(stacks.apply(x[:rows]), axis=0)
+                < np.linalg.norm(full, axis=0)).all()
+
+    def test_leading_at_the_full_block_count_is_all_of_t(self):
+        # n = 2005, w = 10: 201 blocks, the last padded.  From 201 blocks on
+        # the leading stacks are T's own, with T's 2005 rows, so a product
+        # takes a 2005-row block and the count stays T's.
+        n, width = 2005, 10
+        gen = RngStream(80, n).generator()
+        band = band_algebra.with_strengths(band_algebra.goe(n, width, gen),
+                                           np.linspace(2.4, 1.5, width))
+        stacks = band_algebra.blocks(band)
+        x = gen.standard_normal((n, 3))
+        for count in (201, 202, 400):
+            leading = stacks.leading(count)
+            assert leading.rows == n
+            assert np.array_equal(leading.apply(x), stacks.apply(x))
+            below, _ = BAND_INERTIA(leading, np.array([2.5]))
+            dense = np.linalg.eigvalsh(band_algebra.window(band, n))
+            assert below.tolist() == [np.count_nonzero(dense < 2.5)]
+        assert stacks.leading(200).rows == 2000
+
 
 def counted_inertia(monkeypatch):
     """Each count of the band solve: the shapes ``np.linalg.eigh`` was
@@ -344,6 +389,16 @@ FALLBACK_REASONS = ("step cap reached", "near-singular pivot block", "count disa
                     "certificate failed")
 
 
+# A bench-shaped band solve (n = 2000, M = 10, strengths linspace(2.4, 1.5),
+# seed 75, stream 0) as float.hex, recorded while the solve held every Ritz
+# vector on all n rows.
+GOLDEN_BAND_SOLVE = {
+    "values": ["0x1.6fdcb7a86a845p+1", "0x1.6203b1e2f8e0ep+1", "0x1.57f84075285f5p+1", "0x1.49181ea136096p+1", "0x1.411b75663214ap+1", "0x1.32022a434589ep+1", "0x1.2f7eb43fab50ep+1", "0x1.25aa9827fe354p+1", "0x1.17ebb32a2e1ccp+1", "0x1.0acc781e99f6dp+1"],
+    "pairs": ["0x1.6fdcb7a86a83ep+1", "0x1.6203b1e2f8e08p+1", "0x1.57f84075285f0p+1", "0x1.49181ea13608ep+1", "0x1.411b756632151p+1", "0x1.32022a434589ap+1", "0x1.2f7eb43fab509p+1", "0x1.25aa9827fe355p+1", "0x1.17ebb32a2e1cap+1", "0x1.0acc781e99fb8p+1"],
+    "first row": ["-0x1.aded1c3d99b02p-1", "0x1.52e716e8fc8ecp-2", "0x1.231e9c849b9adp-3", "0x1.5b17126d5ddb2p-7", "-0x1.a7626b024d19bp-6", "0x1.3ebd7b2cd4fcfp-7", "0x1.e4df0d36119b1p-7", "-0x1.a45540f23ef93p-10", "-0x1.312abf34a1ac8p-5", "-0x1.e925ade1b629dp-8"],
+}
+
+
 class TestBandEigensolve:
     """The certified extreme values and pairs of a band sample."""
 
@@ -391,6 +446,52 @@ class TestBandEigensolve:
         sample = wigner_sample(n, thetas, seed=67)
         assert assert_matches_dense(sample) == [True, True]
         assert caplog.records == []
+
+    @pytest.mark.parametrize("n,thetas,vectors", [
+        (2000, list(np.linspace(2.4, 1.5, 10)), False),  # sweeps, bench-shaped
+        (2000, list(np.linspace(2.4, 1.5, 10)), True),
+        (1000, [8.0, -8.0], False),  # certified from the grown block alone
+        (600, [3.0, 2.0, -2.0, -3.0], True),
+    ])
+    def test_every_product_is_that_of_all_of_t(self, caplog, monkeypatch, n, thetas,
+                                                vectors):
+        # Each product the solve takes, on its vectors' working rows, is T's
+        # product on all n rows there, bit for bit, and T's product is zero
+        # below them: residuals, Rayleigh-Ritz steps and certificates are
+        # those of all of T.
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        products = []
+        real = band_algebra.Blocks.apply
+
+        def apply(blocks, x):
+            y = real(blocks, x)
+            padded = np.zeros((blocks.rows, x.shape[1]))
+            padded[: x.shape[0]] = x
+            full = real(blocks, padded)
+            products.append((x.shape[0], np.array_equal(y, full[: x.shape[0]])
+                             and not full[x.shape[0]:].any()))
+            return y
+
+        monkeypatch.setattr(band_algebra.Blocks, "apply", apply)
+        found = eigensolve(wigner_sample(n, thetas, seed=81), vectors=vectors)
+        assert (found[0] if vectors else found).size == len(thetas)
+        assert caplog.records == []
+        assert products and all(rows < n and exact for rows, exact in products)
+
+    def test_bench_shaped_solves_are_bit_for_bit(self, caplog):
+        # n = 2000, M = 10 at seed 75: the certified values, pair values and
+        # the vectors' first row, as recorded when the solve still held its
+        # vectors on all n rows.  Holding them on their working rows changes
+        # no bit, and the returned vectors are zero below those rows.
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        sample = wigner_sample(2000, np.linspace(2.4, 1.5, 10), seed=75)
+        values = eigensolve(sample, vectors=False)
+        vals, vecs = eigensolve(sample)
+        assert caplog.records == []
+        assert [float(v).hex() for v in values] == GOLDEN_BAND_SOLVE["values"]
+        assert [float(v).hex() for v in vals] == GOLDEN_BAND_SOLVE["pairs"]
+        assert [float(v).hex() for v in vecs[0]] == GOLDEN_BAND_SOLVE["first row"]
+        assert vecs.shape == (2000, 10) and not vecs[1000:].any()
 
     def test_draws_no_random_numbers_and_builds_no_dense_matrix(self, monkeypatch):
         sample = wigner_sample(300, [3.0, -3.0], seed=68)
@@ -582,8 +683,9 @@ class TestBandSweeps:
         # n = 2000, M = 10: the first sweep solves on the rows its own
         # predicted residual needs, no more than a later sweep's (one sweep
         # meets the values' second-order targets here), and a values solve
-        # applies all of T once per sweep, the certificate taking the last
-        # sweep's basis and its image instead of applying T again.
+        # applies T once per sweep, on its vectors' working rows, fewer than
+        # n, the certificate taking the last sweep's basis and its image
+        # instead of applying T again.
         n, m = 2000, 10
         sweeps = self.sweeps(monkeypatch)
         applied = []
@@ -601,7 +703,8 @@ class TestBandSweeps:
             assert eigensolve(sample, vectors=False).shape == (m,)
             assert len(sweeps) >= 1 and all(solved for _, _, solved in sweeps)
             assert sweeps[0][1] <= sweeps[-1][1]
-            assert applied == [(n, n)] * len(sweeps)
+            assert len(applied) == len(sweeps)
+            assert all(stacks == n and rows < n for stacks, rows in applied)
         assert caplog.records == []
 
     def test_bench_shaped_solve_sweeps_on_leading_rows_after_a_16_block_window(

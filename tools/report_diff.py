@@ -1,6 +1,11 @@
 """Compare the reports two source trees write for the same experiment configs.
 
     python3 tools/report_diff.py OLD_SRC NEW_SRC CONFIG.json [CONFIG.json ...]
+    python3 tools/report_diff.py OLD_SRC NEW_SRC --acceptance [CONFIG.json ...]
+
+``--acceptance`` adds ten configs: the seven of ``ACCEPTANCE_CONFIGS`` in
+``tests/test_acceptance.py`` and the three workloads of ``bench/run.py``'s
+``WORKLOADS`` at seed ``BENCH_SEED``, written as the bench writes them.
 
 Each config is run by ``meso-spectra verify`` (as ``python -m
 meso_spectra.cli verify``) once with ``OLD_SRC`` and once with ``NEW_SRC``
@@ -15,6 +20,7 @@ otherwise.
 """
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -25,6 +31,38 @@ import tempfile
 from pathlib import Path
 
 LEFT_OUT = ("wall_clock_seconds", "report_path")
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The seed of the bench configs ``--acceptance`` runs.
+BENCH_SEED = 4242
+
+
+def load_module(path: Path):
+    """The module at ``path``, imported."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def acceptance_configs(src: Path, outdir: Path) -> list[Path]:
+    """The acceptance fixture configs and the bench workload configs,
+    written to ``outdir``: the tests' table as it stands, and each bench
+    workload with its seed and the bench's ``delta`` and ``epsilon``.  The
+    tests import the package, from ``src``."""
+    sys.path.insert(0, str(src))
+    tests = load_module(ROOT / "tests" / "test_acceptance.py")
+    bench = load_module(ROOT / "bench" / "run.py")
+    docs = {f"acceptance-{name}": doc for name, doc in tests.ACCEPTANCE_CONFIGS.items()}
+    for name, doc in bench.WORKLOADS.items():
+        docs[f"bench-{name}"] = dict(doc, seed=BENCH_SEED, delta=bench.BAND,
+                                     epsilon=bench.BAND)
+    paths = []
+    for name, doc in docs.items():
+        paths.append(outdir / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc, indent=2, sort_keys=True))
+    return paths
 
 
 def run_report(src: Path, config: Path, workdir: Path) -> dict:
@@ -94,19 +132,32 @@ def moves(old: dict, new: dict) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) < 3:
+    acceptance = "--acceptance" in argv
+    argv = [arg for arg in argv if arg != "--acceptance"]
+    if len(argv) < 2 or not (acceptance or len(argv) > 2):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     old_src, new_src = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    with tempfile.TemporaryDirectory() as config_dir:
+        configs = [(arg, Path(arg)) for arg in argv[2:]]
+        if acceptance:
+            configs += [(path.stem, path)
+                        for path in acceptance_configs(new_src, Path(config_dir))]
+        return compare(old_src, new_src, configs)
+
+
+def compare(old_src: Path, new_src: Path, configs: list[tuple[str, Path]]) -> int:
+    """Print each ``(label, config)``'s verdict; 0 when every pair hashes
+    the same."""
     same_everywhere = True
-    for config in map(Path, argv[2:]):
+    for label, config in configs:
         with tempfile.TemporaryDirectory() as old_dir, \
                 tempfile.TemporaryDirectory() as new_dir:
             old = run_report(old_src, config, Path(old_dir))
             new = run_report(new_src, config, Path(new_dir))
         same = digest(old) == digest(new)
         same_everywhere &= same
-        print(f"{config}: {'same' if same else 'differs'} "
+        print(f"{label}: {'same' if same else 'differs'} "
               f"({digest(old)[:12]} / {digest(new)[:12]})")
         if not same:
             for field, move in sorted(moves(stripped(old), stripped(new)).items()):
