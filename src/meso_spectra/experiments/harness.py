@@ -72,8 +72,10 @@ def _detector_locations(
     pert: PerturbationSpec,
     sample: EnsembleSample,
     delta: float,
+    starts: dict[int, float],
 ) -> dict[int, float]:
-    """Independent root locations from the counting-function detector.
+    """Root locations from the counting-function detector, certified by its
+    counts alone.
 
     ``pert`` has at least one strength and no frame, as the drivers build
     it.  Orthogonally invariant kinds reuse the known base spectrum and the
@@ -82,7 +84,9 @@ def _detector_locations(
     frame; their separation verdicts then come from that realized spectrum,
     not from the closed form, so a strength near the closed-form threshold
     may be scored but not located (the report's ``detector_located`` counts
-    those that are).
+    those that are).  Each rank's search starts at ``starts[rank]``, the
+    trial's realized eigenvalue, so a search confirms it in two rounds; a
+    rank without a start begins at its predicted location.
     """
     if model.kind.closed_form:
         base_vals, base_vecs = eigensolve(sample.base)
@@ -93,7 +97,7 @@ def _detector_locations(
     else:
         frame = sample.frame
     op = MasterOperator(model=model, pert=pert.with_frame(frame))
-    return {r.rank: r.location for r in locate_outliers(op, delta)}
+    return {r.rank: r.location for r in locate_outliers(op, delta, starts=starts)}
 
 
 def _cluster_bounds(evals: np.ndarray, idx: int) -> tuple[int, int]:
@@ -190,9 +194,14 @@ def _run_trial(
             evals, evecs = eigensolve(sample)
         else:
             evals, evecs = eigensolve(sample, vectors=False), None
+        scored = [pred for pred in preds if pred.separated]
+        cols = [spectrum_column(pred.target_index, pert.m_positive, n, evals.size)
+                for pred in scored]
+        realizations = {pred.rank: float(evals[col]) for pred, col in zip(scored, cols)}
         try:
             detector = (
-                _detector_locations(model, pert, sample, cfg.delta) if cross else {}
+                _detector_locations(model, pert, sample, cfg.delta, realizations)
+                if cross else {}
             )
         except (MissingRootError, InversionError) as exc:
             failure = f"detector failed: {exc}"
@@ -201,14 +210,11 @@ def _run_trial(
     if failure is not None:
         return TrialRecord(stream_id=stream.stream_id, n=n, failed=True,
                            failure=failure)
-    scored = [pred for pred in preds if pred.separated]
-    cols = [spectrum_column(pred.target_index, pert.m_positive, n, evals.size)
-            for pred in scored]
     extras = (_measure_outliers(sample, pert, scored, cols, evals, evecs)
               if with_vectors else [{}] * len(scored))
     outliers = []
-    for pred, col, extra in zip(scored, cols, extras):
-        realized = float(evals[col])
+    for pred, extra in zip(scored, extras):
+        realized = realizations[pred.rank]
         abs_error = abs(realized - pred.location)
         det_loc = detector.get(pred.rank)
         outliers.append(
@@ -343,7 +349,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
       realized outlier (the eigenvalue at its target index) against the
       ``epsilon`` band; non-separated strengths are excluded up front.  When
       cross-checking, each trial also locates the outliers with the
-      master-equation detector.
+      master-equation detector, each rank's search started at its realized
+      eigenvalue and its root certified by the counting function alone.
     * ``eigenvector``: a location run plus eigenvector projections, all of
       a trial's from one product of the frame with its outliers'
       eigenvectors (:func:`_measure_outliers`).  Additive kinds record the

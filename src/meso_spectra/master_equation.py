@@ -18,11 +18,17 @@ certifies, locate the outlier without ever touching an ``n x n``
 eigensolve, giving a route independent of dense diagonalization.
 
 Every rank's search runs in lock-step with the others, on both sides of
-the bulk.  A round collects each pending search's next request and answers
+the bulk.  A round collects each pending search's next requests and answers
 them together: one stacked ``eigh`` for the Newton steps and one stacked
 ``eigvalsh`` for the counts, so the ``m x m`` solves of a call cost a few
 batched calls rather than one call per rank per step.  A stacked
 evaluation equals the same points evaluated one at a time, bit for bit.
+A search asks in one round for all the work it already knows it needs:
+its first round counts both bracket ends and takes the Newton crossing at
+its start, and a certification counts both sides of the root together.
+A search started at the root itself, such as an eigenvalue an eigensolve
+has already certified, thus takes two rounds; the counts alone certify
+the root, so a poor start costs rounds, never a wrong root.
 The counting function is a pure function of ``z``, so one search evaluates
 it at most once per point: the bracket ends shared by every rank on a side
 are counted once, and a bound the bracket already certifies is not counted
@@ -32,7 +38,7 @@ at all.
 from __future__ import annotations
 
 import math
-from collections.abc import Generator
+from collections.abc import Generator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, NamedTuple
@@ -208,9 +214,11 @@ def _crossing(
     return np.count_nonzero(tau >= 0.0, axis=-1), tau[points, k], slope[:, 0, 0]
 
 
-# A rank's search yields requests and returns its root: ``(z, None)`` asks
-# for the count at ``z``, and ``(z, target)`` for :func:`_crossing` at ``z``.
-_Search = Generator[tuple[float, int | None], Any, float]
+# A rank's search yields the list of requests for one round, is sent their
+# answers in the same order, and returns its root: ``(z, None)`` asks for the
+# count at ``z``, and ``(z, target)`` for :func:`_crossing` at ``z``.
+_Request = tuple[float, int | None]
+_Search = Generator[list[_Request], list, float]
 
 
 def _locate_root(
@@ -224,32 +232,42 @@ def _locate_root(
 ) -> _Search:
     """Smallest z with ``count(z) >= target``, bracketed by ``near`` and ``far``.
 
-    A generator: it yields each evaluation it needs as a request (see
-    ``_Search``), is sent the answer, and returns the root.  ``count`` is
-    the counting function of ``op``.  ``near`` lies just off the bulk edge
-    and ``far`` beyond it (above the bulk when ``far > near``); ``far``
-    moves away from ``near`` geometrically until the two bracket the root.
-    Inside the bracket [lo, hi], which keeps ``count(lo) < target <=
-    count(hi)``, Newton steps on the crossing eigenvalue of ``D(z)`` start
-    at ``start`` (the midpoint when ``start`` is outside the bracket); a
-    step that leaves the bracket, or a nonpositive slope, takes the
-    midpoint instead.  Once a step is at most ``tol / 4`` the stepped-to
-    point is returned if it is certified within ``tol / 2`` on both sides.
-    A bracket end within ``tol / 2`` already certifies its side, because
-    the count is non-decreasing; only the other side is counted.  Otherwise
-    the bracket shrinks to ``tol``, by bisection on the count once the
-    Newton steps run out, and its midpoint is returned, unless rounding
-    hides the root (see :func:`_resolved`).
+    A generator: it yields the evaluations each round needs as requests
+    (see ``_Search``), is sent the answers, and returns the root.
+    ``count`` is the counting function of ``op``.  ``near`` lies just off
+    the bulk edge and ``far`` beyond it (above the bulk when ``far >
+    near``); ``far`` moves away from ``near`` geometrically until the two
+    bracket the root.  The first round counts ``far`` and ``near`` and,
+    when ``start`` lies strictly between them, takes the crossing at
+    ``start`` too; a start outside that first bracket (inside the bulk, or
+    beyond ``far``) is not evaluated there.  Inside the bracket [lo, hi],
+    which keeps ``count(lo) < target <= count(hi)``, Newton steps on the
+    crossing eigenvalue of ``D(z)`` start at ``start`` (the midpoint when
+    ``start`` is outside the bracket), the first reusing the crossing of
+    the first round; a step that leaves the bracket, or a nonpositive
+    slope, takes the midpoint instead.  Once a step is at most ``tol / 4``
+    the stepped-to point is returned if it is certified within ``tol / 2``
+    on both sides, both sides counted in one round.  A bracket end within
+    ``tol / 2`` already certifies its side, because the count is
+    non-decreasing; only the other side is counted.  Otherwise the bracket
+    shrinks to ``tol``, by bisection on the count once the Newton steps run
+    out, and its midpoint is returned, unless rounding hides the root (see
+    :func:`_resolved`).
     """
     upper = far > near
     where = "above" if upper else "below"
+    first = [(far, None), (near, None)]
+    if min(near, far) < start < max(near, far):
+        first.append((start, target))
+    reached_far, reached_near, *first_step = yield first
     for _ in range(60):
-        if ((yield far, None) >= target) == upper:
+        if (reached_far >= target) == upper:
             break
         far = near + 2.0 * (far - near)
+        (reached_far,) = yield [(far, None)]
     else:
         raise MissingRootError(f"rank {rank}: no bracket found {where} the bulk", rank)
-    if ((yield near, None) >= target) == upper:
+    if (reached_near >= target) == upper:
         raise MissingRootError(
             f"rank {rank}: the bulk edge {where} does not bracket the root", rank
         )
@@ -259,7 +277,7 @@ def _locate_root(
     for _ in range(400):
         if hi - lo <= tol:
             break
-        reached, g, slope = yield z, target
+        reached, g, slope = first_step.pop() if first_step else (yield [(z, target)])[0]
         if reached >= target:
             hi = z
         else:
@@ -268,8 +286,12 @@ def _locate_root(
         z -= step
         if abs(step) <= 0.25 * tol:
             above, below = z + 0.5 * tol, z - 0.5 * tol
-            certified_above = hi <= above or (yield above, None) >= target
-            certified_below = lo >= below or (yield below, None) < target
+            ask_above, ask_below = hi > above, lo < below
+            asked = [(p, None) for p, ask in ((above, ask_above), (below, ask_below))
+                     if ask]
+            counts = iter((yield asked) if asked else ())
+            certified_above = not ask_above or next(counts) >= target
+            certified_below = not ask_below or next(counts) < target
             if certified_above and certified_below:
                 return _resolved(op, rank, z, slope, tol)
             if not certified_above:
@@ -285,7 +307,7 @@ def _locate_root(
                 f"rank {rank}: bracket [{lo!r}, {hi!r}] cannot shrink to "
                 f"tol {tol!r}", rank
             )
-        if (yield z, None) >= target:
+        if (yield [(z, None)])[0] >= target:
             hi = z
         else:
             lo = z
@@ -307,8 +329,8 @@ def _resolved(op: MasterOperator, rank: int, z: float, slope: float, tol: float)
 def _in_rounds(op: MasterOperator, searches: dict[int, _Search]) -> list[OutlierRoot]:
     """Run every rank's search in lock-step and return the roots in rank order.
 
-    Each round sends every pending search its answer and collects its next
-    request.  The round's new count points go to one stacked
+    Each round sends every pending search its answers and collects its next
+    requests.  The round's new count points go to one stacked
     :func:`counting_function` call, memoized for the whole run, and its
     crossings to one stacked :func:`_crossing` call.  A failed search drops
     the searches above it, and the lowest failed rank's error is raised.
@@ -318,7 +340,7 @@ def _in_rounds(op: MasterOperator, searches: dict[int, _Search]) -> list[Outlier
     failures: dict[int, MissingRootError] = {}
     answers: dict[int, Any] = dict.fromkeys(searches)
     while answers:
-        requests: dict[int, tuple[float, int | None]] = {}
+        requests: dict[int, list[_Request]] = {}
         for rank, answer in answers.items():
             if failures and rank > min(failures):
                 continue
@@ -328,19 +350,21 @@ def _in_rounds(op: MasterOperator, searches: dict[int, _Search]) -> list[Outlier
                 roots[rank] = done.value
             except MissingRootError as exc:
                 failures[rank] = exc
+        asked = [(rank, z, target) for rank, round_ in requests.items()
+                 for z, target in round_]
         fresh = list(dict.fromkeys(
-            z for z, target in requests.values() if target is None and z not in counts))
+            z for _, z, target in asked if target is None and z not in counts))
         if fresh:
             counts.update(zip(fresh, counting_function(op, np.array(fresh)).tolist()))
-        crossings = [(rank, z, target) for rank, (z, target) in requests.items()
-                     if target is not None]
+        crossings = [(rank, z, target) for rank, z, target in asked if target is not None]
         crossed = {}
         if crossings:
             ranks, points, targets = zip(*crossings)
             found = _crossing(op, np.array(points), np.array(targets))
-            crossed = dict(zip(ranks, zip(*(a.tolist() for a in found))))
-        answers = {rank: crossed[rank] if target is not None else counts[z]
-                   for rank, (z, target) in requests.items()}
+            crossed = dict(zip(zip(ranks, points), zip(*(a.tolist() for a in found))))
+        answers = {rank: [crossed[rank, z] if target is not None else counts[z]
+                          for z, target in round_]
+                   for rank, round_ in requests.items()}
     if failures:
         raise failures[min(failures)]
     return [OutlierRoot(rank=rank, location=roots[rank]) for rank in sorted(roots)]
@@ -350,6 +374,7 @@ def locate_outliers(
     op: MasterOperator,
     delta: float,
     tol: float | None = None,
+    starts: Mapping[int, float] | None = None,
 ) -> list[OutlierRoot]:
     """Locate every separated outlier, above and below the bulk, in rank order.
 
@@ -358,10 +383,14 @@ def locate_outliers(
     ``delta`` are skipped (their roots may not exist or may hide within
     ``2 * delta`` of the bulk); a ``delta`` or ``tol`` that is not positive
     and finite raises :class:`ModelError`, even without ranks.  For each
-    remaining rank, Newton steps on the crossing eigenvalue of ``D(z)``,
-    started at the predicted location, run inside a bracket the counting
-    function certifies, with bisection as the fallback; the returned
-    location ``z`` satisfies ``n(z + tol) >= target > n(z - tol)``.  Every
+    remaining rank, Newton steps on the crossing eigenvalue of ``D(z)``
+    run inside a bracket the counting function certifies, with bisection
+    as the fallback; the returned location ``z`` satisfies ``n(z + tol) >=
+    target > n(z - tol)``.  The steps start at ``starts[rank]``, a
+    candidate location such as the realized eigenvalue, or at the
+    predicted location (:func:`~meso_spectra.predictor.pushforward_map`)
+    for a rank ``starts`` does not name.  The start sets how many rounds a
+    rank takes, not its root: the counts certify it either way.  Every
     rank on a side starts from the same bracket.  The ranks search in
     rounds: each round evaluates every rank's next Newton step in one
     stacked call, and every new count point in another, so a rank's root
@@ -382,6 +411,7 @@ def locate_outliers(
     m1 = op.pert.m_positive
     thetas = op.pert.thetas
     lam_max, lam_min = op.spectrum.lam_max, op.spectrum.lam_min
+    starts = starts or {}
     searches: dict[int, _Search] = {}
     for rank in range(1, m + 1):
         theta = float(thetas[rank - 1])
@@ -393,6 +423,6 @@ def locate_outliers(
         else:
             target = m1 + (m - rank + 1)
             near, far = lam_min - tol, lam_min + float(thetas[-1]) - 1.0
-        searches[rank] = _locate_root(op, rank, target, near, far, tol,
-                                      start=pushforward_map(op.model, theta))
+        start = starts[rank] if rank in starts else pushforward_map(op.model, theta)
+        searches[rank] = _locate_root(op, rank, target, near, far, tol, start=start)
     return _in_rounds(op, searches)

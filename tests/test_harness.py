@@ -15,7 +15,7 @@ import pytest
 import meso_spectra
 from meso_spectra import (InversionError, MissingRootError, Model, ModelKind,
                           PerturbationSpec, RngStream, SpectrumModel, ensembles,
-                          partial, predict)
+                          master_equation, partial, predict)
 from meso_spectra.ensembles import eigensolve
 from meso_spectra.experiments import ExperimentError, aggregate, harness, run_experiment
 from meso_spectra.experiments.config import ExperimentConfig
@@ -144,10 +144,10 @@ class TestTrialFailures:
             current["stream"] = stream.stream_id
             return real_sample(model, pert, n, stream, law)
 
-        def locate(op, delta, tol=None):
+        def locate(op, delta, tol=None, starts=None):
             if current["stream"] in bad_streams:
                 raise error
-            return real_locate(op, delta, tol)
+            return real_locate(op, delta, tol, starts)
 
         monkeypatch.setattr(harness, "sample_ensemble", sample)
         monkeypatch.setattr(harness, "locate_outliers", locate)
@@ -343,6 +343,26 @@ class TestBenchContract:
         assert not any(rec.failed for rec in rep.records)
         assert calls == {"eigensolve": [("EnsembleSample", False, 2)] * 3,
                          "eigvalsh": 0}
+
+    def test_cross_check_starts_at_the_realized_values(self, monkeypatch):
+        # Each detector search starts at its rank's realized eigenvalue, so
+        # one stacked Newton step per trial reaches every root and no rank
+        # falls back to its predicted location.
+        calls = {"_crossing": 0, "pushforward_map": 0}
+        for site in calls:
+            real = getattr(master_equation, site)
+
+            def counted(*args, _real=real, _site=site):
+                calls[_site] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(master_equation, site, counted)
+        cfg = location_cfg(trials=3, cross_check=True,
+                           theta_spec={"values": [2.4, 2.0, -1.9, -2.2]})
+        rep = run_experiment(cfg)
+        assert not any(rec.failed for rec in rep.records)
+        assert rep.aggregates["detector_located"] == rep.aggregates["outliers_evaluated"] == 12
+        assert calls == {"_crossing": 3, "pushforward_map": 0}
 
 
 class TestEigenvectorDriver:

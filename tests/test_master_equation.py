@@ -21,7 +21,7 @@ from meso_spectra import (
 )
 from meso_spectra.ensembles import eigensolve
 from meso_spectra.master_equation import counting_function, evaluate_d
-from meso_spectra.transforms import TransformDomainError, stieltjes
+from meso_spectra.transforms import TransformDomainError, semicircle_quantiles, stieltjes
 from meso_spectra import master_equation
 
 
@@ -459,6 +459,120 @@ class TestSharedCounts:
         # per root.
         sides = {r.rank <= op.pert.m_positive for r in roots}
         assert len(seen) <= 2 * len(sides) + 2 * len(roots)
+
+
+def bench_shaped_operator(seed):
+    """An orthogonally invariant additive operator shaped as the bench's
+    detector workload: semicircle quantiles at n = 400, eight strengths."""
+    return haar_operator(Model.additive, semicircle_quantiles(400),
+                         [2.4, 2.2, 2.0, 1.9, -1.9, -2.0, -2.2, -2.4], seed)
+
+
+START_OPERATORS = (sorted({name for name, _ in GOLDEN_ROOTS})
+                   + [f"bench-shaped-{seed}" for seed in range(40, 55)])
+
+
+def start_operator(name):
+    if name.startswith("bench-shaped-"):
+        return bench_shaped_operator(int(name.removeprefix("bench-shaped-")))
+    return golden_operator(name)
+
+
+def dense_starts(op):
+    """Each rank's dense eigenvalue at its target index."""
+    evals = dense_evals(op)
+    return {rank: float(evals[target_index(op.pert, rank, op.spectrum.n) - 1])
+            for rank in range(1, op.m + 1)}
+
+
+def start_variants(op):
+    """Starts by variant name: exact, a little off, swapped between ranks, or
+    outside the first bracket (inside the bulk, or beyond its far end)."""
+    exact = dense_starts(op)
+    m1 = op.pert.m_positive
+    thetas = op.pert.thetas
+    centre = 0.5 * (op.spectrum.lam_max + op.spectrum.lam_min)
+    variants = {"exact": exact}
+    for offset in (1e-3, -1e-3, 1e-6, -1e-6):
+        variants[f"{offset:+g}"] = {rank: z + offset for rank, z in exact.items()}
+    variants["swapped"] = {rank: exact[op.m + 1 - rank] for rank in exact}
+    variants["bulk"] = dict.fromkeys(exact, centre)
+    variants["beyond"] = {
+        rank: (op.spectrum.lam_max + float(thetas[0]) + 2.0 if rank <= m1
+               else op.spectrum.lam_min + float(thetas[-1]) - 2.0)
+        for rank in exact
+    }
+    return variants
+
+
+class TestStarts:
+    @pytest.mark.parametrize("name", START_OPERATORS)
+    def test_the_start_sets_the_rounds_not_the_roots(self, monkeypatch, name):
+        op = start_operator(name)
+        tol = 1e-9 * (1.0 + op.spectrum.norm_bound)
+        default = locate_outliers(op, 0.1)
+        crossed = []
+        real = master_equation._crossing
+
+        def recorded(op, z, target):
+            crossed.extend(z.tolist())
+            return real(op, z, target)
+
+        monkeypatch.setattr(master_equation, "_crossing", recorded)
+        for variant, starts in start_variants(op).items():
+            crossed.clear()
+            roots = locate_outliers(op, 0.1, starts=starts)
+            assert [r.rank for r in roots] == [r.rank for r in default], variant
+            assert all(abs(r.location - d.location) <= tol
+                       for r, d in zip(roots, default)), variant
+            assert_contract(op, roots)
+            if variant in ("bulk", "beyond"):
+                # Outside the first bracket: the search never steps from there.
+                assert not set(crossed) & set(starts.values()), variant
+
+    # Not multiplicative-leading: its rank-1 root 1.5 * (1 + 2) = 4.5 is also
+    # the far end 1.5 + 2 + 1 of the first bracket, where no step starts.
+    @pytest.mark.parametrize(
+        "name", [name for name in START_OPERATORS if name != "multiplicative-leading"])
+    def test_exact_starts_take_two_rounds(self, monkeypatch, name):
+        op = start_operator(name)
+        calls = {"_crossing": 0, "counting_function": 0, "pushforward_map": 0}
+        for site in calls:
+            real = getattr(master_equation, site)
+
+            def counted(*args, _real=real, _site=site):
+                calls[_site] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(master_equation, site, counted)
+        rounds = {}
+        real_search = master_equation._locate_root
+
+        def search(op, rank, *args, **kwargs):
+            # Pass the search's requests through, counting the rounds.
+            inner, answers = real_search(op, rank, *args, **kwargs), None
+            rounds[rank] = 0
+            while True:
+                try:
+                    requests = inner.send(answers)
+                except StopIteration as done:
+                    return done.value
+                rounds[rank] += 1
+                answers = yield requests
+
+        monkeypatch.setattr(master_equation, "_locate_root", search)
+        roots = locate_outliers(op, 0.1, starts=dense_starts(op))
+        assert_contract(op, roots)
+        assert calls == {"_crossing": 1, "counting_function": 2, "pushforward_map": 0}
+        assert rounds == dict.fromkeys((r.rank for r in roots), 2)
+
+    def test_a_rank_without_a_start_starts_at_its_prediction(self):
+        op = golden_operator("additive-haar-repeated")
+        exact = dense_starts(op)
+        del exact[2]
+        predicted = {2: master_equation.pushforward_map(op.model, float(op.pert.thetas[1]))}
+        assert (locate_outliers(op, 0.1, starts=exact)[1]
+                == locate_outliers(op, 0.1, starts=exact | predicted)[1])
 
 
 class TestRoundingGuard:

@@ -119,13 +119,25 @@ def solve(sample):
 
 
 def detect(op, delta, at_index):
+    """The detector searched from the predictions and from the eigensolve's
+    values reaches the same outcome: the same roots to ``tol``, each within
+    ``tol`` of the eigensolve, or a typed refusal from both."""
     tol = 1e-9 * (1.0 + op.spectrum.norm_bound)
-    for root in locate_outliers(op, delta):
-        index = target_index(op.pert, root.rank, op.spectrum.n)
-        realized = at_index(root.rank, index)
+    n = op.spectrum.n
+    realized = {rank: float(at_index(rank, target_index(op.pert, rank, n)))
+                for rank in range(1, op.m + 1)}
+    predicted = route(locate_outliers, op, delta)
+    started = route(locate_outliers, op, delta, None, realized)
+    assert (predicted is None) == (started is None)
+    if predicted is None:
+        return
+    assert [r.rank for r in started] == [r.rank for r in predicted]
+    for root, other in zip(predicted, started):
+        assert abs(root.location - other.location) <= tol
         # The eigensolve's own error is below 1e-12 relative (its
         # certificate, or LAPACK's backward error at n <= 200).
-        assert abs(root.location - realized) <= tol + 1e-12 * (1.0 + abs(realized))
+        z = realized[root.rank]
+        assert abs(root.location - z) <= tol + 1e-12 * (1.0 + abs(z))
 
 
 @given(instances())
@@ -141,4 +153,4 @@ def test_routes_meet_their_tolerances_or_fail_typed(instance):
         return
     op = MasterOperator(model=model,
                         pert=PerturbationSpec.from_values(sample.thetas, sample.frame))
-    route(detect, op, delta, solved[1])
+    detect(op, delta, solved[1])
