@@ -35,7 +35,7 @@ from .ensembles import (
     sample_wishart,
     spectrum_column,
 )
-from .master_equation import MasterOperator, locate_outliers
+from .master_equation import locate_outliers
 from .predictor import DEFAULT_DELTA, predict
 from .spectral_core import (
     InvalidPerturbationError,
@@ -163,12 +163,12 @@ def cmd_sample(args) -> int:
 def cmd_detect(args) -> int:
     seed = _resolve_seed(args.seed)
     spectrum = _spectrum_from_file(args.spectrum_file, args.n)
-    model = Model(kind=ModelKind(f"orth-invariant-{args.kind}"), spectrum=spectrum)
+    # --kind names one of Model's orthogonally invariant constructors.
+    model = getattr(Model, args.kind)(spectrum)
     pert = PerturbationSpec.from_values(args.theta)
     n = spectrum.n
     sample = sample_ensemble(model, pert, n, RngStream(seed, 0))
-    op = MasterOperator(model=model, pert=pert.with_frame(sample.frame))
-    roots = locate_outliers(op, args.delta, tol=args.tol)
+    roots = locate_outliers(sample.detector(model, pert), args.delta, tol=args.tol)
     if not roots:
         print("no separated outliers")
         return 0

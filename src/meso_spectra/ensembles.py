@@ -6,29 +6,25 @@ keys, so trials are reproducible and order-independent.  Matrix assembly
 itself is deterministic given the sampled ingredients.
 
 A framed perturbation of ``X``, additive or multiplicative, is one low-rank
-update ``X + W K W^T``, and one helper assembles it.  A sample is validated
-when it is built.  Two kinds of sample are structured and hold O(n M)
-numbers; their dense n x n matrices are built on first read.  A sample of
-an orthogonally invariant kind is ``diag(d) + W K W^T``, and it holds the
-diagonal ``d``, the frame and the strengths.  A Gaussian Wigner sample on
-the leading coordinates (no frame) holds a band matrix ``T`` of half
-bandwidth ``w = max(M, 1)``, in the storage of :mod:`~meso_spectra.band`:
-a block Householder reduction that fixes the leading ``w`` coordinates
-takes GOE to ``T`` (Dumitriu and Edelman, J. Math. Phys. 43, 2002;
-Bloemendal and Virag, PTRF 156, 2013), so ``T`` plus the strengths has the
-joint law of outlier values and leading-coordinate eigenvector projections
-of GOE plus the strengths.
+update ``X + W K W^T``, and one helper assembles it.  A sample has one of
+three structures, which :func:`sample_ensemble` picks from the kind:
+:class:`Diagonal`, an orthogonally invariant sample ``diag(d) + W K W^T``;
+:class:`Band`, a Gaussian Wigner sample on the leading coordinates, held as
+a GOE band matrix; and :class:`Dense`, every other sample.  The first two
+hold O(n M) numbers and build their dense n x n matrices on first read.
+Each has the same operations: its dense matrices, its certified structured
+solve and the detector's operator.
 
-:func:`eigensolve` on a matrix returns the full spectrum.  On a structured
-sample (above a size set by ``partial.FILTER_ROWS_PER_PAIR``) it returns
-only the top ``M+`` and bottom ``M-`` eigenpairs, or their values alone
-with ``vectors=False`` (``M+``/``M-`` the numbers of positive/negative
-strengths), certified by the partial solves of
-:mod:`~meso_spectra.partial`; when a solve gives up or its certificate
-fails, it falls back to the full dense spectrum and logs the fallback on
-the ``meso_spectra`` logger.  Experiment trials read realized values
-through ``eigensolve(sample, vectors=False)`` alone, so a value-only trial
-of a structured sample builds no n x n matrix.
+:func:`eigensolve` on a matrix returns the full spectrum.  On a diagonal or
+band sample with strengths (above a size set by
+``partial.FILTER_ROWS_PER_PAIR``) it returns only the top ``M+`` and bottom
+``M-`` eigenpairs, or their values alone with ``vectors=False``
+(``M+``/``M-`` the numbers of positive/negative strengths), certified by
+the partial solves of :mod:`~meso_spectra.partial`; when a solve gives up
+or its certificate fails, it falls back to the full dense spectrum and logs
+the fallback on the ``meso_spectra`` logger.  Experiment trials read
+realized values through ``eigensolve(sample, vectors=False)`` alone, so a
+value-only trial of a diagonal or band sample builds no n x n matrix.
 """
 
 from __future__ import annotations
@@ -37,10 +33,12 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import band, partial
+from .master_equation import MasterOperator
 from .spectral_core import (
     Model,
     ModelError,
@@ -331,35 +329,23 @@ def _sandwich(base: np.ndarray, pert: PerturbationSpec) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleSample:
-    """One realized instance: its base and perturbed matrices, and provenance.
+    """One realized instance: its provenance and, in a subclass, its structure.
 
     ``frame`` is the orthonormal carrier actually used (``None`` stands for
     the leading coordinate axes), which downstream code needs to project
     eigenvectors and to build the finite-rank resolvent operator.
     ``thetas`` are the strengths it carries, in descending order.
 
-    Two kinds of sample hold their structure alone, O(n M) numbers, and
-    build ``base`` and ``perturbed`` on first read, then keep them:
+    A sample is a :class:`Diagonal`, a :class:`Band` or a :class:`Dense`
+    one, and the kind fixes which: an orthogonally invariant sample is a
+    diagonal one, a Wigner sample a band or a dense one, and a Wishart
+    sample a dense one.  Each has the dense, read-only ``base`` and
+    ``perturbed`` matrices, :meth:`extremes` and :meth:`detector`.
 
-    * an orthogonally invariant sample holds ``diagonal``, the base's
-      eigenvalues ``d``, with ``frame`` and ``thetas``; its ``base`` is
-      ``diag(d)`` and its ``perturbed`` ``diag(d) + W K W^T`` with the
-      ``W`` and ``K`` of :meth:`_update`, the bits of :func:`perturb_additive`
-      or :func:`perturb_multiplicative` of ``diag(d)``;
-    * a Gaussian Wigner sample on the leading coordinates holds ``band``,
-      the lower band storage ``band[j, i] = T[i + j, i]`` of a GOE matrix
-      reduced to half bandwidth ``max(M, 1)`` (see :func:`band.goe`); its
-      ``base`` is ``T`` and its ``perturbed`` is ``T`` with ``thetas`` added
-      to the leading diagonal entries, :func:`perturb_additive` of ``T``.
-
-    Every other closed-form sample (a framed or Rademacher Wigner one, a
-    Wishart one) holds both dense matrices from the start, as ``dense``.
-    The dense matrices are read-only.
-
-    A sample is validated once, when it is built: the strengths and the
-    frame must fit ``n`` (:func:`~meso_spectra.spectral_core.check_fits`)
-    and a held ``diagonal`` must pass :func:`_check_diagonal`, so building
-    its dense matrices raises nothing.
+    A sample is validated once, when it is built: its structure must match
+    its kind and the strengths and the frame must fit ``n``
+    (:func:`~meso_spectra.spectral_core.check_fits`), so building its dense
+    matrices raises nothing.
     """
 
     frame: np.ndarray | None = field(repr=False)
@@ -370,59 +356,35 @@ class EnsembleSample:
     master_seed: int
     stream_id: int
     law: EntryLaw | None
-    diagonal: np.ndarray | None = field(default=None, repr=False)
-    dense: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    band: np.ndarray | None = field(default=None, repr=False)
-    _built: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        closed = self.kind.closed_form
-        wigner = self.kind is ModelKind.WIGNER
-        held = (self.dense is not None) + (self.band is not None)
-        if held != closed or (self.diagonal is None) != closed or (
-                self.band is not None and not wigner):
-            held = ("its diagonal" if not closed else
-                    "its band or its dense matrices" if wigner else
-                    "its dense matrices")
+        closed, wigner = self.kind.closed_form, self.kind is ModelKind.WIGNER
+        structures = (Band, Dense) if wigner else Dense if closed else Diagonal
+        if not isinstance(self, structures):
+            held = ("its band or its dense matrices" if wigner else
+                    "its dense matrices" if closed else "its diagonal")
             raise ModelError(f"a {self.kind.value} sample holds {held} alone")
         check_fits(self.n, self.thetas, self.kind.multiplicative, self.frame)
-        if self.diagonal is not None:
-            _check_diagonal(self.diagonal, self.kind.multiplicative)
 
-    @property
-    def base(self) -> np.ndarray:
-        """The n x n base matrix."""
-        if self.dense is not None:
-            return self.dense[0]
-        if "base" not in self._built:
-            self._built["base"] = _read_only(
-                np.diag(self.diagonal) if self.band is None
-                else band.window(self.band, self.n))
-        return self._built["base"]
+    def extremes(self, vectors: bool):
+        """The certified top ``M+`` and bottom ``M-`` eigenpairs (values
+        alone when not ``vectors``) of the structure, a give-up reason, or
+        ``None`` where the structure has no structured solve."""
+        return None
 
-    @property
-    def perturbed(self) -> np.ndarray:
-        """The n x n perturbed matrix."""
-        if self.dense is not None:
-            return self.dense[1]
-        if "perturbed" not in self._built:
-            if self.band is not None:
-                built = band.window(band.with_strengths(self.band, self.thetas), self.n)
-            elif self.frame is None:
-                built = np.diag(self.diagonal)
-            else:
-                built = _assemble(self.diagonal, *self._update())
-            self._built["perturbed"] = _read_only(built)
-        return self._built["perturbed"]
+    def detector(self, model: Model, pert: PerturbationSpec) -> MasterOperator:
+        """The master-equation operator of ``pert`` (no frame) on this sample.
 
-    def _update(self) -> tuple[np.ndarray, np.ndarray]:
-        """``W`` and ``K`` with ``perturbed = diag(d) + W K W^T``, for an
-        orthogonally invariant sample with a frame ``V``: ``V`` and
-        ``diag(theta)``, or :func:`_sandwich_update` with ``B V = d V``."""
-        if self.kind.multiplicative:
-            return _sandwich_update(self.frame, self.diagonal[:, None] * self.frame,
-                                    self.thetas)
-        return self.frame, np.diag(self.thetas)
+        The realized base is diagonalized with ``eigh``, and the leading
+        coordinates seen in its eigenbasis are the frame; its separation
+        verdicts then come from that realized spectrum, not from ``model``.
+        """
+        base_vals, base_vecs = eigensolve(self.base)
+        multiplicative = self.kind.multiplicative
+        spectrum = SpectrumModel.from_values(base_vals, is_psd=multiplicative or None)
+        model = (Model.multiplicative if multiplicative else Model.additive)(spectrum)
+        frame = base_vecs.T[:, : pert.m].copy()
+        return MasterOperator(model=model, pert=pert.with_frame(frame))
 
     def project(self, vector: np.ndarray) -> np.ndarray:
         """Coordinates of ``vector`` in the perturbation frame, or of each
@@ -430,6 +392,90 @@ class EnsembleSample:
         if self.frame is None:
             return np.asarray(vector, dtype=float)[: self.m].copy()
         return self.frame.T @ np.asarray(vector, dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
+class Diagonal(EnsembleSample):
+    """An orthogonally invariant sample ``diag(d) + W K W^T``: it holds the
+    base's eigenvalues ``d``, the Haar frame and the strengths.
+
+    ``base`` is ``diag(d)`` and ``perturbed`` is :func:`_assemble` of the
+    ``W`` and ``K`` of :meth:`_update`, the bits of :func:`perturb_additive`
+    or :func:`perturb_multiplicative` of ``diag(d)``; ``d`` must pass
+    :func:`_check_diagonal`.
+    """
+
+    d: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_diagonal(self.d, self.kind.multiplicative)
+
+    @cached_property
+    def base(self) -> np.ndarray:
+        return _read_only(np.diag(self.d))
+
+    @cached_property
+    def perturbed(self) -> np.ndarray:
+        if not self.m:
+            return _read_only(np.diag(self.d))
+        return _read_only(_assemble(self.d, *self._update()))
+
+    def _update(self) -> tuple[np.ndarray, np.ndarray]:
+        """``W`` and ``K`` with ``perturbed = diag(d) + W K W^T``: ``V`` and
+        ``diag(theta)``, or :func:`_sandwich_update` with ``B V = d V``."""
+        if self.kind.multiplicative:
+            return _sandwich_update(self.frame, self.d[:, None] * self.frame, self.thetas)
+        return self.frame, np.diag(self.thetas)
+
+    def extremes(self, vectors: bool):
+        w, k = self._update()
+        return partial.filtered_extremes(
+            self.d, w, 0.5 * (k + k.T), self.frame,
+            int(np.count_nonzero(self.thetas > 0.0)), self.kind.multiplicative, vectors)
+
+    def detector(self, model: Model, pert: PerturbationSpec) -> MasterOperator:
+        """The operator on ``model``'s own spectrum and the sampled frame, so
+        its memo of inversions and thresholds carries over between trials."""
+        return MasterOperator(model=model, pert=pert.with_frame(self.frame))
+
+
+@dataclass(frozen=True, eq=False)
+class Band(EnsembleSample):
+    """A Gaussian Wigner sample on the leading coordinates: it holds the
+    strengths and the lower band storage ``band[j, i] = T[i + j, i]`` of a
+    band matrix ``T`` of half bandwidth ``w = max(M, 1)`` (see
+    :func:`band.goe`).  A block Householder reduction that fixes the leading
+    ``w`` coordinates takes GOE to ``T`` (Dumitriu and Edelman, J. Math.
+    Phys. 43, 2002; Bloemendal and Virag, PTRF 156, 2013), so ``T`` plus the
+    strengths has the joint law of outlier values and leading-coordinate
+    eigenvector projections of GOE plus the strengths.  ``base`` is ``T``
+    and ``perturbed`` is ``T`` with the strengths added to its leading
+    diagonal entries, :func:`perturb_additive` of ``T``.
+    """
+
+    band: np.ndarray = field(repr=False)
+
+    @cached_property
+    def base(self) -> np.ndarray:
+        return _read_only(band.window(self.band, self.n))
+
+    @cached_property
+    def perturbed(self) -> np.ndarray:
+        built = band.with_strengths(self.band, self.thetas)
+        return _read_only(band.window(built, self.n))
+
+    def extremes(self, vectors: bool):
+        return partial.band_extremes(self.band, self.thetas, vectors)
+
+
+@dataclass(frozen=True, eq=False)
+class Dense(EnsembleSample):
+    """Any other sample (a framed or Rademacher Wigner one, a Wishart one):
+    it holds both dense matrices from the start."""
+
+    base: np.ndarray = field(repr=False)
+    perturbed: np.ndarray = field(repr=False)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -446,12 +492,14 @@ def sample_ensemble(
 ) -> EnsembleSample:
     """Draw one instance of ``model`` perturbed by ``pert`` at size ``n``.
 
+    This is the one place that picks a sample's structure from the kind.
     Wigner and Wishart base matrices use ``law`` and place the perturbation
-    on ``pert.frame`` (leading coordinates when absent); both dense matrices
-    are built here, except for a Gaussian Wigner sample on the leading
-    coordinates.  That one draws the band matrix of :func:`band.goe`, half
-    bandwidth ``max(M, 1)``, in O(n M).  Orthogonally invariant kinds keep
-    the base diagonal and carry the perturbation on a freshly sampled Haar
+    on ``pert.frame`` (leading coordinates when absent); a :class:`Dense`
+    sample builds both matrices here, except for a Gaussian Wigner sample on
+    the leading coordinates.  That one is a :class:`Band` sample, which
+    draws the band matrix of :func:`band.goe`, half bandwidth ``max(M, 1)``,
+    in O(n M).  Orthogonally invariant kinds give a :class:`Diagonal`
+    sample: the base diagonal and the perturbation on a freshly sampled Haar
     frame, which realizes the same joint law as conjugating the base by a
     Haar rotation; ``model.spectrum`` must already have length ``n``.  Such
     samples build their dense matrices on first read, but every error their
@@ -469,13 +517,13 @@ def sample_ensemble(
                 "resample it first"
             )
         frame = _read_only(sample_haar_frame(n, pert.m, gen)) if pert.m else None
-        return EnsembleSample(frame=frame, law=None,
-                              diagonal=model.spectrum.eigenvalues, **provenance)
+        return Diagonal(frame=frame, law=None, d=model.spectrum.eigenvalues,
+                        **provenance)
     # The band's draw and the unchecked Wishart assembly need these first.
     check_fits(n, pert.thetas, kind.multiplicative, pert.frame)
     if kind is ModelKind.WIGNER and law is EntryLaw.GAUSSIAN and pert.frame is None:
         storage = _read_only(band.goe(n, max(pert.m, 1), gen))
-        return EnsembleSample(frame=None, law=law, band=storage, **provenance)
+        return Band(frame=None, law=law, band=storage, **provenance)
     if kind is ModelKind.WIGNER:
         base = sample_wigner(n, law, gen)
         perturbed = perturb_additive(base, pert)
@@ -485,9 +533,8 @@ def sample_ensemble(
     frame = pert.frame
     if frame is not None and frame.flags.writeable:
         frame = _read_only(frame.copy())
-    return EnsembleSample(frame=frame, law=law,
-                          dense=(_read_only(base), _read_only(perturbed)),
-                          **provenance)
+    return Dense(frame=frame, law=law, base=_read_only(base),
+                 perturbed=_read_only(perturbed), **provenance)
 
 
 def eigensolve(
@@ -500,26 +547,28 @@ def eigensolve(
     for values alone).  It must be finite and symmetric to
     ``SYMMETRY_TOLERANCE`` (relative to its largest entry).
 
-    A structured sample with ``n > partial.FILTER_ROWS_PER_PAIR * (M + 1)``
-    (an orthogonally invariant one with a frame, or a band one) gets only
-    its top ``M+`` and bottom ``M-`` values, ``M+``/``M-`` the numbers of
-    positive/negative strengths: ``M = M+ + M-`` values (top then bottom,
-    descending).  So entry ``j`` holds eigenvalue ``j + 1`` for ``j < M+``
-    and eigenvalue ``j + 1 + n - M`` after (:func:`spectrum_column`).  With
-    ``vectors`` each pair is certified, value within
-    ``partial.FILTER_TOLERANCE`` times the spectral radius and vector within
-    an angle of ``FILTER_TOLERANCE``, and the ``n x M`` vectors come with
-    them.  Values alone are certified to the same tolerance on the values,
-    each by the smaller of a first-order bound that needs no gap between
-    outliers, so close ones (about ``1/M`` apart when ``M`` grows with
-    ``n``) certify too, and the second-order bound ``r^2 / gap`` for one
-    apart from the rest, so their residuals ``r`` need only reach about
-    ``sqrt(FILTER_TOLERANCE * radius * gap)``.  The solve reads the sample's
+    A sample with no strengths gets the full spectrum of its dense
+    ``perturbed`` matrix, whatever its structure.  A diagonal or band sample
+    with ``M`` strengths and ``n > partial.FILTER_ROWS_PER_PAIR * (M + 1)``
+    gets only its top ``M+`` and bottom ``M-`` values, ``M+``/``M-`` the
+    numbers of positive/negative strengths: ``M = M+ + M-`` values (top then
+    bottom, descending).  So entry ``j`` holds eigenvalue ``j + 1`` for
+    ``j < M+`` and eigenvalue ``j + 1 + n - M`` after
+    (:func:`spectrum_column`).  With ``vectors`` each pair is certified,
+    value within ``partial.FILTER_TOLERANCE`` times the spectral radius and
+    vector within an angle of ``FILTER_TOLERANCE``, and the ``n x M``
+    vectors come with them.  Values alone are certified to the same
+    tolerance on the values, each by the smaller of a first-order bound
+    that needs no gap between outliers, so close ones (about ``1/M`` apart
+    when ``M`` grows with ``n``) certify too, and the second-order bound
+    ``r^2 / gap`` for one apart from the rest, so their residuals ``r`` need
+    only reach about ``sqrt(FILTER_TOLERANCE * radius * gap)``.  The solve
+    is the sample's :meth:`~EnsembleSample.extremes`, which reads its
     structure, never its dense matrices:
-    :func:`~meso_spectra.partial.filtered_extremes` on an orthogonally
-    invariant sample's :meth:`EnsembleSample._update` and
-    :func:`~meso_spectra.partial.band_extremes` on a band sample's band,
-    whose docstrings give the algorithms and certificates.
+    :func:`~meso_spectra.partial.filtered_extremes` on a diagonal sample's
+    ``d``, frame and update and :func:`~meso_spectra.partial.band_extremes`
+    on a band sample's band, whose docstrings give the algorithms and
+    certificates.
 
     When a solve gives up or its certificate fails, the fallback and its
     reason are logged at DEBUG level and the sample's dense ``perturbed``
@@ -531,21 +580,13 @@ def eigensolve(
     """
     if isinstance(matrix, EnsembleSample):
         sample = matrix
-        framed = not sample.kind.closed_form and sample.frame is not None
-        if ((framed or sample.band is not None)
-                and sample.n > partial.FILTER_ROWS_PER_PAIR * (sample.m + 1)):
-            if framed:
-                w, k = sample._update()
-                found = partial.filtered_extremes(
-                    sample.diagonal, w, 0.5 * (k + k.T), sample.frame,
-                    int(np.count_nonzero(sample.thetas > 0.0)),
-                    sample.kind.multiplicative, vectors)
-            else:
-                found = partial.band_extremes(sample.band, sample.thetas, vectors)
-            if not isinstance(found, str):
-                return found
+        found = (sample.extremes(vectors) if sample.m and
+                 sample.n > partial.FILTER_ROWS_PER_PAIR * (sample.m + 1) else None)
+        if isinstance(found, str):
             _log.debug("dense eigensolve fallback: stream %d, n=%d: %s",
                        sample.stream_id, sample.n, found)
+        elif found is not None:
+            return found
         a = sample.perturbed
     else:
         a = np.asarray(matrix, dtype=float)

@@ -17,7 +17,7 @@ import numpy as np
 from .. import partial
 from ..ensembles import (EnsembleSample, RngStream, eigensolve, sample_ensemble,
                          sample_haar_frame, spectrum_column)
-from ..master_equation import MasterOperator, MissingRootError, locate_outliers
+from ..master_equation import MissingRootError, locate_outliers
 from ..predictor import OutlierPrediction, predict, pushforward_sample
 from ..spectral_core import (
     MesoSpectraError,
@@ -74,29 +74,20 @@ def _detector_locations(
     delta: float,
     starts: dict[int, float],
 ) -> dict[int, float]:
-    """Root locations from the counting-function detector, certified by its
-    counts alone.
+    """Root locations from the counting-function detector on the sample's
+    operator (:meth:`~meso_spectra.ensembles.EnsembleSample.detector`),
+    certified by its counts alone.
 
     ``pert`` has at least one strength and no frame, as the drivers build
-    it.  Orthogonally invariant kinds reuse the known base spectrum and the
-    sampled Haar frame.  Closed-form kinds first diagonalize the realized
-    base matrix, and the leading coordinates seen in its eigenbasis are the
-    frame; their separation verdicts then come from that realized spectrum,
-    not from the closed form, so a strength near the closed-form threshold
-    may be scored but not located (the report's ``detector_located`` counts
-    those that are).  Each rank's search starts at ``starts[rank]``, the
-    trial's realized eigenvalue, so a search confirms it in two rounds; a
-    rank without a start begins at its predicted location.
+    it.  A diagonal sample's operator reuses ``model``'s spectrum and the
+    sampled Haar frame; any other sample's diagonalizes its realized base,
+    so a strength near the closed-form threshold may be scored but not
+    located (the report's ``detector_located`` counts those that are).
+    Each rank's search starts at ``starts[rank]``, the trial's realized
+    eigenvalue, so a search confirms it in two rounds; a rank without a
+    start begins at its predicted location.
     """
-    if model.kind.closed_form:
-        base_vals, base_vecs = eigensolve(sample.base)
-        multiplicative = model.kind.multiplicative
-        spectrum = SpectrumModel.from_values(base_vals, is_psd=multiplicative or None)
-        frame = base_vecs.T[:, : pert.m].copy()
-        model = (Model.multiplicative if multiplicative else Model.additive)(spectrum)
-    else:
-        frame = sample.frame
-    op = MasterOperator(model=model, pert=pert.with_frame(frame))
+    op = sample.detector(model, pert)
     return {r.rank: r.location for r in locate_outliers(op, delta, starts=starts)}
 
 

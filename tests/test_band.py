@@ -29,7 +29,7 @@ from meso_spectra import (
     sample_wigner,
 )
 from meso_spectra import band as band_algebra
-from meso_spectra.ensembles import EnsembleSample, eigensolve, sample_ensemble
+from meso_spectra.ensembles import Band, Dense, Diagonal, eigensolve, sample_ensemble
 from meso_spectra.partial import FILTER_TOLERANCE
 from meso_spectra.experiments import harness, run_experiment
 from meso_spectra.experiments.config import ExperimentConfig
@@ -47,7 +47,7 @@ def wigner_sample(n, thetas, seed=0, stream=0):
 def band_sample(band, thetas, stream_id=0):
     """A Wigner sample on an explicit band."""
     pert = PerturbationSpec.from_values(thetas)
-    return EnsembleSample(
+    return Band(
         frame=None, thetas=pert.thetas, kind=ModelKind.WIGNER, n=band.shape[1],
         m=pert.m, master_seed=0, stream_id=stream_id, law=EntryLaw.GAUSSIAN,
         band=band,
@@ -112,7 +112,7 @@ class TestBandLaw:
     def test_band_shape_and_entries(self, n, m):
         sample = wigner_sample(n, np.linspace(3.0, 1.0, m), seed=63)
         width = max(m, 1)
-        assert sample.band.shape == (width + 1, n) and sample.dense is None
+        assert sample.band.shape == (width + 1, n) and isinstance(sample, Band)
         base = sample.base
         rows, cols = np.indices((n, n))
         assert not base[np.abs(rows - cols) > width].any()
@@ -130,7 +130,7 @@ class TestBandLaw:
                                  30, RngStream(64, 0))
         wishart = sample_ensemble(Model.wishart(0.5), pert, 30, RngStream(64, 0))
         for sample in (rademacher, framed, wishart):
-            assert sample.band is None and sample.dense is not None
+            assert isinstance(sample, Dense)
 
     def test_rank_above_size(self):
         with pytest.raises(ModelError, match="exceeds matrix size"):
@@ -143,9 +143,9 @@ class TestBandStructuredSample:
     @pytest.mark.parametrize("thetas", [[2.0, -0.5, 1.2], []], ids=["rank-3", "rank-0"])
     def test_dense_matrices_lazy_cached_read_only(self, thetas):
         sample = wigner_sample(61, thetas, seed=65)
-        assert sample._built == {}
+        assert not {"base", "perturbed"} & vars(sample).keys()
         base = sample.base
-        assert set(sample._built) == {"base"}
+        assert {"base", "perturbed"} & vars(sample).keys() == {"base"}
         perturbed = sample.perturbed
         assert np.array_equal(base, base.T) and np.array_equal(perturbed, perturbed.T)
         # They differ exactly by the strengths on the leading diagonal.
@@ -164,13 +164,11 @@ class TestBandStructuredSample:
                           master_seed=0, stream_id=0, law=None)
         band = np.zeros((2, 2))
         with pytest.raises(ModelError, match="its band or its dense matrices alone"):
-            EnsembleSample(kind=ModelKind.WIGNER, band=band,
-                           dense=(np.eye(2), np.eye(2)), **provenance)
+            Diagonal(kind=ModelKind.WIGNER, d=np.ones(2), **provenance)
         with pytest.raises(ModelError, match="its dense matrices alone"):
-            EnsembleSample(kind=ModelKind.WISHART, band=band, **provenance)
+            Band(kind=ModelKind.WISHART, band=band, **provenance)
         with pytest.raises(ModelError, match="its diagonal alone"):
-            EnsembleSample(kind=ModelKind.ORTH_INVARIANT_ADDITIVE, band=band,
-                           diagonal=np.ones(2), **provenance)
+            Band(kind=ModelKind.ORTH_INVARIANT_ADDITIVE, band=band, **provenance)
 
     def test_reproducible(self):
         a = wigner_sample(40, [2.0, -1.5], seed=66, stream=3)
@@ -437,14 +435,14 @@ class TestBandEigensolve:
     @pytest.mark.parametrize("n,thetas", [
         (403, [3.0, 2.5, -3.5]),     # n not a multiple of M
         (300, [2.5]),                # M = 1: T is tridiagonal
-        (200, []),                   # M = 0: nothing to solve for
+        (200, []),                   # M = 0: the dense path answers
         (402, [-2.5, -4.0, -3.0]),   # lower side alone
         (500, [3.0, 3.0, 2.8, -3.0]),  # repeated strengths
     ])
     def test_band_solve_answers(self, caplog, n, thetas):
         caplog.set_level(logging.DEBUG, logger="meso_spectra")
         sample = wigner_sample(n, thetas, seed=67)
-        assert assert_matches_dense(sample) == [True, True]
+        assert assert_matches_dense(sample) == [sample.m > 0] * 2
         assert caplog.records == []
 
     @pytest.mark.parametrize("n,thetas,vectors", [
@@ -503,7 +501,7 @@ class TestBandEigensolve:
         vals, vecs = eigensolve(sample)
         assert vals.size == 2 and vecs.shape == (300, 2)
         assert eigensolve(sample, vectors=False).size == 2
-        assert sample._built == {}
+        assert not {"base", "perturbed"} & vars(sample).keys()
 
 
 class TestBandFallbacks:

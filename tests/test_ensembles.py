@@ -1,7 +1,10 @@
 """Tests for matrix sampling, perturbation assembly, and eigensolves."""
 
+import ast
 import dataclasses
+import inspect
 import logging
+import textwrap
 import tracemalloc
 import types
 import warnings
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from meso_spectra import ensembles, partial
+from meso_spectra import cli, ensembles, partial
 
 from meso_spectra import (
     EntryLaw,
@@ -28,9 +31,10 @@ from meso_spectra import (
     sample_wigner,
     sample_wishart,
 )
-from meso_spectra.ensembles import EnsembleSample, eigensolve, sample_ensemble
+from meso_spectra.ensembles import Dense, Diagonal, eigensolve, sample_ensemble
 from meso_spectra.experiments import harness, run_experiment
 from meso_spectra.experiments.config import ExperimentConfig
+from meso_spectra.master_equation import counting_function
 from meso_spectra.transforms import semicircle_quantiles
 
 
@@ -400,7 +404,7 @@ class TestStructuredSample:
         pert = PerturbationSpec.from_values(thetas)
         sample = sample_ensemble(model, pert, 300, RngStream(57, 0))
         d = spectrum.eigenvalues
-        assert sample.diagonal is d
+        assert sample.d is d
         assert (sample.frame is None) == (not thetas)
         placed = pert.with_frame(sample.frame) if thetas else pert
         perturb = perturb_multiplicative if multiplicative else perturb_additive
@@ -416,11 +420,10 @@ class TestStructuredSample:
         provenance = dict(frame=None, thetas=np.empty(0), n=2, m=0,
                           master_seed=0, stream_id=0, law=None)
         with pytest.raises(ModelError, match="its diagonal alone"):
-            EnsembleSample(kind=ModelKind.ORTH_INVARIANT_ADDITIVE,
-                           dense=(np.eye(2), np.eye(2)), **provenance)
+            Dense(kind=ModelKind.ORTH_INVARIANT_ADDITIVE,
+                  base=np.eye(2), perturbed=np.eye(2), **provenance)
         with pytest.raises(ModelError, match="its dense matrices alone"):
-            EnsembleSample(kind=ModelKind.WIGNER, diagonal=np.ones(2),
-                           **provenance)
+            Diagonal(kind=ModelKind.WIGNER, d=np.ones(2), **provenance)
 
     @pytest.mark.parametrize("multiplicative", [False, True],
                              ids=["additive", "multiplicative"])
@@ -434,10 +437,10 @@ class TestStructuredSample:
         with pytest.raises(ModelError, match="must exceed -1"):
             framed_sample(True, [2.0, 1.0, 0.5], [2.0, theta], np.eye(3)[:, :2])
         with pytest.raises(ModelError, match="must exceed -1"):
-            EnsembleSample(frame=None, thetas=np.array([theta]),
-                           kind=ModelKind.WISHART, n=3, m=1, master_seed=0,
-                           stream_id=0, law=EntryLaw.GAUSSIAN,
-                           dense=(np.eye(3), np.eye(3)))
+            Dense(frame=None, thetas=np.array([theta]),
+                  kind=ModelKind.WISHART, n=3, m=1, master_seed=0,
+                  stream_id=0, law=EntryLaw.GAUSSIAN,
+                  base=np.eye(3), perturbed=np.eye(3))
 
     @pytest.mark.parametrize("framed", [False, True], ids=["coordinates", "frame"])
     def test_wishart_sample_skips_the_cholesky_check(self, monkeypatch, framed):
@@ -614,10 +617,10 @@ class TestNonFiniteInput:
         spec = SpectrumModel.from_values(np.linspace(-1.0, 1.0, 200))
         s = sample_ensemble(Model.additive(spec), PerturbationSpec.from_values([3.0]),
                             200, RngStream(35, 0))
-        diagonal = s.diagonal.copy()
-        diagonal[4] = np.nan
+        d = s.d.copy()
+        d[4] = np.nan
         with pytest.raises(ModelError, match="non-finite"):
-            eigensolve(dataclasses.replace(s, diagonal=diagonal))
+            eigensolve(dataclasses.replace(s, d=d))
 
 
 # The size rule as shipped, before any test patches it.
@@ -630,8 +633,8 @@ def framed_sample(multiplicative, values, thetas, frame, stream_id=0):
     pert = PerturbationSpec.from_values(thetas, frame=frame)
     kind = (ModelKind.ORTH_INVARIANT_MULTIPLICATIVE if multiplicative
             else ModelKind.ORTH_INVARIANT_ADDITIVE)
-    return EnsembleSample(
-        diagonal=d, frame=pert.frame, thetas=pert.thetas, kind=kind, n=d.size,
+    return Diagonal(
+        d=d, frame=pert.frame, thetas=pert.thetas, kind=kind, n=d.size,
         m=pert.m, master_seed=0, stream_id=stream_id, law=None,
     )
 
@@ -1099,7 +1102,7 @@ class TestCertifiedPartialEigensolve:
         assert n > ROWS_PER_PAIR * (m + 1)
         values = eigensolve(sample, vectors=False)
         assert values.shape == (m,) and caplog.records == []
-        assert "perturbed" not in sample._built
+        assert "perturbed" not in vars(sample)
         dense = np.linalg.eigvalsh(sample.perturbed)[::-1]
         radius = max(1.0, float(np.max(np.abs(dense))))
         assert np.max(np.abs(values - dense[:m])) <= 1e-12 * radius
@@ -1135,7 +1138,7 @@ class TestCertifiedPartialEigensolve:
         n = 300
         sample = sample_ensemble(Model.wigner(), PerturbationSpec.from_values([3.0]),
                                  n, RngStream(40, 2), EntryLaw.RADEMACHER)
-        assert sample.dense is not None
+        assert isinstance(sample, Dense)
 
         def peak(solve):
             tracemalloc.start()
@@ -1388,3 +1391,84 @@ class TestSweepProducts:
             last = len(events) - events[::-1].index("rayleigh-ritz")
             assert events.count("rayleigh-ritz") >= 2
             assert "apply" not in events[last:]
+
+
+def structure_samples():
+    """``(id, model, thetas, n, law)`` of a sample of each structure that
+    :func:`sample_ensemble` picks, above the size rule where one applies."""
+    semicircle = SpectrumModel.from_values(semicircle_quantiles(300))
+    uniform = SpectrumModel.from_values(np.linspace(0.5, 2.5, 300))
+    return [
+        ("Diagonal-additive", Model.additive(semicircle), [3.0, -2.5], 300,
+         EntryLaw.GAUSSIAN),
+        ("Diagonal-multiplicative", Model.multiplicative(uniform), [1.5, -0.9], 300,
+         EntryLaw.GAUSSIAN),
+        ("Band", Model.wigner(), [3.0, -2.5], 300, EntryLaw.GAUSSIAN),
+        ("Dense-wigner", Model.wigner(), [3.0, -2.5], 150, EntryLaw.RADEMACHER),
+        ("Dense-wishart", Model.wishart(0.5), [2.0, 1.5], 150, EntryLaw.GAUSSIAN),
+    ]
+
+
+class TestOneStructureInterface:
+    """``eigensolve``, the harness's detector and ``detect`` read a sample
+    through its structure's operations alone."""
+
+    @pytest.mark.parametrize("function", [
+        ensembles.eigensolve, harness._detector_locations, cli.cmd_detect],
+        ids=["eigensolve", "_detector_locations", "cmd_detect"])
+    def test_consumers_name_no_kind_or_storage(self, function):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"ModelKind", "closed_form", "multiplicative",
+                            "band", "diagonal", "dense"}
+
+    @pytest.mark.parametrize("name, model, thetas, n, law", structure_samples(),
+                             ids=[case[0] for case in structure_samples()])
+    def test_each_structure_matches_its_dense_spectrum(self, name, model, thetas, n, law):
+        pert = PerturbationSpec.from_values(thetas)
+        sample = sample_ensemble(model, pert, n, RngStream(95, 0), law)
+        assert type(sample).__name__ == name.split("-")[0]
+        # A structured solve answers wherever the structure has one.
+        assert assert_values_match_dense(sample) == (not name.startswith("Dense"))
+        # The detector's count beyond z is the number of positive strengths
+        # less the perturbed eigenvalues above z (above the base), or plus
+        # those at or below z (below the base).
+        dense = np.linalg.eigvalsh(sample.perturbed)[::-1]
+        op = sample.detector(model, pert)
+        top, bottom = op.spectrum.lam_max, op.spectrum.lam_min
+        outside = dense[(dense > top) | (dense < bottom)]
+        assert outside.size == pert.m
+        points = np.r_[dense[0] + 1.0, 0.5 * (outside[1:] + outside[:-1]), dense[-1] - 1.0]
+        points = points[(points > top) | (points < bottom)]
+        expected = [pert.m_positive - np.count_nonzero(dense > z) if z > top
+                    else pert.m_positive + np.count_nonzero(dense <= z) for z in points]
+        assert counting_function(op, points).tolist() == expected
+
+    def test_diagonal_detector_keeps_the_callers_model(self):
+        model = Model.additive(SpectrumModel.from_values(semicircle_quantiles(100)))
+        pert = PerturbationSpec.from_values([3.0, -2.5])
+        sample = sample_ensemble(model, pert, 100, RngStream(96, 0))
+        op = sample.detector(model, pert)
+        assert op.model is model and op.spectrum is model.spectrum
+        assert np.array_equal(op.pert.frame, sample.frame)
+
+    @pytest.mark.parametrize("n", [30, 200])
+    @pytest.mark.parametrize("structure", ["Band", "Diagonal"])
+    def test_no_strengths_give_the_full_dense_spectrum(self, monkeypatch, structure, n):
+        # One rule for both structures, at any size: nothing to solve for.
+        def no_partial_solve(*args):
+            raise AssertionError("the partial solve must not run")
+
+        monkeypatch.setattr(partial, "filtered_extremes", no_partial_solve)
+        monkeypatch.setattr(partial, "band_extremes", no_partial_solve)
+        model = (Model.wigner() if structure == "Band" else
+                 Model.additive(SpectrumModel.from_values(np.linspace(-1.0, 1.0, n))))
+        sample = sample_ensemble(model, PerturbationSpec.from_values([]), n,
+                                 RngStream(97, 0))
+        assert type(sample).__name__ == structure
+        values = eigensolve(sample, vectors=False)
+        assert np.array_equal(values, np.linalg.eigvalsh(sample.perturbed)[::-1])
+        vals, vecs = eigensolve(sample)
+        assert vals.size == n and vecs.shape == (n, n)
+        assert np.array_equal(vals, eigensolve(sample.perturbed)[0])

@@ -305,7 +305,9 @@ class TestBenchContract:
         def solve(arg, vectors=True):
             result = real_solve(arg, vectors=vectors)
             values = result[0] if vectors else result
-            calls["eigensolve"].append((type(arg).__name__, vectors, values.size))
+            name = ("EnsembleSample" if isinstance(arg, ensembles.EnsembleSample)
+                    else type(arg).__name__)
+            calls["eigensolve"].append((name, vectors, values.size))
             return result
 
         def eigvalsh(*args, **kwargs):
@@ -560,8 +562,8 @@ class TestBulkMeasurement:
         kind = (ModelKind.ORTH_INVARIANT_MULTIPLICATIVE if multiplicative
                 else ModelKind.ORTH_INVARIANT_ADDITIVE)
         pert = PerturbationSpec.from_values(thetas, frame=frame)
-        sample = ensembles.EnsembleSample(
-            diagonal=np.ones(n), frame=frame, thetas=pert.thetas, kind=kind, n=n,
+        sample = ensembles.Diagonal(
+            d=np.ones(n), frame=frame, thetas=pert.thetas, kind=kind, n=n,
             m=2, master_seed=0, stream_id=0, law=None)
         preds = [SimpleNamespace(theta=2.0, whitened_norm_sq=0.5, target_index=i)
                  for i in (1, 2)]

@@ -3,9 +3,14 @@
     python3 tools/report_diff.py OLD_SRC NEW_SRC CONFIG.json [CONFIG.json ...]
     python3 tools/report_diff.py OLD_SRC NEW_SRC --acceptance [CONFIG.json ...]
 
-``--acceptance`` adds ten configs: the seven of ``ACCEPTANCE_CONFIGS`` in
-``tests/test_acceptance.py`` and the three workloads of ``bench/run.py``'s
-``WORKLOADS`` at seed ``BENCH_SEED``, written as the bench writes them.
+``--acceptance`` adds fourteen configs: the seven of ``ACCEPTANCE_CONFIGS``
+in ``tests/test_acceptance.py``, the three workloads of ``bench/run.py``'s
+``WORKLOADS`` at seed ``BENCH_SEED``, written as the bench writes them, and
+the four small ``STRUCTURE_CONFIGS``, which reach each sample structure's
+solve and detector paths: a cross-checked Gaussian Wigner (band) and
+Wishart (dense) run, a Rademacher Wigner (dense) run and an orthogonally
+invariant multiplicative eigenvector run below the partial solve's size
+rule (diagonal, dense fallback).
 
 Each config is run by ``meso-spectra verify`` (as ``python -m
 meso_spectra.cli verify``) once with ``OLD_SRC`` and once with ``NEW_SRC``
@@ -37,6 +42,31 @@ ROOT = Path(__file__).resolve().parent.parent
 # The seed of the bench configs ``--acceptance`` runs.
 BENCH_SEED = 4242
 
+# Small runs through each sample structure, n <= 600 and a few trials each.
+STRUCTURE_CONFIGS = {
+    "band-cross-check": {
+        "experiment": "location", "kind": "wigner", "n_values": [400],
+        "theta_spec": {"values": [2.5, 2.0, -2.2]}, "cross_check": True,
+        "delta": 0.2, "epsilon": 0.2, "trials": 4, "seed": 31,
+    },
+    "wishart-cross-check": {
+        "experiment": "location", "kind": "wishart", "phi": 0.5, "n_values": [300],
+        "theta_spec": {"values": [2.0, 1.5]}, "cross_check": True,
+        "delta": 0.2, "epsilon": 0.2, "trials": 4, "seed": 37,
+    },
+    "rademacher-location": {
+        "experiment": "location", "kind": "wigner", "entry_law": "rademacher",
+        "n_values": [300], "theta_spec": {"values": [2.5, -2.0]},
+        "delta": 0.2, "epsilon": 0.2, "trials": 4, "seed": 41,
+    },
+    "diagonal-dense-fallback": {
+        "experiment": "eigenvector", "kind": "orth-invariant-multiplicative",
+        "n_values": [200], "spectrum": {"name": "uniform", "low": 0.5, "high": 2.5},
+        "theta_spec": {"values": [1.5, 1.2, 1.0, -0.88, -0.92, -0.96]},
+        "cross_check": False, "delta": 0.15, "epsilon": 0.15, "trials": 4, "seed": 43,
+    },
+}
+
 
 def load_module(path: Path):
     """The module at ``path``, imported."""
@@ -47,10 +77,10 @@ def load_module(path: Path):
 
 
 def acceptance_configs(src: Path, outdir: Path) -> list[Path]:
-    """The acceptance fixture configs and the bench workload configs,
-    written to ``outdir``: the tests' table as it stands, and each bench
-    workload with its seed and the bench's ``delta`` and ``epsilon``.  The
-    tests import the package, from ``src``."""
+    """The acceptance fixture configs, the bench workload configs and
+    ``STRUCTURE_CONFIGS``, written to ``outdir``: the tests' table as it
+    stands, and each bench workload with its seed and the bench's ``delta``
+    and ``epsilon``.  The tests import the package, from ``src``."""
     sys.path.insert(0, str(src))
     tests = load_module(ROOT / "tests" / "test_acceptance.py")
     bench = load_module(ROOT / "bench" / "run.py")
@@ -58,6 +88,7 @@ def acceptance_configs(src: Path, outdir: Path) -> list[Path]:
     for name, doc in bench.WORKLOADS.items():
         docs[f"bench-{name}"] = dict(doc, seed=BENCH_SEED, delta=bench.BAND,
                                      epsilon=bench.BAND)
+    docs.update((f"structure-{name}", doc) for name, doc in STRUCTURE_CONFIGS.items())
     paths = []
     for name, doc in docs.items():
         paths.append(outdir / f"{name}.json")
