@@ -38,7 +38,6 @@ from .ensembles import (
 from .master_equation import locate_outliers
 from .predictor import DEFAULT_DELTA, predict
 from .spectral_core import (
-    InvalidPerturbationError,
     MesoSpectraError,
     Model,
     ModelError,
@@ -109,9 +108,9 @@ def _spectrum_from_file(path: str, n: int | None) -> SpectrumModel:
 
 def cmd_predict(args) -> int:
     kind = ModelKind(args.kind)
-    if (args.phi is not None) != (kind is ModelKind.WISHART):
+    if (args.phi is not None) != kind.takes_phi:
         raise ConfigError("--phi is required for wishart and invalid otherwise")
-    if (args.spectrum_file is not None) != (not kind.closed_form):
+    if (args.spectrum_file is not None) == kind.closed_form:
         raise ConfigError(
             "--spectrum-file is required for orthogonally invariant kinds "
             "and invalid otherwise"
@@ -368,7 +367,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ModelError, PreconditionError, InvalidPerturbationError) as exc:
+    except (ConfigError, ModelError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ExperimentError as exc:

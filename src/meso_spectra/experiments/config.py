@@ -17,7 +17,14 @@ import numpy as np
 
 from ..ensembles import EntryLaw
 from ..predictor import check_separation
-from ..spectral_core import MesoSpectraError, Model, ModelKind, SpectrumModel
+from ..spectral_core import (
+    InvalidPerturbationError,
+    MesoSpectraError,
+    Model,
+    ModelKind,
+    SpectrumModel,
+    check_floor,
+)
 from ..transforms import empirical_quantiles, mp_quantiles, semicircle_quantiles
 
 __all__ = [
@@ -200,8 +207,8 @@ class ExperimentConfig:
         _require(epsilon <= delta, f"epsilon: must be <= delta ({epsilon:g} > {delta:g})")
 
         phi = _as_real(doc["phi"], "phi") if "phi" in doc else None
-        if kind is ModelKind.WISHART:
-            _require(phi is not None, "phi: required for wishart")
+        if kind is not None and kind.takes_phi:
+            _require(phi is not None, f"phi: required for {kind.value}")
             _require(0.0 < phi < 1.0, "phi: must lie in (0, 1)")
         else:
             _require(phi is None, "phi: only valid for wishart")
@@ -338,9 +345,11 @@ class ExperimentConfig:
             m = len(self.theta_spec["values"])
             _require(m < min(self.n_values),
                      f"theta_spec: rank {m} must be below every n")
-            if self.kind is not None and self.kind.multiplicative:
-                _require(all(v > -1.0 for v in self.theta_spec["values"]),
-                         "theta_spec.values: multiplicative strengths must exceed -1")
+            if self.kind is not None:
+                try:
+                    check_floor(min(self.theta_spec["values"]), self.kind.multiplicative)
+                except InvalidPerturbationError as exc:
+                    raise ConfigError(f"theta_spec.values: {exc}") from None
         if self.m_rule is not None:
             for n in self.n_values:
                 m = self._m_from_rule(self.m_rule, n)

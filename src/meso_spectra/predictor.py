@@ -4,12 +4,15 @@ A model's kind decides the transform that governs its outliers: the
 semicircle Stieltjes transform (Wigner), the Marchenko-Pastur T-transform
 (Wishart), or the empirical Stieltjes or T-transform of the base spectrum
 (orthogonally invariant additive or multiplicative).  This module is the one
-place that makes that decision.  :func:`check_separation` compares
-``|theta|`` with a threshold strength (for empirical kinds, from one
-transform evaluation); :func:`pushforward_map` inverts the transform at
-``1/theta`` for a separated strength, giving its outlier's location; the
-squared projection of a perturbed eigenvector onto the perturbation frame
-comes from the derivative of the same transform at that location:
+place that makes that decision, in one record per kind (``_RULES``): its
+threshold strength, its location map and its transform's slope.
+:func:`check_separation` compares ``|theta|`` with the threshold strength
+(the BBP critical value plus ``2 delta`` for a closed-form kind, one
+transform evaluation for an empirical one); :func:`pushforward_map` inverts
+the transform at ``1/theta`` for a separated strength, giving its outlier's
+location; the squared projection of a perturbed eigenvector onto the
+perturbation frame comes from the slope of the same transform at that
+location:
 
     additive:        |v|^2 ~ -1 / (theta^2 m'(z))
     multiplicative:  |v|^2 ~ -(theta + 1) / (theta^2 z T'(z))
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,12 +34,12 @@ from .spectral_core import (
     InvalidPerturbationError,
     Model,
     ModelError,
-    ModelKind,
     NotSeparatedError,
     PerturbationSpec,
     Separation,
     Side,
     check_delta,
+    check_floor,
     target_index,
 )
 
@@ -54,13 +58,57 @@ __all__ = [
 DEFAULT_DELTA = 0.1
 
 
-def _validate_theta(model: Model, theta: float) -> None:
-    if theta == 0.0 or not math.isfinite(theta):
-        raise InvalidPerturbationError(f"theta must be finite and nonzero, got {theta}")
-    if model.kind.multiplicative and theta <= -1.0:
-        raise InvalidPerturbationError(
-            f"multiplicative strengths must exceed -1, got {theta}"
-        )
+class _Rule(NamedTuple):
+    """What one kind's transform gives, each read from the model: the
+    separation threshold ``threshold(model, delta, upper)``, the location
+    ``invert(model, t)`` where the transform equals ``t`` outside the bulk,
+    and the transform's derivative ``slope(model, z)``."""
+
+    threshold: Callable[[Model, float, bool], float]
+    invert: Callable[[Model, float], float]
+    slope: Callable[[Model, float], float]
+
+
+def _explicit(critical, inverse, slope) -> _Rule:
+    """The rule of a kind whose transform has an explicit inverse
+    ``inverse(model, t)``: strengths separate from ``critical(model) + 2
+    delta`` on (the critical value is the BBP threshold), and the transform
+    attains ``t`` for ``0 < |t| <= 1/critical``."""
+
+    def invert(model: Model, t: float) -> float:
+        bound = 1.0 / critical(model)
+        if t == 0.0 or abs(t) > bound:
+            raise transforms.TransformDomainError(
+                f"the {model.kind.value} transform attains "
+                f"[{-bound:g}, 0) u (0, {bound:g}], got {t:g}", (-bound, bound))
+        return inverse(model, t)
+
+    return _Rule(lambda model, delta, upper: critical(model) + 2.0 * delta, invert, slope)
+
+
+# One rule per kind, keyed by its value (a ModelKind is the string it
+# names).  The empirical rules look each transform up on the module when
+# called, so a wrapper put on it afterwards sees the call.
+_RULES = {
+    "wigner": _explicit(
+        lambda model: 1.0,
+        lambda model, t: t + 1.0 / t,
+        lambda model, z: transforms.semicircle_stieltjes_deriv(z)),
+    "wishart": _explicit(
+        lambda model: math.sqrt(model.phi),
+        lambda model, t: model.phi + 1.0 + 1.0 / t + model.phi * t,
+        lambda model, z: transforms.mp_t_transform_deriv(model.phi, z)),
+    "orth-invariant-additive": _Rule(
+        lambda model, delta, upper: transforms.separation_threshold(
+            model.spectrum, delta, upper, False),
+        lambda model, t: transforms.invert_stieltjes(model.spectrum, t),
+        lambda model, z: transforms.stieltjes_deriv(model.spectrum, z)),
+    "orth-invariant-multiplicative": _Rule(
+        lambda model, delta, upper: transforms.separation_threshold(
+            model.spectrum, delta, upper, True),
+        lambda model, t: transforms.invert_t_transform(model.spectrum, t),
+        lambda model, z: transforms.t_transform_deriv(model.spectrum, z)),
+}
 
 
 def check_separation(model: Model, delta: float, theta: float) -> Separation:
@@ -73,13 +121,11 @@ def check_separation(model: Model, delta: float, theta: float) -> Separation:
     :class:`ModelError` unless ``delta`` is positive and finite.
     """
     check_delta(delta)
-    _validate_theta(model, theta)
+    if theta == 0.0 or not math.isfinite(theta):
+        raise InvalidPerturbationError(f"theta must be finite and nonzero, got {theta}")
+    check_floor(theta, model.kind.multiplicative)
     upper = theta > 0.0
-    if model.kind.closed_form:
-        threshold = _critical(model) + 2.0 * delta
-    else:
-        threshold = transforms.separation_threshold(model.spectrum, delta, upper,
-                                                    model.kind.multiplicative)
+    threshold = _RULES[model.kind].threshold(model, delta, upper)
     ok = abs(theta) >= threshold
     return Separation(ok, (Side.UPPER if upper else Side.LOWER) if ok else None, threshold)
 
@@ -116,7 +162,7 @@ def _predict_one(model: Model, delta: float, theta: float):
     if not verdict:
         return verdict, None, None, None
     z = pushforward_map(model, theta)
-    slope = _slope(model, z)
+    slope = _RULES[model.kind].slope(model, z)
     if model.kind.additive:
         return verdict, z, -1.0 / (theta * theta * slope), None
     norm_sq = -(theta + 1.0) / (theta * theta * z * slope)
@@ -185,24 +231,9 @@ def predict(
     out: list[OutlierPrediction] = []
     for i, theta in enumerate(pert.thetas, start=1):
         theta = float(theta)
-        verdict, z, norm_sq, whitened = _predict_one(model, delta, theta)
-        out.append(
-            OutlierPrediction(
-                rank=i,
-                theta=theta,
-                target_index=target_index(pert, i, n),
-                separation=verdict,
-                location=z,
-                projection_norm_sq=norm_sq,
-                whitened_norm_sq=whitened,
-            )
-        )
+        predicted = _predict_one(model, delta, theta)
+        out.append(OutlierPrediction(i, theta, target_index(pert, i, n), *predicted))
     return out
-
-
-def _critical(model: Model) -> float:
-    """Critical strength of a closed-form kind (the BBP threshold)."""
-    return 1.0 if model.kind is ModelKind.WIGNER else math.sqrt(model.phi)
 
 
 def pushforward_map(model: Model, theta: float) -> float:
@@ -217,33 +248,7 @@ def pushforward_map(model: Model, theta: float) -> float:
     """
     if theta == 0.0:
         raise ModelError("theta must be nonzero")
-    t = 1.0 / theta
-    if model.kind.closed_form:
-        bound = 1.0 / _critical(model)
-        if t == 0.0 or abs(t) > bound:
-            raise transforms.TransformDomainError(
-                f"the {model.kind.value} transform attains "
-                f"[{-bound:g}, 0) u (0, {bound:g}], got {t:g}",
-                (-bound, bound),
-            )
-        if model.kind is ModelKind.WIGNER:
-            return t + 1.0 / t
-        phi = model.phi
-        return phi + 1.0 + 1.0 / t + phi * t
-    if model.kind.additive:
-        return transforms.invert_stieltjes(model.spectrum, t)
-    return transforms.invert_t_transform(model.spectrum, t)
-
-
-def _slope(model: Model, z: float) -> float:
-    """Derivative at ``z`` of the transform that governs ``model``'s kind."""
-    if model.kind is ModelKind.WIGNER:
-        return transforms.semicircle_stieltjes_deriv(z)
-    if model.kind is ModelKind.WISHART:
-        return transforms.mp_t_transform_deriv(model.phi, z)
-    if model.kind.additive:
-        return transforms.stieltjes_deriv(model.spectrum, z)
-    return transforms.t_transform_deriv(model.spectrum, z)
+    return _RULES[model.kind].invert(model, 1.0 / theta)
 
 
 def pushforward_sample(model: Model, thetas) -> np.ndarray:

@@ -43,12 +43,12 @@ class MesoSpectraError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InvalidPerturbationError(MesoSpectraError, ValueError):
-    """A perturbation strength is outside its admissible range."""
-
-
 class ModelError(MesoSpectraError, ValueError):
     """A model is internally inconsistent (missing spectrum, bad shape, ...)."""
+
+
+class InvalidPerturbationError(ModelError):
+    """A perturbation strength is outside its admissible range."""
 
 
 class NotSeparatedError(MesoSpectraError, ValueError):
@@ -66,30 +66,28 @@ class NotSeparatedError(MesoSpectraError, ValueError):
 
 
 class ModelKind(str, enum.Enum):
-    """The four base-matrix families the package understands.
+    """The four base-matrix families the package understands, with the traits
+    that the other layers read instead of naming a member.
 
-    ``WIGNER`` and ``WISHART`` carry closed-form limiting transforms; the two
-    orthogonally invariant kinds work with the empirical transforms of an
-    explicit base spectrum.
+    Each member is its value followed by three flags.  Multiplicative: the
+    perturbation acts as ``S B S`` with ``S = (I + P)^(1/2)``, so every
+    strength must exceed -1 (:func:`check_floor`); otherwise it is added
+    (``additive``).  Closed form: the limiting transform is known in closed
+    form; the other kinds work with the empirical transforms of an explicit
+    base spectrum.  Takes phi: the aspect ratio ``phi`` is data.
     """
 
-    WIGNER = "wigner"
-    WISHART = "wishart"
-    ORTH_INVARIANT_ADDITIVE = "orth-invariant-additive"
-    ORTH_INVARIANT_MULTIPLICATIVE = "orth-invariant-multiplicative"
+    def __new__(cls, value: str, *flags: bool):
+        kind = str.__new__(cls, value)
+        kind._value_ = value
+        kind.multiplicative, kind.closed_form, kind.takes_phi = flags
+        kind.additive = not kind.multiplicative
+        return kind
 
-    @property
-    def multiplicative(self) -> bool:
-        return self in (ModelKind.WISHART, ModelKind.ORTH_INVARIANT_MULTIPLICATIVE)
-
-    @property
-    def additive(self) -> bool:
-        return not self.multiplicative
-
-    @property
-    def closed_form(self) -> bool:
-        """True when the limiting transform is known in closed form."""
-        return self in (ModelKind.WIGNER, ModelKind.WISHART)
+    WIGNER = ("wigner", False, True, False)
+    WISHART = ("wishart", True, True, True)
+    ORTH_INVARIANT_ADDITIVE = ("orth-invariant-additive", False, False, False)
+    ORTH_INVARIANT_MULTIPLICATIVE = ("orth-invariant-multiplicative", True, False, False)
 
 
 class Side(str, enum.Enum):
@@ -289,18 +287,18 @@ class Model:
 
     def __post_init__(self):
         kind = self.kind
-        if kind is ModelKind.WISHART:
+        if kind.takes_phi:
             if self.phi is None or not (0.0 < self.phi < 1.0):
-                raise ModelError(f"wishart needs phi in (0, 1), got {self.phi}")
+                raise ModelError(f"{kind.value} needs phi in (0, 1), got {self.phi}")
         elif self.phi is not None:
-            raise ModelError(f"phi is only meaningful for wishart, not {kind.value}")
+            raise ModelError(f"{kind.value} does not take phi")
         if kind.closed_form:
             if self.spectrum is not None:
                 raise ModelError(f"{kind.value} does not take an explicit spectrum")
         else:
             if self.spectrum is None:
                 raise ModelError(f"{kind.value} requires an explicit spectrum")
-            if kind is ModelKind.ORTH_INVARIANT_MULTIPLICATIVE and not self.spectrum.is_psd:
+            if kind.multiplicative and not self.spectrum.is_psd:
                 raise ModelError("multiplicative perturbation needs a PSD base spectrum")
 
     @classmethod
@@ -321,8 +319,8 @@ class Model:
 
     def p_for(self, n: int) -> int:
         """Sample dimension ``round(n/phi)`` for a Wishart model of size ``n``."""
-        if self.kind is not ModelKind.WISHART:
-            raise ModelError("p_for is only defined for wishart models")
+        if not self.kind.takes_phi:
+            raise ModelError(f"p_for is not defined for {self.kind.value} models")
         return int(round(n / self.phi))
 
 
@@ -330,14 +328,20 @@ def check_fits(n: int, thetas: np.ndarray, multiplicative: bool,
                frame: np.ndarray | None = None) -> None:
     """Raise ``ModelError`` unless the descending strengths ``thetas`` on
     ``frame`` (``None`` for the leading coordinates) fit an n x n base:
-    rank at most ``n``, a frame of ``n`` rows and, when ``multiplicative``,
-    every strength above -1."""
+    rank at most ``n``, a frame of ``n`` rows and :func:`check_floor`."""
     if thetas.size > n:
         raise ModelError(f"rank {thetas.size} exceeds matrix size {n}")
     if frame is not None and frame.shape[0] != n:
         raise ModelError(f"frame has {frame.shape[0]} rows but the matrix has size {n}")
-    if multiplicative and thetas.size and thetas[-1] <= -1.0:
-        raise ModelError("multiplicative strengths must exceed -1")
+    if thetas.size:
+        check_floor(thetas[-1], multiplicative)
+
+
+def check_floor(lowest: float, multiplicative: bool) -> None:
+    """Raise :class:`InvalidPerturbationError` when ``multiplicative`` and the
+    lowest strength is not above -1 (``I + P`` must be positive definite)."""
+    if multiplicative and lowest <= -1.0:
+        raise InvalidPerturbationError(f"multiplicative strengths must exceed -1, got {lowest}")
 
 
 def check_delta(delta: float) -> None:

@@ -17,6 +17,7 @@ from meso_spectra import (
     DEFAULT_DELTA,
     Model,
     ModelError,
+    ModelKind,
     NotSeparatedError,
     PerturbationSpec,
     SpectrumModel,
@@ -27,7 +28,8 @@ from meso_spectra import (
     predictor,
     transforms,
 )
-from meso_spectra.experiments import config
+from meso_spectra import cli
+from meso_spectra.experiments import config, harness
 from meso_spectra.predictor import (
     check_separation,
     predict_whitened_norm,
@@ -422,3 +424,93 @@ class TestOneDispatchPoint:
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {alias.name for node in relative for alias in node.names}
         assert not names & {"Model", "ModelKind"}
+
+
+class TestOneKindTable:
+    """Outside the predictor's table, a layer reads a kind through its traits."""
+
+    @pytest.mark.parametrize("module", [predictor, config, harness, master_equation, cli],
+                             ids=lambda module: module.__name__.rsplit(".", 1)[-1])
+    def test_layers_name_no_kind_member(self, module):
+        tree = ast.parse(Path(module.__file__).read_text())
+        named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "ModelKind"}
+        assert not named & set(ModelKind.__members__)
+
+    def test_one_rule_per_kind(self):
+        assert sorted(predictor._RULES) == sorted(kind.value for kind in ModelKind)
+
+
+# Pinned bits, as float.hex, of each strength's separation threshold, its
+# predicted location, projection_norm_sq and whitened_norm_sq (None where
+# predict gives None), and its pushforward_map ("domain" where that raises
+# TransformDomainError), at margin GOLDEN_DELTA on size GOLDEN_N.  Each kind
+# has an upper and a lower strength and a subcritical one; 1.25 (Wigner) and
+# 0.75 (Wishart) sit exactly on their threshold, the critical value + 2 delta.
+GOLDEN_DELTA, GOLDEN_N = 0.125, 40
+GOLDEN_MODELS = {
+    "wigner": Model.wigner(),
+    "wishart": Model.wishart(0.25),
+    "orth-invariant-additive": Model.additive(
+        SpectrumModel.from_values(np.linspace(-1.0, 1.0, GOLDEN_N))),
+    "orth-invariant-multiplicative": Model.multiplicative(
+        SpectrumModel.from_values(np.linspace(0.5, 2.5, GOLDEN_N))),
+}
+GOLDEN_PREDICTIONS = {
+    "wigner": {
+        2.5: ("0x1.4000000000000p+0", "0x1.7333333333333p+1", "0x1.ae147ae147ae1p-1",
+              None, "0x1.7333333333333p+1"),
+        1.25: ("0x1.4000000000000p+0", "0x1.0666666666666p+1", "0x1.70a3d70a3d704p-2",
+               None, "0x1.0666666666666p+1"),
+        0.9: ("0x1.4000000000000p+0", None, None, None, "domain"),
+        -2.0: ("0x1.4000000000000p+0", "-0x1.4000000000000p+1", "0x1.7ffffffffffffp-1",
+               None, "-0x1.4000000000000p+1"),
+    },
+    "wishart": {
+        2.0: ("0x1.8000000000000p-1", "0x1.b000000000000p+1", "0x1.aaaaaaaaaaaacp-1",
+              "0x1.4000000000003p-1", "0x1.b000000000000p+1"),
+        0.75: ("0x1.8000000000000p-1", "0x1.2aaaaaaaaaaabp+1", "0x1.aaaaaaaaaaab5p-2",
+               "0x1.28cfc4a33f132p-2", "0x1.2aaaaaaaaaaabp+1"),
+        0.5: ("0x1.8000000000000p-1", None, None, None, "0x1.2000000000000p+1"),
+        -0.8: ("0x1.8000000000000p-1", "0x1.1999999999998p-3", "0x1.c5d1745d1745cp-1",
+               "0x1.f333333333334p-1", "0x1.1999999999998p-3"),
+    },
+    "orth-invariant-additive": {
+        2.0: ("0x1.c5bf0f801135dp-1", "0x1.160a796646149p+1", "0x1.d56d514933cdcp-1",
+              None, "0x1.160a796646149p+1"),
+        0.3: ("0x1.c5bf0f801135dp-1", None, None, None, "0x1.04595b5bda4cep+0"),
+        -1.5: ("0x1.c5bf0f801135dp-1", "-0x1.ba01f237869e9p+0", "0x1.b74100d7a00f8p-1",
+               None, "-0x1.ba01f237869e9p+0"),
+    },
+    "orth-invariant-multiplicative": {
+        3.0: ("0x1.e6e91e220acd7p-2", "0x1.92f043cb9eb12p+2", "0x1.e189ea2b9471ap-1",
+              "0x1.989bced2c877ap-1", "0x1.92f043cb9eb12p+2"),
+        0.2: ("0x1.e6e91e220acd7p-2", None, None, None, "0x1.44bed28d779bcp+1"),
+        -0.9: ("0x1.8f58993621e33p-1", "0x1.e826f7c392680p-4", "0x1.ef01c58bafdedp-1",
+               "0x1.fe3f9528879f6p-1", "0x1.e826f7c392680p-4"),
+    },
+}
+
+
+def golden_row(model, pred) -> tuple:
+    def hexed(value):
+        return None if value is None else float.hex(value)
+
+    try:
+        mapped = hexed(pushforward_map(model, pred.theta))
+    except TransformDomainError:
+        mapped = "domain"
+    threshold = check_separation(model, GOLDEN_DELTA, pred.theta).threshold
+    return (hexed(threshold), hexed(pred.location), hexed(pred.projection_norm_sq),
+            hexed(pred.whitened_norm_sq), mapped)
+
+
+class TestGoldenPredictions:
+    @pytest.mark.parametrize("kind", GOLDEN_PREDICTIONS)
+    def test_bits(self, kind):
+        model, golden = GOLDEN_MODELS[kind], GOLDEN_PREDICTIONS[kind]
+        preds = predict(model, PerturbationSpec.from_values(list(golden)), GOLDEN_N,
+                        GOLDEN_DELTA)
+        assert {pred.theta: golden_row(model, pred) for pred in preds} == golden
+        assert [pred.separated for pred in preds] == [
+            row[1] is not None for row in golden.values()]

@@ -3,14 +3,16 @@
     python3 tools/report_diff.py OLD_SRC NEW_SRC CONFIG.json [CONFIG.json ...]
     python3 tools/report_diff.py OLD_SRC NEW_SRC --acceptance [CONFIG.json ...]
 
-``--acceptance`` adds fourteen configs: the seven of ``ACCEPTANCE_CONFIGS``
+``--acceptance`` adds seventeen configs: the seven of ``ACCEPTANCE_CONFIGS``
 in ``tests/test_acceptance.py``, the three workloads of ``bench/run.py``'s
-``WORKLOADS`` at seed ``BENCH_SEED``, written as the bench writes them, and
-the four small ``STRUCTURE_CONFIGS``, which reach each sample structure's
-solve and detector paths: a cross-checked Gaussian Wigner (band) and
-Wishart (dense) run, a Rademacher Wigner (dense) run and an orthogonally
-invariant multiplicative eigenvector run below the partial solve's size
-rule (diagonal, dense fallback).
+``WORKLOADS`` at seed ``BENCH_SEED``, written as the bench writes them, the
+four small ``STRUCTURE_CONFIGS``, which reach each sample structure's solve
+and detector paths: a cross-checked Gaussian Wigner (band) and Wishart
+(dense) run, a Rademacher Wigner (dense) run and an orthogonally invariant
+multiplicative eigenvector run below the partial solve's size rule
+(diagonal, dense fallback), and the three small ``KIND_CONFIGS``: a Wishart
+eigenvector run and Wishart and orthogonally invariant multiplicative
+pushforward runs.
 
 Each config is run by ``meso-spectra verify`` (as ``python -m
 meso_spectra.cli verify``) once with ``OLD_SRC`` and once with ``NEW_SRC``
@@ -68,6 +70,34 @@ STRUCTURE_CONFIGS = {
 }
 
 
+# Small runs (n <= 600, a few trials each) where no other config reaches a
+# kind's slope or location map: whitened projections on Wishart (the
+# Marchenko-Pastur T-transform's derivative), and pushforward ladders on
+# Wishart and on the orthogonally invariant multiplicative kind.  Each
+# strength support clears its kind's threshold at the config's delta; loading
+# a config checks that for closed-form kinds only.
+KIND_CONFIGS = {
+    "wishart-eigenvector": {
+        "experiment": "eigenvector", "kind": "wishart", "phi": 0.25, "n_values": [300],
+        "theta_spec": {"values": [2.0, 1.5, -0.9]},
+        "delta": 0.15, "epsilon": 0.15, "trials": 4, "seed": 47,
+    },
+    "wishart-pushforward": {
+        "experiment": "pushforward", "kind": "wishart", "phi": 0.25,
+        "n_values": [150, 300, 600], "m_rule": {"power": 0.5},
+        "theta_spec": {"distribution": "uniform", "low": 1.5, "high": 2.5},
+        "delta": 0.15, "epsilon": 0.15, "batches": 3, "seed": 53,
+    },
+    "multiplicative-pushforward": {
+        "experiment": "pushforward", "kind": "orth-invariant-multiplicative",
+        "n_values": [150, 300, 600], "m_rule": {"power": 0.5},
+        "spectrum": {"name": "uniform", "low": 0.5, "high": 2.5},
+        "theta_spec": {"distribution": "uniform", "low": 1.0, "high": 2.0},
+        "delta": 0.15, "epsilon": 0.15, "batches": 3, "seed": 59,
+    },
+}
+
+
 def load_module(path: Path):
     """The module at ``path``, imported."""
     spec = importlib.util.spec_from_file_location(path.stem, path)
@@ -77,10 +107,11 @@ def load_module(path: Path):
 
 
 def acceptance_configs(src: Path, outdir: Path) -> list[Path]:
-    """The acceptance fixture configs, the bench workload configs and
-    ``STRUCTURE_CONFIGS``, written to ``outdir``: the tests' table as it
-    stands, and each bench workload with its seed and the bench's ``delta``
-    and ``epsilon``.  The tests import the package, from ``src``."""
+    """The acceptance fixture configs, the bench workload configs,
+    ``STRUCTURE_CONFIGS`` and ``KIND_CONFIGS``, written to ``outdir``: the
+    tests' table as it stands, and each bench workload with its seed and the
+    bench's ``delta`` and ``epsilon``.  The tests import the package, from
+    ``src``."""
     sys.path.insert(0, str(src))
     tests = load_module(ROOT / "tests" / "test_acceptance.py")
     bench = load_module(ROOT / "bench" / "run.py")
@@ -89,6 +120,7 @@ def acceptance_configs(src: Path, outdir: Path) -> list[Path]:
         docs[f"bench-{name}"] = dict(doc, seed=BENCH_SEED, delta=bench.BAND,
                                      epsilon=bench.BAND)
     docs.update((f"structure-{name}", doc) for name, doc in STRUCTURE_CONFIGS.items())
+    docs.update((f"kind-{name}", doc) for name, doc in KIND_CONFIGS.items())
     paths = []
     for name, doc in docs.items():
         paths.append(outdir / f"{name}.json")
