@@ -9,13 +9,15 @@ limits, derivatives, and inverses, plus the densities and deterministic
 quantile spectra used to discretize the limit laws.  Monotonicity also
 makes the separation threshold one evaluation (:func:`separation_threshold`).
 
-Inverses outside the bulk are computed by bisection on a certified bracket
-followed by a Newton polish (repeated after bisecting to the float spacing
-when the first polish misses); each result has residual
-``|f(z) - t| <= INVERSION_RTOL * max(1, |t|)``, or the root pinned to one
-float spacing (next to a pole, where ``f`` changes across one spacing by
-more than that), and a solve that achieves neither raises
-:class:`InversionError`.
+Inverses outside the bulk are computed by monotone Newton on ``1/f - 1/t``.
+``m``, and ``T`` of a PSD spectrum, are Stieltjes transforms of positive
+measures, so ``1/f`` is concave above the bulk and convex below it, and
+Newton started on the bulk side of the root, at a point a one-line bound
+certifies, moves to it monotonically without a bracket.  Each
+result has residual ``|f(z) - t| <= INVERSION_RTOL * max(1, |t|)``, or the
+root pinned to one float spacing (next to a pole, where ``f`` changes
+across one spacing by more than that), and a solve that achieves neither
+raises :class:`InversionError`.
 A spectrum memoizes its solved inverses and separation thresholds, so
 repeating a target or a margin costs a lookup.
 """
@@ -138,59 +140,56 @@ def _solve_separation_threshold(spectrum: SpectrumModel, delta: float, upper: bo
 
 
 # ---------------------------------------------------------------------------
-# Root finding on a certified bracket
+# Monotone Newton
+
+# Steps allowed per inversion.  Newton is quadratic near the root.  The slow
+# case is linear: a root far below a tiny lam_min, where h = 1/T - 1/t decays
+# like 1/d in the distance d from the edge, so each step doubles d and halves
+# the residual; about log2(1 / INVERSION_RTOL) = 40 halvings reach the
+# tolerance ([1, 2^-149] at t = -0.5 takes 39 steps).
+_NEWTON_STEPS = 100
 
 
-def _bisect_newton(
-    f: Callable[[float], float],
-    fprime: Callable[[float], float],
-    t: float,
-    lo: float,
-    hi: float,
-) -> float:
-    """Solve ``f(z) = t`` for decreasing ``f`` with ``f(lo) >= t >= f(hi)``.
+def _newton(f: Callable[[float], float], fprime: Callable[[float], float], t: float,
+            z: float, edge: float) -> float:
+    """Solve ``f(z) = t`` beyond ``edge``: above it for ``t > 0``, below for ``t < 0``.
 
-    Bisection narrows the bracket, then Newton steps (clamped to it) polish
-    the root to ``INVERSION_RTOL``.  A root closer to a pole of ``f`` than
-    the first bisection's width (a T-transform root next to a tiny
-    eigenvalue) is polished again after bisecting down to the float
-    spacing.  If that misses too, the bracket's ends are adjacent floats and
-    the nearer one is returned when its residual is within what ``f``
-    changes across the spacing (by ``fprime``); otherwise raises
-    :class:`InversionError`.
+    ``f`` is the Stieltjes transform of a positive measure (``m``, or ``T``
+    of a PSD spectrum, the transform of ``lambda dmu``), so ``1/f`` is
+    increasing and concave above the measure's support and increasing and
+    convex below it (its Nevanlinna representation).  Newton on
+    ``h = 1/f - 1/t``, the step ``z -= f (f - t) / (t f')``, from a start
+    ``z`` on the bulk side of the root therefore moves monotonically toward
+    the root; a rounding overshoot at the root is undone by the next step.
+
+    Returns the first iterate with ``|f(z) - t| <= INVERSION_RTOL * max(1,
+    |t|)``, or one whose step moves at most one float spacing with ``t``
+    between ``f`` there and at the neighbouring float (the root pinned next
+    to a pole, where ``f`` changes across one spacing by more than the
+    tolerance).  Raises :class:`InversionError` on a non-finite step, an
+    iterate off the branch, a stalled step that pins no root, or after
+    ``_NEWTON_STEPS`` steps.
     """
     tol_resid = INVERSION_RTOL * max(1.0, abs(t))
-    passes = ((1e-13 * max(1.0, abs(lo), abs(hi)), 200), (0.0, 2200))
-    for width_goal, steps in passes:
-        for _ in range(steps):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= width_goal or not lo < mid < hi:
-                break
-            if f(mid) >= t:
-                lo = mid
-            else:
-                hi = mid
-        z = 0.5 * (lo + hi)
-        for _ in range(8):
-            resid = f(z) - t
-            if abs(resid) <= tol_resid:
-                return z
-            dz = resid / fprime(z)
-            z_new = z - dz
-            if not lo <= z_new <= hi:
-                z_new = 0.5 * (lo + hi)
-            z = z_new
-        resid = f(z) - t
-        if abs(resid) <= tol_resid:
+    outside = (lambda x: x > edge) if t > 0.0 else (lambda x: x < edge)
+    for _ in range(_NEWTON_STEPS):
+        if not (math.isfinite(z) and outside(z)):
+            break
+        fz = f(z)
+        if abs(fz - t) <= tol_resid:
             return z
-    # Bisection has pinned the root between adjacent floats.  Next to a pole
-    # f changes across that spacing by more than the tolerance, and no float
-    # does better than the nearer end; a larger residual is a jump, not a root.
-    miss, nearer = min((abs(f(x) - t), x) for x in (lo, hi))
-    if miss <= max(abs(fprime(lo)), abs(fprime(hi))) * (hi - lo):
-        return nearer
-    raise InversionError(f"inverse solve for t={t:g} stopped at z={z!r} with "
-                         f"residual {resid:.3g} (tolerance {tol_resid:.3g})")
+        step = fz * (fz - t) / (t * fprime(z))
+        neighbour = math.nextafter(z, -math.copysign(math.inf, step))
+        if z - step in (z, neighbour):
+            # A step within one spacing: the root is pinned if t lies between
+            # f at z and at the neighbouring float; stalled, it has no root.
+            if outside(neighbour) and (f(neighbour) - t) * (fz - t) <= 0.0:
+                return z
+            if z - step == z:
+                break
+        z -= step
+    raise InversionError(f"inverse solve for t={t:g} beyond {edge!r} met neither the "
+                         f"tolerance {tol_resid:.3g} nor a pinned root; stopped at z={z!r}")
 
 
 def _memoized(solve: Callable[..., float], spectrum: SpectrumModel, *args) -> float:
@@ -225,15 +224,11 @@ def _solve_stieltjes(spectrum: SpectrumModel, t: float) -> float:
         mirrored = SpectrumModel.from_values(-np.asarray(spectrum.eigenvalues), is_psd=False)
         return -_solve_stieltjes(mirrored, -t)
     lam = spectrum.eigenvalues
-    n = spectrum.n
     lam_max = spectrum.lam_max
-    # m(lam_max + 1/(2 n t)) >= (1/n) * 2 n t / ... the top term alone gives
-    # (1/n) / (1/(2 n t)) = 2t >= t; the upper end uses m(z) <= 1/(z - lam_max).
-    lo = max(spectrum.lam_min + 1.0 / t, lam_max + 1.0 / (2.0 * n * t))
-    hi = lam_max + 1.0 / t
     f = lambda z: float(np.mean(1.0 / (z - lam)))
     fp = lambda z: float(-np.mean((z - lam) ** -2.0))
-    return _bisect_newton(f, fp, t, lo, hi)
+    # The top term alone gives m(start) >= (1/n) / (1/(2 n t)) = 2t.
+    return _newton(f, fp, t, lam_max + 1.0 / (2.0 * spectrum.n * t), lam_max)
 
 
 def invert_t_transform(spectrum: SpectrumModel, t: float) -> float:
@@ -260,49 +255,26 @@ def _solve_t_transform(spectrum: SpectrumModel, t: float) -> float:
     if lam_max <= 0.0:
         raise ModelError("the T-transform of the zero spectrum is identically zero")
     f = lambda z: float(np.mean(lam / (z - lam)))
-    fp = lambda z: float(-np.mean(lam / (z - lam) ** 2.0))
-    if t > 0.0:
-        # Top term alone: (lam_max/n) / (lam_max/(2 n t)) = 2t >= t.
-        lo = lam_max + lam_max / (2.0 * n * t)
-        hi = lam_max + lam_max / t  # T(z) <= lam_max/(z - lam_max)
-        return _bisect_newton(f, fp, t, lo, hi)
-    # Lower branch.  T -> 0^- as z -> -inf; as z -> lam_min^- it diverges if
-    # lam_min > 0 and tends to -q = -#{lam > 0}/n if lam_min = 0.
-    lam_min = spectrum.lam_min
-    if lam_min <= 0.0:
-        q = float(np.sum(lam > 0.0)) / n
-        if t <= -q:
-            raise TransformDomainError(
-                f"T = {t:g} is below the lower branch's range ({-q:g}, 0)",
-                (-q, 0.0),
-            )
-    # Expand left geometrically until T(lo) > t (i.e. closer to zero than t).
-    scale = max(1.0, spectrum.norm_bound)
-    step = scale
-    lo = lam_min - step
-    for _ in range(200):
-        if f(lo) > t:
-            break
-        step *= 2.0
-        lo = lam_min - step
-    else:  # pragma: no cover - range already validated above
-        raise TransformDomainError(f"T = {t:g} not attained on the lower branch",
-                                   (-math.inf, 0.0))
-    # Walk hi toward lam_min until T(hi) <= t.
-    gap = step
-    hi = lam_min - gap
-    for _ in range(200):
-        if f(hi) <= t:
-            break
-        gap *= 0.5
-        hi = lam_min - gap
-    else:
+    # Dividing twice keeps (z - lam)^2 from under- or overflowing at the
+    # extremes of the float range.
+    fp = lambda z: float(-np.mean(lam / (z - lam) / (z - lam)))
+    # T diverges at an edge eigenvalue above zero.  No term there has the sign
+    # opposite to t, and the edge's term alone contributes 2t at the start.
+    edge = lam_max if t > 0.0 else spectrum.lam_min
+    if edge > 0.0:
+        return _newton(f, fp, t, edge + edge / (2.0 * n * t), edge)
+    # Below lam_min = 0 the branch tends to -q = -#{lam > 0}/n at the edge.
+    positive = lam[lam > 0.0]
+    q = positive.size / n
+    if t <= -q:
         raise TransformDomainError(
-            f"T = {t:g} not attained on the lower branch", (-math.inf, 0.0)
+            f"T = {t:g} is below the lower branch's range ({-q:g}, 0)",
+            (-q, 0.0),
         )
-    # _bisect_newton expects f(lo) >= t >= f(hi) for decreasing f; on this
-    # branch f is also decreasing in z, with f(lo) > t >= f(hi).
-    return _bisect_newton(f, fp, t, lo, hi)
+    # T(z) + q = (1/n) sum_{lam > 0} |z| / (|z| + lam) <= |z| c for z < 0, so
+    # T(start) <= t at start = -(t + q) / c.
+    c = float(np.sum(1.0 / positive)) / n
+    return _newton(f, fp, t, -(t + q) / c, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from meso_spectra import (
 from meso_spectra.predictor import check_separation, pushforward_map
 from meso_spectra.transforms import (
     TransformDomainError,
-    _bisect_newton,
+    _newton,
     invert_stieltjes,
     invert_t_transform,
     mp_density,
@@ -164,11 +164,11 @@ class TestInversion:
             invert_t_transform(s, -0.6)
 
     def test_unreachable_tolerance_raises(self):
-        # A decreasing step has no point within the tolerance of t = 0, so
-        # bisection and Newton both stall at the jump.
+        # A decreasing step has no point within the tolerance of t = 0.5, so
+        # Newton steps away from the jump until the step cap.
         step = lambda z: 1.0 if z < 0.5 else -1.0
         with pytest.raises(InversionError) as info:
-            _bisect_newton(step, lambda z: -1.0, 0.0, 0.0, 1.0)
+            _newton(step, lambda z: -1.0, 0.5, 0.25, 0.0)
         assert isinstance(info.value, (MesoSpectraError, ArithmeticError))
         assert not isinstance(info.value, TransformDomainError)
 
@@ -225,16 +225,91 @@ class TestInversion:
         assert t_transform(S300, z) == pytest.approx(t, rel=1e-10)
 
 
+def assert_inverse(transform, spectrum, z, t):
+    """``z`` solves ``transform = t`` to the inverse's residual tolerance, or
+    pins the root to one float spacing: the transform decreases, so ``t``
+    lies between its values at ``z`` and at one of ``z``'s neighbours."""
+    f = transform(spectrum, z)
+    assert (abs(f - t) <= transforms.INVERSION_RTOL * max(1.0, abs(t))
+            or transform(spectrum, np.nextafter(z, -np.inf)) >= t >= f
+            or f >= t >= transform(spectrum, np.nextafter(z, np.inf)))
+
+
+# Eigenvalues below 1e-300 are drawn as zeros: next to a pole that close to
+# the float range's floor, T' overflows and the solve raises InversionError.
+psd_spectra = st.builds(
+    lambda values, zeros: SpectrumModel.from_values(values + [0.0] * zeros),
+    st.lists(st.floats(0.0, 3.0).map(lambda x: x if x >= 1e-300 else 0.0),
+             min_size=1, max_size=40).filter(lambda v: max(v) > 0.0),
+    st.sampled_from([0, 0, 1, 3]),
+)
+
+
+class TestTLowerBranch:
+    @given(psd_spectra, st.floats(0.001, 0.999))
+    @settings(derandomize=True, max_examples=200)
+    def test_t_round_trip_lower(self, spectrum, u):
+        # The branch attains (-q, 0) when lam_min = 0 and every negative value
+        # otherwise; u in (0, 1) maps onto either range.
+        if spectrum.lam_min == 0.0:
+            t = -u * float(np.mean(spectrum.eigenvalues > 0.0))
+        else:
+            t = -u / (1.0 - u)
+        z = invert_t_transform(spectrum, t)
+        assert z < spectrum.lam_min
+        assert_inverse(t_transform, spectrum, z, t)
+
+
+ITEM_SPECTRA = {
+    "semicircle": semicircle_quantiles(1000),
+    "uniform": np.linspace(0.5, 2.5, 1000),
+    "semicircle-spike": np.concatenate([[2.6], semicircle_quantiles(1000)[1:]]),
+}
+
+
+class TestNewtonSteps:
+    """The monotone solve takes a handful of steps where bisection to a
+    1e-13 bracket took 42-54 transform evaluations."""
+
+    @pytest.mark.parametrize("theta", [1.05, 1.5, 2.0, 3.0, 10.0])
+    @pytest.mark.parametrize("name, use_t", [(name, False) for name in ITEM_SPECTRA]
+                             + [("uniform", True)])
+    def test_at_most_twenty_evaluations(self, monkeypatch, name, use_t, theta):
+        calls = []
+        real = transforms._newton
+
+        def counted(f, fprime, t, z, edge):
+            def count(g):
+                return lambda x: calls.append(x) or g(x)
+            return real(count(f), count(fprime), t, z, edge)
+
+        monkeypatch.setattr(transforms, "_newton", counted)
+        spectrum = SpectrumModel.from_values(ITEM_SPECTRA[name])
+        z = (invert_t_transform if use_t else invert_stieltjes)(spectrum, 1.0 / theta)
+        assert 0 < len(calls) <= 20
+        assert z > spectrum.lam_max
+        assert_inverse(t_transform if use_t else stieltjes, spectrum, z, 1.0 / theta)
+
+    @pytest.mark.parametrize("t", [-0.5, -0.69, -1.0])
+    def test_t_root_far_from_a_tiny_eigenvalue(self, t):
+        # Between 0 and lam_min = 2^-149 the bottom term runs through every
+        # value below -1, so these roots lie far below it (t = -1 at z = 0).
+        s = SpectrumModel.from_values([1.0, 2.0**-149])
+        z = invert_t_transform(s, t)
+        assert z < s.lam_min
+        assert_inverse(t_transform, s, z, t)
+
+
 class TestInverseMemo:
     def count_solves(self, monkeypatch) -> list:
         calls = []
-        real = transforms._bisect_newton
+        real = transforms._newton
 
-        def counted(f, fprime, t, lo, hi):
+        def counted(f, fprime, t, z, edge):
             calls.append(t)
-            return real(f, fprime, t, lo, hi)
+            return real(f, fprime, t, z, edge)
 
-        monkeypatch.setattr(transforms, "_bisect_newton", counted)
+        monkeypatch.setattr(transforms, "_newton", counted)
         return calls
 
     def test_repeated_prediction_solves_once_per_strength(self, monkeypatch):
@@ -271,7 +346,7 @@ class TestInverseMemo:
         def missed(*args):
             raise InversionError("missed")
 
-        monkeypatch.setattr(transforms, "_bisect_newton", missed)
+        monkeypatch.setattr(transforms, "_newton", missed)
         s = SpectrumModel.from_values(np.linspace(-1.0, 1.0, 200))
         for _ in range(2):
             with pytest.raises(InversionError):
@@ -282,9 +357,9 @@ class TestInverseMemo:
     def test_negative_target_bits_unchanged(self, monkeypatch):
         calls = self.count_solves(monkeypatch)
         s = SpectrumModel.from_values(np.linspace(-1.0, 1.0, 200))
-        # Bit patterns of the solver before the memo was added.
-        assert invert_stieltjes(s, -0.7).hex() == "-0x1.a82561325f4e3p+0"
-        assert invert_stieltjes(s, -0.3).hex() == "-0x1.b78481e1581acp+1"
+        # Bit patterns of the monotone Newton solve, which the memo keeps.
+        assert invert_stieltjes(s, -0.7).hex() == "-0x1.a82561325f58ap+0"
+        assert invert_stieltjes(s, -0.3).hex() == "-0x1.b78481e158291p+1"
         mirrored = SpectrumModel.from_values(-np.asarray(s.eigenvalues))
         assert invert_stieltjes(s, -0.7) == -invert_stieltjes(mirrored, 0.7)
         # One solve per negative target, however often it is asked for.
