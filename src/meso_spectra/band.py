@@ -1,15 +1,15 @@
-"""Band matrices in lower band storage, and their block algebra.
+"""Band matrices as stacks of blocks, and their block algebra.
 
-A symmetric matrix ``T`` of half bandwidth ``w`` is held as the ``(w + 1)
-x n`` array ``band[j, i] = T[i + j, i]``, zero where ``i + j >= n``.  This
-module alone writes and reads that storage: it draws the GOE band model
-(:func:`goe`; Dumitriu and Edelman, J. Math. Phys. 43, 2002), adds
-strengths to the leading diagonal (:func:`with_strengths`), reads a
-leading window back as a dense matrix (:func:`window`) and cuts ``T`` into
-stacks of ``w x w`` blocks (:class:`Blocks`), on which block cyclic
-reduction (Heller, SIAM J. Numer. Anal. 13, 1976) of ``T - c I``, batched
-over the shifts ``c``, counts eigenvalues (:func:`inertia`) and solves
-(:func:`solve`).
+A symmetric matrix ``T`` of half bandwidth ``w`` is block tridiagonal in
+``w x w`` blocks, and is held as two stacks (:class:`Blocks`): its diagonal
+blocks ``A_k`` and the blocks ``B_k`` below them.  This module draws the GOE
+band model in that form (:func:`goe`; Dumitriu and Edelman, J. Math. Phys.
+43, 2002), whose diagonal blocks are GOE(``w``) and whose blocks below are
+Bartlett triangles, adds strengths to the leading block
+(:func:`with_strengths`) and reads a leading window back as a dense matrix
+(:func:`window`).  Block cyclic reduction (Heller, SIAM J. Numer. Anal. 13,
+1976) of ``T - c I``, batched over the shifts ``c``, counts eigenvalues
+(:func:`inertia`) and solves (:func:`solve`).
 """
 
 from __future__ import annotations
@@ -18,51 +18,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-
-
-def goe(n: int, width: int, gen: np.random.Generator) -> np.ndarray:
-    """A GOE matrix reduced to half bandwidth ``width``, in lower band
-    storage: ``band[j, i] = T[i + j, i]`` (zero where ``i + j >= n``).
-
-    Householder reflections on coordinates ``width + 1 .. n``, then on the
-    next ``width`` after those and so on, take a GOE matrix to a block
-    tridiagonal one.  Its diagonal blocks are GOE(``width``); the block below
-    block ``k`` (1-based) is the R factor of the Gaussian columns beneath it,
-    a Bartlett triangle with ``chi`` of ``n - k width - i + 1`` degrees of
-    freedom on its diagonal (row ``i``) and N(0, 1) above, all scaled by
-    ``1/sqrt(n)``.  In band storage that is N(0, 2/n) on the diagonal,
-    N(0, 1/n) on the next ``width - 1`` diagonals and ``chi`` of
-    ``n - width - i`` degrees of freedom over ``sqrt(n)`` at
-    ``band[width, i]``; a last block shorter than ``width`` needs no case of
-    its own.  The reflections fix the leading ``width`` coordinates, so
-    adding strengths there commutes with them.
-    """
-    band = np.zeros((width + 1, n))
-    band[:width] = gen.standard_normal((width, n))
-    band[0] *= math.sqrt(2.0)
-    band[width, : n - width] = np.sqrt(gen.chisquare(np.arange(n - width, 0, -1)))
-    for j in range(1, width):
-        band[j, n - j:] = 0.0
-    band /= math.sqrt(n)
-    return band
-
-
-def with_strengths(band: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """A copy of ``band`` with ``thetas`` added to its leading diagonal."""
-    out = band.copy()
-    out[0, : thetas.size] += thetas
-    return out
-
-
-def window(band: np.ndarray, size: int) -> np.ndarray:
-    """The leading ``size`` rows and columns of the band matrix, dense."""
-    out = np.zeros((size, size))
-    flat = out.reshape(-1)
-    for j in range(min(band.shape[0], size)):
-        entries = band[j, : size - j]
-        flat[j * size:: size + 1] = entries  # the j-th sub-diagonal
-        flat[j: (size - j) * size: size + 1] = entries  # and its mirror
-    return out
 
 
 class Blocks(NamedTuple):
@@ -103,20 +58,60 @@ class Blocks(NamedTuple):
         return y.reshape(count * width, -1)[:rows]
 
 
-def blocks(band: np.ndarray) -> Blocks:
-    """The block stacks of the band matrix (:class:`Blocks`)."""
-    width = band.shape[0] - 1
-    count = -(-band.shape[1] // width)
-    padded = np.zeros((width + 1, count * width))
-    padded[:, : band.shape[1]] = band
-    corner = np.arange(count)[:, None] * width
+def goe(n: int, width: int, gen: np.random.Generator) -> Blocks:
+    """A GOE matrix reduced to half bandwidth ``width``, as its block stacks.
+
+    Householder reflections on coordinates ``width + 1 .. n``, then on the
+    next ``width`` after those and so on, take a GOE matrix to a block
+    tridiagonal one.  Its diagonal blocks are GOE(``width``), N(0, 2/n) on
+    the diagonal and N(0, 1/n) off it; the block below block ``k`` (1-based)
+    is the R factor of the Gaussian columns beneath it, a Bartlett triangle
+    (upper, as ``B_k`` holds it) with ``chi`` of ``n - k width - i + 1``
+    degrees of freedom over ``sqrt(n)`` on its diagonal (row ``i``) and
+    N(0, 1/n) above.  The draws run down ``T``'s diagonals: ``width`` rows of
+    ``n`` normals, ``T[i + j, i]`` from row ``j`` (the diagonal's times
+    ``sqrt(2)``, the draws past ``T``'s corner unused), then the ``chi`` of
+    ``T[i + width, i]`` for ``i`` up from 0.  The reflections fix the leading
+    ``width`` coordinates, so adding strengths there commutes with them.
+    """
+    count = -(-n // width)
     diag = np.zeros((count, width, width))
-    rows, cols = np.tril_indices(width)
-    diag[:, rows, cols] = diag[:, cols, rows] = padded[rows - cols, corner + cols]
     below = np.zeros((count - 1, width, width))
-    rows, cols = np.triu_indices(width)  # the band reaches no further
-    below[:, rows, cols] = padded[width + rows - cols, corner[:-1] + cols]
-    return Blocks(diag, below, band.shape[1])
+    normal = gen.standard_normal((width, n))
+    normal[0] *= math.sqrt(2.0)
+    chi = np.sqrt(gen.chisquare(np.arange(n - width, 0, -1)))
+    # Row k, column c of diagonal j's entries is T[k w + c + j, k w + c]: in
+    # A_k at (c + j, c) and its mirror (c, c + j) while c + j < width, in B_k
+    # at (c + j - width, c) after, strided slices of the flattened blocks.
+    flat_diag = diag.reshape(count, width * width)
+    flat_below = below.reshape(count - 1, width * width)
+    for j in range(width + 1):
+        entries = np.zeros((count, width))
+        entries.flat[: n - j] = (normal[j, : n - j] if j < width else chi) / math.sqrt(n)
+        flat_diag[:, j * width:: width + 1] = entries[:, : width - j]
+        flat_diag[:, j: (width - j) * width: width + 1] = entries[:, : width - j]
+        flat_below[:, width - j: j * width: width + 1] = entries[:-1, width - j:]
+    return Blocks(diag, below, n)
+
+
+def with_strengths(t: Blocks, thetas: np.ndarray) -> Blocks:
+    """``t`` with ``thetas`` added to its leading diagonal entries, which
+    lie in its first block; the stack below is shared."""
+    diag = t.diag.copy()
+    diag[0][np.diag_indices(thetas.size)] += thetas
+    return t._replace(diag=diag)
+
+
+def window(t: Blocks, size: int) -> np.ndarray:
+    """The leading ``size`` rows and columns of the band matrix, dense."""
+    width = t.diag.shape[1]
+    count = -(-size // width)
+    out = np.zeros((count, width, count, width))
+    k = np.arange(count)
+    out[k, :, k] = t.diag[:count]
+    out[k[1:], :, k[:-1]] = t.below[: count - 1]
+    out[k[:-1], :, k[1:]] = t.below[: count - 1].swapaxes(-1, -2)
+    return np.ascontiguousarray(out.reshape(count * width, -1)[:size, :size])
 
 
 def _shifted_blocks(blocks: Blocks, shifts: np.ndarray):

@@ -132,17 +132,14 @@ def cmd_sample(args) -> int:
     seed = _resolve_seed(args.seed)
     law = EntryLaw(args.law)
     rng = RngStream(seed, 0)
-    if args.kind != "wishart" and (args.phi is not None or args.p is not None):
-        raise ConfigError("--phi and --p are for wishart sampling only")
+    if (args.phi is not None) != (args.kind == "wishart"):
+        raise ConfigError("--phi is required for wishart sampling and invalid otherwise")
     if args.kind != "conjugated" and args.spectrum_file is not None:
         raise ConfigError("--spectrum-file is for conjugated sampling only")
     if args.kind == "wigner":
         matrix = sample_wigner(args.n, law, rng)
     elif args.kind == "wishart":
-        if (args.phi is None) == (args.p is None):
-            raise ConfigError("wishart sampling needs exactly one of --phi or --p")
-        p = args.p if args.p is not None else Model.wishart(args.phi).p_for(args.n)
-        matrix = sample_wishart(args.n, p, law, rng)
+        matrix = sample_wishart(args.n, Model.wishart(args.phi).p_for(args.n), law, rng)
     else:
         if args.spectrum_file is None:
             raise ConfigError("conjugated sampling needs --spectrum-file")
@@ -320,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=["wigner", "wishart", "conjugated"])
     p.add_argument("--n", required=True, type=positive_int)
     p.add_argument("--phi", type=float, help="aspect ratio n/p (wishart only)")
-    p.add_argument("--p", type=int, help="sample count p (wishart only)")
     p.add_argument("--law", choices=[l.value for l in EntryLaw], default="gaussian",
                    help="entry law; a gaussian wigner matrix is GOE (diagonal "
                         "variance 2/n, off-diagonal 1/n), a rademacher one has "

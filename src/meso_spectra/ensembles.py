@@ -443,18 +443,22 @@ class Diagonal(EnsembleSample):
 @dataclass(frozen=True, eq=False)
 class Band(EnsembleSample):
     """A Gaussian Wigner sample on the leading coordinates: it holds the
-    strengths and the lower band storage ``band[j, i] = T[i + j, i]`` of a
-    band matrix ``T`` of half bandwidth ``w = max(M, 1)`` (see
-    :func:`band.goe`).  A block Householder reduction that fixes the leading
-    ``w`` coordinates takes GOE to ``T`` (Dumitriu and Edelman, J. Math.
-    Phys. 43, 2002; Bloemendal and Virag, PTRF 156, 2013), so ``T`` plus the
-    strengths has the joint law of outlier values and leading-coordinate
-    eigenvector projections of GOE plus the strengths.  ``base`` is ``T``
-    and ``perturbed`` is ``T`` with the strengths added to its leading
-    diagonal entries, :func:`perturb_additive` of ``T``.
+    strengths and a band matrix ``T`` of half bandwidth ``w = max(M, 1)`` as
+    its read-only block stacks (:class:`band.Blocks`, drawn by
+    :func:`band.goe`): ``T``'s diagonal blocks, GOE(``w``) scaled by
+    ``1/sqrt(n)`` with a ``sqrt(2)`` larger diagonal, and the Bartlett
+    triangles below them, ``chi`` entries on their diagonals.  A block
+    Householder reduction that fixes the leading ``w`` coordinates takes GOE
+    to ``T`` (Dumitriu and Edelman, J. Math. Phys. 43, 2002; Bloemendal and
+    Virag, PTRF 156, 2013), so ``T`` plus the strengths has the joint law of
+    outlier values and leading-coordinate eigenvector projections of GOE
+    plus the strengths.  ``base`` is ``T`` and ``perturbed`` is ``T`` with
+    the strengths added to its leading diagonal entries,
+    :func:`perturb_additive` of ``T``, both read from the stacks by
+    :func:`band.window`.
     """
 
-    band: np.ndarray = field(repr=False)
+    band: band.Blocks = field(repr=False)
 
     @cached_property
     def base(self) -> np.ndarray:
@@ -497,13 +501,15 @@ def sample_ensemble(
     on ``pert.frame`` (leading coordinates when absent); a :class:`Dense`
     sample builds both matrices here, except for a Gaussian Wigner sample on
     the leading coordinates.  That one is a :class:`Band` sample, which
-    draws the band matrix of :func:`band.goe`, half bandwidth ``max(M, 1)``,
-    in O(n M).  Orthogonally invariant kinds give a :class:`Diagonal`
-    sample: the base diagonal and the perturbation on a freshly sampled Haar
-    frame, which realizes the same joint law as conjugating the base by a
-    Haar rotation; ``model.spectrum`` must already have length ``n``.  Such
-    samples build their dense matrices on first read, but every error their
-    assembly would raise is raised here, in O(n).  A Wishart base
+    draws the band matrix of :func:`band.goe`, half bandwidth ``w = max(M,
+    1)``, in O(n M) straight into its block stacks: ``w x w`` GOE diagonal
+    blocks and the Bartlett triangles below them.  Orthogonally invariant
+    kinds give a :class:`Diagonal` sample: the base diagonal and the
+    perturbation on a freshly sampled Haar frame, which realizes the same
+    joint law as conjugating the base by a Haar rotation; ``model.spectrum``
+    must already have length ``n``.  Such samples build their dense matrices
+    on first read, but every error their assembly would raise is raised
+    here, in O(n).  A Wishart base
     ``X X^T / p`` is PSD by construction and takes no Cholesky check.
     """
     gen = rng.generator()
@@ -522,8 +528,10 @@ def sample_ensemble(
     # The band's draw and the unchecked Wishart assembly need these first.
     check_fits(n, pert.thetas, kind.multiplicative, pert.frame)
     if kind is ModelKind.WIGNER and law is EntryLaw.GAUSSIAN and pert.frame is None:
-        storage = _read_only(band.goe(n, max(pert.m, 1), gen))
-        return Band(frame=None, law=law, band=storage, **provenance)
+        t = band.goe(n, max(pert.m, 1), gen)
+        for stack in (t.diag, t.below):
+            _read_only(stack)
+        return Band(frame=None, law=law, band=t, **provenance)
     if kind is ModelKind.WIGNER:
         base = sample_wigner(n, law, gen)
         perturbed = perturb_additive(base, pert)
@@ -567,8 +575,8 @@ def eigensolve(
     structure, never its dense matrices:
     :func:`~meso_spectra.partial.filtered_extremes` on a diagonal sample's
     ``d``, frame and update and :func:`~meso_spectra.partial.band_extremes`
-    on a band sample's band, whose docstrings give the algorithms and
-    certificates.
+    on a band sample's block stacks, whose docstrings give the algorithms
+    and certificates.
 
     When a solve gives up or its certificate fails, the fallback and its
     reason are logged at DEBUG level and the sample's dense ``perturbed``

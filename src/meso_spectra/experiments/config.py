@@ -357,12 +357,14 @@ class ExperimentConfig:
         if self.experiment == "pushforward":
             _require(all(a < b for a, b in zip(self.n_values, self.n_values[1:])),
                      "n_values: pushforward ladder must be strictly increasing")
-            if self.kind.closed_form:
-                model = self.model_for(self.n_values[0])
-                verdict = check_separation(model, self.delta, self.theta_spec["low"])
+            # The pushforward law holds for separated strengths alone, at
+            # every size of the ladder.
+            for n in self.n_values:
+                verdict = check_separation(self.model_for(n), self.delta,
+                                           self.theta_spec["low"])
                 _require(verdict.separated,
                          "theta_spec.low: support must clear the separation "
-                         f"threshold {verdict.threshold:g}")
+                         f"threshold {verdict.threshold:g} at n={n}")
 
     # -- derived quantities ----------------------------------------------
 

@@ -2,12 +2,13 @@
 
 An orthogonally invariant sample with a frame is ``A = diag(d) + W K W^T``
 with a known bulk ``[min d, max d]``; a Gaussian Wigner sample on the
-leading coordinates is a band matrix ``T`` (:mod:`~meso_spectra.band`) with
-strengths on its leading diagonal.  :func:`filtered_extremes` and
-:func:`band_extremes` give the top ``M+`` and bottom ``M-`` eigenpairs of
-each, or their values alone, certified, or the reason they could not
-certify them; :func:`~meso_spectra.ensembles.eigensolve` calls them on
-samples with more than ``FILTER_ROWS_PER_PAIR`` rows per pair.
+leading coordinates is a band matrix ``T``, held as its block stacks
+(:class:`~meso_spectra.band.Blocks`), with strengths on its leading
+diagonal.  :func:`filtered_extremes` and :func:`band_extremes` give the top
+``M+`` and bottom ``M-`` eigenpairs of each, or their values alone,
+certified, or the reason they could not certify them;
+:func:`~meso_spectra.ensembles.eigensolve` calls them on samples with more
+than ``FILTER_ROWS_PER_PAIR`` rows per pair.
 
 Both refine Ritz pairs in one loop, :func:`_refine`, of shift-and-invert
 sweeps at the Ritz values, each followed by a Rayleigh-Ritz step, and both
@@ -47,7 +48,6 @@ the first-order ones, and it stops about a sweep earlier.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -555,12 +555,16 @@ def _certify_values(q: np.ndarray, image: np.ndarray, d: np.ndarray, upper: int,
 
 
 def band_extremes(
-    storage: np.ndarray, thetas: np.ndarray, vectors: bool,
+    t: band.Blocks, thetas: np.ndarray, vectors: bool,
 ) -> tuple[np.ndarray, np.ndarray] | np.ndarray | str:
     """Certified top ``M+`` and bottom ``M-`` eigenpairs of ``T``, the band
-    matrix ``storage`` (half bandwidth ``w``) with ``thetas`` (``M+`` positive,
-    ``M-`` negative) added to its leading diagonal, their values alone when
-    not ``vectors``, or the reason they could not be certified.
+    matrix (half bandwidth ``w``) of the block stacks ``t``, its ``w x w``
+    diagonal blocks and the blocks below them (:class:`band.Blocks`), with
+    ``thetas`` (``M+`` positive, ``M-`` negative) added to its leading
+    diagonal, their values alone when not ``vectors``, or the reason they
+    could not be certified.  Every step reads the stacks: the leading
+    blocks' windows (:func:`band.window`), the sweeps, the products and the
+    counts.
 
     Growth.  Block Lanczos started on the leading ``w`` coordinates
     reproduces ``T``'s own blocks, so its Rayleigh-Ritz problem after ``k``
@@ -606,8 +610,7 @@ def band_extremes(
     there that of all of ``T`` bit for bit, and only a pairs solve's
     returned vectors are padded to ``n``.  So a ``k`` too small leaves a
     residual above its target, never an unchecked pair.  A stall, or a
-    sweep that gives way, gives way to the block growth.  ``T``'s block
-    stacks are built once, when first needed.
+    sweep that gives way, gives way to the block growth.
 
     Give-ups.  The solve gives up ("step cap reached") once the
     prediction, or the block, would exceed ``n / (2 w)`` blocks.  At ``M``
@@ -638,13 +641,13 @@ def band_extremes(
     its pairs.
     No random numbers are drawn.
     """
-    n, width = storage.shape[1], storage.shape[0] - 1
+    n, width = t.rows, t.diag.shape[1]
     m = thetas.size
     upper = int(np.count_nonzero(thetas > 0.0))
     lower = m - upper
     if not m:
         return (np.empty(0), np.empty((n, 0))) if vectors else np.empty(0)
-    storage = band.with_strengths(storage, thetas)
+    t = band.with_strengths(t, thetas)
 
     def padded(vecs: np.ndarray, rows: int) -> np.ndarray:
         # Vectors on leading rows with zeros below, to ``rows`` rows.
@@ -678,7 +681,7 @@ def band_extremes(
               isolation: np.ndarray):
         # The first sweep, on pairs from a leading block, solves on the
         # leading ``first`` blocks and later ones on ``full``.
-        leading = stacks().leading(first if ritz.q is None else full)
+        leading = t.leading(first if ritz.q is None else full)
 
         def solve(shifts: np.ndarray, x: np.ndarray) -> np.ndarray:
             return padded(band.solve(leading, shifts, x[: leading.rows].T).T,
@@ -686,9 +689,6 @@ def band_extremes(
 
         return _sweep(solve, ritz, todo, isolation)
 
-    # T's block stacks, built once when a sweep, a product or the counts
-    # first need them.
-    stacks = functools.cache(lambda: band.blocks(storage))
     cap = n // (2 * width)
     blocks, before, settled = min(BAND_FIRST_BLOCKS, cap), None, False
     sides = np.array([lower > 0, upper > 0])
@@ -696,7 +696,7 @@ def band_extremes(
         rows = blocks * width
         if rows <= m:
             return "step cap reached"
-        window = band.window(storage, rows + width)
+        window = band.window(t, rows + width)
         eigs, basis = np.linalg.eigh(window[:rows, :rows])
         pick = np.concatenate((np.arange(rows - 1, rows - 1 - upper, -1),
                                np.arange(lower - 1, -1, -1)))
@@ -739,7 +739,7 @@ def band_extremes(
                 first = int(np.clip(np.ceil(blocks + reach[todo].max()),
                                     blocks + 1, full))
                 refined, met = _refine(
-                    stacks().apply, ritz._replace(vecs=padded(vecs, working(full))),
+                    t.apply, ritz._replace(vecs=padded(vecs, working(full))),
                     goals, sweep)
                 if met:
                     ritz = refined
@@ -750,7 +750,7 @@ def band_extremes(
 
     bounds = cuts(ritz.values, edges)
     shifts = bounds[[1] * bool(upper) + [0] * bool(lower)]
-    below, delta = band.inertia(stacks(), shifts)
+    below, delta = band.inertia(t, shifts)
     if not (delta <= margin).all():
         return "near-singular pivot block"
     if (upper and n - below[0] != upper) or (lower and below[-1] != lower):
@@ -758,8 +758,8 @@ def band_extremes(
     bulk = np.array([bounds[0] - (delta[-1] if lower else 0.0),
                      bounds[1] + (delta[0] if upper else 0.0)])
     if vectors:
-        found = _certify(stacks().apply, ritz, bulk, upper, False, margin)
+        found = _certify(t.apply, ritz, bulk, upper, False, margin)
         return found if isinstance(found, str) else (found[0], padded(found[1], n))
     if ritz.q is None:
-        ritz = _rayleigh_ritz(stacks().apply, ritz.vecs)
+        ritz = _rayleigh_ritz(t.apply, ritz.vecs)
     return _certify_values(ritz.q, ritz.image, bulk, upper, False, margin)

@@ -7,6 +7,7 @@ of its extreme values and pairs against dense ``eigvalsh``/``eigh`` of the
 sample's own ``perturbed`` matrix.
 """
 
+import hashlib
 import logging
 import math
 import tracemalloc
@@ -48,7 +49,7 @@ def band_sample(band, thetas, stream_id=0):
     """A Wigner sample on an explicit band."""
     pert = PerturbationSpec.from_values(thetas)
     return Band(
-        frame=None, thetas=pert.thetas, kind=ModelKind.WIGNER, n=band.shape[1],
+        frame=None, thetas=pert.thetas, kind=ModelKind.WIGNER, n=band.rows,
         m=pert.m, master_seed=0, stream_id=stream_id, law=EntryLaw.GAUSSIAN,
         band=band,
     )
@@ -91,36 +92,67 @@ class TestBandLaw:
         assert ks_distance(band[1], dense[1]) < critical
 
     def test_entry_moments(self):
-        # n band[j, i]^2 has mean 2 on the diagonal, 1 inside the band and
-        # n - w - i (chi-square degrees of freedom) on the outermost
-        # diagonal; each sample mean must lie within 5 standard errors.
+        # n T[i, j]^2 has mean 2 on the diagonal, 1 inside the band and
+        # n - w - i (chi-square degrees of freedom) at T[i + w, i], the
+        # diagonals of the blocks below; each sample mean of the stacks'
+        # entries must lie within 5 standard errors.
         n, width, draws = 12, 4, 4000
-        squares = n * np.stack([
-            wigner_sample(n, [2.0] * width, seed=74, stream=i).band ** 2
-            for i in range(draws)])
-        dof = np.arange(n - width, 0, -1)
+        count = n // width
+        stacks = [wigner_sample(n, [2.0] * width, seed=74, stream=i).band
+                  for i in range(draws)]
+        squares = n * np.stack([np.concatenate((t.diag, t.below)) for t in stacks]) ** 2
+        dof = np.arange(n - width, 0, -1).reshape(count - 1, width)
         # Var(g^2) = 2 for g ~ N(0, 1) and Var(chi_k^2) = 2k.
-        expected, variance = np.zeros((2, width + 1, n))
-        expected[0], variance[0] = 2.0, 8.0
-        for j in range(1, width):
-            expected[j, : n - j], variance[j, : n - j] = 1.0, 2.0
-        expected[width, : n - width], variance[width, : n - width] = dof, 2.0 * dof
+        expected, variance = np.zeros((2, 2 * count - 1, width, width))
+        expected[:count], variance[:count] = 1.0, 2.0
+        inside = np.arange(width)
+        expected[:count, inside, inside], variance[:count, inside, inside] = 2.0, 8.0
+        rows, cols = np.triu_indices(width, 1)  # a Bartlett triangle's normals
+        expected[count:, rows, cols], variance[count:, rows, cols] = 1.0, 2.0
+        expected[count:, inside, inside], variance[count:, inside, inside] = dof, 2.0 * dof
         error = np.abs(squares.mean(axis=0) - expected)
         assert np.all(error <= 5.0 * np.sqrt(variance / draws))
 
     @pytest.mark.parametrize("n,m", [(50, 4), (53, 4), (30, 1), (12, 0), (7, 7)])
     def test_band_shape_and_entries(self, n, m):
         sample = wigner_sample(n, np.linspace(3.0, 1.0, m), seed=63)
-        width = max(m, 1)
-        assert sample.band.shape == (width + 1, n) and isinstance(sample, Band)
+        width, t = max(m, 1), sample.band
+        count = -(-n // width)
+        assert isinstance(sample, Band) and t.rows == n
+        assert t.diag.shape == (count, width, width)
+        assert t.below.shape == (count - 1, width, width)
         base = sample.base
         rows, cols = np.indices((n, n))
         assert not base[np.abs(rows - cols) > width].any()
-        for j in range(width + 1):
-            assert np.array_equal(np.diagonal(base, -j), sample.band[j, : n - j])
-            assert not sample.band[j, n - j:].any()
+        # The stacks hold T's blocks, zero past its last row.
+        padded = np.zeros((count * width, count * width))
+        padded[:n, :n] = base
+        blocks = padded.reshape(count, width, count, width)
+        for k in range(count):
+            assert np.array_equal(blocks[k, :, k], t.diag[k])
+            if k:
+                assert np.array_equal(blocks[k, :, k - 1], t.below[k - 1])
         # chi of n - width - i degrees of freedom on the outermost diagonal.
-        assert (sample.band[width, : n - width] > 0.0).all()
+        assert (np.diagonal(base, -width) > 0.0).all()
+
+    # sha256 of the stacks' bytes (diag, below) of band.goe at stream (0, 0),
+    # as recorded when goe drew into (w + 1) x n lower band storage and the
+    # stacks were cut from it; 1003 = 143 * 7 + 2 pads its last block.
+    GOLDEN_STACKS = {
+        (2000, 10): ("5ff0ffdb70343fe1d25f52778069ec3b9896e4526bf3ab93fa468f7ebb0e48f1",
+                     "3869bcf0e458c473dacfed6f55fc43fd5034b316a63705b0721fabcd86a50395"),
+        (1003, 7): ("3593bf439a6f284de87010b392c1b88a13957f6a1cf7ed1451ef1116b26782d6",
+                    "aa54dd754953f4b65a0a55bb60886273d0a10dc27d8b20e206492d166b89e878"),
+        (300, 1): ("91df257cd070c5d64b7fd43507aa1ff20dd5098e0a9ac60a7b7751574e8c38b8",
+                   "be1e441bfc7019c52dbb34fbd73995019ea03c3bafcad0cf6be487b0cd1f8de7"),
+    }
+
+    @pytest.mark.parametrize("n,width", sorted(GOLDEN_STACKS))
+    def test_stacks_bits_pinned(self, n, width):
+        t = band_algebra.goe(n, width, RngStream(0, 0).generator())
+        assert t.rows == n
+        assert (hashlib.sha256(t.diag.tobytes()).hexdigest(),
+                hashlib.sha256(t.below.tobytes()).hexdigest()) == self.GOLDEN_STACKS[n, width]
 
     def test_only_gaussian_unframed_wigner_is_banded(self):
         pert = PerturbationSpec.from_values([2.0])
@@ -156,13 +188,14 @@ class TestBandStructuredSample:
             assert getattr(sample, name) is first
             with pytest.raises(ValueError):
                 first[0, 0] = 9.9
-        with pytest.raises(ValueError):
-            sample.band[0, 0] = 9.9
+        for stack in (sample.band.diag, sample.band.below):
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 9.9
 
     def test_sample_holds_one_structure(self):
         provenance = dict(frame=None, thetas=np.empty(0), n=2, m=0,
                           master_seed=0, stream_id=0, law=None)
-        band = np.zeros((2, 2))
+        band = band_algebra.Blocks(np.zeros((2, 1, 1)), np.zeros((1, 1, 1)), 2)
         with pytest.raises(ModelError, match="its band or its dense matrices alone"):
             Diagonal(kind=ModelKind.WIGNER, d=np.ones(2), **provenance)
         with pytest.raises(ModelError, match="its dense matrices alone"):
@@ -173,8 +206,10 @@ class TestBandStructuredSample:
     def test_reproducible(self):
         a = wigner_sample(40, [2.0, -1.5], seed=66, stream=3)
         b = wigner_sample(40, [2.0, -1.5], seed=66, stream=3)
-        assert np.array_equal(a.band, b.band)
-        assert not np.array_equal(a.band, wigner_sample(40, [2.0, -1.5], seed=66).band)
+        other = wigner_sample(40, [2.0, -1.5], seed=66).band
+        for name in ("diag", "below"):
+            assert np.array_equal(getattr(a.band, name), getattr(b.band, name))
+            assert not np.array_equal(getattr(a.band, name), getattr(other, name))
 
 
 class TestBandBlocks:
@@ -190,11 +225,11 @@ class TestBandBlocks:
     def test_apply_matches_dense(self, n, width):
         # Within a few ulps of |T| |x| of the dense product, per column.
         gen = RngStream(77, n).generator()
-        band = band_algebra.with_strengths(band_algebra.goe(n, width, gen),
-                                           np.linspace(3.0, -2.0, width))
+        stacks = band_algebra.with_strengths(band_algebra.goe(n, width, gen),
+                                             np.linspace(3.0, -2.0, width))
         x = gen.standard_normal((n, 5))
-        dense = band_algebra.window(band, n)
-        y = band_algebra.blocks(band).apply(x)
+        dense = band_algebra.window(stacks, n)
+        y = stacks.apply(x)
         assert y.shape == (n, 5)
         bound = 4.0 * np.finfo(float).eps * np.linalg.norm(dense, 2) * np.linalg.norm(x, axis=0)
         assert (np.abs(y - dense @ x).max(axis=0) <= bound).all()
@@ -211,9 +246,8 @@ class TestBandBlocks:
         # zero block the product would miss the nonzero rows just below the
         # vectors, where B_k x_k lands.
         gen = RngStream(79, n).generator()
-        band = band_algebra.with_strengths(band_algebra.goe(n, width, gen),
-                                           np.linspace(2.4, 1.5, width))
-        stacks = band_algebra.blocks(band)
+        stacks = band_algebra.with_strengths(band_algebra.goe(n, width, gen),
+                                             np.linspace(2.4, 1.5, width))
         rows = occupied * width
         x = np.zeros((n, 4))
         x[:rows] = gen.standard_normal((rows, 4))
@@ -231,16 +265,15 @@ class TestBandBlocks:
         # takes a 2005-row block and the count stays T's.
         n, width = 2005, 10
         gen = RngStream(80, n).generator()
-        band = band_algebra.with_strengths(band_algebra.goe(n, width, gen),
-                                           np.linspace(2.4, 1.5, width))
-        stacks = band_algebra.blocks(band)
+        stacks = band_algebra.with_strengths(band_algebra.goe(n, width, gen),
+                                             np.linspace(2.4, 1.5, width))
         x = gen.standard_normal((n, 3))
         for count in (201, 202, 400):
             leading = stacks.leading(count)
             assert leading.rows == n
             assert np.array_equal(leading.apply(x), stacks.apply(x))
             below, _ = BAND_INERTIA(leading, np.array([2.5]))
-            dense = np.linalg.eigvalsh(band_algebra.window(band, n))
+            dense = np.linalg.eigvalsh(band_algebra.window(stacks, n))
             assert below.tolist() == [np.count_nonzero(dense < 2.5)]
         assert stacks.leading(200).rows == 2000
 
@@ -291,14 +324,13 @@ class TestBandInertia:
         # row-sum norms lie between the 2-norms and sqrt(w) times them.
         gen = RngStream(78, seed).generator()
         n = count * width - (int(gen.integers(1, width)) if padded and width > 1 else 0)
-        band = band_algebra.with_strengths(band_algebra.goe(n, width, gen),
-                                           gen.uniform(-3.0, 3.0, width))
-        dense = np.linalg.eigvalsh(band_algebra.window(band, n))
+        blocks = band_algebra.with_strengths(band_algebra.goe(n, width, gen),
+                                             gen.uniform(-3.0, 3.0, width))
+        dense = np.linalg.eigvalsh(band_algebra.window(blocks, n))
         place = {"above": lambda: gen.uniform(2.1, 3.5),
                  "below": lambda: gen.uniform(-3.5, -2.1),
                  "inside": lambda: gen.uniform(dense[0], dense[-1])}
         shifts = np.array([place[where]() for where in places])
-        blocks = band_algebra.blocks(band)
         below, delta = band_algebra.inertia(blocks, shifts)
         assert below.tolist() == [np.count_nonzero(dense < c) for c in shifts]
         eigh_below, eigh_delta = eigh_path_inertia(blocks, shifts)
@@ -574,13 +606,18 @@ class TestBandFallbacks:
     @staticmethod
     def decoupled_band(n, width, at, value, seed):
         """A GOE band with entry ``at`` of the diagonal set to ``value`` and
-        cut off from the rest of the matrix."""
-        band = band_algebra.goe(n, width, RngStream(seed, 0).generator())
-        band[0, at] = value
-        for j in range(1, width + 1):
-            band[j, at] = 0.0
-            band[j, max(0, at - j)] = 0.0 if at - j >= 0 else band[j, 0]
-        return band
+        cut off from the rest of the matrix: row and column ``c`` of its
+        diagonal block ``k`` zeroed, then row ``c`` of the block below block
+        ``k - 1`` and column ``c`` of the one below block ``k``."""
+        t = band_algebra.goe(n, width, RngStream(seed, 0).generator())
+        k, c = divmod(at, width)
+        t.diag[k, c, :] = t.diag[k, :, c] = 0.0
+        t.diag[k, c, c] = value
+        if k:
+            t.below[k - 1, c, :] = 0.0
+        if k < t.below.shape[0]:
+            t.below[k, :, c] = 0.0
+        return t
 
     def test_hidden_eigenvalue_fails_the_count(self, caplog):
         # An eigenvalue far down the band, which the leading blocks never

@@ -180,6 +180,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="separation threshold"):
             ExperimentConfig.from_dict(doc)
 
+    def test_orth_invariant_pushforward_support_clears_threshold(self):
+        # Strengths on [0.3, 0.6] are subcritical on a semicircle spectrum,
+        # whose threshold at delta = 0.15 lies above 1.6 at every n here.
+        doc = base_doc(
+            experiment="pushforward", kind="orth-invariant-additive",
+            spectrum={"name": "semicircle"}, n_values=[200, 400, 800],
+            theta_spec={"distribution": "uniform", "low": 0.3, "high": 0.6},
+            m_rule={"power": 0.5}, batches=3, seed=2,
+        )
+        with pytest.raises(ConfigError, match="separation threshold .* at n=200"):
+            ExperimentConfig.from_dict(doc)
+
     def test_concentration_required_fields(self):
         doc = {
             "experiment": "concentration",

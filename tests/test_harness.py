@@ -606,9 +606,12 @@ class TestPushforwardDriver:
 
     def test_orth_invariant_batches_read_top_values_alone(self, monkeypatch):
         # All strengths are positive, so the partial solve's values are the
-        # top m; W1 matches a dense read to rounding.
+        # top m; W1 matches a dense read to rounding.  The support clears the
+        # separation threshold at delta = 0.15, 1.657 at n = 300 and 1.680 at
+        # n = 600.
         cfg = self.make_cfg(kind="orth-invariant-additive",
                             spectrum={"name": "semicircle"},
+                            theta_spec={"distribution": "uniform", "low": 1.8, "high": 2.5},
                             n_values=[300, 600], m_rule={"fixed": 4}, batches=2)
         sizes = []
         real_solve = harness.eigensolve
