@@ -12,15 +12,15 @@ than ``FILTER_ROWS_PER_PAIR`` rows per pair.
 
 Both refine Ritz pairs in one loop, :func:`_refine`, of shift-and-invert
 sweeps at the Ritz values, each followed by a Rayleigh-Ritz step, and both
-certify on its last Rayleigh-Ritz state, residuals and all, with no further
-product (a band solve whose leading block meets the targets with no sweep
-has no such state, and applies ``T`` once more).  Pairs are certified by
-:func:`_certify`, values alone by :func:`_certify_values`: each value by
-the smaller of a first-order block bound, which needs no gap between
-outliers, and, for a value apart from the others and the bulk, the
-second-order Kato-Temple bound ``r^2 / gap``.  So a values solve's residual
-targets are per pair (:func:`_values_targets`), about the square root of
-the first-order ones, and it stops about a sweep earlier.
+end on one certificate, :func:`_certify`, of the last Rayleigh-Ritz step as
+it stands, residuals and all, with no further product or ``eigh`` (a band
+solve whose leading block meets the targets with no sweep takes one step
+first).  Pairs are certified by their residuals; values alone each by the
+smaller of a first-order block bound, which needs no gap between outliers,
+and, for a value apart from the others and the bulk, the second-order
+Kato-Temple bound ``r^2 / gap``.  So a values solve's residual targets are
+per pair (:func:`_values_targets`), about the square root of the
+first-order ones, and it stops about a sweep earlier.
 
 * :func:`filtered_extremes` starts from a Chebyshev filter stage on the
   diagonal-plus-low-rank structure and sweeps through the Woodbury
@@ -37,7 +37,7 @@ the first-order ones, and it stops about a sweep earlier.
   per row and vector through block cyclic reduction,
   :func:`band.solve`).  Vectors live on their working rows, where ``T``'s
   product is exact: the blocks they occupy and one zero block below, so
-  residuals, Rayleigh-Ritz steps and certificates are those of all of
+  residuals, Rayleigh-Ritz steps and the certificate are those of all of
   ``T`` at the cost of those rows alone.  Exact counts
   from Sylvester's inertia of a block LDL^T factorization
   (:func:`band.inertia`), at a cut on each side, prove the interval that
@@ -63,8 +63,8 @@ DEGENERACY_TOLERANCE = 1e-10
 # A Ritz pair of the partial eigensolve has converged once its residual is at
 # most this, relative to the smaller of max(1, largest |Ritz value|) and its
 # distance to the rest of the spectrum.  Values alone have converged once
-# each value's bound (first or second order, see _certify_values) is at most
-# this relative to the former alone.
+# each value's bound (first or second order, see _certify) is at most this
+# relative to the former alone.
 FILTER_TOLERANCE = 1e-12
 
 # The total Chebyshev filter degree the partial eigensolve may spend before
@@ -95,14 +95,17 @@ BAND_FIRST_BLOCKS = 4
 
 class _Ritz(NamedTuple):
     """Ritz pairs of ``A``: values descending, unit vectors as columns and
-    residual norms ``|A u - mu u|``, with the basis ``q`` and its image ``A
-    q`` of their Rayleigh-Ritz step (``None`` for pairs found otherwise)."""
+    residual norms ``|A u - mu u|``, with the basis ``q``, its image ``A q``
+    and the symmetrized ``h = Q^T A Q`` of their Rayleigh-Ritz step
+    (``None`` for a band solve's leading-block pairs, which no certificate
+    sees)."""
 
     values: np.ndarray
     vecs: np.ndarray
     resid: np.ndarray
-    q: np.ndarray | None
-    image: np.ndarray | None
+    q: np.ndarray | None = None
+    image: np.ndarray | None = None
+    h: np.ndarray | None = None
 
     @property
     def radius(self) -> float:
@@ -119,24 +122,25 @@ def _rayleigh_ritz(apply, x: np.ndarray) -> _Ritz:
     q = np.linalg.qr(x)[0]
     image = apply(q)
     h = q.T @ image
-    ritz, rot = np.linalg.eigh(0.5 * (h + h.T))
+    h = 0.5 * (h + h.T)
+    ritz, rot = np.linalg.eigh(h)
     values, rot = ritz[::-1], rot[:, ::-1]
     if x.flags.c_contiguous:
         vecs, turned = q @ rot, image @ rot
     else:
         vecs, turned = (rot.T @ q.T).T, (rot.T @ image.T).T
     resid = np.linalg.norm(turned - vecs * values, axis=0)
-    return _Ritz(values, vecs, resid, q, image)
+    return _Ritz(values, vecs, resid, q, image, h)
 
 
 def _values_targets(first: float, radius: float, gap: np.ndarray) -> np.ndarray:
     """The residual targets of a values solve's pairs, each value ``gap``
-    from its neighbours and the bulk: ``first``, at which the block bound
-    of :func:`_certify_values` meets the tolerance, or, when every value is
-    apart from the rest by more than four times the block residual the
-    larger targets allow, each pair's own ``sqrt(FILTER_TOLERANCE * radius
-    * gap / 4)`` if larger, at which its second-order bound ``r^2 / (gap -
-    bound)`` meets a third of the tolerance."""
+    from its neighbours and the bulk: ``first``, at which the first-order
+    block bound of :func:`_certify` meets the tolerance, or, when every
+    value is apart from the rest by more than four times the block residual
+    the larger targets allow, each pair's own ``sqrt(FILTER_TOLERANCE *
+    radius * gap / 4)`` if larger, at which its second-order bound ``r^2 /
+    (gap - bound)`` meets a third of the tolerance."""
     targets = np.maximum(first, np.sqrt(0.25 * FILTER_TOLERANCE * radius
                                         * np.maximum(gap, 0.0)))
     if (gap > 4.0 * np.linalg.norm(targets)).all():
@@ -190,9 +194,10 @@ def _refine(apply, ritz: _Ritz, goals, step) -> tuple[_Ritz, bool] | str:
     prediction has met the rounding floor: the loop stalls there, unmet,
     and each solve decides what a stall means.
 
-    Certificates read the last state and apply ``A`` no more:
-    :func:`_certify` its pairs with the residuals the step formed, and
-    :func:`_certify_values` its ``Q`` and ``A Q``, which span them.
+    The certificate, :func:`_certify`, reads the last state as it stands
+    and applies ``A`` no more: pairs with the residuals the step formed,
+    values with those residuals, its Ritz values and its ``Q``, ``A Q`` and
+    ``H``.
     """
     fall = None
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -259,9 +264,9 @@ def filtered_extremes(
     Phys. 219, 2006) on a block of ``M`` vectors started on the orthonormal
     ``start``, applying ``A`` as ``d * x + W (K (W^T x))``, then the loop of
     :func:`_refine`, stepped by further stages or sweeps, with the
-    tolerances of :func:`_certify` as targets, or when not ``vectors``
-    those of :func:`_certify_values`, per pair (:func:`_values_targets`,
-    each value's gap taken to the other values and the bulk).  All
+    tolerances of :func:`_certify` as targets, per pair when not
+    ``vectors`` (:func:`_values_targets`, each value's gap taken to the
+    other values and the bulk), and that certificate on its last step.  All
     eigenvalues but the wanted ones lie in the bulk ``[min d, max d]`` (see
     :func:`_certify`), on which ``T_m((A - centre) / half)`` is at most 1 in
     modulus, while it multiplies an eigenvector at ``lambda`` beyond the
@@ -395,10 +400,7 @@ def filtered_extremes(
     found = _refine(apply, _rayleigh_ritz(apply, first), goals, advance)
     if isinstance(found, str):
         return found
-    ritz = found[0]
-    if vectors:
-        return _certify(apply, ritz, d, upper, psd, margin)
-    return _certify_values(ritz.q, ritz.image, d, upper, psd, margin)
+    return _certify(found[0], d, upper, psd, margin, vectors)
 
 
 def _intervals(values: np.ndarray, resid, upper: int, d: np.ndarray):
@@ -417,37 +419,38 @@ def _intervals(values: np.ndarray, resid, upper: int, d: np.ndarray):
     return low, high, np.concatenate((gap[:upper], gap[upper + 1:]))
 
 
-def _certify(apply, ritz: _Ritz, d: np.ndarray, upper: int, psd: bool,
-             margin: float) -> tuple[np.ndarray, np.ndarray] | str:
-    """The Ritz pairs ``ritz`` of ``A = diag(d) + W K W^T``, the top
-    ``upper`` first, or ``"certificate failed"``.
+def _certify(ritz: _Ritz, d: np.ndarray, upper: int, psd: bool, margin: float,
+             vectors: bool) -> tuple[np.ndarray, np.ndarray] | np.ndarray | str:
+    """The Ritz pairs of ``A = diag(d) + W K W^T`` of the last
+    Rayleigh-Ritz step ``ritz`` of :func:`_refine`, the top ``upper``
+    first, their values alone when not ``vectors``, or ``"certificate
+    failed"``.  It reads the step as it stands, its Ritz values, residuals,
+    ``Q``, ``A Q`` and ``H``, and takes no product with ``A`` and no
+    ``eigh``.
 
-    The pairs ``(mu, u)`` are certified with the residuals ``r = |A u - mu
-    u| / |u|``.  Pairs from a Rayleigh-Ritz step (``ritz.q`` not ``None``)
-    are ``u = Q y`` with the Ritz values, whose residuals ``(A Q) y - mu Q
-    y``, ``A u - mu u`` to rounding, the step has formed, so no product with
-    ``A`` is taken here.  Other pairs (the band solve's leading block) are
-    normalized, applied by ``apply`` and given their Rayleigh quotients.
+    ``A`` has at most ``upper`` eigenvalues above ``max d`` and at most
+    ``M - upper`` below ``min d``, and the others lie in ``[min d, max
+    d]``: additively by Weyl interlacing, and multiplicatively because ``S
+    B S`` has the spectrum of ``B + (B^1/2 V) Theta (B^1/2 V)^T`` when
+    ``B`` is PSD (``psd``).  The band solve passes, as ``d``, the two ends
+    of an interval that its counts prove to hold every eigenvalue but the
+    ``M`` extreme ones, and the same arguments hold with that interval as
+    the bulk.
+
+    Pairs.  The pairs ``(mu, u)`` are ``u = Q y`` with the Ritz values,
+    certified with the residuals ``r = |A u - mu u| / |u|`` from ``(A Q) y
+    - mu Q y``, ``A u - mu u`` to rounding, which the step has formed.
     Each interval ``[mu - r, mu + r]`` holds an eigenvalue, whatever ``mu``
     and the norm of ``u`` (Parlett, The Symmetric Eigenvalue Problem, ch.
-    11).  ``A`` has at most ``upper`` eigenvalues above ``max d``
-    and at most ``M - upper`` below ``min d``, and the others lie in
-    ``[min d, max d]``: additively by Weyl interlacing, and
-    multiplicatively because ``S B S`` has the spectrum of
-    ``B + (B^1/2 V) Theta (B^1/2 V)^T`` when ``B`` is PSD (``psd``).  So
-    when the upper intervals lie beyond ``max d`` and the lower ones beyond
-    ``min d``, each side's intervals apart from one another and from the
-    bulk by more than ``margin`` (``DEGENERACY_TOLERANCE`` times
+    11).  So when the upper intervals lie beyond ``max d`` and the lower
+    ones beyond ``min d``, each side's intervals apart from one another and
+    from the bulk by more than ``margin`` (``DEGENERACY_TOLERANCE`` times
     ``max(1, max|d|, largest |Ritz value|)``, a bound on the spectral radius
     once this holds), they hold exactly ``lambda_1 .. lambda_upper`` and the
     ``M - upper`` smallest eigenvalues, none of them in a degenerate
     cluster.  The rest of the spectrum then lies at least ``gap`` from
     ``mu``: ``gap`` is the distance to the nearest other interval or to the
     bulk.
-
-    The band solve passes, as ``d``, the two ends of an interval that its
-    counts prove to hold every eigenvalue but the ``M`` extreme ones, and
-    the same argument holds with that interval as the bulk.
 
     Values are returned descending with their vectors, unit up to
     rounding.  Each has ``r <= FILTER_TOLERANCE * min(radius, gap)``,
@@ -456,102 +459,72 @@ def _certify(apply, ritz: _Ritz, d: np.ndarray, upper: int, psd: bool,
     vector within angle ``r / gap <= FILTER_TOLERANCE`` of the eigenvector
     (Davis-Kahan).  Pairs too close to one another or to the bulk for
     rounding to reach that residual fail the certificate.
+
+    Values, first order.  ``H = Q^T A Q``, symmetrized, has the Ritz values
+    ``theta`` as eigenvalues; ``R = A Q - Q H``.  When ``Q`` is exactly
+    orthonormal, ``A`` has ``M`` eigenvalues, with distinct indices, each
+    within ``|R|_2`` of its own ``theta`` (Kahan's residual bound; Parlett,
+    ch. 11).  With the computed ``Q``, ``eta = |Q^T Q - I|_F < 1``, the same
+    holds with ``bound = (|R|_F + 3 eta |H|_2) / (1 - eta)``: the bound for
+    the orthonormal polar factor ``U = Q (Q^T Q)^(-1/2)`` is at most ``|R|_2
+    / (1 - eta)``, and Weyl's bound moves ``U^T A U``'s eigenvalues from
+    ``theta`` by at most ``3 eta |H|_2 / (1 - eta)``.  So when the top
+    ``upper`` values lie above ``max d`` and the others below ``min d``,
+    each by more than ``bound + margin``, their eigenvalues are exactly
+    ``lambda_1 .. lambda_upper`` and the ``M - upper`` smallest, in order,
+    and each value is within ``bound`` of its eigenvalue.  This bound needs
+    no gap between the values, so close or repeated outliers certify.
+
+    Values, second order.  When a value's interval ``[theta_i +- bound]`` is
+    apart from its neighbours' and from the bulk by more than ``margin``, it
+    holds exactly one eigenvalue (the matching and the count leave no
+    other), and no other eigenvalue lies between the near ends ``alpha_i <
+    theta_i < beta_i`` of the intervals next to it, the bulk among them.
+    Then the Kato-Temple bound (Temple, Proc. R. Soc. A 119, 1928; Kato, J.
+    Phys. Soc. Japan 4, 1949) holds for its Ritz vector ``u_i = Q y_i``,
+    ``y_i`` the eigenvector of ``H``: the eigenvalue is within ``r^2 /
+    min(beta - rho, rho - alpha)`` of the Rayleigh quotient ``rho`` of
+    ``u_i``, ``r`` the residual of ``u_i / |u_i|`` at ``rho``.  With the
+    computed ``Q``, ``|u_i|^2 >= 1 - eta``, ``r <= r_i / sqrt(1 - eta)`` for
+    ``r_i = |A u_i - theta_i u_i|``, the step's residual, and ``rho`` is
+    within ``moved = 3 eta |H|_2 / (1 - eta)`` of ``theta_i``, so the value
+    is within ``r_i^2 / ((1 - eta) (gap_i - moved)) + moved`` of its
+    eigenvalue, ``gap_i`` the distance from ``theta_i`` to the nearer of
+    ``alpha_i`` and ``beta_i``.  Each value takes the smaller of its
+    bounds, and the certificate asks each to be at most ``FILTER_TOLERANCE
+    * max(1, largest |theta|)``.
     """
-    if ritz.q is None:
-        vecs = ritz.vecs / np.linalg.norm(ritz.vecs, axis=0)
-        image = apply(vecs)
-        values = np.einsum("ij,ij->j", vecs, image)
-        resid = np.linalg.norm(image - vecs * values, axis=0)
+    values, radius = ritz.values, ritz.radius
+    if vectors:
+        resid = ritz.resid / np.linalg.norm(ritz.vecs, axis=0)
+        # Consecutive intervals, the bulk among them, must be apart by more
+        # than the margin.
+        low, high, gap = _intervals(values, resid, upper, d)
+        certified = ((resid <= FILTER_TOLERANCE * np.minimum(radius, gap)).all()
+                     and (low[:-1] - high[1:] > margin).all())
     else:
-        values, vecs = ritz.values, ritz.vecs
-        resid = ritz.resid / np.linalg.norm(vecs, axis=0)
-    # Consecutive intervals, the bulk among them, must be apart by more
-    # than the margin.
-    low, high, gap = _intervals(values, resid, upper, d)
-    certified = (
-        (resid <= FILTER_TOLERANCE * np.minimum(ritz.radius, gap)).all()
-        and (low[:-1] - high[1:] > margin).all()
-        and (not psd or d.min() >= 0.0)
-    )
-    if not certified:
+        q = ritz.q
+        size = max(abs(values[0]), abs(values[-1]))
+        eta = np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
+        bound = (np.linalg.norm(ritz.image - q @ ritz.h)
+                 + 3.0 * eta * size) / (1.0 - eta)
+        moved = 3.0 * eta * size / (1.0 - eta)
+        # Second order, for each value whose interval is apart from the
+        # others and from the bulk.
+        _, _, gap = _intervals(values, bound, upper, d)
+        apart = gap - bound > margin
+        each = np.full(values.size, bound)
+        each[apart] = np.minimum(bound, ritz.resid[apart] ** 2
+                                 / ((1.0 - eta) * (gap[apart] - moved)) + moved)
+        certified = (
+            eta < 1.0
+            and (each <= FILTER_TOLERANCE * radius).all()
+            and (values[:upper] - bound > d.max() + margin).all()
+            and (values[upper:] + bound < d.min() - margin).all()
+        )
+    if not certified or (psd and d.min() < 0.0):
         return "certificate failed"
-    return values, vecs
-
-
-def _certify_values(q: np.ndarray, image: np.ndarray, d: np.ndarray, upper: int,
-                    psd: bool, margin: float) -> np.ndarray | str:
-    """The top ``upper`` and bottom ``M - upper`` eigenvalues of ``A =
-    diag(d) + W K W^T``, descending, from the span of ``Q = q``, orthonormal
-    up to rounding, and ``A Q = image``, the last Rayleigh-Ritz step's of
-    :func:`_refine`; or ``"certificate failed"``.
-
-    ``H = Q^T A Q`` with eigenvalues ``theta`` and ``R = A Q - Q H``.  When
-    ``Q`` is exactly orthonormal, ``A`` has ``M`` eigenvalues, with distinct
-    indices, each within ``|R|_2`` of its own ``theta`` (Kahan's residual
-    bound; Parlett, The Symmetric Eigenvalue Problem, ch. 11).  With the
-    computed ``Q``, ``eta = |Q^T Q - I|_F < 1``, the same holds with
-    ``bound = (|R|_F + 3 eta |H|_2) / (1 - eta)``: the bound for the
-    orthonormal polar factor ``U = Q (Q^T Q)^(-1/2)`` is at most
-    ``|R|_2 / (1 - eta)``, and Weyl's bound moves ``U^T A U``'s eigenvalues
-    from ``theta`` by at most ``3 eta |H|_2 / (1 - eta)``.
-
-    ``A`` has at most ``upper`` eigenvalues above ``max d`` and at most
-    ``M - upper`` below ``min d`` (see :func:`_certify`; multiplicatively
-    when ``psd`` holds).  So when the top ``upper`` values lie above
-    ``max d`` and the others below ``min d``, each by more than
-    ``bound + margin``, their eigenvalues are exactly ``lambda_1 ..
-    lambda_upper`` and the ``M - upper`` smallest, in order, and each value
-    is within ``bound`` of its eigenvalue.  This first-order bound needs no
-    gap between the values, so close or repeated outliers certify.
-
-    Second order.  When a value's interval ``[theta_i +- bound]`` is apart
-    from its neighbours' and from the bulk by more than ``margin``, it holds
-    exactly one eigenvalue (the matching and the count leave no other), and
-    no other eigenvalue lies between the near ends ``alpha_i < theta_i <
-    beta_i`` of the intervals next to it, the bulk among them.  Then the
-    Kato-Temple bound (Temple, Proc. R. Soc. A 119, 1928; Kato, J. Phys.
-    Soc. Japan 4, 1949) holds for its Ritz vector ``u_i = Q y_i``, ``y_i``
-    the eigenvector of ``H``: the eigenvalue is within ``r^2 / min(beta -
-    rho, rho - alpha)`` of the Rayleigh quotient ``rho`` of ``u_i``, ``r``
-    the residual of ``u_i / |u_i|`` at ``rho``.  With the computed ``Q``,
-    ``|u_i|^2 >= 1 - eta``, ``r <= r_i / sqrt(1 - eta)`` for ``r_i = |A u_i
-    - theta_i u_i|``, and ``rho`` is within ``moved = 3 eta |H|_2 / (1 -
-    eta)`` of ``theta_i``, so the value is within ``r_i^2 / ((1 - eta)
-    (gap_i - moved)) + moved`` of its eigenvalue, ``gap_i`` the distance
-    from ``theta_i`` to the nearer of ``alpha_i`` and ``beta_i``.
-
-    Each value takes the smaller of its bounds, and the certificate asks
-    each to be at most ``FILTER_TOLERANCE * max(1, largest |theta|)``.  As
-    in :func:`_certify`, ``d`` may instead be the two ends of an interval
-    proved to hold every other eigenvalue.
-    """
-    h = q.T @ image
-    h = 0.5 * (h + h.T)
-    # eigh, as in the Rayleigh-Ritz steps: eigvalsh is left to dense solves.
-    values, rot = np.linalg.eigh(h)
-    values, rot = values[::-1], rot[:, ::-1]
-    size = max(abs(values[0]), abs(values[-1]))
-    eta = np.linalg.norm(q.T @ q - np.eye(q.shape[1]))
-    bound = (np.linalg.norm(image - q @ h) + 3.0 * eta * size) / (1.0 - eta)
-    # Second order, for each value whose interval is apart from the others
-    # and from the bulk.
-    moved = 3.0 * eta * size / (1.0 - eta)
-    resid = np.linalg.norm(image @ rot - (q @ rot) * values, axis=0)
-    _, _, gap = _intervals(values, bound, upper, d)
-    apart = gap - bound > margin
-    each = np.full(values.size, bound)
-    each[apart] = np.minimum(
-        bound, resid[apart] ** 2 / ((1.0 - eta) * (gap[apart] - moved)) + moved)
-    certified = (
-        eta < 1.0
-        and (each <= FILTER_TOLERANCE * max(1.0, size)).all()
-        and (values[:upper] - bound > d.max() + margin).all()
-        and (values[upper:] + bound < d.min() - margin).all()
-        and (not psd or d.min() >= 0.0)
-    )
-    if not certified:
-        return "certificate failed"
-    return values
+    return (values, ritz.vecs) if vectors else values
 
 
 def band_extremes(
@@ -634,11 +607,10 @@ def band_extremes(
     ``M-`` below the lower one ("count disagrees").  Otherwise every
     eigenvalue but the ``M`` extreme ones lies between the cuts widened by
     ``delta``, which take the place of ``[min d, max d]`` in the
-    certificates, read on the vectors' working rows, where ``T``'s product
+    certificate, read on the vectors' working rows, where ``T``'s product
     is exact; the counts factor all of ``T``.  A solve grown to its
-    targets with no sweep has no Rayleigh-Ritz state: a values solve takes
-    one step for its certificate, and a pairs certificate applies ``T`` to
-    its pairs.
+    targets with no sweep has no Rayleigh-Ritz step yet, and takes one on
+    its leading block's pairs for the certificate.
     No random numbers are drawn.
     """
     n, width = t.rows, t.diag.shape[1]
@@ -707,7 +679,7 @@ def band_extremes(
         # The next Ritz value on each side: the bulk's edges, as the block
         # sees them.
         edges = np.array([eigs[lower], eigs[rows - 1 - upper]])
-        ritz = _Ritz(values, padded(vecs, working(blocks)), resid, None, None)
+        ritz = _Ritz(values, padded(vecs, working(blocks)), resid)
         target, isolation = goals(ritz)
         # The edges have settled once the block has doubled twice, or once
         # each cut lies farther beyond its edge than half the edge's move
@@ -757,9 +729,9 @@ def band_extremes(
         return "count disagrees"
     bulk = np.array([bounds[0] - (delta[-1] if lower else 0.0),
                      bounds[1] + (delta[0] if upper else 0.0)])
-    if vectors:
-        found = _certify(t.apply, ritz, bulk, upper, False, margin)
-        return found if isinstance(found, str) else (found[0], padded(found[1], n))
     if ritz.q is None:
         ritz = _rayleigh_ritz(t.apply, ritz.vecs)
-    return _certify_values(ritz.q, ritz.image, bulk, upper, False, margin)
+    found = _certify(ritz, bulk, upper, False, margin, vectors)
+    if isinstance(found, str) or not vectors:
+        return found
+    return found[0], padded(found[1], n)

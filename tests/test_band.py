@@ -523,6 +523,37 @@ class TestBandEigensolve:
         assert [float(v).hex() for v in vecs[0]] == GOLDEN_BAND_SOLVE["first row"]
         assert vecs.shape == (2000, 10) and not vecs[1000:].any()
 
+    @pytest.mark.parametrize("seed", [11, 60221])
+    def test_bench_shaped_values_certificate_adds_no_eigh(self, caplog, monkeypatch,
+                                                           seed):
+        # n = 2000, M = 10, strengths 2.4 .. 1.5: one eigh per leading
+        # window, one per Rayleigh-Ritz step and one for the count's last
+        # level, its Cholesky levels all definite.  The values certificate
+        # reads the last step as it stands and adds none.
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        events = []
+
+        def spy(name, owner, attribute):
+            real = getattr(owner, attribute)
+
+            def call(*args, **kwargs):
+                events.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attribute, call)
+
+        spy("eigh", np.linalg, "eigh")
+        spy("window", band_algebra, "window")
+        spy("rayleigh-ritz", partial, "_rayleigh_ritz")
+        spy("count", band_algebra, "inertia")
+        sample = wigner_sample(2000, np.linspace(2.4, 1.5, 10), seed=seed)
+        assert eigensolve(sample, vectors=False).shape == (10,)
+        assert caplog.records == []
+        stages = events[0::2]
+        assert events[1::2] == ["eigh"] * len(stages)
+        assert "rayleigh-ritz" in stages and stages[-1] == "count"
+        assert stages.count("count") == 1
+
     def test_draws_no_random_numbers_and_builds_no_dense_matrix(self, monkeypatch):
         sample = wigner_sample(300, [3.0, -3.0], seed=68)
 

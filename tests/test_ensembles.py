@@ -723,6 +723,19 @@ def orth_configs(draw):
     return multiplicative, values, thetas[: n - 1]
 
 
+# Bench-shaped filtered solves as float.hex: the values of an orth-detect
+# sample (n = 400, semicircle quantiles, strengths +-1.9 .. +-2.4, seed 11,
+# stream 0), and the pair values and the vectors' first row of an
+# orth-mult-eigenvector sample (n = 1000, uniform [0.5, 2.5], strengths 1.5
+# .. -0.96, seed 93, stream 0), recorded while the values certificate still
+# diagonalized the last Rayleigh-Ritz matrix a second time.
+GOLDEN_FILTERED_SOLVE = {
+    "values": ["0x1.5b299aaf0dee2p+1", "0x1.533ef38fd95cfp+1", "0x1.414e6434afb70p+1", "0x1.3ee7d3f6ba55bp+1", "-0x1.2d8271e233971p+1", "-0x1.47e6ce305aa42p+1", "-0x1.4e694a253e349p+1", "-0x1.653e7232a839bp+1"],
+    "pairs": ["0x1.05692ad1e0755p+2", "0x1.cb51ff934d3fcp+1", "0x1.b2dfc2a26847ap+1", "0x1.21de7bae3e45ep-3", "0x1.8c80d2e283e2dp-4", "0x1.9b81af3c91f86p-5"],
+    "first row": ["-0x1.8fa3ff5e96870p-4", "-0x1.5772a6c4b78a7p-4", "0x1.42396d240dc23p-6", "-0x1.3e82178a29eb6p-5", "-0x1.1e50b9365f8d1p-6", "0x1.3fd461529e266p-4"],
+}
+
+
 class TestCertifiedPartialEigensolve:
     """The certified extreme pairs of an orthogonally invariant sample."""
 
@@ -1038,8 +1051,8 @@ class TestCertifiedPartialEigensolve:
     def test_detect_shaped_values_certificate_reuses_the_last_basis(self,
                                                                    monkeypatch):
         # n = 400, M = 8 on semicircle quantiles: each Rayleigh-Ritz round
-        # takes one QR and one eigh, and the values certificate takes the
-        # last round's basis and its image, adding its own eigh and no QR.
+        # takes one QR and one eigh, and the values certificate reads the
+        # last round as it stands, adding no eigh and no QR.
         steps = []
 
         def spy(name, real):
@@ -1059,7 +1072,26 @@ class TestCertifiedPartialEigensolve:
             steps.clear()
             assert eigensolve(sample, vectors=False).shape == (8,)
             rounds = steps.count("qr")
-            assert rounds >= 2 and steps == ["qr", "eigh"] * rounds + ["eigh"]
+            assert rounds >= 2 and steps == ["qr", "eigh"] * rounds
+
+    def test_bench_shaped_solves_are_bit_for_bit(self, caplog):
+        # Both certified by the filtered solve, with no dense fallback.
+        caplog.set_level(logging.DEBUG, logger="meso_spectra")
+        detect = sample_ensemble(
+            Model.additive(SpectrumModel.from_values(semicircle_quantiles(400))),
+            PerturbationSpec.from_values([2.4, 2.2, 2.0, 1.9, -1.9, -2.0, -2.2, -2.4]),
+            400, RngStream(11, 0))
+        mult = sample_ensemble(
+            Model.multiplicative(SpectrumModel.from_values(np.linspace(0.5, 2.5, 1000))),
+            PerturbationSpec.from_values([1.5, 1.2, 1.0, -0.88, -0.92, -0.96]),
+            1000, RngStream(93, 0))
+        values = eigensolve(detect, vectors=False)
+        vals, vecs = eigensolve(mult)
+        assert caplog.records == []
+        assert not {"perturbed"} & (vars(detect).keys() | vars(mult).keys())
+        assert [float(v).hex() for v in values] == GOLDEN_FILTERED_SOLVE["values"]
+        assert [float(v).hex() for v in vals] == GOLDEN_FILTERED_SOLVE["pairs"]
+        assert [float(v).hex() for v in vecs[0]] == GOLDEN_FILTERED_SOLVE["first row"]
 
     def test_values_certificate(self):
         # Exact outlier vectors certify; a rough span, a span holding a bulk
@@ -1071,18 +1103,17 @@ class TestCertifiedPartialEigensolve:
         margin = partial.DEGENERACY_TOLERANCE * 3.0
 
         def span(columns):
-            q = np.linalg.qr(columns)[0]
-            return q, a @ q
+            return partial._rayleigh_ritz(lambda x: a @ x, columns)
 
         def certify(columns, upper):
-            return partial._certify_values(*span(vecs[:, columns]), d, upper,
-                                           False, margin)
+            return partial._certify(span(vecs[:, columns]), d, upper, False,
+                                    margin, False)
 
         values = certify([-1, 0], 1)
         assert np.max(np.abs(values - vals[[-1, 0]])) <= 1e-14
         rough = vecs[:, [-1, 0]] + 1e-5 * np.ones((60, 2))
-        assert partial._certify_values(*span(rough), d, 1, False,
-                                       margin) == "certificate failed"
+        assert partial._certify(span(rough), d, 1, False, margin,
+                                False) == "certificate failed"
         assert certify([-1, -2], 1) == "certificate failed"
         assert certify([-1, 0], 2) == "certificate failed"
         assert certify([-1, 0], 0) == "certificate failed"
@@ -1175,23 +1206,23 @@ class TestSecondOrderValuesCertificate:
     bulk = np.array([-1.0, 1.0])
 
     def span(self, top, rough):
-        # Orthonormal Q and A Q for the top two eigenvectors, each moved by
+        # The Rayleigh-Ritz step on the top two eigenvectors, each moved by
         # ``rough`` in every coordinate.
         rng = RngStream(59, 0).generator()
         basis = np.linalg.qr(rng.standard_normal((self.n, self.n)))[0]
         a = (basis * np.r_[top, np.linspace(-1.0, 1.0, self.n - 2)]) @ basis.T
         a = 0.5 * (a + a.T)
-        q = np.linalg.qr(basis[:, :2] + rough * np.ones((self.n, 2)))[0]
-        return q, a @ q
+        return partial._rayleigh_ritz(
+            lambda x: a @ x, basis[:, :2] + rough * np.ones((self.n, 2)))
 
     def certify(self, top, rough):
-        q, image = self.span(top, rough)
         margin = partial.DEGENERACY_TOLERANCE * max(top)
-        return partial._certify_values(q, image, self.bulk, 2, False, margin)
+        return partial._certify(self.span(top, rough), self.bulk, 2, False,
+                                margin, False)
 
     def block_bound(self, top, rough):
-        q, image = self.span(top, rough)
-        return np.linalg.norm(image - q @ (q.T @ image))
+        ritz = self.span(top, rough)
+        return np.linalg.norm(ritz.image - ritz.q @ (ritz.q.T @ ritz.image))
 
     def test_isolated_span_certifies_to_second_order(self):
         # Residuals near 5e-8: far above the 5e-12 tolerance, while their
@@ -1309,7 +1340,7 @@ class TestSharedRefinement:
                                      lambda r: (1e-30, self.isolation(r)), step)
         assert not met and len(blocks) == 1
         last = partial._rayleigh_ritz(lambda x: a @ x, blocks[0])
-        for field in ("values", "vecs", "resid", "q", "image"):
+        for field in ("values", "vecs", "resid", "q", "image", "h"):
             assert np.array_equal(getattr(state, field), getattr(last, field))
 
     def test_give_way_and_give_up(self):
@@ -1359,8 +1390,9 @@ class TestSweepProducts:
                                                                     monkeypatch):
         # The bench's orth-mult-eigenvector shape: n = 1000, uniform [0.5,
         # 2.5] spectrum, six multiplicative strengths.  Every product with A
-        # is recorded; the certificate must read the last Rayleigh-Ritz
-        # step's residuals rather than apply A again.
+        # is recorded: the Rayleigh-Ritz steps are all that is handed A's
+        # product.  The certificate, handed none, must follow the last step
+        # and read its residuals rather than apply A again.
         events = []
 
         def spied(apply):
@@ -1376,9 +1408,12 @@ class TestSweepProducts:
             events.append("rayleigh-ritz")
             return found
 
+        def certify(*args):
+            events.append("certify")
+            return real_certify(*args)
+
         monkeypatch.setattr(partial, "_rayleigh_ritz", rayleigh_ritz)
-        monkeypatch.setattr(partial, "_certify",
-                            lambda apply, *args: real_certify(spied(apply), *args))
+        monkeypatch.setattr(partial, "_certify", certify)
         n = 1000
         model = Model.multiplicative(SpectrumModel.from_values(np.linspace(0.5, 2.5, n)))
         pert = PerturbationSpec.from_values([1.5, 1.2, 1.0, -0.88, -0.92, -0.96])
@@ -1391,6 +1426,7 @@ class TestSweepProducts:
             last = len(events) - events[::-1].index("rayleigh-ritz")
             assert events.count("rayleigh-ritz") >= 2
             assert "apply" not in events[last:]
+            assert events[last:] == ["certify"]
 
 
 def structure_samples():
